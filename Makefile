@@ -15,7 +15,7 @@ SEEDS ?= 20
 OPS ?= 50
 FAULT_TRIALS ?= 150
 
-.PHONY: install test test-fast bench bench-crypto bench-store bench-server obs-smoke report examples lint all \
+.PHONY: install test test-fast bench bench-crypto bench-store bench-server obs-smoke e2e-selftest report examples lint all \
 	adversary adversary-sweep differential fault-sweep
 
 install:
@@ -46,6 +46,12 @@ bench-server:
 # of the recorded histograms, spans, and events (docs/OBSERVABILITY.md).
 obs-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.obs.smoke
+
+# Self-test of the end-to-end benchmark (BENCHMARK.json): every workload
+# at --tiny sizes in fresh processes, checking that each declared metric
+# is emitted and every counter the benchmark reads is still there.
+e2e-selftest:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/test_e2e.py -q
 
 report:
 	$(PYTHON) -m repro.bench.report

@@ -7,16 +7,18 @@ writes to the untrusted store"; "the overhead of encryption and hashing is
 only 6 %".  The experiment flushed the untrusted store 96 times and the
 tamper-resistant store 19 times.
 
-We run the release experiment with the nested-exclusive module profiler
-(CPU components) and the DiskModel (I/O components) and print the same
-table.  The shape checks: untrusted-store writes dominate, crypto is a
-small share.  (With paper-era DES the crypto share rises in pure Python;
-the default fast cipher keeps the compute/IO ratio honest.)
+We run the release experiment with tracing on, so every ``repro.obs`` span
+keeps its nested-exclusive self time (CPU components, summed per layer
+prefix), feed the I/O counters to the DiskModel (I/O components), and
+print the same table.  The shape checks: untrusted-store writes dominate,
+crypto is a small share.  (With paper-era DES the crypto share rises in
+pure Python; the default fast cipher keeps the compute/IO ratio honest.)
 """
 
 from benchmarks.conftest import report
+from repro import obs
 from repro.bench.adapters import TdbAdapter
-from repro.bench.profiler import Profiler
+from repro.bench.report import _PAPER_FIG12, figure12_components
 from repro.bench.workload import Workload
 from repro.platform import DiskModel
 
@@ -28,9 +30,13 @@ def test_figure12_module_breakdown(benchmark):
     platform = adapter.platform
     io_before = platform.untrusted.stats.snapshot()
     tr_before = platform.counter.write_count + platform.tamper_resistant.write_count
-    profiler = Profiler()
-    with profiler:
+    before = adapter.chunks.stats()
+    obs.reset()
+    obs.enable_tracing()
+    try:
         workload.run_experiment("release")
+    finally:
+        obs.disable_tracing()
     benchmark(lambda: None)  # the experiment above is the measurement
     io = platform.untrusted.stats.delta(io_before)
     tr_writes = (
@@ -40,41 +46,40 @@ def test_figure12_module_breakdown(benchmark):
     )
     model = DiskModel()
 
-    cpu = profiler.report()
-    components = {
-        "collection store": cpu.get("collection store", 0.0),
-        "object store": cpu.get("object store", 0.0),
-        "chunk store": cpu.get("chunk store", 0.0),
-        "encryption": cpu.get("encryption", 0.0),
-        "hashing": cpu.get("hashing", 0.0),
-        "untrusted store read": model.read_time(io),
-        "untrusted store write": model.write_time(io),
-        "tamper-resistant store": model.tamper_resistant_time(tr_writes),
-    }
+    components = figure12_components(
+        obs.trace.self_times(),
+        model.read_time(io),
+        model.write_time(io),
+        model.tamper_resistant_time(tr_writes),
+    )
     total = sum(components.values())
-    paper_percent = {
-        "collection store": 4,
-        "object store": 2,
-        "chunk store": 1,
-        "encryption": 4,
-        "hashing": 2,
-        "untrusted store read": 0,
-        "untrusted store write": 81,
-        "tamper-resistant store": 5,
-    }
     rows = [("DB TOTAL", f"{total*1000:.0f} ms", "4209 ms")]
     for module, seconds in components.items():
         rows.append(
             (
                 module,
                 f"{seconds*1000:.0f} ms ({seconds/total*100:.0f}%)",
-                f"{paper_percent[module]}%",
+                f"{_PAPER_FIG12[module]}%",
             )
         )
     rows.append(("untrusted flushes", str(io.flushes), "96"))
     rows.append(("TR flushes", str(tr_writes), "19"))
-    for label in sorted(profiler.metrics):
-        rows.append((label, f"{profiler.metrics[label]:,.0f}", "n/a"))
+    after = adapter.chunks.stats()
+
+    def moved(section, field):
+        return sum(
+            tally[field] - before[section].get(name, {}).get(field, 0)
+            for name, tally in after[section].items()
+        )
+
+    for label, value in (
+        ("bytes encrypted", moved("crypto", "bytes_encrypted")),
+        ("bytes decrypted", moved("crypto", "bytes_decrypted")),
+        ("bytes hashed", moved("hashing", "bytes_hashed")),
+        ("log writes coalesced",
+         after["log"]["writes_coalesced"] - before["log"]["writes_coalesced"]),
+    ):
+        rows.append((label, f"{value:,.0f}", "n/a"))
     report("Figure 12 runtime analysis", rows)
 
     # the paper's headline shape claims:

@@ -1,5 +1,1 @@
-"""Benchmark support: module profiler, workload generator, regression fit."""
-
-from repro.bench.profiler import Profiler, profiled
-
-__all__ = ["Profiler", "profiled"]
+"""Benchmark support: workload generator, adapters, report, regression fit."""

@@ -14,8 +14,8 @@ import sys
 import time
 from typing import Dict
 
+from repro import obs
 from repro.bench.adapters import TdbAdapter, XdbAdapter
-from repro.bench.profiler import Profiler
 from repro.bench.workload import FIGURE_10, Workload
 from repro.platform import DiskModel
 
@@ -29,6 +29,32 @@ _PAPER_FIG12 = {
     "untrusted store write": 81,
     "tamper-resistant store": 5,
 }
+
+#: Figure 12's CPU rows as span-name prefixes: a row is the summed self
+#: time of the spans under its prefixes (docs/OBSERVABILITY.md)
+_FIG12_SPANS = {
+    "collection store": ("collection.",),
+    "object store": ("objectstore.",),
+    "chunk store": ("chunkstore.",),
+    "encryption": ("crypto.encrypt", "crypto.decrypt"),
+    "hashing": ("crypto.hash",),
+}
+
+
+def figure12_components(
+    self_times: Dict[str, float], read_io: float, write_io: float, tr_io: float
+) -> Dict[str, float]:
+    """Seconds per Figure 12 row: CPU rows from span self times ("the time
+    reported for each module excludes nested calls to other reported
+    modules", §9.5.3), I/O rows from the disk model."""
+    components = {
+        row: sum(s for name, s in self_times.items() if name.startswith(prefixes))
+        for row, prefixes in _FIG12_SPANS.items()
+    }
+    components["untrusted store read"] = read_io
+    components["untrusted store write"] = write_io
+    components["tamper-resistant store"] = tr_io
+    return components
 
 
 def _run(adapter_cls, kind: str, profile: bool = False):
@@ -46,14 +72,16 @@ def _run(adapter_cls, kind: str, profile: bool = False):
         tr = lambda: adapter.tr.write_count
     io_before = untrusted.stats.snapshot()
     tr_before = tr()
-    profiler = Profiler()
-    start = time.perf_counter()
     if profile:
-        with profiler:
-            counts = workload.run_experiment(kind)
-    else:
-        counts = workload.run_experiment(kind)
+        obs.reset()
+        obs.enable_tracing()  # spans keep self time only while tracing
+    start = time.perf_counter()
+    counts = workload.run_experiment(kind)
     cpu = time.perf_counter() - start
+    self_times: Dict[str, float] = {}
+    if profile:
+        self_times = obs.trace.self_times()
+        obs.disable_tracing()
     io = untrusted.stats.delta(io_before)
     model = DiskModel()
     return {
@@ -65,7 +93,7 @@ def _run(adapter_cls, kind: str, profile: bool = False):
         "read_io": model.read_time(io),
         "tr_io": model.tamper_resistant_time(tr() - tr_before),
         "stored": adapter.stored_bytes(),
-        "profiler": profiler,
+        "self_times": self_times,
         "adapter": adapter,
     }
 
@@ -115,17 +143,12 @@ def main(out=None) -> int:
         )
 
     release = results[("release", "TDB")]
-    cpu = release["profiler"].report()
-    components = {
-        "collection store": cpu.get("collection store", 0.0),
-        "object store": cpu.get("object store", 0.0),
-        "chunk store": cpu.get("chunk store", 0.0),
-        "encryption": cpu.get("encryption", 0.0),
-        "hashing": cpu.get("hashing", 0.0),
-        "untrusted store read": release["read_io"],
-        "untrusted store write": release["write_io"],
-        "tamper-resistant store": release["tr_io"],
-    }
+    components = figure12_components(
+        release["self_times"],
+        release["read_io"],
+        release["write_io"],
+        release["tr_io"],
+    )
     total = sum(components.values())
     print("\n### Figure 12 — release runtime analysis\n", file=out)
     print("| module | measured | paper |", file=out)

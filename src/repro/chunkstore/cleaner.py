@@ -59,7 +59,6 @@ class Cleaner:
                 # extents; relocating or reusing those extents would tear
                 # the snapshots (the MVCC vacuum tradeoff).  Decline and
                 # let the caller retry after the views close.
-                obs.add("chunkstore.clean_deferred_by_snapshots")
                 obs.emit("clean_deferred", pins=store._snapshot_pins)
                 return None
             candidates = store.segman.cleanable_segments()
@@ -73,13 +72,11 @@ class Cleaner:
             previous = store._in_maintenance
             store._in_maintenance = True
             try:
-                with obs.span("cleaner_pass", segment=target), \
-                        obs.time_block("chunkstore.cleaner_pass"):
+                with obs.span("chunkstore.cleaner_pass", segment=target):
                     self._clean_segment(target)
             finally:
                 store._in_maintenance = previous
             self.cleaned_segments += 1
-            obs.add("chunkstore.segments_cleaned")
             return target
 
     # ------------------------------------------------------------------

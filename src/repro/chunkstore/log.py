@@ -55,7 +55,6 @@ from enum import IntEnum
 from typing import List, Tuple
 
 from repro import obs
-from repro.bench.profiler import record_metric
 from repro.chunkstore.ids import ChunkId
 from repro.crypto.cipher import Cipher
 from repro.crypto.hashing import HashFunction
@@ -156,22 +155,14 @@ class LogCodec:
             body_cipher.ciphertext_size(len(body)),
         )
         header_plain = header.pack()
-        if body_cipher.authenticates:
-            body_ct = body_cipher.encrypt(body, aad=header_plain)
-            digest = body_ct[-body_cipher.TAG_SIZE :]
-        else:
-            body_ct = body_cipher.encrypt(body)
-            hasher = body_hash.new()
-            hasher.update(header_plain)
-            hasher.update(body)
-            body_hash.counters.digests += 1
-            body_hash.counters.bytes_hashed += len(header_plain) + len(body)
-            record_metric("bytes hashed", len(header_plain) + len(body))
-            digest = hasher.digest()
-        version = self.system_cipher.encrypt(header_plain) + body_ct
-        obs.add("chunkstore.log.versions_built")
-        obs.add("chunkstore.log.bytes_built", len(version))
-        return version, digest
+        with obs.span("crypto.encrypt"):
+            if body_cipher.authenticates:
+                body_ct = body_cipher.encrypt(body, aad=header_plain)
+                digest = body_ct[-body_cipher.TAG_SIZE :]
+            else:
+                body_ct = body_cipher.encrypt(body)
+                digest = self.descriptor_hash(header, body, body_hash)
+            return self.system_cipher.encrypt(header_plain) + body_ct, digest
 
     def build_unnamed(self, kind: VersionKind, body: bytes) -> bytes:
         """Encode an unnamed chunk version (system-encrypted body).  Under
@@ -185,23 +176,20 @@ class LogCodec:
             body_ct = self.system_cipher.encrypt(body, aad=header_plain)
         else:
             body_ct = self.system_cipher.encrypt(body)
-        version = self.system_cipher.encrypt(header_plain) + body_ct
-        obs.add("chunkstore.log.versions_built")
-        obs.add("chunkstore.log.bytes_built", len(version))
-        return version
+        return self.system_cipher.encrypt(header_plain) + body_ct
 
     def descriptor_hash(
         self, header: VersionHeader, body: bytes, body_hash: HashFunction
     ) -> bytes:
         """The expected-hash value stored in descriptors:
         ``H_p(header_plain ‖ body_plain)`` — binding identity and size."""
-        hasher = body_hash.new()
-        hasher.update(header.pack())
-        hasher.update(body)
-        body_hash.counters.digests += 1
-        body_hash.counters.bytes_hashed += HEADER_PLAIN_SIZE + len(body)
-        record_metric("bytes hashed", HEADER_PLAIN_SIZE + len(body))
-        return hasher.digest()
+        with obs.span("crypto.hash"):
+            hasher = body_hash.new()
+            hasher.update(header.pack())
+            hasher.update(body)
+            body_hash.counters.digests += 1
+            body_hash.counters.bytes_hashed += HEADER_PLAIN_SIZE + len(body)
+            return hasher.digest()
 
     # -- parsing -------------------------------------------------------------
 
@@ -214,7 +202,6 @@ class LogCodec:
             raise TamperDetectedError(f"undecryptable version header: {exc}") from exc
         if len(plain) != HEADER_PLAIN_SIZE:
             raise TamperDetectedError("version header has wrong plaintext size")
-        obs.add("chunkstore.log.headers_parsed")
         return VersionHeader.unpack(plain)
 
     def decrypt_body(self, header: VersionHeader, body_ct: bytes, cipher: Cipher) -> bytes:
@@ -255,12 +242,13 @@ class LogCodec:
         caller compares ``digest`` against the descriptor's recorded
         value either way (that comparison is what defeats replays of
         older valid versions)."""
-        body = self.decrypt_body(header, body_ct, cipher)
-        if cipher.authenticates:
-            digest = bytes(body_ct[-cipher.TAG_SIZE :])
-        else:
-            digest = self.descriptor_hash(header, body, body_hash)
-        return body, digest
+        with obs.span("crypto.decrypt"):
+            body = self.decrypt_body(header, body_ct, cipher)
+            if cipher.authenticates:
+                digest = bytes(body_ct[-cipher.TAG_SIZE :])
+            else:
+                digest = self.descriptor_hash(header, body, body_hash)
+            return body, digest
 
 
 # -- unnamed chunk payloads ---------------------------------------------------

@@ -55,7 +55,6 @@ from repro.chunkstore.log import (
     VersionKind,
 )
 from repro import obs
-from repro.chunkstore.partition import PartitionState
 from repro.errors import IOFaultError, TamperDetectedError
 
 
@@ -68,7 +67,7 @@ class _TornTail(Exception):
 
 def recover(store) -> None:
     """Reopen ``store`` from its platform: validate and roll forward."""
-    with obs.span("recovery"), obs.time_block("chunkstore.recovery"):
+    with obs.span("chunkstore.recovery"):
         _Recovery(store).run()
 
 
@@ -177,7 +176,7 @@ class _Recovery:
         store.payloads.clear()
         obs.emit("cache_invalidation", cache="payload", reason="recovery")
         store._read_cursor.clear()
-        store.partitions[SYSTEM_PARTITION] = PartitionState.open(
+        store.partitions[SYSTEM_PARTITION] = store._open_partition(
             SYSTEM_PARTITION, payload, key_override=store._system_key
         )
         self.segman.load_table(payload.system.segments)

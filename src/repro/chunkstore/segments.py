@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.bench.profiler import profiled, record_metric
+from repro import obs
 from repro.chunkstore.leader import SegmentTable
 from repro.errors import StorageFullError
 
@@ -109,10 +109,9 @@ class LogWriteBuffer:
             if len(self._chunks) == 1
             else b"".join(self._chunks)
         )
-        coalesced = len(self._chunks) - 1
 
         def issue() -> None:
-            with profiled("untrusted store write"):
+            with obs.span("platform.untrusted.write"):
                 self._untrusted.write(self._start, data)
 
         if self._retrier is not None:
@@ -122,7 +121,6 @@ class LogWriteBuffer:
         self._chunks = []
         self._length = 0
         self.writes_issued += 1
-        record_metric("log writes coalesced", coalesced)
 
 
 class SegmentManager:

@@ -98,6 +98,9 @@ class SnapshotView:
         self._untrusted = store.platform.untrusted
         self._fanout = store.config.fanout
         self._min_location = store.config.superblock_size
+        #: the store's commit count at the freeze (the caller holds the
+        #: store lock): the view shows exactly the commits up to this one
+        self.frozen_at = store.commit_count_stat
         #: validated map descriptors resolved so far (grows monotonically;
         #: bounded by the partition's map size).  Seeded at freeze time
         #: with the store's cached descriptors: dirty entries are the only
@@ -139,7 +142,7 @@ class SnapshotView:
         if cached is not None:
             self.reads += 1
             return cached
-        with obs.time_block("chunkstore.snapshot_read"):
+        with obs.span("chunkstore.snapshot_read"):
             descriptor = self._get_descriptor(cid)
             if descriptor.status != ChunkStatus.WRITTEN:
                 if self._state.is_committed_written(rank):
@@ -210,7 +213,11 @@ class SnapshotView:
                 )
             with self._desc_mutex:
                 for slot, child in enumerate(vector):
-                    self._descriptors[node.child(self._fanout, slot)] = child
+                    # never over a known entry: a seeded dirty descriptor
+                    # is newer than the slot the persistent map holds
+                    self._descriptors.setdefault(
+                        node.child(self._fanout, slot), child
+                    )
             node, descriptor = next_id, vector[next_id.rank % self._fanout]
         return descriptor
 
@@ -270,16 +277,18 @@ class SnapshotView:
 
 def build_snapshot_view(store: "ChunkStore", pid: int) -> SnapshotView:
     """Internal factory (caller holds ``store._lock``): freeze the
-    partition's committed state and wire up private crypto instances."""
+    partition's committed state and wire up private crypto instances
+    (tallying into the store's per-algorithm counters)."""
     from repro.chunkstore.ids import SYSTEM_PARTITION
 
     if pid == SYSTEM_PARTITION:
         raise ChunkStoreError("snapshot views of the system partition are not supported")
     state = store._state(pid)
     frozen_payload = state.payload.copy_for_snapshot()
-    frozen = PartitionState.open(pid, frozen_payload)
+    frozen = store._open_partition(pid, frozen_payload)
     system_cipher = make_cipher(store.config.system_cipher, store._system_key)
     system_hash = make_hash(store.config.system_hash)
+    store._share_tallies(system_cipher, system_hash)
     codec = LogCodec(system_cipher, system_hash)
     return SnapshotView(
         store, pid, frozen, codec, store.config.payload_cache_bytes

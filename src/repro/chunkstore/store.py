@@ -53,7 +53,6 @@ from typing import (
 )
 
 from repro import obs
-from repro.bench.profiler import profiled
 from repro.chunkstore.cache import DescriptorCache, ValidatedChunkCache
 from repro.chunkstore.config import StoreConfig, mac_key, system_cipher_key
 from repro.chunkstore.descriptor import (
@@ -89,6 +88,9 @@ from repro.chunkstore.ops import (
 from repro.chunkstore.partition import PartitionState, generate_partition_key
 from repro.chunkstore.segments import LogWriteBuffer, SegmentManager
 from repro.chunkstore.validation import CounterValidation, DirectValidation
+from repro.crypto.cipher import Cipher
+from repro.crypto.counters import CipherCounters, HashCounters
+from repro.crypto.hashing import HashFunction
 from repro.crypto.mac import Mac
 from repro.crypto.registry import KEY_SIZES, make_cipher, make_hash
 from repro.errors import (
@@ -127,6 +129,13 @@ class ChunkStore:
         """Internal; use :meth:`format` or :meth:`open`."""
         self.platform = platform
         self.config = config
+        #: one tally per algorithm name, shared by every cipher/hash
+        #: instance this store or its snapshot views create — so the
+        #: totals in stats() outlive a deallocated partition's instances
+        #: and include snapshot reads.  View threads bump them without the
+        #: store lock; like every stats int, a race can drop a count.
+        self._cipher_tallies: Dict[str, CipherCounters] = {}
+        self._hash_tallies: Dict[str, HashCounters] = {}
         secret = platform.secret_store.read()
         system_cipher = make_cipher(
             config.system_cipher, system_cipher_key(secret, config.system_cipher)
@@ -134,6 +143,7 @@ class ChunkStore:
         system_hash = make_hash(config.system_hash)
         if system_hash.digest_size == 0:
             raise ValueError("the system hash function must not be null")
+        self._share_tallies(system_cipher, system_hash)
         self.codec = LogCodec(system_cipher, system_hash)
         self.mac = Mac(mac_key(secret), system_hash)
         self.segman = SegmentManager(
@@ -209,7 +219,7 @@ class ChunkStore:
             key=b"",  # the system key is derived from the secret store
             system=SystemExtras(),
         )
-        store.partitions[SYSTEM_PARTITION] = PartitionState.open(
+        store.partitions[SYSTEM_PARTITION] = store._open_partition(
             SYSTEM_PARTITION, system_payload, key_override=store._system_key
         )
         with store._lock:
@@ -332,6 +342,25 @@ class ChunkStore:
     # partition state
     # ------------------------------------------------------------------
 
+    def _share_tallies(self, cipher: Cipher, hash_function: HashFunction) -> None:
+        """Point fresh crypto instances at this store's tally for their
+        algorithm name (the first instance of a name donates its own)."""
+        cipher.counters = self._cipher_tallies.setdefault(
+            cipher.name, cipher.counters
+        )
+        hash_function.counters = self._hash_tallies.setdefault(
+            hash_function.name, hash_function.counters
+        )
+
+    def _open_partition(
+        self, pid: int, payload: LeaderPayload, key_override: Optional[bytes] = None
+    ) -> PartitionState:
+        """:meth:`PartitionState.open` with its crypto instances tallying
+        into this store's per-algorithm counters."""
+        state = PartitionState.open(pid, payload, key_override)
+        self._share_tallies(state.cipher, state.hash)
+        return state
+
     def _state(self, pid: int) -> PartitionState:
         state = self.partitions.get(pid)
         if state is not None:
@@ -344,7 +373,7 @@ class ChunkStore:
             raise PartitionNotFoundError(f"partition {pid} is not written")
         body = self._read_chunk_body(data_id(SYSTEM_PARTITION, rank))
         payload = LeaderPayload.decode(body)
-        state = PartitionState.open(pid, payload)
+        state = self._open_partition(pid, payload)
         self.partitions[pid] = state
         return state
 
@@ -473,8 +502,7 @@ class ChunkStore:
 
         On an I/O fault the whole batch falls back to per-chunk validated
         reads so retries and quarantine land on the precise extent."""
-        with obs.span("map_walk", pid=state.pid, chunks=len(items)), \
-                obs.time_block("chunkstore.map_walk"):
+        with obs.span("chunkstore.map_walk", pid=state.pid, chunks=len(items)):
             for map_id, _descriptor in items:
                 key = str(map_id)
                 if self._quarantine.get(key) == "io":
@@ -524,7 +552,7 @@ class ChunkStore:
         only exhausted retries or permanent faults escape."""
 
         def issue() -> bytes:
-            with profiled("untrusted store read"):
+            with obs.span("platform.untrusted.read"):
                 return self.platform.untrusted.read(location, size)
 
         return self.retrier.call(issue, "read")
@@ -535,7 +563,7 @@ class ChunkStore:
         fault)."""
 
         def issue() -> List[bytes]:
-            with profiled("untrusted store read"):
+            with obs.span("platform.untrusted.read"):
                 return self.platform.untrusted.read_many(extents)
 
         return self.retrier.call(issue, "read_many")
@@ -587,7 +615,6 @@ class ChunkStore:
         if key not in self._quarantine:
             self.quarantined_total += 1
             logger.warning("quarantining chunk %s (%s)", key, cause)
-            obs.add("chunkstore.quarantines")
             obs.emit("quarantine", chunk=key, cause=cause)
         if cause == "io" or key not in self._quarantine:
             self._quarantine[key] = cause
@@ -626,13 +653,12 @@ class ChunkStore:
                     f"chunk {cid}: stored position {header.height}.{header.rank} "
                     f"does not match"
                 )
-            with profiled("encryption"):
-                body, computed = self.codec.validate_named(
-                    header,
-                    raw[self.codec.header_cipher_size :],
-                    state.cipher,
-                    state.hash,
-                )
+            body, computed = self.codec.validate_named(
+                header,
+                raw[self.codec.header_cipher_size :],
+                state.cipher,
+                state.hash,
+            )
             if computed != descriptor.body_hash:
                 raise TamperDetectedError(f"chunk {cid}: hash mismatch")
         except TamperDetectedError:
@@ -686,7 +712,7 @@ class ChunkStore:
         if descriptor.status == ChunkStatus.WRITTEN:
             # cache misses only: warm hits return above untimed, so the
             # read histogram prices the real device+crypto+hash path
-            with obs.time_block("chunkstore.read"):
+            with obs.span("chunkstore.read"):
                 body = self._read_validated(
                     cid, descriptor, self._state(cid.partition)
                 )
@@ -729,7 +755,6 @@ class ChunkStore:
             view = build_snapshot_view(self, pid)
             self._snapshot_pins += 1
             self.snapshot_views_opened += 1
-            obs.add("chunkstore.snapshot_views_opened")
             obs.emit("snapshot_view_opened", pid=pid, pins=self._snapshot_pins)
             return view
 
@@ -752,7 +777,7 @@ class ChunkStore:
 
     def read_chunk(self, pid: int, rank: int) -> bytes:
         """Return the last written state of chunk ``(pid, rank)`` (§4.5)."""
-        with self._lock, profiled("chunk store"):
+        with self._lock, obs.span("chunkstore.read_chunk"):
             body = self._read_chunk_body(data_id(pid, rank))
             self._note_sequential_read(pid, rank)
             return body
@@ -764,8 +789,8 @@ class ChunkStore:
         an N-chunk read costs a constant number of round trips instead of
         2(h+1) per chunk.  Error semantics match a sequential loop: the
         first rank that cannot be served raises its typed error."""
-        with self._lock, profiled("chunk store"), obs.span(
-            "read_chunks", pid=pid, ranks=len(ranks)
+        with self._lock, obs.span(
+            "chunkstore.read_chunks", pid=pid, ranks=len(ranks)
         ):
             state = self._state(pid)
             result: Dict[int, bytes] = {}
@@ -793,7 +818,7 @@ class ChunkStore:
         which reports errors (and quarantines extents) precisely; prefetch
         callers re-raise instead and swallow at the call site."""
         try:
-            with obs.time_block("chunkstore.read_batch"):
+            with obs.span("chunkstore.read_batch"):
                 return self._fetch_chunks_batch(state, ranks, prefetched)
         except TDBError:
             if prefetched:
@@ -979,7 +1004,7 @@ class ChunkStore:
         self.logbuf.seal()
 
         def issue() -> None:
-            with profiled("untrusted store write"):
+            with obs.span("platform.untrusted.write"):
                 self.platform.untrusted.flush()
 
         self.retrier.call(issue, "flush")
@@ -1036,7 +1061,7 @@ class ChunkStore:
             # copies list): state — including volatile allocations — stays
             existing.leader_dirty = False
         else:
-            self.partitions[pid] = PartitionState.open(pid, payload)
+            self.partitions[pid] = self._open_partition(pid, payload)
         self._apply_chunk_write(data_id(SYSTEM_PARTITION, partition_rank(pid)), descriptor)
 
     def _collect_copy_family(self, pid: int) -> List[int]:
@@ -1138,9 +1163,7 @@ class ChunkStore:
         :mod:`repro.chunkstore.ops`).  The commit is durable when this
         method returns; a crash at any earlier point leaves the store in
         its prior committed state."""
-        with self._lock, profiled("chunk store"), obs.span(
-            "commit", ops=len(operations)
-        ), obs.time_block("chunkstore.commit"):
+        with self._lock, obs.span("chunkstore.commit", ops=len(operations)):
             self._check_open()
             self._validate_operations(operations)
             if self.cache.dirty_count() >= self.config.checkpoint_dirty_threshold:
@@ -1327,10 +1350,9 @@ class ChunkStore:
             elif isinstance(op, WriteChunk):
                 cid = data_id(op.partition, op.rank)
                 state = self._state(op.partition)
-                with profiled("encryption"):
-                    version, digest = self.codec.build_named(
-                        cid, op.data, state.cipher, state.hash
-                    )
+                version, digest = self.codec.build_named(
+                    cid, op.data, state.cipher, state.hash
+                )
                 location = self._append_version(version)
                 self._apply_chunk_write(
                     cid,
@@ -1367,10 +1389,9 @@ class ChunkStore:
         """Write a partition leader as a data chunk of the system partition."""
         cid = data_id(SYSTEM_PARTITION, partition_rank(pid))
         system = self.partitions[SYSTEM_PARTITION]
-        with profiled("encryption"):
-            version, digest = self.codec.build_named(
-                cid, payload.encode(), system.cipher, system.hash
-            )
+        version, digest = self.codec.build_named(
+            cid, payload.encode(), system.cipher, system.hash
+        )
         location = self._append_version(version)
         descriptor = ChunkDescriptor(ChunkStatus.WRITTEN, location, len(version), digest)
         self._apply_partition_leader(pid, payload, descriptor)
@@ -1395,18 +1416,16 @@ class ChunkStore:
                     # flush so the counter can catch up fully.
                     self._flush_untrusted()
                     target = self.validator.tr_update_target()
-                with profiled("tamper-resistant store"):
-                    self.validator.advance_tr(target)
+                self.validator.advance_tr(target)
                 injector.point("commit.after_tr")
         else:
             self.logbuf.seal()
             injector.point("commit.before_flush")
             self._flush_untrusted()
             injector.point("commit.after_flush")
-            with profiled("tamper-resistant store"):
-                self.validator.commit_point(
-                    self.segman.tail_location, self._leader_location
-                )
+            self.validator.commit_point(
+                self.segman.tail_location, self._leader_location
+            )
             injector.point("commit.after_tr")
 
     # ------------------------------------------------------------------
@@ -1415,9 +1434,7 @@ class ChunkStore:
 
     def checkpoint(self) -> None:
         """Write buffered chunk-map updates and a fresh leader to the log."""
-        with self._lock, profiled("chunk store"), obs.span(
-            "checkpoint"
-        ), obs.time_block("chunkstore.checkpoint"):
+        with self._lock, obs.span("chunkstore.checkpoint"):
             self._check_open()
             try:
                 self._write_checkpoint()
@@ -1486,10 +1503,9 @@ class ChunkStore:
         extras.segments = self.segman.to_table()
 
         leader_cid = leader_id(SYSTEM_PARTITION)
-        with profiled("encryption"):
-            version, _digest = self.codec.build_named(
-                leader_cid, system.payload.encode(), system.cipher, system.hash
-            )
+        version, _digest = self.codec.build_named(
+            leader_cid, system.payload.encode(), system.cipher, system.hash
+        )
         self._leader_location = self._append_version(version)
         system.leader_dirty = False
 
@@ -1504,13 +1520,12 @@ class ChunkStore:
         injector.point("checkpoint.before_flush")
         self._flush_untrusted()
         injector.point("checkpoint.after_flush")
-        with profiled("tamper-resistant store"):
-            if self.config.validation_mode == "direct":
-                self.validator.commit_point(
-                    self.segman.tail_location, self._leader_location
-                )
-            else:
-                self.validator.advance_tr(self.validator.next_count - 1)
+        if self.config.validation_mode == "direct":
+            self.validator.commit_point(
+                self.segman.tail_location, self._leader_location
+            )
+        else:
+            self.validator.advance_tr(self.validator.next_count - 1)
         injector.point("checkpoint.after_tr")
         self._write_superblock()
         injector.point("checkpoint.end")
@@ -1589,10 +1604,9 @@ class ChunkStore:
             if cached is not None:
                 slots[slot] = cached
         body = encode_descriptor_vector(slots)
-        with profiled("encryption"):
-            version, digest = self.codec.build_named(
-                map_id, body, state.cipher, state.hash
-            )
+        version, digest = self.codec.build_named(
+            map_id, body, state.cipher, state.hash
+        )
         location = self._append_version(version)
         descriptor = ChunkDescriptor(ChunkStatus.WRITTEN, location, len(version), digest)
         if old_desc is not None and old_desc.is_written():
@@ -1636,7 +1650,7 @@ class ChunkStore:
         Returns ``{rank: DiffChange.*}``.  Commonly called on two
         snapshots of the same partition, where the shared subtree pruning
         makes the traversal proportional to the *changed* chunks."""
-        with self._lock, profiled("chunk store"):
+        with self._lock, obs.span("chunkstore.diff"):
             if self.cache.dirty_count() > 0 or any(
                 s.leader_dirty for s in self.partitions.values()
             ):
@@ -1769,9 +1783,7 @@ class ChunkStore:
         reported in ``repaired``, the rest in ``unrepaired`` (and stay
         quarantined for a later scrub with a better backup).
         """
-        with self._lock, profiled("chunk store"), obs.span(
-            "scrub"
-        ), obs.time_block("chunkstore.scrub"):
+        with self._lock, obs.span("chunkstore.scrub"):
             self._check_open()
             # Fresh retries: drop "io" short-circuits so reads hit the
             # device again ("tamper" entries are bookkeeping; reads
@@ -1850,7 +1862,6 @@ class ChunkStore:
                             if descriptor.is_written():
                                 self._read_validated(cid, descriptor, state)
                         repaired.append(str(cid))
-                        obs.add("chunkstore.repairs")
                         obs.emit("repair", chunk=str(cid), ok=True)
                     except (ChunkStoreError, TamperDetectedError, IOFaultError):
                         unrepaired.append(str(cid))
@@ -1969,22 +1980,16 @@ class ChunkStore:
         """Operational counters: crypto and hash byte tallies per algorithm,
         descriptor-cache hit rates, and log write coalescing (§9.5.3)."""
         with self._lock:
-            crypto: Dict[str, Dict[str, int]] = {}
-            hashing: Dict[str, Dict[str, int]] = {}
-
-            def merge(table, name, counters):
-                agg = table.setdefault(name, {})
-                counters.add_into(agg)
-
-            merge(crypto, self.codec.system_cipher.name, self.codec.system_cipher.counters)
-            merge(hashing, self.codec.system_hash.name, self.codec.system_hash.counters)
-            for state in self.partitions.values():
-                merge(crypto, state.cipher.name, state.cipher.counters)
-                merge(hashing, state.hash.name, state.hash.counters)
             io = self.platform.untrusted.stats
             return {
-                "crypto": crypto,
-                "hashing": hashing,
+                "crypto": {
+                    name: tally.as_dict()
+                    for name, tally in self._cipher_tallies.items()
+                },
+                "hashing": {
+                    name: tally.as_dict()
+                    for name, tally in self._hash_tallies.items()
+                },
                 "cache": self.cache.stats(),
                 "log": {
                     "appends": self.logbuf.appends,

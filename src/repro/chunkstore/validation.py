@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from repro import obs
 from repro.chunkstore.log import CommitRecord
 from repro.crypto.hashing import HashFunction
 from repro.crypto.mac import Mac
@@ -77,7 +78,8 @@ class DirectValidation:
         enc.bytes(self.chain)
         enc.uint(tail_location)
         enc.uint(leader_location)
-        self._tr.write(enc.finish())
+        with obs.span("platform.tr.write"):
+            self._tr.write(enc.finish())
 
     def read_tr(self) -> Tuple[bytes, int, int]:
         """Recovery: the authoritative (chain, tail, leader) triple."""
@@ -184,7 +186,8 @@ class CounterValidation:
         return min(self.next_count - 1, self.flushed_count + self.delta_tu)
 
     def advance_tr(self, target: int) -> None:
-        self._counter.advance_to(target)
+        with obs.span("platform.tr.write"):
+            self._counter.advance_to(target)
 
     # -- recovery ----------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Tuple
 
-from repro.bench.profiler import profiled
+from repro import obs
 from repro.collection import btree
 from repro.collection.index import (
     DEFAULT_KEY_FUNCTIONS,
@@ -89,7 +89,7 @@ class CollectionStore:
     # ------------------------------------------------------------------
 
     def create_collection(self, tx: Transaction, name: str) -> Collection:
-        with profiled("collection store"):
+        with obs.span("collection.create_collection"):
             catalog_ref = self.ensure_catalog(tx)
             catalog = dict(tx.get(catalog_ref))
             collections = dict(catalog["collections"])
@@ -120,7 +120,7 @@ class CollectionStore:
 
     def drop_collection(self, tx: Transaction, name: str) -> None:
         """Remove a collection and its indexes (member objects survive)."""
-        with profiled("collection store"):
+        with obs.span("collection.drop_collection"):
             coll = self.open_collection(tx, name)
             state = tx.get(coll.ref)
             for index_ref in state["indexes"].values():
@@ -147,7 +147,7 @@ class CollectionStore:
         sorted_index: bool = True,
     ) -> None:
         """Add an index; existing members are indexed immediately."""
-        with profiled("collection store"):
+        with obs.span("collection.add_index"):
             state = dict(tx.get(coll.ref))
             indexes = dict(state["indexes"])
             if index_name in indexes:
@@ -169,7 +169,7 @@ class CollectionStore:
             tx.update(coll.ref, state)
 
     def drop_index(self, tx: Transaction, coll: Collection, index_name: str) -> None:
-        with profiled("collection store"):
+        with obs.span("collection.drop_index"):
             state = dict(tx.get(coll.ref))
             indexes = dict(state["indexes"])
             try:
@@ -212,7 +212,7 @@ class CollectionStore:
         self, tx: Transaction, coll: Collection, ref: ObjectRef, value: Any
     ) -> None:
         """Add an existing object to the collection."""
-        with profiled("collection store"):
+        with obs.span("collection.insert"):
             state = dict(tx.get(coll.ref))
             state["members_root"] = btree.insert(
                 tx, self.partition, state["members_root"], self._member_key(ref), ref
@@ -226,7 +226,7 @@ class CollectionStore:
         self, tx: Transaction, coll: Collection, ref: ObjectRef, value: Any
     ) -> None:
         """Update a member object, keeping every index consistent."""
-        with profiled("collection store"):
+        with obs.span("collection.update"):
             old_value = tx.get_for_update(ref)
             for index in self._indexes(tx, coll):
                 old_key = index.key_of(tx, old_value)
@@ -244,7 +244,7 @@ class CollectionStore:
         delete_object: bool = True,
     ) -> None:
         """Remove a member (optionally deleting the object itself)."""
-        with profiled("collection store"):
+        with obs.span("collection.remove"):
             value = tx.get_for_update(ref)
             for index in self._indexes(tx, coll):
                 index.remove(tx, index.key_of(tx, value), ref)
@@ -292,7 +292,7 @@ class CollectionStore:
     def exact(
         self, tx: Transaction, coll: Collection, index_name: str, key: Any
     ) -> List[ObjectRef]:
-        with profiled("collection store"):
+        with obs.span("collection.exact"):
             return self._index(tx, coll, index_name).exact(tx, key)
 
     def range(

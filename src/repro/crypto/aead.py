@@ -28,7 +28,6 @@ from __future__ import annotations
 import os
 from typing import Callable, Optional
 
-from repro.bench.profiler import record_metric
 from repro.crypto.cipher import Cipher, random_iv
 from repro.errors import CryptoUnavailableError
 
@@ -86,7 +85,6 @@ class AeadCipher(Cipher):
         counters.encrypt_calls += 1
         counters.bulk_calls += 1
         counters.bytes_encrypted += len(plaintext)
-        record_metric("bytes encrypted", len(plaintext))
         sealed = self._backend.encrypt(nonce, bytes(plaintext), bytes(aad))
         return nonce + sealed
 
@@ -103,7 +101,6 @@ class AeadCipher(Cipher):
         except _InvalidTag as exc:
             raise ValueError(f"{self.name}: authentication tag mismatch") from exc
         counters.bytes_decrypted += len(plain)
-        record_metric("bytes decrypted", len(plain))
         return plain
 
     def ciphertext_size(self, plaintext_size: int) -> int:

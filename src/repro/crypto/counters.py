@@ -1,10 +1,12 @@
 """Lightweight perf counters for the crypto layer.
 
 Every :class:`~repro.crypto.cipher.Cipher` and
-:class:`~repro.crypto.hashing.HashFunction` instance carries one of these
-tally objects; the hot paths bump plain integer attributes (no locks, no
-dict lookups), and :meth:`ChunkStore.stats` aggregates them per
-cipher/hash *name* so operators can see where crypto bytes go.
+:class:`~repro.crypto.hashing.HashFunction` instance bumps one of these
+tally objects through plain integer attributes (no locks, no dict
+lookups).  A standalone instance owns its tally; a ``ChunkStore`` holds one
+tally per cipher/hash *name* and points every instance it or its snapshot
+views create at it, so :meth:`ChunkStore.stats` reads totals that neither
+drop when a partition is deallocated nor miss snapshot reads.
 
 The byte counts are payload bytes: plaintext in, plaintext out.  IVs,
 nonces, and padding are excluded so the numbers line up with the
@@ -41,12 +43,6 @@ class CipherCounters:
     def as_dict(self) -> Dict[str, int]:
         return {field: getattr(self, field) for field in self.__slots__}
 
-    def add_into(self, agg: Dict[str, int]) -> None:
-        """Accumulate this instance's tallies into ``agg`` (for merging
-        several same-named cipher instances)."""
-        for field in self.__slots__:
-            agg[field] = agg.get(field, 0) + getattr(self, field)
-
 
 class HashCounters:
     """Byte/digest tallies for one hash-function instance."""
@@ -59,7 +55,3 @@ class HashCounters:
 
     def as_dict(self) -> Dict[str, int]:
         return {field: getattr(self, field) for field in self.__slots__}
-
-    def add_into(self, agg: Dict[str, int]) -> None:
-        for field in self.__slots__:
-            agg[field] = agg.get(field, 0) + getattr(self, field)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.bench.profiler import record_metric
 from repro.crypto.cipher import BlockCipher, Cipher, random_iv
 
 
@@ -65,7 +64,6 @@ class CbcCipher(Cipher):
         counters = self.counters
         counters.encrypt_calls += 1
         counters.bytes_encrypted += len(plaintext)
-        record_metric("bytes encrypted", len(plaintext))
         if self._bulk_enc is not None:
             counters.bulk_calls += 1
             return iv + self._bulk_enc(iv, padded)
@@ -106,7 +104,6 @@ class CbcCipher(Cipher):
                 prev = block
             plain = pkcs7_unpad(bytes(out), bs)
         counters.bytes_decrypted += len(plain)
-        record_metric("bytes decrypted", len(plain))
         return plain
 
     def ciphertext_size(self, plaintext_size: int) -> int:
@@ -163,7 +160,6 @@ class CtrStreamCipher(Cipher):
         stream = self._keystream(nonce, len(plaintext))
         self.counters.encrypt_calls += 1
         self.counters.bytes_encrypted += len(plaintext)
-        record_metric("bytes encrypted", len(plaintext))
         return nonce + self._xor(plaintext, stream)
 
     def decrypt(self, ciphertext: bytes) -> bytes:
@@ -177,7 +173,6 @@ class CtrStreamCipher(Cipher):
         stream = self._keystream(nonce, len(body))
         self.counters.decrypt_calls += 1
         self.counters.bytes_decrypted += len(body)
-        record_metric("bytes decrypted", len(body))
         return self._xor(body, stream)
 
     def ciphertext_size(self, plaintext_size: int) -> int:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro import obs
 from repro.errors import IOFaultError, PartialResponseError
 from repro.platform.untrusted import UntrustedStore
 
@@ -72,7 +71,6 @@ class RemoteUntrustedStore(UntrustedStore):
                 # else is a bug and must propagate *untallied* rather
                 # than masquerade as device trouble
                 self.stats.io_errors += 1
-                obs.add("remote.round_trip_faults")
                 raise
 
     # -- accounted operations ---------------------------------------------------

@@ -148,7 +148,6 @@ class SpillingTransaction(Transaction):
                 # but the swallow is *recorded*, never silent, and only
                 # typed store errors qualify (a foreign exception is a
                 # bug and propagates)
-                obs.add("extensions.swallowed_errors")
                 obs.emit(
                     "swallowed_error",
                     where="spill.drop_scratch",
@@ -185,7 +184,6 @@ class SpillingObjectStore(ObjectStore):
             except TDBError as exc:
                 # an unreadable leader (quarantined, tampered) just means
                 # this partition cannot be swept now; record the skip
-                obs.add("extensions.swallowed_errors")
                 obs.emit(
                     "swallowed_error",
                     where="spill.collect_orphans",

@@ -82,7 +82,6 @@ class LockManager:
                 if deadline is None:
                     deadline = self._now() + self.timeout
                     self.waits += 1
-                    obs.add("locks.waits")
                 if not self.clock.wait_on(
                     self._condition, self._remaining(deadline)
                 ):
@@ -107,7 +106,6 @@ class LockManager:
                 if deadline is None:
                     deadline = self._now() + self.timeout
                     self.waits += 1
-                    obs.add("locks.waits")
                 # register on *this* state object and deregister on the
                 # same one.  release_all keeps waiter-registered states in
                 # the dict (see there), so the fairness gate survives even
@@ -197,7 +195,6 @@ class LockManager:
 
     def _timeout(self, tx_id: int, ref: Hashable, mode: str) -> None:
         self.deadlocks_broken += 1
-        obs.add("locks.deadlocks_broken")
         obs.emit("deadlock_broken", tx=tx_id, ref=str(ref), mode=mode)
         raise DeadlockError(
             f"transaction {tx_id} timed out acquiring {mode} lock on {ref}; "

@@ -41,7 +41,6 @@ from enum import Enum
 from typing import Any, Dict, List, Optional
 
 from repro import obs
-from repro.bench.profiler import profiled
 from repro.chunkstore.ops import DeallocateChunk, WriteChunk, WritePartition
 from repro.chunkstore.store import ChunkStore
 from repro.errors import (
@@ -152,8 +151,7 @@ class ObjectStore:
             data = self.chunks.read_chunk(ref.partition, ref.rank)
         except (ChunkNotWrittenError, ChunkNotAllocatedError) as exc:
             raise ObjectNotFoundError(f"no object at {ref}") from exc
-        with profiled("object store"):
-            value = unpickle_value(data, self.registry)
+        value = unpickle_value(data, self.registry)
         self.cache.put(ref, value)
         return value
 
@@ -177,8 +175,7 @@ class ObjectStore:
                     f"missing object among {missing}"
                 ) from exc
             for ref in missing:
-                with profiled("object store"):
-                    value = unpickle_value(chunks[ref.rank], self.registry)
+                value = unpickle_value(chunks[ref.rank], self.registry)
                 self.cache.put(ref, value)
                 result[ref] = value
         return result
@@ -217,7 +214,7 @@ class Transaction:
     def get(self, ref: ObjectRef) -> Any:
         """Read an object under a shared lock."""
         self._require_active()
-        with profiled("object store"):
+        with obs.span("objectstore.get"):
             if ref in self._writes:
                 value = self._writes[ref]
                 if value is _DELETED:
@@ -225,9 +222,9 @@ class Transaction:
                 self.store.op_counts["read"] += 1
                 return value
             self.store.locks.acquire_shared(self.tx_id, ref)
-        value = self.store._load(ref)
-        self.store.op_counts["read"] += 1
-        return value
+            value = self.store._load(ref)
+            self.store.op_counts["read"] += 1
+            return value
 
     def get_many(self, refs: List[ObjectRef]) -> List[Any]:
         """Read several objects under shared locks, batching the chunk
@@ -235,7 +232,7 @@ class Transaction:
         self._require_active()
         buffered: Dict[ObjectRef, Any] = {}
         to_load: List[ObjectRef] = []
-        with profiled("object store"):
+        with obs.span("objectstore.get_many"):
             for ref in refs:
                 if ref in self._writes:
                     value = self._writes[ref]
@@ -247,15 +244,15 @@ class Transaction:
                 else:
                     self.store.locks.acquire_shared(self.tx_id, ref)
                     to_load.append(ref)
-        loaded = self.store._load_many(to_load)
-        self.store.op_counts["read"] += len(refs)
-        return [buffered[r] if r in buffered else loaded[r] for r in refs]
+            loaded = self.store._load_many(to_load)
+            self.store.op_counts["read"] += len(refs)
+            return [buffered[r] if r in buffered else loaded[r] for r in refs]
 
     def get_for_update(self, ref: ObjectRef) -> Any:
         """Read an object under an exclusive lock (avoids upgrade
         deadlocks in read-modify-write patterns)."""
         self._require_active()
-        with profiled("object store"):
+        with obs.span("objectstore.get_for_update"):
             if ref in self._writes:
                 value = self._writes[ref]
                 if value is _DELETED:
@@ -263,9 +260,9 @@ class Transaction:
                 self.store.op_counts["read"] += 1
                 return value
             self.store.locks.acquire_exclusive(self.tx_id, ref)
-        value = self.store._load(ref)
-        self.store.op_counts["read"] += 1
-        return value
+            value = self.store._load(ref)
+            self.store.op_counts["read"] += 1
+            return value
 
     def exists(self, ref: ObjectRef) -> bool:
         """True if ``ref`` names a stored object (takes a shared lock)."""
@@ -282,7 +279,7 @@ class Transaction:
     def update(self, ref: ObjectRef, value: Any) -> None:
         """Buffer a new state for an existing object (exclusive lock)."""
         self._require_active()
-        with profiled("object store"):
+        with obs.span("objectstore.update"):
             self.store.locks.acquire_exclusive(self.tx_id, ref)
             self._writes[ref] = value
             self.store.op_counts["update"] += 1
@@ -291,7 +288,7 @@ class Transaction:
         """Create a new object; returns its reference immediately so it can
         be linked from other objects in the same transaction (§4.1)."""
         self._require_active()
-        with profiled("object store"):
+        with obs.span("objectstore.create"):
             rank = self.store.chunks.allocate_chunk(partition)
             ref = ObjectRef(partition, rank)
             self.store.locks.acquire_exclusive(self.tx_id, ref)
@@ -304,7 +301,7 @@ class Transaction:
         """Create an object at a *specific* reference (e.g. a partition's
         conventional root at rank 0)."""
         self._require_active()
-        with profiled("object store"):
+        with obs.span("objectstore.create"):
             state = self.store.chunks._state(ref.partition)
             state.allocate_specific(ref.rank)
             self.store.locks.acquire_exclusive(self.tx_id, ref)
@@ -316,7 +313,7 @@ class Transaction:
     def delete(self, ref: ObjectRef) -> None:
         """Buffer a deletion (exclusive lock)."""
         self._require_active()
-        with profiled("object store"):
+        with obs.span("objectstore.delete"):
             self.store.locks.acquire_exclusive(self.tx_id, ref)
             self._writes[ref] = _DELETED
             self.store.op_counts["delete"] += 1
@@ -329,19 +326,16 @@ class Transaction:
         store = self.store
         try:
             with obs.span(
-                "tx_commit", tx=self.tx_id, writes=len(self._writes)
-            ), obs.time_block("objectstore.tx_commit"):
-                with profiled("object store"):
-                    ops: List[object] = []
-                    for ref, value in self._writes.items():
-                        if value is _DELETED:
-                            if ref not in self._created:
-                                ops.append(
-                                    DeallocateChunk(ref.partition, ref.rank)
-                                )
-                        else:
-                            data = pickle_value(value, store.registry)
-                            ops.append(WriteChunk(ref.partition, ref.rank, data))
+                "objectstore.tx_commit", tx=self.tx_id, writes=len(self._writes)
+            ):
+                ops: List[object] = []
+                for ref, value in self._writes.items():
+                    if value is _DELETED:
+                        if ref not in self._created:
+                            ops.append(DeallocateChunk(ref.partition, ref.rank))
+                    else:
+                        data = pickle_value(value, store.registry)
+                        ops.append(WriteChunk(ref.partition, ref.rank, data))
                 if ops:
                     committer = store.committer
                     if committer is not None:
@@ -371,7 +365,6 @@ class Transaction:
         if self.status != TxStatus.ACTIVE:
             return
         store = self.store
-        obs.add("objectstore.tx_aborts")
         obs.emit("tx_abort", tx=self.tx_id, writes=len(self._writes))
         for ref in self._writes:
             store.cache.evict(ref)
@@ -386,7 +379,6 @@ class Transaction:
             try:
                 store.chunks._state(ref.partition).cancel_pending(ref.rank)
             except TDBError as exc:
-                obs.add("objectstore.swallowed_errors")
                 obs.emit(
                     "swallowed_error",
                     where="transaction.abort.cancel_pending",

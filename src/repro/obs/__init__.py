@@ -3,21 +3,25 @@
 One consistent instrumentation seam for the whole stack (PAPER §9 needs
 per-layer cost attribution; raw counters alone cannot give it):
 
-* :mod:`repro.obs.trace` — nestable timing spans in a bounded ring,
-  off by default and a shared no-op object when off;
-* :mod:`repro.obs.metrics` — named counters plus log-scale latency
-  histograms (p50/p95/p99) that are cheap enough to stay on;
+* :mod:`repro.obs.trace` — ``span``, the one timing primitive: nestable,
+  feeds the latency histogram of its own name, and while tracing is on
+  keeps nested-exclusive self time per name plus a bounded call-tree ring;
+* :mod:`repro.obs.metrics` — the log-scale latency histograms
+  (p50/p95/p99) spans feed, cheap enough to stay on;
 * :mod:`repro.obs.events` — a structured log of rare-but-critical
   transitions (quarantine, repair, deadlock broken, recovery replay,
   cache invalidation) that harnesses assert against.
 
-The facade re-exports the hot helpers so instrumented code reads as
-``obs.span("commit")``, ``obs.observe("chunkstore.read", dt)``,
-``obs.emit("quarantine", chunk=...)``.  ``suspend()`` turns the whole
-layer into no-ops for overhead baselines; ``reset()`` clears all state
-between tests or bench phases.
+Tallies are not kept here: each is a plain int on the object that does
+the work, read through that object's ``stats()``.
 
-Metric and event names are catalogued in ``docs/OBSERVABILITY.md``.
+The facade re-exports the hot helpers so instrumented code reads as
+``obs.span("chunkstore.commit", ops=n)``, ``obs.emit("quarantine",
+chunk=...)``.  ``suspend()`` turns the whole layer into no-ops for
+overhead baselines; ``reset()`` clears all state between tests or bench
+phases.
+
+Span and event names are catalogued in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Iterator
 
 from repro.obs import events, metrics, trace
 from repro.obs.events import emit
-from repro.obs.metrics import add, observe, time_block
+from repro.obs.metrics import observe
 from repro.obs.trace import span
 
 __all__ = [
@@ -35,9 +39,7 @@ __all__ = [
     "metrics",
     "trace",
     "emit",
-    "add",
     "observe",
-    "time_block",
     "span",
     "enable_tracing",
     "disable_tracing",
@@ -56,7 +58,7 @@ def disable_tracing() -> None:
 
 
 def snapshot() -> dict:
-    """Everything at once: metric counters/histograms + event counts."""
+    """Everything at once: latency histograms + event counts."""
     snap = metrics.snapshot()
     snap["events"] = events.counts()
     return snap

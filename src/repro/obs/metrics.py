@@ -1,8 +1,9 @@
-"""Metrics registry: named counters plus log-scale latency histograms.
+"""Metrics registry: named log-scale latency histograms.
 
-The registry unifies the counters scattered across the stack
-(``ChunkStore.stats()``, ``IOStats``, lock tallies) under one namespace
-and adds what raw counters cannot express: latency *distributions*.
+Tallies live as plain ints on the object that does the work and are read
+through its ``stats()`` (docs/OBSERVABILITY.md lists the owners); this
+registry holds what an int cannot express: latency *distributions*, one
+per span name (:mod:`repro.obs.trace`).
 Histograms use power-of-two microsecond buckets — ``record()`` is one
 ``bit_length()`` call and a list increment, cheap enough to leave on —
 and report p50/p95/p99 as the upper bound of the bucket containing that
@@ -17,26 +18,11 @@ at worst drop a count, never corrupt a structure.  The facade's
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 #: histogram buckets: bucket ``b`` holds samples in [2^(b-1), 2^b) µs;
 #: 48 buckets covers ~8.9 years, comfortably everything
 BUCKETS = 48
-
-
-class Counter:
-    """A named monotonically increasing tally."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def add(self, n: int = 1) -> None:
-        self.value += n
 
 
 class LatencyHistogram:
@@ -103,19 +89,11 @@ class LatencyHistogram:
 
 
 class MetricsRegistry:
-    """Thread-safe name → Counter/LatencyHistogram registry."""
+    """Thread-safe name → LatencyHistogram registry."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        counter = self._counters.get(name)
-        if counter is None:
-            with self._lock:
-                counter = self._counters.setdefault(name, Counter(name))
-        return counter
 
     def histogram(self, name: str) -> LatencyHistogram:
         hist = self._histograms.get(name)
@@ -124,21 +102,16 @@ class MetricsRegistry:
                 hist = self._histograms.setdefault(name, LatencyHistogram(name))
         return hist
 
-    def counters(self) -> Dict[str, int]:
-        with self._lock:
-            return {name: c.value for name, c in sorted(self._counters.items())}
-
     def histograms(self) -> Dict[str, Dict[str, float]]:
         with self._lock:
             items = sorted(self._histograms.items())
         return {name: h.snapshot() for name, h in items}
 
     def snapshot(self) -> Dict[str, object]:
-        return {"counters": self.counters(), "histograms": self.histograms()}
+        return {"histograms": self.histograms()}
 
     def clear(self) -> None:
         with self._lock:
-            self._counters.clear()
             self._histograms.clear()
 
 
@@ -152,36 +125,11 @@ def registry() -> MetricsRegistry:
     return _registry
 
 
-def add(name: str, n: int = 1) -> None:
-    """Bump the named counter (no-op while suspended)."""
-    if _suspended:
-        return
-    _registry.counter(name).add(n)
-
-
 def observe(name: str, seconds: float) -> None:
     """Record one latency sample into the named histogram."""
     if _suspended:
         return
     _registry.histogram(name).record(seconds)
-
-
-@contextmanager
-def time_block(name: str) -> Iterator[None]:
-    """Time the body and ``observe`` it under ``name``."""
-    if _suspended:
-        yield
-        return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        _registry.histogram(name).record(time.perf_counter() - start)
-
-
-def counter_value(name: str) -> int:
-    counter = _registry._counters.get(name)
-    return counter.value if counter is not None else 0
 
 
 def histogram_for(name: str) -> Optional[LatencyHistogram]:

@@ -1,33 +1,67 @@
-"""Nestable tracing spans with monotonic timings in a bounded ring.
+"""Spans: the one timing primitive (latency, self time, call tree).
 
-``with span("map_walk", pid=3):`` times its body on the monotonic clock
-and records a :class:`SpanRecord` carrying the span's name, duration,
-nesting depth, parent, and free-form tags.  Nesting is tracked per
-thread, so a ``commit`` span encloses the ``map_walk`` and ``log_write``
-spans it causes and a trace view can re-indent them into the call tree.
+``with span("chunkstore.map_walk", pid=3):`` times its body on the
+monotonic clock and does up to three things with the duration:
 
-Tracing is **off by default**.  Disabled, ``span()`` returns one shared
-null context manager — two attribute lookups and no allocation, which is
-what keeps the instrumentation seam affordable on hot paths.  Enabled,
-the cost per span is two ``perf_counter`` calls, one small object, and a
-ring append; callers therefore place spans at *operation* granularity
-(a commit, a batch walk, a scrub), never per byte or per cache hit.
+* records it in the latency histogram **of the same name**
+  (:mod:`repro.obs.metrics`);
+* while tracing is on, charges it to the span's *self time* — its duration
+  minus the time spent in spans nested inside it on the same thread, the
+  paper's Figure 12 accounting ("the time reported for each module
+  excludes nested calls to other reported modules", §9.5.3).  Self times
+  are summed per span name, and a span's layer is its name's prefix
+  (``collection.``, ``objectstore.``, ``server.``, ``chunkstore.``,
+  ``crypto.``, ``platform.untrusted.``, ``platform.tr.``);
+* while tracing is on, appends a :class:`SpanRecord` (name, duration,
+  nesting depth, parent, tags) to a bounded ring, so a trace view can
+  re-indent the records into the call tree.
+
+Tracing is **off by default**.  Off, only the spans named in
+:data:`OPERATIONS` do anything — one histogram sample each; every other
+span marks a layer boundary on a hot path and is one shared null context
+manager (no allocation, no clock read), which is what keeps the seam
+affordable.  On, the cost per span is two ``perf_counter`` calls, two
+small objects, and a ring append.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, NamedTuple, Optional
+
+from repro.obs import metrics
 
 #: default ring capacity; a bench run emits a few thousand spans
 DEFAULT_CAPACITY = 8192
 
+#: spans timed even while tracing is off: whole operations, rare and long
+#: enough (a commit, a cache-miss read, a recovery) that one histogram
+#: sample each stays inside the < 5 % overhead budget ``store_bench
+#: --check`` enforces.  Catalogued in docs/OBSERVABILITY.md.
+OPERATIONS = frozenset(
+    {
+        "chunkstore.commit",
+        "chunkstore.checkpoint",
+        "chunkstore.read",
+        "chunkstore.read_batch",
+        "chunkstore.snapshot_read",
+        "chunkstore.map_walk",
+        "chunkstore.scrub",
+        "chunkstore.cleaner_pass",
+        "chunkstore.recovery",
+        "objectstore.tx_commit",
+        "server.group_commit",
+        "xdb.page_read",
+        "xdb.commit",
+        "xdb.recovery",
+    }
+)
 
-@dataclass(frozen=True)
-class SpanRecord:
+
+class SpanRecord(NamedTuple):
     """One finished span."""
 
     seq: int
@@ -37,7 +71,7 @@ class SpanRecord:
     depth: int  # 0 = top-level for its thread
     parent: Optional[str]  # enclosing span's name, if any
     thread: int
-    tags: Dict[str, Any] = field(default_factory=dict)
+    tags: Dict[str, Any] = {}  # never mutated: records are read-only
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         extras = " ".join(f"{k}={v!r}" for k, v in sorted(self.tags.items()))
@@ -54,41 +88,62 @@ class Tracer:
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self._ring: Deque[SpanRecord] = deque(maxlen=capacity)
         self._lock = threading.Lock()
-        self._seq = 0
+        self._seq = itertools.count(1)  # next() is atomic under the GIL
         self._local = threading.local()
         self.dropped = 0
+        #: span name -> summed self seconds (not bounded by the ring)
+        self._self_seconds: Dict[str, float] = {}
 
-    def _stack(self) -> List[str]:
+    def _stack(self) -> List["_Span"]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
         return stack
 
-    def record(self, record: SpanRecord) -> None:
+    def record(self, record: SpanRecord, self_seconds: float = 0.0) -> None:
         with self._lock:
             if len(self._ring) == self._ring.maxlen:
                 self.dropped += 1
             self._ring.append(record)
-
-    def next_seq(self) -> int:
-        with self._lock:
-            self._seq += 1
-            return self._seq
+            self._self_seconds[record.name] = (
+                self._self_seconds.get(record.name, 0.0) + self_seconds
+            )
 
     def records(self) -> List[SpanRecord]:
         with self._lock:
             return list(self._ring)
 
+    def self_times(self) -> Dict[str, float]:
+        with self._lock:
+            return dict(self._self_seconds)
+
     def clear(self) -> None:
         with self._lock:
             self._ring.clear()
+            self._self_seconds.clear()
             self.dropped = 0
 
 
-class _Span:
-    """Live span context manager (only built while tracing is enabled)."""
+class _Timer:
+    """An operation span while tracing is off: one histogram sample."""
 
-    __slots__ = ("tracer", "name", "tags", "start", "depth", "parent")
+    __slots__ = ("name", "start")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __enter__(self) -> "_Timer":
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        metrics.observe(self.name, time.perf_counter() - self.start)
+
+
+class _Span(_Timer):
+    """Any span while tracing is on: histogram, self time, and ring."""
+
+    __slots__ = ("tracer", "tags", "depth", "parent", "nested")
 
     def __init__(self, tracer: Tracer, name: str, tags: Dict[str, Any]) -> None:
         self.tracer = tracer
@@ -99,31 +154,36 @@ class _Span:
         stack = self.tracer._stack()
         self.depth = len(stack)
         self.parent = stack[-1] if stack else None
-        stack.append(self.name)
+        self.nested = 0.0  # seconds spent in spans nested inside this one
+        stack.append(self)
         self.start = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
         duration = time.perf_counter() - self.start
         stack = self.tracer._stack()
-        if stack and stack[-1] == self.name:
+        if stack and stack[-1] is self:
             stack.pop()
+        if self.parent is not None:
+            self.parent.nested += duration
+        metrics.observe(self.name, duration)
         self.tracer.record(
             SpanRecord(
-                seq=self.tracer.next_seq(),
-                name=self.name,
-                start=self.start,
-                duration=duration,
-                depth=self.depth,
-                parent=self.parent,
-                thread=threading.get_ident(),
-                tags=self.tags,
-            )
+                next(self.tracer._seq),
+                self.name,
+                self.start,
+                duration,
+                self.depth,
+                self.parent.name if self.parent is not None else None,
+                threading.get_ident(),
+                self.tags,
+            ),
+            duration - self.nested,
         )
 
 
 class _NullSpan:
-    """Shared no-op span handed out while tracing is disabled."""
+    """Shared no-op span handed out while a span has nothing to record."""
 
     __slots__ = ()
 
@@ -143,10 +203,12 @@ _enabled = False
 
 
 def span(name: str, **tags: Any):
-    """A context manager timing its body; shared no-op when disabled."""
-    if not _enabled:
-        return _NULL_SPAN
-    return _Span(_tracer, name, tags)
+    """A context manager timing its body (see the module docstring)."""
+    if _enabled:
+        return _Span(_tracer, name, tags)
+    if name in OPERATIONS and not metrics._suspended:
+        return _Timer(name)
+    return _NULL_SPAN
 
 
 def enabled() -> bool:
@@ -168,6 +230,12 @@ def disable() -> None:
 
 def records() -> List[SpanRecord]:
     return _tracer.records()
+
+
+def self_times() -> Dict[str, float]:
+    """Summed self seconds per span name since the last :func:`reset`
+    (a copy; survives ring eviction)."""
+    return _tracer.self_times()
 
 
 def dropped() -> int:

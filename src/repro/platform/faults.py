@@ -143,7 +143,6 @@ class FaultInjector:
             return
         if self._draw(self.config.flush_error_rate):
             self.counts["flush"] = self.counts.get("flush", 0) + 1
-            obs.add("faults.injected")
             raise TransientIOError("injected flush fault")
 
     def on_round_trip(self, op: str) -> None:
@@ -153,7 +152,6 @@ class FaultInjector:
             return
         if self._draw(self.config.timeout_rate):
             self.counts["timeout"] = self.counts.get("timeout", 0) + 1
-            obs.add("faults.injected")
             raise RemoteTimeoutError(f"injected timeout during remote {op}")
 
     def on_batch(self, requested: int) -> int:
@@ -167,7 +165,6 @@ class FaultInjector:
             return requested
         if self._draw(self.config.partial_response_rate):
             self.counts["partial"] = self.counts.get("partial", 0) + 1
-            obs.add("faults.injected")
             return self.rng.randrange(1, requested)
         return requested
 
@@ -185,14 +182,12 @@ class FaultInjector:
 
     def _raise_transient(self, op: str, offset: int, size: int) -> None:
         self.counts[f"transient.{op}"] = self.counts.get(f"transient.{op}", 0) + 1
-        obs.add("faults.injected")
         raise TransientIOError(
             f"injected transient {op} fault at [{offset}, {offset + size})"
         )
 
     def _raise_permanent(self, op: str, offset: int, size: int) -> None:
         self.counts[f"permanent.{op}"] = self.counts.get(f"permanent.{op}", 0) + 1
-        obs.add("faults.injected")
         obs.emit("permanent_fault", op=op, offset=offset, size=size)
         raise PermanentIOError(
             f"bad extent: {op} at [{offset}, {offset + size})"

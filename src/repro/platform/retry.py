@@ -106,12 +106,10 @@ class Retrier:
                     raise
                 if self.stats is not None:
                     self.stats.retries += 1
-                obs.add("platform.retries")
                 obs.observe("platform.retry_backoff", delay)
                 self.clock.sleep(delay)
 
     def _give_up(self, op: str, attempts: int) -> None:
         if self.stats is not None:
             self.stats.gave_up += 1
-        obs.add("platform.retries_exhausted")
         obs.emit("retry_exhausted", op=op, attempts=attempts)

@@ -114,16 +114,13 @@ class GroupCommitter:
     def _commit_batch(self, batch: List[_Entry]) -> None:
         merged = [op for entry in batch for op in entry.ops]
         try:
-            with obs.span(
-                "group_commit", txs=len(batch), ops=len(merged)
-            ), obs.time_block("server.group_commit"):
+            with obs.span("server.group_commit", txs=len(batch), ops=len(merged)):
                 self.chunks.commit(merged)
         except ChunkStoreError:
             # The merged batch failed its preflight (e.g. an entry with an
             # oversized chunk, or — despite 2PL — overlapping write sets).
             # Retry each entry alone so only the poison entry fails.
             self.fallbacks += 1
-            obs.add("server.group_commit_fallbacks")
             self._commit_singly(batch)
             return
         except BaseException as exc:
@@ -137,8 +134,6 @@ class GroupCommitter:
         self.batches += 1
         self.txs_committed += len(batch)
         self.largest_batch = max(self.largest_batch, len(batch))
-        obs.add("server.group_commits")
-        obs.add("server.group_commit_txs", len(batch))
         if self.on_commit is not None:
             touched = {
                 op.partition for op in merged if hasattr(op, "partition")
@@ -158,8 +153,6 @@ class GroupCommitter:
                 self.batches += 1
                 self.txs_committed += 1
                 self.largest_batch = max(self.largest_batch, 1)
-                obs.add("server.group_commits")
-                obs.add("server.group_commit_txs", 1)
                 if self.on_commit is not None:
                     self.on_commit(
                         {

@@ -40,13 +40,12 @@ class TDBServer:
         self,
         objects: ObjectStore,
         max_batch: int = 64,
-        snapshot_mode: str = "view",
     ) -> None:
         self.objects = objects
         self.committer = GroupCommitter(
             objects.chunks, max_batch=max_batch, on_commit=self._after_commit
         )
-        self.snapshots = SnapshotManager(objects, mode=snapshot_mode)
+        self.snapshots = SnapshotManager(objects)
         self._session_ids = itertools.count(1)
         self._mutex = threading.Lock()
         self._open_sessions = 0

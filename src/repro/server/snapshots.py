@@ -6,24 +6,20 @@ partition's committed objects, served entirely through a
 chunk-store lock, so a long group-commit flush never stalls a reader and
 a reader never delays the commit path.
 
-Two flavors, same API:
-
-* ``mode="view"`` (default) — freeze the partition's current committed
-  state directly.  Cheap (no log traffic), ideal for serving reads of
-  the latest committed data.  This reuses the copy-on-write leader
-  snapshot (``LeaderPayload.copy_for_snapshot``) that partition copies
-  are built from, without materializing a copy partition.
-* ``mode="copy"`` — materialize a real
-  :class:`~repro.chunkstore.ops.CopyPartition` and view that.  Costs a
-  commit (and possibly a checkpoint) per snapshot, but the snapshot is a
-  durable first-class partition — use when a snapshot must outlive the
-  process or be diffed/backed up.
+A snapshot freezes the partition's current committed state directly: no
+log traffic, reusing the copy-on-write leader snapshot
+(``LeaderPayload.copy_for_snapshot``) that partition copies are built
+from, without materializing a copy partition.
 
 Snapshots are **refcounted and shared**: concurrent readers of the same
 partition share one snapshot (and its object cache) until a group commit
 invalidates it, after which the next reader gets a fresh one.  Stale
 snapshots stay fully readable until their last reader releases them —
 that is the isolation guarantee: a reader's view never changes mid-use.
+Each invalidation records the store's commit count for its partition, and
+a snapshot frozen before that count is never installed as the shared
+current: a session that acquires after its own commit returned always
+sees that commit.
 
 Unpickled objects are cached per snapshot (never in the store's shared
 ``ObjectCache``, which tracks the latest committed state).
@@ -32,10 +28,8 @@ Unpickled objects are cached per snapshot (never in the store's shared
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro import obs
-from repro.chunkstore.ops import CopyPartition, DeallocatePartition
 from repro.chunkstore.snapshot import SnapshotView
 from repro.errors import ChunkNotAllocatedError, ObjectNotFoundError
 from repro.objectstore.cache import ObjectCache
@@ -57,13 +51,10 @@ class Snapshot:
         source_pid: int,
         view: SnapshotView,
         version: int,
-        copy_pid: Optional[int] = None,
     ) -> None:
         self._manager = manager
         #: the partition this snapshot was taken of
         self.source_pid = source_pid
-        #: the materialized copy partition (``mode="copy"`` only)
-        self.copy_pid = copy_pid
         self.view = view
         #: monotonically increasing per-source version (diagnostics)
         self.version = version
@@ -121,16 +112,16 @@ class Snapshot:
 class SnapshotManager:
     """Hands out refcounted, shared snapshots; invalidated on commit."""
 
-    def __init__(self, objects: ObjectStore, mode: str = "view") -> None:
-        if mode not in ("view", "copy"):
-            raise ValueError(f"unknown snapshot mode {mode!r}")
+    def __init__(self, objects: ObjectStore) -> None:
         self.objects = objects
         self.chunks = objects.chunks
-        self.mode = mode
         self._mutex = threading.Lock()
         #: source pid -> the snapshot new readers currently share
         self._current: Dict[int, Snapshot] = {}
         self._versions: Dict[int, int] = {}
+        #: source pid -> the store's commit count at the last invalidation:
+        #: a view frozen before it may predate a commit to pid
+        self._invalid_through: Dict[int, int] = {}
         self.created = 0
         self.reused = 0
 
@@ -157,25 +148,25 @@ class SnapshotManager:
                 self.reused += 1
                 self._dispose(fresh)
                 return current
+            fresh._refs = 1
+            self.created += 1
+            if fresh.view.frozen_at < self._invalid_through.get(pid, 0):
+                # a commit to pid landed after the freeze and was
+                # invalidated before this install: fine for this reader
+                # (its own commits all returned before it asked), but a
+                # later reader must not share the view — it goes out
+                # unshared and already stale
+                fresh._stale = True
+                return fresh
             if current is not None and current._refs == 0:
                 self._dispose(current)
             self._current[pid] = fresh
-            fresh._refs = 1
-            self.created += 1
             return fresh
 
     def _build(self, pid: int) -> Snapshot:
         version = self._versions.get(pid, 0) + 1
         self._versions[pid] = version
-        if self.mode == "copy":
-            copy_pid = self.chunks.allocate_partition()
-            self.chunks.commit([CopyPartition(copy_pid, pid)])
-            view = self.chunks.open_snapshot_view(copy_pid)
-            obs.add("server.snapshots_created")
-            return Snapshot(self, pid, view, version, copy_pid=copy_pid)
-        view = self.chunks.open_snapshot_view(pid)
-        obs.add("server.snapshots_created")
-        return Snapshot(self, pid, view, version)
+        return Snapshot(self, pid, self.chunks.open_snapshot_view(pid), version)
 
     # -- invalidation and release -------------------------------------------
 
@@ -183,6 +174,8 @@ class SnapshotManager:
         """A commit changed ``pid``: new readers need a fresh snapshot.
         Existing readers keep their (now stale) snapshot untouched."""
         with self._mutex:
+            # the commit behind this call has returned, so it is counted
+            self._invalid_through[pid] = self.chunks.commit_count_stat
             snapshot = self._current.get(pid)
             if snapshot is None:
                 return
@@ -217,15 +210,12 @@ class SnapshotManager:
             return
         snapshot._disposed = True
         self.chunks.close_snapshot_view(snapshot.view)
-        if snapshot.copy_pid is not None:
-            self.chunks.commit([DeallocatePartition(snapshot.copy_pid)])
 
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
         with self._mutex:
             return {
-                "mode": self.mode,
                 "active": len(self._current),
                 "created": self.created,
                 "reused": self.reused,

@@ -12,7 +12,7 @@ Two views, mirroring the trust model:
 Two more views read the process-wide ``repro.obs`` layer:
 
 * the **metrics view**: latency histograms (p50/p95/p99 for reads,
-  commits, map walks, …), unified counters, and event-kind tallies;
+  commits, map walks, …) and event-kind tallies;
 * the **trace view**: the most recent tracing spans, indented by
   nesting depth (tracing must have been enabled).
 
@@ -161,14 +161,13 @@ def _format_hist(snapshot: Dict[str, float]) -> Dict[str, Any]:
 
 def metrics_view() -> Dict[str, Any]:
     """The process-wide ``repro.obs`` registry: latency percentiles per
-    histogram, unified counters, and event-kind tallies."""
+    histogram and event-kind tallies."""
     snap = obs.metrics.snapshot()
     return {
         "latency": {
             name: _format_hist(hist)
             for name, hist in snap["histograms"].items()
         },
-        "counters": snap["counters"],
         "events": obs.events.counts(),
     }
 
@@ -228,7 +227,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--metrics", action="store_true",
         help="run a short traced workload and print the metrics view "
-             "(p50/p95/p99 latency table, counters, event tallies)",
+             "(p50/p95/p99 latency table, event tallies)",
     )
     parser.add_argument(
         "--trace", action="store_true",

@@ -187,10 +187,7 @@ class SecureXDB:
         return hasher.digest()
 
     def _update_root_anchor(self) -> None:
-        from repro.bench.profiler import profiled
-
-        with profiled("tamper-resistant store"):
-            self.tr.write(self._master_hash())
+        self.tr.write(self._master_hash())
 
     def _check_root_anchor(self) -> None:
         if self.tr.read() != self._master_hash():
@@ -228,14 +225,10 @@ class SecureXDB:
     # ------------------------------------------------------------------
 
     def insert(self, table: Table, value: Any) -> int:
-        from repro.bench.profiler import profiled
-
         data = pickle_value(value)
-        with profiled("encryption"):
-            ciphertext = self.cipher.encrypt(data)
+        ciphertext = self.cipher.encrypt(data)
         rid = self.db.insert(table, ciphertext)
-        with profiled("hashing"):
-            digest = self.hash.hash(data)
+        digest = self.hash.hash(data)
         self._set_leaf_hash(table.name, rid, digest)
         for index_name in table.indexes:
             key = self.key_functions[f"{table.name}:{index_name}"](value)
@@ -246,13 +239,9 @@ class SecureXDB:
         return rid
 
     def read(self, table: Table, rid: int) -> Any:
-        from repro.bench.profiler import profiled
-
         ciphertext = self.db.read(table, rid)
-        with profiled("encryption"):
-            data = self.cipher.decrypt(ciphertext)
-        with profiled("hashing"):
-            digest = self.hash.hash(data)
+        data = self.cipher.decrypt(ciphertext)
+        digest = self.hash.hash(data)
         node = self._get_node(table.name, 0, rid // _FANOUT)
         if node.get(rid % _FANOUT) != digest:
             raise TamperDetectedError(
@@ -261,15 +250,11 @@ class SecureXDB:
         return unpickle_value(data)
 
     def update(self, table: Table, rid: int, value: Any) -> None:
-        from repro.bench.profiler import profiled
-
         old_value = self.read(table, rid)
         data = pickle_value(value)
-        with profiled("encryption"):
-            ciphertext = self.cipher.encrypt(data)
+        ciphertext = self.cipher.encrypt(data)
         self.db.update(table, rid, ciphertext)
-        with profiled("hashing"):
-            digest = self.hash.hash(data)
+        digest = self.hash.hash(data)
         self._set_leaf_hash(table.name, rid, digest)
         for index_name in table.indexes:
             key_function = self.key_functions[f"{table.name}:{index_name}"]

@@ -27,7 +27,6 @@ from collections import OrderedDict
 from typing import Dict, List, Set, Tuple
 
 from repro import obs
-from repro.bench.profiler import profiled
 from repro.errors import IOFaultError, XDBError
 from repro.platform.untrusted import UntrustedStore
 from repro.util.checksum import crc32_bytes
@@ -111,8 +110,7 @@ class Pager:
         if cached is not None:
             self._cache.move_to_end(page_no)
             return cached
-        with profiled("untrusted store read"), \
-                obs.time_block("xdb.page_read"):
+        with obs.span("xdb.page_read"):
             data = bytearray(self.store.read(page_no * PAGE_SIZE, PAGE_SIZE))
         self._cache[page_no] = data
         self._evict_if_needed()
@@ -135,10 +133,9 @@ class Pager:
             else:
                 missing.append(page_no)
         if missing:
-            with profiled("untrusted store read"):
-                blobs = self.store.read_many(
-                    [(page_no * PAGE_SIZE, PAGE_SIZE) for page_no in missing]
-                )
+            blobs = self.store.read_many(
+                [(page_no * PAGE_SIZE, PAGE_SIZE) for page_no in missing]
+            )
             for page_no, blob in zip(missing, blobs):
                 page = bytearray(blob)
                 self._cache[page_no] = page
@@ -207,8 +204,7 @@ class Pager:
         dirty = sorted(self._dirty)
         if not dirty:
             return
-        with obs.span("xdb_commit", pages=len(dirty)), \
-                obs.time_block("xdb.commit"):
+        with obs.span("xdb.commit", pages=len(dirty)):
             self._commit_dirty(dirty)
 
     def _commit_dirty(self, dirty: List[int]) -> None:
@@ -224,31 +220,25 @@ class Pager:
             record = _WAL_RECORD.pack(_WAL_PAGE, page_no, crc32_bytes(page))
             if cursor + len(record) + PAGE_SIZE + 32 > self.wal_offset + self.wal_size:
                 cursor = self._checkpoint_wal()
-            with profiled("untrusted store write"):
-                self.store.write(cursor, record)
-                self.store.write(cursor + len(record), page)
+            self.store.write(cursor, record)
+            self.store.write(cursor + len(record), page)
             cursor += len(record) + PAGE_SIZE
         marker = _WAL_RECORD.pack(_WAL_COMMIT, self.commit_seq & 0xFFFFFFFF, 0)
-        with profiled("untrusted store write"):
-            self.store.write(cursor, marker)
+        self.store.write(cursor, marker)
         cursor += len(marker)
         self._wal_cursor = cursor
-        with profiled("untrusted store write"):
-            self.store.flush()  # flush #1: the WAL
+        self.store.flush()  # flush #1: the WAL
         # 2. force the pages in place
         for page_no in dirty:
-            with profiled("untrusted store write"):
-                self.store.write(page_no * PAGE_SIZE, bytes(self._cache[page_no]))
+            self.store.write(page_no * PAGE_SIZE, bytes(self._cache[page_no]))
         self._write_header()
-        with profiled("untrusted store write"):
-            self.store.flush()  # flush #2: the data pages
+        self.store.flush()  # flush #2: the data pages
         self._dirty.clear()
 
     def _checkpoint_wal(self) -> int:
         """The WAL wrapped: pages are already forced at commit, so the WAL
         can simply restart."""
-        with profiled("untrusted store write"):
-            self.store.write(self.wal_offset, b"\x00" * 16)
+        self.store.write(self.wal_offset, b"\x00" * 16)
         self._wal_cursor = self.wal_offset
         return self._wal_cursor
 
@@ -257,7 +247,7 @@ class Pager:
     # ------------------------------------------------------------------
 
     def _recover(self) -> None:
-        with obs.span("xdb_recovery"), obs.time_block("xdb.recovery"):
+        with obs.span("xdb.recovery"):
             self._recover_wal()
 
     def _recover_wal(self) -> None:

@@ -256,7 +256,7 @@ class TestSwallowedErrors:
             return real_commit(operations)
 
         mark = obs.events.mark()
-        before = obs.metrics.counter_value("extensions.swallowed_errors")
+        before = obs.events.count("swallowed_error")
         chunks.commit = failing_commit
         try:
             tx.commit()  # must succeed despite the failed scratch drop
@@ -268,10 +268,7 @@ class TestSwallowedErrors:
         assert len(swallowed) == 1
         assert swallowed[0].fields["where"] == "spill.drop_scratch"
         assert swallowed[0].fields["error"] == "ChunkStoreError"
-        assert (
-            obs.metrics.counter_value("extensions.swallowed_errors")
-            == before + 1
-        )
+        assert obs.events.count("swallowed_error") == before + 1
 
     def test_collect_orphans_skip_is_evented(self):
         from repro import obs

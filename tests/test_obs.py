@@ -2,6 +2,7 @@
 structured event log, plus the end-to-end smoke workload."""
 
 import threading
+import time
 
 import pytest
 
@@ -79,6 +80,132 @@ class TestTracing:
         assert record.depth == 0  # the main thread's open span is invisible
 
 
+class TestSelfTime:
+    """Spans keep nested-exclusive self time while tracing is on — the
+    Figure 12 accounting (§9.5.3: 'the time reported for each module
+    excludes nested calls to other reported modules')."""
+
+    def test_inactive_keeps_no_state(self):
+        with obs.span("layer.anything"):
+            pass  # tracing off: the shared null span
+        with obs.span("chunkstore.commit"):
+            pass  # an operation span: one histogram sample, nothing else
+        assert obs.trace.self_times() == {}
+        assert obs.trace.records() == []
+
+    def test_simple_attribution(self):
+        obs.enable_tracing()
+        with obs.span("a"):
+            time.sleep(0.01)
+        assert obs.trace.self_times()["a"] >= 0.009
+        assert obs.metrics.histogram_for("a").count == 1
+
+    def test_nested_time_is_exclusive(self):
+        obs.enable_tracing()
+        with obs.span("outer"):
+            time.sleep(0.01)
+            with obs.span("inner"):
+                time.sleep(0.03)
+            time.sleep(0.01)
+        times = obs.trace.self_times()
+        assert times["inner"] >= 0.029
+        assert times["outer"] < 0.03  # inner time excluded
+
+    def test_same_label_nested(self):
+        obs.enable_tracing()
+        with obs.span("x"):
+            with obs.span("x"):
+                time.sleep(0.005)
+        (outer,) = [r for r in obs.trace.records() if r.depth == 0]
+        assert obs.metrics.histogram_for("x").count == 2
+        # both levels charge "x", and nothing is counted twice
+        assert obs.trace.self_times()["x"] == pytest.approx(outer.duration)
+
+    def test_exception_pops_cleanly(self):
+        obs.enable_tracing()
+        with pytest.raises(RuntimeError):
+            with obs.span("failing"):
+                raise RuntimeError()
+        with obs.span("after"):
+            pass
+        assert set(obs.trace.self_times()) == {"failing", "after"}
+        assert all(r.depth == 0 for r in obs.trace.records())
+
+    def test_self_times_is_a_copy(self):
+        obs.enable_tracing()
+        with obs.span("m"):
+            pass
+        times = obs.trace.self_times()
+        times["m"] = 999
+        assert obs.trace.self_times()["m"] != 999
+
+    def test_threads_keep_separate_stacks(self):
+        obs.enable_tracing()
+        parked = threading.Event()
+        release = threading.Event()
+
+        def worker():
+            with obs.span("worker"):
+                parked.set()
+                assert release.wait(5)
+
+        thread = threading.Thread(target=worker)
+        with obs.span("main"):
+            thread.start()
+            assert parked.wait(5)
+            time.sleep(0.02)  # "worker" is open on the other thread only
+        release.set()
+        thread.join(5)
+        assert not thread.is_alive()
+        records = {r.name: r for r in obs.trace.records()}
+        assert records["worker"].depth == 0 and records["worker"].parent is None
+        # nothing nested under "main" on its own thread: all of it is self
+        assert obs.trace.self_times()["main"] == pytest.approx(
+            records["main"].duration
+        )
+
+    def test_self_times_under_one_root_sum_to_its_duration(self):
+        obs.enable_tracing()
+        with obs.span("root"):
+            for _ in range(3):
+                with obs.span("child"):
+                    time.sleep(0.002)
+                    with obs.span("leaf"):
+                        time.sleep(0.001)
+                    with obs.span("leaf"):
+                        pass
+            time.sleep(0.002)
+        (root,) = [r for r in obs.trace.records() if r.name == "root"]
+        assert sum(obs.trace.self_times().values()) == pytest.approx(
+            root.duration, rel=0.01
+        )
+
+    def test_chunk_store_attributes_layers(self):
+        from repro.chunkstore import ChunkStore, ops
+        from tests.conftest import make_config, make_platform
+
+        platform = make_platform()
+        store = ChunkStore.format(platform, make_config())
+        pid = store.allocate_partition()
+        store.commit(
+            [ops.WritePartition(pid, cipher_name="ctr-sha256", hash_name="sha1")]
+        )
+        obs.enable_tracing()
+        for _ in range(5):
+            rank = store.allocate_chunk(pid)
+            store.commit([ops.WriteChunk(pid, rank, b"x" * 500)])
+        store.checkpoint()  # persist descriptors before dropping cache
+        store.cache.clear()
+        store.read_chunk(pid, 0)
+        times = obs.trace.self_times()
+        for name in (
+            "chunkstore.commit", "chunkstore.read_chunk", "crypto.encrypt",
+            "crypto.decrypt", "crypto.hash", "platform.untrusted.write",
+            "platform.untrusted.read", "platform.tr.write",
+        ):
+            assert times[name] > 0.0, name
+
+
 class TestHistograms:
     def test_bucket_math(self):
         hist = LatencyHistogram("t")
@@ -143,16 +270,19 @@ class TestHistograms:
         assert hist.buckets[0] == 1
         assert hist.max_seconds == 0.0
 
-    def test_time_block_feeds_named_histogram(self):
-        with obs.time_block("unit.block"):
+    def test_span_feeds_histogram_of_the_same_name(self):
+        # an operation span is timed with tracing off ...
+        with obs.span("chunkstore.commit", ops=1):
             pass
-        hist = obs.metrics.histogram_for("unit.block")
-        assert hist is not None and hist.count == 1
-
-    def test_counters_accumulate(self):
-        obs.add("unit.counter")
-        obs.add("unit.counter", 4)
-        assert obs.metrics.counter_value("unit.counter") == 5
+        assert obs.metrics.histogram_for("chunkstore.commit").count == 1
+        # ... any other span only while tracing is on
+        with obs.span("unit.block"):
+            pass
+        assert obs.metrics.histogram_for("unit.block") is None
+        obs.enable_tracing()
+        with obs.span("unit.block"):
+            pass
+        assert obs.metrics.histogram_for("unit.block").count == 1
 
 
 class TestEvents:
@@ -184,37 +314,35 @@ class TestSuspendReset:
     def test_suspend_noops_all_three_subsystems(self):
         obs.enable_tracing()
         with obs.suspend():
-            obs.add("unit.suspended")
+            obs.observe("unit.suspended", 0.001)
             obs.emit("suspended_event")
             assert obs.span("suspended_span") is _NULL_SPAN
-            with obs.time_block("unit.suspended_hist"):
-                pass
-        assert obs.metrics.counter_value("unit.suspended") == 0
-        assert obs.metrics.histogram_for("unit.suspended_hist") is None
+            assert obs.span("chunkstore.commit") is _NULL_SPAN
+        assert obs.metrics.histogram_for("unit.suspended") is None
         assert obs.events.count("suspended_event") == 0
         assert obs.trace.records() == []
         # and restores afterwards
         assert obs.trace.enabled()
-        obs.add("unit.after")
-        assert obs.metrics.counter_value("unit.after") == 1
+        obs.observe("unit.after", 0.001)
+        assert obs.metrics.histogram_for("unit.after").count == 1
 
     def test_reset_clears_but_keeps_tracing_state(self):
         obs.enable_tracing()
-        obs.add("unit.x")
         obs.emit("unit_event")
         with obs.span("s"):
             pass
         obs.reset()
-        assert obs.metrics.counter_value("unit.x") == 0
+        assert obs.metrics.histogram_for("s") is None
         assert obs.events.counts() == {}
         assert obs.trace.records() == []
+        assert obs.trace.self_times() == {}
         assert obs.trace.enabled()
 
     def test_snapshot_merges_events(self):
-        obs.add("unit.c")
+        obs.observe("unit.h", 0.001)
         obs.emit("unit_event")
         snap = obs.snapshot()
-        assert snap["counters"]["unit.c"] == 1
+        assert snap["histograms"]["unit.h"]["count"] == 1
         assert snap["events"]["unit_event"] == 1
 
 

@@ -110,6 +110,68 @@ class TestStoreStats:
         assert crypto["xtea-cbc"]["bytes_encrypted"] >= 64
         assert "ctr-sha256" in crypto  # the system cipher, counted separately
 
+    def test_crypto_tallies_survive_dealloc_and_count_view_reads(self):
+        """Regression: tallies hung off per-partition cipher/hash instances,
+        so DeallocatePartition dropped its partition's counts (digests went
+        26 -> 5) and a snapshot view's private instances were never summed
+        (20 view reads moved bytes_decrypted by 0)."""
+
+        def totals(store):
+            stats = store.stats()
+            return (
+                sum(t["digests"] for t in stats["hashing"].values()),
+                sum(t["bytes_encrypted"] for t in stats["crypto"].values()),
+                sum(t["bytes_decrypted"] for t in stats["crypto"].values()),
+            )
+
+        store = fresh_store()
+        pid = fresh_partition(store, cipher="xtea-cbc")
+        ranks = [store.allocate_chunk(pid) for _ in range(10)]
+        store.commit([ops.WriteChunk(pid, r, b"t" * 300) for r in ranks])
+        history = [totals(store)]
+        copy = store.allocate_partition()
+        store.commit([ops.CopyPartition(copy, pid)])
+        history.append(totals(store))
+        store.commit([ops.DeallocatePartition(pid)])  # takes the copy along
+        history.append(totals(store))
+        for earlier, later in zip(history, history[1:]):
+            assert all(a <= b for a, b in zip(earlier, later)), history
+        assert "xtea-cbc" in store.stats()["crypto"]  # its partitions are gone
+
+        pid = fresh_partition(store, cipher="xtea-cbc")
+        ranks = [store.allocate_chunk(pid) for _ in range(10)]
+        store.commit([ops.WriteChunk(pid, r, b"v" * 300) for r in ranks])
+        digests, _, decrypted = totals(store)
+        with store.open_snapshot_view(pid) as view:
+            for rank in ranks:
+                assert view.read_chunk(rank) == b"v" * 300
+        after = totals(store)
+        assert after[2] >= decrypted + 10 * 300
+        assert after[0] >= digests + 10
+
+    def test_stats_keys_the_benchmark_reads(self):
+        """``benchmarks/e2e/layers.py::counters`` reads these by name; a
+        renamed key would only surface in the 49 s e2e self-test."""
+        from repro.objectstore import ObjectStore
+        from repro.server import TDBServer
+
+        store = fresh_store()
+        pid = fresh_partition(store)
+        rank = store.allocate_chunk(pid)
+        store.commit([ops.WriteChunk(pid, rank, b"k")])
+        stats = store.stats()
+        for cache in ("cache", "payload_cache"):
+            assert {"hits", "misses", "evictions"} <= set(stats[cache])
+        assert "map_chunks_fetched" in stats["walk"]
+        assert {"appends", "writes_coalesced", "bytes_appended"} <= set(stats["log"])
+        assert all("digests" in tally for tally in stats["hashing"].values())
+        objects = ObjectStore(store)
+        assert {"waits", "deadlocks_broken"} <= set(objects.locks.stats())
+        with TDBServer(objects) as server:
+            served = server.stats()
+        assert {"batches", "txs_committed", "fallbacks"} <= set(served["group_commit"])
+        assert {"created", "reused"} <= set(served["snapshots"])
+
 
 class TestDescriptorCacheIndex:
     def test_drop_partition_uses_index(self):

@@ -220,6 +220,66 @@ class TestSnapshotIsolation:
                 tx.update(ObjectRef(pid, 0), 2)
             assert chunks.snapshot_pins == 0
 
+    def test_snapshot_built_across_a_commit_is_never_shared(self):
+        """Regression (benchmarks/e2e README, finding 5): a snapshot built
+        while a commit was in flight was installed as current *after* that
+        commit's invalidation, so the committer's next acquire was handed
+        a view from before its own commit."""
+        _, chunks, objects, pid = make_stack()
+        ref = ObjectRef(pid, 0)
+        with objects.transaction() as tx:
+            tx.create_at(ref, "v0")
+        with TDBServer(objects) as server, server.session() as session:
+            manager = server.snapshots
+            build = manager._build
+            built, resume = threading.Event(), threading.Event()
+
+            def parked_build(source):
+                snapshot = build(source)  # frozen before the commit below
+                built.set()
+                assert resume.wait(5.0), "test gate never opened"
+                return snapshot
+
+            seen = []
+
+            def reader():
+                with manager.acquire(pid) as snapshot:
+                    seen.append(snapshot.get(ref))
+
+            manager._build = parked_build
+            thread = threading.Thread(target=reader)
+            thread.start()
+            assert built.wait(5.0)
+            manager._build = build
+            with session.transaction() as tx:
+                tx.update(ref, "v1")  # commits and invalidates pid
+            resume.set()
+            _join([thread])
+            assert seen == ["v0"]  # acquired before the commit: still valid
+            with session.snapshot(pid) as snapshot:
+                assert snapshot.get(ref) == "v1"
+            assert manager.stats()["created"] == 2
+        assert chunks.snapshot_pins == 0
+
+    def test_view_walk_keeps_post_checkpoint_writes(self):
+        """Regression: a view's map walk stored every child slot of the
+        map chunk it read, overwriting the seeded dirty descriptor of a
+        sibling written since the last checkpoint — the view then served
+        that sibling's pre-commit bytes (the remaining
+        ``server.snapshot.stale_reads`` of the e2e benchmark)."""
+        from repro.chunkstore import ops
+        from repro.chunkstore.ids import data_id
+
+        _, chunks, _, pid = make_stack()
+        ranks = [chunks.allocate_chunk(pid) for _ in range(2)]
+        chunks.commit([ops.WriteChunk(pid, r, b"old") for r in ranks])
+        chunks.checkpoint()  # the persistent map now says "old" for both
+        chunks.commit([ops.WriteChunk(pid, ranks[0], b"new")])  # dirty only
+        chunks.cache.drop(data_id(pid, ranks[1]))  # as LRU eviction would
+        with chunks.open_snapshot_view(pid) as view:
+            assert view.read_chunk(ranks[1]) == b"old"  # walks the map
+            assert view.read_chunk(ranks[0]) == b"new"
+
     def test_missing_object_raises_object_not_found(self):
         _, _, objects, pid = make_stack()
         with objects.transaction() as tx:
