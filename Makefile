@@ -15,7 +15,7 @@ SEEDS ?= 20
 OPS ?= 50
 FAULT_TRIALS ?= 150
 
-.PHONY: install test test-fast bench bench-crypto bench-store bench-server obs-smoke e2e-selftest report examples lint all \
+.PHONY: install test test-fast bench bench-crypto bench-store bench-server obs-smoke e2e e2e-compare e2e-selftest report examples lint all \
 	adversary adversary-sweep differential fault-sweep
 
 install:
@@ -52,6 +52,23 @@ obs-smoke:
 # is emitted and every counter the benchmark reads is still there.
 e2e-selftest:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/test_e2e.py -q
+
+# The end-to-end benchmark itself (BENCHMARK.json; benchmarks/e2e/README.md):
+#   make e2e WORKLOAD=chunk_churn SEED=7              # one 8 s run, metrics by name
+#   make e2e WORKLOAD=chunk_churn SEED=7 TRACE=1      # the per-layer run
+#   make e2e WORKLOAD=chunk_churn RUN_SECONDS=        # fixed operation count, not 8 s
+#   make e2e WORKLOAD=all RUNS=3 OUT=/tmp/new.json    # medians + quartiles to a file
+#   make e2e-compare BASE=/tmp/base.json NEW=/tmp/new.json
+WORKLOAD ?= chunk_churn
+RUN_SECONDS ?= 8
+TRACE ?= 0
+e2e:
+	$(PYTHON) benchmarks/e2e/run.py --workload $(WORKLOAD) --seed $(or $(SEED),7) \
+		$(if $(RUN_SECONDS),--seconds $(RUN_SECONDS)) --trace $(TRACE) \
+		$(if $(RUNS),--runs $(RUNS)) $(if $(OUT),--out $(OUT))
+
+e2e-compare:
+	$(PYTHON) benchmarks/e2e/compare.py $(BASE) $(NEW)
 
 report:
 	$(PYTHON) -m repro.bench.report

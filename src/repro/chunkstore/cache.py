@@ -13,24 +13,31 @@ serves two distinct roles:
   stale persistent descriptor is never consulted while a dirty one shadows
   it.  Dirty descriptors are therefore never evicted.
 
-A per-partition index (`ChunkId` sets keyed by partition id) makes
-``drop_partition`` proportional to that partition's entries rather than a
-scan of the whole cache — partition deallocation used to be O(cache size)
-even for empty partitions.
+The clean side is cached in the unit it is validated in: one entry per
+map chunk, holding that chunk's whole decoded descriptor vector (an
+immutable tuple).  A chunk's clean descriptor is slot ``rank % fanout`` of
+its parent's vector, so loading a map chunk is one insert, not ``fanout``.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chunkstore.descriptor import ChunkDescriptor
 from repro.chunkstore.ids import ChunkId
 
+#: a map chunk's validated descriptor vector
+DescriptorVector = Tuple[ChunkDescriptor, ...]
+
 
 class DescriptorCache:
-    """LRU cache of chunk descriptors with dirty pinning.
+    """LRU of validated map-chunk vectors, plus the pinned dirty set.
+
+    ``max_clean`` stays a count of *descriptors* (``StoreConfig.cache_size``):
+    the LRU holds ``max_clean // fanout`` vectors.
 
     Thread-safety contract: **externally serialized**.  Every access runs
     under ``ChunkStore._lock`` — the cache participates in commit and
@@ -40,121 +47,111 @@ class DescriptorCache:
     not hold the store lock.
     """
 
-    def __init__(self, max_clean: int = 4096) -> None:
-        self._max_clean = max_clean
-        self._clean: "OrderedDict[ChunkId, ChunkDescriptor]" = OrderedDict()
+    def __init__(self, max_clean: int = 4096, fanout: int = 64) -> None:
+        self._fanout = fanout
+        self._max_vectors = max_clean // fanout
+        #: (partition, height, rank) of a map chunk -> its vector
+        self._vectors: "OrderedDict[Tuple[int, int, int], DescriptorVector]" = (
+            OrderedDict()
+        )
         self._dirty: Dict[ChunkId, ChunkDescriptor] = {}
-        # every cached chunk id (clean or dirty), grouped by partition,
-        # so drop_partition never scans unrelated entries
-        self._by_partition: Dict[int, Set[ChunkId]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    # -- partition index -----------------------------------------------------
-
-    def _index_add(self, chunk_id: ChunkId) -> None:
-        self._by_partition.setdefault(chunk_id.partition, set()).add(chunk_id)
-
-    def _index_discard(self, chunk_id: ChunkId) -> None:
-        if chunk_id in self._clean or chunk_id in self._dirty:
-            return  # still cached in the other role
-        ids = self._by_partition.get(chunk_id.partition)
-        if ids is not None:
-            ids.discard(chunk_id)
-            if not ids:
-                del self._by_partition[chunk_id.partition]
-
     # -- lookups and inserts -------------------------------------------------
 
     def get(self, chunk_id: ChunkId) -> Optional[ChunkDescriptor]:
-        if chunk_id in self._dirty:
-            self.hits += 1
-            return self._dirty[chunk_id]
-        descriptor = self._clean.get(chunk_id)
+        descriptor = self._dirty.get(chunk_id)
         if descriptor is not None:
-            self._clean.move_to_end(chunk_id)
             self.hits += 1
-            return descriptor
+            return descriptor  # a dirty descriptor shadows any persistent state
+        rank = chunk_id.rank
+        fanout = self._fanout
+        parent = (chunk_id.partition, chunk_id.height + 1, rank // fanout)
+        vector = self._vectors.get(parent)
+        if vector is not None:
+            self._vectors.move_to_end(parent)
+            self.hits += 1
+            return vector[rank % fanout]
         self.misses += 1
         return None
 
-    def put_clean(self, chunk_id: ChunkId, descriptor: ChunkDescriptor) -> None:
-        """Insert a descriptor read (and validated) from a map chunk."""
-        if chunk_id in self._dirty:
-            return  # a dirty descriptor shadows any persistent state
-        self._clean[chunk_id] = descriptor
-        self._index_add(chunk_id)
-        while len(self._clean) > self._max_clean:
-            evicted, _ = self._clean.popitem(last=False)
-            self.evictions += 1
-            self._index_discard(evicted)
+    def vector(self, map_id: ChunkId) -> Optional[DescriptorVector]:
+        """The cached vector of map chunk ``map_id`` as last validated or
+        written — dirty children are *not* overlaid."""
+        return self._vectors.get((map_id.partition, map_id.height, map_id.rank))
+
+    def install(self, map_id: ChunkId, vector: DescriptorVector) -> None:
+        """Cache the vector of a map chunk just validated, or just written
+        by a checkpoint (replacing the vector it superseded)."""
+        key = (map_id.partition, map_id.height, map_id.rank)
+        self._vectors[key] = vector
+        self._vectors.move_to_end(key)
+        while len(self._vectors) > self._max_vectors:
+            _, evicted = self._vectors.popitem(last=False)
+            self.evictions += len(evicted)
 
     def put_dirty(self, chunk_id: ChunkId, descriptor: ChunkDescriptor) -> None:
         """Record a committed update; pinned until the next checkpoint."""
-        self._clean.pop(chunk_id, None)
         self._dirty[chunk_id] = descriptor
-        self._index_add(chunk_id)
-
-    def drop(self, chunk_id: ChunkId) -> None:
-        self._clean.pop(chunk_id, None)
-        self._dirty.pop(chunk_id, None)
-        self._index_discard(chunk_id)
 
     def drop_partition(self, partition: int) -> None:
         """Forget everything about a deallocated partition."""
-        for cid in self._by_partition.pop(partition, ()):
-            self._clean.pop(cid, None)
-            self._dirty.pop(cid, None)
+        for key in [k for k in self._vectors if k[0] == partition]:
+            del self._vectors[key]
+        for cid in [c for c in self._dirty if c.partition == partition]:
+            del self._dirty[cid]
 
-    def partition_entries(self, partition: int) -> Dict[ChunkId, ChunkDescriptor]:
-        """Point-in-time copy of every cached descriptor of ``partition``
-        (dirty entries shadow clean ones).  Snapshot views seed their
-        private walk cache with this: dirty descriptors are the *only*
-        record of post-checkpoint commits, since the persistent map is
-        stale until the next checkpoint.  Caller holds the store lock."""
-        out: Dict[ChunkId, ChunkDescriptor] = {}
-        for cid in self._by_partition.get(partition, ()):
-            descriptor = self._dirty.get(cid)
-            if descriptor is None:
-                descriptor = self._clean.get(cid)
-            if descriptor is not None:
-                out[cid] = descriptor
-        return out
+    def partition_entries(self, partition: int) -> "DescriptorCache":
+        """Point-in-time private cache of ``partition``: its vectors (shared
+        by reference — they are immutable) and its dirty descriptors.
+        Snapshot views seed their walk with this: dirty descriptors are the
+        *only* record of post-checkpoint commits, since the persistent map
+        is stale until the next checkpoint.  Unbounded, like the map it
+        mirrors.  Caller holds the store lock."""
+        seed = DescriptorCache(sys.maxsize, self._fanout)
+        seed._vectors.update(
+            (key, vector)
+            for key, vector in self._vectors.items()
+            if key[0] == partition
+        )
+        seed._dirty.update(
+            (cid, descriptor)
+            for cid, descriptor in self._dirty.items()
+            if cid.partition == partition
+        )
+        return seed
 
     # -- dirty management ----------------------------------------------------
 
     def dirty_count(self) -> int:
         return len(self._dirty)
 
-    def dirty_items(self) -> Iterator[Tuple[ChunkId, ChunkDescriptor]]:
-        return iter(list(self._dirty.items()))
+    def dirty_ids(self) -> List[ChunkId]:
+        return list(self._dirty)
 
     def clean_all_dirty(self) -> None:
-        """After a checkpoint persists the map, dirty entries become clean."""
-        for chunk_id, descriptor in self._dirty.items():
-            self._clean[chunk_id] = descriptor
+        """After a checkpoint every dirty descriptor sits in the vector of
+        the parent map chunk the checkpoint wrote (and installed)."""
         self._dirty.clear()
-        while len(self._clean) > self._max_clean:
-            evicted, _ = self._clean.popitem(last=False)
-            self.evictions += 1
-            self._index_discard(evicted)
 
     def clear(self) -> None:
-        self._clean.clear()
+        self._vectors.clear()
         self._dirty.clear()
-        self._by_partition.clear()
 
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
+        partitions = {key[0] for key in self._vectors}
+        partitions.update(cid.partition for cid in self._dirty)
         return {
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "clean_entries": len(self._clean),
+            "clean_entries": sum(len(v) for v in self._vectors.values()),
             "dirty_entries": len(self._dirty),
-            "partitions_indexed": len(self._by_partition),
+            "partitions_indexed": len(partitions),
         }
 
 

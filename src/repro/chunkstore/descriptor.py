@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Tuple
 
-from repro.util.codec import Decoder, Encoder
+from repro.util.codec import Decoder, Encoder, decode_uvarint, encode_uvarint
 
 
 class ChunkStatus(IntEnum):
@@ -82,19 +83,80 @@ class ChunkDescriptor:
         return cls(status)
 
 
+_WRITTEN = ChunkStatus.WRITTEN
+_STATUSES = tuple(ChunkStatus)  # indexed by encoded value
+_STATUS_BYTES = tuple(bytes([status]) for status in ChunkStatus)
+
+
 def encode_descriptor_vector(descriptors) -> bytes:
-    """Encode a map chunk body: a fixed-size vector of descriptors."""
-    enc = Encoder()
-    enc.uint(len(descriptors))
+    """Encode a map chunk body: a fixed-size vector of descriptors.
+
+    One pass, byte-for-byte what ``descriptor.encode(Encoder())`` per slot
+    produces (a property test holds the two together)."""
+    parts = [encode_uvarint(len(descriptors))]
     for descriptor in descriptors:
-        descriptor.encode(enc)
-    return enc.finish()
+        if descriptor.status is _WRITTEN:
+            body_hash = descriptor.body_hash
+            parts += (
+                b"\x02",
+                encode_uvarint(descriptor.location),
+                encode_uvarint(descriptor.length),
+                encode_uvarint(len(body_hash)),
+                body_hash,
+            )
+        else:
+            parts.append(_STATUS_BYTES[descriptor.status])
+    return b"".join(parts)
 
 
-def decode_descriptor_vector(data: bytes):
-    """Decode a map chunk body."""
-    dec = Decoder(data)
-    count = dec.uint()
-    descriptors = [ChunkDescriptor.decode(dec) for _ in range(count)]
-    dec.expect_exhausted()
-    return descriptors
+def decode_descriptor_vector(data: bytes) -> Tuple[ChunkDescriptor, ...]:
+    """Decode a map chunk body into an immutable descriptor vector.
+
+    One pass with the checks of the ``Decoder`` route it replaces:
+    truncation anywhere, over-long varints, out-of-range statuses, and
+    trailing bytes all raise ``ValueError``."""
+    if not isinstance(data, bytes):
+        data = bytes(data)
+    size = len(data)
+    count, pos = decode_uvarint(data)
+    out = []
+    try:
+        for _ in range(count):
+            value = data[pos]
+            pos += 1
+            if value >= 0x80:  # non-canonical, but the Decoder takes it
+                value, pos = decode_uvarint(data, pos - 1)
+            if value != 2:
+                if value > 2:
+                    raise ValueError(f"{value} is not a valid ChunkStatus")
+                out.append(ChunkDescriptor(_STATUSES[value]))
+                continue
+            fields = []
+            for _ in range(3):  # location, length, hash size: one varint each
+                byte = data[pos]
+                pos += 1
+                if byte >= 0x80:
+                    number = byte & 0x7F
+                    shift = 7
+                    while True:
+                        byte = data[pos]
+                        pos += 1
+                        number |= (byte & 0x7F) << shift
+                        if byte < 0x80:
+                            break
+                        shift += 7
+                        if shift > 70:
+                            raise ValueError("uvarint too long")
+                    byte = number
+                fields.append(byte)
+            location, length, hash_size = fields
+            end = pos + hash_size
+            if end > size:
+                raise ValueError("truncated bytes field")
+            out.append(ChunkDescriptor(_WRITTEN, location, length, data[pos:end]))
+            pos = end
+    except IndexError:
+        raise ValueError("truncated descriptor vector") from None
+    if pos != size:
+        raise ValueError(f"{size - pos} trailing bytes after decode")
+    return tuple(out)

@@ -456,7 +456,7 @@ class _Recovery:
 
         def chunk_effect() -> None:
             state = store._state(header.partition)
-            _body, digest = codec.validate_named(
+            body, digest = codec.validate_named(
                 header, body_ct, state.cipher, state.hash
             )
             descriptor = ChunkDescriptor(
@@ -465,12 +465,14 @@ class _Recovery:
                 codec.header_cipher_size + len(body_ct),
                 digest,
             )
-            if targets is None:
-                store._apply_chunk_write(cid, descriptor)
-            else:
-                for pid in targets:
-                    store._apply_chunk_write(
-                        ChunkId(pid, cid.height, cid.rank), descriptor.copy()
-                    )
+            # a replayed map chunk (interrupted checkpoint, cleaner move) is
+            # now the current version: any vector cached on the way here is
+            # the one it superseded
+            vector = store._decode_map_body(cid, body) if cid.is_map() else None
+            for pid in [cid.partition] if targets is None else targets:
+                target = ChunkId(pid, cid.height, cid.rank)
+                store._apply_chunk_write(target, descriptor.copy())
+                if vector is not None:
+                    store.cache.install(target, vector)
 
         return chunk_effect

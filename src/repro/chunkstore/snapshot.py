@@ -101,15 +101,14 @@ class SnapshotView:
         #: the store's commit count at the freeze (the caller holds the
         #: store lock): the view shows exactly the commits up to this one
         self.frozen_at = store.commit_count_stat
-        #: validated map descriptors resolved so far (grows monotonically;
+        #: validated map-chunk vectors resolved so far (grows monotonically;
         #: bounded by the partition's map size).  Seeded at freeze time
-        #: with the store's cached descriptors: dirty entries are the only
-        #: record of post-checkpoint commits (the persistent map is stale
-        #: until the next checkpoint), and they shadow the frozen root
-        #: exactly as they shadow the persistent map in the locked path.
-        self._descriptors: Dict[ChunkId, ChunkDescriptor] = dict(
-            store.cache.partition_entries(pid)
-        )
+        #: with the store's cached vectors and dirty descriptors: dirty
+        #: entries are the only record of post-checkpoint commits (the
+        #: persistent map is stale until the next checkpoint), and they
+        #: shadow the frozen root exactly as they shadow the persistent
+        #: map in the locked path.
+        self._descriptors = store.cache.partition_entries(pid)
         self._desc_mutex = threading.Lock()
         #: private payload cache — NOT the store's shared one, which
         #: tracks the latest committed bytes rather than this snapshot
@@ -212,12 +211,7 @@ class SnapshotView:
                     f"expected {self._fanout}"
                 )
             with self._desc_mutex:
-                for slot, child in enumerate(vector):
-                    # never over a known entry: a seeded dirty descriptor
-                    # is newer than the slot the persistent map holds
-                    self._descriptors.setdefault(
-                        node.child(self._fanout, slot), child
-                    )
+                self._descriptors.install(node, vector)
             node, descriptor = next_id, vector[next_id.rank % self._fanout]
         return descriptor
 
@@ -266,11 +260,12 @@ class SnapshotView:
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
+        cached = self._descriptors.stats()
         return {
             "pid": self.pid,
             "reads": self.reads,
             "closed": self.closed,
-            "descriptors_cached": len(self._descriptors),
+            "descriptors_cached": cached["clean_entries"] + cached["dirty_entries"],
             "payload_cache": self._payloads.stats(),
         }
 

@@ -53,7 +53,11 @@ from typing import (
 )
 
 from repro import obs
-from repro.chunkstore.cache import DescriptorCache, ValidatedChunkCache
+from repro.chunkstore.cache import (
+    DescriptorCache,
+    DescriptorVector,
+    ValidatedChunkCache,
+)
 from repro.chunkstore.config import StoreConfig, mac_key, system_cipher_key
 from repro.chunkstore.descriptor import (
     ChunkDescriptor,
@@ -149,7 +153,7 @@ class ChunkStore:
         self.segman = SegmentManager(
             config.superblock_size, config.segment_size, platform.untrusted.size
         )
-        self.cache = DescriptorCache(config.cache_size)
+        self.cache = DescriptorCache(config.cache_size, config.fanout)
         #: validated-payload cache: decrypted, hash-verified chunk bodies
         #: (hits skip the device, the cipher, and the hasher entirely)
         self.payloads = ValidatedChunkCache(config.payload_cache_bytes)
@@ -482,7 +486,7 @@ class ChunkStore:
             node, descriptor = next_id, vector[next_id.rank % fanout]
         return descriptor
 
-    def _decode_map_body(self, map_id: ChunkId, body: bytes) -> List[ChunkDescriptor]:
+    def _decode_map_body(self, map_id: ChunkId, body: bytes) -> DescriptorVector:
         descriptors = decode_descriptor_vector(body)
         if len(descriptors) != self.config.fanout:
             raise TamperDetectedError(
@@ -495,10 +499,10 @@ class ChunkStore:
         self,
         state: PartitionState,
         items: Sequence[Tuple[ChunkId, ChunkDescriptor]],
-    ) -> List[List[ChunkDescriptor]]:
+    ) -> List[DescriptorVector]:
         """Fetch, validate, and decode written map chunks of one partition
         in a single untrusted round trip; returns their descriptor vectors
-        (aligned with ``items``) and caches every child descriptor.
+        (aligned with ``items``) and caches each.
 
         On an I/O fault the whole batch falls back to per-chunk validated
         reads so retries and quarantine land on the precise extent."""
@@ -525,7 +529,7 @@ class ChunkStore:
                 self.walk_round_trips_saved += 2 * len(items) - 1
             except IOFaultError:
                 blobs = None  # fall back so the fault pins the right chunk
-            vectors: List[List[ChunkDescriptor]] = []
+            vectors: List[DescriptorVector] = []
             if blobs is not None:
                 for (map_id, descriptor), raw in zip(items, blobs):
                     body = self._validate_raw_version(map_id, descriptor, state, raw)
@@ -534,10 +538,8 @@ class ChunkStore:
                 for map_id, descriptor in items:
                     body = self._read_validated(map_id, descriptor, state)
                     vectors.append(self._decode_map_body(map_id, body))
-            fanout = self.config.fanout
             for (map_id, _descriptor), vector in zip(items, vectors):
-                for slot, child in enumerate(vector):
-                    self.cache.put_clean(map_id.child(fanout, slot), child)
+                self.cache.install(map_id, vector)
             return vectors
 
     # ------------------------------------------------------------------
@@ -1436,13 +1438,18 @@ class ChunkStore:
         """Write buffered chunk-map updates and a fresh leader to the log."""
         with self._lock, obs.span("chunkstore.checkpoint"):
             self._check_open()
-            try:
-                self._write_checkpoint()
-            except BaseException:
-                self._failed = True  # half-written checkpoint: reopen to recover
-                raise
+            self._write_checkpoint()
 
     def _write_checkpoint(self, initial: bool = False) -> None:
+        try:
+            self._write_checkpoint_steps(initial)
+        except BaseException:
+            # half-written: map chunks appended (and their vectors cached)
+            # without the leader that makes them current — reopen to recover
+            self._failed = True
+            raise
+
+    def _write_checkpoint_steps(self, initial: bool) -> None:
         injector = self.platform.injector
         injector.point("checkpoint.begin")
         if self.config.validation_mode == "counter":
@@ -1454,18 +1461,28 @@ class ChunkStore:
             # descriptors, then rewrite dirty leaders (user partitions are
             # data chunks of the system partition, so they come before the
             # system partition's own map).
-            user_pids = [
+            dirty: Dict[int, List[ChunkId]] = {SYSTEM_PARTITION: []}
+            for cid in self.cache.dirty_ids():
+                dirty.setdefault(cid.partition, []).append(cid)
+            user_pids = sorted(
                 pid for pid in self.partitions if pid != SYSTEM_PARTITION
-            ]
-            for pid in sorted(user_pids):
-                appended_any |= self._checkpoint_partition_maps(pid)
-            for pid in sorted(user_pids):
+            )
+            for pid in user_pids:
+                appended_any |= self._checkpoint_partition_maps(
+                    pid, dirty.get(pid, [])
+                )
+            for pid in user_pids:
                 state = self.partitions[pid]
                 if state.leader_dirty:
                     self._append_leader(pid, state.payload)
+                    dirty[SYSTEM_PARTITION].append(
+                        data_id(SYSTEM_PARTITION, partition_rank(pid))
+                    )
                     state.leader_dirty = False
                     appended_any = True
-            appended_any |= self._checkpoint_partition_maps(SYSTEM_PARTITION)
+            appended_any |= self._checkpoint_partition_maps(
+                SYSTEM_PARTITION, dirty[SYSTEM_PARTITION]
+            )
 
             if self.config.validation_mode == "counter" and appended_any:
                 record = self.validator.build_commit_record()
@@ -1536,17 +1553,15 @@ class ChunkStore:
             self.segman.tail_segment,
         )
 
-    def _checkpoint_partition_maps(self, pid: int) -> bool:
-        """Write every map chunk of ``pid`` containing dirty descriptors
-        (and their ancestors up to the root); returns True if any were
-        written.  Updates the partition payload's root and height."""
+    def _checkpoint_partition_maps(self, pid: int, need: List[ChunkId]) -> bool:
+        """Write every map chunk of ``pid`` containing one of the dirty
+        descriptors ``need`` (and their ancestors up to the root); returns
+        True if any were written.  Updates the partition payload's root
+        and height."""
         state = self.partitions.get(pid)
-        if state is None:
+        if state is None or not need:
             return False
         fanout = self.config.fanout
-        need = [cid for cid, _ in self.cache.dirty_items() if cid.partition == pid]
-        if not need:
-            return False
         payload = state.payload
         old_height = payload.tree_height
         new_height = max(old_height, required_height(fanout, payload.next_rank), 1)
@@ -1556,15 +1571,22 @@ class ChunkStore:
             old_root_id = ChunkId(pid, old_height, 0)
             self.cache.put_dirty(old_root_id, payload.root)
             need.append(old_root_id)
+        #: map height -> map rank -> the dirty children that chunk holds
+        rewrites: Dict[int, Dict[int, List[ChunkId]]] = {}
+
+        def needs_rewrite(child: ChunkId) -> None:
+            level = rewrites.setdefault(child.height + 1, {})
+            level.setdefault(child.rank // fanout, []).append(child)
+
+        for cid in need:
+            needs_rewrite(cid)
         appended = False
         for height in range(1, new_height + 1):
-            parents = sorted(
-                {cid.parent(fanout) for cid in need if cid.height == height - 1},
-                key=lambda c: c.rank,
-            )
-            for map_id in parents:
-                appended |= self._rewrite_map_chunk(map_id, state)
-                need.append(map_id)
+            for rank, children in sorted(rewrites.get(height, {}).items()):
+                map_id = ChunkId(pid, height, rank)
+                self._rewrite_map_chunk(map_id, state, children)
+                needs_rewrite(map_id)
+                appended = True
         root = self.cache.get(ChunkId(pid, new_height, 0))
         if root is None:
             raise ChunkStoreError(f"checkpoint failed to produce a root for {pid}")
@@ -1573,15 +1595,21 @@ class ChunkStore:
         state.leader_dirty = True
         return appended
 
-    def _rewrite_map_chunk(self, map_id: ChunkId, state: PartitionState) -> bool:
+    def _rewrite_map_chunk(
+        self, map_id: ChunkId, state: PartitionState, dirty_children: List[ChunkId]
+    ) -> None:
+        """Write a new version of ``map_id``: its current vector (cached,
+        else read back and validated) with ``dirty_children`` overlaid."""
         fanout = self.config.fanout
-        old_desc = None
+        old_desc = ChunkDescriptor()  # above the current tree: a new chunk
         if map_id.height <= state.payload.tree_height:
-            try:
-                old_desc = self._get_descriptor(map_id)
-            except TamperDetectedError:
-                raise
-        if old_desc is not None and old_desc.is_written():
+            old_desc = self._get_descriptor(map_id)
+        cached = self.cache.vector(map_id)
+        if not old_desc.is_written():
+            slots = [ChunkDescriptor() for _ in range(fanout)]
+        elif cached is not None:
+            slots = list(cached)
+        else:
             try:
                 body = self._read_validated(map_id, old_desc, state)
             except (QuarantineError, IOFaultError, TamperDetectedError):
@@ -1595,26 +1623,21 @@ class ChunkStore:
                 if slots is None:
                     raise
             else:
-                slots = decode_descriptor_vector(body)
-        else:
-            slots = [ChunkDescriptor() for _ in range(fanout)]
-        for slot in range(fanout):
-            child = map_id.child(fanout, slot)
-            cached = self.cache.get(child)
-            if cached is not None:
-                slots[slot] = cached
+                slots = list(self._decode_map_body(map_id, body))
+        for child in dirty_children:
+            slots[child.rank % fanout] = self.cache.get(child)
         body = encode_descriptor_vector(slots)
         version, digest = self.codec.build_named(
             map_id, body, state.cipher, state.hash
         )
         location = self._append_version(version)
         descriptor = ChunkDescriptor(ChunkStatus.WRITTEN, location, len(version), digest)
-        if old_desc is not None and old_desc.is_written():
+        if old_desc.is_written():
             self.segman.sub_live(old_desc.location, old_desc.length)
         self.segman.add_live(location, len(version))
+        self.cache.install(map_id, tuple(slots))
         self.cache.put_dirty(map_id, descriptor)
         self._quarantine.pop(str(map_id), None)  # the rewrite supersedes it
-        return True
 
     def _degraded_map_slots(
         self, map_id: ChunkId, state: PartitionState
@@ -1917,11 +1940,7 @@ class ChunkStore:
                         self.cache.put_dirty(child, cached)
                         changed = True
         if changed:
-            try:
-                self._write_checkpoint()
-            except BaseException:
-                self._failed = True  # half-written checkpoint: reopen
-                raise
+            self._write_checkpoint()
 
     def _repair_data_chunk(
         self, cid: ChunkId, state: PartitionState, candidate: bytes

@@ -5,16 +5,21 @@ Usage (see also the Makefile targets)::
     python -m repro.testing adversary   [--mode counter] [--trials 64]
                                         [--seed N] [--class NAME]
                                         [--no-payload-cache] [--aead]
+                                        [--one-vector-cache]
     python -m repro.testing differential [--mode counter] [--seeds 20]
                                         [--seed N] [--ops 50]
+                                        [--one-vector-cache]
     python -m repro.testing faults      [--mode counter] [--trials 150]
                                         [--seed N] [--point NAME]
                                         [--rate R] [--crash-sites]
                                         [--no-payload-cache]
+                                        [--one-vector-cache]
 
 ``--no-payload-cache`` reruns a sweep with the validated-payload cache
 disabled, so detection results can be compared against the cache-enabled
-default.
+default.  ``--one-vector-cache`` reruns it with ``cache_size = fanout`` —
+a descriptor cache of one map-chunk vector, so every map-chunk load
+evicts the previous one and no stale vector can hide behind a warm one.
 
 Exit status is non-zero iff a harness failure (silent corruption, foreign
 exception, or store/model divergence) was found; each failure prints a
@@ -56,6 +61,7 @@ def _run_adversary(args: argparse.Namespace) -> int:
         mode=args.mode,
         payload_cache=not args.no_payload_cache,
         scenario=scenario,
+        one_vector_cache=args.one_vector_cache,
     )
     if args.seed is not None:
         report = adversary.run_trial(args.seed, attack=args.attack_class)
@@ -85,7 +91,9 @@ def _run_adversary(args: argparse.Namespace) -> int:
 
 
 def _run_differential(args: argparse.Namespace) -> int:
-    runner = DifferentialRunner(mode=args.mode, num_ops=args.ops)
+    runner = DifferentialRunner(
+        mode=args.mode, num_ops=args.ops, one_vector_cache=args.one_vector_cache
+    )
     seeds = (
         [args.seed]
         if args.seed is not None
@@ -104,7 +112,11 @@ def _run_differential(args: argparse.Namespace) -> int:
 
 
 def _run_faults(args: argparse.Namespace) -> int:
-    sweep = FaultSweep(mode=args.mode, payload_cache=not args.no_payload_cache)
+    sweep = FaultSweep(
+        mode=args.mode,
+        payload_cache=not args.no_payload_cache,
+        one_vector_cache=args.one_vector_cache,
+    )
     if args.seed is not None:
         report = sweep.run_trial(args.seed, point=args.point, rate=args.rate)
         print(
@@ -180,6 +192,11 @@ def main(argv=None) -> int:
                         help="also run the crash-under-faults site sweep")
     faults.add_argument("--no-payload-cache", action="store_true",
                         help="judge with the validated-payload cache disabled")
+
+    for sweep in (adv, diff, faults):
+        sweep.add_argument("--one-vector-cache", action="store_true",
+                           help="descriptor cache of a single map-chunk "
+                                "vector (cache_size = fanout)")
 
     args = parser.parse_args(argv)
     if args.command == "adversary":

@@ -166,11 +166,14 @@ def scenario_config(
     mode: str,
     payload_cache: bool = True,
     system_cipher: str = "ctr-sha256",
+    one_vector_cache: bool = False,
 ) -> StoreConfig:
     """The sweep's store configuration: the strictest windows (Δut=1,
     Δtu=0), so *any* rollback of a committed state must be detected.
     ``payload_cache=False`` judges with the validated-payload cache off
     (the runtime-only knob; the attack surface is identical either way).
+    ``one_vector_cache=True`` shrinks the descriptor cache to a single
+    map-chunk vector, so every map-chunk load evicts the previous one.
     An authenticating ``system_cipher`` additionally exercises the
     MAC-skip commit-record path in counter mode."""
     return StoreConfig(
@@ -181,6 +184,7 @@ def scenario_config(
         delta_ut=1,
         delta_tu=0,
         payload_cache_bytes=StoreConfig.payload_cache_bytes if payload_cache else 0,
+        cache_size=StoreConfig.fanout if one_vector_cache else StoreConfig.cache_size,
     )
 
 
@@ -307,6 +311,7 @@ class Adversary:
         classes: Optional[Sequence[str]] = None,
         scenario: Optional[Scenario] = None,
         payload_cache: bool = True,
+        one_vector_cache: bool = False,
     ) -> None:
         self.mode = mode
         self.classes: Tuple[str, ...] = tuple(classes or self.CLASSES)
@@ -314,6 +319,7 @@ class Adversary:
             if name not in self.CLASSES:
                 raise ValueError(f"unknown attack class {name!r}")
         self.payload_cache = payload_cache
+        self.one_vector_cache = one_vector_cache
         self.scenario = scenario or build_scenario(mode)
 
     def _open_config(self) -> StoreConfig:
@@ -321,6 +327,7 @@ class Adversary:
             self.mode,
             payload_cache=self.payload_cache,
             system_cipher=self.scenario.system_cipher,
+            one_vector_cache=self.one_vector_cache,
         )
 
     # -- public API ------------------------------------------------------------

@@ -112,6 +112,7 @@ class DifferentialRunner:
         max_rank: int = 8,
         store_size: int = 2 * 1024 * 1024,
         config: Optional[StoreConfig] = None,
+        one_vector_cache: bool = False,
     ) -> None:
         self.mode = mode
         self.num_ops = num_ops
@@ -119,6 +120,9 @@ class DifferentialRunner:
         self.max_rank = max_rank
         self.store_size = store_size
         self.config = config
+        #: descriptor cache of a single map-chunk vector: every map-chunk
+        #: load evicts the previous one
+        self.one_vector_cache = one_vector_cache
 
     def _make_config(self) -> StoreConfig:
         if self.config is not None:
@@ -130,6 +134,9 @@ class DifferentialRunner:
             validation_mode=self.mode,
             delta_ut=1,
             checkpoint_dirty_threshold=64,
+            cache_size=(
+                StoreConfig.fanout if self.one_vector_cache else StoreConfig.cache_size
+            ),
         )
 
     # -- generation ------------------------------------------------------------

@@ -143,13 +143,19 @@ class FaultSweep:
         mode: str = "counter",
         scenario: Optional[Scenario] = None,
         payload_cache: bool = True,
+        one_vector_cache: bool = False,
     ) -> None:
         self.mode = mode
         self.payload_cache = payload_cache
+        self.one_vector_cache = one_vector_cache
         self.scenario = scenario or build_scenario(mode)
 
     def _open_config(self):
-        return scenario_config(self.mode, payload_cache=self.payload_cache)
+        return scenario_config(
+            self.mode,
+            payload_cache=self.payload_cache,
+            one_vector_cache=self.one_vector_cache,
+        )
 
     # -- public API ------------------------------------------------------------
 

@@ -5,7 +5,7 @@ import pytest
 from repro.chunkstore import ChunkStore, ops
 from repro.chunkstore.cache import DescriptorCache
 from repro.chunkstore.descriptor import ChunkDescriptor, ChunkStatus
-from repro.chunkstore.ids import data_id
+from repro.chunkstore.ids import ChunkId, data_id
 from repro.errors import (
     ChunkNotAllocatedError,
     ChunkNotWrittenError,
@@ -205,48 +205,65 @@ class TestTreeGrowth:
         assert store.read_chunk(pid, ranks[37]) == f"{'c'}{ranks[37]}".encode()
 
 
+#: an all-unallocated map-chunk vector at fanout 2
+EMPTY = (ChunkDescriptor(), ChunkDescriptor())
+
+
 class TestDescriptorCache:
+    """Fanout 2 throughout: map chunk ``1.k`` holds data ranks 2k, 2k+1."""
+
     def test_dirty_pinned_through_eviction(self):
-        cache = DescriptorCache(max_clean=2)
+        cache = DescriptorCache(max_clean=4, fanout=2)  # two vectors
         dirty = ChunkDescriptor(ChunkStatus.WRITTEN, 1, 1, b"")
         cache.put_dirty(data_id(1, 0), dirty)
-        for i in range(10):
-            cache.put_clean(data_id(1, i + 1), ChunkDescriptor())
+        for k in range(10):
+            cache.install(ChunkId(1, 1, k), EMPTY)
         assert cache.get(data_id(1, 0)) is dirty
         assert cache.dirty_count() == 1
 
     def test_clean_lru_eviction(self):
-        cache = DescriptorCache(max_clean=2)
-        for i in range(3):
-            cache.put_clean(data_id(1, i), ChunkDescriptor())
-        assert cache.get(data_id(1, 0)) is None
-        assert cache.get(data_id(1, 2)) is not None
+        cache = DescriptorCache(max_clean=4, fanout=2)
+        for k in range(3):
+            cache.install(ChunkId(1, 1, k), EMPTY)
+        assert cache.get(data_id(1, 0)) is None  # 1.0 was evicted
+        assert cache.get(data_id(1, 5)) is not None
+        assert cache.evictions == 2  # counted in descriptors
 
     def test_dirty_shadows_clean(self):
-        cache = DescriptorCache()
+        cache = DescriptorCache(fanout=2)
         cache.put_dirty(data_id(1, 0), ChunkDescriptor(ChunkStatus.FREE))
-        cache.put_clean(data_id(1, 0), ChunkDescriptor(ChunkStatus.WRITTEN, 9, 9, b""))
+        written = ChunkDescriptor(ChunkStatus.WRITTEN, 9, 9, b"")
+        cache.install(ChunkId(1, 1, 0), (written, written))
         assert cache.get(data_id(1, 0)).status == ChunkStatus.FREE
+        assert cache.get(data_id(1, 1)) is written
+        # vector() is the map chunk as validated: no dirty overlay
+        assert cache.vector(ChunkId(1, 1, 0))[0] is written
 
     def test_clean_all_dirty(self):
-        cache = DescriptorCache()
-        cache.put_dirty(data_id(1, 0), ChunkDescriptor())
+        """A checkpoint installs the rewritten parent, then clears the
+        dirty set: the descriptor is still answered, now from the vector."""
+        cache = DescriptorCache(fanout=2)
+        dirty = ChunkDescriptor(ChunkStatus.WRITTEN, 5, 5, b"")
+        cache.put_dirty(data_id(1, 0), dirty)
+        cache.install(ChunkId(1, 1, 0), (dirty, ChunkDescriptor()))
         cache.clean_all_dirty()
         assert cache.dirty_count() == 0
-        assert cache.get(data_id(1, 0)) is not None
+        assert cache.get(data_id(1, 0)) is dirty
 
     def test_drop_partition(self):
-        cache = DescriptorCache()
+        cache = DescriptorCache(fanout=2)
         cache.put_dirty(data_id(1, 0), ChunkDescriptor())
-        cache.put_clean(data_id(2, 0), ChunkDescriptor())
+        cache.install(ChunkId(1, 1, 1), EMPTY)
+        cache.install(ChunkId(2, 1, 0), EMPTY)
         cache.drop_partition(1)
         assert cache.get(data_id(1, 0)) is None
+        assert cache.get(data_id(1, 2)) is None
         assert cache.get(data_id(2, 0)) is not None
 
     def test_hit_miss_stats(self):
-        cache = DescriptorCache()
+        cache = DescriptorCache(fanout=2)
         cache.get(data_id(1, 0))
-        cache.put_clean(data_id(1, 0), ChunkDescriptor())
+        cache.install(ChunkId(1, 1, 0), EMPTY)
         cache.get(data_id(1, 0))
         assert cache.misses == 1
         assert cache.hits == 1

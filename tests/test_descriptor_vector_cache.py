@@ -1,0 +1,252 @@
+"""Coherence of the map-vector descriptor cache.
+
+A stale vector is a silent wrong answer, so every event that changes what
+a map chunk says gets a scenario here.  Each one reads through the warm
+cache, compares with a model *and* with a cold reopen of the same device,
+and checks the white-box invariant behind both: every cached vector equals
+the validated on-device body of its map chunk's current version.
+
+Fanout 4 keeps the maps three levels deep at a few dozen chunks; the
+payload cache is off so every read resolves a descriptor.
+"""
+
+import pytest
+
+from repro.chunkstore import ChunkStore, ops
+from repro.chunkstore.ids import ChunkId
+from repro.errors import (
+    ChunkNotAllocatedError,
+    ChunkStoreError,
+    CrashError,
+    PartitionNotFoundError,
+)
+from tests.conftest import make_config, make_platform
+
+GONE = "gone"  # model value of a rank that must not be readable
+
+
+def fresh(**overrides):
+    platform = make_platform()
+    config = make_config(fanout=4, payload_cache_bytes=0, **overrides)
+    return platform, ChunkStore.format(platform, config)
+
+
+def new_partition(store, pid=None):
+    if pid is None:
+        pid = store.allocate_partition()
+    store.commit([ops.WritePartition(pid, cipher_name="ctr-sha256", hash_name="sha1")])
+    return pid
+
+
+def write(store, pid, values):
+    """Commit ``{rank: bytes}``, allocating the ranks not yet allocated."""
+    state = store._state(pid)
+    for rank in values:
+        if not state.is_committed_written(rank):
+            state.allocate_specific(rank)
+    store.commit([ops.WriteChunk(pid, rank, body) for rank, body in values.items()])
+
+
+def observe(store, pid, ranks):
+    seen = {}
+    for rank in ranks:
+        try:
+            seen[rank] = store.read_chunk(pid, rank)
+        except (ChunkNotAllocatedError, PartitionNotFoundError):
+            seen[rank] = GONE
+    return seen
+
+
+def assert_vectors_match_device(store):
+    """Every cached vector is what its map chunk's current version holds."""
+    for (pid, height, rank), vector in list(store.cache._vectors.items()):
+        map_id = ChunkId(pid, height, rank)
+        state = store._state(pid)
+        descriptor = store._get_descriptor(map_id)
+        body = store._read_validated(map_id, descriptor, state)
+        assert store._decode_map_body(map_id, body) == vector, map_id
+
+
+def assert_coherent(platform, store, model):
+    """``model``: ``{pid: {rank: bytes | GONE}}``.  Returns the cold store."""
+    for pid, chunks in model.items():
+        assert observe(store, pid, chunks) == chunks, f"warm, partition {pid}"
+    assert_vectors_match_device(store)
+    platform.reboot()
+    cold = ChunkStore.open(platform)
+    for pid, chunks in model.items():
+        assert observe(cold, pid, chunks) == chunks, f"cold, partition {pid}"
+    return cold
+
+
+def values(tag, ranks):
+    return {rank: f"{tag}-{rank}".encode() for rank in ranks}
+
+
+class TestVectorCacheCoherence:
+    def test_checkpoint_rewrites_a_cached_map_chunk(self):
+        platform, store = fresh()
+        pid = new_partition(store)
+        model = values("v0", range(40))
+        write(store, pid, model)
+        store.checkpoint()
+        assert observe(store, pid, model) == model  # every vector is warm
+        update = values("v1", range(0, 40, 3))
+        write(store, pid, update)
+        model.update(update)
+        assert observe(store, pid, model) == model  # dirty shadows the vectors
+        store.checkpoint()  # rewrites, and re-installs, the cached vectors
+        assert store.cache.dirty_count() == 0
+        assert_coherent(platform, store, {pid: model})
+
+    def test_checkpoint_keeps_the_upper_levels_resident(self):
+        platform, store = fresh()
+        pid = new_partition(store)
+        model = values("v0", range(40))  # height 3: 1.0-1.9, 2.0-2.2, root
+        write(store, pid, model)
+        store.checkpoint()
+        observe(store, pid, model)
+        reads = platform.untrusted.stats.reads
+        write(store, pid, {7: b"again"})
+        store.checkpoint()  # 1.1, 2.0 and the root start from cached vectors
+        assert platform.untrusted.stats.reads == reads
+        model[7] = b"again"
+        assert_coherent(platform, store, {pid: model})
+
+    def test_write_partition_resets_an_existing_partition(self):
+        platform, store = fresh()
+        pid = new_partition(store)
+        old = values("old", range(20))
+        write(store, pid, old)
+        store.checkpoint()
+        observe(store, pid, old)  # warm vectors of the old incarnation
+        new_partition(store, pid)  # reset: the id now names an empty partition
+        model = {rank: GONE for rank in old}
+        assert observe(store, pid, model) == model
+        write(store, pid, {0: b"new"})
+        model[0] = b"new"
+        assert_coherent(platform, store, {pid: model})
+
+    def test_deallocated_partition_id_is_reused(self):
+        platform, store = fresh()
+        pid = new_partition(store)
+        old = values("old", range(20))
+        write(store, pid, old)
+        store.checkpoint()
+        observe(store, pid, old)
+        store.commit([ops.DeallocatePartition(pid)])
+        assert observe(store, pid, [3]) == {3: GONE}
+        store.reserve_partition_id(pid)
+        new_partition(store, pid)
+        model = {rank: GONE for rank in old}
+        assert observe(store, pid, model) == model
+        write(store, pid, {3: b"reborn"})
+        model[3] = b"reborn"
+        store.checkpoint()
+        assert_coherent(platform, store, {pid: model})
+
+    def test_height_growth_turns_the_root_into_an_interior_chunk(self):
+        platform, store = fresh()
+        pid = new_partition(store)
+        model = values("v0", range(4))  # height 1: the root is map chunk 1.0
+        write(store, pid, model)
+        store.checkpoint()
+        observe(store, pid, model)
+        assert store._state(pid).payload.tree_height == 1
+        grown = values("v1", range(4, 20))  # height 3
+        write(store, pid, grown)
+        model.update(grown)
+        assert observe(store, pid, model) == model  # before the checkpoint
+        store.checkpoint()
+        assert store._state(pid).payload.tree_height == 3
+        assert_coherent(platform, store, {pid: model})
+
+    def test_copy_source_rewritten_after_the_copy(self):
+        platform, store = fresh()
+        pid = new_partition(store)
+        frozen = values("v0", range(20))
+        write(store, pid, frozen)
+        observe(store, pid, frozen)
+        copy = store.allocate_partition()
+        store.commit([ops.CopyPartition(copy, pid)])
+        assert observe(store, copy, frozen) == frozen  # warms the copy's vectors
+        live = dict(frozen)
+        update = values("v1", range(0, 20, 2))
+        write(store, pid, update)
+        live.update(update)
+        store.checkpoint()
+        cold = assert_coherent(platform, store, {pid: live, copy: frozen})
+        assert cold.diff(copy, pid) == {rank: "changed" for rank in update}
+
+    @pytest.mark.parametrize("mode", ["counter", "direct"])
+    def test_crash_and_recovery(self, mode):
+        platform, store = fresh(validation_mode=mode)
+        pid = new_partition(store)
+        model = values("v0", range(30))
+        write(store, pid, model)
+        store.checkpoint()
+        update = values("v1", range(0, 30, 4))
+        write(store, pid, update)  # durable, but only in the residual log
+        model.update(update)
+        observe(store, pid, model)
+        platform.injector.arm("commit.before_flush")
+        with pytest.raises(CrashError):
+            write(store, pid, values("lost", range(30)))
+        platform.injector.disarm()
+        platform.reboot()
+        recovered = ChunkStore.open(platform)  # roll-forward warms its cache
+        assert_coherent(platform, recovered, {pid: model})
+
+    @pytest.mark.parametrize("point", ["checkpoint.before_flush", "checkpoint.after_flush"])
+    @pytest.mark.parametrize(
+        "trigger", ["checkpoint", "commit"], ids=["explicit", "dirty-threshold"]
+    )
+    def test_half_written_checkpoint_fails_the_store(self, trigger, point):
+        """The map chunks (and their cached vectors) are written before the
+        leader that makes them current; dying in between must not leave a
+        store that carries on from them."""
+        platform, store = fresh(checkpoint_dirty_threshold=8)
+        pid = new_partition(store)
+        model = values("v0", range(8))
+        write(store, pid, model)
+        store.checkpoint()
+        observe(store, pid, model)
+        platform.injector.arm(point)
+        with pytest.raises(CrashError):
+            if trigger == "checkpoint":
+                write(store, pid, {1: b"v1-1"})
+                model[1] = b"v1-1"
+                store.checkpoint()
+            else:
+                for rank in range(8, 20):  # the ninth dirty entry checkpoints
+                    write(store, pid, {rank: b"v1-%d" % rank})
+                    model[rank] = b"v1-%d" % rank
+        platform.injector.disarm()
+        with pytest.raises(ChunkStoreError, match="failed state"):
+            store.commit([ops.WriteChunk(pid, 0, b"carried on")])
+        with pytest.raises(ChunkStoreError, match="failed state"):
+            store.checkpoint()
+        with pytest.raises(ChunkStoreError, match="failed state"):
+            store.open_snapshot_view(pid)
+        platform.reboot()
+        recovered = ChunkStore.open(platform)
+        assert_coherent(platform, recovered, {pid: model})
+
+
+class TestSnapshotViewSharesVectors:
+    def test_view_is_seeded_by_reference_and_stays_frozen(self):
+        platform, store = fresh()
+        pid = new_partition(store)
+        model = values("v0", range(20))
+        write(store, pid, model)
+        store.checkpoint()
+        observe(store, pid, model)
+        write(store, pid, {5: b"dirty"})  # post-checkpoint: only in the dirty set
+        model[5] = b"dirty"
+        with store.open_snapshot_view(pid) as view:
+            leaf = ChunkId(pid, 1, 1)
+            assert view._descriptors.vector(leaf) is store.cache.vector(leaf)
+            write(store, pid, values("later", range(20)))
+            store.checkpoint()  # replaces the store's vectors, not the view's
+            assert {r: view.read_chunk(r) for r in model} == model
+        assert observe(store, pid, model) == values("later", range(20))

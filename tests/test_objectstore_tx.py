@@ -2,12 +2,14 @@
 deadlock breaking, persistence."""
 
 import threading
+import time
 
 import pytest
 
 from repro.chunkstore import ChunkStore
 from repro.errors import DeadlockError, ObjectNotFoundError, TransactionError
 from repro.objectstore import ObjectRef, ObjectStore
+from repro.platform.clock import VirtualClock
 from tests.conftest import make_config, make_platform
 
 
@@ -216,7 +218,13 @@ class TestConcurrency:
         assert objects.read_committed(ref) == 2
 
     def test_deadlock_broken_by_timeout(self, env):
+        """On virtual time the two crossed lock waits expire at distinct
+        instants (tx2 at vt=10, tx1 at vt=15), so which one breaks the
+        deadlock does not depend on wall-clock load."""
         _, _, objects, pid = env
+        clock = VirtualClock()
+        objects.locks.clock = clock
+        objects.locks.timeout = 10.0
         with objects.transaction() as tx:
             a = tx.create(pid, "a")
             b = tx.create(pid, "b")
@@ -226,27 +234,35 @@ class TestConcurrency:
         tx2.update(b, "b2")
         outcome = {}
 
-        def cross():
+        def cross(name, tx, ref, value):
             try:
-                tx2.update(a, "a2")
-                outcome["tx2"] = "ok"
-                tx2.commit()
+                tx.update(ref, value)
+                outcome[name] = "ok"
+                tx.commit()
             except DeadlockError:
-                outcome["tx2"] = "deadlock"
-                tx2.abort()
+                outcome[name] = "deadlock"
+                tx.abort()
 
-        thread = threading.Thread(target=cross)
-        thread.start()
-        try:
-            tx1.update(b, "b1")
-            outcome["tx1"] = "ok"
-            tx1.commit()
-        except DeadlockError:
-            outcome["tx1"] = "deadlock"
-            tx1.abort()
-        thread.join()
-        assert "deadlock" in outcome.values()
-        assert "ok" in outcome.values()
+        def wait_for_waiters(count):
+            deadline = time.monotonic() + 5.0
+            while objects.locks.stats()["waits"] < count:
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+
+        waits = objects.locks.stats()["waits"]
+        second = threading.Thread(target=cross, args=("tx2", tx2, a, "a2"))
+        second.start()
+        wait_for_waiters(waits + 1)  # tx2 blocked on a: deadline vt=10
+        clock.advance(5.0)
+        first = threading.Thread(target=cross, args=("tx1", tx1, b, "b1"))
+        first.start()
+        wait_for_waiters(waits + 2)  # tx1 blocked on b: deadline vt=15
+        clock.advance(5.0)  # vt=10: only tx2 expires; its abort frees b
+        second.join(timeout=5.0)
+        first.join(timeout=5.0)
+        assert outcome == {"tx2": "deadlock", "tx1": "ok"}
+        assert objects.read_committed(a) == "a1"
+        assert objects.read_committed(b) == "b1"
 
     def test_serializable_counter_increments(self, env):
         """Concurrent increments through get_for_update never lose

@@ -173,41 +173,58 @@ class TestStoreStats:
         assert {"created", "reused"} <= set(served["snapshots"])
 
 
+def _vector(fanout=2):
+    return tuple(ChunkDescriptor() for _ in range(fanout))
+
+
 class TestDescriptorCacheIndex:
+    """The vector LRU needs no per-partition index; these pin what the
+    index used to guarantee (fanout 2: map chunk ``1.k`` holds data ranks
+    2k and 2k+1)."""
+
     def test_drop_partition_uses_index(self):
-        cache = DescriptorCache(max_clean=64)
+        cache = DescriptorCache(max_clean=64, fanout=2)
         for pid in (1, 2):
-            for rank in range(5):
-                cache.put_clean(ChunkId(pid, 0, rank), ChunkDescriptor())
+            for rank in range(3):
+                cache.install(ChunkId(pid, 1, rank), _vector())
         cache.put_dirty(ChunkId(1, 1, 0), ChunkDescriptor())
         cache.drop_partition(1)
         assert cache.get(ChunkId(1, 0, 0)) is None
         assert cache.get(ChunkId(1, 1, 0)) is None
         assert cache.get(ChunkId(2, 0, 3)) is not None
-        # the dropped partition leaves no empty index bucket behind
-        assert 1 not in cache._by_partition
-        # dropping an unknown partition is a no-op, not a scan or an error
+        # the dropped partition leaves nothing behind
+        assert cache.stats()["partitions_indexed"] == 1
+        assert cache.stats()["clean_entries"] == 6
+        # dropping an unknown partition is a no-op, not an error
         cache.drop_partition(999)
 
     def test_index_tracks_evictions(self):
-        cache = DescriptorCache(max_clean=4)
+        cache = DescriptorCache(max_clean=8, fanout=2)  # four vectors
         for rank in range(8):
-            cache.put_clean(ChunkId(rank % 3, 0, rank), ChunkDescriptor())
-        indexed = set()
-        for ids in cache._by_partition.values():
-            indexed |= ids
-        assert indexed == set(cache._clean) | set(cache._dirty)
-        assert len(cache._clean) == 4
+            cache.install(ChunkId(rank % 3, 1, rank), _vector())
+        stats = cache.stats()
+        assert stats["clean_entries"] == 8  # slots held
+        assert stats["evictions"] == 8  # descriptors dropped (4 vectors x 2)
+        # ranks 4..7 survive, in partitions 1, 2, 0, 1
+        assert stats["partitions_indexed"] == 3
+        assert cache.get(ChunkId(0, 0, 6)) is None  # 1.3 of pid 0 went
+        assert cache.get(ChunkId(0, 0, 12)) is not None
 
     def test_index_survives_dirty_transitions(self):
-        cache = DescriptorCache(max_clean=4)
+        cache = DescriptorCache(max_clean=8, fanout=2)
         cid = ChunkId(7, 0, 0)
-        cache.put_clean(cid, ChunkDescriptor())
-        cache.put_dirty(cid, ChunkDescriptor())  # clean → dirty
+        parent = ChunkId(7, 1, 0)
+        cache.install(parent, _vector())
+        dirty = ChunkDescriptor()
+        cache.put_dirty(cid, dirty)  # clean → dirty
+        assert cache.get(cid) is dirty
+        cache.install(parent, (dirty, ChunkDescriptor()))  # the checkpoint
         cache.clean_all_dirty()  # dirty → clean
-        assert cache.get(cid) is not None
-        cache.drop(cid)
-        assert 7 not in cache._by_partition
+        assert cache.get(cid) is dirty
+        assert cache.stats()["clean_entries"] == 2  # replaced, not added
+        cache.drop_partition(7)
+        assert cache.get(cid) is None
+        assert cache.stats()["partitions_indexed"] == 0
 
     def test_hit_miss_counters_via_store_stats(self):
         # payload cache off so every read exercises the descriptor cache
@@ -226,15 +243,14 @@ class TestDescriptorCacheIndex:
         }
 
     def test_lru_order_preserved_without_move_to_end(self):
-        """put_clean appends new keys at LRU tail by dict insertion order;
-        get() refreshes recency.  The old explicit move_to_end after
-        insertion was redundant — eviction order must be unchanged."""
-        cache = DescriptorCache(max_clean=3)
-        a, b, c, d = (ChunkId(0, 0, r) for r in range(4))
-        cache.put_clean(a, ChunkDescriptor())
-        cache.put_clean(b, ChunkDescriptor())
-        cache.put_clean(c, ChunkDescriptor())
-        cache.get(a)  # a is now most-recent; b is oldest
-        cache.put_clean(d, ChunkDescriptor())  # evicts b
-        assert cache.get(b) is None
-        assert cache.get(a) is not None
+        """install appends new vectors at the LRU tail; get() refreshes
+        the recency of the vector it answered from."""
+        cache = DescriptorCache(max_clean=6, fanout=2)  # three vectors
+        a, b, c, d = (ChunkId(0, 1, r) for r in range(4))
+        cache.install(a, _vector())
+        cache.install(b, _vector())
+        cache.install(c, _vector())
+        cache.get(ChunkId(0, 0, 0))  # a is now most-recent; b is oldest
+        cache.install(d, _vector())  # evicts b
+        assert cache.get(ChunkId(0, 0, 2)) is None
+        assert cache.get(ChunkId(0, 0, 0)) is not None

@@ -266,16 +266,16 @@ class TestSnapshotIsolation:
         map chunk it read, overwriting the seeded dirty descriptor of a
         sibling written since the last checkpoint — the view then served
         that sibling's pre-commit bytes (the remaining
-        ``server.snapshot.stale_reads`` of the e2e benchmark)."""
+        ``server.snapshot.stale_reads`` of the e2e benchmark).  The view's
+        dirty seed now shadows whatever vector its walk installs."""
         from repro.chunkstore import ops
-        from repro.chunkstore.ids import data_id
 
         _, chunks, _, pid = make_stack()
         ranks = [chunks.allocate_chunk(pid) for _ in range(2)]
         chunks.commit([ops.WriteChunk(pid, r, b"old") for r in ranks])
         chunks.checkpoint()  # the persistent map now says "old" for both
         chunks.commit([ops.WriteChunk(pid, ranks[0], b"new")])  # dirty only
-        chunks.cache.drop(data_id(pid, ranks[1]))  # as LRU eviction would
+        chunks.cache._vectors.clear()  # as LRU eviction would
         with chunks.open_snapshot_view(pid) as view:
             assert view.read_chunk(ranks[1]) == b"old"  # walks the map
             assert view.read_chunk(ranks[0]) == b"new"
