@@ -15,7 +15,11 @@ validated-payload cache's savings — skipped decrypt + hash + device reads
 * ``uncached_read`` — the same repeated reads with the payload cache
   disabled (``payload_cache_bytes=0``): the pre-cache baseline;
 * ``scan`` — round-trip counts for a full scan, batched vs one read per
-  chunk.
+  chunk;
+* ``map_load`` — the map walk's unit of work on real map-chunk bodies of a
+  two-level map: load one uncached map chunk and read one slot, and
+  rewrite one with 4 dirty children, through ``MapVector`` and through the
+  reference ``Decoder`` / ``Encoder`` route in the same process.
 
 The bench runs two partition-cipher tiers:
 
@@ -31,8 +35,9 @@ default tier under ``"default_tier"``); ``--check`` exits non-zero unless
 the acceptance floors hold (warm repeated-read throughput ≥ 5× the
 uncached baseline on the slow tier, warm round trips < cold on both, and
 default-tier uncached reads ≥ 400 ops/s — 3× the pre-AEAD 132 ops/s
-baseline), which CI uses as a perf-regression smoke test.  ``--tiny``
-shrinks the run for CI smoke.
+baseline, and ``map_load`` ≥ 3× the reference route on both of its
+operations — a ratio, so it does not track the machine), which CI uses as
+a perf-regression smoke test.  ``--tiny`` shrinks the run for CI smoke.
 """
 
 from __future__ import annotations
@@ -41,12 +46,18 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro import obs
-from repro.chunkstore import ChunkStore, StoreConfig, ops
+from repro.chunkstore import ChunkId, ChunkStore, StoreConfig, ops
+from repro.chunkstore.descriptor import (
+    ChunkDescriptor,
+    ChunkStatus,
+    decode_map_body,
+)
 from repro.crypto import aead
 from repro.platform.trusted_platform import TrustedPlatform
+from repro.util.codec import Decoder, Encoder
 
 #: acceptance floor: warm payload-cache reads over the uncached baseline
 #: (slow tier only — an AEAD tier's uncached reads are fast enough that
@@ -60,6 +71,10 @@ UNCACHED_OPS_FLOOR = 400.0
 #: acceptance ceiling: cost of the always-on obs layer (tracing disabled,
 #: metrics + events live) over the same workload with obs fully suspended
 OBS_OVERHEAD_CEILING_PCT = 5.0
+
+#: acceptance floor: ``MapVector`` over the reference route on the same
+#: map-chunk bodies in the same process, for the load and for the rewrite
+MAP_LOAD_RATIO_FLOOR = 3.0
 
 #: the slow tier's cipher/hash: the slowest registered pair, i.e. the
 #: configuration where the read path's crypto cost is most visible
@@ -271,6 +286,120 @@ def run(
     return results
 
 
+def _reference_decode(body: bytes) -> List[ChunkDescriptor]:
+    dec = Decoder(body)
+    slots = [ChunkDescriptor.decode(dec) for _ in range(dec.uint())]
+    dec.expect_exhausted()
+    return slots
+
+
+def _reference_encode(slots: List[ChunkDescriptor]) -> bytes:
+    enc = Encoder().uint(len(slots))
+    for descriptor in slots:
+        descriptor.encode(enc)
+    return enc.finish()
+
+
+def _best_us(work: Callable[[], object], calls: int, rounds: int = 7) -> float:
+    """Best-of-``rounds`` thread CPU time of ``work``, in µs per call."""
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.thread_time()
+        work()
+        best = min(best, time.thread_time() - start)
+    return best / calls * 1e6
+
+
+def run_map_load(map_chunks: int, cipher: str, loops: int = 20) -> Dict[str, object]:
+    """Time the map walk's two units of work on the leaf map chunks of a
+    real two-level map, vector route beside reference route."""
+    fanout = StoreConfig.fanout
+    platform = TrustedPlatform.create_in_memory(untrusted_size=16 * 1024 * 1024)
+    store = ChunkStore.format(platform, _config(payload_cache=False))
+    pid = store.allocate_partition()
+    store.commit([ops.WritePartition(pid, cipher_name=cipher, hash_name=PARTITION_HASH)])
+    state = store.partitions[pid]
+    for base in range(0, map_chunks * fanout, fanout):
+        for rank in range(base, base + fanout):
+            state.allocate_specific(rank)
+        store.commit(
+            [ops.WriteChunk(pid, rank, b"%08d" % rank) for rank in range(base, base + fanout)]
+        )
+    store.checkpoint()
+    assert state.payload.tree_height >= 2, "map_load needs at least two map levels"
+
+    leaves = [ChunkId(pid, 1, rank) for rank in range(map_chunks)]
+    bodies = [
+        store._read_validated(leaf, store._get_descriptor(leaf), state)
+        for leaf in leaves
+    ]
+    slot = fanout // 3
+    dirty = {
+        child: ChunkDescriptor(ChunkStatus.WRITTEN, 10**7 + child, 560, bytes(32))
+        for child in (1, 17, 40, 63)
+    }
+
+    def load_all_cold() -> None:
+        for rank in range(map_chunks):
+            store.cache.clear()  # every load starts from the device
+            store._get_descriptor(ChunkId(pid, 0, rank * fanout + slot))
+
+    def vector_load() -> None:
+        for _ in range(loops):
+            for leaf, body in zip(leaves, bodies):
+                decode_map_body(leaf, body, fanout)[slot]
+
+    def reference_load() -> None:
+        for _ in range(loops):
+            for body in bodies:
+                _reference_decode(body)[slot]
+
+    vectors = [decode_map_body(leaf, body, fanout) for leaf, body in zip(leaves, bodies)]
+    tuples = [tuple(_reference_decode(body)) for body in bodies]
+
+    def vector_rewrite() -> None:
+        for _ in range(loops):
+            for vector in vectors:
+                vector.replace(dirty).encode()
+
+    def reference_rewrite_one(cached) -> bytes:
+        slots = list(cached)
+        for child, descriptor in dirty.items():
+            slots[child] = descriptor
+        return _reference_encode(slots)
+
+    def reference_rewrite() -> None:
+        for _ in range(loops):
+            for cached in tuples:
+                reference_rewrite_one(cached)
+
+    for vector, cached in zip(vectors, tuples):  # the two routes agree
+        assert list(vector) == list(cached)
+        assert vector.replace(dirty).encode() == reference_rewrite_one(cached)
+
+    calls = loops * map_chunks
+    results: Dict[str, object] = {
+        "map_chunks": map_chunks,
+        "map_levels": state.payload.tree_height,
+        "partition_cipher": cipher,
+        "store_cold_walk_us": round(_best_us(load_all_cold, map_chunks), 1),
+        "floor_ratio": MAP_LOAD_RATIO_FLOOR,
+    }
+    for name, vector_work, reference_work in (
+        ("load_one_slot", vector_load, reference_load),
+        ("rewrite_4_dirty", vector_rewrite, reference_rewrite),
+    ):
+        vector_us = _best_us(vector_work, calls)
+        reference_us = _best_us(reference_work, calls)
+        results[name] = {
+            "vector_us": round(vector_us, 1),
+            "reference_us": round(reference_us, 1),
+            "ratio": round(reference_us / vector_us, 2),
+        }
+    store.close(checkpoint=False)
+    return results
+
+
 def check(results: Dict[str, object]) -> int:
     """Enforce the acceptance floors; returns a process exit status."""
     failed = False
@@ -317,6 +446,16 @@ def check(results: Dict[str, object]) -> int:
             print(
                 "FAIL: default tier's warm pass issued at least as many "
                 "round trips as its cold pass",
+                file=sys.stderr,
+            )
+            failed = True
+    map_load = results.get("map_load")
+    for name in ("load_one_slot", "rewrite_4_dirty") if map_load else ():
+        ratio = map_load[name]["ratio"]
+        if ratio < MAP_LOAD_RATIO_FLOOR:
+            print(
+                f"FAIL: map_load {name} is {ratio:.1f}x the reference route, "
+                f"floor is {MAP_LOAD_RATIO_FLOOR:.1f}x",
                 file=sys.stderr,
             )
             failed = True
@@ -399,6 +538,22 @@ def main(argv=None) -> int:
         _print_tier(default_tier, "default")
     elif default_cipher is None:
         print(f"default (AEAD) tier skipped: {aead.unavailable_reason()}")
+
+    map_load = run_map_load(
+        2 if args.tiny else 8, default_cipher or "ctr-sha256"
+    )
+    results["map_load"] = map_load
+    print(
+        f"-- map_load: {map_load['map_chunks']} leaf map chunks, "
+        f"{map_load['map_levels']} map levels, {map_load['partition_cipher']} "
+        f"(cold walk through the store, one load per level: {map_load['store_cold_walk_us']} us)"
+    )
+    for name in ("load_one_slot", "rewrite_4_dirty"):
+        entry = map_load[name]
+        print(
+            f"{name:>16}: {entry['vector_us']:7.1f} us vs reference "
+            f"{entry['reference_us']:7.1f} us ({entry['ratio']:.1f}x)"
+        )
 
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)

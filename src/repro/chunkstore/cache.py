@@ -14,9 +14,11 @@ serves two distinct roles:
   it.  Dirty descriptors are therefore never evicted.
 
 The clean side is cached in the unit it is validated in: one entry per
-map chunk, holding that chunk's whole decoded descriptor vector (an
-immutable tuple).  A chunk's clean descriptor is slot ``rank % fanout`` of
-its parent's vector, so loading a map chunk is one insert, not ``fanout``.
+map chunk, holding that chunk's validated body as a
+:class:`~repro.chunkstore.descriptor.MapVector` (wire form; a slot is
+decoded when first asked for).  A chunk's clean descriptor is slot
+``rank % fanout`` of its parent's vector, so loading a map chunk is one
+insert, not ``fanout``.
 """
 
 from __future__ import annotations
@@ -26,11 +28,8 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.chunkstore.descriptor import ChunkDescriptor
+from repro.chunkstore.descriptor import ChunkDescriptor, MapVector
 from repro.chunkstore.ids import ChunkId
-
-#: a map chunk's validated descriptor vector
-DescriptorVector = Tuple[ChunkDescriptor, ...]
 
 
 class DescriptorCache:
@@ -51,7 +50,7 @@ class DescriptorCache:
         self._fanout = fanout
         self._max_vectors = max_clean // fanout
         #: (partition, height, rank) of a map chunk -> its vector
-        self._vectors: "OrderedDict[Tuple[int, int, int], DescriptorVector]" = (
+        self._vectors: "OrderedDict[Tuple[int, int, int], MapVector]" = (
             OrderedDict()
         )
         self._dirty: Dict[ChunkId, ChunkDescriptor] = {}
@@ -77,12 +76,12 @@ class DescriptorCache:
         self.misses += 1
         return None
 
-    def vector(self, map_id: ChunkId) -> Optional[DescriptorVector]:
+    def vector(self, map_id: ChunkId) -> Optional[MapVector]:
         """The cached vector of map chunk ``map_id`` as last validated or
         written — dirty children are *not* overlaid."""
         return self._vectors.get((map_id.partition, map_id.height, map_id.rank))
 
-    def install(self, map_id: ChunkId, vector: DescriptorVector) -> None:
+    def install(self, map_id: ChunkId, vector: MapVector) -> None:
         """Cache the vector of a map chunk just validated, or just written
         by a checkpoint (replacing the vector it superseded)."""
         key = (map_id.partition, map_id.height, map_id.rank)
@@ -105,7 +104,8 @@ class DescriptorCache:
 
     def partition_entries(self, partition: int) -> "DescriptorCache":
         """Point-in-time private cache of ``partition``: its vectors (shared
-        by reference — they are immutable) and its dirty descriptors.
+        by reference — logically immutable, see :class:`MapVector`) and its
+        dirty descriptors.
         Snapshot views seed their walk with this: dirty descriptors are the
         *only* record of post-checkpoint commits, since the persistent map
         is stale until the next checkpoint.  Unbounded, like the map it

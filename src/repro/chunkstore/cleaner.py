@@ -61,12 +61,7 @@ class Cleaner:
                 # let the caller retry after the views close.
                 obs.emit("clean_deferred", pins=store._snapshot_pins)
                 return None
-            candidates = store.segman.cleanable_segments()
-            target = None
-            for segment in candidates:
-                if store.segman.live_bytes[segment] < store.segman.used_bytes[segment]:
-                    target = segment
-                    break
+            target = store.segman.emptiest_cleanable_segment()
             if target is None:
                 return None
             previous = store._in_maintenance

@@ -18,10 +18,13 @@ next to the location is what merges the Merkle tree into the location map.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Tuple
+from typing import Iterable, List, Mapping, Optional
 
+from repro.chunkstore.ids import ChunkId
+from repro.errors import TamperDetectedError
 from repro.util.codec import Decoder, Encoder, decode_uvarint, encode_uvarint
 
 
@@ -83,80 +86,109 @@ class ChunkDescriptor:
         return cls(status)
 
 
-_WRITTEN = ChunkStatus.WRITTEN
-_STATUSES = tuple(ChunkStatus)  # indexed by encoded value
-_STATUS_BYTES = tuple(bytes([status]) for status in ChunkStatus)
+_VARINT = rb"[\x80-\xff]{0,9}[\x00-\x7f]"
+#: one slot as the store writes it: a bare status byte, or WRITTEN followed
+#: by location, length and a length-prefixed hash of a registered size.
+#: Slots outside the pattern are still valid — they take the reference route.
+_SLOT = re.compile(
+    rb"[\x00\x01]|\x02" + _VARINT + _VARINT
+    + rb"(?:\x00|\x10.{16}|\x14.{20}|\x20.{32})",
+    re.DOTALL,
+)
 
 
-def encode_descriptor_vector(descriptors) -> bytes:
-    """Encode a map chunk body: a fixed-size vector of descriptors.
-
-    One pass, byte-for-byte what ``descriptor.encode(Encoder())`` per slot
-    produces (a property test holds the two together)."""
-    parts = [encode_uvarint(len(descriptors))]
-    for descriptor in descriptors:
-        if descriptor.status is _WRITTEN:
-            body_hash = descriptor.body_hash
-            parts += (
-                b"\x02",
-                encode_uvarint(descriptor.location),
-                encode_uvarint(descriptor.length),
-                encode_uvarint(len(body_hash)),
-                body_hash,
-            )
-        else:
-            parts.append(_STATUS_BYTES[descriptor.status])
-    return b"".join(parts)
+def _encode_slot(descriptor: ChunkDescriptor) -> bytes:
+    """What ``descriptor.encode`` appends, without the ``Encoder`` round
+    trip — a checkpoint of freshly written ranks encodes every slot."""
+    if not descriptor.is_written():
+        return encode_uvarint(descriptor.status)
+    body_hash = descriptor.body_hash
+    return b"".join(
+        (
+            b"\x02",
+            encode_uvarint(descriptor.location),
+            encode_uvarint(descriptor.length),
+            encode_uvarint(len(body_hash)),
+            body_hash,
+        )
+    )
 
 
-def decode_descriptor_vector(data: bytes) -> Tuple[ChunkDescriptor, ...]:
-    """Decode a map chunk body into an immutable descriptor vector.
+class MapVector:
+    """A map chunk body kept in wire form: one encoding per slot, each
+    decoded (and memoised) the first time it is indexed.
 
-    One pass with the checks of the ``Decoder`` route it replaces:
-    truncation anywhere, over-long varints, out-of-range statuses, and
-    trailing bytes all raise ``ValueError``."""
-    if not isinstance(data, bytes):
-        data = bytes(data)
-    size = len(data)
-    count, pos = decode_uvarint(data)
-    out = []
-    try:
-        for _ in range(count):
-            value = data[pos]
-            pos += 1
-            if value >= 0x80:  # non-canonical, but the Decoder takes it
-                value, pos = decode_uvarint(data, pos - 1)
-            if value != 2:
-                if value > 2:
-                    raise ValueError(f"{value} is not a valid ChunkStatus")
-                out.append(ChunkDescriptor(_STATUSES[value]))
-                continue
-            fields = []
-            for _ in range(3):  # location, length, hash size: one varint each
-                byte = data[pos]
-                pos += 1
-                if byte >= 0x80:
-                    number = byte & 0x7F
-                    shift = 7
-                    while True:
-                        byte = data[pos]
-                        pos += 1
-                        number |= (byte & 0x7F) << shift
-                        if byte < 0x80:
-                            break
-                        shift += 7
-                        if shift > 70:
-                            raise ValueError("uvarint too long")
-                    byte = number
-                fields.append(byte)
-            location, length, hash_size = fields
-            end = pos + hash_size
-            if end > size:
-                raise ValueError("truncated bytes field")
-            out.append(ChunkDescriptor(_WRITTEN, location, length, data[pos:end]))
-            pos = end
-    except IndexError:
-        raise ValueError("truncated descriptor vector") from None
-    if pos != size:
-        raise ValueError(f"{size - pos} trailing bytes after decode")
-    return tuple(out)
+    Logically immutable — :meth:`replace` returns a new vector — so
+    vectors are shared by reference between the store's cache and snapshot
+    views.  Memoising a slot is idempotent (any thread decodes the same
+    bytes to an equal descriptor), so indexing needs no lock."""
+
+    __slots__ = ("_wire", "_slots")
+
+    def __init__(
+        self, wire: List[bytes], slots: List[Optional[ChunkDescriptor]]
+    ) -> None:
+        self._wire = wire
+        self._slots = slots
+
+    @classmethod
+    def of(cls, descriptors: Iterable[ChunkDescriptor]) -> "MapVector":
+        """The vector of descriptors already in hand (a new map chunk, a
+        degraded rebuild, the reference route's output)."""
+        slots = list(descriptors)
+        return cls([_encode_slot(d) for d in slots], slots)
+
+    @classmethod
+    def decode(cls, data: bytes) -> "MapVector":
+        """Split a map chunk body into its slots.  Truncation anywhere,
+        over-long varints, out-of-range statuses and trailing bytes raise
+        ``ValueError`` here, not on first touch."""
+        if not isinstance(data, bytes):
+            data = bytes(data)
+        count, start = decode_uvarint(data)
+        wire = _SLOT.findall(data, start)
+        if len(wire) == count and sum(map(len, wire)) == len(data) - start:
+            return cls(wire, [None] * count)
+        # not what the pattern covers (non-canonical varints, other hash
+        # sizes) or not valid at all: the reference route tells which
+        dec = Decoder(data, start)
+        slots = [ChunkDescriptor.decode(dec) for _ in range(count)]
+        dec.expect_exhausted()
+        return cls.of(slots)
+
+    def __len__(self) -> int:
+        return len(self._wire)
+
+    def __getitem__(self, slot: int) -> ChunkDescriptor:
+        descriptor = self._slots[slot]
+        if descriptor is None:
+            descriptor = ChunkDescriptor.decode(Decoder(self._wire[slot]))
+            self._slots[slot] = descriptor
+        return descriptor
+
+    def replace(self, changes: Mapping[int, ChunkDescriptor]) -> "MapVector":
+        """A vector with the slots in ``changes`` overlaid; every other slot
+        keeps its bytes (and its memoised descriptor) untouched."""
+        wire = list(self._wire)
+        slots = list(self._slots)
+        for slot, descriptor in changes.items():
+            wire[slot] = _encode_slot(descriptor)
+            slots[slot] = descriptor
+        return MapVector(wire, slots)
+
+    def encode(self) -> bytes:
+        """The map chunk body: byte-for-byte what ``descriptor.encode`` per
+        slot after the count produces."""
+        return encode_uvarint(len(self._wire)) + b"".join(self._wire)
+
+
+def decode_map_body(map_id: ChunkId, body: bytes, fanout: int) -> MapVector:
+    """The vector of a *validated* map chunk body — the one decoder the
+    store, snapshot views and recovery share.  A body that passed its hash
+    check but does not hold ``fanout`` slots was not written by this store."""
+    vector = MapVector.decode(body)
+    if len(vector) != fanout:
+        raise TamperDetectedError(
+            f"map chunk {map_id} has {len(vector)} slots, expected {fanout}"
+        )
+    return vector

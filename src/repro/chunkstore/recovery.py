@@ -37,7 +37,11 @@ from __future__ import annotations
 import logging
 from typing import Callable, List, Optional, Tuple
 
-from repro.chunkstore.descriptor import ChunkDescriptor, ChunkStatus
+from repro.chunkstore.descriptor import (
+    ChunkDescriptor,
+    ChunkStatus,
+    decode_map_body,
+)
 from repro.chunkstore.ids import (
     SYSTEM_PARTITION,
     ChunkId,
@@ -468,7 +472,11 @@ class _Recovery:
             # a replayed map chunk (interrupted checkpoint, cleaner move) is
             # now the current version: any vector cached on the way here is
             # the one it superseded
-            vector = store._decode_map_body(cid, body) if cid.is_map() else None
+            vector = (
+                decode_map_body(cid, body, store.config.fanout)
+                if cid.is_map()
+                else None
+            )
             for pid in [cid.partition] if targets is None else targets:
                 target = ChunkId(pid, cid.height, cid.rank)
                 store._apply_chunk_write(target, descriptor.copy())

@@ -26,7 +26,7 @@ bookkeeping.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro import obs
 from repro.chunkstore.leader import SegmentTable
@@ -211,17 +211,22 @@ class SegmentManager:
         segment = self.segment_of(location)
         self.live_bytes[segment] = max(0, self.live_bytes[segment] - nbytes)
 
-    def cleanable_segments(self) -> List[int]:
-        """Checkpointed-log segments, emptiest first (§4.9.5)."""
-        residual = set(self.residual_segments)
-        free = set(self.free_segments)
-        candidates = [
-            seg
-            for seg in range(self.segment_count)
-            if seg not in residual and seg not in free and self.used_bytes[seg] > 0
-        ]
-        candidates.sort(key=lambda seg: self.live_bytes[seg])
-        return candidates
+    def emptiest_cleanable_segment(self) -> Optional[int]:
+        """The cleaner's next victim (§4.9.5): the checkpointed-log segment
+        with the fewest live bytes among those holding any obsolete ones
+        (lowest index on ties), or ``None``."""
+        skip = set(self.residual_segments)
+        skip.update(self.free_segments)
+        victim: Optional[int] = None
+        fewest = 0
+        for segment, live in enumerate(self.live_bytes):
+            if (
+                (victim is None or live < fewest)
+                and live < self.used_bytes[segment]
+                and segment not in skip
+            ):
+                victim, fewest = segment, live
+        return victim
 
     def stored_bytes(self) -> int:
         """Total bytes the log currently occupies (for §9.3/§9.5.2)."""

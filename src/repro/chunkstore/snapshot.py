@@ -55,7 +55,7 @@ from repro.chunkstore.cache import ValidatedChunkCache
 from repro.chunkstore.descriptor import (
     ChunkDescriptor,
     ChunkStatus,
-    decode_descriptor_vector,
+    decode_map_body,
 )
 from repro.chunkstore.ids import ChunkId, data_id
 from repro.chunkstore.log import LogCodec, VersionKind
@@ -204,12 +204,7 @@ class SnapshotView:
             if not descriptor.is_written():
                 return ChunkDescriptor()
             body = self._read_validated(node, descriptor)
-            vector = decode_descriptor_vector(body)
-            if len(vector) != self._fanout:
-                raise TamperDetectedError(
-                    f"map chunk {node} has {len(vector)} slots, "
-                    f"expected {self._fanout}"
-                )
+            vector = decode_map_body(node, body, self._fanout)
             with self._desc_mutex:
                 self._descriptors.install(node, vector)
             node, descriptor = next_id, vector[next_id.rank % self._fanout]

@@ -53,17 +53,13 @@ from typing import (
 )
 
 from repro import obs
-from repro.chunkstore.cache import (
-    DescriptorCache,
-    DescriptorVector,
-    ValidatedChunkCache,
-)
+from repro.chunkstore.cache import DescriptorCache, ValidatedChunkCache
 from repro.chunkstore.config import StoreConfig, mac_key, system_cipher_key
 from repro.chunkstore.descriptor import (
     ChunkDescriptor,
     ChunkStatus,
-    decode_descriptor_vector,
-    encode_descriptor_vector,
+    MapVector,
+    decode_map_body,
 )
 from repro.chunkstore.ids import (
     SYSTEM_PARTITION,
@@ -486,21 +482,12 @@ class ChunkStore:
             node, descriptor = next_id, vector[next_id.rank % fanout]
         return descriptor
 
-    def _decode_map_body(self, map_id: ChunkId, body: bytes) -> DescriptorVector:
-        descriptors = decode_descriptor_vector(body)
-        if len(descriptors) != self.config.fanout:
-            raise TamperDetectedError(
-                f"map chunk {map_id} has {len(descriptors)} slots, "
-                f"expected {self.config.fanout}"
-            )
-        return descriptors
-
     def _load_map_chunks(
         self,
         state: PartitionState,
         items: Sequence[Tuple[ChunkId, ChunkDescriptor]],
-    ) -> List[DescriptorVector]:
-        """Fetch, validate, and decode written map chunks of one partition
+    ) -> List[MapVector]:
+        """Fetch, validate, and split written map chunks of one partition
         in a single untrusted round trip; returns their descriptor vectors
         (aligned with ``items``) and caches each.
 
@@ -529,15 +516,16 @@ class ChunkStore:
                 self.walk_round_trips_saved += 2 * len(items) - 1
             except IOFaultError:
                 blobs = None  # fall back so the fault pins the right chunk
-            vectors: List[DescriptorVector] = []
+            fanout = self.config.fanout
+            vectors: List[MapVector] = []
             if blobs is not None:
                 for (map_id, descriptor), raw in zip(items, blobs):
                     body = self._validate_raw_version(map_id, descriptor, state, raw)
-                    vectors.append(self._decode_map_body(map_id, body))
+                    vectors.append(decode_map_body(map_id, body, fanout))
             else:
                 for map_id, descriptor in items:
                     body = self._read_validated(map_id, descriptor, state)
-                    vectors.append(self._decode_map_body(map_id, body))
+                    vectors.append(decode_map_body(map_id, body, fanout))
             for (map_id, _descriptor), vector in zip(items, vectors):
                 self.cache.install(map_id, vector)
             return vectors
@@ -1121,14 +1109,16 @@ class ChunkStore:
             except (TamperDetectedError, QuarantineError, IOFaultError, ValueError):
                 continue
             try:
-                children = decode_descriptor_vector(body)
-            except ValueError:
+                children = decode_map_body(cid, body, self.config.fanout)
+            except (TamperDetectedError, ValueError):
                 continue
-            for slot, child in enumerate(children):
+            for slot in range(len(children)):
                 # prefer the cache view: dirty descriptors shadow the map
                 child_id = cid.child(self.config.fanout, slot)
                 cached = self.cache.get(child_id)
-                stack.append((child_id, cached if cached is not None else child))
+                stack.append(
+                    (child_id, cached if cached is not None else children[slot])
+                )
 
     def _apply_partition_dealloc(self, family: Iterable[int]) -> None:
         system = self.partitions[SYSTEM_PARTITION]
@@ -1405,12 +1395,12 @@ class ChunkStore:
             record = self.validator.build_commit_record()
             version = self.codec.build_unnamed(VersionKind.COMMIT, record.encode())
             self._append_version(version, in_commit_set=False)
+            self.validator.committed()  # before the flush that makes it durable
             self.logbuf.seal()
             injector.point("commit.before_flush")
             if self.config.flush_every_commit:
                 self._flush_untrusted()
             injector.point("commit.after_flush")
-            self.validator.committed()
             if self.validator.needs_tr_update():
                 target = self.validator.tr_update_target()
                 if target < self.validator.next_count - 1:
@@ -1604,12 +1594,10 @@ class ChunkStore:
         old_desc = ChunkDescriptor()  # above the current tree: a new chunk
         if map_id.height <= state.payload.tree_height:
             old_desc = self._get_descriptor(map_id)
-        cached = self.cache.vector(map_id)
+        vector = self.cache.vector(map_id)
         if not old_desc.is_written():
-            slots = [ChunkDescriptor() for _ in range(fanout)]
-        elif cached is not None:
-            slots = list(cached)
-        else:
+            vector = MapVector.of(ChunkDescriptor() for _ in range(fanout))
+        elif vector is None:
             try:
                 body = self._read_validated(map_id, old_desc, state)
             except (QuarantineError, IOFaultError, TamperDetectedError):
@@ -1619,29 +1607,29 @@ class ChunkStore:
                 # committed).  If any committed child is unaccounted for,
                 # the original error propagates — rebuilding would silently
                 # drop that chunk's location.
-                slots = self._degraded_map_slots(map_id, state)
-                if slots is None:
+                vector = self._degraded_map_slots(map_id, state)
+                if vector is None:
                     raise
             else:
-                slots = list(self._decode_map_body(map_id, body))
-        for child in dirty_children:
-            slots[child.rank % fanout] = self.cache.get(child)
-        body = encode_descriptor_vector(slots)
+                vector = decode_map_body(map_id, body, fanout)
+        vector = vector.replace(
+            {child.rank % fanout: self.cache.get(child) for child in dirty_children}
+        )
         version, digest = self.codec.build_named(
-            map_id, body, state.cipher, state.hash
+            map_id, vector.encode(), state.cipher, state.hash
         )
         location = self._append_version(version)
         descriptor = ChunkDescriptor(ChunkStatus.WRITTEN, location, len(version), digest)
         if old_desc.is_written():
             self.segman.sub_live(old_desc.location, old_desc.length)
         self.segman.add_live(location, len(version))
-        self.cache.install(map_id, tuple(slots))
+        self.cache.install(map_id, vector)
         self.cache.put_dirty(map_id, descriptor)
         self._quarantine.pop(str(map_id), None)  # the rewrite supersedes it
 
     def _degraded_map_slots(
         self, map_id: ChunkId, state: PartitionState
-    ) -> Optional[List[ChunkDescriptor]]:
+    ) -> Optional[MapVector]:
         """Rebuild an unreadable map chunk's slot vector from the cache.
 
         Returns ``None`` if any committed-written data rank covered by an
@@ -1661,7 +1649,7 @@ class ChunkStore:
             if any(state.is_committed_written(r) for r in range(first, last)):
                 return None
             slots.append(ChunkDescriptor())
-        return slots
+        return MapVector.of(slots)
 
     # ------------------------------------------------------------------
     # diff (§5.3)

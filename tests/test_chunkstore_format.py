@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 from repro.chunkstore.descriptor import (
     ChunkDescriptor,
     ChunkStatus,
-    decode_descriptor_vector,
-    encode_descriptor_vector,
+    MapVector,
 )
 from repro.chunkstore.ids import ChunkId
 from repro.chunkstore.leader import LeaderPayload, SegmentTable, SystemExtras
@@ -43,8 +42,8 @@ def descriptors_strategy():
 class TestDescriptors:
     @given(st.lists(descriptors_strategy(), min_size=1, max_size=64))
     def test_vector_roundtrip(self, descriptors):
-        data = encode_descriptor_vector(descriptors)
-        decoded = decode_descriptor_vector(data)
+        data = MapVector.of(descriptors).encode()
+        decoded = MapVector.decode(data)
         assert len(decoded) == len(descriptors)
         for a, b in zip(descriptors, decoded):
             assert a.status == b.status
@@ -246,7 +245,7 @@ class TestPaperSizeFidelity:
         from repro.chunkstore.descriptor import (
             ChunkDescriptor,
             ChunkStatus,
-            encode_descriptor_vector,
+            MapVector,
         )
 
         descriptors = [
@@ -258,7 +257,7 @@ class TestPaperSizeFidelity:
             )
             for i in range(64)
         ]
-        body = encode_descriptor_vector(descriptors)
+        body = MapVector.of(descriptors).encode()
         assert 1200 <= len(body) <= 2500, len(body)
 
     def test_per_chunk_descriptor_overhead(self):

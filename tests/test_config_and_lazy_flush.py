@@ -130,3 +130,100 @@ class TestLazyFlush:
         platform.untrusted.tamper_replay(saved)
         with pytest.raises(TamperDetectedError):
             ChunkStore.open(platform)
+
+
+class TestTrAdvanceCostsNoExtraFlush:
+    """§4.8.2.2: the counter may lead the *durable* log by at most Δtu.  The
+    commit's own flush already makes its commit chunk durable, so advancing
+    the counter to it must not flush a second time."""
+
+    COMMITS = 23
+    DELTA_UT = 5
+
+    def run(self, delta_tu, flush_every_commit):
+        platform = make_platform()
+        store = ChunkStore.format(
+            platform,
+            make_config(
+                delta_ut=self.DELTA_UT,
+                delta_tu=delta_tu,
+                flush_every_commit=flush_every_commit,
+            ),
+        )
+        pid = store.allocate_partition()
+        store.commit(
+            [
+                ops.WritePartition(pid, cipher_name="null", hash_name="sha1"),
+                ops.WriteChunk(pid, 0, b"base"),
+            ]
+        )
+
+        seen = {"appended": 0, "durable": 0, "advances": []}
+        build, flush = store.validator.build_commit_record, platform.untrusted.flush
+        advance_to = platform.counter.advance_to
+
+        def spy_build():
+            record = build()  # appended right after it is built
+            seen["appended"] = record.count
+            return record
+
+        def spy_flush():
+            flush()
+            seen["durable"] = seen["appended"]
+
+        def spy_advance_to(target):
+            seen["advances"].append((target, seen["durable"]))
+            advance_to(target)
+
+        store.validator.build_commit_record = spy_build
+        platform.untrusted.flush = spy_flush
+        platform.counter.advance_to = spy_advance_to
+
+        start = len(platform.injector.history)
+        flushes = platform.untrusted.stats.flushes
+        checkpoints = platform.injector.counts.get("checkpoint.end", 0)
+        for i in range(self.COMMITS):
+            store.commit([ops.WriteChunk(pid, 0, f"v{i}".encode())])
+            if i == 11:
+                store.checkpoint()
+        return (
+            seen["advances"],
+            platform.untrusted.stats.flushes - flushes,
+            platform.injector.counts["checkpoint.end"] - checkpoints,
+            platform.injector.history[start:],
+        )
+
+    @pytest.mark.parametrize("delta_tu", [0, 2])
+    @pytest.mark.parametrize("flush_every_commit", [True, False])
+    def test_counter_never_leads_the_durable_log_beyond_delta_tu(
+        self, delta_tu, flush_every_commit
+    ):
+        advances, flushes, checkpoints, _ = self.run(delta_tu, flush_every_commit)
+        assert checkpoints == 1
+        assert len(advances) >= self.COMMITS // self.DELTA_UT
+        for target, durable in advances:
+            assert target <= durable + delta_tu, (target, durable)
+        # a checkpoint flushes twice: the log, then the superblock
+        if flush_every_commit:
+            assert flushes == self.COMMITS + 2 * checkpoints
+        else:
+            assert flushes <= len(advances) + 2 * checkpoints < self.COMMITS
+
+    def test_crash_points_keep_their_order(self):
+        _, _, _, history = self.run(delta_tu=0, flush_every_commit=True)
+        points = [p for p in history if p.startswith("commit.")]
+        per_commit = []
+        for point in points:
+            if point == "commit.begin":
+                per_commit.append([])
+            per_commit[-1].append(point)
+        assert len(per_commit) == self.COMMITS
+        with_tr = 0
+        for sequence in per_commit:
+            tail = sequence[sequence.index("commit.before_flush") :]
+            assert tail in (
+                ["commit.before_flush", "commit.after_flush"],
+                ["commit.before_flush", "commit.after_flush", "commit.after_tr"],
+            )
+            with_tr += tail[-1] == "commit.after_tr"
+        assert with_tr >= self.COMMITS // self.DELTA_UT

@@ -13,6 +13,7 @@ payload cache is off so every read resolves a descriptor.
 import pytest
 
 from repro.chunkstore import ChunkStore, ops
+from repro.chunkstore.descriptor import MapVector
 from repro.chunkstore.ids import ChunkId
 from repro.errors import (
     ChunkNotAllocatedError,
@@ -64,7 +65,8 @@ def assert_vectors_match_device(store):
         state = store._state(pid)
         descriptor = store._get_descriptor(map_id)
         body = store._read_validated(map_id, descriptor, state)
-        assert store._decode_map_body(map_id, body) == vector, map_id
+        assert vector.encode() == body, map_id
+        assert list(vector) == list(MapVector.decode(body)), map_id  # memoised slots too
 
 
 def assert_coherent(platform, store, model):

@@ -80,10 +80,10 @@ class TestLogParsers:
     @given(blob=st.binary(max_size=200))
     @settings(max_examples=100)
     def test_descriptor_vector(self, blob):
-        from repro.chunkstore.descriptor import decode_descriptor_vector
+        from repro.chunkstore.descriptor import MapVector
 
         try:
-            decode_descriptor_vector(blob)
+            MapVector.decode(blob)
         except ACCEPTABLE:
             pass
 

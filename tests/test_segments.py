@@ -107,7 +107,13 @@ class TestUtilization:
         m.begin_residual(c)
         m.live_bytes[a] = 90
         m.live_bytes[b] = 10
-        assert m.cleanable_segments() == [b, a]  # emptiest first
+        assert m.emptiest_cleanable_segment() == b  # emptiest first
+        m.live_bytes[a] = 10
+        assert m.emptiest_cleanable_segment() == min(a, b)  # tie: lowest index
+        m.live_bytes[b] = 100  # fully live: nothing to reclaim there
+        assert m.emptiest_cleanable_segment() == a
+        m.live_bytes[a] = 100
+        assert m.emptiest_cleanable_segment() is None  # c is residual, rest free
 
     def test_stored_and_live_totals(self):
         m = manager()

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.bench.store_bench import (
+    MAP_LOAD_RATIO_FLOOR,
     UNCACHED_OPS_FLOOR,
     WARM_SPEEDUP_FLOOR,
     check,
     resolve_cipher,
     run,
+    run_map_load,
 )
 from repro.crypto import aead
 
@@ -33,6 +35,16 @@ def test_store_bench_tiny_run_meets_floors():
         < results["scan"]["single_round_trips"]
     )
     assert check(results) == 0
+
+    # MapVector against the reference route on the map-chunk bodies of a
+    # two-level map: a same-process ratio, so it does not track the machine
+    map_load = results["map_load"] = run_map_load(2, "ctr-sha256", loops=5)
+    assert map_load["map_levels"] >= 2
+    for name in ("load_one_slot", "rewrite_4_dirty"):
+        assert map_load[name]["ratio"] >= MAP_LOAD_RATIO_FLOOR, map_load[name]
+    assert check(results) == 0
+    map_load["rewrite_4_dirty"]["ratio"] = 1.0
+    assert check(results) == 1
 
 
 @pytest.mark.skipif(not aead.available(), reason="AEAD backend unavailable")
