@@ -38,12 +38,14 @@ class DescriptorCache:
     ``max_clean`` stays a count of *descriptors* (``StoreConfig.cache_size``):
     the LRU holds ``max_clean // fanout`` vectors.
 
-    Thread-safety contract: **externally serialized**.  Every access runs
-    under ``ChunkStore._lock`` — the cache participates in commit and
-    checkpoint transitions (dirty pinning) that must be atomic with map
-    updates, so an internal mutex would add overhead without removing the
-    need for the store-level lock.  Do not touch it from code that does
-    not hold the store lock.
+    Thread-safety contract: **externally serialized**.  Every access to the
+    store's instance runs under ``ChunkStore._lock`` — the cache
+    participates in commit and checkpoint transitions (dirty pinning) that
+    must be atomic with map updates, so an internal mutex would add
+    overhead without removing the need for the store-level lock.  Do not
+    touch it from code that does not hold the store lock.  The one
+    exception is the private copy :meth:`partition_entries` hands a
+    snapshot view (:class:`_SharedDescriptorCache`), which locks itself.
     """
 
     def __init__(self, max_clean: int = 4096, fanout: int = 64) -> None:
@@ -110,7 +112,7 @@ class DescriptorCache:
         *only* record of post-checkpoint commits, since the persistent map
         is stale until the next checkpoint.  Unbounded, like the map it
         mirrors.  Caller holds the store lock."""
-        seed = DescriptorCache(sys.maxsize, self._fanout)
+        seed = _SharedDescriptorCache(sys.maxsize, self._fanout)
         seed._vectors.update(
             (key, vector)
             for key, vector in self._vectors.items()
@@ -153,6 +155,24 @@ class DescriptorCache:
             "dirty_entries": len(self._dirty),
             "partitions_indexed": len(partitions),
         }
+
+
+class _SharedDescriptorCache(DescriptorCache):
+    """What :meth:`DescriptorCache.partition_entries` returns: a snapshot
+    view's reader threads share it with no store lock, so lookups and
+    installs take a private mutex — per call, never across a device read."""
+
+    def __init__(self, max_clean: int, fanout: int) -> None:
+        super().__init__(max_clean, fanout)
+        self._mutex = threading.Lock()
+
+    def get(self, chunk_id: ChunkId) -> Optional[ChunkDescriptor]:
+        with self._mutex:
+            return super().get(chunk_id)
+
+    def install(self, map_id: ChunkId, vector: MapVector) -> None:
+        with self._mutex:
+            super().install(map_id, vector)
 
 
 class ValidatedChunkCache:

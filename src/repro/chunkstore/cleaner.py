@@ -95,7 +95,6 @@ class Cleaner:
 
     def _clean_segment(self, segment: int) -> None:
         store = self.store
-        store.logbuf.seal()  # reading raw segment bytes below
         codec = store.codec
         segman = store.segman
         start = segman.segment_start(segment)
@@ -107,7 +106,7 @@ class Cleaner:
         span: Optional[bytes] = None
         if end > start:
             try:
-                (span,) = store._io_read_many([(start, end - start)])
+                (span,) = store.reader.read_many([(start, end - start)])
             except IOFaultError:
                 span = None
 
@@ -116,7 +115,7 @@ class Cleaner:
             # the device read preserves the unbuffered failure behavior
             if span is not None and offset - start + size <= len(span):
                 return span[offset - start : offset - start + size]
-            return store._io_read(offset, size)
+            return store.reader.read(offset, size)
 
         #: (chunk id, plaintext body, partitions where current)
         survivors: List[Tuple[ChunkId, bytes, List[int]]] = []

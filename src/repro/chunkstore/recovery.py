@@ -100,7 +100,7 @@ class _Recovery:
         if segment not in self._spans:
             start = self.segman.segment_start(segment)
             try:
-                (blob,) = self.store._io_read_many(
+                (blob,) = self.store.reader.read_many(
                     [(start, self.config.segment_size)]
                 )
                 self._spans[segment] = memoryview(blob)
@@ -124,13 +124,13 @@ class _Recovery:
             raise TamperDetectedError("version header crosses a segment boundary")
         span = self._segment_bytes(segment)
         if span is None:  # the span read faulted: per-version fallback
-            header_ct = self.store._io_read(location, header_size)
+            header_ct = self.store.reader.read(location, header_size)
             header = self.codec.parse_header(header_ct)
             if location + header_size + header.body_cipher_size > segment_end:
                 raise TamperDetectedError(
                     "version body crosses a segment boundary"
                 )
-            body_ct = self.store._io_read(
+            body_ct = self.store.reader.read(
                 location + header_size, header.body_cipher_size
             )
             return header, header_ct, body_ct

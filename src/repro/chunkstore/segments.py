@@ -44,7 +44,8 @@ class LogWriteBuffer:
 
     * an append lands at a non-adjacent location (a segment jump),
     * the store is about to flush or read the device (``seal`` is called
-      from ``_flush_untrusted``, ``_read_version_at``, and the cleaner),
+      from ``_flush_untrusted`` and by the store's ``RetriedReader`` ahead of
+      every device read),
     * a commit or checkpoint finishes.
 
     Sealing is transparent to crash semantics: buffered bytes have simply

@@ -22,9 +22,13 @@ Why this is sound
   cleaner politely declines to run while any exist (the classic MVCC
   vacuum tradeoff; see ``Cleaner.clean_one``).
 * The view validates everything it reads against its frozen root hash
-  with its **own** cipher/hash/codec instances (crypto objects are not
-  shared across threads) — tampering detection is exactly as strong as
-  the locked read path.
+  through the same :class:`~repro.chunkstore.readpath.ReadPath` routines
+  as the locked path — its own *instance* of the one walk and the one
+  validator, not its own copy — built over private state: a descriptor
+  cache seeded at the freeze, a quarantine table, cipher/hash/codec
+  instances (crypto objects are not shared across threads) and a retried
+  reader.  Tampering detection, retries and quarantine are therefore
+  exactly those of ``ChunkStore.read_chunk``.
 * The untrusted store's operations are internally locked, so raw device
   reads interleave safely with the commit path's writes.
 
@@ -47,25 +51,17 @@ manager): every open view defers cleaning store-wide.
 
 from __future__ import annotations
 
-import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Sequence
 
 from repro import obs
 from repro.chunkstore.cache import ValidatedChunkCache
-from repro.chunkstore.descriptor import (
-    ChunkDescriptor,
-    ChunkStatus,
-    decode_map_body,
-)
-from repro.chunkstore.ids import ChunkId, data_id
-from repro.chunkstore.log import LogCodec, VersionKind
+from repro.chunkstore.ids import SYSTEM_PARTITION
+from repro.chunkstore.log import LogCodec
 from repro.chunkstore.partition import PartitionState
+from repro.chunkstore.readpath import ReadPath
 from repro.crypto.registry import make_cipher, make_hash
-from repro.errors import (
-    ChunkNotAllocatedError,
-    ChunkStoreError,
-    TamperDetectedError,
-)
+from repro.errors import ChunkStoreError
+from repro.platform.retry import RetriedReader, Retrier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chunkstore.store import ChunkStore
@@ -78,9 +74,10 @@ class SnapshotView:
     partition's leader payload under the store lock and registers the
     cleaner pin); never directly.
 
-    Thread-safe: many reader threads may share one view.  A private mutex
-    guards the descriptor mini-cache; payloads go through an internally
-    locked :class:`ValidatedChunkCache` of the view's own.
+    Thread-safe: many reader threads may share one view.  The descriptor
+    cache and the payload cache lock themselves per operation; nothing is
+    held across a device read, so two readers may validate the same map
+    chunk twice but never wait on each other's I/O.
     """
 
     def __init__(
@@ -88,31 +85,15 @@ class SnapshotView:
         store: "ChunkStore",
         pid: int,
         frozen_state: PartitionState,
-        codec: LogCodec,
-        cache_bytes: int,
+        readpath: ReadPath,
     ) -> None:
-        self._store = store
+        self._store = store  # for close(); reads never touch it
         self.pid = pid
         self._state = frozen_state
-        self._codec = codec
-        self._untrusted = store.platform.untrusted
-        self._fanout = store.config.fanout
-        self._min_location = store.config.superblock_size
+        self._readpath = readpath
         #: the store's commit count at the freeze (the caller holds the
         #: store lock): the view shows exactly the commits up to this one
         self.frozen_at = store.commit_count_stat
-        #: validated map-chunk vectors resolved so far (grows monotonically;
-        #: bounded by the partition's map size).  Seeded at freeze time
-        #: with the store's cached vectors and dirty descriptors: dirty
-        #: entries are the only record of post-checkpoint commits (the
-        #: persistent map is stale until the next checkpoint), and they
-        #: shadow the frozen root exactly as they shadow the persistent
-        #: map in the locked path.
-        self._descriptors = store.cache.partition_entries(pid)
-        self._desc_mutex = threading.Lock()
-        #: private payload cache — NOT the store's shared one, which
-        #: tracks the latest committed bytes rather than this snapshot
-        self._payloads = ValidatedChunkCache(cache_bytes)
         self.closed = False
         self.reads = 0
 
@@ -134,32 +115,21 @@ class SnapshotView:
     # -- reads ---------------------------------------------------------------
 
     def read_chunk(self, rank: int) -> bytes:
-        """Validated read of data chunk ``rank`` as of the snapshot."""
-        self._require_open()
-        cid = data_id(self.pid, rank)
-        cached = self._payloads.get(cid)
-        if cached is not None:
-            self.reads += 1
-            return cached
-        with obs.span("chunkstore.snapshot_read"):
-            descriptor = self._get_descriptor(cid)
-            if descriptor.status != ChunkStatus.WRITTEN:
-                if self._state.is_committed_written(rank):
-                    raise TamperDetectedError(
-                        f"chunk {cid} should be written but its snapshot "
-                        f"descriptor says {descriptor.status.name}"
-                    )
-                raise ChunkNotAllocatedError(
-                    f"chunk {cid} was not written as of this snapshot"
-                )
-            body = self._read_validated(cid, descriptor)
-        self._payloads.put(cid, body)
-        self.reads += 1
-        return body
+        """Validated read of data chunk ``rank`` as of the snapshot (raises
+        ``ChunkNotAllocatedError`` if it was not written by then)."""
+        return self.read_chunks((rank,))[rank]
 
     def read_chunks(self, ranks: Sequence[int]) -> Dict[int, bytes]:
-        """Batched :meth:`read_chunk` (one result per distinct rank)."""
-        return {rank: self.read_chunk(rank) for rank in ranks}
+        """Batched :meth:`read_chunk` (one result per distinct rank):
+        whatever the private payload cache lacks is fetched in one
+        ``read_many`` per uncached map level plus one for the data
+        extents, with a sequential loop's error semantics."""
+        self._require_open()
+        bodies = self._readpath.read_chunks(
+            self._state, ranks, obs.span("chunkstore.snapshot_read")
+        )
+        self.reads += len(bodies)
+        return bodies
 
     def chunk_exists(self, rank: int) -> bool:
         self._require_open()
@@ -170,116 +140,51 @@ class SnapshotView:
         payload = self._state.payload
         return payload.next_rank - len(payload.free_ranks)
 
-    # -- map walk ------------------------------------------------------------
-
-    def _get_descriptor(self, cid: ChunkId) -> ChunkDescriptor:
-        with self._desc_mutex:
-            known = self._descriptors.get(cid)
-        if known is not None:
-            return known
-        payload = self._state.payload
-        height = payload.tree_height
-        if cid.height > height or height == 0:
-            return ChunkDescriptor()
-        if cid.height == height:
-            return payload.root if cid.rank == 0 else ChunkDescriptor()
-        # ascend to the first known ancestor, then descend validating
-        chain: List[ChunkId] = []
-        node = cid.parent(self._fanout)
-        descriptor: Optional[ChunkDescriptor] = None
-        while True:
-            with self._desc_mutex:
-                known = self._descriptors.get(node)
-            if known is not None:
-                descriptor = known
-                break
-            if node.height == height:
-                descriptor = (
-                    payload.root if node.rank == 0 else ChunkDescriptor()
-                )
-                break
-            chain.append(node)
-            node = node.parent(self._fanout)
-        for next_id in list(reversed(chain)) + [cid]:
-            if not descriptor.is_written():
-                return ChunkDescriptor()
-            body = self._read_validated(node, descriptor)
-            vector = decode_map_body(node, body, self._fanout)
-            with self._desc_mutex:
-                self._descriptors.install(node, vector)
-            node, descriptor = next_id, vector[next_id.rank % self._fanout]
-        return descriptor
-
-    # -- validated extent read ----------------------------------------------
-
-    def _read_validated(
-        self, cid: ChunkId, descriptor: ChunkDescriptor
-    ) -> bytes:
-        location, length = descriptor.location, descriptor.length
-        if (
-            length < self._codec.header_cipher_size
-            or location < self._min_location
-            or location + length > self._untrusted.size
-        ):
-            raise TamperDetectedError(
-                f"chunk {cid}: snapshot descriptor extent [{location}, "
-                f"{location + length}) is implausible"
-            )
-        raw = memoryview(self._untrusted.read(location, length))
-        header = self._codec.parse_header(raw[: self._codec.header_cipher_size])
-        if (
-            self._codec.header_cipher_size + header.body_cipher_size
-            != len(raw)
-        ):
-            raise TamperDetectedError(
-                f"chunk {cid}: header declares an implausible body size "
-                f"{header.body_cipher_size}"
-            )
-        if header.kind != VersionKind.NAMED:
-            raise TamperDetectedError(f"chunk {cid}: version kind mismatch")
-        if (header.height, header.rank) != (cid.height, cid.rank):
-            raise TamperDetectedError(
-                f"chunk {cid}: stored position {header.height}.{header.rank} "
-                f"does not match"
-            )
-        body, computed = self._codec.validate_named(
-            header,
-            raw[self._codec.header_cipher_size :],
-            self._state.cipher,
-            self._state.hash,
-        )
-        if computed != descriptor.body_hash:
-            raise TamperDetectedError(f"chunk {cid}: hash mismatch")
-        return body
-
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        cached = self._descriptors.stats()
+        cached = self._readpath.cache.stats()
         return {
             "pid": self.pid,
             "reads": self.reads,
             "closed": self.closed,
             "descriptors_cached": cached["clean_entries"] + cached["dirty_entries"],
-            "payload_cache": self._payloads.stats(),
+            "payload_cache": self._readpath.payloads.stats(),
         }
 
 
 def build_snapshot_view(store: "ChunkStore", pid: int) -> SnapshotView:
     """Internal factory (caller holds ``store._lock``): freeze the
-    partition's committed state and wire up private crypto instances
-    (tallying into the store's per-algorithm counters)."""
-    from repro.chunkstore.ids import SYSTEM_PARTITION
-
+    partition's committed state and build the view's own read path over
+    private instances of everything the store's runs over (crypto
+    instances tally into the store's per-algorithm counters; retries
+    follow the store's policy and tally into the device's ``IOStats``)."""
     if pid == SYSTEM_PARTITION:
         raise ChunkStoreError("snapshot views of the system partition are not supported")
-    state = store._state(pid)
-    frozen_payload = state.payload.copy_for_snapshot()
-    frozen = store._open_partition(pid, frozen_payload)
-    system_cipher = make_cipher(store.config.system_cipher, store._system_key)
-    system_hash = make_hash(store.config.system_hash)
-    store._share_tallies(system_cipher, system_hash)
-    codec = LogCodec(system_cipher, system_hash)
-    return SnapshotView(
-        store, pid, frozen, codec, store.config.payload_cache_bytes
+    config = store.config
+    untrusted = store.platform.untrusted
+    frozen = store._open_partition(
+        pid, store._state(pid).payload.copy_for_snapshot()
     )
+    system_cipher = make_cipher(config.system_cipher, store._system_key)
+    system_hash = make_hash(config.system_hash)
+    store._share_tallies(system_cipher, system_hash)
+    retrier = Retrier(
+        config.retry_policy, clock=store.platform.clock, stats=untrusted.stats
+    )
+    readpath = ReadPath(
+        # the store's vectors and dirty descriptors as of now (why both:
+        # see partition_entries); grows with every map chunk the view loads
+        store.cache.partition_entries(pid),
+        {},  # quarantine: the view's own, never the store's
+        # NOT the store's payload cache, which tracks the latest committed
+        # bytes rather than this snapshot
+        ValidatedChunkCache(config.payload_cache_bytes),
+        LogCodec(system_cipher, system_hash),
+        # no seal hook: open_snapshot_view sealed the log buffer, and
+        # nothing the view can reach is appended afterwards
+        RetriedReader(untrusted, retrier),
+        config.fanout,
+        config.superblock_size,
+    )
+    return SnapshotView(store, pid, frozen, readpath)

@@ -59,7 +59,6 @@ from repro.chunkstore.descriptor import (
     ChunkDescriptor,
     ChunkStatus,
     MapVector,
-    decode_map_body,
 )
 from repro.chunkstore.ids import (
     SYSTEM_PARTITION,
@@ -86,6 +85,7 @@ from repro.chunkstore.ops import (
     WritePartition,
 )
 from repro.chunkstore.partition import PartitionState, generate_partition_key
+from repro.chunkstore.readpath import ReadPath
 from repro.chunkstore.segments import LogWriteBuffer, SegmentManager
 from repro.chunkstore.validation import CounterValidation, DirectValidation
 from repro.crypto.cipher import Cipher
@@ -94,8 +94,6 @@ from repro.crypto.hashing import HashFunction
 from repro.crypto.mac import Mac
 from repro.crypto.registry import KEY_SIZES, make_cipher, make_hash
 from repro.errors import (
-    ChunkNotAllocatedError,
-    ChunkNotWrittenError,
     ChunkStoreError,
     IOFaultError,
     PartitionNotFoundError,
@@ -104,7 +102,7 @@ from repro.errors import (
     TamperDetectedError,
     TDBError,
 )
-from repro.platform.retry import Retrier
+from repro.platform.retry import RetriedReader, Retrier
 from repro.platform.trusted_platform import TrustedPlatform
 from repro.util.checksum import crc32_bytes
 from repro.util.codec import Decoder, Encoder
@@ -153,12 +151,6 @@ class ChunkStore:
         #: validated-payload cache: decrypted, hash-verified chunk bodies
         #: (hits skip the device, the cipher, and the hasher entirely)
         self.payloads = ValidatedChunkCache(config.payload_cache_bytes)
-        #: read-path batching counters (surfaced in stats()["walk"])
-        self.walk_batches = 0
-        self.walk_map_chunks_fetched = 0
-        self.walk_round_trips_saved = 0
-        self.chunk_batches = 0
-        self.chunk_batch_fetched = 0
         self.prefetch_issued = 0
         #: sequential-read detector per partition: pid -> (last rank, run)
         self._read_cursor: Dict[int, Tuple[int, int]] = {}
@@ -168,6 +160,25 @@ class ChunkStore:
             stats=platform.untrusted.stats,
         )
         self.logbuf = LogWriteBuffer(platform.untrusted, self.retrier)
+        #: every device read seals the log buffer first: the extent may
+        #: still sit in the pending span
+        self.reader = RetriedReader(
+            platform.untrusted, self.retrier, before_read=self.logbuf.seal
+        )
+        #: degraded-mode state: str(chunk id) -> cause ("io" or "tamper"),
+        #: filled in by the read path; scrub heals what it can
+        self._quarantine: Dict[str, str] = {}
+        #: the §4.5 walk and validator, over this store's own state; every
+        #: call into it runs under ``_lock``
+        self.readpath = ReadPath(
+            self.cache,
+            self._quarantine,
+            self.payloads,
+            self.codec,
+            self.reader,
+            config.fanout,
+            config.superblock_size,
+        )
         self.partitions: Dict[int, PartitionState] = {}
         if config.validation_mode == "direct":
             self.validator = DirectValidation(platform.tamper_resistant, system_hash)
@@ -190,13 +201,6 @@ class ChunkStore:
         self._closed = False
         self._failed = False
         self.commit_count_stat = 0
-        #: degraded-mode state: str(chunk id) -> cause ("io" or "tamper").
-        #: "io" entries short-circuit reads with :class:`QuarantineError`
-        #: until scrub heals them; "tamper" entries are bookkeeping only —
-        #: reads keep re-validating and raising TamperDetectedError.
-        self._quarantine: Dict[str, str] = {}
-        #: chunks ever quarantined over this instance's lifetime
-        self.quarantined_total = 0
         #: open snapshot views; while > 0 the cleaner declines to run so
         #: the extents frozen roots point at are never relocated or reused
         self._snapshot_pins = 0
@@ -371,7 +375,7 @@ class ChunkStore:
         rank = partition_rank(pid)
         if not system.is_committed_written(rank):
             raise PartitionNotFoundError(f"partition {pid} is not written")
-        body = self._read_chunk_body(data_id(SYSTEM_PARTITION, rank))
+        body = self._read_chunk_body(SYSTEM_PARTITION, rank)
         payload = LeaderPayload.decode(body)
         state = self._open_partition(pid, payload)
         self.partitions[pid] = state
@@ -440,289 +444,28 @@ class ChunkStore:
             return None
 
     # ------------------------------------------------------------------
-    # descriptor lookup — the bottom-up read path (§4.5)
+    # the validated read path (§4.5) — see repro.chunkstore.readpath
     # ------------------------------------------------------------------
 
     def _get_descriptor(self, cid: ChunkId) -> ChunkDescriptor:
-        cached = self.cache.get(cid)
-        if cached is not None:
-            return cached  # dirty descriptors shadow the persistent map
-        state = self._state(cid.partition)
-        height = state.payload.tree_height
-        if cid.height > height or height == 0:
-            return ChunkDescriptor()  # beyond the tree: unallocated
-        if cid.height == height:
-            if cid.rank == 0:
-                return state.payload.root
-            return ChunkDescriptor()
-        fanout = self.config.fanout
-        # Ascend to the first ancestor whose descriptor is already known
-        # (cached, or the root level), collecting the uncached map path.
-        chain: List[ChunkId] = []  # uncached ancestors of cid, bottom-up
-        node = cid.parent(fanout)
-        descriptor: Optional[ChunkDescriptor] = None
-        while True:
-            known = self.cache.get(node)
-            if known is not None:
-                descriptor = known
-                break
-            if node.height == height:
-                descriptor = (
-                    state.payload.root if node.rank == 0 else ChunkDescriptor()
-                )
-                break
-            chain.append(node)
-            node = node.parent(fanout)
-        # Descend, fetching each map chunk's header+body in one batched
-        # round trip instead of the old two reads per level.
-        for next_id in list(reversed(chain)) + [cid]:
-            if not descriptor.is_written():
-                return ChunkDescriptor()
-            vector = self._load_map_chunks(state, [(node, descriptor)])[0]
-            node, descriptor = next_id, vector[next_id.rank % fanout]
-        return descriptor
-
-    def _load_map_chunks(
-        self,
-        state: PartitionState,
-        items: Sequence[Tuple[ChunkId, ChunkDescriptor]],
-    ) -> List[MapVector]:
-        """Fetch, validate, and split written map chunks of one partition
-        in a single untrusted round trip; returns their descriptor vectors
-        (aligned with ``items``) and caches each.
-
-        On an I/O fault the whole batch falls back to per-chunk validated
-        reads so retries and quarantine land on the precise extent."""
-        with obs.span("chunkstore.map_walk", pid=state.pid, chunks=len(items)):
-            for map_id, _descriptor in items:
-                key = str(map_id)
-                if self._quarantine.get(key) == "io":
-                    raise QuarantineError(key, "io")
-            self.logbuf.seal()  # an extent may sit in the pending span
-            extents: List[Tuple[int, int]] = []
-            for map_id, descriptor in items:
-                try:
-                    self._check_extent(map_id, descriptor)
-                except TamperDetectedError:
-                    self._quarantine_chunk(map_id, "tamper")
-                    raise
-                extents.append((descriptor.location, descriptor.length))
-            try:
-                blobs: Optional[List[bytes]] = self._io_read_many(extents)
-                self.walk_batches += 1
-                self.walk_map_chunks_fetched += len(items)
-                # versus the unbatched path: two reads (header, body) per map
-                # chunk, minus the one round trip this batch cost
-                self.walk_round_trips_saved += 2 * len(items) - 1
-            except IOFaultError:
-                blobs = None  # fall back so the fault pins the right chunk
-            fanout = self.config.fanout
-            vectors: List[MapVector] = []
-            if blobs is not None:
-                for (map_id, descriptor), raw in zip(items, blobs):
-                    body = self._validate_raw_version(map_id, descriptor, state, raw)
-                    vectors.append(decode_map_body(map_id, body, fanout))
-            else:
-                for map_id, descriptor in items:
-                    body = self._read_validated(map_id, descriptor, state)
-                    vectors.append(decode_map_body(map_id, body, fanout))
-            for (map_id, _descriptor), vector in zip(items, vectors):
-                self.cache.install(map_id, vector)
-            return vectors
-
-    # ------------------------------------------------------------------
-    # reading and validating versions
-    # ------------------------------------------------------------------
-
-    def _io_read(self, location: int, size: int) -> bytes:
-        """One untrusted-store read, retried per the configured policy.
-
-        All trusted read paths (version reads, recovery, the cleaner) go
-        through here so transient device faults are absorbed uniformly;
-        only exhausted retries or permanent faults escape."""
-
-        def issue() -> bytes:
-            with obs.span("platform.untrusted.read"):
-                return self.platform.untrusted.read(location, size)
-
-        return self.retrier.call(issue, "read")
-
-    def _io_read_many(self, extents: List[Tuple[int, int]]) -> List[bytes]:
-        """One batched untrusted-store round trip, retried like
-        :meth:`_io_read` (the whole batch is re-issued on a transient
-        fault)."""
-
-        def issue() -> List[bytes]:
-            with obs.span("platform.untrusted.read"):
-                return self.platform.untrusted.read_many(extents)
-
-        return self.retrier.call(issue, "read_many")
-
-    def _check_extent(self, cid: ChunkId, descriptor: ChunkDescriptor) -> None:
-        """Bounds-check a descriptor's extent before issuing the read.
-
-        Descriptors arrive hash-validated, so an implausible extent means
-        the validation chain itself was subverted — tampering, not I/O."""
-        location, length = descriptor.location, descriptor.length
-        if (
-            length < self.codec.header_cipher_size
-            or location < self.config.superblock_size
-            or location + length > self.platform.untrusted.size
-        ):
-            raise TamperDetectedError(
-                f"chunk {cid}: descriptor extent [{location}, "
-                f"{location + length}) is implausible"
-            )
-
-    def _read_version_at(self, location: int) -> Tuple[VersionHeader, bytes]:
-        """Read and parse one version; returns (header, body ciphertext).
-
-        A tampered header can decrypt to arbitrary garbage, including
-        absurd body sizes — those are tampering, not I/O errors."""
-        self.logbuf.seal()  # the location may sit in the pending span
-        untrusted = self.platform.untrusted
-        header_ct = self._io_read(location, self.codec.header_cipher_size)
-        header = self.codec.parse_header(header_ct)
-        body_end = location + self.codec.header_cipher_size + header.body_cipher_size
-        segment_end = (
-            self.segman.segment_start(self.segman.segment_of(location))
-            + self.config.segment_size
-        )
-        if header.body_cipher_size > self.config.segment_size or body_end > min(
-            untrusted.size, segment_end
-        ):
-            raise TamperDetectedError(
-                f"version at {location} declares an implausible body size "
-                f"{header.body_cipher_size}"
-            )
-        body_ct = self._io_read(
-            location + self.codec.header_cipher_size, header.body_cipher_size
-        )
-        return header, body_ct
-
-    def _quarantine_chunk(self, cid: ChunkId, cause: str) -> None:
-        key = str(cid)
-        if key not in self._quarantine:
-            self.quarantined_total += 1
-            logger.warning("quarantining chunk %s (%s)", key, cause)
-            obs.emit("quarantine", chunk=key, cause=cause)
-        if cause == "io" or key not in self._quarantine:
-            self._quarantine[key] = cause
-        self.payloads.invalidate(cid)
-
-    def _validate_raw_version(
-        self,
-        cid: ChunkId,
-        descriptor: ChunkDescriptor,
-        state: PartitionState,
-        raw: bytes,
-    ) -> bytes:
-        """Parse, decrypt, and hash-validate one version read as a single
-        extent (``raw`` spans header and body ciphertext).  Validation
-        failures raise :class:`TamperDetectedError` on every read — the
-        security verdict never changes — but are recorded so scrub can
-        target repair."""
-        key = str(cid)
-        raw = memoryview(raw)  # header/body slices below stay zero-copy
-        try:
-            header = self.codec.parse_header(
-                raw[: self.codec.header_cipher_size]
-            )
-            if (
-                self.codec.header_cipher_size + header.body_cipher_size
-                != len(raw)
-            ):
-                raise TamperDetectedError(
-                    f"chunk {cid}: header declares an implausible body size "
-                    f"{header.body_cipher_size}"
-                )
-            if header.kind != VersionKind.NAMED:
-                raise TamperDetectedError(f"chunk {cid}: version kind mismatch")
-            if (header.height, header.rank) != (cid.height, cid.rank):
-                raise TamperDetectedError(
-                    f"chunk {cid}: stored position {header.height}.{header.rank} "
-                    f"does not match"
-                )
-            body, computed = self.codec.validate_named(
-                header,
-                raw[self.codec.header_cipher_size :],
-                state.cipher,
-                state.hash,
-            )
-            if computed != descriptor.body_hash:
-                raise TamperDetectedError(f"chunk {cid}: hash mismatch")
-        except TamperDetectedError:
-            self._quarantine_chunk(cid, "tamper")
-            raise
-        if self._quarantine.pop(key, None) is not None:
-            # a clean read heals the entry
-            obs.emit("quarantine_healed", chunk=key)
-        return body
+        """``cid``'s current descriptor: the bottom-up map walk."""
+        return self.readpath.descriptors(self._state(cid.partition), (cid,))[0]
 
     def _read_validated(
         self, cid: ChunkId, descriptor: ChunkDescriptor, state: PartitionState
     ) -> bytes:
-        """Read the version ``descriptor`` points at, decrypt it with the
-        partition cipher, and validate it against the descriptor hash.
-
-        The descriptor's length covers header and body, so the whole
-        version arrives in one device read (the old path cost two).
-
-        Degraded mode: an extent unreadable after retries quarantines the
-        chunk (``QuarantineError``) instead of poisoning the store, and
-        later reads short-circuit until scrub clears the entry for a
-        fresh attempt."""
-        key = str(cid)
-        if self._quarantine.get(key) == "io":
-            raise QuarantineError(key, "io")
-        self.logbuf.seal()  # the extent may sit in the pending span
-        try:
-            self._check_extent(cid, descriptor)
-        except TamperDetectedError:
-            self._quarantine_chunk(cid, "tamper")
-            raise
-        try:
-            raw = self._io_read(descriptor.location, descriptor.length)
-        except IOFaultError as exc:
-            self._quarantine_chunk(cid, "io")
-            raise QuarantineError(key, "io") from exc
-        return self._validate_raw_version(cid, descriptor, state, raw)
-
-    def _read_chunk_body(
-        self, cid: ChunkId, use_payload_cache: bool = True
-    ) -> bytes:
-        use_cache = (
-            use_payload_cache and cid.height == 0 and self.payloads.enabled
+        """The validated body of the version ``descriptor`` points at, in
+        one device read."""
+        (body,) = self.readpath.read_validated(
+            state, [(cid, descriptor)], batched=False
         )
-        if use_cache:
-            cached = self.payloads.get(cid)
-            if cached is not None:
-                return cached
-        descriptor = self._get_descriptor(cid)
-        if descriptor.status == ChunkStatus.WRITTEN:
-            # cache misses only: warm hits return above untimed, so the
-            # read histogram prices the real device+crypto+hash path
-            with obs.span("chunkstore.read"):
-                body = self._read_validated(
-                    cid, descriptor, self._state(cid.partition)
-                )
-            if use_cache:
-                # populated ONLY after a successful validated read — never
-                # write-through — so a cached payload was always vouched
-                # for by the hash-link path
-                self.payloads.put(cid, body)
-            return body
-        state = self._state(cid.partition)
-        if cid.height == 0 and (
-            cid.rank in state.pending_ranks or not state.is_committed_written(cid.rank)
-        ):
-            if cid.rank in state.pending_ranks:
-                raise ChunkNotWrittenError(f"chunk {cid} is allocated but unwritten")
-            raise ChunkNotAllocatedError(f"chunk {cid} is not allocated")
-        raise TamperDetectedError(
-            f"chunk {cid} should be written but its descriptor says "
-            f"{descriptor.status.name}"
-        )
+        return body
+
+    def _read_chunk_body(self, pid: int, rank: int) -> bytes:
+        """Data chunk ``(pid, rank)`` through the payload cache."""
+        return self.readpath.read_chunks(
+            self._state(pid), (rank,), obs.span("chunkstore.read")
+        )[rank]
 
     # ------------------------------------------------------------------
     # snapshot views (MVCC read path for the serving layer)
@@ -768,7 +511,7 @@ class ChunkStore:
     def read_chunk(self, pid: int, rank: int) -> bytes:
         """Return the last written state of chunk ``(pid, rank)`` (§4.5)."""
         with self._lock, obs.span("chunkstore.read_chunk"):
-            body = self._read_chunk_body(data_id(pid, rank))
+            body = self._read_chunk_body(pid, rank)
             self._note_sequential_read(pid, rank)
             return body
 
@@ -782,125 +525,9 @@ class ChunkStore:
         with self._lock, obs.span(
             "chunkstore.read_chunks", pid=pid, ranks=len(ranks)
         ):
-            state = self._state(pid)
-            result: Dict[int, bytes] = {}
-            todo: List[int] = []
-            for rank in ranks:
-                if rank in result or rank in todo:
-                    continue
-                cached = self.payloads.get(data_id(pid, rank))
-                if cached is not None:
-                    result[rank] = cached
-                else:
-                    todo.append(rank)
-            if todo:
-                result.update(self._fetch_chunks(state, todo))
-            return {rank: result[rank] for rank in ranks}
-
-    def _fetch_chunks(
-        self,
-        state: PartitionState,
-        ranks: Sequence[int],
-        prefetched: bool = False,
-    ) -> Dict[int, bytes]:
-        """Batched fetch of uncached data chunks.  Any fault or validation
-        trouble in the batched machinery falls back to the sequential path,
-        which reports errors (and quarantines extents) precisely; prefetch
-        callers re-raise instead and swallow at the call site."""
-        try:
-            with obs.span("chunkstore.read_batch"):
-                return self._fetch_chunks_batch(state, ranks, prefetched)
-        except TDBError:
-            if prefetched:
-                raise
-            result: Dict[int, bytes] = {}
-            for rank in ranks:
-                result[rank] = self._read_chunk_body(data_id(state.pid, rank))
-            return result
-
-    def _fetch_chunks_batch(
-        self, state: PartitionState, ranks: Sequence[int], prefetched: bool
-    ) -> Dict[int, bytes]:
-        pid = state.pid
-        self._resolve_descriptors_batched(state, ranks)
-        pairs: List[Tuple[ChunkId, ChunkDescriptor]] = []
-        plain: List[int] = []  # ranks the batch cannot serve
-        for rank in ranks:
-            cid = data_id(pid, rank)
-            descriptor = self._get_descriptor(cid)
-            if (
-                descriptor.status == ChunkStatus.WRITTEN
-                and self._quarantine.get(str(cid)) != "io"
-            ):
-                pairs.append((cid, descriptor))
-            else:
-                plain.append(rank)
-        result: Dict[int, bytes] = {}
-        if pairs:
-            self.logbuf.seal()
-            for cid, descriptor in pairs:
-                try:
-                    self._check_extent(cid, descriptor)
-                except TamperDetectedError:
-                    self._quarantine_chunk(cid, "tamper")
-                    raise
-            blobs = self._io_read_many(
-                [(d.location, d.length) for _, d in pairs]
+            return self.readpath.read_chunks(
+                self._state(pid), ranks, obs.span("chunkstore.read_batch")
             )
-            self.chunk_batches += 1
-            self.chunk_batch_fetched += len(pairs)
-            for (cid, descriptor), raw in zip(pairs, blobs):
-                body = self._validate_raw_version(cid, descriptor, state, raw)
-                result[cid.rank] = body
-                self.payloads.put(cid, body, prefetched=prefetched)
-        for rank in plain:
-            if prefetched:
-                continue  # best-effort: skip chunks needing the typed path
-            result[rank] = self._read_chunk_body(data_id(pid, rank))
-        return result
-
-    def _resolve_descriptors_batched(
-        self, state: PartitionState, ranks: Sequence[int]
-    ) -> None:
-        """Warm the descriptor cache for data ``ranks``, fetching every
-        uncached map chunk of a level in one ``read_many`` batch (the
-        levels themselves are inherently sequential: a map chunk's extent
-        is only known once its parent's body is decoded)."""
-        pid = state.pid
-        fanout = self.config.fanout
-        height = state.payload.tree_height
-        if height == 0:
-            return
-        need_data = [
-            rank for rank in ranks if self.cache.get(data_id(pid, rank)) is None
-        ]
-        if not need_data:
-            return
-        # reads_at[l]: level-l map-chunk ranks whose bodies are needed
-        reads_at: Dict[int, Set[int]] = {1: {r // fanout for r in need_data}}
-        for level in range(1, height):
-            parents = {
-                node_rank // fanout
-                for node_rank in reads_at.get(level, ())
-                if self.cache.get(ChunkId(pid, level, node_rank)) is None
-            }
-            if parents:
-                reads_at.setdefault(level + 1, set()).update(parents)
-        for level in range(height, 0, -1):
-            items: List[Tuple[ChunkId, ChunkDescriptor]] = []
-            for node_rank in sorted(reads_at.get(level, ())):
-                cid = ChunkId(pid, level, node_rank)
-                descriptor = self.cache.get(cid)
-                if descriptor is None:
-                    descriptor = (
-                        state.payload.root
-                        if level == height and node_rank == 0
-                        else ChunkDescriptor()
-                    )
-                if descriptor.is_written():
-                    items.append((cid, descriptor))
-            if items:
-                self._load_map_chunks(state, items)
 
     def _note_sequential_read(self, pid: int, rank: int) -> None:
         """Detect sequential rank runs and prefetch the next window of
@@ -925,10 +552,14 @@ class ChunkStore:
         if not targets:
             return
         self.prefetch_issued += len(targets)
+        cids = [data_id(pid, r) for r in targets]
         try:
-            self._fetch_chunks(state, targets, prefetched=True)
+            with obs.span("chunkstore.read_batch"):
+                bodies = self.readpath.fetch(state, cids)
         except TDBError:
-            pass
+            return
+        for cid, body in zip(cids, bodies):
+            self.payloads.put(cid, body, prefetched=True)
 
     def evict_payload(self, pid: int, rank: int) -> None:
         """Drop any validated-payload entry for ``(pid, rank)`` — e.g. an
@@ -1105,12 +736,10 @@ class ChunkStore:
             if cid.height == 0:
                 continue
             try:
-                body = self._read_validated(cid, descriptor, state)
+                (children,) = self.readpath.load_map_chunks(
+                    state, [(cid, descriptor)]
+                )
             except (TamperDetectedError, QuarantineError, IOFaultError, ValueError):
-                continue
-            try:
-                children = decode_map_body(cid, body, self.config.fanout)
-            except (TamperDetectedError, ValueError):
                 continue
             for slot in range(len(children)):
                 # prefer the cache view: dirty descriptors shadow the map
@@ -1599,7 +1228,9 @@ class ChunkStore:
             vector = MapVector.of(ChunkDescriptor() for _ in range(fanout))
         elif vector is None:
             try:
-                body = self._read_validated(map_id, old_desc, state)
+                (vector,) = self.readpath.load_map_chunks(
+                    state, [(map_id, old_desc)]
+                )
             except (QuarantineError, IOFaultError, TamperDetectedError):
                 # Degraded rebuild: a checkpoint must not be poisoned by a
                 # dead map chunk if every written child descriptor it held
@@ -1610,8 +1241,6 @@ class ChunkStore:
                 vector = self._degraded_map_slots(map_id, state)
                 if vector is None:
                     raise
-            else:
-                vector = decode_map_body(map_id, body, fanout)
         vector = vector.replace(
             {child.rank % fanout: self.cache.get(child) for child in dirty_children}
         )
@@ -1799,9 +1428,8 @@ class ChunkStore:
             # Fresh retries: drop "io" short-circuits so reads hit the
             # device again ("tamper" entries are bookkeeping; reads
             # re-validate those regardless).
-            self._quarantine = {
-                k: v for k, v in self._quarantine.items() if v != "io"
-            }
+            for key in [k for k, v in self._quarantine.items() if v == "io"]:
+                del self._quarantine[key]
             validated = 0
             corrupt: List[str] = []
             unreadable: List[str] = []
@@ -1832,7 +1460,7 @@ class ChunkStore:
                     try:
                         # bypass the payload cache: scrub exists to
                         # exercise the device and the validation chain
-                        self._read_chunk_body(cid, use_payload_cache=False)
+                        self.readpath.fetch(state, (cid,))
                         validated += 1
                     except scan_errors as exc:
                         if raise_on_first:
@@ -1867,7 +1495,7 @@ class ChunkStore:
                     try:
                         state = self._state(cid.partition)
                         if cid.height == 0:
-                            self._read_chunk_body(cid, use_payload_cache=False)
+                            self.readpath.fetch(state, (cid,))
                         else:
                             descriptor = self._get_descriptor(cid)
                             if descriptor.is_written():
@@ -2007,11 +1635,11 @@ class ChunkStore:
                 "commits": self.commit_count_stat,
                 "payload_cache": self.payloads.stats(),
                 "walk": {
-                    "batches": self.walk_batches,
-                    "map_chunks_fetched": self.walk_map_chunks_fetched,
-                    "round_trips_saved": self.walk_round_trips_saved,
-                    "chunk_batches": self.chunk_batches,
-                    "chunks_batch_fetched": self.chunk_batch_fetched,
+                    "batches": self.readpath.walk_batches,
+                    "map_chunks_fetched": self.readpath.map_chunks_fetched,
+                    "round_trips_saved": self.readpath.round_trips_saved,
+                    "chunk_batches": self.readpath.chunk_batches,
+                    "chunks_batch_fetched": self.readpath.chunks_batch_fetched,
                     "prefetch_issued": self.prefetch_issued,
                 },
                 "untrusted": {
@@ -2028,7 +1656,7 @@ class ChunkStore:
                     "gave_up": io.gave_up,
                 },
                 "faults": {
-                    "quarantined": self.quarantined_total,
+                    "quarantined": self.readpath.quarantined_total,
                     "quarantine_active": len(self._quarantine),
                 },
                 "snapshots": {

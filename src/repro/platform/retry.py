@@ -14,14 +14,14 @@ so tests exercise the full backoff schedule without sleeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 import random
 
 from repro import obs
 from repro.errors import TransientIOError
 from repro.platform.clock import Clock, SystemClock
-from repro.platform.untrusted import IOStats
+from repro.platform.untrusted import IOStats, UntrustedStore
 
 T = TypeVar("T")
 
@@ -113,3 +113,42 @@ class Retrier:
         if self.stats is not None:
             self.stats.gave_up += 1
         obs.emit("retry_exhausted", op=op, attempts=attempts)
+
+
+class RetriedReader:
+    """Untrusted-store reads behind the configured retry policy.
+
+    Every trusted read (the read path, recovery, the cleaner) goes through
+    one, so transient device faults are absorbed uniformly; only exhausted
+    retries or permanent faults escape.  ``before_read`` runs ahead of each
+    read: the store passes ``LogWriteBuffer.seal``, because the extent may
+    still sit in the pending write span."""
+
+    def __init__(
+        self,
+        untrusted: UntrustedStore,
+        retrier: Retrier,
+        before_read: Callable[[], None] = lambda: None,
+    ) -> None:
+        self._untrusted = untrusted
+        self._retrier = retrier
+        self._before_read = before_read
+        self.size = untrusted.size
+
+    def read(self, location: int, size: int) -> bytes:
+        def issue() -> bytes:
+            with obs.span("platform.untrusted.read"):
+                return self._untrusted.read(location, size)
+
+        self._before_read()
+        return self._retrier.call(issue, "read")
+
+    def read_many(self, extents: List[Tuple[int, int]]) -> List[bytes]:
+        """One batched round trip (re-issued whole on a transient fault)."""
+
+        def issue() -> List[bytes]:
+            with obs.span("platform.untrusted.read"):
+                return self._untrusted.read_many(extents)
+
+        self._before_read()
+        return self._retrier.call(issue, "read_many")

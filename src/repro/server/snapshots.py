@@ -67,25 +67,37 @@ class Snapshot:
 
     def get(self, ref: ObjectRef) -> Any:
         """Read one object as of this snapshot."""
-        if ref.partition != self.source_pid:
-            raise ObjectNotFoundError(
-                f"{ref} is not in snapshot of partition {self.source_pid}"
-            )
-        present, value = self._cache.get(ref)
-        if present:
-            return value
-        try:
-            data = self.view.read_chunk(ref.rank)
-        except ChunkNotAllocatedError as exc:
-            raise ObjectNotFoundError(
-                f"no object at {ref} as of this snapshot"
-            ) from exc
-        value = unpickle_value(data, self._manager.objects.registry)
-        self._cache.put(ref, value)
-        return value
+        return self.get_many([ref])[0]
 
     def get_many(self, refs: List[ObjectRef]) -> List[Any]:
-        return [self.get(ref) for ref in refs]
+        """Read several objects as of this snapshot, fetching the chunks
+        of every object-cache miss in one ``view.read_chunks`` batch."""
+        values: Dict[ObjectRef, Any] = {}
+        missing: List[ObjectRef] = []
+        for ref in dict.fromkeys(refs):
+            if ref.partition != self.source_pid:
+                raise ObjectNotFoundError(
+                    f"{ref} is not in snapshot of partition {self.source_pid}"
+                )
+            present, value = self._cache.get(ref)
+            if present:
+                values[ref] = value
+            else:
+                missing.append(ref)
+        if missing:
+            try:
+                chunks = self.view.read_chunks([ref.rank for ref in missing])
+            except ChunkNotAllocatedError as exc:
+                raise ObjectNotFoundError(
+                    f"missing object among {missing} as of this snapshot"
+                ) from exc
+            for ref in missing:
+                value = unpickle_value(
+                    chunks[ref.rank], self._manager.objects.registry
+                )
+                self._cache.put(ref, value)
+                values[ref] = value
+        return [values[ref] for ref in refs]
 
     def exists(self, ref: ObjectRef) -> bool:
         return (

@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chunkstore import ChunkStore, StoreConfig, ops
 from repro.chunkstore.ids import data_id
+from repro.chunkstore.snapshot import SnapshotView
 from repro.errors import CrashError, TamperDetectedError, TDBError
 from repro.platform.trusted_platform import TrustedPlatform
 from repro.platform.untrusted import UntrustedStore
@@ -481,9 +482,11 @@ class Adversary:
         The only legal outcomes are exact committed bytes or
         :class:`TamperDetectedError`; committed state quietly vanishing,
         wrong bytes, and non-TDB exceptions are harness failures.  Every
-        chunk is read *twice*: the second read exercises the warm
+        chunk is read *three* times: the second read exercises the warm
         validated-payload cache, which must never serve bytes the first
-        (device-validating) read did not."""
+        (device-validating) read did not; the third goes through a
+        :class:`SnapshotView` of the chunk's partition opened after the
+        attack, and the lock-free path must reach the same verdict."""
         try:
             store = ChunkStore.open(platform, self._open_config())
         except TamperDetectedError as exc:
@@ -496,46 +499,59 @@ class Adversary:
             return FOREIGN_ERROR, f"open raised {type(exc).__name__}: {exc}"
         detections = 0
         problems: List[str] = []
+        views: Dict[int, SnapshotView] = {}
+
+        def verdict(read) -> Optional[bytes]:
+            """The bytes a trusted read returned; None if it detected."""
+            try:
+                return read()
+            except TamperDetectedError:
+                return None
+
+        def view_read(pid: int, rank: int) -> bytes:
+            if pid not in views:
+                views[pid] = store.open_snapshot_view(pid)
+            return views[pid].read_chunk(rank)
+
         for (pid, rank), values in sorted(acceptable.items()):
             try:
-                got = store.read_chunk(pid, rank)
-            except TamperDetectedError:
-                detections += 1
-                continue
+                label = "read"
+                got = verdict(lambda: store.read_chunk(pid, rank))
+                label = "warm re-read"
+                again = got  # nothing was cached if the first read detected
+                if got is not None:
+                    again = verdict(lambda: store.read_chunk(pid, rank))
+                label = "snapshot-view read"
+                viewed = verdict(lambda: view_read(pid, rank))
             except TDBError as exc:
                 problems.append(
-                    f"chunk {pid}:{rank} lost without detection "
+                    f"chunk {pid}:{rank} lost without detection on the {label} "
                     f"({type(exc).__name__}: {exc})"
                 )
                 continue
             except Exception as exc:
                 return (
                     FOREIGN_ERROR,
-                    f"read {pid}:{rank} raised {type(exc).__name__}: {exc}",
+                    f"{label} of {pid}:{rank} raised {type(exc).__name__}: {exc}",
                 )
-            if got not in values:
+            if got is None:
+                detections += 1
+            elif got not in values:
                 problems.append(
                     f"chunk {pid}:{rank} silently corrupted "
                     f"(got {got[:32]!r}...)"
                 )
-                continue
-            try:
-                again = store.read_chunk(pid, rank)
-            except TDBError as exc:
+            elif again != got:
                 problems.append(
-                    f"chunk {pid}:{rank} warm re-read failed after a clean "
-                    f"read ({type(exc).__name__}: {exc})"
+                    f"chunk {pid}:{rank} warm re-read did not serve the bytes "
+                    f"of the clean read (cache incoherence)"
                 )
-                continue
-            except Exception as exc:
-                return (
-                    FOREIGN_ERROR,
-                    f"warm re-read {pid}:{rank} raised {type(exc).__name__}: {exc}",
-                )
-            if again != got:
+            if viewed != got:
                 problems.append(
-                    f"chunk {pid}:{rank} warm re-read served different bytes "
-                    f"(cache incoherence)"
+                    f"chunk {pid}:{rank}: a snapshot view "
+                    + ("detected tampering" if viewed is None else "served bytes")
+                    + " where the locked read "
+                    + ("detected tampering" if got is None else "served others")
                 )
         if problems:
             return SILENT_CORRUPTION, "; ".join(problems)

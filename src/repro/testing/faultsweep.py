@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from itertools import product
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.chunkstore import ChunkStore, ops
@@ -132,6 +134,13 @@ class FaultSweepResult:
             row = table.setdefault(report.point, {})
             row[report.outcome] = row.get(report.outcome, 0) + 1
         return table
+
+
+def _view_read(store: ChunkStore, pid: int, rank: int) -> bytes:
+    """``store.read_chunk`` through a snapshot view opened for the one read
+    (closed again at once: an open view defers the cleaner)."""
+    with store.open_snapshot_view(pid) as view:
+        return view.read_chunk(rank)
 
 
 class FaultSweep:
@@ -263,13 +272,14 @@ class FaultSweep:
                         typed.append(f"recovery: {type(error).__name__}")
                 else:
                     key = keys[rng.randrange(len(keys))]
-                    got = store.read_chunk(key[0], key[1])
-                    if got not in acceptable[key]:
-                        return (
-                            SILENT_FAULT_CORRUPTION,
-                            f"mid-trial read of {key[0]}:{key[1]} returned "
-                            f"unacceptable bytes ({got[:32]!r}...)",
-                        )
+                    for read in (store.read_chunk, partial(_view_read, store)):
+                        got = read(key[0], key[1])
+                        if got not in acceptable[key]:
+                            return (
+                                SILENT_FAULT_CORRUPTION,
+                                f"mid-trial read of {key[0]}:{key[1]} returned "
+                                f"unacceptable bytes ({got[:32]!r}...)",
+                            )
             except TamperDetectedError as exc:
                 return (
                     SILENT_FAULT_CORRUPTION,
@@ -359,16 +369,20 @@ class FaultSweep:
         problems: List[str] = []
         #: (data chunk label, reported quarantine id) — the id may name an
         #: ancestor map chunk whose quarantine blocks the whole subtree
-        quarantined: List[Tuple[str, str]] = []
-        for key in sorted(acceptable):
+        quarantined: Set[Tuple[str, str]] = set()
+        for key, read in product(
+            sorted(acceptable), (store.read_chunk, partial(_view_read, store))
+        ):
+            # each chunk through the locked path, then through a snapshot
+            # view: the same invariant binds both
             pid, rank = key
             try:
-                got = store.read_chunk(pid, rank)
+                got = read(pid, rank)
             except QuarantineError as exc:
-                quarantined.append((f"{pid}:0.{rank}", exc.chunk))
+                quarantined.add((f"{pid}:0.{rank}", exc.chunk))
                 continue
             except IOFaultError:
-                quarantined.append((f"{pid}:0.{rank}", f"{pid}:0.{rank}"))
+                quarantined.add((f"{pid}:0.{rank}", f"{pid}:0.{rank}"))
                 continue
             except TamperDetectedError as exc:
                 problems.append(
@@ -399,7 +413,7 @@ class FaultSweep:
             # unhealable damage is legal only if it is *reported*
             reported = set(store.quarantined_chunks()) | set(unrepaired)
             unreported = [
-                label for label, chunk in quarantined if chunk not in reported
+                label for label, chunk in sorted(quarantined) if chunk not in reported
             ]
             if unreported:
                 return (

@@ -135,7 +135,7 @@ def trusted_view(store: ChunkStore) -> Dict[str, Any]:
             "io_errors": store.platform.untrusted.stats.io_errors,
             "retries": store.platform.untrusted.stats.retries,
             "gave_up": store.platform.untrusted.stats.gave_up,
-            "quarantined_total": store.quarantined_total,
+            "quarantined_total": store.readpath.quarantined_total,
             "quarantine": store.quarantined_chunks() or None,
         },
     }

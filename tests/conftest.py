@@ -26,6 +26,14 @@ def make_config(**overrides) -> StoreConfig:
     return StoreConfig(**defaults)
 
 
+def chunk_reader(store: ChunkStore, pid: int, via: str):
+    """``read(rank)`` over one of the two validated read paths: the locked
+    ``store.read_chunk`` or a freshly opened (cold) ``SnapshotView``."""
+    if via == "store":
+        return lambda rank: store.read_chunk(pid, rank)
+    return store.open_snapshot_view(pid).read_chunk
+
+
 def make_platform(size: int = 4 * 1024 * 1024, **kwargs) -> TrustedPlatform:
     return TrustedPlatform.create_in_memory(untrusted_size=size, **kwargs)
 

@@ -8,9 +8,16 @@ from hypothesis import given, settings, strategies as st
 from repro.chunkstore import ChunkStore, ops
 from repro.chunkstore.ids import data_id
 from repro.errors import TamperDetectedError
-from tests.conftest import make_config, make_platform
+from tests.conftest import chunk_reader, make_config, make_platform
 
 MODES = ["counter", "direct"]
+#: every read-side case runs through both validated read paths; the store
+#: path keeps the plain ``[mode]`` id
+MODES_AND_READERS = [
+    pytest.param(mode, via, id=mode if via == "store" else f"{mode}-{via}")
+    for mode in MODES
+    for via in ("store", "view")
+]
 
 
 def prepared(mode, chunks=20, **overrides):
@@ -26,18 +33,19 @@ def prepared(mode, chunks=20, **overrides):
     return platform, store, pid
 
 
-@pytest.mark.parametrize("mode", MODES)
 class TestDataTampering:
-    def test_bit_flip_in_current_chunk_detected_on_read(self, mode):
+    @pytest.mark.parametrize("mode,via", MODES_AND_READERS)
+    def test_bit_flip_in_current_chunk_detected_on_read(self, mode, via):
         platform, store, pid = prepared(mode)
         descriptor = store._get_descriptor(data_id(pid, 7))
         offset = descriptor.location + descriptor.length // 2
         byte = platform.untrusted.tamper_read(offset, 1)
         platform.untrusted.tamper_write(offset, bytes([byte[0] ^ 0x01]))
         with pytest.raises(TamperDetectedError):
-            store.read_chunk(pid, 7)
+            chunk_reader(store, pid, via)(7)
 
-    def test_header_tamper_detected(self, mode):
+    @pytest.mark.parametrize("mode,via", MODES_AND_READERS)
+    def test_header_tamper_detected(self, mode, via):
         platform, store, pid = prepared(mode)
         descriptor = store._get_descriptor(data_id(pid, 3))
         byte = platform.untrusted.tamper_read(descriptor.location, 1)
@@ -45,9 +53,10 @@ class TestDataTampering:
             descriptor.location, bytes([byte[0] ^ 0x80])
         )
         with pytest.raises(TamperDetectedError):
-            store.read_chunk(pid, 3)
+            chunk_reader(store, pid, via)(3)
 
-    def test_swapping_chunk_versions_detected(self, mode):
+    @pytest.mark.parametrize("mode,via", MODES_AND_READERS)
+    def test_swapping_chunk_versions_detected(self, mode, via):
         """Swap the stored bytes of two chunks: both reads must fail (the
         descriptor hash binds identity, not just content)."""
         platform, store, pid = prepared(mode)
@@ -58,11 +67,13 @@ class TestDataTampering:
         if d1.length == d2.length:
             platform.untrusted.tamper_write(d1.location, v2)
             platform.untrusted.tamper_write(d2.location, v1)
+            read = chunk_reader(store, pid, via)
             with pytest.raises(TamperDetectedError):
-                store.read_chunk(pid, 1)
+                read(1)
             with pytest.raises(TamperDetectedError):
-                store.read_chunk(pid, 2)
+                read(2)
 
+    @pytest.mark.parametrize("mode", MODES)
     def test_secrecy_ciphertext_does_not_leak_plaintext(self, mode):
         platform, store, pid = prepared(mode)
         image = platform.untrusted.tamper_image()

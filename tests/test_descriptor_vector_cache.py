@@ -247,7 +247,7 @@ class TestSnapshotViewSharesVectors:
         model[5] = b"dirty"
         with store.open_snapshot_view(pid) as view:
             leaf = ChunkId(pid, 1, 1)
-            assert view._descriptors.vector(leaf) is store.cache.vector(leaf)
+            assert view._readpath.cache.vector(leaf) is store.cache.vector(leaf)
             write(store, pid, values("later", range(20)))
             store.checkpoint()  # replaces the store's vectors, not the view's
             assert {r: view.read_chunk(r) for r in model} == model

@@ -67,12 +67,36 @@ def test_transient_faults_are_healed_by_retry():
                 value = f"v{round_trip}p{pid}r{rank}:".encode() * 8
                 store.commit([ops.WriteChunk(pid, rank, value)])
                 assert store.read_chunk(pid, rank) == value
+                with store.open_snapshot_view(pid) as view:
+                    assert view.read_chunk(rank) == value
     faults.enabled = False
     stats = store.stats()
     assert stats["untrusted"]["io_errors"] > 0
     assert stats["untrusted"]["retries"] > 0
     assert stats["untrusted"]["gave_up"] == 0
     assert stats["faults"]["quarantine_active"] == 0
+
+
+def test_view_reads_retry_like_locked_reads():
+    """Regression: a view read ``untrusted.read`` directly, so under 20%
+    transient read faults 42 of 200 cold view reads failed with a raw
+    ``TransientIOError`` while the locked path served all 200."""
+    platform, store, faults = _faulted_store(FaultConfig(read_error_rate=0.2))
+    pid = store.allocate_partition()
+    store.commit([ops.WritePartition(pid, cipher_name="ctr-sha256")])
+    values = {rank: f"r{rank}:".encode() * 8 for rank in range(200)}
+    for rank in values:
+        store.partitions[pid].allocate_specific(rank)
+    store.commit([ops.WriteChunk(pid, r, v) for r, v in values.items()])
+    store.checkpoint()
+    store.cache.clear()  # cold: the view walks the map on the device too
+    retries = platform.untrusted.stats.retries
+    faults.enabled = True
+    with store.open_snapshot_view(pid) as view:
+        assert {rank: view.read_chunk(rank) for rank in values} == values
+    faults.enabled = False
+    assert platform.untrusted.stats.retries > retries
+    assert platform.untrusted.stats.gave_up == 0
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +115,19 @@ def test_quarantine_isolates_damage_to_one_chunk():
         for rank in range(3)
     }
     faults.mark_bad(*_extent(store, hurt_pid, 1))
+
+    # a snapshot view quarantines the dead extent in its own table (it
+    # holds no lock, so never the store's) and serves everything else
+    with store.open_snapshot_view(hurt_pid) as view:
+        for _ in range(2):  # the second read short-circuits
+            with pytest.raises(QuarantineError) as excinfo:
+                view.read_chunk(1)
+            assert excinfo.value.cause == "io"
+        assert view.read_chunks([0, 2]) == {
+            rank: before[hurt_pid, rank] for rank in (0, 2)
+        }
+    assert store.quarantined_chunks() == {}
+    assert store.stats()["faults"]["quarantined"] == 0
 
     with pytest.raises(QuarantineError) as excinfo:
         store.read_chunk(hurt_pid, 1)
@@ -119,7 +156,14 @@ def test_exhausted_retries_quarantine_instead_of_poisoning():
     faults.enabled = True
     with pytest.raises(QuarantineError):
         store.read_chunk(pid, 0)
+    view = store.open_snapshot_view(pid)
+    with pytest.raises(QuarantineError):
+        view.read_chunk(1)
     faults.enabled = False
+    # a view's quarantine dies with it: a fresh one reads the healed device
+    view.close()
+    with store.open_snapshot_view(pid) as fresh:
+        assert fresh.read_chunk(1) == b"p1r1:" * 8
     stats = store.stats()
     assert stats["untrusted"]["gave_up"] >= 1
     # the device healed: scrub gives the quarantined extent fresh retries

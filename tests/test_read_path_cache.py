@@ -154,6 +154,39 @@ class TestRoundTrips:
         assert walk["chunks_batch_fetched"] == len(values)
         assert walk["round_trips_saved"] > 0
 
+    def test_view_read_chunks_batches_like_the_store(self):
+        """A snapshot view runs the same level-batched fetch: one batch
+        for the map path, one for all the data extents."""
+        platform, store = _fresh()
+        pid, values = _populate(store, ranks=6)
+        store.checkpoint()
+        store.cache.clear()  # so the view's seeded cache starts cold
+        io = platform.untrusted.stats
+        with store.open_snapshot_view(pid) as view:
+            before = io.snapshot()
+            assert view.read_chunks(list(values)) == values
+            delta = io.delta(before)
+            assert (delta.batched_reads, delta.reads) == (2, 2)
+            before = io.snapshot()
+            assert view.read_chunks(list(values)) == values  # payload cache
+            assert io.delta(before).reads == 0
+
+    def test_a_lone_extent_is_a_plain_read(self):
+        """Single-extent fetches — ``read_chunk``, or a batch with one
+        miss — count as ``reads`` without a ``batched_reads`` tally."""
+        platform, store = _fresh()
+        pid, values = _populate(store, ranks=6)
+        store.checkpoint()  # map vectors stay cached: only data is cold
+        store.payloads.clear()
+        io = platform.untrusted.stats
+        with store.open_snapshot_view(pid) as view:
+            before = io.snapshot()
+            assert view.read_chunk(3) == values[3]
+            assert view.read_chunks([3, 4]) == {3: values[3], 4: values[4]}
+            assert store.read_chunks(pid, [5]) == {5: values[5]}
+            delta = io.delta(before)
+            assert (delta.batched_reads, delta.reads) == (0, 3)
+
     def test_read_chunks_preserves_order_and_duplicates(self):
         platform, store = _fresh()
         pid, values = _populate(store, ranks=4)

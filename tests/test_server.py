@@ -280,6 +280,107 @@ class TestSnapshotIsolation:
             assert view.read_chunk(ranks[1]) == b"old"  # walks the map
             assert view.read_chunk(ranks[0]) == b"new"
 
+    def test_cold_view_read_completes_while_the_store_lock_is_held(self):
+        """Lock freedom, deterministically: a view touches no store state
+        after it is built, so a cold read — map walk and device reads —
+        finishes in a worker while this thread sits on ``store._lock``."""
+        from repro.chunkstore import ops
+
+        _, chunks, _, pid = make_stack()
+        values = {chunks.allocate_chunk(pid): b"v%d" % i for i in range(4)}
+        chunks.commit([ops.WriteChunk(pid, r, v) for r, v in values.items()])
+        chunks.checkpoint()
+        chunks.cache.clear()  # nothing to seed: the view must walk the map
+        view = chunks.open_snapshot_view(pid)
+        seen = []
+
+        def reader():
+            seen.append(view.read_chunk(0))
+            seen.append(view.read_chunks(list(values)))
+
+        reads_before = chunks.platform.untrusted.stats.reads
+        with chunks._lock:
+            thread = threading.Thread(target=reader, daemon=True)
+            thread.start()
+            _join([thread])
+        assert seen == [values[0], values]
+        assert chunks.platform.untrusted.stats.reads > reads_before
+        view.close()
+
+    def test_many_readers_share_one_cold_view(self):
+        """Stress: a view's readers share its read path — descriptor
+        cache, payload cache, quarantine table — with no view-wide mutex,
+        so racing cold walks of the same map chunks must all land on the
+        committed bytes."""
+        import sys
+
+        from repro.chunkstore import ops
+
+        platform = make_platform()
+        # a payload cache of a few chunks keeps every pass going to the device
+        chunks = ChunkStore.format(platform, make_config(payload_cache_bytes=256))
+        pid = chunks.allocate_partition()
+        chunks.commit([ops.WritePartition(pid, cipher_name="ctr-sha256")])
+        values = {rank: b"chunk-%03d" % rank * 4 for rank in range(3 * 64 + 5)}
+        for rank in values:
+            chunks.partitions[pid].allocate_specific(rank)
+        chunks.commit([ops.WriteChunk(pid, r, v) for r, v in values.items()])
+        chunks.checkpoint()
+        chunks.cache.clear()
+        wrong = []
+
+        def reader(which, view):
+            ranks = sorted(values, reverse=which % 2 == 1)
+            try:
+                for rank in ranks[which::7]:
+                    if view.read_chunk(rank) != values[rank]:
+                        wrong.append((which, rank))
+                if view.read_chunks(ranks) != values:
+                    wrong.append((which, "batch"))
+            except Exception as exc:  # a worker's exception must fail the test
+                wrong.append((which, repr(exc)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                with chunks.open_snapshot_view(pid) as view:
+                    threads = [
+                        threading.Thread(target=reader, args=(which, view), daemon=True)
+                        for which in range(12)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    _join(threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+    def test_snapshot_get_many_fetches_its_misses_in_one_batch(self):
+        platform, _, objects, pid = make_stack()
+        refs = [ObjectRef(pid, rank) for rank in range(6)]
+        with objects.transaction() as tx:
+            for ref in refs:
+                tx.create_at(ref, f"object-{ref.rank}")
+        objects.chunks.checkpoint()
+        with TDBServer(objects) as server, server.session() as session:
+            with session.snapshot(pid) as snapshot:
+                assert snapshot.get(refs[0]) == "object-0"  # warms the map
+                io = platform.untrusted.stats
+                before = io.snapshot()
+                wanted = [refs[3], refs[0], refs[5], refs[3], refs[1]]
+                assert snapshot.get_many(wanted) == [
+                    f"object-{ref.rank}" for ref in wanted
+                ]
+                delta = io.delta(before)
+                # refs[0] is an object-cache hit; the other three distinct
+                # chunks arrive in one round trip
+                assert (delta.reads, delta.batched_extents) == (1, 3)
+                with pytest.raises(ObjectNotFoundError):
+                    snapshot.get_many([refs[0], ObjectRef(pid, 7)])
+                with pytest.raises(ObjectNotFoundError):
+                    snapshot.get_many([ObjectRef(pid + 1, 0)])
+
     def test_missing_object_raises_object_not_found(self):
         _, _, objects, pid = make_stack()
         with objects.transaction() as tx:
