@@ -31,7 +31,6 @@ import logging
 from typing import List, Optional, Tuple
 
 from repro import obs
-from repro.chunkstore.descriptor import ChunkDescriptor, ChunkStatus
 from repro.chunkstore.ids import SYSTEM_PARTITION, ChunkId, leader_id
 from repro.chunkstore.log import CleanerRecord, VersionKind
 from repro.errors import IOFaultError, TamperDetectedError
@@ -162,21 +161,15 @@ class Cleaner:
     def _rewrite(self, survivors: List[Tuple[ChunkId, bytes, List[int]]]) -> None:
         """Re-commit the current versions to the log tail (one commit)."""
         store = self.store
-        codec = store.codec
-        if store.config.validation_mode == "counter":
-            store.validator.begin_commit()
+        writer = store.writer
+        writer.begin_set()
         record = CleanerRecord(
             [(cid.height, cid.rank, pids) for cid, body, pids in survivors]
         )
-        version = codec.build_unnamed(VersionKind.CLEANER, record.encode())
-        store._append_version(version)
+        writer.append_unnamed(VersionKind.CLEANER, record.encode())
         for cid, body, pids in survivors:
             state = store._state(pids[0])
-            rewritten, digest = codec.build_named(cid, body, state.cipher, state.hash)
-            location = store._append_version(rewritten)
-            descriptor = ChunkDescriptor(
-                ChunkStatus.WRITTEN, location, len(rewritten), digest
-            )
+            descriptor = writer.append_named(cid, body, state.cipher, state.hash)
             for pid in pids:
                 store._apply_chunk_write(
                     ChunkId(pid, cid.height, cid.rank), descriptor.copy()

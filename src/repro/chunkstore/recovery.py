@@ -19,6 +19,13 @@ mode:
   the last count is compared against the tamper-resistant counter within
   the configured Δut/Δtu windows.
 
+The roll-forward itself does not test the mode: it asks the validator
+where to start (``recovery_origin``), where it must stop
+(``recorded_tail``), whether commit chunks seal sets (``seals_sets``: then
+effects wait for their chunk and an unusable version is a torn tail, else
+effects apply at once and it is tampering), and for the closing comparison
+with the tamper-resistant store (``finish_recovery``).
+
 Effects are applied through the same helpers normal commits use, so the
 reconstructed volatile state (descriptor cache, allocation state, segment
 accounting) is identical to what a non-crashed instance would hold.  In
@@ -69,10 +76,12 @@ class _TornTail(Exception):
     """Internal: the log ends in an incomplete (torn) commit set."""
 
 
-def recover(store) -> None:
-    """Reopen ``store`` from its platform: validate and roll forward."""
+def recover(store, superblock_leader: int) -> None:
+    """Reopen ``store`` from its platform: validate and roll forward.
+    ``superblock_leader`` is the superblock's (unauthenticated) leader
+    location; whether it is believed is the validator's call."""
     with obs.span("chunkstore.recovery"):
-        _Recovery(store).run()
+        _Recovery(store).run(superblock_leader)
 
 
 class _Recovery:
@@ -81,8 +90,7 @@ class _Recovery:
         self.config = store.config
         self.codec = store.codec
         self.segman = store.segman
-        self.untrusted = store.platform.untrusted
-        self.direct = self.config.validation_mode == "direct"
+        self.validator = store.validator
         #: whole-segment spans buffered for the roll-forward, keyed by
         #: segment index; ``None`` marks a span whose batched read faulted
         #: (those segments fall back to the per-version read path so
@@ -145,15 +153,19 @@ class _Recovery:
 
     # -- main ----------------------------------------------------------------
 
-    def run(self) -> None:
+    def _torn(self, exc: TamperDetectedError) -> Exception:
+        """What an unusable version means: the torn tail of a log that
+        delimits itself, else the tampering ``exc`` describes."""
+        return _TornTail() if self.validator.seals_sets else exc
+
+    def run(self, superblock_leader: int) -> None:
         """Execute recovery (see the module docstring for the protocol)."""
         store = self.store
-        if self.direct:
-            expected_chain, tr_tail, leader_loc = store.validator.read_tr()
-        else:
-            stored = type(store)._read_superblock(store.platform)
-            leader_loc = getattr(stored, "stored_leader_location", 0)
-            expected_chain, tr_tail = b"", None
+        validator = self.validator
+        leader_loc = validator.recovery_origin(superblock_leader)
+        #: where the tamper-resistant store says the log ends; ``None``
+        #: when the log's own commit chunks say it
+        recorded_tail = validator.recorded_tail
 
         # --- load and check the leader -------------------------------------
         try:
@@ -187,12 +199,8 @@ class _Recovery:
         store._leader_location = leader_loc
 
         leader_size = len(header_ct) + len(body_ct)
-        validator = store.validator
-        if self.direct:
-            validator.reset_chain()
-        else:
-            validator.begin_commit()
-        validator.note_parts(header_ct, body_ct)
+        validator.restart_residual()
+        validator.note(header_ct, body_ct)
 
         leader_segment = self.segman.segment_of(leader_loc)
         cursor = leader_loc + leader_size
@@ -201,6 +209,7 @@ class _Recovery:
             self.segman.residual_segments = [leader_segment]
 
         # --- roll forward ----------------------------------------------------
+        segment_of = self.segman.segment_of
         expected_count = payload.system.checkpoint_count
         pending: List[Callable[[], None]] = []
         #: pre-announced cleaner targets: (height, rank, pids), in order
@@ -210,27 +219,31 @@ class _Recovery:
 
         try:
             while True:
-                if self.direct:
-                    if cursor == tr_tail:
-                        break
-                    if tr_tail is not None and cursor > tr_tail:
-                        raise TamperDetectedError(
-                            "residual log overran the recorded tail"
-                        )
+                if cursor == recorded_tail:
+                    break
+                # addresses order the log only inside one segment: the
+                # chain may well have jumped into a lower-numbered one
+                if (
+                    recorded_tail is not None
+                    and cursor > recorded_tail
+                    and segment_of(cursor) == segment_of(recorded_tail)
+                ):
+                    raise TamperDetectedError(
+                        "residual log overran the recorded tail"
+                    )
                 try:
                     header, header_ct, body_ct = self._read_version(cursor)
-                except TamperDetectedError:
-                    if self.direct:
-                        raise TamperDetectedError(
-                            "residual log unreadable before the recorded tail"
+                except TamperDetectedError as exc:
+                    raise self._torn(
+                        TamperDetectedError(
+                            f"residual log unreadable before the recorded tail: {exc}"
                         )
-                    raise _TornTail()
+                    )
                 version_len = len(header_ct) + len(body_ct)
                 kind = header.kind
 
                 if kind == VersionKind.NEXT_SEGMENT:
-                    if self.direct:
-                        validator.note_parts(header_ct, body_ct)
+                    validator.note(header_ct, body_ct, in_set=False)
                     try:
                         record = NextSegmentRecord.decode(
                             self.codec.decrypt_body(
@@ -244,11 +257,9 @@ class _Recovery:
                             )
                         if nxt in self.segman.residual_segments:
                             raise TamperDetectedError("next-segment chain loops")
-                    except TamperDetectedError:
-                        if self.direct:
-                            raise
-                        # stale residue of a reclaimed segment: torn tail
-                        raise _TornTail()
+                    except TamperDetectedError as exc:
+                        # stale residue of a reclaimed segment, if tails tear
+                        raise self._torn(exc)
                     if nxt in self.segman.free_segments:
                         self.segman.free_segments.remove(nxt)
                     self.segman.residual_segments.append(nxt)
@@ -259,9 +270,9 @@ class _Recovery:
                     continue
 
                 if kind == VersionKind.COMMIT:
-                    if self.direct:
+                    if not validator.seals_sets:
                         raise TamperDetectedError(
-                            "commit chunk found under direct hash validation"
+                            f"commit chunk found under {validator.mode} validation"
                         )
                     set_hash = validator.current_set_hash()
                     try:
@@ -297,26 +308,22 @@ class _Recovery:
                     cursor += version_len
                     last_good = cursor
                     claims_since_good.clear()
-                    validator.begin_commit()
+                    validator.begin_set()
                     continue
 
                 # NAMED / DEALLOCATE / CLEANER all count into the set hash
-                validator.note_parts(header_ct, body_ct)
+                validator.note(header_ct, body_ct)
                 try:
                     effect = self._effect_for(header, body_ct, cursor, cleaner_queue)
-                except TamperDetectedError:
-                    if self.direct:
-                        raise
-                    raise _TornTail()  # undecodable stale residue
+                except TamperDetectedError as exc:
+                    raise self._torn(exc)  # undecodable stale residue
                 if effect is not None:
-                    if self.direct:
-                        effect()
+                    if validator.seals_sets:
+                        pending.append(effect)  # until its commit chunk verifies
                     else:
-                        pending.append(effect)
+                        effect()
                 self._advance(cursor, version_len)
                 cursor += version_len
-                if self.direct:
-                    last_good = cursor
         except _TornTail:
             obs.emit(
                 "torn_tail",
@@ -336,14 +343,7 @@ class _Recovery:
             cleaner_queue.clear()
             cursor = last_good
 
-        if self.direct:
-            if validator.chain != expected_chain:
-                raise TamperDetectedError(
-                    "residual log hash does not match the tamper-resistant store"
-                )
-        else:
-            validator.check_final_count(expected_count - 1)
-            validator.begin_commit()
+        validator.finish_recovery(expected_count - 1)
 
         tail_segment = self.segman.segment_of(cursor)
         self._set_tail(cursor, tail_segment)
@@ -357,10 +357,7 @@ class _Recovery:
             "recovery_replay",
             mode=self.config.validation_mode,
             tail=cursor,
-            commit_sets=(
-                0 if self.direct
-                else expected_count - payload.system.checkpoint_count
-            ),
+            commit_sets=expected_count - payload.system.checkpoint_count,
             partitions=len(store.partitions),
         )
         logger.info(

@@ -44,8 +44,8 @@ class LogWriteBuffer:
 
     * an append lands at a non-adjacent location (a segment jump),
     * the store is about to flush or read the device (``seal`` is called
-      from ``_flush_untrusted`` and by the store's ``RetriedReader`` ahead of
-      every device read),
+      from :meth:`flush`, from ``LogWriter.make_durable`` and by the store's
+      ``RetriedReader`` ahead of every device read),
     * a commit or checkpoint finishes.
 
     Sealing is transparent to crash semantics: buffered bytes have simply
@@ -56,9 +56,9 @@ class LogWriteBuffer:
     ``tamper_image``) never lags the log between operations.
     """
 
-    def __init__(self, untrusted, retrier=None) -> None:
+    def __init__(self, untrusted, retrier) -> None:
         self._untrusted = untrusted
-        #: optional :class:`~repro.platform.retry.Retrier` for the issued write
+        #: the :class:`~repro.platform.retry.Retrier` for the issued write
         self._retrier = retrier
         self._start = 0
         self._length = 0
@@ -88,15 +88,6 @@ class LogWriteBuffer:
         self.appends += 1
         self.bytes_appended += len(data)
 
-    def append_parts(self, location: int, parts) -> None:
-        """Writev-style :meth:`append`: buffer several spans destined for
-        consecutive locations starting at ``location`` without joining
-        them first (they coalesce into the seal's single join)."""
-        offset = location
-        for part in parts:
-            self.append(offset, part)
-            offset += len(part)
-
     def seal(self) -> None:
         """Issue the pending span as one untrusted-store write.
 
@@ -115,13 +106,20 @@ class LogWriteBuffer:
             with obs.span("platform.untrusted.write"):
                 self._untrusted.write(self._start, data)
 
-        if self._retrier is not None:
-            self._retrier.call(issue, "log write")
-        else:
-            issue()
+        self._retrier.call(issue, "log write")
         self._chunks = []
         self._length = 0
         self.writes_issued += 1
+
+    def flush(self) -> None:
+        """Seal, then make everything written so far durable."""
+        self.seal()
+
+        def issue() -> None:
+            with obs.span("platform.untrusted.write"):
+                self._untrusted.flush()
+
+        self._retrier.call(issue, "flush")
 
 
 class SegmentManager:
@@ -155,9 +153,6 @@ class SegmentManager:
     @property
     def tail_location(self) -> int:
         return self.segment_start(self.tail_segment) + self.tail_offset
-
-    def remaining_in_tail(self) -> int:
-        return self.segment_size - self.tail_offset
 
     # -- allocation ----------------------------------------------------------
 

@@ -73,7 +73,6 @@ from repro.chunkstore.leader import LeaderPayload, SystemExtras
 from repro.chunkstore.log import (
     DeallocateRecord,
     LogCodec,
-    NextSegmentRecord,
     VersionHeader,
     VersionKind,
 )
@@ -87,7 +86,8 @@ from repro.chunkstore.ops import (
 from repro.chunkstore.partition import PartitionState, generate_partition_key
 from repro.chunkstore.readpath import ReadPath
 from repro.chunkstore.segments import LogWriteBuffer, SegmentManager
-from repro.chunkstore.validation import CounterValidation, DirectValidation
+from repro.chunkstore.validation import make_validator
+from repro.chunkstore.writepath import LogWriter
 from repro.crypto.cipher import Cipher
 from repro.crypto.counters import CipherCounters, HashCounters
 from repro.crypto.hashing import HashFunction
@@ -180,23 +180,21 @@ class ChunkStore:
             config.superblock_size,
         )
         self.partitions: Dict[int, PartitionState] = {}
-        if config.validation_mode == "direct":
-            self.validator = DirectValidation(platform.tamper_resistant, system_hash)
-        else:
-            self.validator = CounterValidation(
-                platform.counter,
-                system_hash,
-                self.mac,
-                config.delta_ut,
-                config.delta_tu,
-                mac_optional=system_cipher.authenticates,
-            )
+        self.validator = make_validator(
+            config, platform, system_hash, self.mac, system_cipher.authenticates
+        )
+        #: the one commit-set protocol (appends, jumps, seal, flush, TR
+        #: write), over this store's log; every call runs under ``_lock``
+        self.writer = LogWriter(
+            self.codec,
+            self.segman,
+            self.logbuf,
+            self.validator,
+            platform.injector,
+        )
         self._lock = threading.RLock()
         self._leader_location = 0
         self._system_key = system_cipher_key(secret, config.system_cipher)
-        self._next_segment_size = self.codec.version_size(
-            NextSegmentRecord.BODY_SIZE, system_cipher
-        )
         self._in_maintenance = False
         self._closed = False
         self._failed = False
@@ -239,7 +237,7 @@ class ChunkStore:
         untrusted store fails validation."""
         from repro.chunkstore.recovery import recover
 
-        stored = cls._read_superblock(platform)
+        stored, leader_hint = cls._read_superblock(platform)
         if config is None:
             config = stored
         else:
@@ -262,7 +260,7 @@ class ChunkStore:
                     )
         store = cls(platform, config)
         with store._lock:
-            recover(store)
+            recover(store, leader_hint)
         return store
 
     def close(self, checkpoint: bool = True) -> None:
@@ -305,7 +303,9 @@ class ChunkStore:
         self.retrier.call(self.platform.untrusted.flush, "superblock flush")
 
     @staticmethod
-    def _read_superblock(platform: TrustedPlatform) -> StoreConfig:
+    def _read_superblock(platform: TrustedPlatform) -> Tuple[StoreConfig, int]:
+        """The stored configuration and the leader location beside it —
+        both unauthenticated hints (see :class:`StoreConfig`)."""
         head = platform.untrusted.tamper_read(0, 4096)
         if head[:4] != _SUPERBLOCK_MAGIC:
             raise ChunkStoreError("no TDB store found (bad superblock magic)")
@@ -339,8 +339,7 @@ class ChunkStore:
             )
         except (ValueError, UnicodeDecodeError) as exc:
             raise TamperDetectedError(f"corrupt superblock: {exc}") from exc
-        config.stored_leader_location = leader_location  # type: ignore[attr-defined]
-        return config
+        return config, leader_location
 
     # ------------------------------------------------------------------
     # partition state
@@ -436,11 +435,8 @@ class ChunkStore:
         partitions (e.g. the backup registry, the object-store root)."""
         with self._lock:
             for pid in self.partition_ids():
-                try:
-                    if self._state(pid).payload.name == name:
-                        return pid
-                except TamperDetectedError:
-                    raise
+                if self._state(pid).payload.name == name:
+                    return pid
             return None
 
     # ------------------------------------------------------------------
@@ -579,58 +575,6 @@ class ChunkStore:
             if rank in state.payload.free_ranks:
                 return "free"
             return "unallocated"
-
-    # ------------------------------------------------------------------
-    # appending to the log
-    # ------------------------------------------------------------------
-
-    def _note(self, version_bytes: bytes, in_commit_set: bool) -> None:
-        if self.config.validation_mode == "direct":
-            self.validator.note_version(version_bytes)
-        elif in_commit_set:
-            self.validator.note_version(version_bytes)
-
-    def _append_version(self, version_bytes: bytes, in_commit_set: bool = True) -> int:
-        """Append one version at the log tail, jumping segments as needed.
-
-        Returns the absolute location of the version.  NEXT_SEGMENT
-        versions created by jumps are excluded from counter-mode commit-set
-        hashes (see :mod:`repro.chunkstore.validation`).
-        """
-        size = len(version_bytes)
-        limit = self.config.segment_size - self._next_segment_size
-        if size > limit:
-            raise ChunkStoreError(
-                f"version of {size} bytes exceeds the maximum of {limit} "
-                f"(segment size {self.config.segment_size})"
-            )
-        segman = self.segman
-        if segman.tail_offset + size + self._next_segment_size > self.config.segment_size:
-            new_segment = segman.claim_free_segment()
-            jump = self.codec.build_unnamed(
-                VersionKind.NEXT_SEGMENT, NextSegmentRecord(new_segment).encode()
-            )
-            location = segman.tail_location
-            self.logbuf.append(location, jump)
-            self._note(jump, in_commit_set=False)
-            segman.advance(len(jump))
-            segman.jump_to(new_segment)
-        location = segman.tail_location
-        self.logbuf.append(location, version_bytes)
-        self._note(version_bytes, in_commit_set)
-        segman.advance(size)
-        return location
-
-    def _flush_untrusted(self) -> None:
-        self.logbuf.seal()
-
-        def issue() -> None:
-            with obs.span("platform.untrusted.write"):
-                self.platform.untrusted.flush()
-
-        self.retrier.call(issue, "flush")
-        if self.config.validation_mode == "counter":
-            self.validator.note_flushed()
 
     # ------------------------------------------------------------------
     # effect application — shared between commit and recovery roll-forward
@@ -838,7 +782,7 @@ class ChunkStore:
                 written_here.add(key)
                 # size must be checked *before* any mutation: a mid-commit
                 # failure would leave earlier operations half-applied
-                limit = self.config.segment_size - self._next_segment_size
+                limit = self.writer.max_version_size
                 worst_case = self.codec.header_cipher_size + len(op.data) + 64
                 if worst_case > limit:
                     raise ChunkStoreError(
@@ -890,13 +834,7 @@ class ChunkStore:
         return total
 
     def _ensure_capacity(self, needed: int) -> None:
-        def capacity() -> int:
-            per_segment = self.config.segment_size - self._next_segment_size
-            return (
-                (per_segment - self.segman.tail_offset)
-                + self.segman.free_segment_count() * per_segment
-            )
-
+        capacity = self.writer.capacity
         if capacity() >= needed and (
             self.segman.free_segment_count() >= self.config.clean_low_water
         ):
@@ -923,8 +861,7 @@ class ChunkStore:
     def _commit_locked(self, operations: Sequence[object]) -> None:
         injector = self.platform.injector
         injector.point("commit.begin")
-        if self.config.validation_mode == "counter":
-            self.validator.begin_commit()
+        self.writer.begin_set()
         dealloc_chunks: List[ChunkId] = []
         dealloc_partitions: List[int] = []
 
@@ -971,15 +908,9 @@ class ChunkStore:
             elif isinstance(op, WriteChunk):
                 cid = data_id(op.partition, op.rank)
                 state = self._state(op.partition)
-                version, digest = self.codec.build_named(
-                    cid, op.data, state.cipher, state.hash
-                )
-                location = self._append_version(version)
                 self._apply_chunk_write(
                     cid,
-                    ChunkDescriptor(
-                        ChunkStatus.WRITTEN, location, len(version), digest
-                    ),
+                    self.writer.append_named(cid, op.data, state.cipher, state.hash),
                 )
                 injector.point("commit.write")
             elif isinstance(op, DeallocateChunk):
@@ -995,10 +926,7 @@ class ChunkStore:
 
         if dealloc_chunks or dealloc_partitions:
             record = DeallocateRecord(dealloc_chunks, sorted(set(dealloc_partitions)))
-            version = self.codec.build_unnamed(
-                VersionKind.DEALLOCATE, record.encode()
-            )
-            self._append_version(version)
+            self.writer.append_unnamed(VersionKind.DEALLOCATE, record.encode())
             for cid in dealloc_chunks:
                 self._apply_chunk_dealloc(cid)
             if dealloc_partitions:
@@ -1010,44 +938,19 @@ class ChunkStore:
         """Write a partition leader as a data chunk of the system partition."""
         cid = data_id(SYSTEM_PARTITION, partition_rank(pid))
         system = self.partitions[SYSTEM_PARTITION]
-        version, digest = self.codec.build_named(
+        descriptor = self.writer.append_named(
             cid, payload.encode(), system.cipher, system.hash
         )
-        location = self._append_version(version)
-        descriptor = ChunkDescriptor(ChunkStatus.WRITTEN, location, len(version), digest)
         self._apply_partition_leader(pid, payload, descriptor)
 
     def _finalize_commit(self) -> None:
-        """Flush and update the tamper-resistant store (§4.8.2)."""
-        injector = self.platform.injector
-        if self.config.validation_mode == "counter":
-            record = self.validator.build_commit_record()
-            version = self.codec.build_unnamed(VersionKind.COMMIT, record.encode())
-            self._append_version(version, in_commit_set=False)
-            self.validator.committed()  # before the flush that makes it durable
-            self.logbuf.seal()
-            injector.point("commit.before_flush")
-            if self.config.flush_every_commit:
-                self._flush_untrusted()
-            injector.point("commit.after_flush")
-            if self.validator.needs_tr_update():
-                target = self.validator.tr_update_target()
-                if target < self.validator.next_count - 1:
-                    # Δtu forbids the counter from leading the durable log;
-                    # flush so the counter can catch up fully.
-                    self._flush_untrusted()
-                    target = self.validator.tr_update_target()
-                self.validator.advance_tr(target)
-                injector.point("commit.after_tr")
-        else:
-            self.logbuf.seal()
-            injector.point("commit.before_flush")
-            self._flush_untrusted()
-            injector.point("commit.after_flush")
-            self.validator.commit_point(
-                self.segman.tail_location, self._leader_location
-            )
-            injector.point("commit.after_tr")
+        """Close the open commit set (an application commit or a cleaner
+        re-commit) and make it durable (§4.8.2)."""
+        self.writer.make_durable(
+            "commit",
+            self._leader_location,
+            lazy=not self.config.flush_every_commit,
+        )
 
     # ------------------------------------------------------------------
     # checkpoint (§4.7)
@@ -1071,8 +974,8 @@ class ChunkStore:
     def _write_checkpoint_steps(self, initial: bool) -> None:
         injector = self.platform.injector
         injector.point("checkpoint.begin")
-        if self.config.validation_mode == "counter":
-            self.validator.begin_commit()
+        writer = self.writer
+        writer.begin_set()
         appended_any = False
 
         if not initial:
@@ -1103,66 +1006,27 @@ class ChunkStore:
                 SYSTEM_PARTITION, dirty[SYSTEM_PARTITION]
             )
 
-            if self.config.validation_mode == "counter" and appended_any:
-                record = self.validator.build_commit_record()
-                version = self.codec.build_unnamed(
-                    VersionKind.COMMIT, record.encode()
-                )
-                self._append_version(version, in_commit_set=False)
-                self.validator.committed()
+            if appended_any:
+                writer.seal_set()
 
         # Phase 2: start a fresh segment for the residual log, write the
         # system leader there (the head of the new residual log), and make
         # the checkpoint durable.
-        new_segment = self.segman.claim_free_segment()
-        if not initial:
-            jump = self.codec.build_unnamed(
-                VersionKind.NEXT_SEGMENT, NextSegmentRecord(new_segment).encode()
-            )
-            self.logbuf.append(self.segman.tail_location, jump)
-            self._note(jump, in_commit_set=False)
-            self.segman.advance(len(jump))
-        self.segman.begin_residual(new_segment)
-
-        if self.config.validation_mode == "direct":
-            self.validator.reset_chain()
-        else:
-            self.validator.begin_commit()
-
         system = self.partitions[SYSTEM_PARTITION]
         extras = system.payload.system
         if extras is None:
             extras = SystemExtras()
             system.payload.system = extras
-        if self.config.validation_mode == "counter":
-            extras.checkpoint_count = self.validator.next_count
+        extras.checkpoint_count = writer.restart_residual(chained=not initial)
         extras.segments = self.segman.to_table()
-
-        leader_cid = leader_id(SYSTEM_PARTITION)
-        version, _digest = self.codec.build_named(
-            leader_cid, system.payload.encode(), system.cipher, system.hash
-        )
-        self._leader_location = self._append_version(version)
+        self._leader_location = writer.append_named(
+            leader_id(SYSTEM_PARTITION),
+            system.payload.encode(),
+            system.cipher,
+            system.hash,
+        ).location
         system.leader_dirty = False
-
-        if self.config.validation_mode == "counter":
-            record = self.validator.build_commit_record()
-            commit_version = self.codec.build_unnamed(
-                VersionKind.COMMIT, record.encode()
-            )
-            self._append_version(commit_version, in_commit_set=False)
-            self.validator.committed()
-
-        injector.point("checkpoint.before_flush")
-        self._flush_untrusted()
-        injector.point("checkpoint.after_flush")
-        if self.config.validation_mode == "direct":
-            self.validator.commit_point(
-                self.segman.tail_location, self._leader_location
-            )
-        else:
-            self.validator.advance_tr(self.validator.next_count - 1)
-        injector.point("checkpoint.after_tr")
+        writer.make_durable("checkpoint", self._leader_location, force=True)
         self._write_superblock()
         injector.point("checkpoint.end")
         self.cache.clean_all_dirty()
@@ -1244,14 +1108,12 @@ class ChunkStore:
         vector = vector.replace(
             {child.rank % fanout: self.cache.get(child) for child in dirty_children}
         )
-        version, digest = self.codec.build_named(
+        descriptor = self.writer.append_named(
             map_id, vector.encode(), state.cipher, state.hash
         )
-        location = self._append_version(version)
-        descriptor = ChunkDescriptor(ChunkStatus.WRITTEN, location, len(version), digest)
         if old_desc.is_written():
             self.segman.sub_live(old_desc.location, old_desc.length)
-        self.segman.add_live(location, len(version))
+        self.segman.add_live(descriptor.location, descriptor.length)
         self.cache.install(map_id, vector)
         self.cache.put_dirty(map_id, descriptor)
         self._quarantine.pop(str(map_id), None)  # the rewrite supersedes it

@@ -1,4 +1,23 @@
-"""The two validation disciplines (§4.8.2).
+"""The two validation disciplines (§4.8.2), behind one interface.
+
+Both answer the same questions for the log writer
+(:mod:`repro.chunkstore.writepath`) and for recovery, and this module is
+the only one that knows which discipline is in force:
+
+* ``begin_set()`` / ``note(*parts, in_set=True)`` — a commit set opens;
+  each appended version is chained or hashed;
+* ``closing_record()`` — the signed commit chunk that seals the set, or
+  ``None`` when the discipline writes none;
+* ``restart_residual()`` — a checkpoint restarts the residual log;
+* ``allows_lazy_flush`` / ``flushed()`` / ``publish(tail, leader, flush,
+  force)`` — when the device flush may be skipped, and when and how far
+  the tamper-resistant store moves;
+* ``recovery_origin(superblock_leader)`` / ``recorded_tail`` /
+  ``seals_sets`` / ``finish_recovery(last_count)`` — where roll-forward
+  starts, where it must stop, whether the log delimits its own sets (so
+  effects wait for their commit chunk and an unusable suffix is a torn
+  commit, not tampering), and the final comparison with the
+  tamper-resistant store.
 
 **Direct hash validation** (§4.8.2.1).  The tamper-resistant store holds a
 chained hash of the residual log, updated after *every* commit, together
@@ -29,9 +48,10 @@ sequenced MACs, so excluding jumps sacrifices nothing.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Optional, Union
 
 from repro import obs
+from repro.chunkstore.config import StoreConfig
 from repro.chunkstore.log import CommitRecord
 from repro.crypto.hashing import HashFunction
 from repro.crypto.mac import Mac
@@ -40,13 +60,24 @@ from repro.platform.tamper_resistant import (
     TamperResistantCounter,
     TamperResistantStore,
 )
+from repro.platform.trusted_platform import TrustedPlatform
 from repro.util.codec import Decoder, Encoder
+
+
+#: how ``publish`` asks for the device flush it may find it needs
+Flush = Callable[[], None]
 
 
 class DirectValidation:
     """Maintains the residual-log chain hash in the TR store."""
 
     mode = "direct"
+    #: the TR write is the commit point, so the log must be durable first
+    allows_lazy_flush = False
+    #: no commit chunks (one in the log is tampering): effects apply per
+    #: version, and the TR store records the tail, so failing to read up
+    #: to it is tampering too — there is no such thing as a torn tail
+    seals_sets = False
 
     def __init__(
         self, tr_store: TamperResistantStore, system_hash: HashFunction
@@ -54,52 +85,87 @@ class DirectValidation:
         self._tr = tr_store
         self._hash = system_hash
         self.chain: bytes = system_hash.hash(b"")
+        #: recovery: where the TR store says the residual log ends, and
+        #: the chain it must hash to
+        self.recorded_tail: Optional[int] = None
+        self._recorded_chain = b""
 
-    def reset_chain(self) -> None:
-        """A checkpoint restarts the residual log (before noting the leader)."""
-        self.chain = self._hash.hash(b"")
+    # -- runtime commit path ---------------------------------------------------
 
-    def note_version(self, version_bytes: bytes) -> None:
-        self.note_parts(version_bytes)
+    def begin_set(self) -> None:
+        """Sets are delimited by TR writes, not in the log: nothing to open."""
 
-    def note_parts(self, *parts: bytes) -> None:
-        """Chain one version given as separate spans (header ct, body ct)
-        — the zero-copy recovery path feeds ``memoryview`` slices of a
-        whole-segment read without joining them first."""
+    def note(self, *parts: bytes, in_set: bool = True) -> None:
+        """Chain one version, given whole or as separate spans (header ct,
+        body ct — the zero-copy recovery path feeds ``memoryview`` slices
+        of a whole-segment read without joining them first).  The chain
+        covers every version in the residual log, segment jumps included
+        (``in_set`` is the counter discipline's distinction)."""
         hasher = self._hash.new()
         hasher.update(self.chain)
         for part in parts:
             hasher.update(part)
         self.chain = hasher.digest()
 
-    def commit_point(self, tail_location: int, leader_location: int) -> None:
-        """The real commit point: atomically publish chain + tail + leader."""
+    def closing_record(self) -> None:
+        return None
+
+    def restart_residual(self) -> int:
+        """A checkpoint restarts the residual log (before noting the
+        leader); returns the leader's ``checkpoint_count`` (unused here)."""
+        self.chain = self._hash.hash(b"")
+        return 0
+
+    def flushed(self) -> None:
+        """Nothing waits on durability: every commit flushes."""
+
+    def publish(self, tail: int, leader: int, flush: Flush, force: bool = False) -> bool:
+        """The real commit point: atomically publish chain + tail + leader
+        (the log was flushed already; see ``allows_lazy_flush``)."""
         enc = Encoder()
         enc.bytes(self.chain)
-        enc.uint(tail_location)
-        enc.uint(leader_location)
+        enc.uint(tail)
+        enc.uint(leader)
         with obs.span("platform.tr.write"):
             self._tr.write(enc.finish())
+        return True
 
-    def read_tr(self) -> Tuple[bytes, int, int]:
-        """Recovery: the authoritative (chain, tail, leader) triple."""
+    # -- recovery ----------------------------------------------------------------
+
+    def recovery_origin(self, superblock_leader: int) -> int:
+        """The leader location to roll forward from: the TR store's, with
+        the authoritative tail and chain remembered for the checks below
+        (the superblock's hint is ignored)."""
         data = self._tr.read()
         if not data:
             raise TamperDetectedError(
                 "tamper-resistant store is empty; store was never formatted"
             )
         dec = Decoder(data)
-        chain = dec.bytes()
-        tail = dec.uint()
+        self._recorded_chain = dec.bytes()
+        self.recorded_tail = dec.uint()
         leader = dec.uint()
         dec.expect_exhausted()
-        return chain, tail, leader
+        return leader
+
+    def finish_recovery(self, last_log_count: int) -> None:
+        if self.chain != self._recorded_chain:
+            raise TamperDetectedError(
+                "residual log hash does not match the tamper-resistant store"
+            )
 
 
 class CounterValidation:
     """Signed commit chunks sequenced by a tamper-resistant counter."""
 
     mode = "counter"
+    #: the counter trails the log, so a commit need not wait for the device
+    allows_lazy_flush = True
+    #: a signed commit chunk closes each set: effects wait for it, and the
+    #: log says where it ends — an unverifiable suffix is a torn commit
+    seals_sets = True
+    #: no tail is recorded outside the log
+    recorded_tail: Optional[int] = None
 
     def __init__(
         self,
@@ -130,19 +196,19 @@ class CounterValidation:
 
     # -- runtime commit path ---------------------------------------------------
 
-    def begin_commit(self) -> None:
+    def begin_set(self) -> None:
         self._set_hasher = self._hash.new()
 
-    def note_version(self, version_bytes: bytes) -> None:
-        self._set_hasher.update(version_bytes)
-
-    def note_parts(self, *parts: bytes) -> None:
-        """Span-wise :meth:`note_version` (zero-copy recovery path)."""
-        for part in parts:
-            self._set_hasher.update(part)
+    def note(self, *parts: bytes, in_set: bool = True) -> None:
+        """Hash one version (whole, or span-wise on the zero-copy recovery
+        path) into the open set — unless it is out of set: NEXT_SEGMENT
+        and COMMIT versions (see the module docstring)."""
+        if in_set:
+            for part in parts:
+                self._set_hasher.update(part)
 
     def current_set_hash(self) -> bytes:
-        """Digest of the versions noted since :meth:`begin_commit`."""
+        """Digest of the versions noted since :meth:`begin_set`."""
         return self._set_hasher.digest()
 
     def build_commit_record(self) -> CommitRecord:
@@ -151,6 +217,20 @@ class CounterValidation:
         if not self.mac_optional:
             record.mac_tag = self._mac.sign(record.signed_message())
         return record
+
+    def closing_record(self) -> CommitRecord:
+        """The commit chunk sealing the open set; the caller appends it
+        right away, so the count moves on (before the flush that makes it
+        durable)."""
+        record = self.build_commit_record()
+        self.next_count += 1
+        return record
+
+    def restart_residual(self) -> int:
+        """A checkpoint restarts the residual log; returns the count its
+        first commit chunk will carry (the leader's ``checkpoint_count``)."""
+        self.begin_set()
+        return self.next_count
 
     def verify_commit_record(self, record: CommitRecord, set_hash: bytes) -> bool:
         """Recovery: check MAC and set hash of one commit chunk.
@@ -166,32 +246,34 @@ class CounterValidation:
             return self.mac_optional
         return self._mac.verify(record.signed_message(), record.mac_tag)
 
-    def committed(self) -> None:
-        """Bookkeeping after the commit chunk was appended."""
-        self.next_count += 1
-
-    def note_flushed(self) -> None:
+    def flushed(self) -> None:
         """The untrusted store was flushed: every appended commit chunk is
         now durable."""
         self.flushed_count = self.next_count - 1
 
-    def tr_lag(self) -> int:
-        return (self.next_count - 1) - self._counter.read()
-
-    def needs_tr_update(self) -> bool:
-        return self.tr_lag() >= self.delta_ut
-
-    def tr_update_target(self) -> int:
-        """How far the counter may advance without violating Δtu."""
-        return min(self.next_count - 1, self.flushed_count + self.delta_tu)
-
-    def advance_tr(self, target: int) -> None:
+    def publish(self, tail: int, leader: int, flush: Flush, force: bool = False) -> bool:
+        """Advance the counter to the last appended count once it lags by
+        Δut commits (or ``force``: a checkpoint); returns whether it did.
+        Δtu forbids the counter from leading the durable log, so a lazily
+        flushed log is flushed first (``flush`` must end in
+        :meth:`flushed`) and the counter catches up fully."""
+        last = self.next_count - 1
+        if not force and last - self._counter.read() < self.delta_ut:
+            return False
+        if self.flushed_count + self.delta_tu < last:
+            flush()
         with obs.span("platform.tr.write"):
-            self._counter.advance_to(target)
+            self._counter.advance_to(min(last, self.flushed_count + self.delta_tu))
+        return True
 
     # -- recovery ----------------------------------------------------------------
 
-    def check_final_count(self, last_log_count: int) -> None:
+    def recovery_origin(self, superblock_leader: int) -> int:
+        """The (untrusted) superblock names the leader; recovery checks
+        that the chunk there really is one (§4.9.2)."""
+        return superblock_leader
+
+    def finish_recovery(self, last_log_count: int) -> None:
         """Compare the log's last count with the TR counter (§4.8.2.2)."""
         tr_count = self._counter.read()
         if tr_count - last_log_count > self.delta_tu:
@@ -216,3 +298,28 @@ class CounterValidation:
             self._counter.advance_to(last_log_count)
         self.next_count = last_log_count + 1
         self.flushed_count = last_log_count
+        self.begin_set()
+
+
+Validator = Union[DirectValidation, CounterValidation]
+
+
+def make_validator(
+    config: StoreConfig,
+    platform: TrustedPlatform,
+    system_hash: HashFunction,
+    mac: Mac,
+    mac_optional: bool,
+) -> Validator:
+    """The discipline ``config.validation_mode`` names, over the platform's
+    matching tamper-resistant device."""
+    if config.validation_mode == "direct":
+        return DirectValidation(platform.tamper_resistant, system_hash)
+    return CounterValidation(
+        platform.counter,
+        system_hash,
+        mac,
+        config.delta_ut,
+        config.delta_tu,
+        mac_optional,
+    )

@@ -60,13 +60,13 @@ def attacker_view(untrusted: UntrustedStore) -> Dict[str, Any]:
             self.untrusted = store
 
     try:
-        config = ChunkStore._read_superblock(_Probe(untrusted))
+        config, leader_location = ChunkStore._read_superblock(_Probe(untrusted))
         result["segment_size"] = config.segment_size
         result["fanout"] = config.fanout
         result["validation_mode"] = config.validation_mode
         result["system_cipher"] = config.system_cipher
         result["system_hash"] = config.system_hash
-        result["leader_location"] = getattr(config, "stored_leader_location", None)
+        result["leader_location"] = leader_location
     except (ChunkStoreError, TamperDetectedError) as exc:
         result["superblock"] = f"unreadable: {exc}"
     # Entropy probe: everything beyond the superblock should look random

@@ -123,7 +123,10 @@ def test_aead_version_truncation_detected(adversaries, mode):
         location, length = scenario.extents[key]
         for cut in (1, 8, 16, 24, length // 2):
             platform = scenario.final.restore()
-            platform.untrusted.tamper_write(location + length - cut, bytes(cut))
+            tail = location + length - cut
+            if platform.untrusted.tamper_read(tail, cut) == bytes(cut):
+                continue  # a tag ending in zeros (1 in 256 for cut=1): no change
+            platform.untrusted.tamper_write(tail, bytes(cut))
             outcome, detail = adversary._judge(
                 platform, {k: (v,) for k, v in scenario.expected.items()}
             )

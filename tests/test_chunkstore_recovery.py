@@ -205,3 +205,52 @@ class TestRepeatedCrashes:
             platform.reboot()
             store = ChunkStore.open(platform)
             assert store.read_chunk(pid, 0) == expected
+
+
+def descends(residual_segments):
+    """Does the residual chain jump into a lower-numbered segment?"""
+    return any(b < a for a, b in zip(residual_segments, residual_segments[1:]))
+
+
+class TestResidualChainWraps:
+    def test_direct_mode_reopens_after_the_log_wraps_into_a_lower_segment(self):
+        """Once the cleaner frees a low-numbered segment the residual
+        chain jumps *down* into it, putting the recorded tail at a lower
+        address than the leader.  Addresses order the log only within one
+        segment, so recovery must not read that as an overrun."""
+        segments, chunks = 12, 100
+        platform = make_platform(size=4096 + segments * 16 * 1024)
+        store = ChunkStore.format(platform, make_config(validation_mode="direct"))
+        pid = store.allocate_partition()
+        store.commit(
+            [ops.WritePartition(pid, cipher_name="ctr-sha256", hash_name="sha1")]
+        )
+        state = store.partitions[pid]
+        model = {rank: bytes([rank]) * 600 for rank in range(chunks)}
+        for base in range(0, chunks, 50):
+            batch = range(base, base + 50)
+            for rank in batch:
+                state.allocate_specific(rank)
+            store.commit([ops.WriteChunk(pid, r, model[r]) for r in batch])
+        # The load filled the lowest segments; after this checkpoint every
+        # overwrite kills a version there, so the first segments the
+        # cleaner frees are low-numbered, empty ones — and the long
+        # residual log (no further checkpoint) then jumps down into them.
+        store.checkpoint()
+        probes = 0
+        for i in range(240):
+            rank = i % chunks
+            model[rank] = bytes([i % 251]) * 600
+            store.commit([ops.WriteChunk(pid, rank, model[rank])])
+            if not descends(store.segman.residual_segments):
+                continue
+            probes += 1
+            # direct-mode recovery writes nothing, so a second instance
+            # over the live image is a faithful reopen
+            reopened = ChunkStore.open(platform)
+            assert reopened.segman.residual_segments == store.segman.residual_segments
+            assert reopened.read_chunk(pid, rank) == model[rank]
+        assert probes > 0, "the scenario no longer wraps the residual chain"
+        for rank, data in model.items():
+            assert reopened.read_chunk(pid, rank) == data
+        assert reopened.quarantined_chunks() == {}

@@ -1,6 +1,9 @@
 """StoreConfig validation, and the lazy-flush / Δtu > 0 configuration
 (§4.8.2.2: "the system might also allow t to leap ahead of u")."""
 
+import json
+import os
+
 import pytest
 
 from repro.chunkstore import ChunkStore, StoreConfig, ops
@@ -227,3 +230,81 @@ class TestTrAdvanceCostsNoExtraFlush:
             )
             with_tr += tail[-1] == "commit.after_tr"
         assert with_tr >= self.COMMITS // self.DELTA_UT
+
+
+# -- golden crash-point history -------------------------------------------------
+
+GOLDEN_HISTORY = os.path.join(
+    os.path.dirname(__file__), "golden", "injector_history.json"
+)
+
+
+def scripted_history(mode, flush_every_commit):
+    """``platform.injector.history`` of a fixed script: single and paired
+    commits, an explicit checkpoint, threshold checkpoints, overwrites, a
+    deallocation and a ``clean()`` that re-commits survivors."""
+    platform = make_platform(size=1024 * 1024)
+    store = ChunkStore.format(
+        platform,
+        make_config(
+            validation_mode=mode,
+            segment_size=8 * 1024,
+            delta_ut=3,
+            flush_every_commit=flush_every_commit,
+            checkpoint_dirty_threshold=12,
+        ),
+    )
+    pid = store.allocate_partition()
+    store.commit([ops.WritePartition(pid, cipher_name="null", hash_name="sha1")])
+    state = store.partitions[pid]
+    start = len(platform.injector.history)
+
+    def write(*ranks):
+        for rank in ranks:
+            if not state.is_committed_written(rank):
+                state.allocate_specific(rank)
+        store.commit([ops.WriteChunk(pid, r, bytes([r]) * 700) for r in ranks])
+
+    for rank in range(5):
+        write(rank)
+    store.checkpoint()
+    for rank in range(5, 25, 2):
+        write(rank, rank + 1)
+    for rank in range(12):
+        write(rank)
+    store.commit([ops.DeallocateChunk(pid, 24)])
+    assert store.clean(max_segments=2) == 2
+    write(0)
+    return platform.injector.history[start:]
+
+
+def by_operation(history):
+    """One line per commit or checkpoint (a cleaner re-commit has no
+    ``begin`` point and continues the line it runs inside); each device
+    flush folds to ``flush(n)``, n being the writes it made durable."""
+    lines = []
+    partials = 0
+    for point in history:
+        if point == "untrusted.flush.begin":
+            partials = 0
+        elif point == "untrusted.flush.partial":
+            partials += 1
+        elif point == "untrusted.flush.end":
+            lines[-1] += f" flush({partials})"
+        elif point in ("commit.begin", "checkpoint.begin") or not lines:
+            lines.append(point)
+        else:
+            lines[-1] += " " + point
+    return lines
+
+
+@pytest.mark.parametrize("flush_every_commit", [True, False], ids=["eager", "lazy"])
+@pytest.mark.parametrize("mode", ["counter", "direct"])
+def test_injector_history_matches_golden(mode, flush_every_commit):
+    """The crash sweep enumerates these points: their names, order and the
+    number of device writes behind each flush are pinned to the history
+    recorded before the write path moved into ``LogWriter``."""
+    with open(GOLDEN_HISTORY, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    key = f"{mode}-{'eager' if flush_every_commit else 'lazy'}"
+    assert by_operation(scripted_history(mode, flush_every_commit)) == golden[key]

@@ -1,0 +1,152 @@
+"""The log write path: a static guard that only ``validation.py`` knows
+which §4.8.2 discipline is in force, and ``LogWriter`` driven directly —
+one protocol, whatever the stage and whichever the discipline."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from repro.chunkstore import ChunkStore, ops
+from repro.chunkstore.log import VersionKind
+from repro.errors import ChunkStoreError
+from tests.conftest import make_config, make_platform
+
+CHUNKSTORE = Path(__file__).resolve().parents[1] / "src" / "repro" / "chunkstore"
+
+#: the discipline's own module, and the config's "is this a known mode" check
+MAY_KNOW_THE_DISCIPLINE = {"validation.py", "config.py"}
+
+
+def test_only_the_validation_module_knows_the_discipline():
+    """No comparison on a validation mode and no mention of the validator
+    classes (so no ``isinstance`` on them, and no second construction
+    site) anywhere else under ``chunkstore/``: the other modules ask the
+    validator, they do not ask which one it is."""
+    offenders = []
+    for path in sorted(CHUNKSTORE.glob("*.py")):
+        if path.name in MAY_KNOW_THE_DISCIPLINE:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare):
+                for operand in [node.left, *node.comparators]:
+                    if (
+                        isinstance(operand, ast.Attribute)
+                        and operand.attr in ("validation_mode", "mode")
+                    ) or (
+                        isinstance(operand, ast.Constant)
+                        and operand.value in ("direct", "counter")
+                    ):
+                        offenders.append(f"{path.name}:{node.lineno}: mode comparison")
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            if {"DirectValidation", "CounterValidation"} & set(names):
+                offenders.append(f"{path.name}:{node.lineno}: names a validator class")
+    assert not offenders, offenders
+
+
+@pytest.fixture(params=["counter", "direct"])
+def mode(request):
+    return request.param
+
+
+def fresh(mode, **overrides):
+    platform = make_platform(size=512 * 1024)
+    store = ChunkStore.format(
+        platform, make_config(validation_mode=mode, segment_size=8 * 1024, **overrides)
+    )
+    return platform, store
+
+
+class TestLogWriter:
+    def test_make_durable_names_its_points_after_the_stage(self, mode):
+        platform, store = fresh(mode)
+        start = len(platform.injector.history)
+        with store._lock:
+            store.writer.begin_set()
+            store.writer.append_unnamed(VersionKind.DEALLOCATE, b"")
+            store.writer.make_durable("anything", store._leader_location, force=True)
+        points = [
+            p for p in platform.injector.history[start:] if p.startswith("anything.")
+        ]
+        assert points == [
+            "anything.before_flush",
+            "anything.after_flush",
+            "anything.after_tr",
+        ]
+
+    def test_a_lazy_flush_is_granted_only_where_the_discipline_allows(self, mode):
+        platform, store = fresh(mode, delta_ut=5)
+        flushes = platform.untrusted.stats.flushes
+        with store._lock:
+            store.writer.begin_set()
+            store.writer.make_durable("commit", store._leader_location, lazy=True)
+        flushed = platform.untrusted.stats.flushes - flushes
+        assert flushed == (0 if store.validator.allows_lazy_flush else 1)
+        assert store.logbuf.pending_bytes == 0  # sealed either way
+
+    def test_a_version_that_does_not_fit_chains_into_a_fresh_segment(self, mode):
+        platform, store = fresh(mode)
+        writer, segman = store.writer, store.segman
+        filler = b"x" * 3000
+        with store._lock:
+            writer.begin_set()
+            first = segman.tail_segment
+            locations = [
+                writer.append_unnamed(VersionKind.DEALLOCATE, filler) for _ in range(3)
+            ]
+            assert segman.residual_segments[-2:] == [first, segman.tail_segment]
+            assert segman.segment_of(locations[0]) == first
+            assert locations[-1] == segman.segment_start(segman.tail_segment)
+            # the segment left behind ends in the jump that chains it on
+            assert segman.used_bytes[first] <= segman.segment_size
+            assert segman.used_bytes[first] > writer.max_version_size - len(filler)
+
+    def test_capacity_counts_the_tail_and_every_free_segment(self, mode):
+        platform, store = fresh(mode)
+        writer, segman = store.writer, store.segman
+        before = writer.capacity()
+        assert before == (
+            writer.max_version_size - segman.tail_offset
+            + segman.free_segment_count() * writer.max_version_size
+        )
+        with store._lock:
+            writer.begin_set()
+            writer.append_unnamed(VersionKind.DEALLOCATE, b"y" * 100)
+        assert before - writer.capacity() == store.codec.version_size(
+            100, store.codec.system_cipher
+        )
+
+    def test_an_oversized_version_is_refused_before_anything_moves(self, mode):
+        platform, store = fresh(mode)
+        tail = store.segman.tail_location
+        with pytest.raises(ChunkStoreError):
+            store.writer.append(b"z" * (store.writer.max_version_size + 1))
+        assert store.segman.tail_location == tail
+        assert store.logbuf.pending_bytes == 0
+
+    def test_the_four_callers_leave_a_log_that_reopens(self, mode):
+        """Commit, both checkpoint phases and a cleaner re-commit, then a
+        crash: the image validates and rolls forward."""
+        platform, store = fresh(mode, delta_ut=2)
+        pid = store.allocate_partition()
+        store.commit([ops.WritePartition(pid, cipher_name="null", hash_name="sha1")])
+        state = store.partitions[pid]
+        for rank in range(40):
+            state.allocate_specific(rank)
+            store.commit([ops.WriteChunk(pid, rank, bytes([rank]) * 500)])
+        store.checkpoint()
+        for rank in range(0, 40, 2):
+            store.commit([ops.WriteChunk(pid, rank, bytes([rank + 1]) * 500)])
+        assert store.clean(max_segments=2) >= 1
+        store.commit([ops.WriteChunk(pid, 1, b"last")])
+        platform.reboot()
+        reopened = ChunkStore.open(platform)
+        assert reopened.read_chunk(pid, 1) == b"last"
+        assert reopened.read_chunk(pid, 2) == bytes([3]) * 500
+        assert reopened.read_chunk(pid, 3) == bytes([3]) * 500
