@@ -64,7 +64,8 @@ from repro.chunkstore.ops import (
     WriteChunk,
     WritePartition,
 )
-from repro.chunkstore.store import ChunkStore, DiffChange
+from repro.chunkstore.readpath import DiffChange
+from repro.chunkstore.store import ChunkStore
 from repro.crypto.mac import Mac
 from repro.crypto.registry import make_cipher, make_hash
 from repro.errors import BackupError, BackupOrderingError

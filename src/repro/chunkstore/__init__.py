@@ -22,7 +22,8 @@ from repro.chunkstore.ops import (
     WriteChunk,
     WritePartition,
 )
-from repro.chunkstore.store import ChunkStore, DiffChange
+from repro.chunkstore.readpath import DiffChange
+from repro.chunkstore.store import ChunkStore
 
 __all__ = [
     "ChunkStore",

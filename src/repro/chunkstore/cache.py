@@ -83,6 +83,11 @@ class DescriptorCache:
         written — dirty children are *not* overlaid."""
         return self._vectors.get((map_id.partition, map_id.height, map_id.rank))
 
+    def dirty(self, chunk_id: ChunkId) -> Optional[ChunkDescriptor]:
+        """``chunk_id``'s dirty descriptor, if a commit since the last
+        checkpoint left one (what :meth:`vector` does not overlay)."""
+        return self._dirty.get(chunk_id)
+
     def install(self, map_id: ChunkId, vector: MapVector) -> None:
         """Cache the vector of a map chunk just validated, or just written
         by a checkpoint (replacing the vector it superseded)."""
@@ -206,9 +211,6 @@ class ValidatedChunkCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        #: hits that were satisfied by a prefetched entry's first use
-        self.prefetch_hits = 0
-        self._prefetched: Set[ChunkId] = set()
 
     @property
     def enabled(self) -> bool:
@@ -223,9 +225,6 @@ class ValidatedChunkCache:
                 return None
             self._entries.move_to_end(chunk_id)
             self.hits += 1
-            if chunk_id in self._prefetched:
-                self._prefetched.discard(chunk_id)
-                self.prefetch_hits += 1
             return payload
 
     def contains(self, chunk_id: ChunkId) -> bool:
@@ -233,9 +232,7 @@ class ValidatedChunkCache:
         with self._mutex:
             return chunk_id in self._entries
 
-    def put(
-        self, chunk_id: ChunkId, payload: bytes, prefetched: bool = False
-    ) -> None:
+    def put(self, chunk_id: ChunkId, payload: bytes) -> None:
         if not self.enabled or len(payload) > self.max_bytes:
             return
         with self._mutex:
@@ -244,10 +241,6 @@ class ValidatedChunkCache:
                 self.current_bytes -= len(old)
             self._entries[chunk_id] = payload
             self.current_bytes += len(payload)
-            if prefetched:
-                self._prefetched.add(chunk_id)
-            else:
-                self._prefetched.discard(chunk_id)
             self._by_partition.setdefault(chunk_id.partition, set()).add(
                 chunk_id
             )
@@ -273,19 +266,16 @@ class ValidatedChunkCache:
                 if payload is not None:
                     self.current_bytes -= len(payload)
                     self.invalidations += 1
-                self._prefetched.discard(cid)
 
     def clear(self) -> None:
         with self._mutex:
             self.invalidations += len(self._entries)
             self._entries.clear()
             self._by_partition.clear()
-            self._prefetched.clear()
             self.current_bytes = 0
 
     def _forget(self, chunk_id: ChunkId) -> None:
         # caller holds self._mutex
-        self._prefetched.discard(chunk_id)
         ids = self._by_partition.get(chunk_id.partition)
         if ids is not None:
             ids.discard(chunk_id)
@@ -299,7 +289,6 @@ class ValidatedChunkCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
-                "prefetch_hits": self.prefetch_hits,
                 "entries": len(self._entries),
                 "bytes": self.current_bytes,
                 "max_bytes": self.max_bytes,

@@ -33,7 +33,8 @@ from typing import List, Optional, Tuple
 from repro import obs
 from repro.chunkstore.ids import SYSTEM_PARTITION, ChunkId, leader_id
 from repro.chunkstore.log import CleanerRecord, VersionKind
-from repro.errors import IOFaultError, TamperDetectedError
+from repro.chunkstore.logscan import VersionReader
+from repro.errors import TamperDetectedError
 
 
 logger = logging.getLogger("repro.chunkstore.cleaner")
@@ -100,31 +101,12 @@ class Cleaner:
         end = start + segman.used_bytes[segment]
         cursor = start
 
-        # one round trip for the whole used span instead of two reads per
-        # version; a faulted span read falls back to the per-version path
-        span: Optional[bytes] = None
-        if end > start:
-            try:
-                (span,) = store.reader.read_many([(start, end - start)])
-            except IOFaultError:
-                span = None
-
-        def read_at(offset: int, size: int) -> bytes:
-            # a tampered header may declare a body past the buffered span;
-            # the device read preserves the unbuffered failure behavior
-            if span is not None and offset - start + size <= len(span):
-                return span[offset - start : offset - start + size]
-            return store.reader.read(offset, size)
-
+        # a reader per scan: the re-commit below appends to the log
+        versions = VersionReader(codec, store.reader, segman)
         #: (chunk id, plaintext body, partitions where current)
         survivors: List[Tuple[ChunkId, bytes, List[int]]] = []
         while cursor < end:
-            header_ct = read_at(cursor, codec.header_cipher_size)
-            header = codec.parse_header(header_ct)  # raises TamperDetected
-            body_ct = read_at(
-                cursor + codec.header_cipher_size, header.body_cipher_size
-            )
-            version_len = codec.header_cipher_size + header.body_cipher_size
+            header, header_ct, body_ct = versions.read(cursor)
             if header.kind == VersionKind.NAMED:
                 cid = header.chunk_id
                 if cid != leader_id(SYSTEM_PARTITION):
@@ -147,7 +129,7 @@ class Cleaner:
                             )
                         survivors.append((cid, body, pids))
             # unnamed chunks are always obsolete in the checkpointed log
-            cursor += version_len
+            cursor += len(header_ct) + len(body_ct)
 
         if survivors:
             self._rewrite(survivors)

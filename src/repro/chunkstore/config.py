@@ -46,9 +46,6 @@ class StoreConfig:
     #: byte budget for the validated-payload cache (decrypted, verified
     #: data-chunk bodies); 0 disables it (runtime-only, like retry_policy)
     payload_cache_bytes: int = 2 * 1024 * 1024
-    #: sequential-read prefetch: after two consecutive ranks, batch-fetch
-    #: up to this many following ranks; 0 disables prefetch (runtime-only)
-    prefetch_window: int = 0
     #: bytes reserved at offset 0 for the superblock
     superblock_size: int = 4096
     #: auto-clean when free segments drop below this count
@@ -72,8 +69,6 @@ class StoreConfig:
             raise ValueError("delta_tu must be >= 0")
         if self.payload_cache_bytes < 0:
             raise ValueError("payload_cache_bytes must be >= 0")
-        if self.prefetch_window < 0:
-            raise ValueError("prefetch_window must be >= 0")
 
 
 def derive_key(secret: bytes, label: str, size: int) -> bytes:

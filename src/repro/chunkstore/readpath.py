@@ -4,12 +4,20 @@ A chunk is believed only once the bottom-up walk of its position map has
 reached an ancestor that is already vouched for (a cached descriptor, or
 the root in the partition leader) and the bytes read from its extent hash
 to the descriptor that walk produced.  :class:`ReadPath` is the only
-implementation of that rule: ``ChunkStore`` reads, the checkpoint's
-read-back of a map chunk, scrub, the cleaner's currency probes and every
-:class:`~repro.chunkstore.snapshot.SnapshotView` read funnel through
-:meth:`ReadPath.descriptors` and :meth:`ReadPath.read_validated`.  (The
-cleaner's and recovery's *log-order* scans are a different job: they parse
-versions in the order they were appended, not by descriptor.)
+implementation of that rule: ``ChunkStore`` reads, scrub, the cleaner's
+currency probes and every :class:`~repro.chunkstore.snapshot.SnapshotView`
+read funnel through :meth:`ReadPath.descriptors` and
+:meth:`ReadPath.read_validated`.
+
+The map is also walked *top-down*, by subtree rather than by chunk id:
+:meth:`ReadPath.vectors` is the one descent step (a map chunk's validated
+vector: the cached one, else loaded with the rest of its batch in one
+``read_many``), :meth:`ReadPath.children` overlays the dirty descriptors,
+and §5.3 :meth:`ReadPath.diff`, the deallocation/reset accounting
+(:meth:`ReadPath.subtree`) and the checkpoint's read-back of the map chunk
+it rewrites are its callers.  (The cleaner's and recovery's *log-order*
+scans are the third traversal, in :mod:`repro.chunkstore.logscan`: they
+parse versions in the order they were appended, not by descriptor.)
 
 A read path owns nothing it was not given: a descriptor cache, a
 quarantine table, a payload cache, a codec, a
@@ -52,6 +60,14 @@ logger = logging.getLogger("repro.chunkstore")
 
 #: a chunk and the descriptor vouching for it
 Item = Tuple[ChunkId, ChunkDescriptor]
+
+
+class DiffChange:
+    """Kinds of per-position change reported by :meth:`ReadPath.diff`."""
+
+    ADDED = "added"
+    CHANGED = "changed"
+    REMOVED = "removed"
 
 
 class ReadPath:
@@ -164,6 +180,122 @@ class ReadPath:
             for (map_id, _), vector in zip(items, vectors):
                 self.cache.install(map_id, vector)
             return vectors
+
+    # -- the top-down descent --------------------------------------------------
+
+    def vectors(self, state: PartitionState, items: Sequence[Item]) -> List[MapVector]:
+        """The descent step: the validated vectors of written map chunks
+        ``items`` as last validated or written (dirty children are *not*
+        overlaid), aligned with ``items`` — the cached ones, and whatever
+        the cache lacks loaded in one ``read_many``.  A lone item is a
+        batch of one."""
+        vectors = [self.cache.vector(map_id) for map_id, _ in items]
+        missing = [index for index, vector in enumerate(vectors) if vector is None]
+        if missing:
+            loaded = self.load_map_chunks(state, [items[index] for index in missing])
+            for index, vector in zip(missing, loaded):
+                vectors[index] = vector
+        return vectors
+
+    def children(self, state: PartitionState, items: Sequence[Item]) -> List[List[Item]]:
+        """Per map chunk of ``items``, its ``fanout`` children and their
+        current descriptors (dirty ones shadow the persistent map)."""
+        fanout = self.fanout
+        dirty = self.cache.dirty
+        families = []
+        # slots come from the vectors in hand, not from cache.get: a batch
+        # larger than the vector LRU has already evicted its own head
+        for (map_id, _), vector in zip(items, self.vectors(state, items)):
+            first = map_id.rank * fanout
+            family = []
+            for slot in range(fanout):
+                child = ChunkId(map_id.partition, map_id.height - 1, first + slot)
+                shadow = dirty(child)
+                family.append((child, vector[slot] if shadow is None else shadow))
+            families.append(family)
+        return families
+
+    def subtree(self, state: PartitionState, top: Item) -> List[Item]:
+        """Every written descriptor at or below ``top``, level by level
+        (each level's uncached map chunks in one ``read_many``).
+
+        Best-effort, for callers that account rather than validate: a
+        level whose batch fails is retried one map chunk at a time, and
+        exactly the subtrees under the unreadable ones are left out."""
+        unreadable = (TamperDetectedError, QuarantineError, IOFaultError, ValueError)
+        found: List[Item] = []
+        level = [top]
+        while level:
+            level = [item for item in level if item[1].is_written()]
+            found.extend(level)
+            maps = [item for item in level if item[0].height > 0]
+            try:
+                families = self.children(state, maps)
+            except unreadable:
+                families = []
+                for item in maps:
+                    try:
+                        families.extend(self.children(state, [item]))
+                    except unreadable:
+                        continue
+            level = [child for family in families for child in family]
+        return found
+
+    def diff(
+        self, old_state: PartitionState, new_state: PartitionState
+    ) -> Dict[int, str]:
+        """``{rank: DiffChange.*}`` for every data position whose state
+        differs between the two partitions' maps (§5.3).
+
+        One pair descent, a level at a time: a node whose two descriptors
+        are the ``same_version`` is pruned with everything below it, and
+        each side's surviving map chunks are loaded in one batch — so
+        between two snapshots of one partition the work follows what
+        changed.  A tree of height ``h`` has its root at node ``(h, 0)``:
+        a shorter tree joins the descent there, and every other node of
+        the taller tree at or above that level has no counterpart."""
+        sides = (old_state, new_state)
+        heights = [state.payload.tree_height for state in sides]
+        nothing = ChunkDescriptor()
+        #: rank at the current level -> [old, new] descriptors, for ranks
+        #: written on either side (a node a side lacks counts as unwritten)
+        level: Dict[int, List[ChunkDescriptor]] = {}
+        for height in range(max(heights), 0, -1):
+            for side, state in enumerate(sides):
+                if heights[side] == height:
+                    root = ChunkId(state.pid, height, 0)
+                    level.setdefault(0, [nothing, nothing])[side] = (
+                        self.descriptors(state, (root,))[0]
+                    )
+            differing = [
+                (rank, pair)
+                for rank, pair in level.items()
+                if not pair[0].same_version(pair[1])
+            ]
+            level = {}
+            for side, state in enumerate(sides):
+                maps = [
+                    (ChunkId(state.pid, height, rank), pair[side])
+                    for rank, pair in differing
+                    if pair[side].is_written()
+                ]
+                for family in self.children(state, maps):
+                    for child, descriptor in family:
+                        if descriptor.is_written():
+                            level.setdefault(child.rank, [nothing, nothing])[side] = (
+                                descriptor
+                            )
+        changes: Dict[int, str] = {}
+        for rank, (old, new) in sorted(level.items()):
+            if old.same_version(new):
+                continue
+            if old.is_written() and new.is_written():
+                changes[rank] = DiffChange.CHANGED
+            elif new.is_written():
+                changes[rank] = DiffChange.ADDED
+            else:
+                changes[rank] = DiffChange.REMOVED
+        return changes
 
     # -- the extent validator --------------------------------------------------
 

@@ -65,8 +65,9 @@ from repro.chunkstore.log import (
     VersionHeader,
     VersionKind,
 )
+from repro.chunkstore.logscan import VersionReader
 from repro import obs
-from repro.errors import IOFaultError, TamperDetectedError
+from repro.errors import TamperDetectedError
 
 
 logger = logging.getLogger("repro.chunkstore.recovery")
@@ -91,65 +92,9 @@ class _Recovery:
         self.codec = store.codec
         self.segman = store.segman
         self.validator = store.validator
-        #: whole-segment spans buffered for the roll-forward, keyed by
-        #: segment index; ``None`` marks a span whose batched read faulted
-        #: (those segments fall back to the per-version read path so
-        #: retries and quarantine semantics stay byte-for-byte identical)
-        self._spans: dict = {}
-
-    # -- plumbing -------------------------------------------------------------
-
-    def _segment_bytes(self, segment: int) -> Optional[memoryview]:
-        """The segment's whole span, fetched in one round trip on first
-        touch and held as a ``memoryview`` so per-version header/body
-        slices are views into the one buffer, not copies.  Recovery never
-        writes the log, so the buffer cannot go stale; a fault disables
-        buffering for that segment only."""
-        if segment not in self._spans:
-            start = self.segman.segment_start(segment)
-            try:
-                (blob,) = self.store.reader.read_many(
-                    [(start, self.config.segment_size)]
-                )
-                self._spans[segment] = memoryview(blob)
-            except IOFaultError:
-                self._spans[segment] = None
-        return self._spans[segment]
-
-    def _read_version(self, location: int) -> Tuple[VersionHeader, bytes, bytes]:
-        """Read one version; returns (header, header_ct, body_ct).
-
-        Served from the segment-span buffer (one round trip per residual
-        segment instead of two per version); raises TamperDetectedError if
-        the bytes do not parse as a version (in counter mode the caller
-        converts a failure at the log tail into a torn-commit truncation).
-        """
-        header_size = self.codec.header_cipher_size
-        segment = self.segman.segment_of(location)
-        segment_start = self.segman.segment_start(segment)
-        segment_end = segment_start + self.config.segment_size
-        if location + header_size > segment_end:
-            raise TamperDetectedError("version header crosses a segment boundary")
-        span = self._segment_bytes(segment)
-        if span is None:  # the span read faulted: per-version fallback
-            header_ct = self.store.reader.read(location, header_size)
-            header = self.codec.parse_header(header_ct)
-            if location + header_size + header.body_cipher_size > segment_end:
-                raise TamperDetectedError(
-                    "version body crosses a segment boundary"
-                )
-            body_ct = self.store.reader.read(
-                location + header_size, header.body_cipher_size
-            )
-            return header, header_ct, body_ct
-        offset = location - segment_start
-        header_ct = span[offset : offset + header_size]
-        header = self.codec.parse_header(header_ct)
-        if location + header_size + header.body_cipher_size > segment_end:
-            raise TamperDetectedError("version body crosses a segment boundary")
-        body_start = offset + header_size
-        body_ct = span[body_start : body_start + header.body_cipher_size]
-        return header, header_ct, body_ct
+        #: the log-order reader; recovery never writes the log, so one
+        #: reader serves the whole roll-forward
+        self.versions = VersionReader(store.codec, store.reader, store.segman)
 
     # -- main ----------------------------------------------------------------
 
@@ -169,7 +114,7 @@ class _Recovery:
 
         # --- load and check the leader -------------------------------------
         try:
-            header, header_ct, body_ct = self._read_version(leader_loc)
+            header, header_ct, body_ct = self.versions.read(leader_loc)
         except TamperDetectedError as exc:
             raise TamperDetectedError(f"cannot read leader: {exc}") from exc
         if header.kind != VersionKind.NAMED or header.chunk_id != leader_id(
@@ -191,7 +136,6 @@ class _Recovery:
         # state is being reconstructed from the durable log
         store.payloads.clear()
         obs.emit("cache_invalidation", cache="payload", reason="recovery")
-        store._read_cursor.clear()
         store.partitions[SYSTEM_PARTITION] = store._open_partition(
             SYSTEM_PARTITION, payload, key_override=store._system_key
         )
@@ -232,7 +176,7 @@ class _Recovery:
                         "residual log overran the recorded tail"
                     )
                 try:
-                    header, header_ct, body_ct = self._read_version(cursor)
+                    header, header_ct, body_ct = self.versions.read(cursor)
                 except TamperDetectedError as exc:
                     raise self._torn(
                         TamperDetectedError(

@@ -54,20 +54,15 @@ from typing import (
 
 from repro import obs
 from repro.chunkstore.cache import DescriptorCache, ValidatedChunkCache
+from repro.chunkstore.checkpoint import write_checkpoint
 from repro.chunkstore.config import StoreConfig, mac_key, system_cipher_key
-from repro.chunkstore.descriptor import (
-    ChunkDescriptor,
-    ChunkStatus,
-    MapVector,
-)
+from repro.chunkstore.descriptor import ChunkDescriptor, ChunkStatus
 from repro.chunkstore.ids import (
     SYSTEM_PARTITION,
     ChunkId,
     data_id,
-    leader_id,
     partition_rank,
     rank_to_partition,
-    required_height,
 )
 from repro.chunkstore.leader import LeaderPayload, SystemExtras
 from repro.chunkstore.log import (
@@ -100,7 +95,6 @@ from repro.errors import (
     QuarantineError,
     StorageFullError,
     TamperDetectedError,
-    TDBError,
 )
 from repro.platform.retry import RetriedReader, Retrier
 from repro.platform.trusted_platform import TrustedPlatform
@@ -110,14 +104,6 @@ from repro.util.codec import Decoder, Encoder
 _SUPERBLOCK_MAGIC = b"TDB1"
 
 logger = logging.getLogger("repro.chunkstore")
-
-
-class DiffChange:
-    """Kinds of per-position change reported by :meth:`ChunkStore.diff`."""
-
-    ADDED = "added"
-    CHANGED = "changed"
-    REMOVED = "removed"
 
 
 class ChunkStore:
@@ -151,9 +137,6 @@ class ChunkStore:
         #: validated-payload cache: decrypted, hash-verified chunk bodies
         #: (hits skip the device, the cipher, and the hasher entirely)
         self.payloads = ValidatedChunkCache(config.payload_cache_bytes)
-        self.prefetch_issued = 0
-        #: sequential-read detector per partition: pid -> (last rank, run)
-        self._read_cursor: Dict[int, Tuple[int, int]] = {}
         self.retrier = Retrier(
             config.retry_policy,
             clock=platform.clock,
@@ -507,9 +490,7 @@ class ChunkStore:
     def read_chunk(self, pid: int, rank: int) -> bytes:
         """Return the last written state of chunk ``(pid, rank)`` (§4.5)."""
         with self._lock, obs.span("chunkstore.read_chunk"):
-            body = self._read_chunk_body(pid, rank)
-            self._note_sequential_read(pid, rank)
-            return body
+            return self._read_chunk_body(pid, rank)
 
     def read_chunks(self, pid: int, ranks: Sequence[int]) -> Dict[int, bytes]:
         """Batched :meth:`read_chunk`: returns ``{rank: bytes}`` for every
@@ -524,38 +505,6 @@ class ChunkStore:
             return self.readpath.read_chunks(
                 self._state(pid), ranks, obs.span("chunkstore.read_batch")
             )
-
-    def _note_sequential_read(self, pid: int, rank: int) -> None:
-        """Detect sequential rank runs and prefetch the next window of
-        committed chunks into the payload cache (best-effort: a prefetch
-        never raises; real reads report errors precisely)."""
-        window = self.config.prefetch_window
-        if window <= 0 or not self.payloads.enabled:
-            return
-        last, run = self._read_cursor.get(pid, (-2, 0))
-        run = run + 1 if rank == last + 1 else 1
-        self._read_cursor[pid] = (rank, run)
-        if run < 2:
-            return
-        state = self._state(pid)
-        targets = [
-            r
-            for r in range(rank + 1, rank + 1 + window)
-            if state.is_committed_written(r)
-            and r not in state.pending_ranks
-            and not self.payloads.contains(data_id(pid, r))
-        ]
-        if not targets:
-            return
-        self.prefetch_issued += len(targets)
-        cids = [data_id(pid, r) for r in targets]
-        try:
-            with obs.span("chunkstore.read_batch"):
-                bodies = self.readpath.fetch(state, cids)
-        except TDBError:
-            return
-        for cid, body in zip(cids, bodies):
-            self.payloads.put(cid, body, prefetched=True)
 
     def evict_payload(self, pid: int, rank: int) -> None:
         """Drop any validated-payload entry for ``(pid, rank)`` — e.g. an
@@ -668,30 +617,14 @@ class ChunkStore:
             IOFaultError,
         ):
             return
-        payload = state.payload
-        if payload.tree_height == 0:
+        height = state.payload.tree_height
+        if height == 0:
             return
-        stack = [(ChunkId(pid, payload.tree_height, 0), payload.root)]
-        while stack:
-            cid, descriptor = stack.pop()
-            if not descriptor.is_written():
-                continue
+        root = ChunkId(pid, height, 0)
+        for _, descriptor in self.readpath.subtree(
+            state, (root, self._get_descriptor(root))
+        ):
             yield descriptor.location, descriptor.length
-            if cid.height == 0:
-                continue
-            try:
-                (children,) = self.readpath.load_map_chunks(
-                    state, [(cid, descriptor)]
-                )
-            except (TamperDetectedError, QuarantineError, IOFaultError, ValueError):
-                continue
-            for slot in range(len(children)):
-                # prefer the cache view: dirty descriptors shadow the map
-                child_id = cid.child(self.config.fanout, slot)
-                cached = self.cache.get(child_id)
-                stack.append(
-                    (child_id, cached if cached is not None else children[slot])
-                )
 
     def _apply_partition_dealloc(self, family: Iterable[int]) -> None:
         system = self.partitions[SYSTEM_PARTITION]
@@ -706,13 +639,16 @@ class ChunkStore:
             state = self.partitions.get(pid)
             parent = state.payload.copy_of if state else None
             if parent is not None and parent not in family:
-                parent_state = self.partitions.get(parent)
-                if parent_state and pid in parent_state.payload.copies:
+                # loaded on demand (after a reopen or in replay the source
+                # is not resident): an entry left behind here outlives the
+                # id's reuse, and deallocating the source would then take
+                # the unrelated partition holding that id with it
+                parent_state = self._state(parent)
+                if pid in parent_state.payload.copies:
                     parent_state.payload.copies.remove(pid)
                     parent_state.leader_dirty = True
             self.cache.drop_partition(pid)
             self.payloads.drop_partition(pid)
-            self._read_cursor.pop(pid, None)
             self.partitions.pop(pid, None)
             rank = partition_rank(pid)
             if system.is_committed_written(rank):
@@ -815,7 +751,11 @@ class ChunkStore:
                 system.require_allocated(partition_rank(op.partition))
                 self._state(op.source)
             elif isinstance(op, DeallocatePartition):
-                self._state(op.partition)
+                source = self._state(op.partition).payload.copy_of
+                if source is not None:
+                    # its copies list is about to change: an unreadable
+                    # leader must fail the commit here, not half-way
+                    self._state(source)
             else:
                 raise ChunkStoreError(f"unknown operation {op!r}")
 
@@ -896,7 +836,6 @@ class ChunkStore:
                     payload.copy_of = old_state.payload.copy_of
                     self.cache.drop_partition(op.partition)
                     self.payloads.drop_partition(op.partition)
-                    self._read_cursor.pop(op.partition, None)
                 self._append_leader(op.partition, payload)
             elif isinstance(op, CopyPartition):
                 source = self._state(op.source)
@@ -964,183 +903,12 @@ class ChunkStore:
 
     def _write_checkpoint(self, initial: bool = False) -> None:
         try:
-            self._write_checkpoint_steps(initial)
+            write_checkpoint(self, initial)
         except BaseException:
             # half-written: map chunks appended (and their vectors cached)
             # without the leader that makes them current — reopen to recover
             self._failed = True
             raise
-
-    def _write_checkpoint_steps(self, initial: bool) -> None:
-        injector = self.platform.injector
-        injector.point("checkpoint.begin")
-        writer = self.writer
-        writer.begin_set()
-        appended_any = False
-
-        if not initial:
-            # Phase 1: persist map chunks for every partition with dirty
-            # descriptors, then rewrite dirty leaders (user partitions are
-            # data chunks of the system partition, so they come before the
-            # system partition's own map).
-            dirty: Dict[int, List[ChunkId]] = {SYSTEM_PARTITION: []}
-            for cid in self.cache.dirty_ids():
-                dirty.setdefault(cid.partition, []).append(cid)
-            user_pids = sorted(
-                pid for pid in self.partitions if pid != SYSTEM_PARTITION
-            )
-            for pid in user_pids:
-                appended_any |= self._checkpoint_partition_maps(
-                    pid, dirty.get(pid, [])
-                )
-            for pid in user_pids:
-                state = self.partitions[pid]
-                if state.leader_dirty:
-                    self._append_leader(pid, state.payload)
-                    dirty[SYSTEM_PARTITION].append(
-                        data_id(SYSTEM_PARTITION, partition_rank(pid))
-                    )
-                    state.leader_dirty = False
-                    appended_any = True
-            appended_any |= self._checkpoint_partition_maps(
-                SYSTEM_PARTITION, dirty[SYSTEM_PARTITION]
-            )
-
-            if appended_any:
-                writer.seal_set()
-
-        # Phase 2: start a fresh segment for the residual log, write the
-        # system leader there (the head of the new residual log), and make
-        # the checkpoint durable.
-        system = self.partitions[SYSTEM_PARTITION]
-        extras = system.payload.system
-        if extras is None:
-            extras = SystemExtras()
-            system.payload.system = extras
-        extras.checkpoint_count = writer.restart_residual(chained=not initial)
-        extras.segments = self.segman.to_table()
-        self._leader_location = writer.append_named(
-            leader_id(SYSTEM_PARTITION),
-            system.payload.encode(),
-            system.cipher,
-            system.hash,
-        ).location
-        system.leader_dirty = False
-        writer.make_durable("checkpoint", self._leader_location, force=True)
-        self._write_superblock()
-        injector.point("checkpoint.end")
-        self.cache.clean_all_dirty()
-        logger.info(
-            "checkpoint complete: leader at %d, residual restarts in segment %d",
-            self._leader_location,
-            self.segman.tail_segment,
-        )
-
-    def _checkpoint_partition_maps(self, pid: int, need: List[ChunkId]) -> bool:
-        """Write every map chunk of ``pid`` containing one of the dirty
-        descriptors ``need`` (and their ancestors up to the root); returns
-        True if any were written.  Updates the partition payload's root
-        and height."""
-        state = self.partitions.get(pid)
-        if state is None or not need:
-            return False
-        fanout = self.config.fanout
-        payload = state.payload
-        old_height = payload.tree_height
-        new_height = max(old_height, required_height(fanout, payload.next_rank), 1)
-        if new_height > old_height and old_height >= 1:
-            # the old root becomes an ordinary map chunk: seed its
-            # descriptor so the new levels above it get built
-            old_root_id = ChunkId(pid, old_height, 0)
-            self.cache.put_dirty(old_root_id, payload.root)
-            need.append(old_root_id)
-        #: map height -> map rank -> the dirty children that chunk holds
-        rewrites: Dict[int, Dict[int, List[ChunkId]]] = {}
-
-        def needs_rewrite(child: ChunkId) -> None:
-            level = rewrites.setdefault(child.height + 1, {})
-            level.setdefault(child.rank // fanout, []).append(child)
-
-        for cid in need:
-            needs_rewrite(cid)
-        appended = False
-        for height in range(1, new_height + 1):
-            for rank, children in sorted(rewrites.get(height, {}).items()):
-                map_id = ChunkId(pid, height, rank)
-                self._rewrite_map_chunk(map_id, state, children)
-                needs_rewrite(map_id)
-                appended = True
-        root = self.cache.get(ChunkId(pid, new_height, 0))
-        if root is None:
-            raise ChunkStoreError(f"checkpoint failed to produce a root for {pid}")
-        payload.root = root
-        payload.tree_height = new_height
-        state.leader_dirty = True
-        return appended
-
-    def _rewrite_map_chunk(
-        self, map_id: ChunkId, state: PartitionState, dirty_children: List[ChunkId]
-    ) -> None:
-        """Write a new version of ``map_id``: its current vector (cached,
-        else read back and validated) with ``dirty_children`` overlaid."""
-        fanout = self.config.fanout
-        old_desc = ChunkDescriptor()  # above the current tree: a new chunk
-        if map_id.height <= state.payload.tree_height:
-            old_desc = self._get_descriptor(map_id)
-        vector = self.cache.vector(map_id)
-        if not old_desc.is_written():
-            vector = MapVector.of(ChunkDescriptor() for _ in range(fanout))
-        elif vector is None:
-            try:
-                (vector,) = self.readpath.load_map_chunks(
-                    state, [(map_id, old_desc)]
-                )
-            except (QuarantineError, IOFaultError, TamperDetectedError):
-                # Degraded rebuild: a checkpoint must not be poisoned by a
-                # dead map chunk if every written child descriptor it held
-                # is known from elsewhere (the cache, or repairs just
-                # committed).  If any committed child is unaccounted for,
-                # the original error propagates — rebuilding would silently
-                # drop that chunk's location.
-                vector = self._degraded_map_slots(map_id, state)
-                if vector is None:
-                    raise
-        vector = vector.replace(
-            {child.rank % fanout: self.cache.get(child) for child in dirty_children}
-        )
-        descriptor = self.writer.append_named(
-            map_id, vector.encode(), state.cipher, state.hash
-        )
-        if old_desc.is_written():
-            self.segman.sub_live(old_desc.location, old_desc.length)
-        self.segman.add_live(descriptor.location, descriptor.length)
-        self.cache.install(map_id, vector)
-        self.cache.put_dirty(map_id, descriptor)
-        self._quarantine.pop(str(map_id), None)  # the rewrite supersedes it
-
-    def _degraded_map_slots(
-        self, map_id: ChunkId, state: PartitionState
-    ) -> Optional[MapVector]:
-        """Rebuild an unreadable map chunk's slot vector from the cache.
-
-        Returns ``None`` if any committed-written data rank covered by an
-        uncached child subtree exists — its descriptor lives only in the
-        dead map chunk, so a rebuild would lose it."""
-        fanout = self.config.fanout
-        slots: List[ChunkDescriptor] = []
-        child_span = fanout ** (map_id.height - 1)
-        for slot in range(fanout):
-            child = map_id.child(fanout, slot)
-            cached = self.cache.get(child)
-            if cached is not None:
-                slots.append(cached)
-                continue
-            first = child.rank * child_span
-            last = min((child.rank + 1) * child_span, state.payload.next_rank)
-            if any(state.is_committed_written(r) for r in range(first, last)):
-                return None
-            slots.append(ChunkDescriptor())
-        return MapVector.of(slots)
 
     # ------------------------------------------------------------------
     # diff (§5.3)
@@ -1159,71 +927,7 @@ class ChunkStore:
                 # the traversal compares *persistent* map descriptors, so
                 # buffered updates must reach the map first
                 self._write_checkpoint()
-            old_state = self._state(old_pid)
-            new_state = self._state(new_pid)
-            changes: Dict[int, str] = {}
-            if old_state.payload.tree_height == new_state.payload.tree_height:
-                height = old_state.payload.tree_height
-                if height == 0:
-                    return changes
-                self._diff_recursive(
-                    old_state, new_state, height, 0, changes
-                )
-            else:
-                max_rank = max(
-                    old_state.payload.next_rank, new_state.payload.next_rank
-                )
-                for rank in range(max_rank):
-                    self._diff_leaf(old_state, new_state, rank, changes)
-            return changes
-
-    def _diff_recursive(
-        self,
-        old_state: PartitionState,
-        new_state: PartitionState,
-        height: int,
-        rank: int,
-        changes: Dict[int, str],
-    ) -> None:
-        old_desc = self._get_descriptor(ChunkId(old_state.pid, height, rank))
-        new_desc = self._get_descriptor(ChunkId(new_state.pid, height, rank))
-        if old_desc.same_version(new_desc):
-            return
-        if height == 0:
-            self._classify_leaf(old_desc, new_desc, rank, changes)
-            return
-        for slot in range(self.config.fanout):
-            self._diff_recursive(
-                old_state, new_state, height - 1, rank * self.config.fanout + slot,
-                changes,
-            )
-
-    def _diff_leaf(
-        self,
-        old_state: PartitionState,
-        new_state: PartitionState,
-        rank: int,
-        changes: Dict[int, str],
-    ) -> None:
-        old_desc = self._get_descriptor(data_id(old_state.pid, rank))
-        new_desc = self._get_descriptor(data_id(new_state.pid, rank))
-        if not old_desc.same_version(new_desc):
-            self._classify_leaf(old_desc, new_desc, rank, changes)
-
-    @staticmethod
-    def _classify_leaf(
-        old_desc: ChunkDescriptor,
-        new_desc: ChunkDescriptor,
-        rank: int,
-        changes: Dict[int, str],
-    ) -> None:
-        if old_desc.is_written() and new_desc.is_written():
-            changes[rank] = DiffChange.CHANGED
-        elif new_desc.is_written():
-            changes[rank] = DiffChange.ADDED
-        elif old_desc.is_written():
-            changes[rank] = DiffChange.REMOVED
-        # neither written (free vs unallocated): no observable difference
+            return self.readpath.diff(self._state(old_pid), self._state(new_pid))
 
     # ------------------------------------------------------------------
     # cleaning (§4.9.5)
@@ -1502,7 +1206,6 @@ class ChunkStore:
                     "round_trips_saved": self.readpath.round_trips_saved,
                     "chunk_batches": self.readpath.chunk_batches,
                     "chunks_batch_fetched": self.readpath.chunks_batch_fetched,
-                    "prefetch_issued": self.prefetch_issued,
                 },
                 "untrusted": {
                     "reads": io.reads,

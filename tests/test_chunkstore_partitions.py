@@ -298,3 +298,42 @@ class TestPartitionDeallocation:
         reopened = ChunkStore.open(platform)
         assert not reopened.partition_exists(pid)
         assert not reopened.partition_exists(snap)
+
+
+@pytest.mark.parametrize("mode", ["counter", "direct"])
+@pytest.mark.parametrize("crash", [False, True], ids=["live", "crash-replay"])
+def test_dealloc_of_a_copy_fixes_a_source_that_is_not_resident(mode, crash):
+    """Regression: after a reopen only the system partition is resident, and
+    deallocating a copy fixed its source's ``copies`` list only if the
+    source happened to be.  The stale entry survived; the copy's id was
+    handed out again; and deallocating the source then took the unrelated
+    partition holding that id with it.  The same list must come out of
+    replaying the deallocation after a crash before the next checkpoint."""
+    platform = make_platform()
+    store = ChunkStore.format(platform, make_config(validation_mode=mode))
+    source = new_partition(store)
+    for rank in range(5):
+        store.commit([ops.WriteChunk(source, store.allocate_chunk(source), b"s%d" % rank)])
+    copy = store.allocate_partition()
+    store.commit([ops.CopyPartition(copy, source)])
+    store.close()
+    store = ChunkStore.open(platform)
+
+    store.commit([ops.DeallocatePartition(copy)])
+    if crash:
+        platform.reboot()
+        store = ChunkStore.open(platform)
+    assert store._state(source).payload.copies == []
+
+    unrelated = store.allocate_partition()
+    assert unrelated == copy  # the id is handed out again
+    store.commit([ops.WritePartition(unrelated, cipher_name="null", hash_name="sha1")])
+    rank = store.allocate_chunk(unrelated)
+    store.commit([ops.WriteChunk(unrelated, rank, b"nobody deallocated me")])
+    store.commit([ops.DeallocatePartition(source)])
+    assert store.partition_exists(unrelated)
+    assert store.read_chunk(unrelated, rank) == b"nobody deallocated me"
+    store.close()
+    assert ChunkStore.open(platform).read_chunk(unrelated, rank) == (
+        b"nobody deallocated me"
+    )

@@ -72,6 +72,31 @@ def test_subsequences_stay_executable():
     assert runner.execute(orphan) is None
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_copy_dropped_then_crash_then_its_id_reused(mode):
+    """Pinned history (found by hand, not by a seed): a copy is dropped,
+    the crash replays that drop while its source is not resident, the
+    copy's partition id goes to a new partition, and the source is
+    dropped — the model keeps the new partition; the store used to destroy
+    it with the source.  (Without the crash the runner's own observation
+    after every op loads the source, which hid the bug from the seeds.)"""
+    history = [
+        Op("create", slot=0, tag=0),
+        Op("write", slot=0, rank=0, tag=1),
+        Op("write", slot=0, rank=1, tag=2),
+        Op("copy", slot=1, src=0),
+        Op("reopen"),
+        Op("drop", slot=1),
+        Op("crash"),
+        Op("create", slot=1, tag=0),
+        Op("write", slot=1, rank=0, tag=3),
+        Op("drop", slot=0),
+        Op("crash"),
+    ]
+    failure = DifferentialRunner(mode=mode).execute(history)
+    assert failure is None, failure.describe()
+
+
 def test_injected_bug_caught_and_shrunk(monkeypatch):
     """The acceptance gate for the runner itself: a store bug (chunk
     deallocation silently dropped) is detected, the failing sequence

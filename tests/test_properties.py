@@ -5,7 +5,7 @@ with a plain in-memory model of the committed state."""
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.chunkstore import ChunkStore, ops
+from repro.chunkstore import ChunkId, ChunkStore, ops
 from repro.errors import (
     ChunkNotAllocatedError,
     ChunkNotWrittenError,
@@ -169,6 +169,66 @@ class TestChunkStoreModel:
                 elif not existed:
                     expected[rank] = "added"
         assert store.diff(snap, pid) == expected
+
+    @given(
+        initial=st.sets(st.integers(0, 80), min_size=1, max_size=30),
+        rounds=st.lists(
+            st.dictionaries(
+                st.integers(0, 80),
+                st.one_of(st.just(None), st.binary(min_size=1, max_size=40)),
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_diff_is_the_per_rank_comparison_at_any_pair_of_heights(
+        self, initial, rounds
+    ):
+        """With fanout 4 a few dozen ranks reach height 3–4, so growth,
+        overwrites and deallocations after the snapshot leave the two trees
+        at equal heights or either one taller; the cleaner relocates
+        versions in between.  Both directions of ``diff`` must equal the
+        brute-force comparison of every rank's descriptor."""
+        platform = make_platform(size=4 * 1024 * 1024)
+        store = ChunkStore.format(platform, make_config(fanout=4))
+        pid = store.allocate_partition()
+        store.commit([ops.WritePartition(pid, cipher_name="null", hash_name="sha1")])
+        state = store.partitions[pid]
+        for rank in initial:
+            state.allocate_specific(rank)
+        store.commit([ops.WriteChunk(pid, rank, b"%d" % rank) for rank in initial])
+        snap = store.allocate_partition()
+        store.commit([ops.CopyPartition(snap, pid)])
+
+        def brute_force(old_pid, new_pid):
+            changes = {}
+            ranks = max(store._state(p).payload.next_rank for p in (old_pid, new_pid))
+            for rank in range(ranks):
+                old = store._get_descriptor(ChunkId(old_pid, 0, rank))
+                new = store._get_descriptor(ChunkId(new_pid, 0, rank))
+                if old.same_version(new) or not (old.is_written() or new.is_written()):
+                    continue
+                changes[rank] = (
+                    "changed" if old.is_written() and new.is_written()
+                    else "added" if new.is_written() else "removed"
+                )
+            return changes
+
+        for changes in rounds:
+            operations = []
+            for rank, value in changes.items():
+                if value is not None:
+                    state.allocate_specific(rank)
+                    operations.append(ops.WriteChunk(pid, rank, value))
+                elif state.is_committed_written(rank):
+                    operations.append(ops.DeallocateChunk(pid, rank))
+            store.commit(operations)
+            store.checkpoint()
+            store.clean(max_segments=2)
+            for old_pid, new_pid in ((snap, pid), (pid, snap)):
+                assert store.diff(old_pid, new_pid) == brute_force(old_pid, new_pid)
 
 
 class TestBackupRoundtripProperty:

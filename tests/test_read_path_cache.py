@@ -1,5 +1,5 @@
 """Read-path performance layer: the validated-payload cache, batched map
-walks, ``read_chunks``, and sequential prefetch.
+walks and ``read_chunks``.
 
 The two load-bearing properties under test:
 
@@ -216,45 +216,6 @@ class TestRoundTrips:
 
 
 # ---------------------------------------------------------------------------
-# prefetch
-# ---------------------------------------------------------------------------
-
-
-class TestPrefetch:
-    def test_sequential_reads_trigger_batched_prefetch(self):
-        platform, store = _fresh(prefetch_window=4)
-        pid, values = _populate(store, ranks=10)
-        store.payloads.clear()
-        store.read_chunk(pid, 0)
-        io = platform.untrusted.stats
-        store.read_chunk(pid, 1)  # second sequential read: window fetched
-        assert store.stats()["walk"]["prefetch_issued"] >= 3
-        misses_before = store.payloads.misses
-        for rank in (2, 3, 4, 5):
-            assert store.read_chunk(pid, rank) == values[rank]
-        # the window was already fetched: no payload-cache misses (the
-        # sliding window keeps issuing small batches ahead — that's fine)
-        assert store.payloads.misses == misses_before
-        assert store.payloads.prefetch_hits >= 3
-
-    def test_random_reads_do_not_prefetch(self):
-        platform, store = _fresh(prefetch_window=4)
-        pid, values = _populate(store, ranks=10)
-        store.payloads.clear()
-        for rank in (7, 2, 9, 0):
-            store.read_chunk(pid, rank)
-        assert store.stats()["walk"]["prefetch_issued"] == 0
-
-    def test_prefetch_disabled_by_default(self):
-        platform, store = _fresh()
-        pid, values = _populate(store, ranks=6)
-        store.payloads.clear()
-        for rank in range(4):
-            store.read_chunk(pid, rank)
-        assert store.stats()["walk"]["prefetch_issued"] == 0
-
-
-# ---------------------------------------------------------------------------
 # coherence: the cache must never serve stale or unvalidated bytes
 # ---------------------------------------------------------------------------
 
@@ -411,13 +372,13 @@ class TestStatsSurfacing:
                 store.read_chunk(pid, rank)
         stats = store.stats()
         assert set(stats["payload_cache"]) == {
-            "hits", "misses", "evictions", "invalidations", "prefetch_hits",
+            "hits", "misses", "evictions", "invalidations",
             "entries", "bytes", "max_bytes",
         }
         assert stats["payload_cache"]["hits"] >= 3
         assert set(stats["walk"]) == {
             "batches", "map_chunks_fetched", "round_trips_saved",
-            "chunk_batches", "chunks_batch_fetched", "prefetch_issued",
+            "chunk_batches", "chunks_batch_fetched",
         }
         assert stats["untrusted"]["batched_extents"] >= 0
 

@@ -109,3 +109,29 @@ class TestCli:
         from repro.tools.inspect import main
 
         assert main([]) == 2
+
+
+def test_loc_counts_code_not_comments_or_docstrings():
+    """``make loc`` (``tools/loc.py``): a line counts if it holds a token
+    that is neither a comment nor part of a docstring."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "loc.py"
+    spec = importlib.util.spec_from_file_location("loc", path)
+    loc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loc)
+    source = (
+        '"""Module docstring,\ntwo lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # trailing comment: still code\n"
+        "\n"
+        "def f(x):\n"
+        '    """Docstring."""\n'
+        "    text = \"\"\"not a docstring,\n"
+        "    two lines\"\"\"\n"
+        "    return (x,\n"
+        "            text)\n"
+    )
+    assert loc.code_lines(source) == 6
