@@ -15,7 +15,7 @@ SEEDS ?= 20
 OPS ?= 50
 FAULT_TRIALS ?= 150
 
-.PHONY: install test test-fast bench bench-crypto bench-store bench-server obs-smoke e2e e2e-compare e2e-selftest report examples lint all \
+.PHONY: install test test-fast bench bench-smoke bench-crypto bench-store bench-server obs-smoke e2e e2e-compare e2e-selftest report examples lint all \
 	adversary adversary-sweep differential fault-sweep loc
 
 install:
@@ -29,6 +29,13 @@ test-fast:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# The two paper benches that assert on cache counters / per-byte cost,
+# timing disabled: a tier-1 CI step, so benchmarks/ cannot rot unseen.
+bench-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest -q --benchmark-disable \
+		benchmarks/test_bench_scalability.py::test_working_set_cache_hit_rate \
+		benchmarks/test_bench_chunkstore.py::test_read_regression
 
 bench-crypto:
 	PYTHONPATH=src $(PYTHON) -m repro.bench.crypto_bench --out BENCH_crypto.json

@@ -85,8 +85,11 @@ def test_latency_vs_database_size(benchmark):
 
 def test_working_set_cache_hit_rate(benchmark):
     """A cached working set keeps its hit rate as the database grows."""
+    # payload cache off: the paper's system has none (§2.2 speaks of the
+    # descriptor cache), and with it on a warm re-read is answered before
+    # the descriptor cache is ever consulted — hits + misses stay 0
     platform, store = bench_store(
-        size=256 * 1024 * 1024, segment_size=256 * 1024
+        size=256 * 1024 * 1024, segment_size=256 * 1024, payload_cache_bytes=0
     )
     pid = data_partition(store)
     _populate(store, pid, 6000)

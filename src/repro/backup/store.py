@@ -149,27 +149,29 @@ class BackupStore:
             use_incremental = base is not None and store.partition_exists(base)
             is_incremental[pid] = use_incremental
             entries = self._collect_entries(snap, base if use_incremental else None)
-            state = store._state(snap)
+            info = store.partition_info(snap)
             descriptor = BackupDescriptor(
                 source_pid=pid,
                 snapshot_pid=snap,
                 base_pid=base if use_incremental else None,
                 set_id=set_id,
                 set_size=len(partitions),
-                cipher_name=state.payload.cipher_name,
-                hash_name=state.payload.hash_name,
-                key=state.payload.key,
+                cipher_name=info["cipher"],
+                hash_name=info["hash"],
+                key=info["key"],
                 created_at=created_at,
                 incremental=use_incremental,
             )
+            # the stream's own crypto instances, as on restore: the store's
+            # are used under its lock only
             bytes_written += write_partition_backup(
                 writer,
                 descriptor,
                 entries,
                 store.codec.system_cipher,
-                state.cipher,
+                make_cipher(info["cipher"], info["key"]),
                 self.mac,
-                state.hash,
+                make_hash(info["hash"]),
             )
         self.archival.commit_stream(stream_name, writer)
 
@@ -348,7 +350,7 @@ class BackupStore:
                     )
                 for entry in backup.entries:
                     if entry.kind == ENTRY_WRITTEN:
-                        store._state(pid).allocate_specific(entry.rank)
+                        store.reserve_chunk(pid, entry.rank)
                         ops.append(WriteChunk(pid, entry.rank, entry.body))
                     else:
                         ops.append(DeallocateChunk(pid, entry.rank))

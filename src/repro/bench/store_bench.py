@@ -351,10 +351,9 @@ def run_map_load(map_chunks: int, cipher: str, loops: int = 20) -> Dict[str, obj
     assert state.payload.tree_height >= 2, "map_load needs at least two map levels"
 
     leaves = [ChunkId(pid, 1, rank) for rank in range(map_chunks)]
-    bodies = [
-        store._read_validated(leaf, store._get_descriptor(leaf), state)
-        for leaf in leaves
-    ]
+    bodies = store.readpath.read_validated(
+        state, list(zip(leaves, store.readpath.descriptors(state, leaves)))
+    )
     slot = fanout // 3
     dirty = {
         child: ChunkDescriptor(ChunkStatus.WRITTEN, 10**7 + child, 560, bytes(32))

@@ -27,14 +27,9 @@ from repro.chunkstore.ids import (
     partition_rank,
     required_height,
 )
-from repro.chunkstore.leader import SystemExtras
 from repro.chunkstore.partition import PartitionState
-from repro.errors import (
-    ChunkStoreError,
-    IOFaultError,
-    QuarantineError,
-    TamperDetectedError,
-)
+from repro.chunkstore.readpath import UNREADABLE
+from repro.errors import ChunkStoreError
 
 logger = logging.getLogger("repro.chunkstore")
 
@@ -58,14 +53,14 @@ def write_checkpoint(store, initial: bool) -> None:
         for cid in store.cache.dirty_ids():
             dirty.setdefault(cid.partition, []).append(cid)
         user_pids = sorted(
-            pid for pid in store.partitions if pid != SYSTEM_PARTITION
+            pid for pid in store.table.partitions if pid != SYSTEM_PARTITION
         )
         for pid in user_pids:
             appended_any |= _checkpoint_partition_maps(
                 store, pid, dirty.get(pid, [])
             )
         for pid in user_pids:
-            state = store.partitions[pid]
+            state = store.table.partitions[pid]
             if state.leader_dirty:
                 store._append_leader(pid, state.payload)
                 dirty[SYSTEM_PARTITION].append(
@@ -83,11 +78,8 @@ def write_checkpoint(store, initial: bool) -> None:
     # Phase 2: start a fresh segment for the residual log, write the
     # system leader there (the head of the new residual log), and make
     # the checkpoint durable.
-    system = store.partitions[SYSTEM_PARTITION]
-    extras = system.payload.system
-    if extras is None:
-        extras = SystemExtras()
-        system.payload.system = extras
+    system = store.table.system
+    extras = system.payload.system  # never None: format and recovery see to it
     extras.checkpoint_count = writer.restart_residual(chained=not initial)
     extras.segments = store.segman.to_table()
     store._leader_location = writer.append_named(
@@ -113,7 +105,7 @@ def _checkpoint_partition_maps(store, pid: int, need: List[ChunkId]) -> bool:
     descriptors ``need`` (and their ancestors up to the root); returns
     True if any were written.  Updates the partition payload's root
     and height."""
-    state = store.partitions.get(pid)
+    state = store.table.partitions.get(pid)
     if state is None or not need:
         return False
     fanout = store.config.fanout
@@ -159,13 +151,13 @@ def _rewrite_map_chunk(
     fanout = store.config.fanout
     old_desc = ChunkDescriptor()  # above the current tree: a new chunk
     if map_id.height <= state.payload.tree_height:
-        old_desc = store._get_descriptor(map_id)
+        (old_desc,) = store.readpath.descriptors(state, (map_id,))
     if not old_desc.is_written():
         vector = MapVector.of(ChunkDescriptor() for _ in range(fanout))
     else:
         try:
             (vector,) = store.readpath.vectors(state, [(map_id, old_desc)])
-        except (QuarantineError, IOFaultError, TamperDetectedError):
+        except UNREADABLE:
             # Degraded rebuild: a checkpoint must not be poisoned by a
             # dead map chunk if every written child descriptor it held
             # is known from elsewhere (the cache, or repairs just
@@ -186,7 +178,7 @@ def _rewrite_map_chunk(
     store.segman.add_live(descriptor.location, descriptor.length)
     store.cache.install(map_id, vector)
     store.cache.put_dirty(map_id, descriptor)
-    store._quarantine.pop(str(map_id), None)  # the rewrite supersedes it
+    store.readpath.quarantine.pop(str(map_id), None)  # the rewrite supersedes it
 
 
 def _degraded_map_slots(

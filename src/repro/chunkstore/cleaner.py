@@ -78,17 +78,15 @@ class Cleaner:
 
     def _current_partitions(self, cid: ChunkId, location: int) -> List[int]:
         """Partitions in which the version at ``location`` is current."""
-        store = self.store
-        if cid.partition != SYSTEM_PARTITION and not store.partition_exists(
-            cid.partition
-        ):
+        table = self.store.table
+        if not table.exists(cid.partition):
             return []  # dead partition ⇒ dead copies ⇒ obsolete version
         result = []
-        for pid in store._collect_copy_family(cid.partition):
-            if pid != SYSTEM_PARTITION and not store.partition_exists(pid):
+        for pid in table.copy_family(cid.partition):
+            if not table.exists(pid):
                 continue
             probe = ChunkId(pid, cid.height, cid.rank)
-            descriptor = store._get_descriptor(probe)
+            descriptor = table.descriptor(probe)
             if descriptor.is_written() and descriptor.location == location:
                 result.append(pid)
         return result
@@ -116,11 +114,11 @@ class Cleaner:
                         # AEAD partition this is the one-pass path — the
                         # decrypt verifies the tag and the digest *is* the
                         # stored tag
-                        state = store._state(pids[0])
+                        state = store.table.load(pids[0])
                         body, digest = codec.validate_named(
                             header, body_ct, state.cipher, state.hash
                         )
-                        expected = store._get_descriptor(
+                        expected = store.table.descriptor(
                             ChunkId(pids[0], cid.height, cid.rank)
                         )
                         if digest != expected.body_hash:
@@ -150,10 +148,10 @@ class Cleaner:
         )
         writer.append_unnamed(VersionKind.CLEANER, record.encode())
         for cid, body, pids in survivors:
-            state = store._state(pids[0])
+            state = store.table.load(pids[0])
             descriptor = writer.append_named(cid, body, state.cipher, state.hash)
             for pid in pids:
-                store._apply_chunk_write(
+                store.table.chunk_written(
                     ChunkId(pid, cid.height, cid.rank), descriptor.copy()
                 )
             self.rewritten_versions += 1

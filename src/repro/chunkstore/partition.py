@@ -26,7 +26,7 @@ a rank removes it from the free set again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Set
+from typing import List, Optional, Set
 
 from repro.chunkstore.leader import LeaderPayload
 from repro.crypto.cipher import Cipher
@@ -104,6 +104,21 @@ class PartitionState:
 
     def is_committed_written(self, rank: int) -> bool:
         return rank < self.payload.next_rank and rank not in self.payload.free_ranks
+
+    def written_ranks(self) -> List[int]:
+        """All committed-written data ranks, ascending."""
+        free = self.payload.free_ranks
+        return [rank for rank in range(self.payload.next_rank) if rank not in free]
+
+    def status(self, rank: int) -> str:
+        """Introspection: 'written', 'unwritten', 'free', or 'unallocated'."""
+        if rank in self.pending_ranks:
+            return "unwritten"
+        if self.is_committed_written(rank):
+            return "written"
+        if rank in self.payload.free_ranks:
+            return "free"
+        return "unallocated"
 
     def require_allocated(self, rank: int) -> None:
         if rank in self.pending_ranks or self.is_committed_written(rank):

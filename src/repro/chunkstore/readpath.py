@@ -61,6 +61,13 @@ logger = logging.getLogger("repro.chunkstore")
 #: a chunk and the descriptor vouching for it
 Item = Tuple[ChunkId, ChunkDescriptor]
 
+#: what a read raises when *this chunk* cannot be had — it fails validation,
+#: it is quarantined, or its extent is dead after retries — as opposed to a
+#: misuse of the store.  The callers that account, scan or repair rather
+#: than serve (subtree walks, the effects' old-extent lookup, scrub, the
+#: checkpoint's degraded rebuild) catch exactly this set and carry on.
+UNREADABLE = (TamperDetectedError, QuarantineError, IOFaultError)
+
 
 class DiffChange:
     """Kinds of per-position change reported by :meth:`ReadPath.diff`."""
@@ -222,7 +229,7 @@ class ReadPath:
         Best-effort, for callers that account rather than validate: a
         level whose batch fails is retried one map chunk at a time, and
         exactly the subtrees under the unreadable ones are left out."""
-        unreadable = (TamperDetectedError, QuarantineError, IOFaultError, ValueError)
+        unreadable = (*UNREADABLE, ValueError)
         found: List[Item] = []
         level = [top]
         while level:

@@ -52,7 +52,6 @@ from repro.chunkstore.descriptor import (
 from repro.chunkstore.ids import (
     SYSTEM_PARTITION,
     ChunkId,
-    data_id,
     leader_id,
     rank_to_partition,
 )
@@ -92,6 +91,9 @@ class _Recovery:
         self.codec = store.codec
         self.segman = store.segman
         self.validator = store.validator
+        #: the image the roll-forward rebuilds, through the same effects a
+        #: live commit applies
+        self.table = store.table
         #: the log-order reader; recovery never writes the log, so one
         #: reader serves the whole roll-forward
         self.versions = VersionReader(store.codec, store.reader, store.segman)
@@ -130,15 +132,12 @@ class _Recovery:
             raise TamperDetectedError(f"undecodable leader payload: {exc}") from exc
         if payload.system is None:
             raise TamperDetectedError("leader payload lacks system extras")
-        store.partitions.clear()
         store.cache.clear()
         # crash recovery invalidates every cached payload: the committed
         # state is being reconstructed from the durable log
         store.payloads.clear()
         obs.emit("cache_invalidation", cache="payload", reason="recovery")
-        store.partitions[SYSTEM_PARTITION] = store._open_partition(
-            SYSTEM_PARTITION, payload, key_override=store._system_key
-        )
+        self.table.open_system(payload)
         self.segman.load_table(payload.system.segments)
         store._leader_location = leader_loc
 
@@ -295,20 +294,20 @@ class _Recovery:
             cursor - self.segman.segment_start(tail_segment)
         )
 
-        for state in store.partitions.values():
+        for state in self.table.partitions.values():
             state.reset_allocator()
         obs.emit(
             "recovery_replay",
             mode=self.config.validation_mode,
             tail=cursor,
             commit_sets=expected_count - payload.system.checkpoint_count,
-            partitions=len(store.partitions),
+            partitions=len(self.table.partitions),
         )
         logger.info(
             "recovery complete: mode=%s, tail at %d, %d partition(s) open",
             self.config.validation_mode,
             cursor,
-            len(store.partitions),
+            len(self.table.partitions),
         )
 
     # -- helpers ----------------------------------------------------------------
@@ -335,6 +334,7 @@ class _Recovery:
         cleaner_queue: List[Tuple[int, int, List[int]]],
     ) -> Optional[Callable[[], None]]:
         store = self.store
+        table = self.table
         codec = self.codec
         kind = header.kind
 
@@ -345,9 +345,9 @@ class _Recovery:
 
             def dealloc_effect() -> None:
                 for cid in record.chunk_ids:
-                    store._apply_chunk_dealloc(cid)
+                    table.chunk_freed(cid)
                 if record.partition_ids:
-                    store._apply_partition_dealloc(record.partition_ids)
+                    table.partitions_freed(record.partition_ids)
 
             return dealloc_effect
 
@@ -377,8 +377,7 @@ class _Recovery:
         ):
             # a partition leader: decode now (system cipher), apply later
             body, digest = codec.validate_named(
-                header, body_ct, codec.system_cipher,
-                store.partitions[SYSTEM_PARTITION].hash,
+                header, body_ct, codec.system_cipher, table.system.hash
             )
             try:
                 payload = LeaderPayload.decode(body)
@@ -395,12 +394,12 @@ class _Recovery:
             pid = rank_to_partition(cid.rank)
 
             def leader_effect() -> None:
-                store._apply_partition_leader(pid, payload, descriptor)
+                table.leader_written(pid, payload, descriptor)
 
             return leader_effect
 
         def chunk_effect() -> None:
-            state = store._state(header.partition)
+            state = table.load(header.partition)
             body, digest = codec.validate_named(
                 header, body_ct, state.cipher, state.hash
             )
@@ -420,7 +419,7 @@ class _Recovery:
             )
             for pid in [cid.partition] if targets is None else targets:
                 target = ChunkId(pid, cid.height, cid.rank)
-                store._apply_chunk_write(target, descriptor.copy())
+                table.chunk_written(target, descriptor.copy())
                 if vector is not None:
                     store.cache.install(target, vector)
 

@@ -163,12 +163,11 @@ def build_snapshot_view(store: "ChunkStore", pid: int) -> SnapshotView:
         raise ChunkStoreError("snapshot views of the system partition are not supported")
     config = store.config
     untrusted = store.platform.untrusted
-    frozen = store._open_partition(
-        pid, store._state(pid).payload.copy_for_snapshot()
-    )
-    system_cipher = make_cipher(config.system_cipher, store._system_key)
+    table = store.table
+    frozen = table.open(pid, table.load(pid).payload.copy_for_snapshot())
+    system_cipher = make_cipher(config.system_cipher, table.system_key)
     system_hash = make_hash(config.system_hash)
-    store._share_tallies(system_cipher, system_hash)
+    table.share_tallies(system_cipher, system_hash)
     retrier = Retrier(
         config.retry_policy, clock=store.platform.clock, stats=untrusted.stats
     )

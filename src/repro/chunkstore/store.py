@@ -34,29 +34,28 @@ Public surface
 Concurrency: operations are serialized with a single re-entrant lock —
 "mutual exclusion, which does not overlap I/O and computation, but is
 simple and acceptable when concurrency is low" (§4.2).
+
+``ChunkStore`` is the façade and the lock owner.  The state a commit
+changes is the :class:`~repro.chunkstore.partitions.PartitionTable`
+(``store.table``); reads go through the
+:class:`~repro.chunkstore.readpath.ReadPath`, appends through the
+:class:`~repro.chunkstore.writepath.LogWriter`; checkpoint, cleaner,
+recovery and scrub are modules of their own that are handed the store and
+run under its lock.  Every public method takes the lock, passes
+:meth:`ChunkStore._check_open` and delegates.
 """
 
 from __future__ import annotations
 
 import logging
 import threading
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.chunkstore.cache import DescriptorCache, ValidatedChunkCache
 from repro.chunkstore.checkpoint import write_checkpoint
 from repro.chunkstore.config import StoreConfig, mac_key, system_cipher_key
-from repro.chunkstore.descriptor import ChunkDescriptor, ChunkStatus
+from repro.chunkstore.descriptor import ChunkDescriptor
 from repro.chunkstore.ids import (
     SYSTEM_PARTITION,
     ChunkId,
@@ -65,12 +64,7 @@ from repro.chunkstore.ids import (
     rank_to_partition,
 )
 from repro.chunkstore.leader import LeaderPayload, SystemExtras
-from repro.chunkstore.log import (
-    DeallocateRecord,
-    LogCodec,
-    VersionHeader,
-    VersionKind,
-)
+from repro.chunkstore.log import DeallocateRecord, LogCodec, VersionKind
 from repro.chunkstore.ops import (
     CopyPartition,
     DeallocateChunk,
@@ -79,23 +73,14 @@ from repro.chunkstore.ops import (
     WritePartition,
 )
 from repro.chunkstore.partition import PartitionState, generate_partition_key
+from repro.chunkstore.partitions import PartitionTable
 from repro.chunkstore.readpath import ReadPath
 from repro.chunkstore.segments import LogWriteBuffer, SegmentManager
 from repro.chunkstore.validation import make_validator
 from repro.chunkstore.writepath import LogWriter
-from repro.crypto.cipher import Cipher
-from repro.crypto.counters import CipherCounters, HashCounters
-from repro.crypto.hashing import HashFunction
 from repro.crypto.mac import Mac
 from repro.crypto.registry import KEY_SIZES, make_cipher, make_hash
-from repro.errors import (
-    ChunkStoreError,
-    IOFaultError,
-    PartitionNotFoundError,
-    QuarantineError,
-    StorageFullError,
-    TamperDetectedError,
-)
+from repro.errors import ChunkStoreError, StorageFullError, TamperDetectedError
 from repro.platform.retry import RetriedReader, Retrier
 from repro.platform.trusted_platform import TrustedPlatform
 from repro.util.checksum import crc32_bytes
@@ -113,21 +98,12 @@ class ChunkStore:
         """Internal; use :meth:`format` or :meth:`open`."""
         self.platform = platform
         self.config = config
-        #: one tally per algorithm name, shared by every cipher/hash
-        #: instance this store or its snapshot views create — so the
-        #: totals in stats() outlive a deallocated partition's instances
-        #: and include snapshot reads.  View threads bump them without the
-        #: store lock; like every stats int, a race can drop a count.
-        self._cipher_tallies: Dict[str, CipherCounters] = {}
-        self._hash_tallies: Dict[str, HashCounters] = {}
         secret = platform.secret_store.read()
-        system_cipher = make_cipher(
-            config.system_cipher, system_cipher_key(secret, config.system_cipher)
-        )
+        system_key = system_cipher_key(secret, config.system_cipher)
+        system_cipher = make_cipher(config.system_cipher, system_key)
         system_hash = make_hash(config.system_hash)
         if system_hash.digest_size == 0:
             raise ValueError("the system hash function must not be null")
-        self._share_tallies(system_cipher, system_hash)
         self.codec = LogCodec(system_cipher, system_hash)
         self.mac = Mac(mac_key(secret), system_hash)
         self.segman = SegmentManager(
@@ -148,21 +124,24 @@ class ChunkStore:
         self.reader = RetriedReader(
             platform.untrusted, self.retrier, before_read=self.logbuf.seal
         )
-        #: degraded-mode state: str(chunk id) -> cause ("io" or "tamper"),
-        #: filled in by the read path; scrub heals what it can
-        self._quarantine: Dict[str, str] = {}
-        #: the §4.5 walk and validator, over this store's own state; every
-        #: call into it runs under ``_lock``
+        #: the §4.5 walk and validator, over this store's own state (its
+        #: quarantine table is this store's degraded-mode state: filled in
+        #: by reads, healed by scrub); every call into it runs under ``_lock``
         self.readpath = ReadPath(
             self.cache,
-            self._quarantine,
+            {},
             self.payloads,
             self.codec,
             self.reader,
             config.fanout,
             config.superblock_size,
         )
-        self.partitions: Dict[int, PartitionState] = {}
+        #: the volatile image of committed state, and the one place a
+        #: committed version's effect on it is applied; every call into it
+        #: runs under ``_lock``
+        self.table = PartitionTable(self.readpath, self.segman, system_key)
+        self.table.share_tallies(system_cipher, system_hash)
+        self.partitions = self.table.partitions
         self.validator = make_validator(
             config, platform, system_hash, self.mac, system_cipher.authenticates
         )
@@ -177,7 +156,6 @@ class ChunkStore:
         )
         self._lock = threading.RLock()
         self._leader_location = 0
-        self._system_key = system_cipher_key(secret, config.system_cipher)
         self._in_maintenance = False
         self._closed = False
         self._failed = False
@@ -204,9 +182,7 @@ class ChunkStore:
             key=b"",  # the system key is derived from the secret store
             system=SystemExtras(),
         )
-        store.partitions[SYSTEM_PARTITION] = store._open_partition(
-            SYSTEM_PARTITION, system_payload, key_override=store._system_key
-        )
+        store.table.open_system(system_payload)
         with store._lock:
             store._write_checkpoint(initial=True)
         return store
@@ -325,91 +301,59 @@ class ChunkStore:
         return config, leader_location
 
     # ------------------------------------------------------------------
-    # partition state
+    # the gate: every public call below takes ``_lock`` and passes it first
     # ------------------------------------------------------------------
 
-    def _share_tallies(self, cipher: Cipher, hash_function: HashFunction) -> None:
-        """Point fresh crypto instances at this store's tally for their
-        algorithm name (the first instance of a name donates its own)."""
-        cipher.counters = self._cipher_tallies.setdefault(
-            cipher.name, cipher.counters
-        )
-        hash_function.counters = self._hash_tallies.setdefault(
-            hash_function.name, hash_function.counters
-        )
+    def _check_open(self) -> None:
+        """Refuse on a closed store, and on a failed one: its volatile
+        image is half-applied, so nothing may act on it or serve from it.
+        The few calls that skip this say why (DESIGN.md has the list)."""
+        if self._closed:
+            raise ChunkStoreError("chunk store is closed")
+        if self._failed:
+            raise ChunkStoreError(
+                "chunk store is in a failed state after an interrupted "
+                "commit; reopen it to recover from the log"
+            )
 
-    def _open_partition(
-        self, pid: int, payload: LeaderPayload, key_override: Optional[bytes] = None
-    ) -> PartitionState:
-        """:meth:`PartitionState.open` with its crypto instances tallying
-        into this store's per-algorithm counters."""
-        state = PartitionState.open(pid, payload, key_override)
-        self._share_tallies(state.cipher, state.hash)
-        return state
+    # white-box entries for tests and tools: no lock, no gate
 
     def _state(self, pid: int) -> PartitionState:
-        state = self.partitions.get(pid)
-        if state is not None:
-            return state
-        if pid == SYSTEM_PARTITION:
-            raise ChunkStoreError("system partition state missing (store not open)")
-        system = self.partitions[SYSTEM_PARTITION]
-        rank = partition_rank(pid)
-        if not system.is_committed_written(rank):
-            raise PartitionNotFoundError(f"partition {pid} is not written")
-        body = self._read_chunk_body(SYSTEM_PARTITION, rank)
-        payload = LeaderPayload.decode(body)
-        state = self._open_partition(pid, payload)
-        self.partitions[pid] = state
-        return state
+        return self.table.load(pid)
+
+    def _get_descriptor(self, cid: ChunkId) -> ChunkDescriptor:
+        return self.table.descriptor(cid)
+
+    # ------------------------------------------------------------------
+    # partitions and allocation (§4.4) — see repro.chunkstore.partitions
+    # ------------------------------------------------------------------
 
     def partition_exists(self, pid: int) -> bool:
-        if pid == SYSTEM_PARTITION:
-            return True
-        system = self.partitions[SYSTEM_PARTITION]
-        return system.is_committed_written(partition_rank(pid))
+        with self._lock:
+            self._check_open()
+            return self.table.exists(pid)
 
     def partition_ids(self) -> List[int]:
         """Ids of all written partitions (excluding the system partition)."""
-        system = self.partitions[SYSTEM_PARTITION]
-        return [
-            rank_to_partition(rank)
-            for rank in range(system.payload.next_rank)
-            if system.is_committed_written(rank)
-        ]
+        with self._lock:
+            self._check_open()
+            return self.table.ids()
 
     def partition_info(self, pid: int) -> Dict[str, object]:
-        state = self._state(pid)
-        return {
-            "cipher": state.payload.cipher_name,
-            "hash": state.payload.hash_name,
-            "chunk_count": state.payload.next_rank - len(state.payload.free_ranks),
-            "copies": list(state.payload.copies),
-            "copy_of": state.payload.copy_of,
-        }
-
-    # ------------------------------------------------------------------
-    # allocation (§4.4)
-    # ------------------------------------------------------------------
-
-    def allocate_partition(self) -> int:
-        """Return an unallocated partition id (volatile until written)."""
+        """What ``pid``'s leader says (``key`` is the partition's secret
+        key: the backup store archives it under the system cipher)."""
         with self._lock:
-            system = self.partitions[SYSTEM_PARTITION]
-            return rank_to_partition(system.allocate_rank())
-
-    def allocate_chunk(self, pid: int) -> int:
-        """Return an unallocated chunk rank in ``pid`` (volatile until
-        written)."""
-        with self._lock:
-            return self._state(pid).allocate_rank()
-
-    def reserve_partition_id(self, pid: int) -> None:
-        """Make a *specific* partition id allocatable (volatile until its
-        leader is committed).  Used by the backup store, which must restore
-        a partition under its original id even into a fresh database."""
-        with self._lock:
-            self.partitions[SYSTEM_PARTITION].allocate_specific(partition_rank(pid))
+            self._check_open()
+            payload = self.table.load(pid).payload
+            return {
+                "name": payload.name,
+                "cipher": payload.cipher_name,
+                "hash": payload.hash_name,
+                "key": payload.key,
+                "chunk_count": payload.next_rank - len(payload.free_ranks),
+                "copies": list(payload.copies),
+                "copy_of": payload.copy_of,
+            }
 
     def find_partition(self, name: str) -> Optional[int]:
         """Look up a partition by the well-known name in its leader.
@@ -417,34 +361,94 @@ class ChunkStore:
         Scans all partition leaders; intended for a handful of well-known
         partitions (e.g. the backup registry, the object-store root)."""
         with self._lock:
-            for pid in self.partition_ids():
-                if self._state(pid).payload.name == name:
+            self._check_open()
+            for pid in self.table.ids():
+                if self.table.load(pid).payload.name == name:
                     return pid
             return None
+
+    def allocate_partition(self) -> int:
+        """Return an unallocated partition id (volatile until written)."""
+        with self._lock:
+            self._check_open()
+            return rank_to_partition(self.table.system.allocate_rank())
+
+    def allocate_chunk(self, pid: int) -> int:
+        """Return an unallocated chunk rank in ``pid`` (volatile until
+        written)."""
+        with self._lock:
+            self._check_open()
+            return self.table.load(pid).allocate_rank()
+
+    def reserve_partition_id(self, pid: int) -> None:
+        """Make a *specific* partition id allocatable (volatile until its
+        leader is committed).  Used by the backup store, which must restore
+        a partition under its original id even into a fresh database."""
+        with self._lock:
+            self._check_open()
+            self.table.system.allocate_specific(partition_rank(pid))
+
+    def reserve_chunk(self, pid: int, rank: int) -> None:
+        """Make the *specific* rank ``(pid, rank)`` allocatable (volatile
+        until written; a no-op if it is allocated or written already) —
+        a partition's conventional root, a page number, a restored rank."""
+        with self._lock:
+            self._check_open()
+            self.table.load(pid).allocate_specific(rank)
+
+    def release_chunk(self, pid: int, rank: int) -> None:
+        """Hand back a rank that was allocated but never written.  Answers
+        on a failed store too: an aborting transaction returns its ranks
+        right after the commit that failed it."""
+        with self._lock:
+            self.table.load(pid).cancel_pending(rank)
+
+    def chunk_status(self, pid: int, rank: int) -> str:
+        """Introspection: 'written', 'unwritten', 'free', or 'unallocated'."""
+        with self._lock:
+            self._check_open()
+            return self.table.load(pid).status(rank)
+
+    def data_ranks(self, pid: int) -> List[int]:
+        """All committed-written data ranks of a partition."""
+        with self._lock:
+            self._check_open()
+            return self.table.load(pid).written_ranks()
 
     # ------------------------------------------------------------------
     # the validated read path (§4.5) — see repro.chunkstore.readpath
     # ------------------------------------------------------------------
 
-    def _get_descriptor(self, cid: ChunkId) -> ChunkDescriptor:
-        """``cid``'s current descriptor: the bottom-up map walk."""
-        return self.readpath.descriptors(self._state(cid.partition), (cid,))[0]
+    def read_chunk(self, pid: int, rank: int) -> bytes:
+        """Return the last written state of chunk ``(pid, rank)`` (§4.5)."""
+        with self._lock, obs.span("chunkstore.read_chunk"):
+            self._check_open()
+            return self.readpath.read_chunks(
+                self.table.load(pid), (rank,), obs.span("chunkstore.read")
+            )[rank]
 
-    def _read_validated(
-        self, cid: ChunkId, descriptor: ChunkDescriptor, state: PartitionState
-    ) -> bytes:
-        """The validated body of the version ``descriptor`` points at, in
-        one device read."""
-        (body,) = self.readpath.read_validated(
-            state, [(cid, descriptor)], batched=False
-        )
-        return body
+    def read_chunks(self, pid: int, ranks: Sequence[int]) -> Dict[int, bytes]:
+        """Batched :meth:`read_chunk`: returns ``{rank: bytes}`` for every
+        requested rank, coalescing descriptor resolution (one ``read_many``
+        per uncached map level) and the data-extent fetches (one more) so
+        an N-chunk read costs a constant number of round trips instead of
+        2(h+1) per chunk.  Error semantics match a sequential loop: the
+        first rank that cannot be served raises its typed error."""
+        with self._lock, obs.span(
+            "chunkstore.read_chunks", pid=pid, ranks=len(ranks)
+        ):
+            self._check_open()
+            return self.readpath.read_chunks(
+                self.table.load(pid), ranks, obs.span("chunkstore.read_batch")
+            )
 
-    def _read_chunk_body(self, pid: int, rank: int) -> bytes:
-        """Data chunk ``(pid, rank)`` through the payload cache."""
-        return self.readpath.read_chunks(
-            self._state(pid), (rank,), obs.span("chunkstore.read")
-        )[rank]
+    def evict_payload(self, pid: int, rank: int) -> None:
+        """Drop any validated-payload entry for ``(pid, rank)`` — e.g. an
+        :class:`~repro.objectstore.store.ObjectStore` abort's defensive
+        eviction of chunks its transaction touched (which is why it
+        answers on a failed store)."""
+        with self._lock:
+            self.payloads.invalidate(data_id(pid, rank))
 
     # ------------------------------------------------------------------
     # snapshot views (MVCC read path for the serving layer)
@@ -487,174 +491,6 @@ class ChunkStore:
         with self._lock:
             return self._snapshot_pins
 
-    def read_chunk(self, pid: int, rank: int) -> bytes:
-        """Return the last written state of chunk ``(pid, rank)`` (§4.5)."""
-        with self._lock, obs.span("chunkstore.read_chunk"):
-            return self._read_chunk_body(pid, rank)
-
-    def read_chunks(self, pid: int, ranks: Sequence[int]) -> Dict[int, bytes]:
-        """Batched :meth:`read_chunk`: returns ``{rank: bytes}`` for every
-        requested rank, coalescing descriptor resolution (one ``read_many``
-        per uncached map level) and the data-extent fetches (one more) so
-        an N-chunk read costs a constant number of round trips instead of
-        2(h+1) per chunk.  Error semantics match a sequential loop: the
-        first rank that cannot be served raises its typed error."""
-        with self._lock, obs.span(
-            "chunkstore.read_chunks", pid=pid, ranks=len(ranks)
-        ):
-            return self.readpath.read_chunks(
-                self._state(pid), ranks, obs.span("chunkstore.read_batch")
-            )
-
-    def evict_payload(self, pid: int, rank: int) -> None:
-        """Drop any validated-payload entry for ``(pid, rank)`` — e.g. an
-        :class:`~repro.objectstore.store.ObjectStore` abort's defensive
-        eviction of chunks its transaction touched."""
-        with self._lock:
-            self.payloads.invalidate(data_id(pid, rank))
-
-    def chunk_status(self, pid: int, rank: int) -> str:
-        """Introspection: 'written', 'unwritten', 'free', or 'unallocated'."""
-        with self._lock:
-            state = self._state(pid)
-            if rank in state.pending_ranks:
-                return "unwritten"
-            if state.is_committed_written(rank):
-                return "written"
-            if rank in state.payload.free_ranks:
-                return "free"
-            return "unallocated"
-
-    # ------------------------------------------------------------------
-    # effect application — shared between commit and recovery roll-forward
-    # ------------------------------------------------------------------
-
-    def _apply_chunk_write(
-        self, cid: ChunkId, descriptor: ChunkDescriptor
-    ) -> None:
-        """Install a committed chunk write into cache, allocation state,
-        and utilization accounting."""
-        self.payloads.invalidate(cid)  # the cached payload is now stale
-        state = self._state(cid.partition)
-        old = self.cache.get(cid)
-        if old is None and state.payload.tree_height >= max(cid.height, 1):
-            try:
-                old = self._get_descriptor(cid)
-            except (TamperDetectedError, QuarantineError, IOFaultError):
-                old = None  # accounting only; validation happens on real reads
-        if old is not None and old.is_written():
-            self.segman.sub_live(old.location, old.length)
-        self.segman.add_live(descriptor.location, descriptor.length)
-        self.cache.put_dirty(cid, descriptor)
-        if cid.height == 0:
-            state.apply_committed_write(cid.rank)
-        state.leader_dirty = True
-
-    def _apply_chunk_dealloc(self, cid: ChunkId) -> None:
-        self.payloads.invalidate(cid)
-        state = self._state(cid.partition)
-        old = self.cache.get(cid)
-        if old is None:
-            try:
-                old = self._get_descriptor(cid)
-            except (TamperDetectedError, QuarantineError, IOFaultError):
-                old = None
-        if old is not None and old.is_written():
-            self.segman.sub_live(old.location, old.length)
-        self.cache.put_dirty(cid, ChunkDescriptor(ChunkStatus.FREE))
-        state.apply_committed_dealloc(cid.rank)
-
-    def _apply_partition_leader(
-        self, pid: int, payload: LeaderPayload, descriptor: ChunkDescriptor
-    ) -> None:
-        """A partition leader chunk was committed (create, copy, or leader
-        rewrite): refresh the open partition state."""
-        existing = self.partitions.get(pid)
-        if existing is not None and existing.payload is payload:
-            # rewrite of the live payload (e.g. a copy source's updated
-            # copies list): state — including volatile allocations — stays
-            existing.leader_dirty = False
-        else:
-            self.partitions[pid] = self._open_partition(pid, payload)
-        self._apply_chunk_write(data_id(SYSTEM_PARTITION, partition_rank(pid)), descriptor)
-
-    def _collect_copy_family(self, pid: int) -> List[int]:
-        """``pid`` plus all transitive copies (§5.1: deallocating a
-        partition deallocates its copies)."""
-        family: List[int] = []
-        queue = [pid]
-        seen: Set[int] = set()
-        while queue:
-            current = queue.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            family.append(current)
-            if not self.partition_exists(current):
-                continue
-            try:
-                state = self._state(current)
-            except (
-                PartitionNotFoundError,
-                TamperDetectedError,
-                QuarantineError,
-                IOFaultError,
-            ):
-                continue
-            queue.extend(state.payload.copies)
-        return family
-
-    def _iter_partition_locations(self, pid: int) -> Iterator[Tuple[int, int]]:
-        """Yield (location, length) of every written descriptor reachable
-        from ``pid``'s position map — data and map chunks.  Best-effort
-        (skips unreadable subtrees); used only for utilization estimates."""
-        try:
-            state = self._state(pid)
-        except (
-            PartitionNotFoundError,
-            TamperDetectedError,
-            QuarantineError,
-            IOFaultError,
-        ):
-            return
-        height = state.payload.tree_height
-        if height == 0:
-            return
-        root = ChunkId(pid, height, 0)
-        for _, descriptor in self.readpath.subtree(
-            state, (root, self._get_descriptor(root))
-        ):
-            yield descriptor.location, descriptor.length
-
-    def _apply_partition_dealloc(self, family: Iterable[int]) -> None:
-        system = self.partitions[SYSTEM_PARTITION]
-        # subtract live bytes once per distinct version across the family
-        locations: Set[Tuple[int, int]] = set()
-        for pid in family:
-            for loc_len in self._iter_partition_locations(pid):
-                locations.add(loc_len)
-        for location, length in locations:
-            self.segman.sub_live(location, length)
-        for pid in family:
-            state = self.partitions.get(pid)
-            parent = state.payload.copy_of if state else None
-            if parent is not None and parent not in family:
-                # loaded on demand (after a reopen or in replay the source
-                # is not resident): an entry left behind here outlives the
-                # id's reuse, and deallocating the source would then take
-                # the unrelated partition holding that id with it
-                parent_state = self._state(parent)
-                if pid in parent_state.payload.copies:
-                    parent_state.payload.copies.remove(pid)
-                    parent_state.leader_dirty = True
-            self.cache.drop_partition(pid)
-            self.payloads.drop_partition(pid)
-            self.partitions.pop(pid, None)
-            rank = partition_rank(pid)
-            if system.is_committed_written(rank):
-                self._apply_chunk_dealloc(data_id(SYSTEM_PARTITION, rank))
-        system.leader_dirty = True
-
     # ------------------------------------------------------------------
     # commit (§4.6, §5.1)
     # ------------------------------------------------------------------
@@ -672,9 +508,7 @@ class ChunkStore:
             if any(isinstance(op, CopyPartition) for op in operations):
                 # Copies snapshot via the leader payload, whose root must be
                 # current: flush buffered descriptors first (see DESIGN.md).
-                if self.cache.dirty_count() > 0 or any(
-                    s.leader_dirty for s in self.partitions.values()
-                ):
+                if not self.table.is_checkpoint_clean():
                     self._write_checkpoint()
             self._ensure_capacity(self._estimate_commit_bytes(operations))
             try:
@@ -687,15 +521,6 @@ class ChunkStore:
                 self._failed = True
                 raise
             self.commit_count_stat += 1
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ChunkStoreError("chunk store is closed")
-        if self._failed:
-            raise ChunkStoreError(
-                "chunk store is in a failed state after an interrupted "
-                "commit; reopen it to recover from the log"
-            )
 
     def _validate_operations(self, operations: Sequence[object]) -> None:
         """Pre-flight checks so failures surface before any mutation."""
@@ -727,18 +552,16 @@ class ChunkStore:
                     )
                 if op.partition in partitions_written_here:
                     continue  # chunk in a partition created by this commit
-                self._state(op.partition).require_allocated(op.rank)
+                self.table.load(op.partition).require_allocated(op.rank)
             elif isinstance(op, DeallocateChunk):
                 if op.partition in partitions_written_here:
                     raise ChunkStoreError(
                         "cannot deallocate chunks of a partition created in "
                         "the same commit"
                     )
-                self._state(op.partition).require_allocated(op.rank)
+                self.table.load(op.partition).require_allocated(op.rank)
             elif isinstance(op, WritePartition):
-                system = self.partitions[SYSTEM_PARTITION]
-                rank = partition_rank(op.partition)
-                system.require_allocated(rank)
+                self.table.system.require_allocated(partition_rank(op.partition))
                 if op.key is not None and len(op.key) != KEY_SIZES.get(
                     op.cipher_name, -1
                 ):
@@ -747,15 +570,14 @@ class ChunkStore:
                     )
                 make_hash(op.hash_name)  # raises on unknown names
             elif isinstance(op, CopyPartition):
-                system = self.partitions[SYSTEM_PARTITION]
-                system.require_allocated(partition_rank(op.partition))
-                self._state(op.source)
+                self.table.system.require_allocated(partition_rank(op.partition))
+                self.table.load(op.source)
             elif isinstance(op, DeallocatePartition):
-                source = self._state(op.partition).payload.copy_of
+                source = self.table.load(op.partition).payload.copy_of
                 if source is not None:
                     # its copies list is about to change: an unreadable
                     # leader must fail the commit here, not half-way
-                    self._state(source)
+                    self.table.load(source)
             else:
                 raise ChunkStoreError(f"unknown operation {op!r}")
 
@@ -800,6 +622,7 @@ class ChunkStore:
 
     def _commit_locked(self, operations: Sequence[object]) -> None:
         injector = self.platform.injector
+        table = self.table
         injector.point("commit.begin")
         self.writer.begin_set()
         dealloc_chunks: List[ChunkId] = []
@@ -824,21 +647,11 @@ class ChunkStore:
                     key=key,
                     name=op.name,
                 )
-                if self.partition_exists(op.partition):
-                    # reset semantics: old contents become obsolete; copy
-                    # relationships survive (copies keep their own state)
-                    old_state = self._state(op.partition)
-                    for location, length in self._iter_partition_locations(
-                        op.partition
-                    ):
-                        self.segman.sub_live(location, length)
-                    payload.copies = list(old_state.payload.copies)
-                    payload.copy_of = old_state.payload.copy_of
-                    self.cache.drop_partition(op.partition)
-                    self.payloads.drop_partition(op.partition)
+                if table.exists(op.partition):
+                    table.reset(op.partition, payload)
                 self._append_leader(op.partition, payload)
             elif isinstance(op, CopyPartition):
-                source = self._state(op.source)
+                source = table.load(op.source)
                 payload = source.payload.copy_for_snapshot()
                 payload.copy_of = op.source
                 source.payload.copies.append(op.partition)
@@ -846,14 +659,14 @@ class ChunkStore:
                 self._append_leader(op.source, source.payload)
             elif isinstance(op, WriteChunk):
                 cid = data_id(op.partition, op.rank)
-                state = self._state(op.partition)
-                self._apply_chunk_write(
+                state = table.load(op.partition)
+                table.chunk_written(
                     cid,
                     self.writer.append_named(cid, op.data, state.cipher, state.hash),
                 )
                 injector.point("commit.write")
             elif isinstance(op, DeallocateChunk):
-                state = self._state(op.partition)
+                state = table.load(op.partition)
                 if op.rank in state.pending_ranks and not state.is_committed_written(
                     op.rank
                 ):
@@ -861,26 +674,26 @@ class ChunkStore:
                 else:
                     dealloc_chunks.append(data_id(op.partition, op.rank))
             elif isinstance(op, DeallocatePartition):
-                dealloc_partitions.extend(self._collect_copy_family(op.partition))
+                dealloc_partitions.extend(table.copy_family(op.partition))
 
         if dealloc_chunks or dealloc_partitions:
             record = DeallocateRecord(dealloc_chunks, sorted(set(dealloc_partitions)))
             self.writer.append_unnamed(VersionKind.DEALLOCATE, record.encode())
             for cid in dealloc_chunks:
-                self._apply_chunk_dealloc(cid)
+                table.chunk_freed(cid)
             if dealloc_partitions:
-                self._apply_partition_dealloc(sorted(set(dealloc_partitions)))
+                table.partitions_freed(sorted(set(dealloc_partitions)))
 
         self._finalize_commit()
 
     def _append_leader(self, pid: int, payload: LeaderPayload) -> None:
         """Write a partition leader as a data chunk of the system partition."""
         cid = data_id(SYSTEM_PARTITION, partition_rank(pid))
-        system = self.partitions[SYSTEM_PARTITION]
+        system = self.table.system
         descriptor = self.writer.append_named(
             cid, payload.encode(), system.cipher, system.hash
         )
-        self._apply_partition_leader(pid, payload, descriptor)
+        self.table.leader_written(pid, payload, descriptor)
 
     def _finalize_commit(self) -> None:
         """Close the open commit set (an application commit or a cleaner
@@ -921,13 +734,14 @@ class ChunkStore:
         snapshots of the same partition, where the shared subtree pruning
         makes the traversal proportional to the *changed* chunks."""
         with self._lock, obs.span("chunkstore.diff"):
-            if self.cache.dirty_count() > 0 or any(
-                s.leader_dirty for s in self.partitions.values()
-            ):
+            self._check_open()
+            if not self.table.is_checkpoint_clean():
                 # the traversal compares *persistent* map descriptors, so
                 # buffered updates must reach the map first
                 self._write_checkpoint()
-            return self.readpath.diff(self._state(old_pid), self._state(new_pid))
+            return self.readpath.diff(
+                self.table.load(old_pid), self.table.load(new_pid)
+            )
 
     # ------------------------------------------------------------------
     # cleaning (§4.9.5)
@@ -989,186 +803,11 @@ class ChunkStore:
         reported in ``repaired``, the rest in ``unrepaired`` (and stay
         quarantined for a later scrub with a better backup).
         """
+        from repro.chunkstore.scrub import scrub
+
         with self._lock, obs.span("chunkstore.scrub"):
             self._check_open()
-            # Fresh retries: drop "io" short-circuits so reads hit the
-            # device again ("tamper" entries are bookkeeping; reads
-            # re-validate those regardless).
-            for key in [k for k, v in self._quarantine.items() if v == "io"]:
-                del self._quarantine[key]
-            validated = 0
-            corrupt: List[str] = []
-            unreadable: List[str] = []
-            failed: List[ChunkId] = []
-            scan_errors = (TamperDetectedError, QuarantineError, IOFaultError)
-
-            def note_failure(cid: ChunkId, exc: Exception) -> None:
-                if isinstance(exc, TamperDetectedError):
-                    corrupt.append(str(cid))
-                else:
-                    unreadable.append(str(cid))
-                failed.append(cid)
-
-            pids = [SYSTEM_PARTITION] + self.partition_ids()
-            for pid in pids:
-                try:
-                    state = self._state(pid)
-                except scan_errors:
-                    if raise_on_first:
-                        raise
-                    # the leader is a data chunk of the system partition,
-                    # already recorded by the system partition's own walk
-                    continue
-                for rank in range(state.payload.next_rank):
-                    if not state.is_committed_written(rank):
-                        continue
-                    cid = data_id(pid, rank)
-                    try:
-                        # bypass the payload cache: scrub exists to
-                        # exercise the device and the validation chain
-                        self.readpath.fetch(state, (cid,))
-                        validated += 1
-                    except scan_errors as exc:
-                        if raise_on_first:
-                            raise
-                        note_failure(cid, exc)
-                # map chunks validate implicitly on the way down, but walk
-                # them explicitly so unreferenced-yet-current levels count
-                height = state.payload.tree_height
-                for level in range(1, height + 1):
-                    span = (state.payload.next_rank + self.config.fanout**level - 1) // (
-                        self.config.fanout**level
-                    )
-                    for rank in range(span):
-                        cid = ChunkId(pid, level, rank)
-                        try:
-                            descriptor = self._get_descriptor(cid)
-                            if not descriptor.is_written():
-                                continue
-                            self._read_validated(cid, descriptor, state)
-                            validated += 1
-                        except scan_errors as exc:
-                            if raise_on_first:
-                                raise
-                            note_failure(cid, exc)
-
-            repaired: List[str] = []
-            unrepaired: List[str] = []
-            if failed:
-                self._repair_failed_chunks(failed, repair_source)
-                for cid in failed:
-                    self._quarantine.pop(str(cid), None)  # fresh attempt
-                    try:
-                        state = self._state(cid.partition)
-                        if cid.height == 0:
-                            self.readpath.fetch(state, (cid,))
-                        else:
-                            descriptor = self._get_descriptor(cid)
-                            if descriptor.is_written():
-                                self._read_validated(cid, descriptor, state)
-                        repaired.append(str(cid))
-                        obs.emit("repair", chunk=str(cid), ok=True)
-                    except (ChunkStoreError, TamperDetectedError, IOFaultError):
-                        unrepaired.append(str(cid))
-                        obs.emit("repair", chunk=str(cid), ok=False)
-            logger.info(
-                "scrub: %d chunk(s) validated across %d partition(s), "
-                "%d corrupt, %d unreadable, %d repaired",
-                validated,
-                len(pids),
-                len(corrupt),
-                len(unreadable),
-                len(repaired),
-            )
-            return {
-                "chunks_validated": validated,
-                "partitions": len(pids),
-                "corrupt": corrupt,
-                "unreadable": unreadable,
-                "repaired": repaired,
-                "unrepaired": unrepaired,
-                "quarantine": dict(self._quarantine),
-            }
-
-    def _repair_failed_chunks(
-        self,
-        failed: List[ChunkId],
-        repair_source: Optional[Callable[[int, int], Optional[bytes]]],
-    ) -> None:
-        """Scrub's repair pass (see :meth:`scrub`)."""
-        changed = False
-        for cid in failed:
-            if (
-                cid.height == 0
-                and cid.partition != SYSTEM_PARTITION
-                and repair_source is not None
-            ):
-                try:
-                    state = self._state(cid.partition)
-                except (TamperDetectedError, QuarantineError, IOFaultError):
-                    continue
-                candidate = repair_source(cid.partition, cid.rank)
-                if candidate is not None and self._repair_data_chunk(
-                    cid, state, candidate
-                ):
-                    changed = True
-            elif cid.height >= 1:
-                # Re-dirty every cached written child so the checkpoint
-                # rewrites this map chunk (degraded rebuild from cache).
-                for slot in range(self.config.fanout):
-                    child = cid.child(self.config.fanout, slot)
-                    cached = self.cache.get(child)
-                    if cached is not None and cached.is_written():
-                        self.cache.put_dirty(child, cached)
-                        changed = True
-        if changed:
-            self._write_checkpoint()
-
-    def _repair_data_chunk(
-        self, cid: ChunkId, state: PartitionState, candidate: bytes
-    ) -> bool:
-        """Re-commit backup bytes for one data chunk, verified first where
-        the committed descriptor is reachable (stale bytes are refused)."""
-        try:
-            descriptor = self._get_descriptor(cid)
-        except (TamperDetectedError, QuarantineError, IOFaultError):
-            descriptor = None
-        if (
-            descriptor is not None
-            and descriptor.is_written()
-            and state.cipher.authenticates
-        ):
-            # An AEAD descriptor stores the auth tag, which depends on the
-            # encryption nonce — unrecomputable from plaintext, so the
-            # stale-bytes pre-check below cannot run.  The backup stream
-            # is itself MAC-validated end-to-end, which is the authority
-            # this path falls back on.
-            logger.info(
-                "scrub: %s is on an AEAD partition; trusting the "
-                "MAC-validated backup bytes without a descriptor pre-check",
-                cid,
-            )
-        elif descriptor is not None and descriptor.is_written():
-            header = VersionHeader(
-                VersionKind.NAMED,
-                cid.partition,
-                cid.height,
-                cid.rank,
-                len(candidate),
-                state.cipher.ciphertext_size(len(candidate)),
-            )
-            if (
-                self.codec.descriptor_hash(header, candidate, state.hash)
-                != descriptor.body_hash
-            ):
-                logger.warning(
-                    "scrub: backup bytes for %s do not match the committed "
-                    "hash; refusing to roll back",
-                    cid,
-                )
-                return False
-        self.commit([WriteChunk(cid.partition, cid.rank, candidate)])
-        return True
+            return scrub(self, raise_on_first, repair_source)
 
     def stored_bytes(self) -> int:
         """Bytes the log currently occupies (§9.3 space accounting)."""
@@ -1185,11 +824,11 @@ class ChunkStore:
             return {
                 "crypto": {
                     name: tally.as_dict()
-                    for name, tally in self._cipher_tallies.items()
+                    for name, tally in self.table.cipher_tallies.items()
                 },
                 "hashing": {
                     name: tally.as_dict()
-                    for name, tally in self._hash_tallies.items()
+                    for name, tally in self.table.hash_tallies.items()
                 },
                 "cache": self.cache.stats(),
                 "log": {
@@ -1222,7 +861,7 @@ class ChunkStore:
                 },
                 "faults": {
                     "quarantined": self.readpath.quarantined_total,
-                    "quarantine_active": len(self._quarantine),
+                    "quarantine_active": len(self.readpath.quarantine),
                 },
                 "snapshots": {
                     "open_views": self._snapshot_pins,
@@ -1234,14 +873,4 @@ class ChunkStore:
         """Active quarantine entries: ``{chunk id: cause}`` (see
         :meth:`scrub` for how entries heal)."""
         with self._lock:
-            return dict(self._quarantine)
-
-    def data_ranks(self, pid: int) -> List[int]:
-        """All committed-written data ranks of a partition."""
-        with self._lock:
-            state = self._state(pid)
-            return [
-                rank
-                for rank in range(state.payload.next_rank)
-                if state.is_committed_written(rank)
-            ]
+            return dict(self.readpath.quarantine)

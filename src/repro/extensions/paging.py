@@ -62,8 +62,7 @@ class TrustedPager:
             self._resident.move_to_end(page_no)
             return self._resident[page_no]
         self.faults += 1
-        state = self.chunks._state(self.partition)
-        state.allocate_specific(page_no)
+        self.chunks.reserve_chunk(self.partition, page_no)
         try:
             content = bytearray(self.chunks.read_chunk(self.partition, page_no))
         except (ChunkNotWrittenError, ChunkNotAllocatedError):

@@ -180,7 +180,7 @@ class SpillingObjectStore(ObjectStore):
         collected = 0
         for pid in list(self.chunks.partition_ids()):
             try:
-                state = self.chunks._state(pid)
+                name = self.chunks.partition_info(pid)["name"]
             except TDBError as exc:
                 # an unreadable leader (quarantined, tampered) just means
                 # this partition cannot be swept now; record the skip
@@ -191,7 +191,7 @@ class SpillingObjectStore(ObjectStore):
                     partition=pid,
                 )
                 continue
-            if state.payload.name.startswith(_SPILL_PREFIX):
+            if name.startswith(_SPILL_PREFIX):
                 self.chunks.commit([DeallocatePartition(pid)])
                 collected += 1
         return collected

@@ -302,8 +302,7 @@ class Transaction:
         conventional root at rank 0)."""
         self._require_active()
         with obs.span("objectstore.create"):
-            state = self.store.chunks._state(ref.partition)
-            state.allocate_specific(ref.rank)
+            self.store.chunks.reserve_chunk(ref.partition, ref.rank)
             self.store.locks.acquire_exclusive(self.tx_id, ref)
             self._writes[ref] = value
             self._created.append(ref)
@@ -377,7 +376,7 @@ class Transaction:
             # deallocated) must not mask the abort, but it is recorded —
             # anything *outside* the store's error hierarchy propagates
             try:
-                store.chunks._state(ref.partition).cancel_pending(ref.rank)
+                store.chunks.release_chunk(ref.partition, ref.rank)
             except TDBError as exc:
                 obs.emit(
                     "swallowed_error",

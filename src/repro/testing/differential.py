@@ -269,12 +269,7 @@ class DifferentialRunner:
                         continue
                     pid = slots[op.slot]
                     data = op_value(op)
-                    state = store._state(pid)
-                    if not (
-                        op.rank in state.pending_ranks
-                        or state.is_committed_written(op.rank)
-                    ):
-                        state.allocate_specific(op.rank)
+                    store.reserve_chunk(pid, op.rank)
                     store.commit([ops.WriteChunk(pid, op.rank, data)])
                     model.write_chunk(pid, op.rank, data)
                 elif op.kind == "dealloc":

@@ -92,11 +92,10 @@ def trusted_view(store: ChunkStore) -> Dict[str, Any]:
     partitions: List[Dict[str, Any]] = []
     for pid in store.partition_ids():
         info = store.partition_info(pid)
-        state = store._state(pid)
         partitions.append(
             {
                 "pid": pid,
-                "name": state.payload.name or None,
+                "name": info["name"] or None,
                 "cipher": info["cipher"],
                 "hash": info["hash"],
                 "chunks": info["chunk_count"],

@@ -64,7 +64,7 @@ def assert_vectors_match_device(store):
         map_id = ChunkId(pid, height, rank)
         state = store._state(pid)
         descriptor = store._get_descriptor(map_id)
-        body = store._read_validated(map_id, descriptor, state)
+        (body,) = store.readpath.read_validated(state, [(map_id, descriptor)])
         assert vector.encode() == body, map_id
         assert list(vector) == list(MapVector.decode(body)), map_id  # memoised slots too
 
@@ -233,6 +233,62 @@ class TestVectorCacheCoherence:
         platform.reboot()
         recovered = ChunkStore.open(platform)
         assert_coherent(platform, recovered, {pid: model})
+
+    @pytest.mark.parametrize("mode", ["counter", "direct"])
+    @pytest.mark.parametrize(
+        "point", ["commit.write", "commit.before_flush", "commit.after_flush"]
+    )
+    def test_interrupted_commit_fails_the_store_for_every_call(self, mode, point):
+        """A commit that dies leaves the volatile image half-applied.  No
+        public call may act on that image: ``diff`` used to checkpoint it
+        (the torn commit then survived the reboot) and reads used to serve
+        it.  Only what undoes or merely counts still answers."""
+        platform, store = fresh(validation_mode=mode)
+        pid = new_partition(store)
+        old, new = (b"A0", b"B0"), (b"A1", b"B1")
+        write(store, pid, dict(enumerate(old)))
+        snap = store.allocate_partition()
+        store.commit([ops.CopyPartition(snap, pid)])
+        view = store.open_snapshot_view(snap)
+        platform.injector.arm(point)
+        with pytest.raises(CrashError):
+            write(store, pid, dict(enumerate(new)))
+        platform.injector.disarm()
+        for refused in (
+            lambda: store.diff(snap, pid),
+            lambda: store.read_chunk(pid, 0),
+            lambda: store.read_chunks(pid, [0, 1]),
+            lambda: store.allocate_chunk(pid),
+            store.allocate_partition,
+            lambda: store.reserve_partition_id(snap + 1),
+            lambda: store.reserve_chunk(pid, 7),
+            lambda: store.chunk_status(pid, 0),
+            lambda: store.data_ranks(pid),
+            lambda: store.partition_info(pid),
+            lambda: store.find_partition("nobody"),
+            lambda: store.partition_exists(pid),
+            store.partition_ids,
+            lambda: store.scrub(raise_on_first=False),
+            store.clean,
+        ):
+            with pytest.raises(ChunkStoreError, match="failed state"):
+                refused()
+        store.evict_payload(pid, 0)
+        store.release_chunk(pid, 7)
+        assert store.stats()["snapshots"]["open_views"] == store.snapshot_pins == 1
+        assert store.quarantined_chunks() == {}
+        assert store.stored_bytes() >= store.live_bytes() > 0
+        store.close_snapshot_view(view)
+        assert store.snapshot_pins == 0
+        store.close()  # and writes nothing on the way out
+        platform.reboot()
+        recovered = ChunkStore.open(platform)
+        seen = tuple(observe(recovered, pid, [0, 1]).values())
+        if point == "commit.after_flush":
+            assert seen in (old, new)  # atomic either way (see test_crash_sweep)
+        else:
+            assert seen == old
+        assert_coherent(platform, recovered, {pid: dict(enumerate(seen))})
 
 
 class TestSnapshotViewSharesVectors:

@@ -10,7 +10,7 @@ nightly use.
 
 import pytest
 
-from repro.chunkstore.store import ChunkStore
+from repro.chunkstore.partitions import PartitionTable
 from repro.testing.differential import DifferentialRunner, Op
 
 MODES = ["counter", "direct"]
@@ -104,9 +104,7 @@ def test_injected_bug_caught_and_shrunk(monkeypatch):
     passes without it."""
     runner = DifferentialRunner(mode="counter", num_ops=50)
 
-    monkeypatch.setattr(
-        ChunkStore, "_apply_chunk_dealloc", lambda self, cid: None
-    )
+    monkeypatch.setattr(PartitionTable, "chunk_freed", lambda self, cid: None)
     caught = None
     for seed in range(20):
         caught = runner.run_seed(seed)
@@ -128,17 +126,17 @@ def test_injected_bug_caught_and_shrunk(monkeypatch):
 def test_injected_stale_read_bug_caught(monkeypatch):
     """A second, read-side bug class: a store that serves stale bytes for
     rewritten chunks diverges from the model at the rewrite commit."""
-    real_write = ChunkStore._apply_chunk_write
+    real_write = PartitionTable.chunk_written
 
     def first_write_wins(self, cid, *args, **kwargs):
         try:
-            self._get_descriptor(cid)
+            self.descriptor(cid)
             return  # drop updates to already-written chunks
         except Exception:
             pass
         return real_write(self, cid, *args, **kwargs)
 
-    monkeypatch.setattr(ChunkStore, "_apply_chunk_write", first_write_wins)
+    monkeypatch.setattr(PartitionTable, "chunk_written", first_write_wins)
     runner = DifferentialRunner(mode="counter", num_ops=50)
     caught = None
     for seed in range(20):
@@ -149,9 +147,7 @@ def test_injected_stale_read_bug_caught(monkeypatch):
 
 
 def test_failure_repro_line_survives_shrinking(monkeypatch):
-    monkeypatch.setattr(
-        ChunkStore, "_apply_chunk_dealloc", lambda self, cid: None
-    )
+    monkeypatch.setattr(PartitionTable, "chunk_freed", lambda self, cid: None)
     runner = DifferentialRunner(mode="counter", num_ops=50)
     caught = None
     for seed in range(20):

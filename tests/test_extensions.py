@@ -180,7 +180,7 @@ class TestSpilling:
                 objects.read_committed(ref)
         # the scratch partition is gone
         assert not any(
-            chunks._state(p).payload.name.startswith("__tx_spill__")
+            chunks.partition_info(p)["name"].startswith("__tx_spill__")
             for p in chunks.partition_ids()
         )
 
@@ -189,7 +189,7 @@ class TestSpilling:
         with objects.transaction() as tx:
             [tx.create(pid, {"n": i}) for i in range(10)]
         assert not any(
-            chunks._state(p).payload.name.startswith("__tx_spill__")
+            chunks.partition_info(p)["name"].startswith("__tx_spill__")
             for p in chunks.partition_ids()
         )
 
@@ -202,12 +202,12 @@ class TestSpilling:
         platform.reboot()
         chunks2 = ChunkStore.open(platform)
         names_before = [
-            chunks2._state(p).payload.name for p in chunks2.partition_ids()
+            chunks2.partition_info(p)["name"] for p in chunks2.partition_ids()
         ]
         assert any(name.startswith("__tx_spill__") for name in names_before)
         objects2 = SpillingObjectStore(chunks2, spill_threshold=2)
         assert not any(
-            chunks2._state(p).payload.name.startswith("__tx_spill__")
+            chunks2.partition_info(p)["name"].startswith("__tx_spill__")
             for p in chunks2.partition_ids()
         )
 
@@ -275,19 +275,19 @@ class TestSwallowedErrors:
         from repro.errors import ChunkStoreError
 
         chunks, objects, pid = self.build()
-        real_state = chunks._state
+        real_info = chunks.partition_info
 
-        def flaky_state(partition):
+        def flaky_info(partition):
             if partition == pid:
                 raise ChunkStoreError("leader unreadable")
-            return real_state(partition)
+            return real_info(partition)
 
         mark = obs.events.mark()
-        chunks._state = flaky_state
+        chunks.partition_info = flaky_info
         try:
             objects.collect_orphans()  # must not raise: pid is skipped
         finally:
-            chunks._state = real_state
+            del chunks.partition_info
         swallowed = [
             e for e in obs.events.since(mark) if e.kind == "swallowed_error"
         ]

@@ -9,7 +9,7 @@ grantable.  Two legs cover it:
 * a single-threaded white-box test that counts the ``notify_all`` the
   timeout path must issue — deterministic, no scheduling involved;
 * multi-threaded liveness/interleaving tests driven by
-  :class:`~repro.platform.clock.VirtualClock`: waiters really block, and
+  ``FakeClock(blocking_waits=True)``: waiters really block, and
   only explicit ``advance`` calls move their deadlines (poll ticks
   surface as spurious wake-ups, which the ``Clock`` contract allows, so
   a waiter is never stranded by a lost notification).
@@ -22,7 +22,7 @@ import pytest
 
 from repro.errors import DeadlockError
 from repro.objectstore.locks import LockManager
-from repro.platform.clock import FakeClock, VirtualClock
+from repro.platform.clock import FakeClock
 
 
 def _wait_for(predicate, timeout=5.0):
@@ -64,7 +64,7 @@ class TestSpuriousDeadlockRegression:
         """Regression: tx1 holds S; tx2's X request times out; tx3's S
         request — blocked solely on ``waiters > 0`` — must be granted as
         soon as the X waiter abandons, not deadlock at its own deadline."""
-        clock = VirtualClock()
+        clock = FakeClock(blocking_waits=True)
         locks = LockManager(timeout=10.0, clock=clock)
         locks.acquire_shared(1, "r")  # held for the whole test
 
@@ -112,7 +112,7 @@ class TestSpuriousDeadlockRegression:
     def test_timeout_with_surviving_waiter_keeps_fairness_gate_closed(self):
         """When one of two X waiters times out, the notify must not let a
         shared requester jump the surviving waiter's queue position."""
-        clock = VirtualClock()
+        clock = FakeClock(blocking_waits=True)
         locks = LockManager(timeout=10.0, clock=clock)
         locks.acquire_shared(1, "r")
 
@@ -170,7 +170,7 @@ class TestSpuriousDeadlockRegression:
 
 class TestNotifyInterleavings:
     def test_release_during_exclusive_wait_grants_before_deadline(self):
-        clock = VirtualClock()
+        clock = FakeClock(blocking_waits=True)
         locks = LockManager(timeout=10.0, clock=clock)
         locks.acquire_shared(1, "r")
         granted = threading.Event()
@@ -188,7 +188,7 @@ class TestNotifyInterleavings:
         assert locks.holds(2, "r", exclusive=True)
 
     def test_virtual_deadline_applies_without_notification(self):
-        clock = VirtualClock()
+        clock = FakeClock(blocking_waits=True)
         locks = LockManager(timeout=3.0, clock=clock)
         locks.acquire_exclusive(1, "r")
         outcome = {}

@@ -122,8 +122,11 @@ class TestMiscApis:
             [ops.WritePartition(pid, cipher_name="des-cbc", hash_name="sha256")]
         )
         info = store.partition_info(pid)
-        assert set(info) == {"cipher", "hash", "chunk_count", "copies", "copy_of"}
+        assert set(info) == {
+            "name", "cipher", "hash", "key", "chunk_count", "copies", "copy_of",
+        }
         assert info["chunk_count"] == 0
+        assert info["name"] == "" and len(info["key"]) == 8
 
     def test_data_ranks_excludes_free(self, store):
         pid = store.allocate_partition()

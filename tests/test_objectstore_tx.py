@@ -9,7 +9,7 @@ import pytest
 from repro.chunkstore import ChunkStore
 from repro.errors import DeadlockError, ObjectNotFoundError, TransactionError
 from repro.objectstore import ObjectRef, ObjectStore
-from repro.platform.clock import VirtualClock
+from repro.platform.clock import FakeClock
 from tests.conftest import make_config, make_platform
 
 
@@ -222,7 +222,7 @@ class TestConcurrency:
         instants (tx2 at vt=10, tx1 at vt=15), so which one breaks the
         deadlock does not depend on wall-clock load."""
         _, _, objects, pid = env
-        clock = VirtualClock()
+        clock = FakeClock(blocking_waits=True)
         objects.locks.clock = clock
         objects.locks.timeout = 10.0
         with objects.transaction() as tx:

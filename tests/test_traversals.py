@@ -9,9 +9,14 @@
 * log order by segment — ``logscan.VersionReader``, shared by recovery and
   the cleaner: the in-segment rule now holds for the cleaner too.
 
-A static guard keeps each of them in its one module.
+A static guard keeps each of them in its one module — and partition
+bookkeeping in ``partitions.py``, scrub/repair in ``scrub.py``.  A second
+recorded script pins that the four effects of a committed version, moved
+behind ``PartitionTable``, still make the same cache, walk and accounting
+calls in the same order, live and in replay.
 """
 
+import ast
 import re
 from collections import Counter
 from pathlib import Path
@@ -19,13 +24,15 @@ from pathlib import Path
 import pytest
 
 from repro.chunkstore import ChunkStore, ops
+from repro.chunkstore.cleaner import Cleaner
 from repro.chunkstore.ids import SYSTEM_PARTITION, ChunkId, data_id, partition_rank
 from repro.chunkstore.logscan import VersionReader
 from repro.errors import IOFaultError, TamperDetectedError
 from repro.platform import FakeClock, FaultConfig, FaultInjector
 from tests.conftest import make_config, make_platform
 
-CHUNKSTORE = Path(__file__).resolve().parents[1] / "src" / "repro" / "chunkstore"
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+CHUNKSTORE = SRC / "chunkstore"
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +62,39 @@ def test_each_traversal_has_one_home():
         "_diff_recursive", "_diff_leaf", "_classify_leaf",
         "_note_sequential_read", "_rewrite_map_chunk",
     }
+
+
+def test_partition_bookkeeping_and_scrub_have_one_home_each():
+    """The façade keeps none of what moved out, its collaborators go to
+    ``store.table`` rather than back through the façade's privates, the
+    unreadable-chunk exception set is spelled once, and nobody outside
+    the package reaches for a ``PartitionState`` through ``_state``."""
+    defined = set(re.findall(r"def (\w+)\(", (CHUNKSTORE / "store.py").read_text()))
+    assert not defined & {
+        "_apply_chunk_write", "_apply_chunk_dealloc", "_apply_partition_leader",
+        "_apply_partition_dealloc", "_collect_copy_family",
+        "_iter_partition_locations", "_repair_failed_chunks", "_repair_data_chunk",
+    }
+    for private in (
+        "store._state(", "store._open_partition", "store._share_tallies",
+        "store._collect_copy_family", "store._apply_",
+    ):
+        assert _modules_mentioning(private) <= {"store.py", "partitions.py"}, private
+    unreadable = {"TamperDetectedError", "QuarantineError", "IOFaultError"}
+    spelled = [
+        path.name
+        for path in CHUNKSTORE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Tuple)
+        and unreadable <= {elt.id for elt in node.elts if isinstance(elt, ast.Name)}
+    ]
+    assert spelled == ["readpath.py"]
+    outside = {
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        if CHUNKSTORE not in path.parents and "._state(" in path.read_text()
+    }
+    assert outside == {"collection/store.py"}  # its own Collection._state
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +248,88 @@ ACCOUNTING_BEFORE_THE_DESCENT = {
     False: [{2: 3135}, {3: 64, 4: 53}],
     # the four data chunks under the dead map chunk stay booked as live
     True: [{0: 1026, 2: 3135}, {3: 64, 4: 53}],
+}
+
+
+def _image(store):
+    cache = store.cache.stats()
+    segman = store.segman
+    return {
+        "live": {str(seg): n for seg, n in enumerate(segman.live_bytes) if n},
+        "used": {str(seg): n for seg, n in enumerate(segman.used_bytes) if n},
+        "cache": [cache["hits"], cache["misses"], cache["evictions"]],
+        "walk": store.stats()["walk"],
+    }
+
+
+def _effects_script(mode):
+    """Every effect of a committed version, live and replayed: the
+    three-level partition of ``_accounting_script`` under a 32-descriptor
+    cache, a copy, overwrites and chunk deallocations, a checkpoint — and
+    then, all in the residual log, more of the same, the copy deallocated,
+    the source reset and refilled, and a cleaner pass.  Returns the image
+    of the live store and of a store reopened from the crashed device."""
+    platform = make_platform()
+    store = ChunkStore.format(
+        platform, make_config(fanout=4, cache_size=32, validation_mode=mode)
+    )
+    source = _new_partition(store)
+    _write(store, source, range(40), batch=8, size=200)
+    copy = store.allocate_partition()
+    store.commit([ops.CopyPartition(copy, source)])
+    _write(store, source, [0, 1, 21, 39], tag=b"w", size=200)
+    store.commit([ops.DeallocateChunk(source, 5), ops.DeallocateChunk(source, 22)])
+    store.checkpoint()
+    _write(store, source, [2, 3, 38], tag=b"x", size=200)
+    store.commit([ops.DeallocateChunk(source, 7)])
+    store.commit([ops.DeallocatePartition(copy)])
+    store.commit([ops.WritePartition(source, cipher_name="null", hash_name="sha1")])
+    _write(store, source, range(6), tag=b"y", size=200)
+    assert Cleaner(store).clean_one() is not None
+    _write(store, source, [6, 7], tag=b"z", size=200)
+    live = _image(store)
+    platform.reboot()
+    return {"live": live, "replayed": _image(ChunkStore.open(platform))}
+
+
+def test_the_effects_touch_caches_and_accounting_as_before(any_mode):
+    assert _effects_script(any_mode) == EFFECTS_BEFORE_THE_TABLE[any_mode]
+
+
+#: ``_effects_script`` run on the parent of the change that moved the
+#: effects from ``ChunkStore._apply_*`` to ``PartitionTable`` (the replayed
+#: image books more as live than the live one: replay does not redo the
+#: reset's accounting, and the cleaned segment is released at the next
+#: checkpoint — both as before)
+EFFECTS_BEFORE_THE_TABLE = {
+    "counter": {
+        "live": {
+            "live": {"2": 89, "3": 3461},
+            "used": {"1": 10339, "2": 4825, "3": 6542},
+            "cache": [103, 91, 140],
+            "walk": {"batches": 15, "chunk_batches": 0, "chunks_batch_fetched": 0, "map_chunks_fetched": 37, "round_trips_saved": 59},
+        },
+        "replayed": {
+            "live": {"2": 2282, "3": 4087},
+            "used": {"0": 16338, "1": 10339, "2": 4825, "3": 6542},
+            "cache": [14, 13, 0],
+            "walk": {"batches": 10, "chunk_batches": 0, "chunks_batch_fetched": 0, "map_chunks_fetched": 21, "round_trips_saved": 32},
+        },
+    },
+    "direct": {
+        "live": {
+            "live": {"2": 89, "3": 3461},
+            "used": {"1": 10107, "2": 4440, "3": 6003},
+            "cache": [103, 91, 140],
+            "walk": {"batches": 15, "chunk_batches": 0, "chunks_batch_fetched": 0, "map_chunks_fetched": 37, "round_trips_saved": 59},
+        },
+        "replayed": {
+            "live": {"2": 2282, "3": 4087},
+            "used": {"0": 15953, "1": 10107, "2": 4440, "3": 6003},
+            "cache": [14, 13, 0],
+            "walk": {"batches": 10, "chunk_batches": 0, "chunks_batch_fetched": 0, "map_chunks_fetched": 21, "round_trips_saved": 32},
+        },
+    },
 }
 
 

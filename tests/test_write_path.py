@@ -1,6 +1,9 @@
 """The log write path: a static guard that only ``validation.py`` knows
 which §4.8.2 discipline is in force, and ``LogWriter`` driven directly —
-one protocol, whatever the stage and whichever the discipline."""
+one protocol, whatever the stage and whichever the discipline.  And the
+gate in front of it all: a static guard that every public ``ChunkStore``
+call takes the lock and checks open/failed first, and a spy that never
+sees the map walked with the lock free."""
 
 import ast
 from pathlib import Path
@@ -10,6 +13,9 @@ import pytest
 from repro.chunkstore import ChunkStore, ops
 from repro.chunkstore.log import VersionKind
 from repro.errors import ChunkStoreError
+from repro.extensions.paging import TrustedPager
+from repro.objectstore import ObjectRef, ObjectStore
+from repro.tools.inspect import trusted_view
 from tests.conftest import make_config, make_platform
 
 CHUNKSTORE = Path(__file__).resolve().parents[1] / "src" / "repro" / "chunkstore"
@@ -50,9 +56,103 @@ def test_only_the_validation_module_knows_the_discipline():
     assert not offenders, offenders
 
 
+#: the public ``ChunkStore`` calls that answer on a closed or failed store
+#: (everything else refuses), and why each must
+ANSWERS_WHEN_FAILED = {
+    "close": "the way out of a failed store; writes nothing once it failed",
+    "close_snapshot_view": "releases a pin; a view outlives a failed commit",
+    "evict_payload": "undo only: Transaction.abort runs it right after the "
+    "commit that failed the store",
+    "release_chunk": "undo only, as evict_payload",
+    "stats": "read-only tallies (what an operator looks at after a failure)",
+    "quarantined_chunks": "read-only tally",
+    "stored_bytes": "read-only tally; sampled from other threads, lock-free",
+    "live_bytes": "read-only tally, as stored_bytes",
+    "snapshot_pins": "read-only tally",
+}
+
+
+def test_every_public_chunkstore_call_passes_the_gate():
+    """Each public method — bar ``format``/``open``, which build the store,
+    and the allow-list above — is one ``with self._lock`` block whose first
+    statement is ``self._check_open()``: nothing runs before the gate, and
+    nothing after the lock is dropped."""
+    tree = ast.parse((CHUNKSTORE / "store.py").read_text())
+    (cls,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ChunkStore"
+    ]
+    public = {
+        node.name: node for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert set(ANSWERS_WHEN_FAILED) <= set(public), "stale allow-list entry"
+    offenders = []
+    for name, node in public.items():
+        if name in ("format", "open") or name in ANSWERS_WHEN_FAILED:
+            continue
+        body = [
+            stmt for stmt in node.body
+            if not isinstance(stmt, ast.ImportFrom)  # lazy collaborator imports
+            and not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+        ]
+        gated = (
+            len(body) == 1
+            and isinstance(body[0], ast.With)
+            and ast.unparse(body[0].items[0].context_expr) == "self._lock"
+            and ast.unparse(body[0].body[0]) == "self._check_open()"
+        )
+        if not gated:
+            offenders.append(name)
+    assert not offenders, offenders
+
+
 @pytest.fixture(params=["counter", "direct"])
 def mode(request):
     return request.param
+
+
+def test_no_public_call_walks_the_map_with_the_lock_free(mode):
+    """Loading a partition that is not resident reads its leader through
+    the §4.5 walk and fills the caches: ``partition_info`` and
+    ``Transaction.create_at`` used to do that with ``_lock`` free, beside
+    a server's committing sessions."""
+    platform = make_platform()
+    store = ChunkStore.format(platform, make_config(validation_mode=mode))
+    pid = store.allocate_partition()
+    store.commit(
+        [ops.WritePartition(pid, cipher_name="null", hash_name="sha1", name="named")]
+    )
+    store.commit([ops.WriteChunk(pid, store.allocate_chunk(pid), b"root")])
+    store.close()
+    store = ChunkStore.open(platform)
+    pager = TrustedPager(store, page_size=64, frames=2)
+    seen = []  # (routine, was the lock held)
+    for routine in ("read_chunks", "descriptors"):
+        def spy(*args, _real=getattr(store.readpath, routine), _name=routine):
+            seen.append((_name, store._lock._is_owned()))
+            return _real(*args)
+        setattr(store.readpath, routine, spy)
+    objects = ObjectStore(store)
+    for call in (
+        lambda: store.partition_info(pid),
+        lambda: store.partition_exists(pid),
+        store.partition_ids,
+        lambda: store.find_partition("named"),
+        lambda: store.chunk_status(pid, 0),
+        lambda: store.data_ranks(pid),
+        lambda: store.reserve_chunk(pid, 5),
+        lambda: objects.transaction().create_at(ObjectRef(pid, 6), "x"),
+        lambda: pager.read(3),
+        lambda: trusted_view(store),
+    ):
+        # cold again: the next call has to load a leader to answer
+        store.partitions.pop(pid, None)
+        store.partitions.pop(pager.partition, None)
+        store.payloads.clear()
+        call()
+    assert {name for name, _ in seen} == {"read_chunks", "descriptors"}
+    assert all(held for _, held in seen), seen
 
 
 def fresh(mode, **overrides):
