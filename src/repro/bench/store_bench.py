@@ -19,7 +19,11 @@ validated-payload cache's savings — skipped decrypt + hash + device reads
 * ``map_load`` — the map walk's unit of work on real map-chunk bodies of a
   two-level map: load one uncached map chunk and read one slot, and
   rewrite one with 4 dirty children, through ``MapVector`` and through the
-  reference ``Decoder`` / ``Encoder`` route in the same process.
+  reference ``Decoder`` / ``Encoder`` route in the same process; what a
+  resident vector costs (``resident_bytes_per_descriptor``, everything
+  reachable from it) and what a lookup in one costs (``slot_lookup_us``);
+  and a count: steady churn over a map of more than 64 map chunks at the
+  default ``cache_size`` loads none of them back.
 
 The bench runs two partition-cipher tiers:
 
@@ -35,15 +39,19 @@ default tier under ``"default_tier"``); ``--check`` exits non-zero unless
 the acceptance floors hold (warm repeated-read throughput ≥ 5× the
 uncached baseline on the slow tier, warm round trips < cold on both, and
 default-tier uncached reads ≥ 400 ops/s — 3× the pre-AEAD 132 ops/s
-baseline, and ``map_load`` ≥ 3× the reference route on both of its
-operations — a ratio, so it does not track the machine), which CI uses as
-a perf-regression smoke test.  ``--tiny`` shrinks the run for CI smoke.
+baseline, ``map_load`` ≥ 3× the reference route on both of its
+operations — a ratio, so it does not track the machine — a resident
+vector ≤ 128 B per descriptor and 0 map loads under steady churn), which
+CI uses as a perf-regression smoke test.  ``--tiny`` shrinks the run for
+CI smoke.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import random
 import sys
 import time
 from typing import Callable, Dict, List, Optional
@@ -75,6 +83,10 @@ OBS_OVERHEAD_CEILING_PCT = 5.0
 #: acceptance floor: ``MapVector`` over the reference route on the same
 #: map-chunk bodies in the same process, for the load and for the rewrite
 MAP_LOAD_RATIO_FLOOR = 3.0
+
+#: acceptance ceiling: bytes a cached map-chunk vector keeps resident per
+#: descriptor, everything reachable from it counted (wire form: ≈75)
+RESIDENT_BYTES_CEILING = 128.0
 
 #: the slow tier's cipher/hash: the slowest registered pair, i.e. the
 #: configuration where the read path's crypto cost is most visible
@@ -332,9 +344,26 @@ def _best_us(work: Callable[[], object], calls: int, rounds: int = 7) -> float:
     return best / calls * 1e6
 
 
-def run_map_load(map_chunks: int, cipher: str, loops: int = 20) -> Dict[str, object]:
-    """Time the map walk's two units of work on the leaf map chunks of a
-    real two-level map, vector route beside reference route."""
+def _resident_bytes(root: object) -> int:
+    """``sys.getsizeof`` of everything reachable from ``root`` (classes
+    and modules aside): what keeping it cached keeps in memory."""
+    seen = {id(root)}
+    frontier = [root]
+    total = 0
+    while frontier:
+        item = frontier.pop()
+        total += sys.getsizeof(item)
+        for referent in gc.get_referents(item):
+            if id(referent) not in seen and not isinstance(referent, type):
+                seen.add(id(referent))
+                frontier.append(referent)
+    return total
+
+
+def _checkpointed_store(map_chunks: int, cipher: str):
+    """A store at the default ``cache_size`` (payload cache off) whose one
+    partition fills ``map_chunks`` leaf map chunks, checkpointed; returns
+    ``(store, pid)``."""
     fanout = StoreConfig.fanout
     platform = TrustedPlatform.create_in_memory(untrusted_size=16 * 1024 * 1024)
     store = ChunkStore.format(platform, _config(payload_cache=False))
@@ -348,6 +377,42 @@ def run_map_load(map_chunks: int, cipher: str, loops: int = 20) -> Dict[str, obj
             [ops.WriteChunk(pid, rank, b"%08d" % rank) for rank in range(base, base + fanout)]
         )
     store.checkpoint()
+    return store, pid
+
+
+def run_steady_churn(cipher: str, map_chunks: int = 80, commits: int = 200) -> Dict[str, int]:
+    """A count, not a timing: seeded 4-write commits with a checkpoint
+    every 50, over a two-level map of more map chunks than the 64 the
+    descriptor cache used to hold, at the default ``cache_size`` — how
+    many map chunks come back off the device once the map is written."""
+    store, pid = _checkpointed_store(map_chunks, cipher)
+    chunks = map_chunks * StoreConfig.fanout
+    rng = random.Random(0)
+    loaded = store.readpath.map_chunks_fetched
+    checkpoints = 0
+    for number in range(commits):
+        store.commit(
+            [ops.WriteChunk(pid, rng.randrange(chunks), b"%08d" % number) for _ in range(4)]
+        )
+        if number % 50 == 49:
+            store.checkpoint()
+            checkpoints += 1
+    result = {
+        "map_chunks": map_chunks + 1,
+        "commits": commits,
+        "checkpoints": checkpoints,
+        "map_loads": store.readpath.map_chunks_fetched - loaded,
+    }
+    store.close(checkpoint=False)
+    return result
+
+
+def run_map_load(map_chunks: int, cipher: str, loops: int = 20) -> Dict[str, object]:
+    """Time the map walk's two units of work on the leaf map chunks of a
+    real two-level map, vector route beside reference route."""
+    fanout = StoreConfig.fanout
+    store, pid = _checkpointed_store(map_chunks, cipher)
+    state = store.partitions[pid]
     assert state.payload.tree_height >= 2, "map_load needs at least two map levels"
 
     leaves = [ChunkId(pid, 1, rank) for rank in range(map_chunks)]
@@ -398,6 +463,13 @@ def run_map_load(map_chunks: int, cipher: str, loops: int = 20) -> Dict[str, obj
         assert list(vector) == list(cached)
         assert vector.replace(dirty).encode() == reference_rewrite_one(cached)
 
+    def slot_lookup() -> None:
+        for _ in range(loops):
+            for vector in vectors:
+                vector[slot]
+
+    for vector in vectors:  # every slot looked up, as a long-lived vector's are
+        list(vector)
     calls = loops * map_chunks
     results: Dict[str, object] = {
         "map_chunks": map_chunks,
@@ -405,6 +477,12 @@ def run_map_load(map_chunks: int, cipher: str, loops: int = 20) -> Dict[str, obj
         "partition_cipher": cipher,
         "store_cold_walk_us": round(_best_us(load_all_cold, map_chunks), 1),
         "floor_ratio": MAP_LOAD_RATIO_FLOOR,
+        "resident_bytes_per_descriptor": round(
+            sum(map(_resident_bytes, vectors)) / (map_chunks * fanout), 1
+        ),
+        "resident_bytes_ceiling": RESIDENT_BYTES_CEILING,
+        "slot_lookup_us": round(_best_us(slot_lookup, calls), 2),
+        "steady_churn": run_steady_churn(cipher),
     }
     for name, vector_work, reference_work in (
         ("load_one_slot", vector_load, reference_load),
@@ -471,12 +549,29 @@ def check(results: Dict[str, object]) -> int:
             )
             failed = True
     map_load = results.get("map_load")
-    for name in ("load_one_slot", "rewrite_4_dirty") if map_load else ():
-        ratio = map_load[name]["ratio"]
-        if ratio < MAP_LOAD_RATIO_FLOOR:
+    if map_load:
+        for name in ("load_one_slot", "rewrite_4_dirty"):
+            ratio = map_load[name]["ratio"]
+            if ratio < MAP_LOAD_RATIO_FLOOR:
+                print(
+                    f"FAIL: map_load {name} is {ratio:.1f}x the reference route, "
+                    f"floor is {MAP_LOAD_RATIO_FLOOR:.1f}x",
+                    file=sys.stderr,
+                )
+                failed = True
+        resident = map_load["resident_bytes_per_descriptor"]
+        if resident > RESIDENT_BYTES_CEILING:
             print(
-                f"FAIL: map_load {name} is {ratio:.1f}x the reference route, "
-                f"floor is {MAP_LOAD_RATIO_FLOOR:.1f}x",
+                f"FAIL: a resident map-chunk vector holds {resident:.0f} B per "
+                f"descriptor, ceiling is {RESIDENT_BYTES_CEILING:.0f} B",
+                file=sys.stderr,
+            )
+            failed = True
+        churn = map_load["steady_churn"]
+        if churn["map_loads"]:
+            print(
+                f"FAIL: steady churn loaded {churn['map_loads']} map chunks in "
+                f"{churn['commits']} commits, the map is meant to stay resident",
                 file=sys.stderr,
             )
             failed = True
@@ -575,6 +670,13 @@ def main(argv=None) -> int:
             f"{name:>16}: {entry['vector_us']:7.1f} us vs reference "
             f"{entry['reference_us']:7.1f} us ({entry['ratio']:.1f}x)"
         )
+    churn = map_load["steady_churn"]
+    print(
+        f"{'resident vector':>16}: {map_load['resident_bytes_per_descriptor']:.1f} B "
+        f"per descriptor, {map_load['slot_lookup_us']:.2f} us a slot lookup; steady "
+        f"churn over {churn['map_chunks']} map chunks: {churn['map_loads']} map loads "
+        f"in {churn['commits']} commits and {churn['checkpoints']} checkpoints"
+    )
 
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)

@@ -15,8 +15,9 @@ serves two distinct roles:
 
 The clean side is cached in the unit it is validated in: one entry per
 map chunk, holding that chunk's validated body as a
-:class:`~repro.chunkstore.descriptor.MapVector` (wire form; a slot is
-decoded when first asked for).  A chunk's clean descriptor is slot
+:class:`~repro.chunkstore.descriptor.MapVector` (wire form and nothing
+else: a slot is decoded each time it is asked for, so a resident vector
+costs what its bytes cost).  A chunk's clean descriptor is slot
 ``rank % fanout`` of its parent's vector, so loading a map chunk is one
 insert, not ``fanout``.
 """
@@ -55,6 +56,8 @@ class DescriptorCache:
         self._vectors: "OrderedDict[Tuple[int, int, int], MapVector]" = (
             OrderedDict()
         )
+        #: slots held in ``_vectors``, kept as vectors come and go
+        self._clean_slots = 0
         self._dirty: Dict[ChunkId, ChunkDescriptor] = {}
         self.hits = 0
         self.misses = 0
@@ -92,10 +95,12 @@ class DescriptorCache:
         """Cache the vector of a map chunk just validated, or just written
         by a checkpoint (replacing the vector it superseded)."""
         key = (map_id.partition, map_id.height, map_id.rank)
+        self._clean_slots += len(vector) - len(self._vectors.get(key, ()))
         self._vectors[key] = vector
         self._vectors.move_to_end(key)
         while len(self._vectors) > self._max_vectors:
             _, evicted = self._vectors.popitem(last=False)
+            self._clean_slots -= len(evicted)
             self.evictions += len(evicted)
 
     def put_dirty(self, chunk_id: ChunkId, descriptor: ChunkDescriptor) -> None:
@@ -105,14 +110,14 @@ class DescriptorCache:
     def drop_partition(self, partition: int) -> None:
         """Forget everything about a deallocated partition."""
         for key in [k for k in self._vectors if k[0] == partition]:
-            del self._vectors[key]
+            self._clean_slots -= len(self._vectors.pop(key))
         for cid in [c for c in self._dirty if c.partition == partition]:
             del self._dirty[cid]
 
     def partition_entries(self, partition: int) -> "DescriptorCache":
         """Point-in-time private cache of ``partition``: its vectors (shared
-        by reference — logically immutable, see :class:`MapVector`) and its
-        dirty descriptors.
+        by reference — immutable, see :class:`MapVector`) and its dirty
+        descriptors.
         Snapshot views seed their walk with this: dirty descriptors are the
         *only* record of post-checkpoint commits, since the persistent map
         is stale until the next checkpoint.  Unbounded, like the map it
@@ -123,6 +128,7 @@ class DescriptorCache:
             for key, vector in self._vectors.items()
             if key[0] == partition
         )
+        seed._clean_slots = sum(map(len, seed._vectors.values()))
         seed._dirty.update(
             (cid, descriptor)
             for cid, descriptor in self._dirty.items()
@@ -145,6 +151,7 @@ class DescriptorCache:
 
     def clear(self) -> None:
         self._vectors.clear()
+        self._clean_slots = 0
         self._dirty.clear()
 
     # -- introspection -------------------------------------------------------
@@ -156,7 +163,9 @@ class DescriptorCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "clean_entries": sum(len(v) for v in self._vectors.values()),
+            "clean_entries": self._clean_slots,
+            "vectors": len(self._vectors),
+            "vector_capacity": self._max_vectors,
             "dirty_entries": len(self._dirty),
             "partitions_indexed": len(partitions),
         }

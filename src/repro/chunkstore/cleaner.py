@@ -28,26 +28,37 @@ Two safety properties from the paper:
 from __future__ import annotations
 
 import logging
-from typing import List, Optional, Tuple
+import weakref
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.chunkstore.descriptor import ChunkDescriptor
 from repro.chunkstore.ids import SYSTEM_PARTITION, ChunkId, leader_id
-from repro.chunkstore.log import CleanerRecord, VersionKind
+from repro.chunkstore.log import CleanerRecord, VersionHeader, VersionKind
 from repro.chunkstore.logscan import VersionReader
 from repro.errors import TamperDetectedError
 
 
 logger = logging.getLogger("repro.chunkstore.cleaner")
 
+#: a NAMED version of the victim segment: header, body ciphertext, location
+_Scanned = Tuple[VersionHeader, bytes, int]
+#: where a version is current, and the descriptor that names it there
+_Current = Tuple[List[int], ChunkDescriptor]
+
 
 class Cleaner:
-    """Reclaims obsolete storage for a :class:`ChunkStore`."""
+    """Reclaims obsolete storage for a :class:`ChunkStore` (``store.cleaner``)."""
 
     def __init__(self, store) -> None:
-        self.store = store
-        #: segments cleaned over this cleaner's lifetime (stats)
+        #: weak: the store owns its cleaner, and a cycle would leave a
+        #: dropped store (and the device it holds) to the cyclic collector
+        self.store = weakref.proxy(store)
+        #: lifetime tallies, read through ``store.stats()["cleaner"]``
         self.cleaned_segments = 0
+        self.versions_scanned = 0  # named versions probed for currency
         self.rewritten_versions = 0
+        self.bytes_rewritten = 0  # log bytes of the re-commits, record and all
 
     def clean_one(self) -> Optional[int]:
         """Clean the emptiest cleanable segment; returns its index, or
@@ -74,22 +85,43 @@ class Cleaner:
             self.cleaned_segments += 1
             return target
 
+    def stats(self) -> Dict[str, int]:
+        return {
+            "cleaned_segments": self.cleaned_segments,
+            "versions_scanned": self.versions_scanned,
+            "rewritten_versions": self.rewritten_versions,
+            "bytes_rewritten": self.bytes_rewritten,
+        }
+
     # ------------------------------------------------------------------
 
-    def _current_partitions(self, cid: ChunkId, location: int) -> List[int]:
-        """Partitions in which the version at ``location`` is current."""
+    def _current(self, named: Sequence[_Scanned]) -> Dict[int, _Current]:
+        """Where the scanned versions are current: index into ``named`` ->
+        the partitions (in copy-family order) whose map names that very
+        location, and the descriptor the first of them holds; an obsolete
+        version has no entry.  The map is asked once per partition of a
+        family, for every version of it the segment holds at once."""
         table = self.store.table
-        if not table.exists(cid.partition):
-            return []  # dead partition ⇒ dead copies ⇒ obsolete version
-        result = []
-        for pid in table.copy_family(cid.partition):
-            if not table.exists(pid):
-                continue
-            probe = ChunkId(pid, cid.height, cid.rank)
-            descriptor = table.descriptor(probe)
-            if descriptor.is_written() and descriptor.location == location:
-                result.append(pid)
-        return result
+        descriptors = self.store.readpath.descriptors
+        by_partition: Dict[int, List[int]] = {}
+        for index, (header, _, _) in enumerate(named):
+            by_partition.setdefault(header.partition, []).append(index)
+        current: Dict[int, _Current] = {}
+        for header_pid, indexes in by_partition.items():
+            if not table.exists(header_pid):
+                continue  # dead partition ⇒ dead copies ⇒ obsolete versions
+            for pid in table.copy_family(header_pid):
+                if not table.exists(pid):
+                    continue
+                probes = [
+                    ChunkId(pid, named[index][0].height, named[index][0].rank)
+                    for index in indexes
+                ]
+                found = descriptors(table.load(pid), probes)
+                for index, descriptor in zip(indexes, found):
+                    if descriptor.is_written() and descriptor.location == named[index][2]:
+                        current.setdefault(index, ([], descriptor))[0].append(pid)
+        return current
 
     def _clean_segment(self, segment: int) -> None:
         store = self.store
@@ -101,33 +133,34 @@ class Cleaner:
 
         # a reader per scan: the re-commit below appends to the log
         versions = VersionReader(codec, store.reader, segman)
-        #: (chunk id, plaintext body, partitions where current)
-        survivors: List[Tuple[ChunkId, bytes, List[int]]] = []
+        named: List[_Scanned] = []
         while cursor < end:
             header, header_ct, body_ct = versions.read(cursor)
-            if header.kind == VersionKind.NAMED:
-                cid = header.chunk_id
-                if cid != leader_id(SYSTEM_PARTITION):
-                    pids = self._current_partitions(cid, cursor)
-                    if pids:
-                        # validate before rewriting (no laundering); on an
-                        # AEAD partition this is the one-pass path — the
-                        # decrypt verifies the tag and the digest *is* the
-                        # stored tag
-                        state = store.table.load(pids[0])
-                        body, digest = codec.validate_named(
-                            header, body_ct, state.cipher, state.hash
-                        )
-                        expected = store.table.descriptor(
-                            ChunkId(pids[0], cid.height, cid.rank)
-                        )
-                        if digest != expected.body_hash:
-                            raise TamperDetectedError(
-                                f"cleaner: chunk {cid} at {cursor} fails validation"
-                            )
-                        survivors.append((cid, body, pids))
+            if (
+                header.kind == VersionKind.NAMED
+                and header.chunk_id != leader_id(SYSTEM_PARTITION)
+            ):
+                named.append((header, body_ct, cursor))
             # unnamed chunks are always obsolete in the checkpointed log
             cursor += len(header_ct) + len(body_ct)
+        self.versions_scanned += len(named)
+
+        #: (chunk id, plaintext body, partitions where current)
+        survivors: List[Tuple[ChunkId, bytes, List[int]]] = []
+        for index, (pids, expected) in sorted(self._current(named).items()):
+            header, body_ct, location = named[index]
+            # validate before rewriting (no laundering); on an AEAD
+            # partition this is the one-pass path — the decrypt verifies
+            # the tag and the digest *is* the stored tag
+            state = store.table.load(pids[0])
+            body, digest = codec.validate_named(
+                header, body_ct, state.cipher, state.hash
+            )
+            if digest != expected.body_hash:
+                raise TamperDetectedError(
+                    f"cleaner: chunk {header.chunk_id} at {location} fails validation"
+                )
+            survivors.append((header.chunk_id, body, pids))
 
         if survivors:
             self._rewrite(survivors)
@@ -142,6 +175,7 @@ class Cleaner:
         """Re-commit the current versions to the log tail (one commit)."""
         store = self.store
         writer = store.writer
+        appended = store.logbuf.bytes_appended
         writer.begin_set()
         record = CleanerRecord(
             [(cid.height, cid.rank, pids) for cid, body, pids in survivors]
@@ -154,5 +188,6 @@ class Cleaner:
                 store.table.chunk_written(
                     ChunkId(pid, cid.height, cid.rank), descriptor.copy()
                 )
-            self.rewritten_versions += 1
         store._finalize_commit()
+        self.rewritten_versions += len(survivors)
+        self.bytes_rewritten += store.logbuf.bytes_appended - appended

@@ -41,8 +41,12 @@ class StoreConfig:
     delta_tu: int = 0
     #: auto-checkpoint when this many descriptors are dirty in cache
     checkpoint_dirty_threshold: int = 1024
-    #: maximum clean descriptor-cache entries before LRU eviction
-    cache_size: int = 4096
+    #: maximum clean descriptor-cache entries before LRU eviction (runtime-
+    #: only).  Held as ``cache_size // fanout`` map-chunk vectors in wire
+    #: form, ≈75 B a descriptor: the default keeps the whole map of a
+    #: 100k-chunk partition resident in ≈8 MB (EXPERIMENTS.md, "The
+    #: resident map", has the curve it is the knee of)
+    cache_size: int = 131072
     #: byte budget for the validated-payload cache (decrypted, verified
     #: data-chunk bodies); 0 disables it (runtime-only, like retry_policy)
     payload_cache_bytes: int = 2 * 1024 * 1024

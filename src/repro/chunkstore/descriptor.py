@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, List, Mapping, Optional
+from typing import Iterable, List, Mapping
 
 from repro.chunkstore.ids import ChunkId
 from repro.errors import TamperDetectedError
@@ -114,29 +114,61 @@ def _encode_slot(descriptor: ChunkDescriptor) -> bytes:
     )
 
 
+_STATUSES = tuple(ChunkStatus)
+
+
+def _decode_slot(wire: bytes) -> ChunkDescriptor:
+    """What ``ChunkDescriptor.decode`` makes of one slot a vector holds,
+    without the ``Decoder``: status byte, two varints inline, and the hash
+    is whatever follows its length.  ``wire`` is one whole valid slot — it
+    matched ``_SLOT`` or came out of ``_encode_slot`` — so nothing is
+    checked again."""
+    if len(wire) == 1:
+        return ChunkDescriptor(_STATUSES[wire[0]])
+    byte = wire[1]
+    pos = 2
+    location = byte & 0x7F
+    shift = 7
+    while byte & 0x80:
+        byte = wire[pos]
+        pos += 1
+        location |= (byte & 0x7F) << shift
+        shift += 7
+    byte = wire[pos]
+    pos += 1
+    length = byte & 0x7F
+    shift = 7
+    while byte & 0x80:
+        byte = wire[pos]
+        pos += 1
+        length |= (byte & 0x7F) << shift
+        shift += 7
+    if wire[pos] & 0x80:  # a hash of 128 bytes or more (none registered)
+        pos = decode_uvarint(wire, pos)[1]
+    else:
+        pos += 1
+    return ChunkDescriptor(ChunkStatus.WRITTEN, location, length, wire[pos:])
+
+
 class MapVector:
-    """A map chunk body kept in wire form: one encoding per slot, each
-    decoded (and memoised) the first time it is indexed.
+    """A map chunk body kept in wire form: one encoding per slot and
+    nothing else, so a cached vector costs what its bytes cost; a slot is
+    decoded each time it is indexed, into a descriptor the caller owns.
 
-    Logically immutable — :meth:`replace` returns a new vector — so
-    vectors are shared by reference between the store's cache and snapshot
-    views.  Memoising a slot is idempotent (any thread decodes the same
-    bytes to an equal descriptor), so indexing needs no lock."""
+    Immutable — :meth:`replace` returns a new vector — so vectors are
+    shared by reference between the store's cache and snapshot views, and
+    indexing needs no lock."""
 
-    __slots__ = ("_wire", "_slots")
+    __slots__ = ("_wire",)
 
-    def __init__(
-        self, wire: List[bytes], slots: List[Optional[ChunkDescriptor]]
-    ) -> None:
+    def __init__(self, wire: List[bytes]) -> None:
         self._wire = wire
-        self._slots = slots
 
     @classmethod
     def of(cls, descriptors: Iterable[ChunkDescriptor]) -> "MapVector":
         """The vector of descriptors already in hand (a new map chunk, a
         degraded rebuild, the reference route's output)."""
-        slots = list(descriptors)
-        return cls([_encode_slot(d) for d in slots], slots)
+        return cls([_encode_slot(d) for d in descriptors])
 
     @classmethod
     def decode(cls, data: bytes) -> "MapVector":
@@ -148,9 +180,10 @@ class MapVector:
         count, start = decode_uvarint(data)
         wire = _SLOT.findall(data, start)
         if len(wire) == count and sum(map(len, wire)) == len(data) - start:
-            return cls(wire, [None] * count)
+            return cls(wire)
         # not what the pattern covers (non-canonical varints, other hash
-        # sizes) or not valid at all: the reference route tells which
+        # sizes) or not valid at all: the reference route tells which, and
+        # what it accepts is kept re-encoded, one canonical slot each
         dec = Decoder(data, start)
         slots = [ChunkDescriptor.decode(dec) for _ in range(count)]
         dec.expect_exhausted()
@@ -160,21 +193,15 @@ class MapVector:
         return len(self._wire)
 
     def __getitem__(self, slot: int) -> ChunkDescriptor:
-        descriptor = self._slots[slot]
-        if descriptor is None:
-            descriptor = ChunkDescriptor.decode(Decoder(self._wire[slot]))
-            self._slots[slot] = descriptor
-        return descriptor
+        return _decode_slot(self._wire[slot])
 
     def replace(self, changes: Mapping[int, ChunkDescriptor]) -> "MapVector":
         """A vector with the slots in ``changes`` overlaid; every other slot
-        keeps its bytes (and its memoised descriptor) untouched."""
+        keeps its bytes untouched."""
         wire = list(self._wire)
-        slots = list(self._slots)
         for slot, descriptor in changes.items():
             wire[slot] = _encode_slot(descriptor)
-            slots[slot] = descriptor
-        return MapVector(wire, slots)
+        return MapVector(wire)
 
     def encode(self) -> bytes:
         """The map chunk body: byte-for-byte what ``descriptor.encode`` per

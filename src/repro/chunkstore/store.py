@@ -54,6 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro import obs
 from repro.chunkstore.cache import DescriptorCache, ValidatedChunkCache
 from repro.chunkstore.checkpoint import write_checkpoint
+from repro.chunkstore.cleaner import Cleaner
 from repro.chunkstore.config import StoreConfig, mac_key, system_cipher_key
 from repro.chunkstore.descriptor import ChunkDescriptor
 from repro.chunkstore.ids import (
@@ -154,6 +155,8 @@ class ChunkStore:
             self.validator,
             platform.injector,
         )
+        #: §4.9.5 cleaning, and its lifetime tallies; takes ``_lock`` itself
+        self.cleaner = Cleaner(self)
         self._lock = threading.RLock()
         self._leader_location = 0
         self._in_maintenance = False
@@ -602,14 +605,11 @@ class ChunkStore:
         ):
             return
         if not self._in_maintenance:
-            from repro.chunkstore.cleaner import Cleaner
-
-            cleaner = Cleaner(self)
             checkpointed = False
             while capacity() < max(
                 needed, self.config.clean_low_water * self.config.segment_size
             ):
-                if cleaner.clean_one() is None:
+                if self.cleaner.clean_one() is None:
                     if not checkpointed and len(self.segman.residual_segments) > 1:
                         self._write_checkpoint()  # bound the residual log
                         checkpointed = True
@@ -750,11 +750,9 @@ class ChunkStore:
     def clean(self, max_segments: int = 1) -> int:
         """Clean up to ``max_segments`` low-utilization segments; returns
         the number actually cleaned."""
-        from repro.chunkstore.cleaner import Cleaner
-
         with self._lock:
             self._check_open()
-            cleaner = Cleaner(self)
+            cleaner = self.cleaner
             cleaned = 0
             for _ in range(max_segments):
                 if cleaner.clean_one() is None:
@@ -836,7 +834,9 @@ class ChunkStore:
                     "writes_issued": self.logbuf.writes_issued,
                     "writes_coalesced": self.logbuf.appends - self.logbuf.writes_issued,
                     "bytes_appended": self.logbuf.bytes_appended,
+                    "bytes_by_kind": dict(self.writer.bytes_by_kind),
                 },
+                "cleaner": self.cleaner.stats(),
                 "commits": self.commit_count_stat,
                 "payload_cache": self.payloads.stats(),
                 "walk": {

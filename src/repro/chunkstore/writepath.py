@@ -30,7 +30,7 @@ the device and the retrier), the validator and the crash injector.
 from __future__ import annotations
 
 from repro.chunkstore.descriptor import ChunkDescriptor, ChunkStatus
-from repro.chunkstore.ids import ChunkId
+from repro.chunkstore.ids import SYSTEM_PARTITION, ChunkId
 from repro.chunkstore.log import LogCodec, NextSegmentRecord, VersionKind
 from repro.chunkstore.segments import LogWriteBuffer, SegmentManager
 from repro.chunkstore.validation import Validator
@@ -38,6 +38,15 @@ from repro.crypto.cipher import Cipher
 from repro.crypto.hashing import HashFunction
 from repro.errors import ChunkStoreError
 from repro.platform.crash import CrashInjector
+
+
+#: what an unnamed version is booked as in ``LogWriter.bytes_by_kind``
+_UNNAMED_KINDS = {
+    VersionKind.DEALLOCATE: "dealloc",
+    VersionKind.COMMIT: "commit",
+    VersionKind.NEXT_SEGMENT: "next_segment",
+    VersionKind.CLEANER: "cleaner_record",
+}
 
 
 class LogWriter:
@@ -62,6 +71,14 @@ class LogWriter:
         self.max_version_size = segman.segment_size - codec.version_size(
             NextSegmentRecord.BODY_SIZE, codec.system_cipher
         )
+        #: bytes appended per kind of version, whoever appended them (commit,
+        #: checkpoint or cleaner): ``data`` and ``map`` chunks of any
+        #: partition bar the system partition's data chunks — the partition
+        #: leaders — which with the system leader are ``leader``; the rest
+        #: are the unnamed kinds.  Sums to ``LogWriteBuffer.bytes_appended``.
+        self.bytes_by_kind = dict.fromkeys(
+            ("data", "map", "leader", *_UNNAMED_KINDS.values()), 0
+        )
 
     def capacity(self) -> int:
         """Bytes of versions the log can still take: the rest of the tail
@@ -77,9 +94,10 @@ class LogWriter:
     def begin_set(self) -> None:
         self.validator.begin_set()
 
-    def append(self, version: bytes, in_set: bool = True) -> int:
+    def append(self, version: bytes, kind: str, in_set: bool = True) -> int:
         """Append one version at the log tail, chaining into a fresh
-        segment first if it does not fit; returns its absolute location."""
+        segment first if it does not fit; returns its absolute location.
+        ``kind`` is the ``bytes_by_kind`` tally it is booked under."""
         size = len(version)
         if size > self.max_version_size:
             raise ChunkStoreError(
@@ -94,6 +112,7 @@ class LogWriter:
         location = segman.tail_location
         self.logbuf.append(location, version)
         self.validator.note(version, in_set=in_set)
+        self.bytes_by_kind[kind] += size
         segman.advance(size)
         return location
 
@@ -103,12 +122,18 @@ class LogWriter:
         """Append a version of chunk ``cid``; returns the descriptor that
         now vouches for it."""
         version, digest = self.codec.build_named(cid, body, cipher, hash_function)
+        if cid.is_map():
+            kind = "map"
+        else:
+            kind = "leader" if cid.partition == SYSTEM_PARTITION else "data"
         return ChunkDescriptor(
-            ChunkStatus.WRITTEN, self.append(version), len(version), digest
+            ChunkStatus.WRITTEN, self.append(version, kind), len(version), digest
         )
 
     def append_unnamed(self, kind: int, body: bytes, in_set: bool = True) -> int:
-        return self.append(self.codec.build_unnamed(kind, body), in_set)
+        return self.append(
+            self.codec.build_unnamed(kind, body), _UNNAMED_KINDS[kind], in_set
+        )
 
     def _chain_jump(self, segment: int) -> None:
         """Point the tail segment at ``segment``, its successor.  Jumps
@@ -119,6 +144,7 @@ class LogWriter:
         )
         self.logbuf.append(self.segman.tail_location, jump)
         self.validator.note(jump, in_set=False)
+        self.bytes_by_kind["next_segment"] += len(jump)
         self.segman.advance(len(jump))
 
     def restart_residual(self, chained: bool = True) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Optional
 
 from repro import obs
 from repro.objectstore.pickling import ObjectRef
@@ -42,10 +42,18 @@ class TDBServer:
         max_batch: int = 64,
     ) -> None:
         self.objects = objects
-        self.committer = GroupCommitter(
-            objects.chunks, max_batch=max_batch, on_commit=self._after_commit
-        )
         self.snapshots = SnapshotManager(objects)
+        # the group-commit hook: newly durable partitions need fresh
+        # snapshots for subsequent readers.  The manager's own method, not
+        # one of the server's, and the manager keeps no ``objects``: the
+        # seam below hangs the committer on ``objects``, and a way back
+        # would tie server, store and device into a reference cycle that
+        # only the cyclic collector frees
+        self.committer = GroupCommitter(
+            objects.chunks,
+            max_batch=max_batch,
+            on_commit=self.snapshots.invalidate_many,
+        )
         self._session_ids = itertools.count(1)
         self._mutex = threading.Lock()
         self._open_sessions = 0
@@ -66,13 +74,6 @@ class TDBServer:
     def _session_closed(self) -> None:
         with self._mutex:
             self._open_sessions = max(0, self._open_sessions - 1)
-
-    # -- commit fan-in -------------------------------------------------------
-
-    def _after_commit(self, touched: Iterable[int]) -> None:
-        """Group-commit hook: newly durable partitions need fresh
-        snapshots for subsequent readers."""
-        self.snapshots.invalidate_many(touched)
 
     # -- lifecycle -----------------------------------------------------------
 

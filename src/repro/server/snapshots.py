@@ -93,7 +93,7 @@ class Snapshot:
                 ) from exc
             for ref in missing:
                 value = unpickle_value(
-                    chunks[ref.rank], self._manager.objects.registry
+                    chunks[ref.rank], self._manager.registry
                 )
                 self._cache.put(ref, value)
                 values[ref] = value
@@ -125,7 +125,7 @@ class SnapshotManager:
     """Hands out refcounted, shared snapshots; invalidated on commit."""
 
     def __init__(self, objects: ObjectStore) -> None:
-        self.objects = objects
+        self.registry = objects.registry
         self.chunks = objects.chunks
         self._mutex = threading.Lock()
         #: source pid -> the snapshot new readers currently share

@@ -7,7 +7,10 @@ Two views, mirroring the trust model:
   and nothing else.  Useful to demonstrate (and regression-test) how
   little the untrusted store leaks;
 * the **trusted view** (given the platform): validated store statistics —
-  partitions, chunk counts, log utilization, residual-log length.
+  partitions, chunk counts, log utilization, residual-log length, whether
+  the chunk map is resident (map-chunk vectors the descriptor cache holds
+  and has room for, against what each partition's map needs), what the
+  log's bytes were spent on, and what the cleaner has done.
 
 Two more views read the process-wide ``repro.obs`` layer:
 
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro import obs
 from repro.chunkstore.store import ChunkStore
@@ -86,9 +89,25 @@ def _hit_ratio(hits: int, misses: int) -> float:
     return round(hits / total, 3) if total else 0.0
 
 
+def map_vectors_needed(ranks: Iterable[int], fanout: int) -> int:
+    """Map chunks in the position map of a partition whose written data
+    chunks are ``ranks``: what the descriptor cache must hold for that map
+    to be resident."""
+    needed = 0
+    nodes = set(ranks)
+    while nodes:
+        nodes = {rank // fanout for rank in nodes}
+        needed += len(nodes)
+        if nodes == {0}:  # the root
+            break
+    return needed
+
+
 def trusted_view(store: ChunkStore) -> Dict[str, Any]:
     """Validated statistics, as trusted code sees them."""
     segman = store.segman
+    stats = store.stats()
+    cache = stats["cache"]
     partitions: List[Dict[str, Any]] = []
     for pid in store.partition_ids():
         info = store.partition_info(pid)
@@ -101,6 +120,9 @@ def trusted_view(store: ChunkStore) -> Dict[str, Any]:
                 "chunks": info["chunk_count"],
                 "copies": info["copies"],
                 "copy_of": info["copy_of"],
+                "map_vectors_needed": map_vectors_needed(
+                    store.data_ranks(pid), store.config.fanout
+                ),
             }
         )
     return {
@@ -119,17 +141,22 @@ def trusted_view(store: ChunkStore) -> Dict[str, Any]:
             "residual": len(segman.residual_segments),
         },
         "cache": {
-            "dirty_descriptors": store.cache.dirty_count(),
-            "hits": store.cache.hits,
-            "misses": store.cache.misses,
-            "evictions": store.cache.evictions,
-            "hit_ratio": _hit_ratio(store.cache.hits, store.cache.misses),
+            "dirty_descriptors": cache["dirty_entries"],
+            "hits": cache["hits"],
+            "misses": cache["misses"],
+            "evictions": cache["evictions"],
+            "hit_ratio": _hit_ratio(cache["hits"], cache["misses"]),
+            # resident when every partition's map_vectors_needed fits
+            "vectors_held": cache["vectors"],
+            "vector_capacity": cache["vector_capacity"],
         },
         "payload_cache": {
             **store.payloads.stats(),
             "hit_ratio": _hit_ratio(store.payloads.hits, store.payloads.misses),
         },
         "commits": store.commit_count_stat,
+        "log_bytes_by_kind": stats["log"]["bytes_by_kind"],
+        "cleaner": stats["cleaner"],
         "io_health": {
             "io_errors": store.platform.untrusted.stats.io_errors,
             "retries": store.platform.untrusted.stats.retries,

@@ -1,11 +1,14 @@
 """``MapVector`` — the wire-form map-chunk vector — against its reference.
 
 ``MapVector.decode`` splits a body into per-slot encodings with one regex
-pass and decodes a slot only when it is indexed; the ``Encoder`` /
-``Decoder`` route through ``ChunkDescriptor.encode`` / ``.decode`` stays
-the definition of the format, and these properties hold the two together.
+pass and keeps nothing else: a slot is decoded by a hand-rolled decoder
+each time it is indexed, into a descriptor the caller owns.  The
+``Encoder`` / ``Decoder`` route through ``ChunkDescriptor.encode`` /
+``.decode`` stays the definition of the format, and these properties hold
+the two together.
 """
 
+import gc
 import os
 import sys
 import threading
@@ -73,8 +76,18 @@ def assert_both_reject(body):
         MapVector.decode(body)
 
 
-def decoded_slots(vector):
-    return [slot for slot, d in enumerate(vector._slots) if d is not None]
+def retained_descriptors(vector):
+    """Every ``ChunkDescriptor`` reachable from ``vector``."""
+    found, seen, frontier = [], set(), [vector]
+    while frontier:
+        for referent in gc.get_referents(frontier.pop()):
+            if isinstance(referent, type) or id(referent) in seen:
+                continue
+            seen.add(id(referent))
+            frontier.append(referent)
+            if isinstance(referent, ChunkDescriptor):
+                found.append(referent)
+    return found
 
 
 def padded(value, size):
@@ -90,7 +103,7 @@ class TestVectorCodecMatchesReference:
         assert MapVector.of(vector).encode() == body
         assert MapVector.of(tuple(vector)).encode() == body
         decoded = MapVector.decode(body)
-        assert decoded_slots(decoded) == []  # the fast split, nothing decoded
+        assert decoded._wire == reference_parts(vector)[1:]  # the fast split
         assert len(decoded) == len(vector)
         assert list(decoded) == vector == reference_decode(body)
         assert all(type(d.body_hash) is bytes for d in decoded)
@@ -164,16 +177,26 @@ class TestReplace:
             overlaid[slot] = descriptor
         assert replaced.encode() == reference_encode(overlaid)
         assert list(replaced) == overlaid
-        # only the changed slots were touched, and the base is as it was
-        assert all(replaced[slot] is changes[slot] for slot in changes)
+        # only the changed slots were touched (the rest share their bytes),
+        # the descriptors handed in were encoded and dropped, and the base
+        # is as it was
+        assert all(
+            replaced._wire[slot] is base._wire[slot]
+            for slot in range(len(vector))
+            if slot not in changes
+        )
+        assert all(replaced[slot] is not changes[slot] for slot in changes)
+        assert retained_descriptors(replaced) == []
         assert base.encode() == reference_encode(vector)
 
     def test_replace_does_not_decode_the_rest(self):
         vector = [ChunkDescriptor(ChunkStatus.WRITTEN, i, 9, b"h" * 20) for i in range(64)]
         base = MapVector.decode(reference_encode(vector))
         replaced = base.replace({3: ChunkDescriptor(ChunkStatus.FREE)})
-        assert decoded_slots(base) == []
-        assert decoded_slots(replaced) == [3]
+        assert [
+            slot for slot in range(64) if replaced._wire[slot] is not base._wire[slot]
+        ] == [3]
+        assert retained_descriptors(base) == retained_descriptors(replaced) == []
 
 
 class TestLazySlots:
@@ -181,12 +204,13 @@ class TestLazySlots:
         vector = [ChunkDescriptor(ChunkStatus.WRITTEN, i, 9, b"h" * 20) for i in range(64)]
         decoded = MapVector.decode(reference_encode(vector))
         assert decoded[17] == vector[17]
-        assert decoded_slots(decoded) == [17]
-        assert decoded[17] is decoded[17]  # memoised
+        assert decoded[17] is not decoded[17]  # afresh each time: no memo
+        assert retained_descriptors(decoded) == []
 
     def test_threads_share_one_vector(self):
-        """Snapshot views index the store's vectors without a lock: racing
-        memoisations of a slot must all read the descriptor that was written."""
+        """Snapshot views index the store's vectors without a lock: an
+        immutable vector gives every racing reader the descriptor that was
+        written."""
         vector = [
             ChunkDescriptor(ChunkStatus.WRITTEN, 1000 + i, 50 + i, bytes([i]) * 32)
             for i in range(64)
@@ -220,6 +244,94 @@ class TestLazySlots:
         finally:
             sys.setswitchinterval(interval)
         assert wrong == []
+
+
+class TestWireOnly:
+    """The vector is its wire bytes: what it costs resident, and what a
+    caller can and cannot do to it."""
+
+    @given(
+        st.lists(st.one_of(unwritten, written(FAST_HASH_SIZES)), min_size=1, max_size=64),
+        st.data(),
+    )
+    def test_decode_index_replace_encode_is_the_reference_route(self, vector, data):
+        """Every registered hash size and bare-status slots, canonical or
+        with one location spelt non-canonically: ``decode → [i] → replace →
+        encode`` is byte-equal to decoding and re-encoding with the
+        ``Decoder`` / ``Encoder``."""
+        parts = reference_parts(vector)
+        slot = data.draw(st.integers(min_value=0, max_value=len(vector) - 1))
+        if vector[slot].is_written() and data.draw(st.booleans()):
+            canonical = encode_uvarint(vector[slot].location)
+            part = parts[slot + 1]
+            parts[slot + 1] = (
+                part[:1]
+                + padded(vector[slot].location, len(canonical) + 1)
+                + part[1 + len(canonical) :]
+            )
+        body = b"".join(parts)
+        decoded = MapVector.decode(body)
+        looked_up = [decoded[i] for i in range(len(decoded))]
+        assert looked_up == reference_decode(body) == vector
+        rebuilt = decoded.replace(dict(enumerate(looked_up)))
+        assert rebuilt.encode() == reference_encode(reference_decode(body))
+        # untouched, a slot keeps the bytes it arrived in when the split
+        # took them (a padded varint of up to ten bytes still fits the
+        # pattern), else the canonical ones the reference route produced
+        assert decoded.encode() in (body, rebuilt.encode())
+
+    @given(vectors, st.data())
+    def test_a_damaged_body_is_rejected_exactly_when_the_reference_rejects_it(
+        self, vector, data
+    ):
+        """Flip, drop or add bytes anywhere: the split plus the slot decoder
+        either raise ``ValueError`` where the reference does (truncation,
+        over-long varints, bad status, trailing bytes) or read the very
+        same descriptors."""
+        body = bytearray(reference_encode(vector))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            at = data.draw(st.integers(min_value=0, max_value=len(body)))
+            damage = data.draw(st.sampled_from(["flip", "drop", "add"]))
+            if damage == "add":
+                body.insert(at, data.draw(st.integers(min_value=0, max_value=255)))
+            elif at < len(body) and damage == "drop":
+                del body[at]
+            elif at < len(body):
+                body[at] ^= data.draw(st.integers(min_value=1, max_value=255))
+        body = bytes(body)
+        try:
+            expected = reference_decode(body)
+        except ValueError:
+            with pytest.raises(ValueError):
+                MapVector.decode(body)
+        else:
+            assert list(MapVector.decode(body)) == expected
+
+    @pytest.mark.parametrize("hash_size", FAST_HASH_SIZES)
+    def test_a_vector_retains_no_descriptor(self, hash_size):
+        vector = [
+            ChunkDescriptor(ChunkStatus.WRITTEN, 10**6 + i, 1100, bytes([i]) * hash_size)
+            for i in range(64)
+        ]
+        for held in (MapVector.decode(reference_encode(vector)), MapVector.of(vector)):
+            assert [held[slot] for slot in range(64)] == vector  # 64 lookups
+            replaced = held.replace({5: vector[6], 63: ChunkDescriptor()})
+            assert retained_descriptors(held) == retained_descriptors(replaced) == []
+            # resident cost: the slot bytes and the list that holds them
+            resident = sys.getsizeof(held._wire) + sum(map(sys.getsizeof, held._wire))
+            assert resident / 64 <= 100
+
+    def test_mutating_a_returned_descriptor_changes_nothing(self):
+        vector = [ChunkDescriptor(ChunkStatus.WRITTEN, i, 9, b"h" * 20) for i in range(4)]
+        held = MapVector.of(vector)
+        for victim in (held[2], vector[2]):  # one it returned, one it was built from
+            victim.location = 999
+            victim.status = ChunkStatus.FREE
+            victim.body_hash = b""
+        assert held[2] == ChunkDescriptor(ChunkStatus.WRITTEN, 2, 9, b"h" * 20)
+        assert held.encode() == reference_encode(
+            [ChunkDescriptor(ChunkStatus.WRITTEN, i, 9, b"h" * 20) for i in range(4)]
+        )
 
 
 class TestVectorCodecEdges:

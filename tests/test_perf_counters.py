@@ -82,7 +82,7 @@ class TestStoreStats:
         stats = store.stats()
         assert set(stats) == {
             "crypto", "hashing", "cache", "payload_cache", "walk", "log",
-            "commits", "untrusted", "faults", "snapshots",
+            "commits", "untrusted", "faults", "snapshots", "cleaner",
         }
         # system cipher is ctr-sha256 in the test config, and the partition
         # uses it too, so one aggregated entry carries all the bytes
@@ -96,6 +96,10 @@ class TestStoreStats:
         log = stats["log"]
         assert log["writes_coalesced"] == log["appends"] - log["writes_issued"]
         assert log["appends"] > log["writes_issued"] > 0
+        kinds = log["bytes_by_kind"]
+        assert sum(kinds.values()) == log["bytes_appended"]
+        assert kinds["data"] > 500 and kinds["leader"] > 0 and kinds["commit"] > 0
+        assert stats["cleaner"]["cleaned_segments"] == 0
         assert stats["commits"] == 2  # WritePartition + WriteChunk
         io = store.platform.untrusted.stats
         assert stats["untrusted"]["writes"] == io.writes
@@ -239,8 +243,10 @@ class TestDescriptorCacheIndex:
         assert after["hits"] >= before + 3
         assert set(after) == {
             "hits", "misses", "evictions", "clean_entries", "dirty_entries",
-            "partitions_indexed"
+            "partitions_indexed", "vectors", "vector_capacity",
         }
+        assert after["vectors"] * store.config.fanout == after["clean_entries"]
+        assert after["vector_capacity"] == store.config.cache_size // store.config.fanout
 
     def test_lru_order_preserved_without_move_to_end(self):
         """install appends new vectors at the LRU tail; get() refreshes

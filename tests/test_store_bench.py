@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench.store_bench import (
     MAP_LOAD_RATIO_FLOOR,
+    RESIDENT_BYTES_CEILING,
     UNCACHED_OPS_FLOOR,
     WARM_SPEEDUP_FLOOR,
     check,
@@ -42,9 +43,23 @@ def test_store_bench_tiny_run_meets_floors():
     assert map_load["map_levels"] >= 2
     for name in ("load_one_slot", "rewrite_4_dirty"):
         assert map_load[name]["ratio"] >= MAP_LOAD_RATIO_FLOOR, map_load[name]
+    # a resident vector is its wire bytes, and a map larger than the old
+    # 64-vector cache stays resident under churn: a size and a count
+    assert 0 < map_load["resident_bytes_per_descriptor"] <= RESIDENT_BYTES_CEILING
+    assert map_load["slot_lookup_us"] > 0
+    churn = map_load["steady_churn"]
+    assert churn["map_chunks"] > 64 and churn["checkpoints"] >= 2
+    assert churn["map_loads"] == 0
     assert check(results) == 0
-    map_load["rewrite_4_dirty"]["ratio"] = 1.0
-    assert check(results) == 1
+    for section, key, bad in (
+        ("rewrite_4_dirty", "ratio", 1.0),
+        (None, "resident_bytes_per_descriptor", 310.0),
+        ("steady_churn", "map_loads", 308),
+    ):
+        entry = map_load if section is None else map_load[section]
+        good, entry[key] = entry[key], bad
+        assert check(results) == 1, key
+        entry[key] = good
 
 
 @pytest.mark.skipif(not aead.available(), reason="AEAD backend unavailable")

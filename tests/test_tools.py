@@ -3,7 +3,12 @@
 import pytest
 
 from repro.chunkstore import ChunkStore, ops
-from repro.tools.inspect import attacker_view, render, trusted_view
+from repro.tools.inspect import (
+    attacker_view,
+    map_vectors_needed,
+    render,
+    trusted_view,
+)
 from tests.conftest import make_config, make_platform
 
 
@@ -63,6 +68,28 @@ class TestTrustedView:
         assert view["stored_bytes"] > 0
         assert 0 < view["utilization"] <= 1.0
         assert view["segments"]["free"] > 0
+
+    def test_says_whether_the_map_is_resident_and_where_the_bytes_went(self, populated):
+        platform, store, pid = populated
+        view = trusted_view(store)
+        needed = {p["pid"]: p["map_vectors_needed"] for p in view["partitions"]}
+        assert needed[pid] == 1  # ten chunks: one map chunk, the root
+        cache = view["cache"]
+        assert cache["vector_capacity"] == store.config.cache_size // store.config.fanout
+        assert 0 < cache["vectors_held"] <= cache["vector_capacity"]
+        kinds = view["log_bytes_by_kind"]
+        assert sum(kinds.values()) == store.logbuf.bytes_appended
+        assert kinds["data"] > 0 and kinds["leader"] > 0
+        assert view["cleaner"]["cleaned_segments"] == 0
+        text = render(view)
+        assert "map_vectors_needed=1" in text and "vector_capacity:" in text
+        assert "log_bytes_by_kind:" in text and "cleaner_record: 0" in text
+
+    def test_map_vectors_needed_counts_every_level(self):
+        assert map_vectors_needed(range(100_000), 64) == 1563 + 25 + 1
+        assert map_vectors_needed([5], 64) == 1
+        assert map_vectors_needed([70], 64) == 2  # leaf 1 and the root above it
+        assert map_vectors_needed([], 64) == 0
 
     def test_render_is_stringy(self, populated):
         platform, store, pid = populated

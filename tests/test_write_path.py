@@ -226,7 +226,7 @@ class TestLogWriter:
         platform, store = fresh(mode)
         tail = store.segman.tail_location
         with pytest.raises(ChunkStoreError):
-            store.writer.append(b"z" * (store.writer.max_version_size + 1))
+            store.writer.append(b"z" * (store.writer.max_version_size + 1), "data")
         assert store.segman.tail_location == tail
         assert store.logbuf.pending_bytes == 0
 
