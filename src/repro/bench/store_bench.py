@@ -23,7 +23,12 @@ validated-payload cache's savings — skipped decrypt + hash + device reads
   resident vector costs (``resident_bytes_per_descriptor``, everything
   reachable from it) and what a lookup in one costs (``slot_lookup_us``);
   and a count: steady churn over a map of more than 64 map chunks at the
-  default ``cache_size`` loads none of them back.
+  default ``cache_size`` loads none of them back;
+* ``object_codec`` — the object pickler's one-pass kernels beside the
+  recursive ``Encoder`` / ``Decoder`` route they replaced (kept below as
+  the oracle), µs per value each way on the value shapes the Figure 10
+  workloads keep, weighted into the mix those workloads carry; the two
+  routes are asserted to agree on every value timed.
 
 The bench runs two partition-cipher tiers:
 
@@ -41,9 +46,10 @@ uncached baseline on the slow tier, warm round trips < cold on both, and
 default-tier uncached reads ≥ 400 ops/s — 3× the pre-AEAD 132 ops/s
 baseline, ``map_load`` ≥ 3× the reference route on both of its
 operations — a ratio, so it does not track the machine — a resident
-vector ≤ 128 B per descriptor and 0 map loads under steady churn), which
-CI uses as a perf-regression smoke test.  ``--tiny`` shrinks the run for
-CI smoke.
+vector ≤ 128 B per descriptor and 0 map loads under steady churn,
+``object_codec`` ≥ 2.0× the reference route encoding and ≥ 1.5× decoding
+the Figure 10 mix), which CI uses as a perf-regression smoke test.
+``--tiny`` shrinks the run for CI smoke.
 """
 
 from __future__ import annotations
@@ -64,8 +70,28 @@ from repro.chunkstore.descriptor import (
     decode_map_body,
 )
 from repro.crypto import aead
+from repro.errors import PicklingError
+from repro.objectstore.pickling import (
+    _MAX_DEPTH,
+    _TAG_BYTES,
+    _TAG_DICT,
+    _TAG_FALSE,
+    _TAG_FLOAT,
+    _TAG_INT,
+    _TAG_LIST,
+    _TAG_NONE,
+    _TAG_REF,
+    _TAG_SET,
+    _TAG_STR,
+    _TAG_TRUE,
+    _TAG_TUPLE,
+    DEFAULT_REGISTRY,
+    ObjectRef,
+    pickle_value,
+    unpickle_value,
+)
 from repro.platform.trusted_platform import TrustedPlatform
-from repro.util.codec import Decoder, Encoder
+from repro.util.codec import MAX_UVARINT_BITS, Decoder, Encoder, zigzag
 
 #: acceptance floor: warm payload-cache reads over the uncached baseline
 #: (slow tier only — an AEAD tier's uncached reads are fast enough that
@@ -87,6 +113,24 @@ MAP_LOAD_RATIO_FLOOR = 3.0
 #: acceptance ceiling: bytes a cached map-chunk vector keeps resident per
 #: descriptor, everything reachable from it counted (wire form: ≈75)
 RESIDENT_BYTES_CEILING = 128.0
+
+#: acceptance floors: the object pickler's one-pass kernels over the
+#: reference route, on the Figure 10 shape mix, same process (ratios)
+CODEC_ENCODE_FLOOR = 2.0
+CODEC_DECODE_FLOOR = 1.5
+
+#: the Figure 10 shape mix: shape -> (share of the values a
+#: ``fig10_resident`` window pickles, share of those a ``fig10_cold``
+#: window unpickles), counted at seed 7 on the e2e benchmark
+CODEC_MIX = {
+    "member": (0.419, 0.830),
+    "index_key": (0.246, 0.0),
+    "btree_leaf": (0.219, 0.068),
+    "hash_bucket": (0.055, 0.092),
+    "collection": (0.051, 0.002),
+    "btree_interior": (0.005, 0.005),
+    "index_state": (0.005, 0.003),
+}
 
 #: the slow tier's cipher/hash: the slowest registered pair, i.e. the
 #: configuration where the read path's crypto cost is most visible
@@ -334,14 +378,204 @@ def _reference_encode(slots: List[ChunkDescriptor]) -> bytes:
     return enc.finish()
 
 
+# The object pickler's reference route: the recursive ``Encoder`` /
+# ``Decoder`` walk ``objectstore/pickling.py`` used before its one-pass
+# kernels, over the plain-loop varints ``util/codec.py`` had before its
+# one- and two-byte fast paths — kept here, and only here, as the oracle
+# that the ``object_codec`` phase and tests/test_pickle_kernels.py hold
+# both to (same bytes, same values, same exception types).  It shares no
+# line with what it checks.
+
+
+def _plain_encode_uvarint(value: int) -> bytes:
+    if value < 0 or value >> MAX_UVARINT_BITS:
+        raise ValueError(f"uvarint cannot encode {value}")
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+def _plain_decode_uvarint(data, offset: int = 0):
+    result = 0
+    shift = 0
+    pos = offset
+    while True:
+        if pos >= len(data):
+            raise ValueError("truncated uvarint")
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, pos
+        shift += 7
+        if shift > 70:
+            raise ValueError("uvarint too long")
+
+
+class _PlainEncoder(Encoder):
+    def uint(self, value: int) -> "Encoder":
+        self._parts.append(_plain_encode_uvarint(value))
+        return self
+
+    def int(self, value: int) -> "Encoder":
+        return self.uint(zigzag(value))
+
+    def bytes(self, value: bytes) -> "Encoder":
+        return self.uint(len(value)).raw(value)
+
+
+class _PlainDecoder(Decoder):
+    def uint(self) -> int:
+        value, self._pos = _plain_decode_uvarint(self._data, self._pos)
+        return value
+
+
+def _reference_pickle(value, registry=DEFAULT_REGISTRY) -> bytes:
+    enc = _PlainEncoder()
+    try:
+        _reference_pickle_into(enc, value, registry, 0)
+    except ValueError as exc:  # an int or a reference field no varint holds
+        raise PicklingError(f"cannot pickle: {exc}") from exc
+    return enc.finish()
+
+
+def _reference_pickle_into(enc: Encoder, value, registry, depth: int) -> None:
+    if depth > _MAX_DEPTH:
+        raise PicklingError("object graph too deep (cycle?)")
+    if value is None:
+        enc.uint(_TAG_NONE)
+    elif value is False:
+        enc.uint(_TAG_FALSE)
+    elif value is True:
+        enc.uint(_TAG_TRUE)
+    elif type(value) is int:
+        enc.uint(_TAG_INT)
+        enc.int(value)
+    elif type(value) is float:
+        enc.uint(_TAG_FLOAT)
+        enc.float(value)
+    elif type(value) is str:
+        enc.uint(_TAG_STR)
+        enc.text(value)
+    elif type(value) is bytes:
+        enc.uint(_TAG_BYTES)
+        enc.bytes(value)
+    elif type(value) is list or type(value) is tuple:
+        enc.uint(_TAG_LIST if type(value) is list else _TAG_TUPLE)
+        enc.uint(len(value))
+        for item in value:
+            _reference_pickle_into(enc, item, registry, depth + 1)
+    elif type(value) is dict:
+        enc.uint(_TAG_DICT)
+        enc.uint(len(value))
+        for key, item in value.items():
+            _reference_pickle_into(enc, key, registry, depth + 1)
+            _reference_pickle_into(enc, item, registry, depth + 1)
+    elif type(value) is set:
+        enc.uint(_TAG_SET)
+        enc.uint(len(value))
+        try:
+            for item in sorted(value):
+                _reference_pickle_into(enc, item, registry, depth + 1)
+        except TypeError:  # unsortable members: in the order of their encodings
+            encodings = []
+            for item in value:
+                member = _PlainEncoder()
+                _reference_pickle_into(member, item, registry, depth + 1)
+                encodings.append(member.finish())
+            for encoding in sorted(encodings):
+                enc.raw(encoding)
+    elif type(value) is ObjectRef:
+        enc.uint(_TAG_REF)
+        enc.uint(value.partition)
+        enc.uint(value.rank)
+    else:
+        tag = registry.tag_for(value)
+        _cls, to_state, _from_state = registry.entry(tag)
+        enc.uint(tag)
+        _reference_pickle_into(enc, to_state(value), registry, depth + 1)
+
+
+def _reference_unpickle(data, registry=DEFAULT_REGISTRY):
+    dec = _PlainDecoder(data)
+    try:
+        value = _reference_unpickle_from(dec, registry, 0)
+        dec.expect_exhausted()
+    except (ValueError, TypeError) as exc:  # TypeError: an unhashable key or member
+        raise PicklingError(f"corrupt pickle: {exc}") from exc
+    return value
+
+
+def _reference_unpickle_from(dec: Decoder, registry, depth: int):
+    if depth > _MAX_DEPTH:
+        raise PicklingError("pickled data too deeply nested")
+    tag = dec.uint()
+    if tag == _TAG_NONE:
+        return None
+    if tag == _TAG_FALSE:
+        return False
+    if tag == _TAG_TRUE:
+        return True
+    if tag == _TAG_INT:
+        return dec.int()
+    if tag == _TAG_FLOAT:
+        return dec.float()
+    if tag == _TAG_STR:
+        return dec.text()
+    if tag == _TAG_BYTES:
+        return dec.bytes()
+    if tag == _TAG_LIST:
+        return [_reference_unpickle_from(dec, registry, depth + 1) for _ in range(dec.uint())]
+    if tag == _TAG_TUPLE:
+        return tuple(
+            _reference_unpickle_from(dec, registry, depth + 1) for _ in range(dec.uint())
+        )
+    if tag == _TAG_DICT:
+        result = {}
+        for _ in range(dec.uint()):
+            key = _reference_unpickle_from(dec, registry, depth + 1)
+            result[key] = _reference_unpickle_from(dec, registry, depth + 1)
+        return result
+    if tag == _TAG_SET:
+        return {_reference_unpickle_from(dec, registry, depth + 1) for _ in range(dec.uint())}
+    if tag == _TAG_REF:
+        return ObjectRef(dec.uint(), dec.uint())
+    cls, _to_state, from_state = registry.entry(tag)
+    state = _reference_unpickle_from(dec, registry, depth + 1)
+    try:
+        value = from_state(state)
+    except PicklingError:
+        raise
+    except Exception as exc:
+        raise PicklingError(f"from_state for tag {tag} refused its state: {exc!r}") from exc
+    if not isinstance(value, cls):
+        raise PicklingError(f"from_state for tag {tag} returned {type(value).__name__}")
+    return value
+
+
 def _best_us(work: Callable[[], object], calls: int, rounds: int = 7) -> float:
     """Best-of-``rounds`` thread CPU time of ``work``, in µs per call."""
-    best = float("inf")
+    return _best_us_each([work], calls, rounds)[0]
+
+
+def _best_us_each(
+    works: List[Callable[[], object]], calls: int, rounds: int = 7
+) -> List[float]:
+    """:func:`_best_us` of each of ``works``, their rounds interleaved: a
+    drift in the machine's speed falls on all alike, as a ratio needs."""
+    best = [float("inf")] * len(works)
     for _ in range(rounds):
-        start = time.thread_time()
-        work()
-        best = min(best, time.thread_time() - start)
-    return best / calls * 1e6
+        for index, work in enumerate(works):
+            start = time.thread_time()
+            work()
+            best[index] = min(best[index], time.thread_time() - start)
+    return [seconds / calls * 1e6 for seconds in best]
 
 
 def _resident_bytes(root: object) -> int:
@@ -499,6 +733,97 @@ def run_map_load(map_chunks: int, cipher: str, loops: int = 20) -> Dict[str, obj
     return results
 
 
+def figure_10_values(copies: int = 8) -> Dict[str, List[object]]:
+    """``copies`` seeded instances of each value shape the Figure 10
+    workloads keep (``benchmarks/e2e/fig10.py``, recorded from its runs):
+    a member object, a hash-index key, a 32-key B-tree leaf, an interior
+    node, a hash bucket, a collection's state and an index's state."""
+    rng = random.Random(10)
+
+    def ref() -> ObjectRef:
+        return ObjectRef(1, rng.randrange(20_000))
+
+    def keys(count: int) -> List[int]:
+        return sorted(rng.sample(range(1000), count))
+
+    build = {
+        "member": lambda: {
+            "type": "c%02d" % rng.randrange(30), "ident": rng.randrange(500),
+            "price": rng.randrange(1000), "owner": rng.randrange(100),
+            "status": rng.choice(("active", "pending", "expired")),
+            "uses": rng.randrange(4), "payload": rng.randbytes(rng.randint(80, 300)),
+        },
+        "index_key": lambda: rng.randrange(500),
+        "btree_leaf": lambda: {
+            "leaf": True, "keys": keys(32),
+            "vals": [[ref() for _ in range(rng.choice((1, 1, 1, 2, 3)))] for _ in range(32)],
+        },
+        "hash_bucket": lambda: {
+            pickle_value(ident): [ref()] for ident in rng.sample(range(500), 16)
+        },
+        "collection": lambda: {
+            "name": "c05", "indexes": {"c05_by_ident": ref(), "c05_by_price": ref()},
+            "members_root": ref(), "size": rng.randrange(500),
+        },
+        "btree_interior": lambda: {
+            "leaf": False, "keys": keys(18), "children": [ref() for _ in range(19)],
+        },
+        "index_state": lambda: {
+            "name": "c02_by_ident", "keyfunc": "ident", "sorted": False,
+            "buckets": [ref() if rng.random() < 0.8 else None for _ in range(32)],
+        },
+    }
+    return {shape: [make() for _ in range(copies)] for shape, make in build.items()}
+
+
+def run_object_codec(loops: int = 200) -> Dict[str, object]:
+    """The object pickler's kernels beside the reference route, per
+    Figure 10 shape and weighted into the mix the workloads carry:
+    µs per value each way, and that the two routes agree."""
+    results: Dict[str, object] = {
+        "encode_floor": CODEC_ENCODE_FLOOR,
+        "decode_floor": CODEC_DECODE_FLOOR,
+        "shapes": {},
+    }
+    mix = dict.fromkeys(
+        ("encode_us", "reference_encode_us", "decode_us", "reference_decode_us"), 0.0
+    )
+
+    def repeat(work, inputs) -> Callable[[], None]:
+        def run_loops() -> None:
+            for _ in range(loops):
+                for item in inputs:
+                    work(item)
+
+        return run_loops
+
+    for shape, values in figure_10_values().items():
+        wires = [pickle_value(value) for value in values]
+        for value, wire in zip(values, wires):  # the two routes agree
+            assert _reference_pickle(value) == wire
+            assert unpickle_value(wire) == value == _reference_unpickle(wire)
+        costs = _best_us_each(
+            [
+                repeat(pickle_value, values),
+                repeat(_reference_pickle, values),
+                repeat(unpickle_value, wires),
+                repeat(_reference_unpickle, wires),
+            ],
+            loops * len(values),
+        )
+        encode_share, decode_share = CODEC_MIX[shape]
+        for name, cost in zip(mix, costs):
+            mix[name] += cost * (decode_share if "decode" in name else encode_share)
+        results["shapes"][shape] = {
+            "bytes": round(sum(map(len, wires)) / len(wires), 1),
+            **{name: round(cost, 2) for name, cost in zip(mix, costs)},
+        }
+    results["mix"] = {name: round(cost, 2) for name, cost in mix.items()}
+    results["encode_ratio"] = round(mix["reference_encode_us"] / mix["encode_us"], 2)
+    results["decode_ratio"] = round(mix["reference_decode_us"] / mix["decode_us"], 2)
+    return results
+
+
 def check(results: Dict[str, object]) -> int:
     """Enforce the acceptance floors; returns a process exit status."""
     failed = False
@@ -575,6 +900,17 @@ def check(results: Dict[str, object]) -> int:
                 file=sys.stderr,
             )
             failed = True
+    codec = results.get("object_codec")
+    if codec:
+        for way, floor in (("encode", CODEC_ENCODE_FLOOR), ("decode", CODEC_DECODE_FLOOR)):
+            ratio = codec[f"{way}_ratio"]
+            if ratio < floor:
+                print(
+                    f"FAIL: object_codec {way} is {ratio:.1f}x the reference route "
+                    f"on the Figure 10 mix, floor is {floor:.1f}x",
+                    file=sys.stderr,
+                )
+                failed = True
     if failed:
         return 1
     print("acceptance floors met")
@@ -676,6 +1012,18 @@ def main(argv=None) -> int:
         f"per descriptor, {map_load['slot_lookup_us']:.2f} us a slot lookup; steady "
         f"churn over {churn['map_chunks']} map chunks: {churn['map_loads']} map loads "
         f"in {churn['commits']} commits and {churn['checkpoints']} checkpoints"
+    )
+
+    codec = results["object_codec"] = run_object_codec(20 if args.tiny else 200)
+    print("-- object_codec: pickling kernels vs the reference route, us per value")
+    for shape, row in {**codec["shapes"], "Figure 10 mix": codec["mix"]}.items():
+        print(
+            f"{shape:>16}: encode {row['encode_us']:6.2f} vs {row['reference_encode_us']:6.2f}"
+            f"   decode {row['decode_us']:6.2f} vs {row['reference_decode_us']:6.2f}"
+        )
+    print(
+        f"{'mix ratios':>16}: encode {codec['encode_ratio']:.1f}x, "
+        f"decode {codec['decode_ratio']:.1f}x"
     )
 
     with open(args.out, "w", encoding="utf-8") as fh:

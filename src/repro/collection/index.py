@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from repro.collection import btree
 from repro.errors import IndexError_
-from repro.objectstore.pickling import ObjectRef, pickle_value
+from repro.objectstore.pickling import ObjectRef, pickle_value, unpickle_value
 from repro.objectstore.store import Transaction
 from repro.util.checksum import crc32_bytes
 
@@ -80,8 +80,10 @@ def field_key(field: str) -> Callable[[Any], Any]:
     return extract
 
 
-def _bucket_of(key: Any) -> int:
-    return crc32_bytes(pickle_value(key)) % HASH_BUCKETS
+def _bucket_of(entry_key: bytes) -> int:
+    """The bucket of a key, from its pickled form (which is also the
+    key's entry in that bucket: pickle once, use twice)."""
+    return crc32_bytes(entry_key) % HASH_BUCKETS
 
 
 class Index:
@@ -153,7 +155,8 @@ class Index:
                 state["root"] = new_root
                 tx.update(self.ref, state)
         else:
-            bucket_index = _bucket_of(key)
+            entry_key = pickle_value(key)
+            bucket_index = _bucket_of(entry_key)
             buckets = list(state["buckets"])
             if buckets[bucket_index] is None:
                 bucket_ref = tx.create(self.partition, {})
@@ -163,7 +166,6 @@ class Index:
             else:
                 bucket_ref = buckets[bucket_index]
             bucket = dict(tx.get(bucket_ref))
-            entry_key = pickle_value(key)
             refs = list(bucket.get(entry_key, []))
             if ref not in refs:
                 refs.append(ref)
@@ -177,11 +179,11 @@ class Index:
         if state["sorted"]:
             btree.remove(tx, self.partition, state["root"], key, ref)
         else:
-            bucket_ref = state["buckets"][_bucket_of(key)]
+            entry_key = pickle_value(key)
+            bucket_ref = state["buckets"][_bucket_of(entry_key)]
             if bucket_ref is None:
                 raise IndexError_(f"index entry ({key!r}, {ref}) not found")
             bucket = dict(tx.get(bucket_ref))
-            entry_key = pickle_value(key)
             refs = list(bucket.get(entry_key, []))
             if ref not in refs:
                 raise IndexError_(f"index entry ({key!r}, {ref}) not found")
@@ -198,11 +200,11 @@ class Index:
         state = tx.get(self.ref)
         if state["sorted"]:
             return btree.lookup(tx, state["root"], key)
-        bucket_ref = state["buckets"][_bucket_of(key)]
+        entry_key = pickle_value(key)
+        bucket_ref = state["buckets"][_bucket_of(entry_key)]
         if bucket_ref is None:
             return []
-        bucket = tx.get(bucket_ref)
-        return list(bucket.get(pickle_value(key), []))
+        return list(tx.get(bucket_ref).get(entry_key, []))
 
     def range(
         self,
@@ -227,8 +229,6 @@ class Index:
         if state["sorted"]:
             yield from btree.iterate(tx, state["root"])
             return
-        from repro.objectstore.pickling import unpickle_value
-
         for bucket_ref in state["buckets"]:
             if bucket_ref is None:
                 continue

@@ -1,9 +1,10 @@
 """Compact binary codecs used for every on-"disk" structure.
 
 All persistent TDB structures (chunk headers, descriptors, leaders, commit
-chunks, backup descriptors, pickled objects) are serialized with the
-:class:`Encoder` / :class:`Decoder` pair below.  The format is deliberately
-simple and self-delimiting at the field level:
+chunks, backup descriptors) are serialized with the :class:`Encoder` /
+:class:`Decoder` pair below; pickled objects use the same field encodings
+through kernels of their own (``objectstore/pickling.py``).  The format is
+deliberately simple and self-delimiting at the field level:
 
 * unsigned integers as LEB128 varints,
 * signed integers zig-zag mapped onto varints,
@@ -20,10 +21,24 @@ import struct
 from typing import List, Optional, Tuple
 
 
+#: the 128 one-byte varints
+_ONE_BYTE = tuple(bytes((value,)) for value in range(0x80))
+
+#: a varint longer than this is refused by :func:`decode_uvarint`, so
+#: :func:`encode_uvarint` refuses to write one (11 bytes carry 77 bits)
+MAX_UVARINT_BITS = 77
+
+
 def encode_uvarint(value: int) -> bytes:
     """Encode a non-negative integer as a LEB128 varint."""
-    if value < 0:
-        raise ValueError(f"uvarint cannot encode negative value {value}")
+    if value < 0x80:
+        if value < 0:
+            raise ValueError(f"uvarint cannot encode negative value {value}")
+        return _ONE_BYTE[value]
+    if value < 0x4000:
+        return bytes((value & 0x7F | 0x80, value >> 7))
+    if value >> MAX_UVARINT_BITS:
+        raise ValueError(f"uvarint cannot encode {value}: over {MAX_UVARINT_BITS} bits")
     out = bytearray()
     while True:
         byte = value & 0x7F
@@ -37,11 +52,19 @@ def encode_uvarint(value: int) -> bytes:
 
 def decode_uvarint(data: bytes, offset: int = 0) -> Tuple[int, int]:
     """Decode a LEB128 varint; returns ``(value, next_offset)``."""
-    result = 0
-    shift = 0
-    pos = offset
+    size = len(data)
+    if offset >= size:
+        raise ValueError("truncated uvarint")
+    result = data[offset]
+    if result < 0x80:
+        return result, offset + 1
+    pos = offset + 1
+    if pos < size and data[pos] < 0x80:
+        return result & 0x7F | data[pos] << 7, pos + 1
+    result &= 0x7F
+    shift = 7
     while True:
-        if pos >= len(data):
+        if pos >= size:
             raise ValueError("truncated uvarint")
         byte = data[pos]
         pos += 1
@@ -53,11 +76,13 @@ def decode_uvarint(data: bytes, offset: int = 0) -> Tuple[int, int]:
             raise ValueError("uvarint too long")
 
 
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1
+def zigzag(value: int) -> int:
+    """Map a signed integer onto the unsigned ones (0, -1, 1, -2, … →
+    0, 1, 2, 3, …), exactly, at any width."""
+    return value << 1 if value >= 0 else ((-value) << 1) - 1
 
 
-def _unzigzag(value: int) -> int:
+def unzigzag(value: int) -> int:
     return value >> 1 if not value & 1 else -((value + 1) >> 1)
 
 
@@ -68,11 +93,13 @@ class Encoder:
         self._parts: List[bytes] = []
 
     def uint(self, value: int) -> "Encoder":
-        self._parts.append(encode_uvarint(value))
+        self._parts.append(
+            _ONE_BYTE[value] if 0 <= value < 0x80 else encode_uvarint(value)
+        )
         return self
 
     def int(self, value: int) -> "Encoder":
-        self._parts.append(encode_uvarint(_zigzag(value)))
+        self._parts.append(encode_uvarint(zigzag(value)))
         return self
 
     def bool(self, value: bool) -> "Encoder":
@@ -144,11 +171,15 @@ class Decoder:
         return self._pos >= len(self._data)
 
     def uint(self) -> int:
-        value, self._pos = decode_uvarint(self._data, self._pos)
+        data, pos = self._data, self._pos
+        if pos < len(data) and data[pos] < 0x80:
+            self._pos = pos + 1
+            return data[pos]
+        value, self._pos = decode_uvarint(data, pos)
         return value
 
     def int(self) -> int:
-        return _unzigzag(self.uint())
+        return unzigzag(self.uint())
 
     def bool(self) -> bool:
         if self._pos >= len(self._data):

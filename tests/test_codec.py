@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.codec import Decoder, Encoder, decode_uvarint, encode_uvarint
+from repro.bench.store_bench import _plain_decode_uvarint, _plain_encode_uvarint
+from repro.util.codec import (
+    MAX_UVARINT_BITS,
+    Decoder,
+    Encoder,
+    decode_uvarint,
+    encode_uvarint,
+)
 
 
 class TestUvarint:
@@ -42,6 +49,43 @@ class TestUvarint:
         decoded, offset = decode_uvarint(data)
         assert decoded == value
         assert offset == len(data)
+
+    def test_fast_paths_are_the_plain_loop(self):
+        # one- and two-byte values take a shortcut; the edges of each
+        edges = [0, 1, 127, 128, 129, 255, 256, 16383, 16384, 16385, 2**21 - 1, 2**21]
+        for value in edges:
+            wire = encode_uvarint(value)
+            assert wire == _plain_encode_uvarint(value)
+            assert decode_uvarint(wire) == _plain_decode_uvarint(wire) == (value, len(wire))
+            assert Encoder().uint(value).finish() == wire
+            assert Decoder(wire).uint() == value
+
+    @given(st.binary(max_size=14), st.integers(0, 3))
+    def test_decode_any_bytes_like_the_plain_loop(self, blob, offset):
+        def outcome(decode, data):
+            try:
+                return decode(data, offset)
+            except ValueError as exc:
+                return str(exc)
+
+        expected = outcome(_plain_decode_uvarint, blob)
+        assert outcome(decode_uvarint, blob) == expected
+        assert outcome(decode_uvarint, memoryview(blob)) == expected
+        decoder = Decoder(blob, offset)
+        try:
+            assert (decoder.uint(), decoder.position) == expected
+        except ValueError as exc:
+            assert str(exc) == expected
+
+    def test_what_no_reader_accepts_is_not_written(self):
+        # decode_uvarint stops at 11 bytes (77 bits); the encoder used to
+        # write longer ones, which then could never be read back
+        largest = (1 << MAX_UVARINT_BITS) - 1
+        assert decode_uvarint(encode_uvarint(largest)) == (largest, 11)
+        with pytest.raises(ValueError):
+            encode_uvarint(largest + 1)
+        with pytest.raises(ValueError):
+            Encoder().uint(largest + 1)
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(0, 100))
     def test_decode_at_offset(self, value, pad):
@@ -94,7 +138,7 @@ class TestEncoderDecoder:
         enc.uint(1).bytes(b"xy")
         assert len(enc) == len(enc.finish())
 
-    @given(st.integers(min_value=-(2**62), max_value=2**62))
+    @given(st.integers(min_value=-(2**76), max_value=2**76 - 1))
     def test_signed_roundtrip(self, value):
         data = Encoder().int(value).finish()
         assert Decoder(data).int() == value

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.bench.store_bench import (
+    CODEC_DECODE_FLOOR,
+    CODEC_ENCODE_FLOOR,
+    CODEC_MIX,
     MAP_LOAD_RATIO_FLOOR,
     RESIDENT_BYTES_CEILING,
     UNCACHED_OPS_FLOOR,
@@ -11,6 +14,7 @@ from repro.bench.store_bench import (
     resolve_cipher,
     run,
     run_map_load,
+    run_object_codec,
 )
 from repro.crypto import aead
 
@@ -60,6 +64,20 @@ def test_store_bench_tiny_run_meets_floors():
         good, entry[key] = entry[key], bad
         assert check(results) == 1, key
         entry[key] = good
+
+    # the object pickler's kernels against the reference route on the
+    # Figure 10 shapes (agreement is asserted inside the phase): ratios
+    codec = results["object_codec"] = run_object_codec(loops=10)
+    assert set(codec["shapes"]) == set(CODEC_MIX)
+    for column in (0, 1):  # the shares of each mix add up
+        assert sum(shares[column] for shares in CODEC_MIX.values()) == pytest.approx(1.0)
+    assert codec["encode_ratio"] >= CODEC_ENCODE_FLOOR, codec
+    assert codec["decode_ratio"] >= CODEC_DECODE_FLOOR, codec
+    assert check(results) == 0
+    for way in ("encode", "decode"):
+        good, codec[f"{way}_ratio"] = codec[f"{way}_ratio"], 1.2
+        assert check(results) == 1, way
+        codec[f"{way}_ratio"] = good
 
 
 @pytest.mark.skipif(not aead.available(), reason="AEAD backend unavailable")
