@@ -121,19 +121,19 @@ class DescriptorCache:
         Snapshot views seed their walk with this: dirty descriptors are the
         *only* record of post-checkpoint commits, since the persistent map
         is stale until the next checkpoint.  Unbounded, like the map it
-        mirrors.  Caller holds the store lock."""
+        mirrors.  Caller holds the store's locks."""
         seed = _SharedDescriptorCache(sys.maxsize, self._fanout)
-        seed._vectors.update(
-            (key, vector)
-            for key, vector in self._vectors.items()
-            if key[0] == partition
-        )
-        seed._clean_slots = sum(map(len, seed._vectors.values()))
-        seed._dirty.update(
-            (cid, descriptor)
-            for cid, descriptor in self._dirty.items()
-            if cid.partition == partition
-        )
+        # whole-dict copies keep the stored hashes (a ChunkId's is computed
+        # in Python), then the few keys of other partitions come out; the
+        # slot count is carried, not re-summed
+        vectors = seed._vectors = self._vectors.copy()
+        slots = self._clean_slots
+        for key in [k for k in vectors if k[0] != partition]:
+            slots -= len(vectors.pop(key))
+        seed._clean_slots = slots
+        dirty = seed._dirty = self._dirty.copy()
+        for cid in [c for c in dirty if c.partition != partition]:
+            del dirty[cid]
         return seed
 
     # -- dirty management ----------------------------------------------------

@@ -64,7 +64,8 @@ class Cleaner:
         """Clean the emptiest cleanable segment; returns its index, or
         ``None`` if no segment is worth cleaning."""
         store = self.store
-        with store._lock:
+        # a writer like any other (and callable on its own): both locks
+        with store._writers, store._lock:
             if store._snapshot_pins > 0:
                 # Open snapshot views hold frozen roots into the current
                 # extents; relocating or reusing those extents would tear

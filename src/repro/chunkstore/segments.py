@@ -44,14 +44,14 @@ class LogWriteBuffer:
 
     * an append lands at a non-adjacent location (a segment jump),
     * the store is about to flush or read the device (``seal`` is called
-      from :meth:`flush`, from ``LogWriter.make_durable`` and by the store's
+      from ``LogWriter.flush`` and ``make_durable`` and by the store's
       ``RetriedReader`` ahead of every device read),
     * a commit or checkpoint finishes.
 
     Sealing is transparent to crash semantics: buffered bytes have simply
     not reached the untrusted store yet, exactly like unflushed writes
     have not reached the durable image — nothing is durable before
-    ``flush`` either way.  Every public chunk-store entry point leaves the
+    :meth:`sync` either way.  Every public chunk-store entry point leaves the
     buffer empty, so the attacker-visible image (``tamper_read`` /
     ``tamper_image``) never lags the log between operations.
     """
@@ -111,9 +111,12 @@ class LogWriteBuffer:
         self._length = 0
         self.writes_issued += 1
 
-    def flush(self) -> None:
-        """Seal, then make everything written so far durable."""
-        self.seal()
+    def sync(self) -> None:
+        """Make everything written so far durable: the retried device
+        flush and nothing else.  The caller sealed; no state of the
+        buffer (or of the store) is read or written here, which is what
+        lets an application commit run this one call with the store's
+        ``_lock`` dropped (``LogWriter.flush``)."""
 
         def issue() -> None:
             with obs.span("platform.untrusted.write"):

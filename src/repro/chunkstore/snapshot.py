@@ -1,9 +1,10 @@
 """Lock-free MVCC snapshot views over the chunk store (§5.3 + ROADMAP).
 
-``ChunkStore`` serializes everything behind one re-entrant lock — fine for
-the paper's "only a few concurrent transactions", hostile to a server
-whose readers would otherwise stall behind every group commit's log
-flush.  A :class:`SnapshotView` is the escape hatch: an immutable,
+``ChunkStore`` runs every call under its ``_lock`` (dropped only for a
+commit's device flush) — fine for the paper's "only a few concurrent
+transactions", hostile to a server whose readers would otherwise queue
+behind every commit's appends and every checkpoint.  A
+:class:`SnapshotView` is the escape hatch: an immutable,
 self-contained read path over one partition's position map as of the
 moment the view was opened, touching **no** chunk-store state after
 construction.  Readers holding a view proceed while commits, checkpoints,
@@ -92,7 +93,8 @@ class SnapshotView:
         self._state = frozen_state
         self._readpath = readpath
         #: the store's commit count at the freeze (the caller holds the
-        #: store lock): the view shows exactly the commits up to this one
+        #: writers' lock, so no commit is half-way): the view shows exactly
+        #: the commits up to this one, all of them durable
         self.frozen_at = store.commit_count_stat
         self.closed = False
         self.reads = 0
@@ -154,7 +156,9 @@ class SnapshotView:
 
 
 def build_snapshot_view(store: "ChunkStore", pid: int) -> SnapshotView:
-    """Internal factory (caller holds ``store._lock``): freeze the
+    """Internal factory (caller holds both store locks — the writers'
+    lock is what keeps a commit whose flush is in flight out of the
+    freeze): freeze the
     partition's committed state and build the view's own read path over
     private instances of everything the store's runs over (crypto
     instances tally into the store's per-algorithm counters; retries

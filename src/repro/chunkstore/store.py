@@ -31,9 +31,29 @@ Public surface
     reclaim obsolete chunk versions (§4.9.5) — see
     :mod:`repro.chunkstore.cleaner`.
 
-Concurrency: operations are serialized with a single re-entrant lock —
-"mutual exclusion, which does not overlap I/O and computation, but is
-simple and acceptable when concurrency is low" (§4.2).
+Concurrency: the paper's "mutual exclusion, which does not overlap I/O
+and computation, but is simple and acceptable when concurrency is low"
+(§4.2), less one overlap — the device flush that makes a commit durable.
+Two re-entrant locks, always taken in the order writers' lock → ``_lock``:
+
+* ``_writers``, the **writers' lock**, is held for the whole of ``commit``,
+  ``checkpoint``, ``clean``, ``diff``, ``scrub``, ``close`` and
+  ``open_snapshot_view``: one of them runs at a time, start to finish.
+* ``_lock`` guards the volatile image (partition table, caches, log tail,
+  quarantine) and is what every public call takes.  An application commit
+  drops it for exactly one statement — the retried ``untrusted.flush()``
+  in :meth:`LogWriter.flush <repro.chunkstore.writepath.LogWriter.flush>`
+  — so calls that take ``_lock`` alone are served while the device works.
+
+What a caller may therefore observe: ``read_chunk(s)`` (and allocation,
+status and stats calls) may run between a commit's append and its flush
+and so see a commit that is *appended but not yet durable*; isolation from
+that is the caller's business (the object store's 2PL holds the writer's
+exclusive locks until its commit returns).  ``open_snapshot_view`` takes
+the writers' lock, so a view waits for an in-flight flush and freezes
+durable state only.  A flush that fails re-takes ``_lock`` before the
+failure propagates and ``_failed`` is set under it; no writer can have
+started meanwhile.
 
 ``ChunkStore`` is the façade and the lock owner.  The state a commit
 changes is the :class:`~repro.chunkstore.partitions.PartitionTable`
@@ -41,7 +61,7 @@ changes is the :class:`~repro.chunkstore.partitions.PartitionTable`
 :class:`~repro.chunkstore.readpath.ReadPath`, appends through the
 :class:`~repro.chunkstore.writepath.LogWriter`; checkpoint, cleaner,
 recovery and scrub are modules of their own that are handed the store and
-run under its lock.  Every public method takes the lock, passes
+run under its locks.  Every public method takes its lock(s), passes
 :meth:`ChunkStore._check_open` and delegates.
 """
 
@@ -155,8 +175,13 @@ class ChunkStore:
             self.validator,
             platform.injector,
         )
-        #: §4.9.5 cleaning, and its lifetime tallies; takes ``_lock`` itself
+        #: §4.9.5 cleaning, and its lifetime tallies; takes both locks itself
         self.cleaner = Cleaner(self)
+        #: the writers' lock: whoever appends to the log or must see only
+        #: durable state holds it start to finish, and takes it first
+        self._writers = threading.RLock()
+        #: the volatile image's lock; dropped only across an application
+        #: commit's device flush (see the module docstring)
         self._lock = threading.RLock()
         self._leader_location = 0
         self._in_maintenance = False
@@ -227,7 +252,7 @@ class ChunkStore:
 
     def close(self, checkpoint: bool = True) -> None:
         """Shut down cleanly (checkpointing buffered map updates)."""
-        with self._lock:
+        with self._writers, self._lock:
             if self._closed:
                 return
             if checkpoint and not self._failed:
@@ -304,7 +329,8 @@ class ChunkStore:
         return config, leader_location
 
     # ------------------------------------------------------------------
-    # the gate: every public call below takes ``_lock`` and passes it first
+    # the gate: every public call below takes ``_lock`` (a writer: the
+    # writers' lock, then ``_lock``) and passes it first
     # ------------------------------------------------------------------
 
     def _check_open(self) -> None:
@@ -461,14 +487,17 @@ class ChunkStore:
         """Freeze partition ``pid``'s committed state into a lock-free
         :class:`~repro.chunkstore.snapshot.SnapshotView`.
 
-        Reads through the view proceed without the store lock — they never
-        block behind (or be blocked by) commits, checkpoints, or flushes.
+        Reads through the view proceed without the store's locks — they
+        never block behind (or be blocked by) commits, checkpoints, or
+        flushes.  *Opening* one takes the writers' lock: it waits for a
+        commit whose flush is in flight rather than freezing past it, so a
+        view shows durable state only (``frozen_at`` counts that commit).
         While any view is open the cleaner defers (``_snapshot_pins``), so
         close views promptly.  See :mod:`repro.chunkstore.snapshot` for the
         full soundness argument and consistency contract."""
         from repro.chunkstore.snapshot import build_snapshot_view
 
-        with self._lock:
+        with self._writers, self._lock:
             self._check_open()
             self.logbuf.seal()  # the frozen root must be device-visible
             view = build_snapshot_view(self, pid)
@@ -502,8 +531,12 @@ class ChunkStore:
         """Atomically apply a set of operations (see
         :mod:`repro.chunkstore.ops`).  The commit is durable when this
         method returns; a crash at any earlier point leaves the store in
-        its prior committed state."""
-        with self._lock, obs.span("chunkstore.commit", ops=len(operations)):
+        its prior committed state.  ``_lock`` is dropped while the device
+        flushes (module docstring): ``read_chunk`` may return these
+        operations' bytes before this method has returned."""
+        with self._writers, self._lock, obs.span(
+            "chunkstore.commit", ops=len(operations)
+        ):
             self._check_open()
             self._validate_operations(operations)
             if self.cache.dirty_count() >= self.config.checkpoint_dirty_threshold:
@@ -684,7 +717,11 @@ class ChunkStore:
             if dealloc_partitions:
                 table.partitions_freed(sorted(set(dealloc_partitions)))
 
-        self._finalize_commit()
+        # Only here is ``_lock`` offered for the flush — not by the threshold
+        # checkpoint or the cleaning above.  A commit nested in another
+        # writer (scrub's repair) holds ``_lock`` twice, so the release
+        # only unwinds this frame's hold and the lock stays taken.
+        self._finalize_commit(unlocked=self._lock)
 
     def _append_leader(self, pid: int, payload: LeaderPayload) -> None:
         """Write a partition leader as a data chunk of the system partition."""
@@ -695,13 +732,14 @@ class ChunkStore:
         )
         self.table.leader_written(pid, payload, descriptor)
 
-    def _finalize_commit(self) -> None:
+    def _finalize_commit(self, unlocked=None) -> None:
         """Close the open commit set (an application commit or a cleaner
         re-commit) and make it durable (§4.8.2)."""
         self.writer.make_durable(
             "commit",
             self._leader_location,
             lazy=not self.config.flush_every_commit,
+            unlocked=unlocked,
         )
 
     # ------------------------------------------------------------------
@@ -710,7 +748,7 @@ class ChunkStore:
 
     def checkpoint(self) -> None:
         """Write buffered chunk-map updates and a fresh leader to the log."""
-        with self._lock, obs.span("chunkstore.checkpoint"):
+        with self._writers, self._lock, obs.span("chunkstore.checkpoint"):
             self._check_open()
             self._write_checkpoint()
 
@@ -733,7 +771,7 @@ class ChunkStore:
         Returns ``{rank: DiffChange.*}``.  Commonly called on two
         snapshots of the same partition, where the shared subtree pruning
         makes the traversal proportional to the *changed* chunks."""
-        with self._lock, obs.span("chunkstore.diff"):
+        with self._writers, self._lock, obs.span("chunkstore.diff"):
             self._check_open()
             if not self.table.is_checkpoint_clean():
                 # the traversal compares *persistent* map descriptors, so
@@ -750,7 +788,7 @@ class ChunkStore:
     def clean(self, max_segments: int = 1) -> int:
         """Clean up to ``max_segments`` low-utilization segments; returns
         the number actually cleaned."""
-        with self._lock:
+        with self._writers, self._lock:
             self._check_open()
             cleaner = self.cleaner
             cleaned = 0
@@ -803,7 +841,7 @@ class ChunkStore:
         """
         from repro.chunkstore.scrub import scrub
 
-        with self._lock, obs.span("chunkstore.scrub"):
+        with self._writers, self._lock, obs.span("chunkstore.scrub"):
             self._check_open()
             return scrub(self, raise_on_first, repair_source)
 

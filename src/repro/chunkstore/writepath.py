@@ -7,7 +7,8 @@ and every commit set is closed the same way::
         seal_set            the discipline's commit chunk, if it writes one
         <stage>.before_flush
         flush               unless the caller asked for a lazy flush and
-                            the discipline allows one
+                            the discipline allows one; an application
+                            commit drops the store's ``_lock`` for it
         <stage>.after_flush
         publish             the tamper-resistant store moves (or not: Δut)
         <stage>.after_tr    only if it moved
@@ -24,7 +25,9 @@ Like the read path, a log writer owns nothing it was not given: the
 codec, the :class:`~repro.chunkstore.segments.SegmentManager` holding the
 tail, the :class:`~repro.chunkstore.segments.LogWriteBuffer` (which holds
 the device and the retrier), the validator and the crash injector.
-``ChunkStore`` builds one and calls it under its lock.
+``ChunkStore`` builds one and calls it under both of its locks (the
+writers' lock and ``_lock``); the one thing a caller may hand it is
+``_lock`` itself, to drop across an application commit's device flush.
 """
 
 from __future__ import annotations
@@ -167,9 +170,20 @@ class LogWriter:
         if record is not None:
             self.append_unnamed(VersionKind.COMMIT, record.encode(), in_set=False)
 
-    def flush(self) -> None:
-        """Make everything appended so far durable."""
-        self.logbuf.flush()
+    def flush(self, unlocked=None) -> None:
+        """Make everything appended so far durable.  ``unlocked`` is the
+        lock to drop while the device works (see :meth:`make_durable`)."""
+        self.logbuf.seal()
+        if unlocked is not None:
+            # THE unlocked statement: the only place in the chunk store a
+            # lock is released other than by leaving a ``with``, and what
+            # runs without it is the retried device flush alone
+            unlocked.release()
+        try:
+            self.logbuf.sync()
+        finally:
+            if unlocked is not None:
+                unlocked.acquire()
         self.validator.flushed()
 
     def make_durable(
@@ -178,15 +192,23 @@ class LogWriter:
         leader_location: int,
         lazy: bool = False,
         force: bool = False,
+        unlocked=None,
     ) -> None:
         """Seal the open set and run the durability protocol (see the
-        module docstring); ``stage`` prefixes the crash-injection points."""
+        module docstring); ``stage`` prefixes the crash-injection points.
+
+        ``unlocked`` is ``ChunkStore._lock`` when the caller is an
+        application commit and ``None`` for everyone else: the lock is
+        dropped for the device flush — that one call, not the seal before
+        it, the crash points around it, ``validator.flushed()`` or
+        ``publish`` — so reads are served while the device works.  Nothing
+        can append meanwhile: the caller still holds the writers' lock."""
         self.seal_set()
         self.logbuf.seal()
         point = self.injector.point
         point(stage + ".before_flush")
         if not (lazy and self.validator.allows_lazy_flush):
-            self.flush()
+            self.flush(unlocked)
         point(stage + ".after_flush")
         if self.validator.publish(
             self.segman.tail_location, leader_location, self.flush, force

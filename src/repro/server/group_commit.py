@@ -1,20 +1,34 @@
 """Group commit: one log flush amortized over N transactions.
 
-``ChunkStore.commit`` holds the store lock end-to-end and (by default)
+``ChunkStore.commit`` holds the writers' lock end-to-end and (by default)
 flushes the untrusted store before returning — correct, durable, and the
 dominant cost of small transactions.  When many sessions commit
 concurrently, serializing those flushes wastes exactly the time group
 commit recovers: the **first** arriving committer becomes the *leader*,
-drains everything queued behind it, and issues a single chunk-store
-commit (one log append span, one flush) on behalf of the whole batch.
-Followers just wait for their entry's completion event.
+takes everything queued (its own entry is at the head) and issues a single
+chunk-store commit (one log append span, one flush) on behalf of the whole
+batch.  Followers just wait for their entry's wake-up.
 
-Batches form naturally from contention: while the leader is inside
-``ChunkStore.commit``, newly arriving committers enqueue; whoever arrives
-first after the leader resigns becomes the next leader and drains the
-accumulated queue.  Under a single session the queue never holds more
-than one entry and behavior degenerates to exactly the old per-commit
-path — group commit costs nothing when there is nothing to amortize.
+The leader commits **one** batch and then *hands leadership off* to the
+thread of the first entry still queued: that follower wakes, takes
+everything queued by then (up to ``max_batch``) as its batch, and leads
+it.  A leader therefore returns as soon as its own transaction is durable
+— it never stays to flush the commits of others, and whoever waits behind
+the committer (a snapshot acquire waits for the writers' lock) waits out
+one flush, not a drain.  Batches form from contention exactly as they
+would under a draining leader: while a batch is inside
+``ChunkStore.commit``, newly arriving committers enqueue.  Under a single
+session the queue never holds more than one entry and behavior
+degenerates to the plain per-commit path.
+
+What a concurrent reader may observe (DESIGN.md "Thread safety" has the
+whole table): a transaction's writes reach *transactional* readers only
+after its commit returned (2PL, below); a ``Session.snapshot`` shows only
+durable batches, each atomically; the isolation-free
+``ObjectStore.read_committed`` may return an object of a batch that is
+appended but whose flush has not returned.  A commit's outcome is the
+store's alone: once the batch is durable every entry in it succeeds,
+whatever the ``on_commit`` hook or the leader's thread does next.
 
 Correctness leans on two existing properties:
 
@@ -44,11 +58,16 @@ from repro.errors import ChunkStoreError
 class _Entry:
     """One transaction's commit request riding in the queue."""
 
-    __slots__ = ("ops", "done", "error", "batch_size")
+    __slots__ = ("ops", "wake", "leads", "finished", "error", "batch_size")
 
     def __init__(self, ops: List[object]) -> None:
         self.ops = ops
-        self.done = threading.Event()
+        #: set once, by a leader: either this entry is ``finished`` (it
+        #: rode in the leader's batch), or its thread leads the next batch
+        self.wake = threading.Event()
+        #: this entry's thread is the leader of the batch it rides in
+        self.leads = False
+        self.finished = False
         self.error: Optional[BaseException] = None
         #: size of the batch this entry was committed in (introspection)
         self.batch_size = 0
@@ -70,6 +89,8 @@ class GroupCommitter:
         #: it touched (the server invalidates snapshots through this)
         self.on_commit = on_commit
         self._mutex = threading.Lock()
+        #: entries no leader has taken yet; while ``_leader_active`` the
+        #: head is the next leader's own entry
         self._queue: List[_Entry] = []
         self._leader_active = False
         # -- tallies ---------------------------------------------------
@@ -87,29 +108,36 @@ class GroupCommitter:
         raises exactly what ``ChunkStore.commit`` would have raised for
         them."""
         entry = _Entry(list(ops))
-        lead = False
         with self._mutex:
             self._queue.append(entry)
-            if not self._leader_active:
-                self._leader_active = True
-                lead = True
-        if lead:
+            lead = not self._leader_active
+            self._leader_active = True
+        if not lead:
+            entry.wake.wait()  # finished, or handed the lead
+        if not entry.finished:
             self._lead()
-        entry.done.wait()
         if entry.error is not None:
             raise entry.error
 
     # -- leader duty ---------------------------------------------------------
 
     def _lead(self) -> None:
-        while True:
-            with self._mutex:
-                if not self._queue:
-                    self._leader_active = False
-                    return
-                batch = self._queue[: self.max_batch]
-                del self._queue[: self.max_batch]
+        """Commit one batch — the caller's entry is at the queue's head —
+        then pass the lead to the first entry queued meanwhile, or resign."""
+        with self._mutex:
+            batch = self._queue[: self.max_batch]
+            del self._queue[: self.max_batch]
+        batch[0].leads = True
+        try:
             self._commit_batch(batch)
+        finally:
+            # whatever became of this leader, the queue must not be
+            # orphaned: somebody leads it, or nobody is marked as leading
+            with self._mutex:
+                successor = self._queue[0] if self._queue else None
+                self._leader_active = successor is not None
+            if successor is not None:
+                successor.wake.set()
 
     def _commit_batch(self, batch: List[_Entry]) -> None:
         merged = [op for entry in batch for op in entry.ops]
@@ -121,7 +149,8 @@ class GroupCommitter:
             # oversized chunk, or — despite 2PL — overlapping write sets).
             # Retry each entry alone so only the poison entry fails.
             self.fallbacks += 1
-            self._commit_singly(batch)
+            for entry in batch:
+                self._commit_alone(entry)
             return
         except BaseException as exc:
             # a mid-commit failure (crash injection, device death) fails
@@ -129,41 +158,51 @@ class GroupCommitter:
             # every waiter must hear about it
             for entry in batch:
                 entry.error = exc
-                entry.done.set()
+                self._finish(entry, len(batch))
             return
+        self._durable(batch, merged)
+
+    def _commit_alone(self, entry: _Entry) -> None:
+        try:
+            self.chunks.commit(entry.ops)
+        except BaseException as exc:
+            entry.error = exc
+            self._finish(entry, 1)
+        else:
+            self._durable([entry], entry.ops)
+
+    def _durable(self, batch: List[_Entry], ops: List[object]) -> None:
+        """The store made ``batch`` durable: nothing from here on can take
+        that back, so every entry completes successfully."""
         self.batches += 1
         self.txs_committed += len(batch)
         self.largest_batch = max(self.largest_batch, len(batch))
-        if self.on_commit is not None:
-            touched = {
-                op.partition for op in merged if hasattr(op, "partition")
-            }
-            self.on_commit(touched)
-        for entry in batch:
-            entry.batch_size = len(batch)
-            entry.done.set()
+        try:
+            if self.on_commit is not None:
+                self.on_commit(
+                    {op.partition for op in ops if hasattr(op, "partition")}
+                )
+        except Exception as exc:
+            # the hook's trouble, not the transactions': recorded (the event
+            # log keeps the count), and the server's hook leaves no snapshot
+            # current for these partitions even then
+            # (SnapshotManager.invalidate_many)
+            obs.emit(
+                "group_commit_hook_failed",
+                error=type(exc).__name__,
+                detail=str(exc),
+                txs=len(batch),
+            )
+        finally:
+            for entry in batch:
+                self._finish(entry, len(batch))
 
-    def _commit_singly(self, batch: List[_Entry]) -> None:
-        for entry in batch:
-            try:
-                self.chunks.commit(entry.ops)
-            except BaseException as exc:
-                entry.error = exc
-            else:
-                self.batches += 1
-                self.txs_committed += 1
-                self.largest_batch = max(self.largest_batch, 1)
-                if self.on_commit is not None:
-                    self.on_commit(
-                        {
-                            op.partition
-                            for op in entry.ops
-                            if hasattr(op, "partition")
-                        }
-                    )
-            finally:
-                entry.batch_size = 1
-                entry.done.set()
+    @staticmethod
+    def _finish(entry: _Entry, batch_size: int) -> None:
+        entry.batch_size = batch_size
+        entry.finished = True
+        if not entry.leads:  # the leader is awake: it is running this
+            entry.wake.set()
 
     # -- introspection -------------------------------------------------------
 

@@ -14,10 +14,18 @@ One :class:`TDBServer` wraps one
   Transactional reads (``tx.get``) remain available when a reader needs
   strict serializability against its own writes.
 
-Mid-commit visibility rules (documented in DESIGN.md): a snapshot shows
-only states that were durably committed at acquire time; a group commit
-becomes visible to *new* snapshots the moment its batch's flush returns,
-atomically for the whole batch; snapshots already handed out never change.
+What a reader may observe while a commit's flush is in flight (DESIGN.md
+"Thread safety" has the table): a *transactional* read of an object that
+commit wrote waits on the object's lock until the commit has returned
+(2PL), and of any other object is served meanwhile — the chunk store
+drops its ``_lock`` across the device flush; a *snapshot* shows only
+states durably committed at acquire time — acquiring one waits for the
+in-flight flush (``open_snapshot_view`` takes the store's writers' lock),
+a group commit becomes visible to *new* snapshots the moment its batch's
+flush returns, atomically for the whole batch, and snapshots already
+handed out never change; only the isolation-free
+``ObjectStore.read_committed`` may return an object that is appended but
+not yet durable.
 """
 
 from __future__ import annotations

@@ -182,23 +182,28 @@ class SnapshotManager:
 
     # -- invalidation and release -------------------------------------------
 
-    def invalidate(self, pid: int) -> None:
-        """A commit changed ``pid``: new readers need a fresh snapshot.
-        Existing readers keep their (now stale) snapshot untouched."""
+    def invalidate_many(self, pids) -> None:
+        """A commit changed ``pids``: new readers need fresh snapshots.
+        Existing readers keep their (now stale) snapshots untouched.
+
+        Every partition is marked before any view is closed, so whatever
+        closing one may raise, no snapshot that predates the commit is
+        still current for any of them."""
         with self._mutex:
             # the commit behind this call has returned, so it is counted
-            self._invalid_through[pid] = self.chunks.commit_count_stat
-            snapshot = self._current.get(pid)
-            if snapshot is None:
-                return
-            snapshot._stale = True
-            if snapshot._refs == 0:
-                self._current.pop(pid, None)
+            committed = self.chunks.commit_count_stat
+            unused = []
+            for pid in pids:
+                self._invalid_through[pid] = committed
+                snapshot = self._current.get(pid)
+                if snapshot is None:
+                    continue
+                snapshot._stale = True
+                if snapshot._refs == 0:
+                    del self._current[pid]
+                    unused.append(snapshot)
+            for snapshot in unused:
                 self._dispose(snapshot)
-
-    def invalidate_many(self, pids) -> None:
-        for pid in pids:
-            self.invalidate(pid)
 
     def release(self, snapshot: Snapshot) -> None:
         with self._mutex:

@@ -308,3 +308,42 @@ class TestSnapshotViewSharesVectors:
             store.checkpoint()  # replaces the store's vectors, not the view's
             assert {r: view.read_chunk(r) for r in model} == model
         assert observe(store, pid, model) == values("later", range(20))
+
+    def test_the_seed_equals_the_filtering_construction_it_replaced(self):
+        """``partition_entries`` copies the two dicts whole and takes the
+        other partitions' keys out; what it yields is what rebuilding them
+        key by key yielded: this partition's vectors, by reference and in
+        LRU order, their slot count, and this partition's dirty
+        descriptors only — with other partitions' of both in the cache."""
+        platform, store = fresh()
+        first, second = new_partition(store), new_partition(store)
+        for pid in (first, second):
+            write(store, pid, values(f"p{pid}", range(40)))
+        store.checkpoint()
+        for pid in (first, second):
+            observe(store, pid, range(40))
+            write(store, pid, values("dirty", range(0, 40, 7)))  # dirty again
+        cache = store.cache
+        for pid in (first, second):
+            vectors = [
+                (key, vector) for key, vector in cache._vectors.items() if key[0] == pid
+            ]
+            dirty = {
+                cid: descriptor
+                for cid, descriptor in cache._dirty.items()
+                if cid.partition == pid
+            }
+            assert vectors and dirty and len(dirty) < len(cache._dirty)
+            seed = cache.partition_entries(pid)
+            assert list(seed._vectors.items()) == vectors
+            assert all(
+                mine is theirs
+                for (_, mine), (_, theirs) in zip(seed._vectors.items(), vectors)
+            )
+            assert seed._clean_slots == sum(len(vector) for _, vector in vectors)
+            assert seed._dirty == dirty
+            assert all(seed._dirty[cid] is dirty[cid] for cid in dirty)
+            assert seed.stats()["clean_entries"] == seed._clean_slots
+        # a copy: the store's own books are as they were
+        assert store.cache.stats()["dirty_entries"] == len(cache._dirty)
+        assert_vectors_match_device(store)

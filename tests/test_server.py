@@ -19,11 +19,14 @@ import time
 import pytest
 
 from repro.chunkstore import ChunkStore
-from repro.errors import ChunkStoreError, ObjectNotFoundError
+from repro.errors import ChunkStoreError, CrashError, ObjectNotFoundError
 from repro.objectstore import ObjectStore
 from repro.objectstore.pickling import ObjectRef
+from repro import obs
+from repro.objectstore.store import TxStatus
 from repro.server import GroupCommitter, TDBServer
 from tests.conftest import make_config, make_platform
+from tests.parking import Gate, QueueSpy, Worker, join_all
 
 
 def make_stack():
@@ -96,8 +99,9 @@ class TestGroupCommitter:
 
         fake.gate.set()
         _join([leader] + followers)
-        # first batch is the leader alone (it drained before followers
-        # arrived); the second merges both followers into one commit
+        # first batch is the leader alone (it took the queue before the
+        # followers arrived); the second — led by the first follower, which
+        # the leader handed the lead — merges both followers into one commit
         assert fake.commits[0] == ["a"]
         assert sorted(fake.commits[1]) == ["b", "c"]
         stats = committer.stats()
@@ -175,6 +179,190 @@ class TestGroupCommitter:
         with pytest.raises(RuntimeError, match="device died"):
             committer.commit(["a"])
         assert committer.stats()["batches"] == 0
+
+
+class GatedChunks:
+    """A chunk store whose every commit parks on the next gate queued for
+    it (none queued: goes straight through), recording ``(ops, thread)``."""
+
+    def __init__(self):
+        self.commits = []
+        self.gates = []
+
+    def gate(self):
+        self.gates.append(Gate())
+        return self.gates[-1]
+
+    def commit(self, ops):
+        self.commits.append((sorted(ops), threading.get_ident()))
+        if self.gates:
+            self.gates.pop(0).park()
+
+
+class TestLeaderHandOff:
+    """The leader commits one batch and hands the lead to the first queued
+    entry's thread — deterministic: commits park on gates, and the queue
+    spy says when a follower has queued up (no sleeps, no polling)."""
+
+    def _followers(self, queue, committer, names):
+        """Queue one committer per name, in order; the workers."""
+        workers = []
+        for name in names:
+            workers.append(Worker(lambda name=name: committer.commit([name])))
+            queue.wait_queued()
+        return workers
+
+    def test_the_leader_returns_once_its_own_batch_is_durable(self, monkeypatch):
+        queue = QueueSpy().install(monkeypatch)
+        fake = GatedChunks()
+        first, second = fake.gate(), fake.gate()
+        committer = GroupCommitter(fake)
+        leader = Worker(lambda: committer.commit(["a"]))
+        first.wait_arrived()
+        followers = self._followers(queue, committer, "bcd")
+        assert committer._leader_active and len(committer._queue) == 3
+        first.open()
+        # the leader's own batch is durable: it returns, though three
+        # commits are queued and the next batch has not even been flushed
+        leader.done()
+        second.wait_arrived()
+        assert not any(worker.finished for worker in followers)
+        assert committer._leader_active
+        second.open()
+        join_all(followers)
+        # one batch of three, led by the thread of the first queued entry
+        a, b, c, d = queue.entries
+        assert fake.commits == [(["a"], a.thread), (["b", "c", "d"], b.thread)]
+        assert [entry.batch_size for entry in queue.entries] == [1, 3, 3, 3]
+        # nobody is woken twice: the first leader never, the second to lead,
+        # its riders to be told they are done
+        assert [entry.wake.sets for entry in queue.entries] == [0, 1, 1, 1]
+        assert not committer._leader_active and committer._queue == []
+        assert committer.stats()["batches"] == 2
+        assert committer.stats()["largest_batch"] == 3
+
+    def test_max_batch_one_walks_the_queue_one_hand_off_at_a_time(self, monkeypatch):
+        queue = QueueSpy().install(monkeypatch)
+        fake = GatedChunks()
+        gates = [fake.gate() for _ in range(4)]
+        committer = GroupCommitter(fake, max_batch=1)
+        workers = [Worker(lambda: committer.commit(["a"]))]
+        gates[0].wait_arrived()
+        workers += self._followers(queue, committer, "bcd")
+        for turn, gate in enumerate(gates):
+            gate.wait_arrived()
+            # exactly the commits up to this one have started, each led by
+            # its own entry's thread, and everyone behind is still queued
+            assert len(fake.commits) == turn + 1
+            assert len(committer._queue) == 3 - turn
+            assert [w.finished for w in workers] == [True] * turn + [False] * (4 - turn)
+            gate.open()
+            workers[turn].done()
+        assert fake.commits == [
+            ([name], entry.thread) for name, entry in zip("abcd", queue.entries)
+        ]
+        assert [entry.wake.sets for entry in queue.entries] == [0, 1, 1, 1]
+        assert not committer._leader_active
+        assert committer.stats()["batches"] == 4
+        assert committer.stats()["mean_batch_size"] == 1.0
+
+    def test_a_leader_that_dies_still_passes_the_lead_on(self, monkeypatch):
+        """Whatever becomes of the leader — here its thread is interrupted
+        in the hook, after its batch is durable — the queue is not orphaned
+        (the queued follower is handed the lead and commits) and the riders
+        of the durable batch succeed."""
+        queue = QueueSpy().install(monkeypatch)
+        fake = GatedChunks()
+        first, second = fake.gate(), fake.gate()
+        calls = []
+
+        def hook(touched):
+            calls.append(touched)
+            if len(calls) == 2:  # the batch [a, b]
+                raise KeyboardInterrupt("leader interrupted")
+
+        committer = GroupCommitter(fake, max_batch=2, on_commit=hook)
+        dummy = Worker(lambda: committer.commit(["0"]))
+        first.wait_arrived()
+        leader, rider, follower = self._followers(queue, committer, "abc")
+        first.open()
+        dummy.done()
+        second.wait_arrived()  # a leads the batch [a, b]; c stays queued
+        second.open()
+        with pytest.raises(KeyboardInterrupt):
+            leader.done()
+        join_all([rider, follower])
+        assert [ops for ops, _ in fake.commits] == [["0"], ["a", "b"], ["c"]]
+        assert fake.commits[2][1] == queue.entries[3].thread
+        assert not committer._leader_active and committer._queue == []
+
+
+class TestOnCommitHook:
+    """A commit's outcome is the store's alone (the hang and the false
+    ``ABORTED`` a raising ``on_commit`` used to cause)."""
+
+    def test_a_raising_hook_neither_aborts_the_durable_commit_nor_wedges_the_queue(self):
+        _, chunks, objects, pid = make_stack()
+        with TDBServer(objects) as server:
+            first, second = server.session(), server.session()
+            hook = server.committer.on_commit
+            calls = []
+
+            def raises_once(touched):
+                calls.append(set(touched))
+                if len(calls) == 1:
+                    raise RuntimeError("hook broke")
+                hook(touched)
+
+            server.committer.on_commit = raises_once
+            mark = obs.events.mark()
+            tx = first.transaction()
+            ref = tx.create(pid, "first")
+            tx.commit()  # durable: the hook's trouble is not the commit's
+            assert tx.status == TxStatus.COMMITTED
+            assert chunks.chunk_status(pid, ref.rank) == "written"
+            assert objects.read_committed(ref) == "first"
+            assert not server.committer._leader_active
+            (event,) = obs.events.find("group_commit_hook_failed", mark)
+            assert event.fields["error"] == "RuntimeError" and event.fields["txs"] == 1
+            # the second session's commit returns (it used to block forever)
+            tx2 = second.transaction()
+            tx2.update(ref, "second")
+            Worker(tx2.commit).done()
+            assert tx2.status == TxStatus.COMMITTED
+            assert calls == [{pid}, {pid}]
+            assert second.read(ref) == "second"
+
+    def test_a_hook_failing_half_way_leaves_no_snapshot_current(self):
+        """The server's own hook: closing the first stale view raises, yet
+        every touched partition's snapshot is already marked stale — the
+        next reader gets a fresh one that shows the commit."""
+        _, chunks, objects, pid = make_stack()
+        other_pid = objects.create_partition(cipher_name="ctr-sha256", hash_name="sha1")
+        with objects.transaction() as tx:
+            refs = [tx.create(pid, 0), tx.create(other_pid, 0)]
+        with TDBServer(objects) as server:
+            session = server.session()
+            for ref in refs:  # one unused, current snapshot per partition
+                assert session.read(ref) == 0
+            close_view = chunks.close_snapshot_view
+            failures = []
+
+            def close_fails_once(view):
+                if not failures:
+                    failures.append(view.pid)
+                    raise RuntimeError("close broke")
+                close_view(view)
+
+            chunks.close_snapshot_view = close_fails_once
+            mark = obs.events.mark()
+            with session.transaction() as tx:
+                for ref in refs:
+                    tx.update(ref, tx.get_for_update(ref) + 1)
+            assert tx.status == TxStatus.COMMITTED and len(failures) == 1
+            assert len(obs.events.find("group_commit_hook_failed", mark)) == 1
+            assert server.snapshots.stats()["active"] == 0
+            assert [session.read(ref) for ref in refs] == [1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +649,124 @@ def test_a_dropped_server_frees_its_store_without_the_cyclic_collector():
 
 
 # ---------------------------------------------------------------------------
+# Crash sweep over the serving path: every commit.* point of a lone batch
+# and of a batch formed by hand-off
+# ---------------------------------------------------------------------------
+
+
+class ServingCrashEnv:
+    """Three sessions over one server.  The script: ``lone`` commits alone
+    but parks on its way into the store until ``rider1`` and ``rider2`` are
+    queued behind it; released, it commits a batch of one and hands the
+    lead to ``rider1``'s thread, which commits the two riders as one batch.
+    ``acknowledged`` collects the transactions whose ``commit`` returned."""
+
+    NAMES = ("lone", "rider1", "rider2")
+
+    def __init__(self, mode, monkeypatch):
+        self.queue = QueueSpy().install(monkeypatch)
+        self.platform = make_platform()
+        self.chunks = ChunkStore.format(
+            self.platform, make_config(validation_mode=mode)
+        )
+        self.objects = ObjectStore(self.chunks)
+        self.pid = self.objects.create_partition(
+            cipher_name="ctr-sha256", hash_name="sha1"
+        )
+        with self.objects.transaction() as tx:
+            self.refs = {name: tx.create(self.pid, "before") for name in self.NAMES}
+        self.acknowledged = set()
+        self.errors = {}
+
+    def run(self, arm=None):
+        injector = self.platform.injector
+        gate = Gate()
+
+        def commit(operations, _commit=self.chunks.commit):
+            if not gate.arrived.is_set():
+                gate.park()
+            return _commit(operations)
+
+        self.chunks.commit = commit
+        start = len(injector.history)
+        with TDBServer(self.objects) as server:
+
+            def transact(name):
+                with server.session() as session:
+                    tx = session.transaction()
+                    tx.update(self.refs[name], name)
+                    try:
+                        tx.commit()
+                    except BaseException as exc:
+                        self.errors[name] = exc
+                    else:
+                        self.acknowledged.add(name)
+
+            workers = [Worker(lambda: transact("lone"))]
+            gate.wait_arrived()
+            for name in self.NAMES[1:]:
+                workers.append(Worker(lambda name=name: transact(name)))
+                self.queue.wait_queued()
+            if arm is not None:
+                injector.arm(*arm)
+            gate.open()
+            join_all(workers)
+            self.batches = server.committer.stats()["batches"]
+            assert not server.committer._leader_active
+        return [p for p in injector.history[start:] if p.startswith("commit.")]
+
+    def survivors(self):
+        """Reboot, reopen; the transactions whose write is there."""
+        self.platform.reboot()
+        chunks = ChunkStore.open(self.platform)
+        assert chunks.quarantined_chunks() == {}
+        objects = ObjectStore(chunks)
+        seen = {name: objects.read_committed(ref) for name, ref in self.refs.items()}
+        assert all(value in ("before", name) for name, value in seen.items()), seen
+        with objects.transaction() as tx:  # and the store still works
+            probe = tx.create(self.pid, "after")
+        assert objects.read_committed(probe) == "after"
+        return {name for name, value in seen.items() if value == name}
+
+
+@pytest.mark.parametrize("mode", ["counter", "direct"])
+def test_a_crash_at_any_commit_point_of_a_served_batch_loses_only_the_unacknowledged(
+    mode, monkeypatch
+):
+    env = ServingCrashEnv(mode, monkeypatch)
+    points = env.run()
+    assert env.acknowledged == set(env.NAMES) and env.batches == 2
+    assert env.survivors() == set(env.NAMES)
+    # the lone batch writes one chunk, the handed-off batch two
+    assert points.count("commit.begin") == 2 and points.count("commit.write") == 3
+    sites = [
+        (name, occurrence)
+        for name in dict.fromkeys(points)
+        for occurrence in range(points.count(name))
+    ]
+    assert {name for name, _ in sites} >= {
+        "commit.begin", "commit.write", "commit.before_flush", "commit.after_flush",
+    }
+    #: what the log holds once the flush returned is committed — unless the
+    #: tamper-resistant write is the commit point (direct validation)
+    durable_from = "commit.after_flush" if mode == "counter" else "commit.after_tr"
+    order = list(dict.fromkeys(points))
+    for name, occurrence in sites:
+        env = ServingCrashEnv(mode, monkeypatch)
+        env.run(arm=(name, occurrence))
+        in_lone_batch = occurrence == 0
+        batch = {"lone"} if in_lone_batch else {"rider1", "rider2"}
+        # the crashed batch is told; so is whoever queued behind it
+        assert env.acknowledged == (set() if in_lone_batch else {"lone"}), (name, occurrence)
+        assert isinstance(env.errors[sorted(batch)[0]], CrashError)
+        survived = env.survivors()
+        expected = set(env.acknowledged)
+        if order.index(name) >= order.index(durable_from):
+            expected |= batch  # durable, whole, though nobody was told
+        assert survived == expected, (name, occurrence, survived)
+
+
+# ---------------------------------------------------------------------------
 # End-to-end stress: writers + snapshot readers, then crash recovery
 # ---------------------------------------------------------------------------
 
@@ -535,3 +841,86 @@ class TestServerStress:
         recovered = ObjectStore(ChunkStore.open(platform, make_config()))
         for ref in refs:
             assert recovered.read_committed(ref) == self.TXS
+
+    def test_transfers_never_tear_for_any_kind_of_reader(self):
+        """More threads than cores and a shortened switch interval: writers
+        move amounts between four accounts through the server while live
+        read-only transactions, snapshot readers and a raw ``read_chunk``
+        hammer run beside them.  ``_lock`` is dropped and re-taken around
+        every commit's flush, so every interleaving of "appended, flushing"
+        with a reader is tried; the sum of the accounts is constant for
+        whoever reads with isolation (2PL, or a view of durable state),
+        and the raw reader at least never sees anything but an amount."""
+        import sys
+
+        platform, chunks, objects, pid = make_stack()
+        accounts, opening = 4, 100
+        with objects.transaction() as tx:
+            refs = [tx.create(pid, opening) for _ in range(accounts)]
+        total = accounts * opening
+        errors = []
+        stop = threading.Event()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with TDBServer(objects, max_batch=4) as server:
+
+                def guarded(fn):
+                    def run():
+                        try:
+                            fn()
+                        except BaseException as exc:
+                            errors.append(exc)
+                            stop.set()
+                    return threading.Thread(target=run)
+
+                def writer(number):
+                    def work():
+                        with server.session() as session:
+                            for turn in range(25):
+                                a, b = sorted(
+                                    (refs[(number + turn) % accounts],
+                                     refs[(number + turn + 1 + turn % 2) % accounts])
+                                )
+                                with session.transaction() as tx:
+                                    tx.update(a, tx.get_for_update(a) - 1)
+                                    tx.update(b, tx.get_for_update(b) + 1)
+                    return work
+
+                def live_reader():
+                    with server.session() as session:
+                        while not stop.is_set():
+                            with session.transaction() as tx:
+                                assert sum(tx.get(ref) for ref in refs) == total
+
+                def snapshot_reader():
+                    with server.session() as session:
+                        while not stop.is_set():
+                            with session.snapshot(pid) as snapshot:
+                                assert sum(snapshot.get_many(refs)) == total
+
+                def raw_reader():
+                    while not stop.is_set():
+                        for ref in refs:
+                            assert isinstance(objects.read_committed(ref), int)
+                            assert chunks.read_chunk(pid, ref.rank)
+
+                writers = [guarded(writer(number)) for number in range(4)]
+                readers = [
+                    guarded(live_reader), guarded(live_reader),
+                    guarded(snapshot_reader), guarded(raw_reader),
+                ]
+                for thread in writers + readers:
+                    thread.start()
+                _join(writers, timeout=60.0)
+                stop.set()
+                _join(readers, timeout=60.0)
+                assert errors == []
+                stats = server.stats()
+                assert stats["group_commit"]["txs_committed"] == 100
+                assert stats["objectstore"]["locks"]["deadlocks_broken"] == 0
+        finally:
+            sys.setswitchinterval(interval)
+        platform.reboot()
+        recovered = ObjectStore(ChunkStore.open(platform, make_config()))
+        assert sum(recovered.read_committed(ref) for ref in refs) == total

@@ -2,8 +2,10 @@
 which §4.8.2 discipline is in force, and ``LogWriter`` driven directly —
 one protocol, whatever the stage and whichever the discipline.  And the
 gate in front of it all: a static guard that every public ``ChunkStore``
-call takes the lock and checks open/failed first, and a spy that never
-sees the map walked with the lock free."""
+call takes its lock(s) — writers the writers' lock, then ``_lock`` — and
+checks open/failed first, a second one for the lock order and the one
+statement that runs with ``_lock`` dropped, and a spy that never sees the
+map walked with the lock free."""
 
 import ast
 from pathlib import Path
@@ -72,11 +74,32 @@ ANSWERS_WHEN_FAILED = {
 }
 
 
+#: the public calls that hold the writers' lock start to finish: whoever
+#: appends to the log, and the one reader that must see durable state only
+WRITERS = {
+    "commit", "checkpoint", "clean", "diff", "scrub", "close",
+    "open_snapshot_view",
+}
+
+
+def _lock_items(with_node):
+    """The leading ``self._writers`` / ``self._lock`` items of a ``with``."""
+    names = [ast.unparse(item.context_expr) for item in with_node.items]
+    locks = []
+    for name in names:
+        if name not in ("self._writers", "self._lock"):
+            break
+        locks.append(name)
+    return locks
+
+
 def test_every_public_chunkstore_call_passes_the_gate():
     """Each public method — bar ``format``/``open``, which build the store,
-    and the allow-list above — is one ``with self._lock`` block whose first
-    statement is ``self._check_open()``: nothing runs before the gate, and
-    nothing after the lock is dropped."""
+    and the allow-list above — is one ``with`` block over its lock(s) whose
+    first statement is ``self._check_open()``: nothing runs before the
+    gate, and nothing after the lock is dropped.  Exactly the seven
+    ``WRITERS`` take the writers' lock, and take it *before* ``_lock``;
+    everyone else takes ``_lock`` alone."""
     tree = ast.parse((CHUNKSTORE / "store.py").read_text())
     (cls,) = [
         node for node in tree.body
@@ -87,24 +110,113 @@ def test_every_public_chunkstore_call_passes_the_gate():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
     assert set(ANSWERS_WHEN_FAILED) <= set(public), "stale allow-list entry"
+    assert WRITERS <= set(public), "stale writer"
     offenders = []
     for name, node in public.items():
-        if name in ("format", "open") or name in ANSWERS_WHEN_FAILED:
+        if name in ("format", "open"):
             continue
         body = [
             stmt for stmt in node.body
             if not isinstance(stmt, ast.ImportFrom)  # lazy collaborator imports
             and not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
         ]
-        gated = (
-            len(body) == 1
-            and isinstance(body[0], ast.With)
-            and ast.unparse(body[0].items[0].context_expr) == "self._lock"
-            and ast.unparse(body[0].body[0]) == "self._check_open()"
+        expected = (
+            ["self._writers", "self._lock"] if name in WRITERS else ["self._lock"]
         )
-        if not gated:
+        taken = [
+            _lock_items(n) for n in ast.walk(node)
+            if isinstance(n, ast.With) and _lock_items(n)
+        ]
+        if name in ANSWERS_WHEN_FAILED:
+            ok = taken in ([], [expected])  # no gate, but the same locks
+        else:
+            ok = (
+                len(body) == 1
+                and isinstance(body[0], ast.With)
+                and taken == [expected]
+                and _lock_items(body[0]) == expected
+                and ast.unparse(body[0].body[0]) == "self._check_open()"
+            )
+        if not ok:
             offenders.append(name)
     assert not offenders, offenders
+
+
+def _chunkstore_sources():
+    return {path.name: path.read_text() for path in sorted(CHUNKSTORE.glob("*.py"))}
+
+
+def test_the_lock_order_and_the_one_unlocked_statement():
+    """Static, over all of ``src/repro/chunkstore``: wherever the writers'
+    lock is taken, ``_lock`` is the very next item of the same ``with``
+    (so the order writers' lock → ``_lock`` cannot be inverted, and the
+    writers' lock is never held without ``_lock`` being taken at once);
+    only ``store.py`` and ``cleaner.py`` name it at all; and a lock is
+    released other than by leaving a ``with`` in exactly one place —
+    ``LogWriter.flush``, around ``self.logbuf.sync()`` and nothing else."""
+    sources = _chunkstore_sources()
+    naming = {
+        name for name, text in sources.items()
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "_writers"
+            for node in ast.walk(ast.parse(text))
+        )
+    }
+    assert naming == {"store.py", "cleaner.py"}
+    src = CHUNKSTORE.parents[0]
+    outside = [
+        str(path.relative_to(src))
+        for path in src.rglob("*.py")
+        if path.parent != CHUNKSTORE and "_writers" in path.read_text()
+    ]
+    assert not outside, outside
+
+    releases = []
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.With):
+                items = [ast.unparse(item.context_expr) for item in node.items]
+                for index, item in enumerate(items):
+                    if item.endswith("._writers"):
+                        owner = item[: -len("._writers")]
+                        assert items[index + 1 : index + 2] == [owner + "._lock"], (
+                            name, node.lineno, items
+                        )
+                    if item.endswith("._lock"):
+                        assert not any(
+                            later.endswith("._writers") for later in items[index + 1 :]
+                        ), (name, node.lineno, items)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr
+                in ("release", "acquire", "_release_save", "_acquire_restore")
+            ):
+                releases.append((name, node.func.attr, ast.unparse(node)))
+    assert releases == [
+        ("writepath.py", "release", "unlocked.release()"),
+        ("writepath.py", "acquire", "unlocked.acquire()"),
+    ], releases
+    # … and what runs between the two is the device flush alone
+    (flush,) = [
+        node for node in ast.walk(ast.parse(sources["writepath.py"]))
+        if isinstance(node, ast.FunctionDef) and node.name == "flush"
+    ]
+    (unlocked_region,) = [n for n in ast.walk(flush) if isinstance(n, ast.Try)]
+    assert [ast.unparse(stmt) for stmt in unlocked_region.body] == [
+        "self.logbuf.sync()"
+    ]
+    # … offered by one caller, the application commit's own finalize
+    offered = [
+        (name, ast.unparse(keyword.value))
+        for name, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+        if keyword.arg == "unlocked" and ast.unparse(keyword.value) != "unlocked"
+    ]
+    assert offered == [("store.py", "self._lock")], offered
 
 
 @pytest.fixture(params=["counter", "direct"])
