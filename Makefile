@@ -9,6 +9,8 @@ PYTHON ?= python
 #   make fault-sweep MODE=counter SEED=12                    # replay one trial
 #   make fault-sweep FAULT_TRIALS=500                        # deeper sweep
 #   make adversary-sweep                                     # nightly-depth run
+# These spell the default variant only; a failing trial prints the exact
+# `python -m repro.testing ...` command, variant flags included.
 MODE ?= counter
 TRIALS ?= 250
 SEEDS ?= 20
@@ -80,9 +82,10 @@ e2e-compare:
 report:
 	$(PYTHON) -m repro.bench.report
 
-# Code-only lines (no blanks, comments or docstrings) of
-# src/repro/chunkstore/*.py — the measure ROADMAP item 3 tracks;
-# `make loc FILES="src/repro/obs/*.py"` counts something else.
+# Code-only lines (no blanks, comments or docstrings): each file of
+# src/repro/chunkstore/ — the measure ROADMAP item 3 tracks — then one
+# total per package of src/repro (item 6's trajectory);
+# `make loc FILES="src/repro/testing/*.py"` counts just those files.
 loc:
 	$(PYTHON) tools/loc.py $(FILES)
 

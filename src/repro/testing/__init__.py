@@ -1,6 +1,8 @@
 """Correctness harnesses for the TDB reproduction.
 
-Three layers, all seeded and reproducible:
+Three seeded harnesses on one spine (:mod:`repro.testing.spine`: the
+variant a leg runs under, the scenario, the trial report, the read-back
+oracle):
 
 * :mod:`repro.testing.adversary` — mutation engine enforcing the
   detect-or-correct oracle over every attack class of §2/§4.8;
@@ -10,28 +12,24 @@ Three layers, all seeded and reproducible:
 * :mod:`repro.testing.faultsweep` — seeded transient/permanent I/O fault
   sweep enforcing the succeed-or-typed-error-or-healable-quarantine
   invariant (and its crash-under-faults composition);
-* :mod:`repro.testing.sweep` — the shared discover-then-replay loop over
-  crash (and tamper) injection points.
+
+and :mod:`repro.testing.sweep`, the shared discover-then-replay loop over
+crash (and tamper) injection points.
 
 Run from the command line via ``python -m repro.testing`` (see
-``docs/TESTING.md`` and the ``adversary`` / ``differential`` Makefile
-targets).
+``docs/TESTING.md`` and the ``adversary`` / ``differential`` /
+``fault-sweep`` Makefile targets).
 """
 
 from repro.testing.adversary import (
     DETECTED,
-    FOREIGN_ERROR,
     HARMLESS,
-    SILENT_CORRUPTION,
     Adversary,
-    Scenario,
-    SweepResult,
-    TrialReport,
     apply_random_mutation,
-    build_scenario,
-    scenario_config,
 )
 from repro.testing.differential import (
+    AGREED,
+    DIVERGED,
     DiffFailure,
     DifferentialRunner,
     Op,
@@ -44,33 +42,42 @@ from repro.testing.faultsweep import (
     QUARANTINED,
     TYPED,
     FaultSweep,
-    FaultSweepResult,
-    FaultTrialReport,
     fault_config,
 )
 from repro.testing.model import ReferenceModel, diff_states, observe_store
 from repro.testing.snapshot import PlatformSnapshot
+from repro.testing.spine import (
+    FOREIGN_ERROR,
+    SILENT_CORRUPTION,
+    Scenario,
+    SweepResult,
+    TrialReport,
+    Variant,
+    build_scenario,
+    read_back,
+)
 from repro.testing.sweep import SweepDriver, SweepSite, sample_sites
 
 __all__ = [
-    "Adversary",
+    "Variant",
     "Scenario",
-    "SweepResult",
-    "TrialReport",
-    "apply_random_mutation",
     "build_scenario",
-    "scenario_config",
-    "HARMLESS",
-    "DETECTED",
+    "TrialReport",
+    "SweepResult",
+    "read_back",
     "SILENT_CORRUPTION",
     "FOREIGN_ERROR",
+    "Adversary",
+    "apply_random_mutation",
+    "HARMLESS",
+    "DETECTED",
     "DifferentialRunner",
     "DiffFailure",
     "Op",
     "op_value",
+    "AGREED",
+    "DIVERGED",
     "FaultSweep",
-    "FaultSweepResult",
-    "FaultTrialReport",
     "fault_config",
     "OK",
     "TYPED",

@@ -15,7 +15,10 @@ Mutation classes
 ================
 
 ``bit_flip``
-    flip 1–8 random bits anywhere in the device image;
+    flip 1–8 random bits — half the time anywhere in the device image,
+    half the time inside the *body* of a known live version, its header
+    left intact, so that only the descriptor-hash comparison stands
+    between the flip and the caller;
 ``extent_zero``
     zero a random extent (half the time a known chunk version's extent);
 ``extent_garbage``
@@ -35,9 +38,9 @@ Mutation classes
 ``torn_race``
     crash the store between the untrusted flush and the tamper-resistant
     update (sites shared with the crash sweep via
-    :mod:`repro.testing.sweep`), tamper while the system is down, then
-    recover.  The raced commit may atomically appear or vanish; everything
-    older must survive exactly.
+    :mod:`repro.testing.sweep`), apply one of the three byte mutations
+    above while the system is down, then recover.  The raced commit may
+    atomically appear or vanish; everything older must survive exactly.
 
 Every trial is reproducible from its integer seed: the scenario is rebuilt
 from scratch and the attack parameters are drawn from
@@ -48,23 +51,27 @@ names the same structural attack on every run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.chunkstore import ChunkStore, StoreConfig, ops
-from repro.chunkstore.ids import data_id
-from repro.chunkstore.snapshot import SnapshotView
+from repro.chunkstore import ops
 from repro.errors import CrashError, TamperDetectedError, TDBError
 from repro.platform.trusted_platform import TrustedPlatform
 from repro.platform.untrusted import UntrustedStore
-from repro.testing.snapshot import PlatformSnapshot
+from repro.testing.spine import (
+    SILENT_CORRUPTION,
+    Harness,
+    Key,
+    Scenario,
+    TrialReport,
+    Variant,
+    build_scenario,
+    read_back,
+)
 
-# -- outcomes -----------------------------------------------------------------
+# -- outcomes (the failing two are the spine's) --------------------------------
 
 HARMLESS = "harmless"  # store opened, every read returned committed bytes
 DETECTED = "detected"  # TamperDetectedError (or a TDB refusal at open)
-SILENT_CORRUPTION = "silent-corruption"  # wrong bytes, or state lost quietly
-FOREIGN_ERROR = "foreign-error"  # a non-TDB exception escaped
 
 #: crash sites between "operation issued" and "tamper-resistant update
 #: done" — the window the torn_race class races (shared with the crash
@@ -76,229 +83,87 @@ RACE_POINTS = (
     "commit.after_tr",
 )
 
+# -- byte mutations -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrialReport:
-    """Outcome of one seeded mutation trial."""
-
-    seed: int
-    attack: str
-    outcome: str
-    detail: str
-
-    @property
-    def failed(self) -> bool:
-        return self.outcome in (SILENT_CORRUPTION, FOREIGN_ERROR)
-
-    def repro_line(self, mode: str) -> str:
-        return f"make adversary MODE={mode} SEED={self.seed} CLASS={self.attack}"
+#: the mutations that need nothing but a device — and, to aim, a scenario
+BYTE_MUTATIONS = ("bit_flip", "extent_zero", "extent_garbage")
 
 
-@dataclass
-class SweepResult:
-    """Aggregate of an adversary sweep."""
-
-    mode: str
-    reports: List[TrialReport] = field(default_factory=list)
-
-    @property
-    def failures(self) -> List[TrialReport]:
-        return [r for r in self.reports if r.failed]
-
-    def outcomes(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for report in self.reports:
-            counts[report.outcome] = counts.get(report.outcome, 0) + 1
-        return counts
-
-    def classes_exercised(self) -> List[str]:
-        return sorted({r.attack for r in self.reports})
-
-    def by_class(self) -> Dict[str, Dict[str, int]]:
-        table: Dict[str, Dict[str, int]] = {}
-        for report in self.reports:
-            row = table.setdefault(report.attack, {})
-            row[report.outcome] = row.get(report.outcome, 0) + 1
-        return table
+def choose_extent(
+    rng: random.Random,
+    size: int,
+    scenario: Optional[Scenario],
+    lengths: Tuple[int, int] = (16, 2048),
+    body_only: bool = False,
+) -> Tuple[int, int, str]:
+    """Where a byte mutation lands, as ``(offset, length, description)``:
+    a random extent of the device or — half the time, when a scenario
+    names them — the stored extent of a known live version (``body_only``:
+    one behind the last checkpoint, past its header — bytes nothing but
+    the descriptor hash vouches for)."""
+    if scenario is not None and rng.random() < 0.5:
+        known = scenario.checkpointed if body_only else sorted(scenario.extents)
+        pid, rank = rng.choice(known)
+        offset, length = scenario.extents[(pid, rank)]
+        skip = scenario.header_size if body_only else 0
+        part = "body" if body_only else "version"
+        return offset + skip, length - skip, f"chunk {pid}:{rank}'s {part}"
+    length = rng.randint(*lengths)
+    return rng.randrange(max(1, size - length)), length, "random extent"
 
 
-# -- scenario ------------------------------------------------------------------
-
-
-@dataclass
-class Scenario:
-    """A populated store, frozen for repeated adversary trials."""
-
-    mode: str
-    final: PlatformSnapshot
-    #: committed bytes of every written data chunk: (pid, rank) -> bytes
-    expected: Dict[Tuple[int, int], bytes]
-    #: on-device extent of every chunk's current version: (pid, rank) ->
-    #: (location, length)
-    extents: Dict[Tuple[int, int], Tuple[int, int]]
-    #: authentic images captured > Δut commits before the final state,
-    #: oldest first (fodder for replay attacks)
-    stale_images: List[bytes]
-    pids: List[int]
-    #: the system cipher the scenario was built (and must be reopened) with
-    system_cipher: str = "ctr-sha256"
-
-
-#: (cipher, hash) per scenario partition — spanning the null cipher, the
-#: keystream cipher, and a block cipher, with both hash widths
-PARTITION_SPECS = (
-    ("null", "sha1"),
-    ("ctr-sha256", "sha1"),
-    ("xtea-cbc", "sha256"),
-)
-
-#: the AEAD sweep's partitions: both authenticating suites (where the
-#: descriptor stores the auth tag and validation is the one-pass AEAD
-#: decrypt) plus one legacy partition so cross-partition splices cross
-#: the AEAD/legacy cipher-domain boundary in both directions
-AEAD_PARTITION_SPECS = (
-    ("aes-256-gcm", "sha1"),
-    ("chacha20-poly1305", "sha256"),
-    ("xtea-cbc", "sha256"),
-)
-
-
-def scenario_config(
-    mode: str,
-    payload_cache: bool = True,
-    system_cipher: str = "ctr-sha256",
-    one_vector_cache: bool = False,
-) -> StoreConfig:
-    """The sweep's store configuration: the strictest windows (Δut=1,
-    Δtu=0), so *any* rollback of a committed state must be detected.
-    ``payload_cache=False`` judges with the validated-payload cache off
-    (the runtime-only knob; the attack surface is identical either way).
-    ``one_vector_cache=True`` shrinks the descriptor cache to a single
-    map-chunk vector, so every map-chunk load evicts the previous one.
-    An authenticating ``system_cipher`` additionally exercises the
-    MAC-skip commit-record path in counter mode."""
-    return StoreConfig(
-        segment_size=8 * 1024,
-        system_cipher=system_cipher,
-        system_hash="sha1",
-        validation_mode=mode,
-        delta_ut=1,
-        delta_tu=0,
-        payload_cache_bytes=StoreConfig.payload_cache_bytes if payload_cache else 0,
-        cache_size=StoreConfig.fanout if one_vector_cache else StoreConfig.cache_size,
-    )
-
-
-def build_scenario(
-    mode: str = "counter",
-    partition_specs: Sequence[Tuple[str, str]] = PARTITION_SPECS,
-    system_cipher: str = "ctr-sha256",
-) -> Scenario:
-    """Populate a multi-partition store and freeze it for trials.
-
-    The history deliberately leaves every kind of log content in place:
-    checkpointed segments, a non-empty residual log, a deallocation
-    record, and two stale snapshots each more than Δut commits behind the
-    final state.
-    """
-    platform = TrustedPlatform.create_in_memory(untrusted_size=512 * 1024)
-    store = ChunkStore.format(
-        platform, scenario_config(mode, system_cipher=system_cipher)
-    )
-    pids: List[int] = []
-    for cipher_name, hash_name in partition_specs:
-        pid = store.allocate_partition()
-        store.commit(
-            [ops.WritePartition(pid, cipher_name=cipher_name, hash_name=hash_name)]
+def mutate_bytes(
+    untrusted: UntrustedStore,
+    rng: random.Random,
+    kind: str,
+    scenario: Optional[Scenario] = None,
+) -> str:
+    """Apply one of :data:`BYTE_MUTATIONS`; returns what was mutated."""
+    size = untrusted.size
+    if kind == "bit_flip":
+        # unaimed, the "extent" is the whole image: flips land anywhere
+        offset, length, where = choose_extent(
+            rng, size, scenario, lengths=(size, size), body_only=True
         )
-        pids.append(pid)
-
-    def write(pid: int, rank: int, tag: str) -> None:
-        data = f"p{pid}r{rank}:{tag}:".encode() * 4
-        state = store.partitions[pid]
-        if not (rank in state.pending_ranks or state.is_committed_written(rank)):
-            state.allocate_specific(rank)
-        store.commit([ops.WriteChunk(pid, rank, data)])
-
-    stale_images: List[bytes] = []
-    for rank in range(3):
-        for pid in pids:
-            write(pid, rank, "base")
-    stale_images.append(platform.untrusted.tamper_image())
-
-    store.checkpoint()
-    for pid in pids:
-        write(pid, 3, "post-checkpoint")
-    write(pids[0], 1, "rewritten")
-    stale_images.append(platform.untrusted.tamper_image())
-
-    # push the final state > Δut commits past both snapshots, and leave a
-    # deallocation in the residual log (§4.8.1 un-deallocation attacks)
-    store.commit([ops.DeallocateChunk(pids[1], 2)])
-    for pid in pids:
-        write(pid, 4, "tail")
-
-    expected: Dict[Tuple[int, int], bytes] = {}
-    extents: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for pid in pids:
-        for rank in store.data_ranks(pid):
-            expected[(pid, rank)] = store.read_chunk(pid, rank)
-            descriptor = store._get_descriptor(data_id(pid, rank))
-            extents[(pid, rank)] = (descriptor.location, descriptor.length)
-    store.close(checkpoint=False)  # keep the residual log populated
-    return Scenario(
-        mode=mode,
-        final=PlatformSnapshot.capture(platform),
-        expected=expected,
-        extents=extents,
-        stale_images=stale_images,
-        pids=pids,
-        system_cipher=system_cipher,
-    )
-
-
-# -- scenario-independent mutations -------------------------------------------
+        flipped = []
+        for _ in range(rng.randint(1, 8)):
+            at = offset + rng.randrange(length)
+            byte = untrusted.tamper_read(at, 1)[0]
+            untrusted.tamper_write(at, bytes([byte ^ (1 << rng.randrange(8))]))
+            flipped.append(at)
+        return f"bit_flip in {where} at {flipped}"
+    offset, length, where = choose_extent(rng, size, scenario)
+    payload = bytes(length) if kind == "extent_zero" else rng.randbytes(length)
+    untrusted.tamper_write(offset, payload)
+    return f"{kind} over {where} [{offset}, {offset + length})"
 
 
 def apply_random_mutation(
-    untrusted: UntrustedStore, rng: random.Random
+    untrusted: UntrustedStore,
+    rng: random.Random,
+    scenario: Optional[Scenario] = None,
 ) -> str:
-    """One seeded mutation needing no scenario context (bit flips, extent
-    zeroing, garbage) — reusable by any test that owns a live platform.
-    Returns a description of what was mutated."""
-    size = untrusted.size
-    kind = rng.choice(("bit_flip", "extent_zero", "extent_garbage"))
-    if kind == "bit_flip":
-        flips = rng.randint(1, 8)
-        offsets = []
-        for _ in range(flips):
-            offset = rng.randrange(size)
-            byte = untrusted.tamper_read(offset, 1)[0]
-            untrusted.tamper_write(
-                offset, bytes([byte ^ (1 << rng.randrange(8))])
-            )
-            offsets.append(offset)
-        return f"bit_flip at {offsets}"
-    length = rng.randint(16, 2048)
-    offset = rng.randrange(max(1, size - length))
-    if kind == "extent_zero":
-        untrusted.tamper_write(offset, bytes(length))
-        return f"extent_zero [{offset}, {offset + length})"
-    untrusted.tamper_write(offset, rng.randbytes(length))
-    return f"extent_garbage [{offset}, {offset + length})"
+    """One seeded byte mutation — reusable by any test that owns a live
+    platform; with a ``scenario`` it may aim at a known version."""
+    return mutate_bytes(untrusted, rng, rng.choice(BYTE_MUTATIONS), scenario)
 
 
 # -- the adversary ------------------------------------------------------------
 
 
-class Adversary:
+class Adversary(Harness):
     """Runs seeded mutation trials against a frozen scenario and enforces
     the detect-or-correct oracle on every subsequent trusted read."""
 
-    CLASSES: Tuple[str, ...] = (
-        "bit_flip",
-        "extent_zero",
-        "extent_garbage",
+    NAME = "adversary"
+    PINS = ("attack",)
+    TRIALS = 64
+    HELD = (
+        "oracle held: every read returned committed bytes or raised "
+        "TamperDetectedError"
+    )
+
+    CLASSES: Tuple[str, ...] = BYTE_MUTATIONS + (
         "extent_swap",
         "stale_extent_replay",
         "cross_partition_splice",
@@ -307,56 +172,26 @@ class Adversary:
     )
 
     def __init__(
-        self,
-        mode: str = "counter",
-        classes: Optional[Sequence[str]] = None,
-        scenario: Optional[Scenario] = None,
-        payload_cache: bool = True,
-        one_vector_cache: bool = False,
+        self, variant: Variant = Variant(), scenario: Optional[Scenario] = None
     ) -> None:
-        self.mode = mode
-        self.classes: Tuple[str, ...] = tuple(classes or self.CLASSES)
-        for name in self.classes:
-            if name not in self.CLASSES:
-                raise ValueError(f"unknown attack class {name!r}")
-        self.payload_cache = payload_cache
-        self.one_vector_cache = one_vector_cache
-        self.scenario = scenario or build_scenario(mode)
-
-    def _open_config(self) -> StoreConfig:
-        return scenario_config(
-            self.mode,
-            payload_cache=self.payload_cache,
-            system_cipher=self.scenario.system_cipher,
-            one_vector_cache=self.one_vector_cache,
-        )
-
-    # -- public API ------------------------------------------------------------
-
-    def run(self, trials: int, base_seed: int = 0) -> SweepResult:
-        """Run ``trials`` seeded mutations, cycling through the enabled
-        attack classes so every class is exercised evenly."""
-        result = SweepResult(mode=self.mode)
-        for i in range(trials):
-            result.reports.append(self.run_trial(base_seed + i))
-        return result
+        super().__init__(variant)
+        self.scenario = scenario or build_scenario(variant)
 
     def run_trial(self, seed: int, attack: Optional[str] = None) -> TrialReport:
         """One reproducible trial: the class is derived from the seed
-        (round-robin) unless pinned explicitly."""
-        attack = attack or self.classes[seed % len(self.classes)]
-        rng = random.Random(seed)
+        (round-robin, so a sweep exercises every class evenly) unless
+        pinned."""
+        attack = attack or self.CLASSES[seed % len(self.CLASSES)]
+        verdict = self._guard(self._trial, random.Random(seed), attack)
+        return self._report(seed, attack, f"--class {attack}", *verdict)
+
+    def _trial(self, rng: random.Random, attack: str) -> Tuple[str, str]:
         if attack == "torn_race":
-            outcome, detail = self._torn_race_trial(rng)
-        else:
-            platform = self.scenario.final.restore()
-            detail_prefix = self._apply_attack(attack, rng, platform.untrusted)
-            acceptable = {
-                key: (value,) for key, value in self.scenario.expected.items()
-            }
-            outcome, detail = self._judge(platform, acceptable)
-            detail = f"{detail_prefix} -> {detail}"
-        return TrialReport(seed=seed, attack=attack, outcome=outcome, detail=detail)
+            return self._torn_race_trial(rng)
+        platform = self.scenario.final.restore()
+        applied = self._apply_attack(attack, rng, platform.untrusted)
+        outcome, detail = self._judge(platform, self.scenario.acceptable())
+        return outcome, f"{applied} -> {detail}"
 
     # -- attack application ----------------------------------------------------
 
@@ -364,32 +199,8 @@ class Adversary:
         self, attack: str, rng: random.Random, untrusted: UntrustedStore
     ) -> str:
         scenario = self.scenario
-        size = untrusted.size
-        if attack == "bit_flip":
-            flips = rng.randint(1, 8)
-            offsets = []
-            for _ in range(flips):
-                offset = rng.randrange(size)
-                byte = untrusted.tamper_read(offset, 1)[0]
-                untrusted.tamper_write(
-                    offset, bytes([byte ^ (1 << rng.randrange(8))])
-                )
-                offsets.append(offset)
-            return f"flipped bits at {offsets}"
-        if attack in ("extent_zero", "extent_garbage"):
-            if rng.random() < 0.5 and scenario.extents:
-                key = rng.choice(sorted(scenario.extents))
-                offset, length = scenario.extents[key]
-                where = f"chunk {key[0]}:{key[1]}'s version"
-            else:
-                length = rng.randint(16, 2048)
-                offset = rng.randrange(max(1, size - length))
-                where = "random extent"
-            payload = (
-                bytes(length) if attack == "extent_zero" else rng.randbytes(length)
-            )
-            untrusted.tamper_write(offset, payload)
-            return f"{attack} over {where} [{offset}, {offset + length})"
+        if attack in BYTE_MUTATIONS:
+            return mutate_bytes(untrusted, rng, attack, scenario)
         if attack == "extent_swap":
             (key_a, key_b) = rng.sample(sorted(scenario.extents), 2)
             loc_a, len_a = scenario.extents[key_a]
@@ -402,14 +213,9 @@ class Adversary:
             return f"swapped versions of {key_a} and {key_b} ({span} bytes)"
         if attack == "stale_extent_replay":
             stale = rng.choice(scenario.stale_images)
-            if rng.random() < 0.5 and scenario.extents:
-                key = rng.choice(sorted(scenario.extents))
-                offset, length = scenario.extents[key]
-                where = f"chunk {key[0]}:{key[1]}'s extent"
-            else:
-                length = rng.randint(64, 4096)
-                offset = rng.randrange(max(1, size - length))
-                where = "random extent"
+            offset, length, where = choose_extent(
+                rng, untrusted.size, scenario, lengths=(64, 4096)
+            )
             untrusted.tamper_write(offset, stale[offset : offset + length])
             return f"replayed stale bytes over {where} [{offset}, {offset + length})"
         if attack == "cross_partition_splice":
@@ -442,10 +248,7 @@ class Adversary:
         bytes, or the read detects tampering); every older commit is exact
         or detected."""
         platform = self.scenario.final.restore()
-        try:
-            store = ChunkStore.open(platform, self._open_config())
-        except TDBError as exc:  # pragma: no cover - scenario must open clean
-            return FOREIGN_ERROR, f"pristine scenario failed to open: {exc}"
+        store = self.variant.open(platform)  # the pristine scenario opens
         key = rng.choice(sorted(self.scenario.expected))
         pid, rank = key
         new_value = f"raced-p{pid}r{rank}-{rng.randrange(1 << 16)}".encode() * 2
@@ -453,108 +256,41 @@ class Adversary:
         platform.injector.arm(point, countdown=0)
         try:
             store.commit([ops.WriteChunk(pid, rank, new_value)])
-            crashed = False
+            raced = f"raced write to {pid}:{rank} did not crash"
         except CrashError:
-            crashed = True
+            raced = f"raced write to {pid}:{rank} crashed at {point}"
         finally:
             platform.injector.disarm()
-        detail_prefix = f"raced write to {pid}:{rank} crashed at {point}"
-        if not crashed:  # pragma: no cover - all RACE_POINTS fire in commit
-            detail_prefix = f"raced write to {pid}:{rank} did not crash"
-        mutation = apply_random_mutation(platform.untrusted, rng)
+        mutation = apply_random_mutation(platform.untrusted, rng, self.scenario)
         platform.reboot()
-        acceptable: Dict[Tuple[int, int], Tuple[bytes, ...]] = {
-            k: (v,) for k, v in self.scenario.expected.items()
-        }
-        acceptable[key] = (self.scenario.expected[key], new_value)
+        acceptable = self.scenario.acceptable()
+        acceptable[key] += (new_value,)
         outcome, detail = self._judge(platform, acceptable)
-        return outcome, f"{detail_prefix}; {mutation} -> {detail}"
+        return outcome, f"{raced}; {mutation} -> {detail}"
 
     # -- the oracle ------------------------------------------------------------
 
     def _judge(
-        self,
-        platform: TrustedPlatform,
-        acceptable: Dict[Tuple[int, int], Tuple[bytes, ...]],
+        self, platform: TrustedPlatform, acceptable: Dict[Key, Tuple[bytes, ...]]
     ) -> Tuple[str, str]:
-        """Open the (possibly mutated) store and read everything back.
+        """Open the (possibly mutated) store and read everything back
+        (:func:`~repro.testing.spine.read_back`).
 
         The only legal outcomes are exact committed bytes or
         :class:`TamperDetectedError`; committed state quietly vanishing,
-        wrong bytes, and non-TDB exceptions are harness failures.  Every
-        chunk is read *three* times: the second read exercises the warm
-        validated-payload cache, which must never serve bytes the first
-        (device-validating) read did not; the third goes through a
-        :class:`SnapshotView` of the chunk's partition opened after the
-        attack, and the lock-free path must reach the same verdict."""
+        wrong bytes, the lock-free path reaching another verdict than the
+        locked one, and non-TDB exceptions are harness failures."""
         try:
-            store = ChunkStore.open(platform, self._open_config())
-        except TamperDetectedError as exc:
-            return DETECTED, f"open: {exc}"
+            store = self.variant.open(platform)
         except TDBError as exc:
-            # e.g. a destroyed superblock: the store refuses to open, which
-            # is fail-stop — never silent
-            return DETECTED, f"open refused: {exc}"
-        except Exception as exc:
-            return FOREIGN_ERROR, f"open raised {type(exc).__name__}: {exc}"
-        detections = 0
-        problems: List[str] = []
-        views: Dict[int, SnapshotView] = {}
-
-        def verdict(read) -> Optional[bytes]:
-            """The bytes a trusted read returned; None if it detected."""
-            try:
-                return read()
-            except TamperDetectedError:
-                return None
-
-        def view_read(pid: int, rank: int) -> bytes:
-            if pid not in views:
-                views[pid] = store.open_snapshot_view(pid)
-            return views[pid].read_chunk(rank)
-
-        for (pid, rank), values in sorted(acceptable.items()):
-            try:
-                label = "read"
-                got = verdict(lambda: store.read_chunk(pid, rank))
-                label = "warm re-read"
-                again = got  # nothing was cached if the first read detected
-                if got is not None:
-                    again = verdict(lambda: store.read_chunk(pid, rank))
-                label = "snapshot-view read"
-                viewed = verdict(lambda: view_read(pid, rank))
-            except TDBError as exc:
-                problems.append(
-                    f"chunk {pid}:{rank} lost without detection on the {label} "
-                    f"({type(exc).__name__}: {exc})"
-                )
-                continue
-            except Exception as exc:
-                return (
-                    FOREIGN_ERROR,
-                    f"{label} of {pid}:{rank} raised {type(exc).__name__}: {exc}",
-                )
-            if got is None:
-                detections += 1
-            elif got not in values:
-                problems.append(
-                    f"chunk {pid}:{rank} silently corrupted "
-                    f"(got {got[:32]!r}...)"
-                )
-            elif again != got:
-                problems.append(
-                    f"chunk {pid}:{rank} warm re-read did not serve the bytes "
-                    f"of the clean read (cache incoherence)"
-                )
-            if viewed != got:
-                problems.append(
-                    f"chunk {pid}:{rank}: a snapshot view "
-                    + ("detected tampering" if viewed is None else "served bytes")
-                    + " where the locked read "
-                    + ("detected tampering" if got is None else "served others")
-                )
+            # tampering detected — or, e.g., a destroyed superblock: the
+            # store refuses to open, which is fail-stop, never silent
+            return DETECTED, f"open refused ({type(exc).__name__}): {exc}"
+        problems, detections = read_back(
+            store, acceptable, tolerated=(TamperDetectedError,)
+        )
         if problems:
             return SILENT_CORRUPTION, "; ".join(problems)
         if detections:
-            return DETECTED, f"{detections} read(s) detected tampering"
+            return DETECTED, f"{len(detections)} read(s) detected tampering"
         return HARMLESS, "all reads returned committed bytes"

@@ -10,8 +10,8 @@ crash + recovery.
 
 Failures are reproducible and shrinkable:
 
-* **seed replay** — an op sequence is a pure function of its seed, so a
-  failing seed is a complete bug report (`make differential SEED=n`);
+* **seed replay** — an op sequence is a pure function of its seed and
+  length, so a failing report's ``repro_line()`` is a complete bug report;
 * **prefix shrinking** — the sequence is first truncated at the failing
   op, then greedily minimised (ddmin-style chunk removal) while the
   failure persists; any *sub*-sequence remains executable because ops
@@ -26,16 +26,22 @@ turns later ops on that slot into no-ops instead of hard errors.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
-from repro.chunkstore import ChunkStore, StoreConfig, ops
+from repro.chunkstore import ChunkStore, ops
 from repro.errors import TDBError
 from repro.platform.trusted_platform import TrustedPlatform
 from repro.testing.model import ReferenceModel, diff_states, observe_store
+from repro.testing.spine import Harness, TrialReport
 
-#: cipher/hash assigned to created partitions, cycled by the op's tag
-PARTITION_FLAVOURS = (("null", "sha1"), ("ctr-sha256", "sha1"))
+# -- outcomes -------------------------------------------------------------------
+
+AGREED = "agreed"  # store and model showed the same state throughout
+DIVERGED = "diverged"  # they differed, or an op raised where the model did not
+
+#: operations per generated sequence unless pinned
+OPS = 50
 
 
 @dataclass(frozen=True)
@@ -68,32 +74,24 @@ def op_value(op: Op) -> bytes:
     return f"v{op.slot}.{op.rank}.{op.tag}:".encode() * (1 + op.tag % 4)
 
 
-@dataclass
-class DiffFailure:
-    """A divergence between the store and the reference model."""
+@dataclass(frozen=True)
+class DiffFailure(TrialReport):
+    """A divergence between the store and the reference model: the trial's
+    report (``detail`` is the reason) plus the op sequence that shows it,
+    which :meth:`DifferentialRunner.shrink` minimises."""
 
-    mode: str
     op_index: int
-    reason: str
-    ops: List[Op]
-    seed: Optional[int] = None
-    #: num_ops the failing seed was generated with (repro needs it even
-    #: after the sequence itself has been shrunk)
-    gen_ops: Optional[int] = None
+    ops: Tuple[Op, ...]
 
     def repro_line(self) -> str:
-        if self.seed is not None:
-            length = self.gen_ops if self.gen_ops is not None else len(self.ops)
-            return (
-                f"make differential MODE={self.mode} SEED={self.seed} "
-                f"OPS={length}"
-            )
-        return f"# replay the shrunk sequence below (mode={self.mode})"
+        if self.seed is None:
+            return f"# no seed: replay the sequence below ({self.variant.flags()})"
+        return super().repro_line()
 
     def describe(self) -> str:
         lines = [
-            f"differential failure (mode={self.mode}) at op "
-            f"{self.op_index}: {self.reason}",
+            f"differential failure ({self.variant.flags()}) at op "
+            f"{self.op_index}: {self.detail}",
             f"repro: {self.repro_line()}",
             "sequence:",
         ]
@@ -101,49 +99,25 @@ class DiffFailure:
         return "\n".join(lines)
 
 
-class DifferentialRunner:
+class DifferentialRunner(Harness):
     """Drives the real store and the reference model in lockstep."""
 
-    def __init__(
-        self,
-        mode: str = "counter",
-        num_ops: int = 50,
-        max_slots: int = 5,
-        max_rank: int = 8,
-        store_size: int = 2 * 1024 * 1024,
-        config: Optional[StoreConfig] = None,
-        one_vector_cache: bool = False,
-    ) -> None:
-        self.mode = mode
-        self.num_ops = num_ops
-        self.max_slots = max_slots
-        self.max_rank = max_rank
-        self.store_size = store_size
-        self.config = config
-        #: descriptor cache of a single map-chunk vector: every map-chunk
-        #: load evicts the previous one
-        self.one_vector_cache = one_vector_cache
+    NAME = "differential"
+    PINS = ("ops",)
+    TRIALS = 20
+    HELD = "store and model agreed after every operation of every sequence"
+    FAILING = (DIVERGED,)
 
-    def _make_config(self) -> StoreConfig:
-        if self.config is not None:
-            return self.config
-        return StoreConfig(
-            segment_size=16 * 1024,
-            system_cipher="ctr-sha256",
-            system_hash="sha1",
-            validation_mode=self.mode,
-            delta_ut=1,
-            checkpoint_dirty_threshold=64,
-            cache_size=(
-                StoreConfig.fanout if self.one_vector_cache else StoreConfig.cache_size
-            ),
-        )
+    SEGMENT_SIZE = 16 * 1024
+    STORE_SIZE = 2 * 1024 * 1024
+    MAX_SLOTS = 5
+    MAX_RANK = 8
 
     # -- generation ------------------------------------------------------------
 
-    def generate(self, seed: int) -> List[Op]:
-        """A seeded op sequence, biased toward valid operations (a light
-        planner mirrors the executor's skip rules)."""
+    def generate(self, seed: int, ops: int = OPS) -> List[Op]:
+        """A seeded sequence of ``ops`` operations, biased toward valid
+        ones (a light planner mirrors the executor's skip rules)."""
         rng = random.Random(seed)
         live: Dict[int, set] = {}  # slot -> written ranks
         sequence: List[Op] = []
@@ -158,13 +132,13 @@ class DifferentialRunner:
             + ["reopen"] * 6
             + ["clean"] * 6
         )
-        for i in range(self.num_ops):
+        for _ in range(ops):
             if not live:
                 kind = "create"
             else:
                 kind = rng.choice(kinds)
             if kind == "create":
-                free = [s for s in range(self.max_slots) if s not in live]
+                free = [s for s in range(self.MAX_SLOTS) if s not in live]
                 if not free:
                     kind = "write"
                 else:
@@ -173,7 +147,7 @@ class DifferentialRunner:
                     live[slot] = set()
                     continue
             if kind == "copy":
-                free = [s for s in range(self.max_slots) if s not in live]
+                free = [s for s in range(self.MAX_SLOTS) if s not in live]
                 if not free or not live:
                     kind = "write"
                 else:
@@ -189,7 +163,7 @@ class DifferentialRunner:
                 continue
             if kind == "write":
                 slot = rng.choice(sorted(live))
-                rank = rng.randrange(self.max_rank)
+                rank = rng.randrange(self.MAX_RANK)
                 sequence.append(
                     Op("write", slot=slot, rank=rank, tag=rng.randrange(64))
                 )
@@ -198,7 +172,7 @@ class DifferentialRunner:
             if kind == "dealloc":
                 slot = rng.choice(sorted(live))
                 ranks = sorted(live[slot])
-                rank = rng.choice(ranks) if ranks else rng.randrange(self.max_rank)
+                rank = rng.choice(ranks) if ranks else rng.randrange(self.MAX_RANK)
                 sequence.append(Op("dealloc", slot=slot, rank=rank))
                 live[slot].discard(rank)
                 continue
@@ -211,23 +185,20 @@ class DifferentialRunner:
         self, sequence: List[Op], seed: Optional[int] = None
     ) -> Optional[DiffFailure]:
         """Run ``sequence`` against a fresh store and model; returns the
-        first divergence, or ``None`` if they agree throughout."""
-        platform = TrustedPlatform.create_in_memory(untrusted_size=self.store_size)
-        store = ChunkStore.format(platform, self._make_config())
+        first divergence, or ``None`` if they agree throughout.  ``seed``
+        only labels the failure (the seed ``sequence`` came from)."""
+        platform = TrustedPlatform.create_in_memory(untrusted_size=self.STORE_SIZE)
+        store = ChunkStore.format(platform, self.variant.config(self.SEGMENT_SIZE))
         model = ReferenceModel()
         slots: Dict[int, int] = {}
+        flavours = self.variant.partition_specs
 
         def live(slot: int) -> bool:
             return slot in slots and slots[slot] in model.partitions
 
         def fail(index: int, reason: str) -> DiffFailure:
-            return DiffFailure(
-                mode=self.mode,
-                op_index=index,
-                reason=reason,
-                ops=list(sequence),
-                seed=seed,
-            )
+            report = self._sequence_report(seed, len(sequence), DIVERGED, reason)
+            return DiffFailure(**vars(report), op_index=index, ops=tuple(sequence))
 
         for index, op in enumerate(sequence):
             compare = True
@@ -236,9 +207,7 @@ class DifferentialRunner:
                     if live(op.slot):
                         continue
                     pid = store.allocate_partition()
-                    cipher, hash_name = PARTITION_FLAVOURS[
-                        op.tag % len(PARTITION_FLAVOURS)
-                    ]
+                    cipher, hash_name = flavours[op.tag % len(flavours)]
                     store.commit(
                         [
                             ops.WritePartition(
@@ -288,10 +257,10 @@ class DifferentialRunner:
                     compare = False
                 elif op.kind == "crash":
                     platform.reboot()
-                    store = ChunkStore.open(platform)
+                    store = self.variant.open(platform, self.SEGMENT_SIZE)
                 elif op.kind == "reopen":
                     store.close()
-                    store = ChunkStore.open(platform)
+                    store = self.variant.open(platform, self.SEGMENT_SIZE)
                 else:
                     raise ValueError(f"unknown op kind {op.kind!r}")
             except TDBError as exc:
@@ -317,47 +286,51 @@ class DifferentialRunner:
                 return fail(index, f"after {op}: " + "; ".join(problems))
         return None
 
-    def run_seed(self, seed: int) -> Optional[DiffFailure]:
-        failure = self.execute(self.generate(seed), seed=seed)
-        if failure is not None:
-            failure.gen_ops = self.num_ops
-        return failure
+    def _sequence_report(
+        self, seed: Optional[int], ops: int, outcome: str, detail: str
+    ) -> TrialReport:
+        # a generated sequence is as long as it was asked to be, so the
+        # length is the pin that regenerates it
+        return self._report(seed, f"ops={ops}", f"--ops {ops}", outcome, detail)
 
-    def run(self, seeds: Iterable[int]) -> List[DiffFailure]:
-        failures = []
-        for seed in seeds:
-            failure = self.run_seed(seed)
-            if failure is not None:
-                failures.append(failure)
-        return failures
+    def run_trial(self, seed: int, ops: int = OPS) -> TrialReport:
+        """The sequence of ``(seed, ops)``, executed: a :class:`DiffFailure`
+        if store and model diverged."""
+        return self.execute(self.generate(seed, ops), seed) or self._sequence_report(
+            seed, ops, AGREED, "store and model agreed after every operation"
+        )
+
+    def explain(self, report: TrialReport) -> str:
+        return self.shrink(report).describe()
 
     # -- shrinking -------------------------------------------------------------
 
     def shrink(self, failure: DiffFailure) -> DiffFailure:
         """Minimise a failing sequence: truncate at the failing op, then
-        remove chunks of decreasing size while the failure persists."""
-        current = list(failure.ops[: failure.op_index + 1])
-        confirmed = self.execute(current)
-        if confirmed is None:  # not reproducible from the prefix alone
-            return failure
-        current = current[: confirmed.op_index + 1]
-        confirmed.ops = list(current)
-        confirmed.seed = failure.seed
-        confirmed.gen_ops = failure.gen_ops
-        last = confirmed
+        remove chunks of decreasing size while the failure persists.  The
+        result keeps ``failure``'s seed and pins — its repro line."""
 
-        chunk = max(1, len(current) // 2)
+        def attempt(candidate: List[Op]) -> Optional[DiffFailure]:
+            result = self.execute(candidate) if candidate else None
+            if result is None:
+                return None
+            return replace(
+                failure,
+                detail=result.detail,
+                op_index=result.op_index,
+                ops=result.ops[: result.op_index + 1],
+            )
+
+        last = attempt(list(failure.ops[: failure.op_index + 1]))
+        if last is None:  # not reproducible from the prefix alone
+            return failure
+        chunk = max(1, len(last.ops) // 2)
         while chunk >= 1:
             index = 0
-            while index < len(current):
-                candidate = current[:index] + current[index + chunk :]
-                result = self.execute(candidate) if candidate else None
-                if result is not None:
-                    current = candidate[: result.op_index + 1]
-                    result.ops = list(current)
-                    result.seed = failure.seed
-                    result.gen_ops = failure.gen_ops
-                    last = result
+            while index < len(last.ops):
+                shorter = attempt(list(last.ops[:index] + last.ops[index + chunk :]))
+                if shorter is not None:
+                    last = shorter
                 else:
                     index += chunk
             chunk //= 2

@@ -34,6 +34,18 @@ def chunk_reader(store: ChunkStore, pid: int, via: str):
     return store.open_snapshot_view(pid).read_chunk
 
 
+def replay(repro_line: str):
+    """The reports the command a ``TrialReport.repro_line()`` spells
+    produces, run in this process."""
+    import shlex
+
+    from repro.testing.__main__ import build_parser, run
+
+    words = shlex.split(repro_line)
+    assert words[:4] == ["PYTHONPATH=src", "python", "-m", "repro.testing"]
+    return run(build_parser().parse_args(words[4:]))[1].reports
+
+
 def make_platform(size: int = 4 * 1024 * 1024, **kwargs) -> TrustedPlatform:
     return TrustedPlatform.create_in_memory(untrusted_size=size, **kwargs)
 

@@ -6,22 +6,26 @@ mutations total, round-robin across all eight attack classes — and
 requires zero silent corruptions and zero non-TDB exceptions.  The
 slow-marked sweep quadruples the trial count for nightly runs.
 
-Any failure prints a ``make adversary ...`` line that replays the exact
-seed.
+Any failure prints the ``python -m repro.testing adversary ...`` line that
+replays the exact seed under the exact variant.
 """
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.testing.adversary import (
+from repro.chunkstore.readpath import ReadPath
+from repro.testing import (
     DETECTED,
     FOREIGN_ERROR,
     HARMLESS,
     SILENT_CORRUPTION,
     Adversary,
+    Variant,
     build_scenario,
 )
+from tests.conftest import replay
 
 MODES = ["counter", "direct"]
 
@@ -30,18 +34,16 @@ MODES = ["counter", "direct"]
 def adversaries():
     """One scenario build per mode, shared by every test in the module
     (trials restore from the snapshot, so sharing is safe)."""
-    return {mode: Adversary(mode) for mode in MODES}
+    return {mode: Adversary(Variant(mode)) for mode in MODES}
 
 
 def _assert_no_failures(result):
     lines = [
-        f"{r.outcome}: seed={r.seed} {r.detail}\n  repro: "
-        f"{r.repro_line(result.mode)}"
+        f"{r.outcome}: seed={r.seed} {r.detail}\n  repro: {r.repro_line()}"
         for r in result.failures
     ]
     assert not result.failures, (
-        f"{len(lines)} oracle violation(s) in mode={result.mode}:\n"
-        + "\n".join(lines)
+        f"{len(lines)} oracle violation(s):\n" + "\n".join(lines)
     )
 
 
@@ -52,7 +54,7 @@ def test_adversary_sweep(adversaries, mode):
     violated."""
     result = adversaries[mode].run(250)
     _assert_no_failures(result)
-    assert set(result.classes_exercised()) == set(Adversary.CLASSES)
+    assert set(result.by_cell()) == set(Adversary.CLASSES)
     outcomes = result.outcomes()
     assert outcomes.get(SILENT_CORRUPTION, 0) == 0
     assert outcomes.get(FOREIGN_ERROR, 0) == 0
@@ -70,7 +72,7 @@ def test_image_replay_always_detected(adversaries, mode):
         report = adversary.run_trial(seed, attack="image_replay")
         assert report.outcome == DETECTED, (
             f"image replay went undetected: {report.detail}\n"
-            f"repro: {report.repro_line(mode)}"
+            f"repro: {report.repro_line()}"
         )
 
 
@@ -83,7 +85,7 @@ def test_torn_race_atomicity(adversaries, mode):
         report = adversary.run_trial(seed, attack="torn_race")
         assert report.outcome in (HARMLESS, DETECTED), (
             f"torn race violated atomicity: {report.detail}\n"
-            f"repro: {report.repro_line(mode)}"
+            f"repro: {report.repro_line()}"
         )
 
 
@@ -93,7 +95,7 @@ def test_trials_are_reproducible(adversaries):
     for seed in (3, 17, 42):
         first = adversary.run_trial(seed)
         again = adversary.run_trial(seed)
-        assert first == again
+        assert first == again and first.detail == again.detail
 
 
 def test_trials_leave_scenario_untouched(adversaries):
@@ -107,7 +109,7 @@ def test_trials_leave_scenario_untouched(adversaries):
 def test_scenario_covers_attack_surface():
     """The frozen scenario has the structure the taxonomy needs: several
     partitions with distinct crypto, stale snapshots, known extents."""
-    scenario = build_scenario("counter")
+    scenario = build_scenario(Variant("counter"))
     assert len(scenario.pids) >= 3
     assert len(scenario.stale_images) >= 2
     assert len(scenario.extents) >= 10
@@ -116,12 +118,58 @@ def test_scenario_covers_attack_surface():
     # replay fodder must differ from the final image
     for stale in scenario.stale_images:
         assert stale != scenario.final.image
+    # aimed bit flips need versions only the descriptor hash vouches for,
+    # under ciphers that decrypt a flipped body without complaint
+    assert len({pid for pid, _ in scenario.checkpointed}) >= 3
+    assert set(scenario.checkpointed) < set(scenario.extents)
 
 
 def test_repro_line_format(adversaries):
     report = adversaries["counter"].run_trial(5)
-    line = report.repro_line("counter")
-    assert line == f"make adversary MODE=counter SEED=5 CLASS={report.attack}"
+    assert report.repro_line() == (
+        "PYTHONPATH=src python -m repro.testing adversary --mode counter "
+        f"--seed 5 --class {report.cell}"
+    )
+    aead = dataclasses.replace(
+        report, variant=Variant("direct", False, True, True)
+    )
+    assert aead.repro_line() == (
+        "PYTHONPATH=src python -m repro.testing adversary --mode direct "
+        "--no-payload-cache --one-vector-cache --aead "
+        f"--seed 5 --class {report.cell}"
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_deleted_hash_check_is_caught_at_the_per_pr_depth(
+    adversaries, mode, monkeypatch
+):
+    """The oracle is not vacuous about the paper's central check: with the
+    descriptor-hash comparison gone from ``ReadPath._validate``, the 64
+    trials CI runs on every PR report silent corruption — on several
+    seeds, each with a repro line that replays it."""
+
+    class AnyHash:
+        def __ne__(self, other):
+            return False
+
+    real = ReadPath._validate
+
+    def no_comparison(self, state, cid, descriptor, raw):
+        lax = dataclasses.replace(descriptor, body_hash=AnyHash())
+        return real(self, state, cid, lax, raw)
+
+    assert not adversaries[mode].run(64).failures
+    monkeypatch.setattr(ReadPath, "_validate", no_comparison)
+    failures = adversaries[mode].run(64).failures
+    assert len(failures) >= 3, [f.seed for f in failures]
+    assert {f.outcome for f in failures} == {SILENT_CORRUPTION}
+    assert {f.cell for f in failures} == {"bit_flip", "torn_race"}
+    # the replay builds its own scenario (fresh IVs), so the garbage a
+    # flipped body decrypts to differs; the attack and the verdict do not
+    [again] = replay(failures[0].repro_line())
+    assert again == failures[0]
+    assert again.detail.split(" -> ")[0] == failures[0].detail.split(" -> ")[0]
 
 
 @pytest.mark.slow
@@ -137,7 +185,7 @@ def test_adversary_sweep_deep(adversaries, mode):
         for _ in range(25):
             report = adversary.run_trial(rng.randrange(1 << 30), attack=attack)
             assert not report.failed, (
-                f"{report.detail}\nrepro: {report.repro_line(mode)}"
+                f"{report.detail}\nrepro: {report.repro_line()}"
             )
 
 
@@ -146,9 +194,9 @@ def test_sweep_with_payload_cache_disabled(adversaries, mode):
     """The cache-off toggle (CI's --no-payload-cache smoke): same scenario,
     payload cache disabled, oracle still never violated."""
     base = adversaries[mode]
-    uncached = Adversary(mode, scenario=base.scenario, payload_cache=False)
-    assert uncached._open_config().payload_cache_bytes == 0
-    assert base._open_config().payload_cache_bytes > 0
+    uncached = Adversary(Variant(mode, payload_cache=False), scenario=base.scenario)
+    assert uncached.variant.config().payload_cache_bytes == 0
+    assert base.variant.config().payload_cache_bytes > 0
     result = uncached.run(24)
     _assert_no_failures(result)
     outcomes = result.outcomes()

@@ -15,13 +15,12 @@ import pytest
 
 from repro.crypto import aead
 from repro.errors import TamperDetectedError
-from repro.testing.adversary import (
-    AEAD_PARTITION_SPECS,
+from repro.testing import (
     DETECTED,
     FOREIGN_ERROR,
     SILENT_CORRUPTION,
     Adversary,
-    build_scenario,
+    Variant,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -35,17 +34,7 @@ MODES = ["counter", "direct"]
 @pytest.fixture(scope="module")
 def adversaries():
     """One AEAD scenario per mode (trials restore from the snapshot)."""
-    return {
-        mode: Adversary(
-            mode,
-            scenario=build_scenario(
-                mode,
-                partition_specs=AEAD_PARTITION_SPECS,
-                system_cipher="aes-256-gcm",
-            ),
-        )
-        for mode in MODES
-    }
+    return {mode: Adversary(Variant(mode, aead=True)) for mode in MODES}
 
 
 def _assert_no_failures(result):
@@ -53,8 +42,8 @@ def _assert_no_failures(result):
         f"{r.outcome}: seed={r.seed} {r.detail}" for r in result.failures
     ]
     assert not result.failures, (
-        f"{len(lines)} oracle violation(s) on AEAD partitions "
-        f"(mode={result.mode}):\n" + "\n".join(lines)
+        f"{len(lines)} oracle violation(s) on AEAD partitions:\n"
+        + "\n".join(lines)
     )
 
 
@@ -64,7 +53,7 @@ def test_aead_adversary_sweep(adversaries, mode):
     classes, zero undetected tampers on AEAD partitions."""
     result = adversaries[mode].run(160)
     _assert_no_failures(result)
-    assert set(result.classes_exercised()) == set(Adversary.CLASSES)
+    assert set(result.by_cell()) == set(Adversary.CLASSES)
     outcomes = result.outcomes()
     assert outcomes.get(SILENT_CORRUPTION, 0) == 0
     assert outcomes.get(FOREIGN_ERROR, 0) == 0
@@ -103,9 +92,7 @@ def test_targeted_tampers_on_aead_extents(adversaries, mode):
             platform.untrusted.tamper_write(
                 location + offset, bytes([byte ^ 0x40])
             )
-            outcome, detail = adversary._judge(
-                platform, {k: (v,) for k, v in scenario.expected.items()}
-            )
+            outcome, detail = adversary._judge(platform, scenario.acceptable())
             assert outcome == DETECTED, (
                 f"mode={mode} pid={pid} flip at extent offset {offset} "
                 f"-> {outcome}: {detail}"
@@ -127,9 +114,7 @@ def test_aead_version_truncation_detected(adversaries, mode):
             if platform.untrusted.tamper_read(tail, cut) == bytes(cut):
                 continue  # a tag ending in zeros (1 in 256 for cut=1): no change
             platform.untrusted.tamper_write(tail, bytes(cut))
-            outcome, detail = adversary._judge(
-                platform, {k: (v,) for k, v in scenario.expected.items()}
-            )
+            outcome, detail = adversary._judge(platform, scenario.acceptable())
             assert outcome == DETECTED, (
                 f"mode={mode} pid={pid} truncating {cut} tail bytes "
                 f"-> {outcome}: {detail}"

@@ -10,32 +10,90 @@ nightly use.
 
 import pytest
 
+from repro.chunkstore import ChunkStore, StoreConfig
 from repro.chunkstore.partitions import PartitionTable
-from repro.testing.differential import DifferentialRunner, Op
+from repro.crypto import aead
+from repro.testing import DIVERGED, DifferentialRunner, Op, Variant
 
 MODES = ["counter", "direct"]
 
 
-def _assert_no_failures(runner, failures):
-    details = "\n".join(
-        runner.shrink(failure).describe() for failure in failures
-    )
-    assert not failures, f"store diverged from the model:\n{details}"
+def _assert_no_failures(runner, result):
+    details = "\n".join(runner.explain(failure) for failure in result.failures)
+    assert not result.failures, f"store diverged from the model:\n{details}"
+
+
+def _first_failure(runner, seeds=20):
+    for seed in range(seeds):
+        report = runner.run_trial(seed)
+        if report.failed:
+            return report
+    return None
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_store_matches_model(mode):
     """10 seeds × 50 ops per mode: the store and the reference model agree
     after every commit, checkpoint/clean cycle, crash, and reopen."""
-    runner = DifferentialRunner(mode=mode, num_ops=50)
-    _assert_no_failures(runner, runner.run(range(10)))
+    runner = DifferentialRunner(Variant(mode))
+    _assert_no_failures(runner, runner.run(10))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_variant_survives_crash_and_reopen(mode, monkeypatch):
+    """Every store of a ``--one-vector-cache`` run — the one formatted and
+    each one a ``crash`` or ``reopen`` op opens — runs under the variant's
+    configuration (the reopens used to pass no config at all, so the leg
+    was one-vector up to its first crash and the plain leg after it)."""
+    seen = []
+
+    def spy(real):
+        def opened(platform, config=None):
+            store = real(platform, config)
+            seen.append(
+                (store.config.cache_size, store.config.checkpoint_dirty_threshold)
+            )
+            return store
+
+        return opened
+
+    monkeypatch.setattr(ChunkStore, "format", spy(ChunkStore.format))
+    monkeypatch.setattr(ChunkStore, "open", spy(ChunkStore.open))
+    runner = DifferentialRunner(Variant(mode, one_vector_cache=True))
+    sequence = runner.generate(3)
+    kinds = [op.kind for op in sequence]
+    assert "crash" in kinds and "reopen" in kinds
+    assert runner.execute(sequence) is None
+    assert len(seen) == 1 + kinds.count("crash") + kinds.count("reopen")
+    assert set(seen) == {(StoreConfig.fanout, 64)}
+
+
+@pytest.mark.skipif(
+    not aead.available(),
+    reason=f"AEAD backend unavailable: {aead.unavailable_reason()}",
+)
+@pytest.mark.parametrize("mode", MODES)
+def test_store_matches_model_on_the_aead_tier(mode, monkeypatch):
+    """``--aead``: an authenticating system cipher, and created partitions
+    draw their flavours from the variant's AEAD specs."""
+    flavours = set()
+    real = ChunkStore.commit
+
+    def spy(self, operations):
+        flavours.update(getattr(op, "cipher_name", None) for op in operations)
+        return real(self, operations)
+
+    monkeypatch.setattr(ChunkStore, "commit", spy)
+    runner = DifferentialRunner(Variant(mode, aead=True))
+    _assert_no_failures(runner, runner.run(5))
+    assert {"aes-256-gcm", "chacha20-poly1305"} <= flavours
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_sequences_exercise_all_op_kinds(mode):
     """The generator's bias must not starve any operation kind across the
     tier-1 seed range, or the differential coverage silently shrinks."""
-    runner = DifferentialRunner(mode=mode, num_ops=50)
+    runner = DifferentialRunner(Variant(mode))
     kinds = {op.kind for seed in range(10) for op in runner.generate(seed)}
     assert kinds == {
         "create",
@@ -51,16 +109,17 @@ def test_sequences_exercise_all_op_kinds(mode):
 
 
 def test_generation_is_deterministic():
-    runner = DifferentialRunner(num_ops=50)
+    runner = DifferentialRunner()
     assert runner.generate(7) == runner.generate(7)
     assert runner.generate(7) != runner.generate(8)
+    assert len(runner.generate(7)) == 50 and len(runner.generate(7, ops=80)) == 80
 
 
 def test_subsequences_stay_executable():
     """Slot-based ops referencing never-created partitions are skipped by
     both sides, so arbitrary subsequences (as produced by shrinking) run
     without hard errors."""
-    runner = DifferentialRunner(num_ops=10)
+    runner = DifferentialRunner()
     orphan = [
         Op("write", slot=2, rank=1, tag=5),
         Op("dealloc", slot=4, rank=0),
@@ -93,7 +152,7 @@ def test_copy_dropped_then_crash_then_its_id_reused(mode):
         Op("drop", slot=0),
         Op("crash"),
     ]
-    failure = DifferentialRunner(mode=mode).execute(history)
+    failure = DifferentialRunner(Variant(mode)).execute(history)
     assert failure is None, failure.describe()
 
 
@@ -102,18 +161,15 @@ def test_injected_bug_caught_and_shrunk(monkeypatch):
     deallocation silently dropped) is detected, the failing sequence
     shrinks to ≤10 ops, the shrunk repro still fails with the bug and
     passes without it."""
-    runner = DifferentialRunner(mode="counter", num_ops=50)
+    runner = DifferentialRunner(Variant("counter"))
 
     monkeypatch.setattr(PartitionTable, "chunk_freed", lambda self, cid: None)
-    caught = None
-    for seed in range(20):
-        caught = runner.run_seed(seed)
-        if caught is not None:
-            break
+    caught = _first_failure(runner)
     assert caught is not None, "injected dealloc bug escaped 20 seeds"
+    assert caught.outcome == DIVERGED
     shrunk = runner.shrink(caught)
     assert len(shrunk.ops) <= 10, shrunk.describe()
-    assert "dealloc" in shrunk.reason
+    assert "dealloc" in shrunk.detail
     still_fails = runner.execute(shrunk.ops)
     assert still_fails is not None, "shrunk repro no longer fails"
 
@@ -137,34 +193,28 @@ def test_injected_stale_read_bug_caught(monkeypatch):
         return real_write(self, cid, *args, **kwargs)
 
     monkeypatch.setattr(PartitionTable, "chunk_written", first_write_wins)
-    runner = DifferentialRunner(mode="counter", num_ops=50)
-    caught = None
-    for seed in range(20):
-        caught = runner.run_seed(seed)
-        if caught is not None:
-            break
+    caught = _first_failure(DifferentialRunner(Variant("counter")))
     assert caught is not None, "injected stale-write bug escaped 20 seeds"
 
 
 def test_failure_repro_line_survives_shrinking(monkeypatch):
     monkeypatch.setattr(PartitionTable, "chunk_freed", lambda self, cid: None)
-    runner = DifferentialRunner(mode="counter", num_ops=50)
-    caught = None
-    for seed in range(20):
-        caught = runner.run_seed(seed)
-        if caught is not None:
-            break
+    runner = DifferentialRunner(Variant("counter", one_vector_cache=True))
+    caught = _first_failure(runner)
     assert caught is not None
     shrunk = runner.shrink(caught)
-    assert (
-        shrunk.repro_line()
-        == f"make differential MODE=counter SEED={caught.seed} OPS=50"
+    assert len(shrunk.ops) < len(caught.ops) == 50
+    assert shrunk.repro_line() == caught.repro_line() == (
+        "PYTHONPATH=src python -m repro.testing differential --mode counter "
+        f"--one-vector-cache --seed {caught.seed} --ops 50"
     )
+    # a sequence that came from no seed says so instead
+    assert runner.execute(list(shrunk.ops)).repro_line().startswith("# no seed")
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("mode", MODES)
 def test_store_matches_model_deep(mode):
     """Nightly: 25 seeds × 80 ops per mode."""
-    runner = DifferentialRunner(mode=mode, num_ops=80)
-    _assert_no_failures(runner, runner.run(range(25)))
+    runner = DifferentialRunner(Variant(mode))
+    _assert_no_failures(runner, runner.run(25, ops=80))

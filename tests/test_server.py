@@ -25,6 +25,7 @@ from repro.objectstore.pickling import ObjectRef
 from repro import obs
 from repro.objectstore.store import TxStatus
 from repro.server import GroupCommitter, TDBServer
+from repro.testing import SweepDriver, SweepSite
 from tests.conftest import make_config, make_platform
 from tests.parking import Gate, QueueSpy, Worker, join_all
 
@@ -678,7 +679,10 @@ class ServingCrashEnv:
         self.acknowledged = set()
         self.errors = {}
 
-    def run(self, arm=None):
+    def run(self):
+        """The script, once; the ``commit.*`` points it passed, in order.
+        An armed injector (the sweep driver's) fires inside a batch: the
+        workers catch it, ``errors`` holds it."""
         injector = self.platform.injector
         gate = Gate()
 
@@ -707,8 +711,6 @@ class ServingCrashEnv:
             for name in self.NAMES[1:]:
                 workers.append(Worker(lambda name=name: transact(name)))
                 self.queue.wait_queued()
-            if arm is not None:
-                injector.arm(*arm)
             gate.open()
             join_all(workers)
             self.batches = server.committer.stats()["batches"]
@@ -729,41 +731,54 @@ class ServingCrashEnv:
         return {name for name, value in seen.items() if value == name}
 
 
+def served_batches(env):
+    """The :class:`SweepDriver` workload: the script, with the crash a
+    committing thread caught raised here, where the driver looks for it."""
+    env.points = env.run()
+    for error in env.errors.values():
+        if isinstance(error, CrashError):
+            raise error
+
+
 @pytest.mark.parametrize("mode", ["counter", "direct"])
 def test_a_crash_at_any_commit_point_of_a_served_batch_loses_only_the_unacknowledged(
     mode, monkeypatch
 ):
-    env = ServingCrashEnv(mode, monkeypatch)
-    points = env.run()
+    driver = SweepDriver(lambda: ServingCrashEnv(mode, monkeypatch))
+    env = driver.build()
+    served_batches(env)
+    points = env.points
     assert env.acknowledged == set(env.NAMES) and env.batches == 2
     assert env.survivors() == set(env.NAMES)
     # the lone batch writes one chunk, the handed-off batch two
     assert points.count("commit.begin") == 2 and points.count("commit.write") == 3
+    order = list(dict.fromkeys(points))
     sites = [
-        (name, occurrence)
-        for name in dict.fromkeys(points)
+        SweepSite(name, occurrence)
+        for name in order
         for occurrence in range(points.count(name))
     ]
-    assert {name for name, _ in sites} >= {
+    assert set(order) >= {
         "commit.begin", "commit.write", "commit.before_flush", "commit.after_flush",
     }
     #: what the log holds once the flush returned is committed — unless the
     #: tamper-resistant write is the commit point (direct validation)
     durable_from = "commit.after_flush" if mode == "counter" else "commit.after_tr"
-    order = list(dict.fromkeys(points))
-    for name, occurrence in sites:
-        env = ServingCrashEnv(mode, monkeypatch)
-        env.run(arm=(name, occurrence))
-        in_lone_batch = occurrence == 0
+
+    def check(env, site):
+        in_lone_batch = site.occurrence == 0
         batch = {"lone"} if in_lone_batch else {"rider1", "rider2"}
         # the crashed batch is told; so is whoever queued behind it
-        assert env.acknowledged == (set() if in_lone_batch else {"lone"}), (name, occurrence)
+        assert env.acknowledged == (set() if in_lone_batch else {"lone"}), site
         assert isinstance(env.errors[sorted(batch)[0]], CrashError)
         survived = env.survivors()
         expected = set(env.acknowledged)
-        if order.index(name) >= order.index(durable_from):
+        if order.index(site.point) >= order.index(durable_from):
             expected |= batch  # durable, whole, though nobody was told
-        assert survived == expected, (name, occurrence, survived)
+        assert survived == expected, (site, survived)
+
+    # every site fires: the armed run passes the points the free run passed
+    assert driver.sweep(served_batches, check, sites=sites) == sites
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Code-only line counts: lines that hold code, not blanks, comments or
-docstrings — the measure ROADMAP item 3 and the issues quote for
-``src/repro/chunkstore/*.py``.
+docstrings — the measure the ROADMAP and the issues quote.
 
-    python tools/loc.py                       # src/repro/chunkstore/*.py
+    python tools/loc.py                       # src/repro/chunkstore/*.py, then
+                                              # a total per package of src/repro
     python tools/loc.py src/repro/obs/*.py    # any other files
 
 A line counts if some token on it is neither a comment nor part of a
@@ -20,9 +20,10 @@ import os
 import sys
 import tokenize
 from pathlib import Path
-from typing import List, Set
+from typing import Dict, List, Set
 
-DEFAULT = Path(__file__).resolve().parents[1] / "src" / "repro" / "chunkstore"
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+DEFAULT = SRC / "chunkstore"
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -55,6 +56,19 @@ def code_lines(source: str) -> int:
     return len(counted - skip)
 
 
+def per_package() -> None:
+    """One total per package of ``src/repro`` (a package's own modules and
+    its sub-packages'; top-level modules under ``repro``), and the sum."""
+    totals: Dict[str, int] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC).parts
+        package = parts[0] if len(parts) > 1 else "repro"
+        totals[package] = totals.get(package, 0) + code_lines(path.read_text())
+    for package, count in sorted(totals.items()):
+        print(f"{count:6d}  {package}")
+    print(f"{sum(totals.values()):6d}  code-only lines in src/repro, by package")
+
+
 def main(argv: List[str]) -> int:
     paths = [Path(arg) for arg in argv] or sorted(DEFAULT.glob("*.py"))
     total = 0
@@ -64,6 +78,8 @@ def main(argv: List[str]) -> int:
         total += count
         print(f"{count:6d}  {len(text.splitlines()):6d}  {os.path.relpath(path)}")
     print(f"{total:6d}  code-only lines in {len(paths)} file(s) (second column: all lines)")
+    if not argv:
+        per_package()
     return 0
 
 
