@@ -17,7 +17,7 @@ SEEDS ?= 20
 OPS ?= 50
 FAULT_TRIALS ?= 150
 
-.PHONY: install test test-fast bench bench-smoke bench-crypto bench-store bench-server obs-smoke e2e e2e-compare e2e-selftest report examples lint all \
+.PHONY: install test test-fast bench bench-smoke bench-check obs-smoke e2e e2e-compare e2e-selftest examples lint all \
 	adversary adversary-sweep differential fault-sweep loc
 
 install:
@@ -32,24 +32,17 @@ test-fast:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# The two paper benches that assert on cache counters / per-byte cost,
-# timing disabled: a tier-1 CI step, so benchmarks/ cannot rot unseen.
+# Every paper bench (benchmarks/test_bench_*.py) with timing disabled, so
+# only their assertions run: a tier-1 CI step, so benchmarks/ cannot rot
+# unseen.
 bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest -q --benchmark-disable \
-		benchmarks/test_bench_scalability.py::test_working_set_cache_hit_rate \
-		benchmarks/test_bench_chunkstore.py::test_read_regression
+	PYTHONPATH=src $(PYTHON) -m pytest -q --benchmark-disable benchmarks/test_bench_*.py
 
-bench-crypto:
-	PYTHONPATH=src $(PYTHON) -m repro.bench.crypto_bench --out BENCH_crypto.json
-
-bench-store:
-	PYTHONPATH=src $(PYTHON) -m repro.bench.store_bench --out BENCH_store.json
-
-# Serving-layer benchmark: group-commit batching + MVCC snapshot reads
-# vs the single-session baseline (floors: batch > 1, speedup >= 2x,
-# snapshot reads complete inside an in-flight commit's flush window).
-bench-server:
-	PYTHONPATH=src $(PYTHON) -m repro.bench.server_bench --out BENCH_server.json
+# The bench runner: the crypto, store, server and paper phases at full
+# size, every floor checked, results to BENCH.json (the committed file);
+# `python -m repro.bench store --tiny --check` runs one phase in seconds.
+bench-check:
+	PYTHONPATH=src $(PYTHON) -m repro.bench --check --out BENCH.json
 
 # Observability smoke: run a short traced workload and assert the shape
 # of the recorded histograms, spans, and events (docs/OBSERVABILITY.md).
@@ -78,9 +71,6 @@ e2e:
 
 e2e-compare:
 	$(PYTHON) benchmarks/e2e/compare.py $(BASE) $(NEW)
-
-report:
-	$(PYTHON) -m repro.bench.report
 
 # Code-only lines (no blanks, comments or docstrings): each file of
 # src/repro/chunkstore/ — the measure ROADMAP item 3 tracks — then one

@@ -13,62 +13,17 @@ DiskModel converts counted flushes/bytes into the paper's disk
 constants); commit cost is isolated by attributing flush-driven I/O.
 """
 
-import os
-import time
-
 from benchmarks.conftest import report
 from repro.bench.adapters import TdbAdapter, XdbAdapter
-from repro.bench.workload import Workload
-from repro.platform import DiskModel
-
-#: scale knob: TDB_BENCH_OPS=50 runs 5× the paper's 10 operations
-_OPERATIONS = int(os.environ.get("TDB_BENCH_OPS", "10"))
-
-
-def run_experiment(adapter_cls, kind):
-    adapter = adapter_cls()
-    workload = Workload(adapter)
-    workload.setup()
-    if hasattr(adapter, "platform"):
-        untrusted = adapter.platform.untrusted
-        tr_count = lambda: (
-            adapter.platform.counter.write_count
-            + adapter.platform.tamper_resistant.write_count
-        )
-    else:
-        untrusted = adapter.store
-        tr_count = lambda: adapter.tr.write_count
-    io_before = untrusted.stats.snapshot()
-    tr_before = tr_count()
-    start = time.perf_counter()
-    # the Figure-10 mix is defined per 10 operations; scale by repeating
-    # whole experiments (TDB_BENCH_OPS=50 → 5 consecutive experiments)
-    for _ in range(max(1, _OPERATIONS // 10)):
-        workload.run_experiment(kind)
-    cpu = time.perf_counter() - start
-    io = untrusted.stats.delta(io_before)
-    tr_writes = tr_count() - tr_before
-    model = DiskModel()
-    commit_io = model.write_time(io) + model.tamper_resistant_time(tr_writes)
-    read_io = model.read_time(io)
-    return {
-        "cpu": cpu,
-        "commit_io": commit_io,
-        "read_io": read_io,
-        "total": cpu + commit_io + read_io,
-        "flushes": io.flushes,
-        "bytes": io.bytes_written,
-        "tr": tr_writes,
-        "stored": adapter.stored_bytes(),
-        "adapter": adapter,
-    }
+from repro.bench.workload import measure
 
 
 def test_figure11_release_and_bind(benchmark):
     results = {}
     for kind in ("release", "bind"):
-        results[(kind, "TDB")] = run_experiment(TdbAdapter, kind)
-        results[(kind, "XDB")] = run_experiment(XdbAdapter, kind)
+        for system, adapter_cls in (("TDB", TdbAdapter), ("XDB", XdbAdapter)):
+            result = results[(kind, system)] = measure(adapter_cls(), kind)
+            result["commit_io_s"] = result["write_io_s"] + result["tr_io_s"]
     benchmark(lambda: None)  # the experiments above are the measurement
     rows = []
     for kind in ("release", "bind"):
@@ -76,11 +31,11 @@ def test_figure11_release_and_bind(benchmark):
         xdb = results[(kind, "XDB")]
         rows.extend(
             [
-                (f"{kind} TDB total", f"{tdb['total']*1000:.0f} ms", "TDB wins"),
-                (f"{kind} XDB total", f"{xdb['total']*1000:.0f} ms", "..."),
+                (f"{kind} TDB total", f"{tdb['total_s']*1000:.0f} ms", "TDB wins"),
+                (f"{kind} XDB total", f"{xdb['total_s']*1000:.0f} ms", "..."),
                 (
                     f"{kind} commit I/O TDB/XDB",
-                    f"{tdb['commit_io']*1000:.0f}/{xdb['commit_io']*1000:.0f} ms",
+                    f"{tdb['commit_io_s']*1000:.0f}/{xdb['commit_io_s']*1000:.0f} ms",
                     "faster commits are the main win",
                 ),
                 (
@@ -94,10 +49,10 @@ def test_figure11_release_and_bind(benchmark):
     for kind in ("release", "bind"):
         tdb = results[(kind, "TDB")]
         xdb = results[(kind, "XDB")]
-        assert tdb["total"] < xdb["total"], f"TDB must win on {kind}"
-        assert tdb["commit_io"] < xdb["commit_io"]
+        assert tdb["total_s"] < xdb["total_s"], f"TDB must win on {kind}"
+        assert tdb["commit_io_s"] < xdb["commit_io_s"]
         assert tdb["flushes"] < xdb["flushes"]
-        assert tdb["bytes"] < xdb["bytes"]
+        assert tdb["bytes_written"] < xdb["bytes_written"]
 
 
 def test_stored_size(benchmark):
@@ -107,18 +62,18 @@ def test_stored_size(benchmark):
     utilization).  Our XDB stores whole 4 KiB pages, so its footprint is
     *larger* than TDB's compact log — the one place where the
     reproduction's shape deviates; recorded in EXPERIMENTS.md."""
-    tdb = run_experiment(TdbAdapter, "release")
-    xdb = run_experiment(XdbAdapter, "release")
+    adapter = TdbAdapter()
+    tdb = measure(adapter, "release")
+    xdb = measure(XdbAdapter(), "release")
     benchmark(lambda: None)
     # normalise TDB to the paper's 60% utilization accounting
-    chunks = tdb["adapter"].chunks
-    tdb_at_60 = chunks.live_bytes() / 0.60
+    tdb_at_60 = adapter.chunks.live_bytes() / 0.60
     report(
         "§9.5.2 stored size",
         [
             ("TDB live/0.6 util", f"{tdb_at_60/1e6:.2f} MB", "4.0 MB"),
-            ("TDB raw log", f"{tdb['stored']/1e6:.2f} MB", "n/a"),
-            ("XDB pages", f"{xdb['stored']/1e6:.2f} MB", "3.8 MB"),
+            ("TDB raw log", f"{tdb['stored_bytes']/1e6:.2f} MB", "n/a"),
+            ("XDB pages", f"{xdb['stored_bytes']/1e6:.2f} MB", "3.8 MB"),
         ],
     )
-    assert tdb_at_60 > 0 and xdb["stored"] > 0
+    assert tdb_at_60 > 0 and xdb["stored_bytes"] > 0

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from benchmarks.conftest import PAPER, report
+from repro.bench import best_of
 from repro.crypto.des import Des, TripleDes
 from repro.crypto.hashing import Sha1Hash
 from repro.crypto.modes import CbcCipher
@@ -20,13 +21,9 @@ from repro.crypto.registry import KEY_SIZES, make_cipher
 _BUFFER = 64 * 1024  # keep pure-Python DES runs short
 
 
-def _bandwidth(fn, size, repeat=3) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return size / best / 1e6  # MB/s
+def _bandwidth(fn, size) -> float:
+    """Best-of-3 MB/s."""
+    return size / best_of([fn], 3)[0] / 1e6
 
 
 @pytest.mark.parametrize(

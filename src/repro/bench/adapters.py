@@ -8,45 +8,36 @@ of flushing the tamper-resistant store.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
+from repro.bench import bench_config
 from repro.bench.workload import CollectionSpec, DBAdapter
-from repro.chunkstore.config import StoreConfig
 from repro.chunkstore.store import ChunkStore
 from repro.collection.index import KeyFunctionRegistry, field_key
 from repro.collection.store import CollectionStore
 from repro.objectstore.store import ObjectStore
+from repro.platform.secret_store import SecretStore
+from repro.platform.tamper_resistant import TamperResistantStore
 from repro.platform.trusted_platform import TrustedPlatform
 from repro.platform.untrusted import MemoryUntrustedStore
 from repro.xdb.cryptolayer import SecureXDB
+
+#: both systems' partition crypto
+CIPHER = "ctr-sha256"
+HASH = "sha1"
 
 
 class TdbAdapter(DBAdapter):
     """The workload on TDB: collection store → object store → chunk store."""
 
-    def __init__(
-        self,
-        platform: Optional[TrustedPlatform] = None,
-        cipher_name: str = "ctr-sha256",
-        hash_name: str = "sha1",
-        config: Optional[StoreConfig] = None,
-        cache_size: int = 4096,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.platform = platform or TrustedPlatform.create_in_memory(
-            untrusted_size=64 * 1024 * 1024
-        )
-        self.config = config or StoreConfig(
-            system_cipher=cipher_name if cipher_name != "null" else "ctr-sha256",
-            system_hash=hash_name,
-            delta_ut=5,
-        )
-        self.chunks = ChunkStore.format(self.platform, self.config)
+        self.platform = TrustedPlatform.create_in_memory(untrusted_size=64 * 1024 * 1024)
+        self.stats = self.platform.untrusted.stats
+        self.chunks = ChunkStore.format(self.platform, bench_config())
         self.key_functions = KeyFunctionRegistry()
-        self.objects = ObjectStore(self.chunks, cache_size=cache_size)
-        self.partition = self.objects.create_partition(
-            cipher_name=cipher_name, hash_name=hash_name
-        )
+        self.objects = ObjectStore(self.chunks, cache_size=4096)
+        self.partition = self.objects.create_partition(cipher_name=CIPHER, hash_name=HASH)
         self.collections = CollectionStore(
             self.objects, self.partition, self.key_functions
         )
@@ -94,6 +85,9 @@ class TdbAdapter(DBAdapter):
     def stored_bytes(self) -> int:
         return self.chunks.stored_bytes()
 
+    def tr_writes(self) -> int:
+        return self.platform.counter.write_count + self.platform.tamper_resistant.write_count
+
     def close(self) -> None:
         self.chunks.close()
 
@@ -101,33 +95,22 @@ class TdbAdapter(DBAdapter):
 class XdbAdapter(DBAdapter):
     """The workload on the layered-crypto XDB baseline."""
 
-    def __init__(
-        self,
-        store: Optional[MemoryUntrustedStore] = None,
-        cipher_name: str = "ctr-sha256",
-        hash_name: str = "sha1",
-        cache_pages: int = 2048,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        from repro.platform.secret_store import SecretStore
-        from repro.platform.tamper_resistant import TamperResistantStore
-
-        self.store = store or MemoryUntrustedStore(64 * 1024 * 1024)
-        self.secret = SecretStore.generate()
+        self.store = MemoryUntrustedStore(64 * 1024 * 1024)
+        self.stats = self.store.stats
         self.tr = TamperResistantStore()
         self.db = SecureXDB.format(
             self.store,
-            self.secret,
+            SecretStore.generate(),
             self.tr,
-            cipher_name=cipher_name,
-            hash_name=hash_name,
-            cache_pages=cache_pages,
+            cipher_name=CIPHER,
+            hash_name=HASH,
+            cache_pages=2048,
             tr_period=5,  # match TDB's Δut = 5 (§9.1)
         )
-        self._specs: Dict[str, CollectionSpec] = {}
 
     def create_collection(self, spec: CollectionSpec) -> Any:
-        self._specs[spec.name] = spec
         return self.db.create_collection(
             spec.name,
             {index.name: field_key(index.field) for index in spec.indexes},
@@ -161,6 +144,9 @@ class XdbAdapter(DBAdapter):
 
     def stored_bytes(self) -> int:
         return self.db.stored_bytes()
+
+    def tr_writes(self) -> int:
+        return self.tr.write_count
 
     def close(self) -> None:
         self.db.close()

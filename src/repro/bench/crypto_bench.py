@@ -1,4 +1,4 @@
-"""Crypto fast-path benchmark: ``python -m repro.bench.crypto_bench``.
+"""The ``crypto`` phase of ``python -m repro.bench``: the cipher fast paths.
 
 Measures each registered cipher in three configurations:
 
@@ -17,21 +17,13 @@ The AEAD tier (aes-256-gcm, chacha20-poly1305) is measured in its only
 configuration — the OpenSSL backend; it has no pure-Python fallback — and
 with a representative header-sized AAD, since the one-pass chunk format
 always binds the version header through it.
-
-Results go to ``BENCH_crypto.json``; ``--check`` exits non-zero when the
-acceptance floors (DES-CBC ≥ 3×, ctr-sha256 ≥ 2× over fallback; each AEAD
-suite ≥ 50 MB/s absolute when the backend is present) are not met, which
-CI uses as a perf-regression smoke test.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
 from typing import Dict
 
+from repro.bench import Floor, best_of
 from repro.crypto import accel, aead
 from repro.crypto.cipher import Cipher
 from repro.crypto.des import Des, TripleDes
@@ -50,13 +42,14 @@ _AEAD_KEYS = {
     "chacha20-poly1305": bytes(range(32, 64)),
 }
 
-#: acceptance floors: fast-path speedup over the fallback loop
-FLOORS = {"des-cbc": 3.0, "ctr-sha256": 2.0}
-
-#: absolute floor for the default (AEAD) suite — the tentpole target of
-#: ≥ 50 MB/s partition-cipher bandwidth; enforced only when the backend
-#: is present (the fallback leg has no AEAD path to measure)
-AEAD_FLOOR_MB_S = 50.0
+FLOORS = (
+    # the fast path over the fallback loop, the lower of encrypt and decrypt
+    Floor("des-cbc_speedup", ("ciphers", "des-cbc", "speedup"), ">=", 3.0),
+    Floor("ctr-sha256_speedup", ("ciphers", "ctr-sha256", "speedup"), ">=", 2.0),
+    # each AEAD suite, MB/s: the ≥ 50 MB/s partition-cipher target; absent
+    # (so not evaluated) without the backend, which has no fallback to time
+    Floor("aead_mb_s", ("aead_ciphers", "*", "mb_s"), ">=", 50.0),
+)
 
 #: a version header's worth of associated data, as the one-pass format binds
 _AAD = bytes(range(48))
@@ -82,43 +75,35 @@ def build_cipher(name: str, variant: str) -> Cipher:
     return CbcCipher(block, name, bulk=bulk)
 
 
-def _bandwidth(fn, payload_len: int, repeat: int) -> float:
-    """Best-of-``repeat`` throughput of ``fn`` in MB/s."""
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return payload_len / best / 1e6
+def _bandwidths(encrypt, decrypt, size: int, repeat: int) -> Dict[str, float]:
+    """Best-of-``repeat`` MB/s each way, and the lower of the two."""
+    seconds = best_of([encrypt, decrypt], repeat)
+    encrypt_mb_s, decrypt_mb_s = (round(size / s / 1e6, 3) for s in seconds)
+    return {
+        "encrypt_mb_s": encrypt_mb_s,
+        "decrypt_mb_s": decrypt_mb_s,
+        "mb_s": min(encrypt_mb_s, decrypt_mb_s),
+    }
 
 
-def run(size: int, repeat: int) -> Dict[str, object]:
+def run(tiny: bool) -> Dict[str, object]:
+    size, repeat = (16 * 1024 if tiny else 64 * 1024), 3
     buffer = bytes(i & 0xFF for i in range(size))
     ciphers: Dict[str, Dict[str, object]] = {}
     for name in _KEYS:
-        per_variant: Dict[str, Dict[str, float]] = {}
+        entry: Dict[str, object] = {}
         for variant in VARIANTS:
             cipher = build_cipher(name, variant)
             ciphertext = cipher.encrypt(buffer)
-            per_variant[variant] = {
-                "encrypt_mb_s": round(
-                    _bandwidth(lambda: cipher.encrypt(buffer), size, repeat), 3
-                ),
-                "decrypt_mb_s": round(
-                    _bandwidth(lambda: cipher.decrypt(ciphertext), size, repeat), 3
-                ),
-            }
-        entry: Dict[str, object] = dict(per_variant)
-        entry["speedup_encrypt"] = round(
-            per_variant["fast"]["encrypt_mb_s"]
-            / per_variant["fallback"]["encrypt_mb_s"],
-            2,
-        )
-        entry["speedup_decrypt"] = round(
-            per_variant["fast"]["decrypt_mb_s"]
-            / per_variant["fallback"]["decrypt_mb_s"],
-            2,
-        )
+            entry[variant] = _bandwidths(
+                lambda: cipher.encrypt(buffer), lambda: cipher.decrypt(ciphertext),
+                size, repeat,
+            )
+        for way in ("encrypt", "decrypt"):
+            entry[f"speedup_{way}"] = round(
+                entry["fast"][f"{way}_mb_s"] / entry["fallback"][f"{way}_mb_s"], 2
+            )
+        entry["speedup"] = min(entry["speedup_encrypt"], entry["speedup_decrypt"])
         ciphers[name] = entry
 
     aead_ciphers: Dict[str, Dict[str, float]] = {}
@@ -127,22 +112,11 @@ def run(size: int, repeat: int) -> Dict[str, object]:
             cipher = aead.make_aes_256_gcm(key) if name == "aes-256-gcm" \
                 else aead.make_chacha20_poly1305(key)
             ciphertext = cipher.encrypt(buffer, aad=_AAD)
-            aead_ciphers[name] = {
-                "encrypt_mb_s": round(
-                    _bandwidth(
-                        lambda: cipher.encrypt(buffer, aad=_AAD), size, repeat
-                    ),
-                    3,
-                ),
-                "decrypt_mb_s": round(
-                    _bandwidth(
-                        lambda: cipher.decrypt(ciphertext, aad=_AAD),
-                        size,
-                        repeat,
-                    ),
-                    3,
-                ),
-            }
+            aead_ciphers[name] = _bandwidths(
+                lambda: cipher.encrypt(buffer, aad=_AAD),
+                lambda: cipher.decrypt(ciphertext, aad=_AAD),
+                size, repeat,
+            )
 
     return {
         "buffer_bytes": size,
@@ -154,84 +128,7 @@ def run(size: int, repeat: int) -> Dict[str, object]:
         "aead": {
             "available": aead.available(),
             "reason_unavailable": aead.unavailable_reason(),
-            "floor_mb_s": AEAD_FLOOR_MB_S,
         },
-        "floors": FLOORS,
         "ciphers": ciphers,
         "aead_ciphers": aead_ciphers,
     }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out", default="BENCH_crypto.json", help="output JSON path"
-    )
-    parser.add_argument(
-        "--size", type=int, default=64 * 1024, help="payload size in bytes"
-    )
-    parser.add_argument(
-        "--repeat", type=int, default=3, help="passes per measurement (min taken)"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 unless the acceptance floors are met",
-    )
-    args = parser.parse_args(argv)
-
-    results = run(args.size, args.repeat)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    ciphers = results["ciphers"]
-    for name, entry in ciphers.items():
-        print(
-            f"{name:>17}: fast {entry['fast']['encrypt_mb_s']:8.2f} MB/s  "
-            f"python-bulk {entry['python-bulk']['encrypt_mb_s']:8.2f}  "
-            f"fallback {entry['fallback']['encrypt_mb_s']:8.2f}  "
-            f"(speedup {entry['speedup_encrypt']:.1f}x enc / "
-            f"{entry['speedup_decrypt']:.1f}x dec)"
-        )
-    aead_ciphers = results["aead_ciphers"]
-    for name, entry in aead_ciphers.items():
-        print(
-            f"{name:>17}: aead {entry['encrypt_mb_s']:8.2f} MB/s enc / "
-            f"{entry['decrypt_mb_s']:8.2f} MB/s dec "
-            f"(floor {AEAD_FLOOR_MB_S:.0f} MB/s)"
-        )
-    if not aead_ciphers:
-        print(f"AEAD tier not measured: {results['aead']['reason_unavailable']}")
-    print(f"wrote {args.out}")
-
-    if args.check:
-        failed = False
-        for name, floor in FLOORS.items():
-            speedup = min(
-                ciphers[name]["speedup_encrypt"], ciphers[name]["speedup_decrypt"]
-            )
-            if speedup < floor:
-                print(
-                    f"FAIL: {name} fast path is {speedup:.1f}x over fallback, "
-                    f"floor is {floor:.1f}x",
-                    file=sys.stderr,
-                )
-                failed = True
-        for name, entry in aead_ciphers.items():
-            bandwidth = min(entry["encrypt_mb_s"], entry["decrypt_mb_s"])
-            if bandwidth < AEAD_FLOOR_MB_S:
-                print(
-                    f"FAIL: {name} runs at {bandwidth:.1f} MB/s, floor is "
-                    f"{AEAD_FLOOR_MB_S:.1f} MB/s",
-                    file=sys.stderr,
-                )
-                failed = True
-        if failed:
-            return 1
-        print("acceptance floors met")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,23 +1,30 @@
-"""``python -m repro.bench.report`` — regenerate the paper's headline
-evaluation (Figures 10–12 and the stored-size comparison) as one
-markdown report on stdout.
+"""The ``paper`` phase of ``python -m repro.bench``: the paper's headline
+evaluation — Figures 10–12 and the §9.5.2 stored sizes — as one markdown
+report (:func:`markdown`), with the paper's shape claims as floors.
 
-This is the one-command version of the pytest-benchmark suite for
-readers who want the paper-shaped tables without the bench plumbing; the
-full sweep (micro-benchmarks, regressions, ablations) lives in
+The full sweep (micro-benchmarks, regressions, ablations) lives in
 ``benchmarks/``.
 """
 
 from __future__ import annotations
 
-import sys
-import time
 from typing import Dict
 
-from repro import obs
+from repro.bench import Floor
 from repro.bench.adapters import TdbAdapter, XdbAdapter
-from repro.bench.workload import FIGURE_10, Workload
-from repro.platform import DiskModel
+from repro.bench.workload import FIGURE_10, measure
+
+FLOORS = (
+    # Figure 10 is the workload's specification: each system runs its
+    # counts exactly (summed |measured - paper| over the five operations)
+    Floor("fig10_count_error", ("experiments", "*", "*", "count_error"), "<=", 0),
+    # Figure 11: TDB beats XDB, CPU plus modeled I/O (XDB total / TDB total)
+    Floor("tdb_speedup", ("experiments", "*", "tdb_speedup"), ">", 1.0),
+    # Figure 12: "the overhead is dominated by writes to the untrusted
+    # store", and encryption plus hashing are a small share
+    Floor("fig12_untrusted_write_share", ("fig12", "untrusted_write_share"), ">", 0.5),
+    Floor("fig12_crypto_share", ("fig12", "crypto_share"), "<", 0.25),
+)
 
 _PAPER_FIG12 = {
     "collection store": 4,
@@ -57,122 +64,79 @@ def figure12_components(
     return components
 
 
-def _run(adapter_cls, kind: str, profile: bool = False):
-    adapter = adapter_cls()
-    workload = Workload(adapter)
-    workload.setup()
-    if hasattr(adapter, "platform"):
-        untrusted = adapter.platform.untrusted
-        tr = lambda: (
-            adapter.platform.counter.write_count
-            + adapter.platform.tamper_resistant.write_count
-        )
-    else:
-        untrusted = adapter.store
-        tr = lambda: adapter.tr.write_count
-    io_before = untrusted.stats.snapshot()
-    tr_before = tr()
-    if profile:
-        obs.reset()
-        obs.enable_tracing()  # spans keep self time only while tracing
-    start = time.perf_counter()
-    counts = workload.run_experiment(kind)
-    cpu = time.perf_counter() - start
-    self_times: Dict[str, float] = {}
-    if profile:
-        self_times = obs.trace.self_times()
-        obs.disable_tracing()
-    io = untrusted.stats.delta(io_before)
-    model = DiskModel()
+def run(tiny: bool) -> Dict[str, object]:
+    """Both experiments on both systems; ``tiny`` changes nothing, since
+    Figure 10's mix is the workload's specification."""
+    experiments: Dict[str, Dict[str, object]] = {}
+    for kind in ("release", "bind"):
+        tdb = TdbAdapter()
+        row = {
+            "TDB": measure(tdb, kind, profile=(kind == "release")),
+            "XDB": measure(XdbAdapter(), kind),
+        }
+        for result in row.values():
+            result["count_error"] = sum(
+                abs(result["counts"][op] - paper) for op, paper in FIGURE_10[kind].items()
+            )
+        row["tdb_speedup"] = round(row["XDB"]["total_s"] / row["TDB"]["total_s"], 2)
+        row["tdb_live_bytes"] = tdb.chunks.live_bytes()
+        experiments[kind] = row
+
+    release = experiments["release"]["TDB"]
+    components = figure12_components(
+        release["self_times"], release["read_io_s"], release["write_io_s"], release["tr_io_s"]
+    )
+    total = sum(components.values())
     return {
-        "counts": counts,
-        "cpu": cpu,
-        "io": io,
-        "tr_writes": tr() - tr_before,
-        "write_io": model.write_time(io),
-        "read_io": model.read_time(io),
-        "tr_io": model.tamper_resistant_time(tr() - tr_before),
-        "stored": adapter.stored_bytes(),
-        "self_times": self_times,
-        "adapter": adapter,
+        "experiments": experiments,
+        "fig12": {
+            "total_ms": round(total * 1e3, 1),
+            "shares": {row: round(s / total, 4) for row, s in components.items()},
+            "untrusted_write_share": round(components["untrusted store write"] / total, 4),
+            "crypto_share": round(
+                (components["encryption"] + components["hashing"]) / total, 4
+            ),
+        },
     }
 
 
-def _figure10(result: Dict, kind: str, out) -> None:
-    print(f"\n### Figure 10 — {kind} operation counts\n", file=out)
-    print("| op | measured | paper |", file=out)
-    print("|---|---|---|", file=out)
-    for op in ("read", "update", "delete", "add", "commit"):
-        print(
-            f"| {op} | {result['counts'][op]} | {FIGURE_10[kind][op]} |",
-            file=out,
-        )
-
-
-def main(out=None) -> int:
-    """Run the headline experiments and print the markdown report."""
-    out = out or sys.stdout
-    print("# TDB reproduction — headline evaluation report", file=out)
-    print(
-        "\nIdentical Figure-10 workloads driven through TDB and the "
-        "layered-crypto XDB baseline; I/O modeled with the paper's disk "
-        "constants (see DESIGN.md).",
-        file=out,
-    )
-
-    results = {}
+def markdown(results: Dict[str, object]) -> str:
+    """The report: Figure 10's counts, Figure 11's runtimes, Figure 12's
+    breakdown and §9.5.2's stored sizes, each beside the paper's."""
+    experiments = results["experiments"]
+    lines = [
+        "# TDB reproduction — headline evaluation report",
+        "",
+        "Identical Figure-10 workloads driven through TDB and the layered-crypto "
+        "XDB baseline; I/O modeled with the paper's disk constants (see DESIGN.md).",
+    ]
     for kind in ("release", "bind"):
-        results[(kind, "TDB")] = _run(TdbAdapter, kind, profile=(kind == "release"))
-        results[(kind, "XDB")] = _run(XdbAdapter, kind)
+        counts = experiments[kind]["TDB"]["counts"]
+        lines += ["", f"### Figure 10 — {kind} operation counts", ""]
+        lines += ["| op | measured | paper |", "|---|---|---|"]
+        lines += [f"| {op} | {counts[op]} | {paper} |" for op, paper in FIGURE_10[kind].items()]
 
-    _figure10(results[("release", "TDB")], "release", out)
-    _figure10(results[("bind", "TDB")], "bind", out)
-
-    print("\n### Figure 11 — runtime comparison\n", file=out)
-    print("| experiment | TDB | XDB | winner |", file=out)
-    print("|---|---|---|---|", file=out)
+    lines += ["", "### Figure 11 — runtime comparison", ""]
+    lines += ["| experiment | TDB | XDB | winner |", "|---|---|---|---|"]
     for kind in ("release", "bind"):
-        tdb = results[(kind, "TDB")]
-        xdb = results[(kind, "XDB")]
-        tdb_total = tdb["cpu"] + tdb["write_io"] + tdb["read_io"] + tdb["tr_io"]
-        xdb_total = xdb["cpu"] + xdb["write_io"] + xdb["read_io"] + xdb["tr_io"]
-        print(
-            f"| {kind} | {tdb_total*1000:.0f} ms | {xdb_total*1000:.0f} ms "
-            f"| TDB {xdb_total/tdb_total:.1f}× |",
-            file=out,
+        row = experiments[kind]
+        lines.append(
+            f"| {kind} | {row['TDB']['total_s'] * 1000:.0f} ms "
+            f"| {row['XDB']['total_s'] * 1000:.0f} ms | TDB {row['tdb_speedup']:.1f}× |"
         )
 
-    release = results[("release", "TDB")]
-    components = figure12_components(
-        release["self_times"],
-        release["read_io"],
-        release["write_io"],
-        release["tr_io"],
-    )
-    total = sum(components.values())
-    print("\n### Figure 12 — release runtime analysis\n", file=out)
-    print("| module | measured | paper |", file=out)
-    print("|---|---|---|", file=out)
-    print(f"| DB TOTAL | {total*1000:.0f} ms | 4209 ms |", file=out)
-    for module, seconds in components.items():
-        print(
-            f"| {module} | {seconds/total*100:.0f}% | {_PAPER_FIG12[module]}% |",
-            file=out,
-        )
+    fig12 = results["fig12"]
+    lines += ["", "### Figure 12 — release runtime analysis", ""]
+    lines += ["| module | measured | paper |", "|---|---|---|"]
+    lines.append(f"| DB TOTAL | {fig12['total_ms']:.0f} ms | 4209 ms |")
+    lines += [
+        f"| {module} | {share * 100:.0f}% | {_PAPER_FIG12[module]}% |"
+        for module, share in fig12["shares"].items()
+    ]
 
-    print("\n### §9.5.2 — stored size\n", file=out)
-    tdb_rel = results[("release", "TDB")]
-    xdb_rel = results[("release", "XDB")]
-    chunks = tdb_rel["adapter"].chunks
-    print("| system | measured | paper |", file=out)
-    print("|---|---|---|", file=out)
-    print(
-        f"| TDB (live/0.6 util) | {chunks.live_bytes()/0.6/1e6:.2f} MB | 4.0 MB |",
-        file=out,
-    )
-    print(f"| XDB | {xdb_rel['stored']/1e6:.2f} MB | 3.8 MB |", file=out)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    release = experiments["release"]
+    lines += ["", "### §9.5.2 — stored size", ""]
+    lines += ["| system | measured | paper |", "|---|---|---|"]
+    lines.append(f"| TDB (live/0.6 util) | {release['tdb_live_bytes'] / 0.6 / 1e6:.2f} MB | 4.0 MB |")
+    lines.append(f"| XDB | {release['XDB']['stored_bytes'] / 1e6:.2f} MB | 3.8 MB |")
+    return "\n".join(lines)

@@ -1,8 +1,8 @@
-"""Serving-layer benchmark: ``python -m repro.bench.server_bench``.
+"""The ``server`` phase of ``python -m repro.bench``: what the concurrent
+serving layer buys over the single-session commit path.
 
-Measures what the concurrent serving layer buys over the single-session
-commit path, on a device whose ``flush`` has realistic latency (the cost
-group commit exists to amortize):
+Runs on a device whose ``flush`` has realistic latency (the cost group
+commit exists to amortize):
 
 * ``baseline`` — one session committing ``writers * txs`` transactions
   sequentially through the plain ``ObjectStore`` path: one log flush per
@@ -15,6 +15,7 @@ group commit exists to amortize):
   that complete *inside* an in-flight commit's flush window — the proof
   that snapshot reads never queue behind the commit path.
 
+  Both run once per row of ``ROWS`` (``TINY_ROWS`` under ``--tiny``).
 * ``two_client`` — the end-to-end benchmark's configuration in small: two
   closed-loop clients, each 50 % update transactions / 25 % snapshot
   batches / 25 % live read-only transactions, on the same slow-flush
@@ -32,32 +33,21 @@ group commit exists to amortize):
 Per-transaction commit latency feeds the obs histograms
 (``server.tx_commit`` / ``server.tx_commit_baseline``; the committer's
 own ``server.group_commit`` histogram times each batch flush), and the
-JSON reports their p50/p99.
-
-Results go to ``BENCH_server.json``; ``--check`` exits non-zero unless
-the acceptance floors hold (mean commit-batch size > 1, concurrent
-throughput ≥ 2× the single-session baseline, at least one snapshot read
-completed during an in-flight commit, two-client throughput over the
-single-lock emulation, reads inside a flush window against the
-emulation's, the snapshot-open ceiling), which CI uses as a
-concurrency-regression smoke test.  ``--tiny`` shrinks the run for CI.
+results report their p50/p99.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import json
 import os
 import random
 import statistics
-import sys
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.chunkstore import ChunkStore, StoreConfig, WriteChunk, WritePartition
+from repro.bench import Floor, bench_config, latency
+from repro.chunkstore import ChunkStore, WriteChunk, WritePartition
 from repro.objectstore.pickling import ObjectRef
 from repro.objectstore.store import ObjectStore
 from repro.platform.archival import MemoryArchivalStore
@@ -71,36 +61,53 @@ from repro.platform.trusted_platform import TrustedPlatform
 from repro.platform.untrusted import MemoryUntrustedStore
 from repro.server import TDBServer
 
-#: acceptance floor: transactions per durable batch, concurrent phase
-#: (strictly above 1.0 — otherwise group commit amortized nothing)
-MEAN_BATCH_FLOOR = 1.0
+FLOORS = (
+    # transactions per durable batch: above 1.0, or group commit amortized
+    # nothing
+    Floor(
+        "mean_batch_size", ("rows", "*", "concurrent", "group_commit", "mean_batch_size"),
+        ">", 1.0,
+    ),
+    # concurrent throughput over the sequential baseline
+    Floor("speedup", ("rows", "*", "speedup_vs_baseline"), ">=", 2.0),
+    # snapshot reads completed entirely inside a commit's flush window:
+    # readers do not block behind the commit path
+    Floor("reads_during_commit", ("rows", "*", "concurrent", "reads_during_commit"), ">=", 1),
+    # two closed-loop clients over the same loop on a device that holds the
+    # store's ``_lock`` across its flush.  Both runs sit just under the
+    # device's ceiling (one 2 ms flush per commit: 500/s) and last a second,
+    # so the ratio is small and noisy — 0.99–1.19 over 20 pairs, mean 1.04 —
+    # and the floor only catches a store that got *slower* (a commit p50
+    # that doubled would); the sensitive floor is the next one, and the
+    # 1.3–1.5x of the 8 s end-to-end run is EXPERIMENTS.md's to show
+    Floor("two_client_speedup", ("two_client", "speedup_vs_single_lock"), ">=", 0.9),
+    # live and snapshot reads of the two-client loop that started and
+    # finished inside one flush window, over what the single-lock emulation
+    # lets through — cached objects and lock-free views only (measured
+    # 53–74 against 5–14)
+    Floor(
+        "reads_in_flush_window", ("two_client", "reads_in_flush_window"), ">", 2.0,
+        of=("two_client", "single_lock", "reads_in_flush_window"),
+    ),
+    # µs, median ``open_snapshot_view`` + close over ``SNAPSHOT_OPEN_OBJECTS``
+    # objects (measured ≈ 100; the seed construction it replaced took ≈ 390
+    # at the same size)
+    Floor("snapshot_open_us", ("snapshot_open_us", "median_us"), "<=", 300.0),
+)
 
-#: acceptance floor: concurrent throughput over the sequential baseline
-SPEEDUP_FLOOR = 2.0
+#: (writers, transactions per writer, snapshot readers) of the baseline /
+#: concurrent pair: the default sizing, then a deeper 16-writer row.  The
+#: tiny row is short but wide: 16 writers batch ≈ 5× (3.1–4.4× with both
+#: cores of a 2-core box busy), where 6 writers' ≈ 2.4× fell under the 2×
+#: floor on a busy machine
+ROWS = ((8, 12, 4), (16, 16, 8))
+TINY_ROWS = ((16, 6, 2),)
 
-#: acceptance floor: snapshot reads completed entirely inside a commit's
-#: flush window (proof that readers do not block behind the commit path)
-READS_DURING_COMMIT_FLOOR = 1
+#: simulated device flush latency (what group commit amortizes), and the
+#: group-commit batch cap (transactions per store commit)
+FLUSH_DELAY = 0.002
+MAX_BATCH = 64
 
-#: acceptance floor: two closed-loop clients over the same loop on a device
-#: that holds the store's ``_lock`` across its flush.  Both runs sit just
-#: under the device's ceiling (one 2 ms flush per commit: 500/s) and last a
-#: second, so the ratio is small and noisy — 0.99–1.19 over 20 pairs, mean
-#: 1.04 — and the floor only catches a store that got *slower* (a commit
-#: p50 that doubled would); the sensitive floor is the next one, and the
-#: 1.3–1.5x of the 8 s end-to-end run is EXPERIMENTS.md's to show
-TWO_CLIENT_SPEEDUP_FLOOR = 0.9
-
-#: acceptance floor: live and snapshot reads of the two-client loop that
-#: started and finished inside one flush window, as a multiple of what the
-#: single-lock emulation lets through — cached objects and lock-free views
-#: only (measured 53–74 against 5–14)
-READS_IN_FLUSH_WINDOW_FACTOR = 2.0
-
-#: acceptance ceiling (µs): median ``open_snapshot_view`` + close over
-#: ``SNAPSHOT_OPEN_OBJECTS`` objects (measured ≈ 100; the seed construction
-#: it replaced took ≈ 390 at the same size)
-SNAPSHOT_OPEN_CEILING_US = 300.0
 SNAPSHOT_OPEN_OBJECTS = 16384
 
 #: the two-client loop: operations per client, objects, reads per batch,
@@ -179,23 +186,9 @@ def _platform(flush_delay: float) -> TrustedPlatform:
     )
 
 
-def _config() -> StoreConfig:
-    return StoreConfig(
-        segment_size=64 * 1024,
-        system_cipher="ctr-sha256",
-        system_hash="sha1",
-        validation_mode="counter",
-        delta_ut=5,
-    )
-
-
-def _setup(
-    flush_delay: float, writers: int
-) -> Tuple[TrustedPlatform, ObjectStore, int, List[ObjectRef]]:
+def _setup(writers: int) -> Tuple[ObjectStore, int, List[ObjectRef]]:
     """A fresh store with one counter object per writer, all zero."""
-    platform = _platform(flush_delay)
-    chunks = ChunkStore.format(platform, _config())
-    objects = ObjectStore(chunks)
+    objects = ObjectStore(ChunkStore.format(_platform(FLUSH_DELAY), bench_config()))
     pid = objects.create_partition(
         cipher_name=PARTITION_CIPHER, hash_name=PARTITION_HASH
     )
@@ -203,7 +196,7 @@ def _setup(
     with objects.transaction() as tx:
         for ref in refs:
             tx.create_at(ref, 0)
-    return platform, objects, pid, refs
+    return objects, pid, refs
 
 
 def _run_baseline(
@@ -232,7 +225,6 @@ def _run_concurrent(
     refs: List[ObjectRef],
     txs_per_writer: int,
     readers: int,
-    max_batch: int,
 ) -> Dict[str, object]:
     """N writer sessions + M snapshot readers through the server."""
     device: SlowFlushStore = objects.chunks.platform.untrusted
@@ -241,7 +233,7 @@ def _run_concurrent(
     reads_during_commit = [0] * readers
     snapshot_reads = [0] * readers
 
-    with TDBServer(objects, max_batch=max_batch) as server:
+    with TDBServer(objects, max_batch=MAX_BATCH) as server:
 
         def write_loop(ref: ObjectRef) -> None:
             try:
@@ -317,21 +309,17 @@ def _run_concurrent(
     }
 
 
-def _run_two_client(
-    flush_delay: float, single_lock: bool, seed: int = 7
-) -> Dict[str, object]:
+def _run_two_client(single_lock: bool, seed: int = 7) -> Dict[str, object]:
     """Two closed-loop clients over the e2e mix (see the module docstring);
     ``single_lock`` makes the device hold ``ChunkStore._lock`` across its
     flush."""
-    platform = _platform(flush_delay)
+    platform = _platform(FLUSH_DELAY)
     device: SlowFlushStore = platform.untrusted
     # caches an eighth of the objects, as the e2e workload's are a fraction
     # of its 16k: reads have to reach the chunk store to queue on its lock
     chunks = ChunkStore.format(
         platform,
-        dataclasses.replace(
-            _config(), payload_cache_bytes=TWO_CLIENT_OBJECTS // 8 * TWO_CLIENT_PAD
-        ),
+        bench_config(payload_cache_bytes=TWO_CLIENT_OBJECTS // 8 * TWO_CLIENT_PAD),
     )
     objects = ObjectStore(chunks, cache_size=TWO_CLIENT_OBJECTS // 8)
     pid = objects.create_partition(
@@ -417,7 +405,7 @@ def _snapshot_open_us(objects_count: int, opens: int = 200) -> Dict[str, object]
     """Median ``open_snapshot_view`` + close, over a checkpointed partition
     of ``objects_count`` chunks with a few hundred of them dirty again."""
     platform = _platform(0.0)
-    chunks = ChunkStore.format(platform, _config())
+    chunks = ChunkStore.format(platform, bench_config())
     pid = chunks.allocate_partition()
     chunks.commit(
         [WritePartition(pid, cipher_name=PARTITION_CIPHER, hash_name=PARTITION_HASH)]
@@ -450,223 +438,42 @@ def _snapshot_open_us(objects_count: int, opens: int = 200) -> Dict[str, object]
     }
 
 
-def run(
-    writers: int,
-    txs_per_writer: int,
-    readers: int,
-    flush_delay_ms: float,
-    max_batch: int,
-    snapshot_objects: int = SNAPSHOT_OPEN_OBJECTS,
-) -> Dict[str, object]:
+def run(tiny: bool) -> Dict[str, object]:
     obs.reset()  # the latency section below covers this run only
-    flush_delay = flush_delay_ms / 1e3
     results: Dict[str, object] = {
-        "writers": writers,
-        "txs_per_writer": txs_per_writer,
-        "readers": readers,
-        "flush_delay_ms": flush_delay_ms,
-        "max_batch": max_batch,
+        "flush_delay_ms": FLUSH_DELAY * 1e3,
+        "max_batch": MAX_BATCH,
         "partition_cipher": PARTITION_CIPHER,
         "partition_hash": PARTITION_HASH,
+        "rows": {},
     }
+    for writers, txs_per_writer, readers in TINY_ROWS if tiny else ROWS:
+        row: Dict[str, object] = {
+            "writers": writers, "txs_per_writer": txs_per_writer, "readers": readers,
+        }
+        # single-session baseline: one flush per transaction
+        objects, _, refs = _setup(writers)
+        row["baseline"] = _run_baseline(objects, refs, txs_per_writer)
+        objects.chunks.close()
+        # concurrent sessions through the server
+        objects, pid, refs = _setup(writers)
+        row["concurrent"] = _run_concurrent(objects, pid, refs, txs_per_writer, readers)
+        objects.chunks.close()
+        row["speedup_vs_baseline"] = round(
+            row["concurrent"]["txs_per_sec"] / row["baseline"]["txs_per_sec"], 2
+        )
+        results["rows"][f"{writers}w{txs_per_writer}t{readers}r"] = row
 
-    # -- single-session baseline: one flush per transaction ------------------
-    _, objects, _, refs = _setup(flush_delay, writers)
-    results["baseline"] = _run_baseline(objects, refs, txs_per_writer)
-    objects.chunks.close()
-
-    # -- concurrent sessions through the server ------------------------------
-    _, objects, pid, refs = _setup(flush_delay, writers)
-    results["concurrent"] = _run_concurrent(
-        objects, pid, refs, txs_per_writer, readers, max_batch
-    )
-    objects.chunks.close()
-
-    baseline_tps = results["baseline"]["txs_per_sec"]
-    concurrent_tps = results["concurrent"]["txs_per_sec"]
-    results["speedup_vs_baseline"] = round(concurrent_tps / baseline_tps, 2)
-
-    # -- two closed-loop clients: the single-lock emulation, then the store ---
-    single_lock = _run_two_client(flush_delay, single_lock=True)
-    two_client = _run_two_client(flush_delay, single_lock=False)
+    # two closed-loop clients: the single-lock emulation, then the store
+    single_lock = _run_two_client(single_lock=True)
+    two_client = _run_two_client(single_lock=False)
     two_client["single_lock"] = single_lock
     two_client["speedup_vs_single_lock"] = round(
         two_client["txs_per_sec"] / single_lock["txs_per_sec"], 2
     )
     results["two_client"] = two_client
-    results["snapshot_open_us"] = _snapshot_open_us(snapshot_objects)
-
-    results["floors"] = {
-        "mean_batch_size": MEAN_BATCH_FLOOR,
-        "speedup": SPEEDUP_FLOOR,
-        "reads_during_commit": READS_DURING_COMMIT_FLOOR,
-        "two_client_speedup": TWO_CLIENT_SPEEDUP_FLOOR,
-        "reads_in_flush_window_factor": READS_IN_FLUSH_WINDOW_FACTOR,
-        "snapshot_open_ceiling_us": SNAPSHOT_OPEN_CEILING_US,
-    }
-
-    # commit/batch latency percentiles from the obs histograms this run fed
-    results["latency"] = {
-        name: {
-            "count": snap["count"],
-            "p50_ms": round(snap["p50_s"] * 1e3, 4),
-            "p95_ms": round(snap["p95_s"] * 1e3, 4),
-            "p99_ms": round(snap["p99_s"] * 1e3, 4),
-            "max_ms": round(snap["max_s"] * 1e3, 4),
-        }
-        for name, snap in sorted(obs.metrics.snapshot()["histograms"].items())
-        if name.startswith("server.")
-    }
+    results["snapshot_open_us"] = _snapshot_open_us(
+        SNAPSHOT_OPEN_OBJECTS // 4 if tiny else SNAPSHOT_OPEN_OBJECTS
+    )
+    results["latency"] = latency("server.")  # commit and batch percentiles
     return results
-
-
-def check(results: Dict[str, object]) -> int:
-    """Enforce the acceptance floors; returns a process exit status."""
-    failed = False
-    mean_batch = results["concurrent"]["group_commit"]["mean_batch_size"]
-    if mean_batch <= MEAN_BATCH_FLOOR:
-        print(
-            f"FAIL: mean commit-batch size is {mean_batch:.2f}, must exceed "
-            f"{MEAN_BATCH_FLOOR:.1f} (group commit amortized nothing)",
-            file=sys.stderr,
-        )
-        failed = True
-    speedup = results["speedup_vs_baseline"]
-    if speedup < SPEEDUP_FLOOR:
-        print(
-            f"FAIL: concurrent throughput is {speedup:.2f}x the "
-            f"single-session baseline, floor is {SPEEDUP_FLOOR:.1f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    overlapped = results["concurrent"]["reads_during_commit"]
-    if overlapped < READS_DURING_COMMIT_FLOOR:
-        print(
-            f"FAIL: {overlapped} snapshot reads completed during an "
-            f"in-flight commit, floor is {READS_DURING_COMMIT_FLOOR}",
-            file=sys.stderr,
-        )
-        failed = True
-    two_client = results["two_client"]
-    if two_client["speedup_vs_single_lock"] < TWO_CLIENT_SPEEDUP_FLOOR:
-        print(
-            f"FAIL: two closed-loop clients run at "
-            f"{two_client['speedup_vs_single_lock']:.2f}x the single-lock "
-            f"emulation, floor is {TWO_CLIENT_SPEEDUP_FLOOR:.2f}x (commit p50 "
-            f"{two_client['commit_p50_ms']:.2f} ms vs "
-            f"{two_client['single_lock']['commit_p50_ms']:.2f} ms)",
-            file=sys.stderr,
-        )
-        failed = True
-    in_window = two_client["reads_in_flush_window"]
-    in_window_floor = (
-        READS_IN_FLUSH_WINDOW_FACTOR * two_client["single_lock"]["reads_in_flush_window"]
-    )
-    if in_window <= in_window_floor:
-        print(
-            f"FAIL: {in_window} reads of the two-client loop completed inside "
-            f"a flush window, must exceed {in_window_floor:.0f} "
-            f"({READS_IN_FLUSH_WINDOW_FACTOR:.0f}x the single-lock emulation's)",
-            file=sys.stderr,
-        )
-        failed = True
-    snapshot_open = results["snapshot_open_us"]["median_us"]
-    if snapshot_open > SNAPSHOT_OPEN_CEILING_US:
-        print(
-            f"FAIL: opening a snapshot view takes {snapshot_open:.0f} us, "
-            f"ceiling is {SNAPSHOT_OPEN_CEILING_US:.0f} us",
-            file=sys.stderr,
-        )
-        failed = True
-    if failed:
-        return 1
-    print("acceptance floors met")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out", default="BENCH_server.json", help="output JSON path"
-    )
-    parser.add_argument(
-        "--writers", type=int, default=8, help="concurrent writer sessions"
-    )
-    parser.add_argument(
-        "--txs", type=int, default=12, help="transactions per writer"
-    )
-    parser.add_argument(
-        "--readers", type=int, default=4, help="concurrent snapshot readers"
-    )
-    parser.add_argument(
-        "--flush-delay-ms", type=float, default=2.0,
-        help="simulated device flush latency (what group commit amortizes)"
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=64,
-        help="group-commit batch cap (transactions per store commit)"
-    )
-    parser.add_argument(
-        "--tiny", action="store_true",
-        help="CI smoke sizing (6 writers x 6 txs, 2 readers)"
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit 1 unless the acceptance floors are met"
-    )
-    args = parser.parse_args(argv)
-    snapshot_objects = SNAPSHOT_OPEN_OBJECTS
-    if args.tiny:
-        args.writers, args.txs, args.readers = 6, 6, 2
-        snapshot_objects //= 4
-
-    results = run(
-        args.writers, args.txs, args.readers, args.flush_delay_ms,
-        args.max_batch, snapshot_objects=snapshot_objects,
-    )
-
-    baseline = results["baseline"]
-    concurrent = results["concurrent"]
-    batching = concurrent["group_commit"]
-    print(
-        f"{'baseline':>11}: {baseline['txs_per_sec']:8.1f} txs/s  "
-        f"({baseline['txs']} txs, {baseline['seconds']:.4f} s, 1 session)"
-    )
-    print(
-        f"{'concurrent':>11}: {concurrent['txs_per_sec']:8.1f} txs/s  "
-        f"({concurrent['txs']} txs, {concurrent['seconds']:.4f} s, "
-        f"{results['writers']} writers + {results['readers']} readers)"
-    )
-    print(
-        f"{'batching':>11}: mean {batching['mean_batch_size']:.2f} txs/commit "
-        f"(largest {batching['largest_batch']}, "
-        f"{batching['batches']} batches, {batching['fallbacks']} fallbacks)"
-    )
-    print(
-        f"{'snapshots':>11}: {concurrent['snapshot_reads']} reads, "
-        f"{concurrent['reads_during_commit']} inside a commit's flush window"
-    )
-    print(f"speedup vs single session: {results['speedup_vs_baseline']:.2f}x")
-    two_client = results["two_client"]
-    for label, row in (("single lock", two_client["single_lock"]), ("two clients", two_client)):
-        print(
-            f"{label:>11}: {row['txs_per_sec']:8.1f} txs/s  commit p50 "
-            f"{row['commit_p50_ms']:.2f} ms (mean {row['commit_mean_ms']:.2f}), "
-            f"{row['reads_in_flush_window']} reads inside a flush window"
-        )
-    print(
-        f"two clients vs single lock: {two_client['speedup_vs_single_lock']:.2f}x; "
-        f"snapshot open {results['snapshot_open_us']['median_us']:.0f} us"
-    )
-
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out}")
-    if args.check:
-        return check(results)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,12 +1,10 @@
-"""Read-path benchmark: ``python -m repro.bench.store_bench``.
+"""The ``store`` phase of ``python -m repro.bench``: the chunk-store read
+path, the map walk's unit of work and the object codec.
 
-Measures the chunk-store read path end-to-end on an in-memory platform,
-with a deliberately slow partition cipher (pure-Python xtea-cbc) so the
-validated-payload cache's savings — skipped decrypt + hash + device reads
-— dominate timing noise:
+Measures the chunk-store read path end-to-end on an in-memory platform:
 
 * ``write`` — populate the store (one commit per small batch);
-* ``recovery`` — close with a residual log and reopen (roll-forward now
+* ``recovery`` — close with a residual log and reopen (roll-forward
   reads each log segment in one ``read_many`` span);
 * ``cold_read`` — first read of every chunk through ``read_chunks``:
   batched map walk + batched data-extent fetch, payload cache cold;
@@ -14,8 +12,21 @@ validated-payload cache's savings — skipped decrypt + hash + device reads
   cache (no device, cipher, or hasher work);
 * ``uncached_read`` — the same repeated reads with the payload cache
   disabled (``payload_cache_bytes=0``): the pre-cache baseline;
+* ``obs_overhead`` — what the always-on obs layer adds to an uncached read;
 * ``scan`` — round-trip counts for a full scan, batched vs one read per
   chunk;
+
+on two partition-cipher tiers:
+
+* the **slow tier** (pure-Python ``xtea-cbc`` + ``sha256``) — the
+  configuration where the validated-payload cache's savings dominate
+  timing noise, and the historical baseline every prior bench number used;
+* the **default tier** (``aes-256-gcm``, when the AEAD backend is present)
+  — the one-pass authenticated path, where the descriptor digest is the
+  auth tag and the separate hash pass is skipped.
+
+Then, once:
+
 * ``map_load`` — the map walk's unit of work on real map-chunk bodies of a
   two-level map: load one uncached map chunk and read one slot, and
   rewrite one with 4 dirty children, through ``MapVector`` and through the
@@ -29,40 +40,18 @@ validated-payload cache's savings — skipped decrypt + hash + device reads
   the oracle), µs per value each way on the value shapes the Figure 10
   workloads keep, weighted into the mix those workloads carry; the two
   routes are asserted to agree on every value timed.
-
-The bench runs two partition-cipher tiers:
-
-* the **slow tier** (pure-Python ``xtea-cbc`` + ``sha256``) — the
-  configuration where the validated-payload cache's savings dominate
-  timing noise, and the historical baseline every prior BENCH number used;
-* the **default tier** (``--cipher``, default ``aes-256-gcm`` when the
-  AEAD backend is present) — the one-pass authenticated path, where the
-  descriptor digest is the auth tag and the separate hash pass is skipped.
-
-Results go to ``BENCH_store.json`` (slow tier at the top level, the
-default tier under ``"default_tier"``); ``--check`` exits non-zero unless
-the acceptance floors hold (warm repeated-read throughput ≥ 5× the
-uncached baseline on the slow tier, warm round trips < cold on both, and
-default-tier uncached reads ≥ 400 ops/s — 3× the pre-AEAD 132 ops/s
-baseline, ``map_load`` ≥ 3× the reference route on both of its
-operations — a ratio, so it does not track the machine — a resident
-vector ≤ 128 B per descriptor and 0 map loads under steady churn,
-``object_codec`` ≥ 2.0× the reference route encoding and ≥ 1.5× decoding
-the Figure 10 mix), which CI uses as a perf-regression smoke test.
-``--tiny`` shrinks the run for CI smoke.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import random
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro import obs
+from repro.bench import Floor, bench_config, best_of, latency
 from repro.chunkstore import ChunkId, ChunkStore, StoreConfig, ops
 from repro.chunkstore.descriptor import (
     ChunkDescriptor,
@@ -93,31 +82,41 @@ from repro.objectstore.pickling import (
 from repro.platform.trusted_platform import TrustedPlatform
 from repro.util.codec import MAX_UVARINT_BITS, Decoder, Encoder, zigzag
 
-#: acceptance floor: warm payload-cache reads over the uncached baseline
-#: (slow tier only — an AEAD tier's uncached reads are fast enough that
-#: the cache's margin over them is not the interesting number)
-WARM_SPEEDUP_FLOOR = 5.0
-
-#: acceptance floor: default-tier uncached reads, ops/s — 3× the 132
-#: ops/s the slow tier measured before the AEAD tier existed
-UNCACHED_OPS_FLOOR = 400.0
-
-#: acceptance ceiling: cost of the always-on obs layer (tracing disabled,
-#: metrics + events live) over the same workload with obs fully suspended
-OBS_OVERHEAD_CEILING_PCT = 5.0
-
-#: acceptance floor: ``MapVector`` over the reference route on the same
-#: map-chunk bodies in the same process, for the load and for the rewrite
-MAP_LOAD_RATIO_FLOOR = 3.0
-
-#: acceptance ceiling: bytes a cached map-chunk vector keeps resident per
-#: descriptor, everything reachable from it counted (wire form: ≈75)
-RESIDENT_BYTES_CEILING = 128.0
-
-#: acceptance floors: the object pickler's one-pass kernels over the
-#: reference route, on the Figure 10 shape mix, same process (ratios)
-CODEC_ENCODE_FLOOR = 2.0
-CODEC_DECODE_FLOOR = 1.5
+FLOORS = (
+    # warm payload-cache reads over the uncached baseline — slow tier only:
+    # an AEAD tier's uncached reads are fast enough that the cache's margin
+    # over them is not the interesting number
+    Floor("slow.warm_speedup", ("slow", "warm_speedup_vs_uncached"), ">=", 5.0),
+    Floor(
+        "slow.warm_round_trips", ("slow", "warm_read", "round_trips"), "<", 1.0,
+        of=("slow", "cold_read", "round_trips"),
+    ),
+    Floor(
+        "default.warm_round_trips", ("default", "warm_read", "round_trips"), "<", 1.0,
+        of=("default", "cold_read", "round_trips"),
+    ),
+    # the always-on obs layer (tracing off) over obs suspended, %
+    Floor("slow.obs_overhead_pct", ("slow", "obs_overhead", "overhead_pct"), "<=", 5.0),
+    # ops/s: 3× the 132 ops/s the slow tier measured before the AEAD tier
+    Floor(
+        "default.uncached_ops_per_sec", ("default", "uncached_read", "ops_per_sec"),
+        ">=", 400.0,
+    ),
+    # ``MapVector`` over the reference route on the same map-chunk bodies in
+    # the same process — a ratio, so it does not track the machine
+    Floor("map_load.load_one_slot", ("map_load", "load_one_slot", "ratio"), ">=", 3.0),
+    Floor("map_load.rewrite_4_dirty", ("map_load", "rewrite_4_dirty", "ratio"), ">=", 3.0),
+    # bytes a cached vector keeps resident per descriptor (wire form: ≈75)
+    Floor(
+        "map_load.resident_bytes", ("map_load", "resident_bytes_per_descriptor"),
+        "<=", 128.0,
+    ),
+    # the map stays resident under steady churn
+    Floor("map_load.churn_map_loads", ("map_load", "steady_churn", "map_loads"), "<=", 0),
+    # the pickler's kernels over the reference route on the Figure 10 mix
+    Floor("object_codec.encode_ratio", ("object_codec", "encode_ratio"), ">=", 2.0),
+    Floor("object_codec.decode_ratio", ("object_codec", "decode_ratio"), ">=", 1.5),
+)
 
 #: the Figure 10 shape mix: shape -> (share of the values a
 #: ``fig10_resident`` window pickles, share of those a ``fig10_cold``
@@ -137,55 +136,45 @@ CODEC_MIX = {
 PARTITION_CIPHER = "xtea-cbc"
 PARTITION_HASH = "sha256"
 
-#: the default tier's suite when ``--cipher auto`` finds the AEAD backend
+#: the default tier's suite, run when the AEAD backend is present
 DEFAULT_AEAD_CIPHER = "aes-256-gcm"
 
+#: chunk body bytes of the tiers' reads
+CHUNK_SIZE = 4096
 
-def _config(payload_cache: bool = True) -> StoreConfig:
-    return StoreConfig(
-        segment_size=64 * 1024,
-        system_cipher="ctr-sha256",
-        system_hash="sha1",
-        validation_mode="counter",
-        delta_ut=5,
-        payload_cache_bytes=StoreConfig.payload_cache_bytes if payload_cache else 0,
+
+def run(tiny: bool) -> Dict[str, object]:
+    chunks, repeats = (8, 2) if tiny else (48, 5)  # ≤ 64 keeps the map one level
+    results: Dict[str, object] = {"slow": _run_tier(chunks, repeats, PARTITION_CIPHER)}
+    if aead.available():
+        results["default"] = _run_tier(chunks, repeats, DEFAULT_AEAD_CIPHER)
+    results["map_load"] = run_map_load(
+        2 if tiny else 8, DEFAULT_AEAD_CIPHER if aead.available() else "ctr-sha256"
     )
+    results["object_codec"] = run_object_codec(20 if tiny else 200)
+    return results
 
 
-def resolve_cipher(requested: str) -> Optional[str]:
-    """Map ``--cipher`` to the default tier's suite; ``None`` means the
-    default tier is skipped (AEAD backend absent under ``auto``)."""
-    if requested != "auto":
-        return requested
-    return DEFAULT_AEAD_CIPHER if aead.available() else None
-
-
-def run(
-    chunks: int,
-    chunk_size: int,
-    repeats: int,
-    cipher: str = PARTITION_CIPHER,
-    hash_name: str = PARTITION_HASH,
-) -> Dict[str, object]:
+def _run_tier(chunks: int, repeats: int, cipher: str) -> Dict[str, object]:
     span_s = _operation_span_cost()  # for the obs-overhead estimate below
     obs.reset()  # per-phase histograms below cover this run only
     platform = TrustedPlatform.create_in_memory(untrusted_size=16 * 1024 * 1024)
     io = platform.untrusted.stats
     results: Dict[str, object] = {
         "chunks": chunks,
-        "chunk_size": chunk_size,
+        "chunk_size": CHUNK_SIZE,
         "repeats": repeats,
         "partition_cipher": cipher,
-        "partition_hash": hash_name,
+        "partition_hash": PARTITION_HASH,
     }
 
     # -- write ---------------------------------------------------------------
-    store = ChunkStore.format(platform, _config())
+    store = ChunkStore.format(platform, bench_config())
     pid = store.allocate_partition()
     store.commit(
-        [ops.WritePartition(pid, cipher_name=cipher, hash_name=hash_name)]
+        [ops.WritePartition(pid, cipher_name=cipher, hash_name=PARTITION_HASH)]
     )
-    payload = bytes(i & 0xFF for i in range(chunk_size))
+    payload = bytes(i & 0xFF for i in range(CHUNK_SIZE))
     before = io.snapshot()
     start = time.perf_counter()
     for base in range(0, chunks, 8):
@@ -208,7 +197,7 @@ def run(
     # -- recovery ------------------------------------------------------------
     before = io.snapshot()
     start = time.perf_counter()
-    store = ChunkStore.open(platform, _config())
+    store = ChunkStore.open(platform, bench_config())
     elapsed = time.perf_counter() - start
     delta = io.delta(before)
     results["recovery"] = {
@@ -253,7 +242,7 @@ def run(
     store.close(checkpoint=False)
 
     # -- uncached baseline (payload cache disabled) --------------------------
-    store = ChunkStore.open(platform, _config(payload_cache=False))
+    store = ChunkStore.open(platform, bench_config(payload_cache_bytes=0))
     for rank in ranks:  # warm the descriptor cache; payloads stay uncached
         store.read_chunk(pid, rank)
     before = io.snapshot()
@@ -306,7 +295,6 @@ def run(
         "spans_per_read": round(spans_per_read, 2),
         "span_us": round(span_s * 1e6, 3),
         "overhead_pct": round(added_s / (read_s - added_s) * 100.0, 2),
-        "ceiling_pct": OBS_OVERHEAD_CEILING_PCT,
     }
 
     # -- scan round trips: batched vs one device read per chunk --------------
@@ -315,7 +303,7 @@ def run(
         store.read_chunk(pid, rank)
     single_delta = io.delta(before)
     store.close(checkpoint=False)
-    store = ChunkStore.open(platform, _config())
+    store = ChunkStore.open(platform, bench_config())
     store.read_chunks(pid, ranks[:1])  # prime descriptors via the walk
     store.payloads.clear()
     before = io.snapshot()
@@ -331,19 +319,7 @@ def run(
     warm_ops = results["warm_read"]["ops_per_sec"]
     uncached_ops = results["uncached_read"]["ops_per_sec"]
     results["warm_speedup_vs_uncached"] = round(warm_ops / uncached_ops, 2)
-    results["floors"] = {"warm_speedup": WARM_SPEEDUP_FLOOR}
-
-    # per-phase latency percentiles from the obs histograms this run fed
-    results["latency"] = {
-        name: {
-            "count": snap["count"],
-            "p50_ms": round(snap["p50_s"] * 1e3, 4),
-            "p95_ms": round(snap["p95_s"] * 1e3, 4),
-            "p99_ms": round(snap["p99_s"] * 1e3, 4),
-            "max_ms": round(snap["max_s"] * 1e3, 4),
-        }
-        for name, snap in sorted(obs.metrics.snapshot()["histograms"].items())
-    }
+    results["latency"] = latency()  # the obs histograms this tier fed
     return results
 
 
@@ -358,10 +334,10 @@ def _operation_span_cost(calls: int = 20000) -> float:
             with obs.span("chunkstore.read"):
                 pass
 
-    live_us = _best_us(enter_spans, calls)
+    (live_s,) = best_of([enter_spans])
     with obs.suspend():
-        suspended_us = _best_us(enter_spans, calls)
-    return max(0.0, live_us - suspended_us) / 1e6
+        (suspended_s,) = best_of([enter_spans])
+    return max(0.0, live_s - suspended_s) / calls
 
 
 def _reference_decode(body: bytes) -> List[ChunkDescriptor]:
@@ -559,25 +535,6 @@ def _reference_unpickle_from(dec: Decoder, registry, depth: int):
     return value
 
 
-def _best_us(work: Callable[[], object], calls: int, rounds: int = 7) -> float:
-    """Best-of-``rounds`` thread CPU time of ``work``, in µs per call."""
-    return _best_us_each([work], calls, rounds)[0]
-
-
-def _best_us_each(
-    works: List[Callable[[], object]], calls: int, rounds: int = 7
-) -> List[float]:
-    """:func:`_best_us` of each of ``works``, their rounds interleaved: a
-    drift in the machine's speed falls on all alike, as a ratio needs."""
-    best = [float("inf")] * len(works)
-    for _ in range(rounds):
-        for index, work in enumerate(works):
-            start = time.thread_time()
-            work()
-            best[index] = min(best[index], time.thread_time() - start)
-    return [seconds / calls * 1e6 for seconds in best]
-
-
 def _resident_bytes(root: object) -> int:
     """``sys.getsizeof`` of everything reachable from ``root`` (classes
     and modules aside): what keeping it cached keeps in memory."""
@@ -600,7 +557,7 @@ def _checkpointed_store(map_chunks: int, cipher: str):
     ``(store, pid)``."""
     fanout = StoreConfig.fanout
     platform = TrustedPlatform.create_in_memory(untrusted_size=16 * 1024 * 1024)
-    store = ChunkStore.format(platform, _config(payload_cache=False))
+    store = ChunkStore.format(platform, bench_config(payload_cache_bytes=0))
     pid = store.allocate_partition()
     store.commit([ops.WritePartition(pid, cipher_name=cipher, hash_name=PARTITION_HASH)])
     state = store.partitions[pid]
@@ -705,25 +662,25 @@ def run_map_load(map_chunks: int, cipher: str, loops: int = 20) -> Dict[str, obj
     for vector in vectors:  # every slot looked up, as a long-lived vector's are
         list(vector)
     calls = loops * map_chunks
+    cold_walk_s, lookup_s = best_of([load_all_cold, slot_lookup])
     results: Dict[str, object] = {
         "map_chunks": map_chunks,
         "map_levels": state.payload.tree_height,
         "partition_cipher": cipher,
-        "store_cold_walk_us": round(_best_us(load_all_cold, map_chunks), 1),
-        "floor_ratio": MAP_LOAD_RATIO_FLOOR,
+        "store_cold_walk_us": round(cold_walk_s / map_chunks * 1e6, 1),
         "resident_bytes_per_descriptor": round(
             sum(map(_resident_bytes, vectors)) / (map_chunks * fanout), 1
         ),
-        "resident_bytes_ceiling": RESIDENT_BYTES_CEILING,
-        "slot_lookup_us": round(_best_us(slot_lookup, calls), 2),
+        "slot_lookup_us": round(lookup_s / calls * 1e6, 2),
         "steady_churn": run_steady_churn(cipher),
     }
     for name, vector_work, reference_work in (
         ("load_one_slot", vector_load, reference_load),
         ("rewrite_4_dirty", vector_rewrite, reference_rewrite),
     ):
-        vector_us = _best_us(vector_work, calls)
-        reference_us = _best_us(reference_work, calls)
+        vector_us, reference_us = (
+            seconds / calls * 1e6 for seconds in best_of([vector_work, reference_work])
+        )
         results[name] = {
             "vector_us": round(vector_us, 1),
             "reference_us": round(reference_us, 1),
@@ -780,11 +737,7 @@ def run_object_codec(loops: int = 200) -> Dict[str, object]:
     """The object pickler's kernels beside the reference route, per
     Figure 10 shape and weighted into the mix the workloads carry:
     µs per value each way, and that the two routes agree."""
-    results: Dict[str, object] = {
-        "encode_floor": CODEC_ENCODE_FLOOR,
-        "decode_floor": CODEC_DECODE_FLOOR,
-        "shapes": {},
-    }
+    results: Dict[str, object] = {"shapes": {}}
     mix = dict.fromkeys(
         ("encode_us", "reference_encode_us", "decode_us", "reference_decode_us"), 0.0
     )
@@ -802,15 +755,15 @@ def run_object_codec(loops: int = 200) -> Dict[str, object]:
         for value, wire in zip(values, wires):  # the two routes agree
             assert _reference_pickle(value) == wire
             assert unpickle_value(wire) == value == _reference_unpickle(wire)
-        costs = _best_us_each(
+        seconds = best_of(
             [
                 repeat(pickle_value, values),
                 repeat(_reference_pickle, values),
                 repeat(unpickle_value, wires),
                 repeat(_reference_unpickle, wires),
-            ],
-            loops * len(values),
+            ]
         )
+        costs = [each / (loops * len(values)) * 1e6 for each in seconds]
         encode_share, decode_share = CODEC_MIX[shape]
         for name, cost in zip(mix, costs):
             mix[name] += cost * (decode_share if "decode" in name else encode_share)
@@ -822,218 +775,3 @@ def run_object_codec(loops: int = 200) -> Dict[str, object]:
     results["encode_ratio"] = round(mix["reference_encode_us"] / mix["encode_us"], 2)
     results["decode_ratio"] = round(mix["reference_decode_us"] / mix["decode_us"], 2)
     return results
-
-
-def check(results: Dict[str, object]) -> int:
-    """Enforce the acceptance floors; returns a process exit status."""
-    failed = False
-    speedup = results["warm_speedup_vs_uncached"]
-    if speedup < WARM_SPEEDUP_FLOOR:
-        print(
-            f"FAIL: warm reads are {speedup:.1f}x the uncached baseline, "
-            f"floor is {WARM_SPEEDUP_FLOOR:.1f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    warm_trips = results["warm_read"]["round_trips"]
-    cold_trips = results["cold_read"]["round_trips"]
-    if warm_trips >= cold_trips:
-        print(
-            f"FAIL: warm pass issued {warm_trips} round trips, cold pass "
-            f"{cold_trips} (warm must be fewer)",
-            file=sys.stderr,
-        )
-        failed = True
-    overhead = results["obs_overhead"]["overhead_pct"]
-    if overhead > OBS_OVERHEAD_CEILING_PCT:
-        print(
-            f"FAIL: obs layer adds {overhead:.1f}% to uncached reads, "
-            f"ceiling is {OBS_OVERHEAD_CEILING_PCT:.1f}%",
-            file=sys.stderr,
-        )
-        failed = True
-    default_tier = results.get("default_tier")
-    if default_tier is not None:
-        uncached_ops = default_tier["uncached_read"]["ops_per_sec"]
-        if uncached_ops < UNCACHED_OPS_FLOOR:
-            print(
-                f"FAIL: default tier ({default_tier['partition_cipher']}) "
-                f"uncached reads run at {uncached_ops:.0f} ops/s, floor is "
-                f"{UNCACHED_OPS_FLOOR:.0f} ops/s",
-                file=sys.stderr,
-            )
-            failed = True
-        if (
-            default_tier["warm_read"]["round_trips"]
-            >= default_tier["cold_read"]["round_trips"]
-        ):
-            print(
-                "FAIL: default tier's warm pass issued at least as many "
-                "round trips as its cold pass",
-                file=sys.stderr,
-            )
-            failed = True
-    map_load = results.get("map_load")
-    if map_load:
-        for name in ("load_one_slot", "rewrite_4_dirty"):
-            ratio = map_load[name]["ratio"]
-            if ratio < MAP_LOAD_RATIO_FLOOR:
-                print(
-                    f"FAIL: map_load {name} is {ratio:.1f}x the reference route, "
-                    f"floor is {MAP_LOAD_RATIO_FLOOR:.1f}x",
-                    file=sys.stderr,
-                )
-                failed = True
-        resident = map_load["resident_bytes_per_descriptor"]
-        if resident > RESIDENT_BYTES_CEILING:
-            print(
-                f"FAIL: a resident map-chunk vector holds {resident:.0f} B per "
-                f"descriptor, ceiling is {RESIDENT_BYTES_CEILING:.0f} B",
-                file=sys.stderr,
-            )
-            failed = True
-        churn = map_load["steady_churn"]
-        if churn["map_loads"]:
-            print(
-                f"FAIL: steady churn loaded {churn['map_loads']} map chunks in "
-                f"{churn['commits']} commits, the map is meant to stay resident",
-                file=sys.stderr,
-            )
-            failed = True
-    codec = results.get("object_codec")
-    if codec:
-        for way, floor in (("encode", CODEC_ENCODE_FLOOR), ("decode", CODEC_DECODE_FLOOR)):
-            ratio = codec[f"{way}_ratio"]
-            if ratio < floor:
-                print(
-                    f"FAIL: object_codec {way} is {ratio:.1f}x the reference route "
-                    f"on the Figure 10 mix, floor is {floor:.1f}x",
-                    file=sys.stderr,
-                )
-                failed = True
-    if failed:
-        return 1
-    print("acceptance floors met")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out", default="BENCH_store.json", help="output JSON path"
-    )
-    parser.add_argument(
-        "--chunks", type=int, default=48,
-        help="data chunks (≤ 64 keeps the location map at height 1)"
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=4096, help="chunk body bytes"
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=5, help="re-read passes (warm/uncached)"
-    )
-    parser.add_argument(
-        "--tiny", action="store_true",
-        help="CI smoke sizing (8 chunks, 2 repeats)"
-    )
-    parser.add_argument(
-        "--cipher", default="auto",
-        choices=("auto", "aes-256-gcm", "chacha20-poly1305", "xtea-cbc",
-                 "ctr-sha256"),
-        help="default-tier partition cipher (auto: aes-256-gcm when the "
-             "AEAD backend is present, else slow tier only)"
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit 1 unless the acceptance floors are met"
-    )
-    args = parser.parse_args(argv)
-    if args.tiny:
-        args.chunks, args.repeats = 8, 2
-
-    def _print_tier(tier: Dict[str, object], label: str) -> None:
-        print(f"-- {label} tier: {tier['partition_cipher']} / "
-              f"{tier['partition_hash']}")
-        for section in ("write", "cold_read", "warm_read", "uncached_read"):
-            entry = tier[section]
-            print(
-                f"{section:>13}: {entry['ops_per_sec']:10.1f} ops/s  "
-                f"({entry['seconds']:.4f} s, {entry['round_trips']} round trips)"
-            )
-        scan = tier["scan"]
-        print(
-            f"{'scan':>13}: {scan['batched_round_trips']} batched vs "
-            f"{scan['single_round_trips']} single round trips "
-            f"({scan['round_trips_saved']} saved)"
-        )
-        print(
-            f"warm speedup vs uncached: "
-            f"{tier['warm_speedup_vs_uncached']:.1f}x"
-        )
-        print(
-            f"obs overhead on uncached reads: "
-            f"{tier['obs_overhead']['overhead_pct']:+.1f}%"
-        )
-
-    # slow tier first: the historical baseline, and the top-level JSON
-    results = run(args.chunks, args.chunk_size, args.repeats)
-    results["floors"]["uncached_ops_default_tier"] = UNCACHED_OPS_FLOOR
-    _print_tier(results, "slow")
-
-    default_cipher = resolve_cipher(args.cipher)
-    if default_cipher is not None and default_cipher != PARTITION_CIPHER:
-        default_tier = run(
-            args.chunks, args.chunk_size, args.repeats,
-            cipher=default_cipher, hash_name=PARTITION_HASH,
-        )
-        results["default_tier"] = default_tier
-        _print_tier(default_tier, "default")
-    elif default_cipher is None:
-        print(f"default (AEAD) tier skipped: {aead.unavailable_reason()}")
-
-    map_load = run_map_load(
-        2 if args.tiny else 8, default_cipher or "ctr-sha256"
-    )
-    results["map_load"] = map_load
-    print(
-        f"-- map_load: {map_load['map_chunks']} leaf map chunks, "
-        f"{map_load['map_levels']} map levels, {map_load['partition_cipher']} "
-        f"(cold walk through the store, one load per level: {map_load['store_cold_walk_us']} us)"
-    )
-    for name in ("load_one_slot", "rewrite_4_dirty"):
-        entry = map_load[name]
-        print(
-            f"{name:>16}: {entry['vector_us']:7.1f} us vs reference "
-            f"{entry['reference_us']:7.1f} us ({entry['ratio']:.1f}x)"
-        )
-    churn = map_load["steady_churn"]
-    print(
-        f"{'resident vector':>16}: {map_load['resident_bytes_per_descriptor']:.1f} B "
-        f"per descriptor, {map_load['slot_lookup_us']:.2f} us a slot lookup; steady "
-        f"churn over {churn['map_chunks']} map chunks: {churn['map_loads']} map loads "
-        f"in {churn['commits']} commits and {churn['checkpoints']} checkpoints"
-    )
-
-    codec = results["object_codec"] = run_object_codec(20 if args.tiny else 200)
-    print("-- object_codec: pickling kernels vs the reference route, us per value")
-    for shape, row in {**codec["shapes"], "Figure 10 mix": codec["mix"]}.items():
-        print(
-            f"{shape:>16}: encode {row['encode_us']:6.2f} vs {row['reference_encode_us']:6.2f}"
-            f"   decode {row['decode_us']:6.2f} vs {row['reference_decode_us']:6.2f}"
-        )
-    print(
-        f"{'mix ratios':>16}: encode {codec['encode_ratio']:.1f}x, "
-        f"decode {codec['decode_ratio']:.1f}x"
-    )
-
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out}")
-    if args.check:
-        return check(results)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,15 +22,20 @@ experiment executes exactly that many database operations, spread evenly
 over the 10 bind/release operations (two transactions each — vendor-side
 then ledger-side), with the touched objects drawn from the 30-collection
 schema by a seeded RNG.  Running the same mix through the TDB adapter and
-the XDB adapter is what Figures 11 and 12 measure.
+the XDB adapter (:func:`measure`) is what Figures 11 and 12 measure.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
+
+from repro import obs
+from repro.platform import DiskModel
+from repro.platform.untrusted import IOStats
 
 #: Figure 10 operation mix (totals over an experiment of 10 operations)
 FIGURE_10 = {
@@ -105,6 +110,9 @@ def make_object(rng: random.Random, collection: str, ident: int) -> Dict[str, An
 class DBAdapter(ABC):
     """What the workload needs from a database system (TDB or XDB)."""
 
+    #: the untrusted device's traffic tally
+    stats: IOStats
+
     def __init__(self) -> None:
         self.op_counts = {"read": 0, "update": 0, "delete": 0, "add": 0, "commit": 0}
 
@@ -142,8 +150,12 @@ class DBAdapter(ABC):
     @abstractmethod
     def exact(self, coll: Any, index_name: str, key: Any) -> List[Any]: ...
 
-    def stored_bytes(self) -> int:
-        return 0
+    @abstractmethod
+    def stored_bytes(self) -> int: ...
+
+    @abstractmethod
+    def tr_writes(self) -> int:
+        """Writes to tamper-resistant storage so far."""
 
 
 @dataclass
@@ -293,3 +305,42 @@ def _spread(total: int, buckets: int) -> List[int]:
     base = total // buckets
     remainder = total % buckets
     return [base + (1 if index < remainder else 0) for index in range(buckets)]
+
+
+def measure(adapter: DBAdapter, kind: str, profile: bool = False) -> Dict[str, Any]:
+    """Load ``adapter`` with the workload, run one ``kind`` experiment and
+    model its I/O with the paper's disk constants (§9.5.2): the measurement
+    behind Figures 10–12.  ``profile`` traces the experiment, so every span
+    keeps its self time (Figure 12's CPU rows, in ``self_times``)."""
+    workload = Workload(adapter)
+    workload.setup()
+    io_before = adapter.stats.snapshot()
+    tr_before = adapter.tr_writes()
+    if profile:
+        obs.reset()
+        obs.enable_tracing()  # spans keep self time only while tracing
+    try:
+        start = time.perf_counter()
+        counts = workload.run_experiment(kind)
+        cpu = time.perf_counter() - start
+        self_times = obs.trace.self_times() if profile else {}
+    finally:
+        if profile:
+            obs.disable_tracing()
+    io = adapter.stats.delta(io_before)
+    tr_writes = adapter.tr_writes() - tr_before
+    model = DiskModel()
+    result = {
+        "counts": counts,
+        "cpu_s": cpu,
+        "write_io_s": model.write_time(io),
+        "read_io_s": model.read_time(io),
+        "tr_io_s": model.tamper_resistant_time(tr_writes),
+        "flushes": io.flushes,
+        "bytes_written": io.bytes_written,
+        "tr_writes": tr_writes,
+        "stored_bytes": adapter.stored_bytes(),
+        "self_times": self_times,
+    }
+    result["total_s"] = cpu + result["write_io_s"] + result["read_io_s"] + result["tr_io_s"]
+    return result

@@ -66,3 +66,12 @@ def any_mode_store(platform, request) -> ChunkStore:
     return ChunkStore.format(
         platform, make_config(validation_mode=request.param)
     )
+
+
+@pytest.fixture(scope="session")
+def tiny_bench():
+    """Every phase of ``python -m repro.bench`` at ``--tiny`` sizing, run
+    once per session (copy before mutating)."""
+    from repro.bench.__main__ import PHASES
+
+    return {name: phase.run(tiny=True) for name, phase in PHASES.items()}

@@ -1,0 +1,85 @@
+"""The bench runner's floors (``python -m repro.bench --check``).
+
+Every floor of every phase: a tiny run passes it, and the same results
+with that one value pushed just past its bound make ``check`` fail with
+one ``FAIL`` line, naming it.  ``BENCH.json`` records exactly the floors
+``check`` evaluates.
+"""
+
+import copy
+import json
+import operator
+from pathlib import Path
+
+import pytest
+
+from repro.bench.__main__ import PHASES, check, evaluate
+from repro.bench.store_bench import CODEC_MIX
+from repro.crypto import aead
+
+ROOT = Path(__file__).resolve().parents[1]
+
+DECLARED = [(phase, floor) for phase, module in PHASES.items() for floor in module.FLOORS]
+
+#: the first path key of each tier that exists only with the AEAD backend
+_AEAD_TIERS = {("crypto", "aead_ciphers"), ("store", "default")}
+
+
+def _just_past(op: str, bound: float) -> float:
+    step = max(abs(bound) * 1e-3, 1e-3)
+    return {">=": bound - step, ">": bound, "<=": bound + step, "<": bound}[op]
+
+
+@pytest.mark.parametrize(
+    "phase, floor", DECLARED, ids=[f"{phase}.{floor.name}" for phase, floor in DECLARED]
+)
+def test_floor(tiny_bench, capsys, phase, floor):
+    name = f"{phase}.{floor.name}"
+    rows = [row for row in evaluate(tiny_bench) if row["name"].split("[")[0] == name]
+    if not rows and (phase, floor.path[0]) in _AEAD_TIERS and not aead.available():
+        pytest.skip("AEAD backend unavailable")
+    assert rows, "the floor's path names nothing in a tiny run"
+    for row in rows:
+        assert row["verdict"] == "pass", row
+        results = copy.deepcopy(tiny_bench)
+        *parents, last = row["path"]
+        section = results
+        for key in parents:
+            section = section[key]
+        section[last] = _just_past(row["op"], row["bound"])
+        capsys.readouterr()
+        assert check(results) == 1
+        fails = [line for line in capsys.readouterr().err.splitlines() if "FAIL" in line]
+        assert len(fails) == 1 and fails[0].startswith(f"FAIL: {row['name']} is "), fails
+
+
+def test_bench_json_records_exactly_the_floors_check_evaluates():
+    recorded = json.loads((ROOT / "BENCH.json").read_text())
+    floors = recorded.pop("floors")
+    name = operator.itemgetter("name")
+    assert sorted(floors, key=name) == sorted(evaluate(recorded), key=name)
+    assert {row["name"].split("[")[0] for row in floors} == {
+        f"{phase}.{floor.name}" for phase, floor in DECLARED
+    }
+    assert all(row["verdict"] == "pass" for row in floors)
+
+
+def test_store_phase_shape(tiny_bench):
+    """What the store phase's numbers rest on, beyond its floors."""
+    store = tiny_bench["store"]
+    for tier in (tier for name, tier in store.items() if name in ("slow", "default")):
+        assert tier["scan"]["batched_round_trips"] < tier["scan"]["single_round_trips"]
+        for section in ("write", "cold_read", "warm_read", "uncached_read"):
+            assert tier[section]["ops_per_sec"] > 0
+    if "default" in store:  # one pass beats the slow two-pass tier outright
+        assert (
+            store["default"]["uncached_read"]["ops_per_sec"]
+            > store["slow"]["uncached_read"]["ops_per_sec"]
+        )
+    map_load = store["map_load"]
+    assert map_load["map_levels"] >= 2 and map_load["slot_lookup_us"] > 0
+    churn = map_load["steady_churn"]  # a map larger than the old 64-vector cache
+    assert churn["map_chunks"] > 64 and churn["checkpoints"] >= 2
+    assert set(store["object_codec"]["shapes"]) == set(CODEC_MIX)
+    for column in (0, 1):  # the shares of each mix add up
+        assert sum(shares[column] for shares in CODEC_MIX.values()) == pytest.approx(1.0)

@@ -228,9 +228,9 @@ class TestHistograms:
         assert hist.percentile(0.99) == pytest.approx(100e-6)
 
     def test_percentile_never_exceeds_observed_max(self):
-        # regression: BENCH_store.json once reported chunkstore.commit
-        # p50_ms 65.5 against max_ms 58.8 because percentiles were raw
-        # bucket upper bounds
+        # regression: the store bench's results (now BENCH.json's store
+        # section) once reported chunkstore.commit p50_ms 65.5 against
+        # max_ms 58.8 because percentiles were raw bucket upper bounds
         hist = LatencyHistogram("t")
         for _ in range(50):
             hist.record(0.0588)  # just past the 2^15 µs bucket boundary

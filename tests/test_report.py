@@ -1,6 +1,4 @@
-"""The one-command report generator (python -m repro.bench.report)."""
-
-import io
+"""The paper phase's markdown report (``python -m repro.bench paper``)."""
 
 import pytest
 
@@ -12,12 +10,10 @@ class TestReport:
         assert sum(_PAPER_FIG12.values()) == 99  # paper's rounded percentages
 
     @pytest.mark.slow
-    def test_report_generates_markdown(self):
-        from repro.bench.report import main
+    def test_report_generates_markdown(self, tiny_bench):
+        from repro.bench.report import markdown
 
-        out = io.StringIO()
-        assert main(out=out) == 0
-        text = out.getvalue()
+        text = markdown(tiny_bench["paper"])
         assert "Figure 10" in text
         assert "Figure 11" in text
         assert "Figure 12" in text

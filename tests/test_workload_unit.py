@@ -83,3 +83,20 @@ class TestXdbBind:
         workload = Workload(XdbAdapter())
         workload.setup()
         assert workload.run_experiment("bind") == FIGURE_10["bind"]
+
+
+class TestMeasure:
+    def test_a_raising_experiment_leaves_tracing_off(self):
+        """A profiled experiment that raises must not leave tracing on for
+        the rest of the process."""
+        from repro import obs
+        from repro.bench.adapters import TdbAdapter
+        from repro.bench.workload import measure
+
+        class RaisingAdapter(TdbAdapter):
+            def update(self, coll, handle, obj):  # only the experiment updates
+                raise RuntimeError("injected")
+
+        with pytest.raises(RuntimeError, match="injected"):
+            measure(RaisingAdapter(), "release", profile=True)
+        assert not obs.trace.enabled()
