@@ -26,9 +26,10 @@ commit exists to amortize):
   the single-lock store of before, emulated in the device so the product
   keeps one commit path — and the floor is the ratio of the two.
 * ``snapshot_open_us`` — median cost of ``open_snapshot_view`` + close on
-  a partition with a few hundred map vectors and dirty descriptors (what
-  a fresh ``Session.snapshot`` pays under both store locks), with a
-  ceiling.
+  a partition with a few hundred map vectors (what a fresh
+  ``Session.snapshot`` pays under both store locks), with a ceiling: once
+  with a few hundred dirty descriptors, once with as many as the
+  checkpoint threshold lets pile up (the view's seed copies them all).
 
 Per-transaction commit latency feeds the obs histograms
 (``server.tx_commit`` / ``server.tx_commit_baseline``; the committer's
@@ -47,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.bench import Floor, bench_config, latency
-from repro.chunkstore import ChunkStore, WriteChunk, WritePartition
+from repro.chunkstore import ChunkStore, StoreConfig, WriteChunk, WritePartition
 from repro.objectstore.pickling import ObjectRef
 from repro.objectstore.store import ObjectStore
 from repro.platform.archival import MemoryArchivalStore
@@ -90,9 +91,10 @@ FLOORS = (
         of=("two_client", "single_lock", "reads_in_flush_window"),
     ),
     # µs, median ``open_snapshot_view`` + close over ``SNAPSHOT_OPEN_OBJECTS``
-    # objects (measured ≈ 100; the seed construction it replaced took ≈ 390
-    # at the same size)
-    Floor("snapshot_open_us", ("snapshot_open_us", "median_us"), "<=", 300.0),
+    # objects, per dirty-set size (measured ≈ 45 with 600 dirty descriptors
+    # and ≈ 70 with 4,085; a seed that filtered out other partitions' keys
+    # in Python took ≈ 185 at 4,085)
+    Floor("snapshot_open_us", ("snapshot_open_us", "*", "median_us"), "<=", 300.0),
 )
 
 #: (writers, transactions per writer, snapshot readers) of the baseline /
@@ -401,9 +403,12 @@ def _run_two_client(single_lock: bool, seed: int = 7) -> Dict[str, object]:
     }
 
 
-def _snapshot_open_us(objects_count: int, opens: int = 200) -> Dict[str, object]:
+def _snapshot_open_us(
+    objects_count: int, dirty: int, opens: int = 200
+) -> Dict[str, object]:
     """Median ``open_snapshot_view`` + close, over a checkpointed partition
-    of ``objects_count`` chunks with a few hundred of them dirty again."""
+    of ``objects_count`` chunks with about ``dirty`` of them dirty again
+    (below the checkpoint threshold, which would clean them)."""
     platform = _platform(0.0)
     chunks = ChunkStore.format(platform, bench_config())
     pid = chunks.allocate_partition()
@@ -418,7 +423,7 @@ def _snapshot_open_us(objects_count: int, opens: int = 200) -> Dict[str, object]
     chunks.checkpoint()
     chunks.read_chunks(pid, range(objects_count))  # the map is resident
     rng = random.Random(7)
-    for _ in range(150):
+    while chunks.stats()["cache"]["dirty_entries"] < dirty - 4:
         chunks.commit(
             [WriteChunk(pid, rank, body) for rank in rng.sample(range(objects_count), 4)]
         )
@@ -472,8 +477,15 @@ def run(tiny: bool) -> Dict[str, object]:
         two_client["txs_per_sec"] / single_lock["txs_per_sec"], 2
     )
     results["two_client"] = two_client
-    results["snapshot_open_us"] = _snapshot_open_us(
-        SNAPSHOT_OPEN_OBJECTS // 4 if tiny else SNAPSHOT_OPEN_OBJECTS
-    )
+    threshold = StoreConfig().checkpoint_dirty_threshold - 8
+    results["snapshot_open_us"] = {
+        "few_dirty": _snapshot_open_us(
+            SNAPSHOT_OPEN_OBJECTS // 4 if tiny else SNAPSHOT_OPEN_OBJECTS, 600
+        ),
+        # four writes a commit stay under the threshold: no checkpoint
+        "threshold_dirty": _snapshot_open_us(
+            max(SNAPSHOT_OPEN_OBJECTS, 4 * threshold), threshold
+        ),
+    }
     results["latency"] = latency("server.")  # commit and batch percentiles
     return results

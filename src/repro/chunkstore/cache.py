@@ -20,6 +20,13 @@ else: a slot is decoded each time it is asked for, so a resident vector
 costs what its bytes cost).  A chunk's clean descriptor is slot
 ``rank % fanout`` of its parent's vector, so loading a map chunk is one
 insert, not ``fanout``.
+
+Beside the dirty set the cache keeps the map chunks the next checkpoint
+will rewrite — every ancestor of a dirty descriptor up to its partition's
+root — as a running set, grown by :meth:`put_dirty` and cleared with the
+dirty set.  It is what the log-space reserve
+(:class:`~repro.chunkstore.checkpoint.CheckpointReserve`) is counted from,
+so nothing ever walks the dirty ids to size a checkpoint.
 """
 
 from __future__ import annotations
@@ -27,10 +34,11 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.chunkstore.descriptor import ChunkDescriptor, MapVector
 from repro.chunkstore.ids import ChunkId
+from repro.chunkstore.partition import PartitionState
 
 
 class DescriptorCache:
@@ -59,6 +67,10 @@ class DescriptorCache:
         #: slots held in ``_vectors``, kept as vectors come and go
         self._clean_slots = 0
         self._dirty: Dict[ChunkId, ChunkDescriptor] = {}
+        #: (partition, height, rank) of every map chunk the next checkpoint
+        #: rewrites, and how many of them each partition has
+        self._dirty_maps: Set[Tuple[int, int, int]] = set()
+        self._dirty_map_counts: Dict[int, int] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -103,9 +115,67 @@ class DescriptorCache:
             self._clean_slots -= len(evicted)
             self.evictions += len(evicted)
 
-    def put_dirty(self, chunk_id: ChunkId, descriptor: ChunkDescriptor) -> None:
-        """Record a committed update; pinned until the next checkpoint."""
+    def put_dirty(
+        self,
+        chunk_id: ChunkId,
+        descriptor: ChunkDescriptor,
+        state: Optional[PartitionState] = None,
+    ) -> None:
+        """Record a committed update; pinned until the next checkpoint.
+        ``state`` is the chunk's partition: the chunk's ancestors up to the
+        root the next checkpoint writes for it join the map chunks that
+        checkpoint rewrites.  None — the checkpoint's own writes — adds
+        none."""
         self._dirty[chunk_id] = descriptor
+        if state is None:
+            return
+        maps = self._dirty_maps
+        partition, height, rank = chunk_id.partition, chunk_id.height, chunk_id.rank
+        if (partition, height + 1, rank // self._fanout) in maps:
+            return  # the common case: the parent, so all above, is in
+        top = state.checkpoint_height(self._fanout)
+        added = self._ancestors(partition, height, rank, top, maps, maps)
+        if added:
+            counts = self._dirty_map_counts
+            counts[partition] = counts.get(partition, 0) + added
+
+    def _ancestors(
+        self, partition: int, height: int, rank: int, top: int, known: Set, into: Set
+    ) -> int:
+        """Add to ``into`` the ancestors of chunk ``(partition, height,
+        rank)`` up to height ``top`` that neither it nor ``known`` holds
+        yet; returns how many.  The walk stops at the first one already
+        there: every ancestor of a member is a member."""
+        fanout = self._fanout
+        height += 1
+        rank //= fanout
+        added = 0
+        while height <= top:
+            key = (partition, height, rank)
+            if key in known or key in into:
+                break
+            into.add(key)
+            added += 1
+            height += 1
+            rank //= fanout
+        return added
+
+    def map_growth(
+        self, dirtied: Iterable[Tuple[int, int, int, int]], fresh: bool = False
+    ) -> Dict[int, int]:
+        """Per partition, the map chunks ``put_dirty`` would add to the next
+        checkpoint for each ``(partition, height, rank, top)`` of
+        ``dirtied`` — what a commit or a cleaner re-commit is about to add
+        to the reserve; ``fresh``: to an empty dirty set, as a checkpoint
+        leaves it."""
+        scratch: Set[Tuple[int, int, int]] = set()
+        known = scratch if fresh else self._dirty_maps
+        growth: Dict[int, int] = {}
+        for partition, height, rank, top in dirtied:
+            added = self._ancestors(partition, height, rank, top, known, scratch)
+            if added:
+                growth[partition] = growth.get(partition, 0) + added
+        return growth
 
     def drop_partition(self, partition: int) -> None:
         """Forget everything about a deallocated partition."""
@@ -113,27 +183,27 @@ class DescriptorCache:
             self._clean_slots -= len(self._vectors.pop(key))
         for cid in [c for c in self._dirty if c.partition == partition]:
             del self._dirty[cid]
+        if self._dirty_map_counts.pop(partition, None):
+            self._dirty_maps = {k for k in self._dirty_maps if k[0] != partition}
 
     def partition_entries(self, partition: int) -> "DescriptorCache":
-        """Point-in-time private cache of ``partition``: its vectors (shared
-        by reference — immutable, see :class:`MapVector`) and its dirty
-        descriptors.
-        Snapshot views seed their walk with this: dirty descriptors are the
-        *only* record of post-checkpoint commits, since the persistent map
-        is stale until the next checkpoint.  Unbounded, like the map it
-        mirrors.  Caller holds the store's locks."""
+        """Point-in-time private cache for a snapshot view of ``partition``:
+        the vectors (shared by reference — immutable, see
+        :class:`MapVector`) and the dirty descriptors.  Snapshot views seed
+        their walk with this: dirty descriptors are the *only* record of
+        post-checkpoint commits, since the persistent map is stale until
+        the next checkpoint.
+
+        Two C-level dict copies and nothing else: other partitions' entries
+        ride along unfiltered, because a view's walk only ever asks for ids
+        of its own partition (``tests/test_descriptor_vector_cache.py``
+        pins that), so the seed costs the same at any dirty count.
+        Unbounded, like the map it mirrors.  Caller holds the store's
+        locks."""
         seed = _SharedDescriptorCache(sys.maxsize, self._fanout)
-        # whole-dict copies keep the stored hashes (a ChunkId's is computed
-        # in Python), then the few keys of other partitions come out; the
-        # slot count is carried, not re-summed
-        vectors = seed._vectors = self._vectors.copy()
-        slots = self._clean_slots
-        for key in [k for k in vectors if k[0] != partition]:
-            slots -= len(vectors.pop(key))
-        seed._clean_slots = slots
-        dirty = seed._dirty = self._dirty.copy()
-        for cid in [c for c in dirty if c.partition != partition]:
-            del dirty[cid]
+        seed._vectors = self._vectors.copy()
+        seed._clean_slots = self._clean_slots
+        seed._dirty = self._dirty.copy()
         return seed
 
     # -- dirty management ----------------------------------------------------
@@ -144,15 +214,26 @@ class DescriptorCache:
     def dirty_ids(self) -> List[ChunkId]:
         return list(self._dirty)
 
+    def dirty_maps(self) -> Set[Tuple[int, int, int]]:
+        """``(partition, height, rank)`` of the map chunks the next
+        checkpoint rewrites (the cache's own set: read, do not change)."""
+        return self._dirty_maps
+
+    def dirty_map_counts(self) -> Dict[int, int]:
+        """Per partition, the map chunks the next checkpoint rewrites."""
+        return self._dirty_map_counts
+
     def clean_all_dirty(self) -> None:
         """After a checkpoint every dirty descriptor sits in the vector of
         the parent map chunk the checkpoint wrote (and installed)."""
         self._dirty.clear()
+        self._dirty_maps.clear()
+        self._dirty_map_counts.clear()
 
     def clear(self) -> None:
         self._vectors.clear()
         self._clean_slots = 0
-        self._dirty.clear()
+        self.clean_all_dirty()
 
     # -- introspection -------------------------------------------------------
 

@@ -23,6 +23,12 @@ Two safety properties from the paper:
 * Rewritten versions keep their original header identity; a CLEANER
   record, written *before* them in the same commit set, tells recovery
   exactly which partitions each rewritten version is current in.
+
+Two log-space rules (DESIGN.md, "Log space"): the cleaned segment is only
+*deferred* — the last checkpoint may still need it, so it is free once the
+next one is durable — and a re-commit runs only if it fits the writer's
+capacity, the reserve it adds for the next checkpoint included; one that
+does not is declined, and the caller checkpoints first.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ logger = logging.getLogger("repro.chunkstore.cleaner")
 _Scanned = Tuple[VersionHeader, bytes, int]
 #: where a version is current, and the descriptor that names it there
 _Current = Tuple[List[int], ChunkDescriptor]
+#: a current version to move: chunk id, plaintext body, partitions where
+#: current
+_Survivor = Tuple[ChunkId, bytes, List[int]]
 
 
 class Cleaner:
@@ -62,7 +71,8 @@ class Cleaner:
 
     def clean_one(self) -> Optional[int]:
         """Clean the emptiest cleanable segment; returns its index, or
-        ``None`` if no segment is worth cleaning."""
+        ``None`` if no segment is worth cleaning or its re-commit would not
+        fit the writer's capacity."""
         store = self.store
         # a writer like any other (and callable on its own): both locks
         with store._writers, store._lock:
@@ -80,7 +90,8 @@ class Cleaner:
             store._in_maintenance = True
             try:
                 with obs.span("chunkstore.cleaner_pass", segment=target):
-                    self._clean_segment(target)
+                    if not self._clean_segment(target):
+                        return None
             finally:
                 store._in_maintenance = previous
             self.cleaned_segments += 1
@@ -124,7 +135,9 @@ class Cleaner:
                         current.setdefault(index, ([], descriptor))[0].append(pid)
         return current
 
-    def _clean_segment(self, segment: int) -> None:
+    def _clean_segment(self, segment: int) -> bool:
+        """Move ``segment``'s current versions to the tail and defer it;
+        ``False`` (nothing written) if the move does not fit."""
         store = self.store
         codec = store.codec
         segman = store.segman
@@ -146,8 +159,7 @@ class Cleaner:
             cursor += len(header_ct) + len(body_ct)
         self.versions_scanned += len(named)
 
-        #: (chunk id, plaintext body, partitions where current)
-        survivors: List[Tuple[ChunkId, bytes, List[int]]] = []
+        survivors: List[_Survivor] = []
         for index, (pids, expected) in sorted(self._current(named).items()):
             header, body_ct, location = named[index]
             # validate before rewriting (no laundering); on an AEAD
@@ -164,6 +176,12 @@ class Cleaner:
             survivors.append((header.chunk_id, body, pids))
 
         if survivors:
+            need, capacity = self._cost(survivors), store.writer.capacity()
+            if need > capacity:
+                obs.emit(
+                    "clean_declined", segment=segment, need=need, capacity=capacity
+                )
+                return False
             self._rewrite(survivors)
         segman.release_segment(segment)
         logger.debug(
@@ -171,17 +189,45 @@ class Cleaner:
             segment,
             len(survivors),
         )
+        return True
 
-    def _rewrite(self, survivors: List[Tuple[ChunkId, bytes, List[int]]]) -> None:
+    @staticmethod
+    def _record(survivors: List[_Survivor]) -> bytes:
+        """The CLEANER record announcing ``survivors``' re-commit."""
+        return CleanerRecord(
+            [(cid.height, cid.rank, pids) for cid, body, pids in survivors]
+        ).encode()
+
+    def _cost(self, survivors: List[_Survivor]) -> int:
+        """What re-committing ``survivors`` takes from the writer's
+        capacity: the versions as they will be appended, and the growth of
+        the next checkpoint's reserve."""
+        store = self.store
+        codec = store.codec
+        table = store.table
+        sizes = [codec.version_size(len(self._record(survivors)), codec.system_cipher)]
+        sizes += [
+            codec.version_size(len(body), table.load(pids[0]).cipher)
+            for _, body, pids in survivors
+        ]
+        fanout = store.config.fanout
+        states = {pid: table.load(pid) for _, _, pids in survivors for pid in pids}
+        dirtied = [
+            (pid, cid.height, cid.rank, states[pid].checkpoint_height(fanout))
+            for cid, _, pids in survivors
+            for pid in pids
+        ]
+        return store.reserve.appends(sum(sizes), max(sizes)) + store.reserve.growth(
+            dirtied, states.values()
+        )
+
+    def _rewrite(self, survivors: List[_Survivor]) -> None:
         """Re-commit the current versions to the log tail (one commit)."""
         store = self.store
         writer = store.writer
         appended = store.logbuf.bytes_appended
         writer.begin_set()
-        record = CleanerRecord(
-            [(cid.height, cid.rank, pids) for cid, body, pids in survivors]
-        )
-        writer.append_unnamed(VersionKind.CLEANER, record.encode())
+        writer.append_unnamed(VersionKind.CLEANER, self._record(survivors))
         for cid, body, pids in survivors:
             state = store.table.load(pids[0])
             descriptor = writer.append_named(cid, body, state.cipher, state.hash)

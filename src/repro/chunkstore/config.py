@@ -39,8 +39,11 @@ class StoreConfig:
     delta_ut: int = 5
     #: counter mode: how far the TR counter may lead the log (Δtu)
     delta_tu: int = 0
-    #: auto-checkpoint when this many descriptors are dirty in cache
-    checkpoint_dirty_threshold: int = 1024
+    #: auto-checkpoint when this many descriptors are dirty in cache: the
+    #: checkpoint interval, map rewrites traded against the residual log a
+    #: crash replays (EXPERIMENTS.md, "Checkpoint less often", has the curve
+    #: the default is the knee of)
+    checkpoint_dirty_threshold: int = 4096
     #: maximum clean descriptor-cache entries before LRU eviction (runtime-
     #: only).  Held as ``cache_size // fanout`` map-chunk vectors in wire
     #: form, ≈75 B a descriptor: the default keeps the whole map of a

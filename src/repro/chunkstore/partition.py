@@ -26,8 +26,9 @@ a rank removes it from the free set again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
+from repro.chunkstore.ids import required_height
 from repro.chunkstore.leader import LeaderPayload
 from repro.crypto.cipher import Cipher
 from repro.crypto.hashing import HashFunction
@@ -49,6 +50,10 @@ class PartitionState:
     pending_ranks: Set[int] = field(default_factory=set)
     _alloc_pool: Set[int] = field(default_factory=set)
     _alloc_next: int = 0
+    #: (checkpoint_height, map_chunks), and the (next_rank, tree_height)
+    #: they are for
+    _shape: Tuple[int, int] = (1, 1)
+    _shape_for: Tuple[int, int] = (-1, -1)
 
     @classmethod
     def open(
@@ -119,6 +124,32 @@ class PartitionState:
         if rank in self.payload.free_ranks:
             return "free"
         return "unallocated"
+
+    def checkpoint_height(self, fanout: int) -> int:
+        """Height of the root the next checkpoint writes for this
+        partition: the tree grows to cover every committed rank.  Asked
+        on every committed write, so kept until the rank count or the
+        tree changes."""
+        return self._tree_shape(fanout)[0]
+
+    def map_chunks(self, fanout: int) -> int:
+        """Map chunks in the tree of that height over the committed ranks:
+        the most the next checkpoint can rewrite for this partition."""
+        return self._tree_shape(fanout)[1]
+
+    def _tree_shape(self, fanout: int) -> Tuple[int, int]:
+        payload = self.payload
+        key = (payload.next_rank, payload.tree_height)
+        if key != self._shape_for:
+            height = max(
+                payload.tree_height, required_height(fanout, payload.next_rank), 1
+            )
+            chunks, width = 0, payload.next_rank
+            for _ in range(height):
+                width = max(-(-width // fanout), 1)
+                chunks += width
+            self._shape_for, self._shape = key, (height, chunks)
+        return self._shape
 
     def require_allocated(self, rank: int) -> None:
         if rank in self.pending_ranks or self.is_committed_written(rank):

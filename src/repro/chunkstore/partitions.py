@@ -193,15 +193,15 @@ class PartitionTable:
         state = self.load(cid.partition)
         self._retire(state, cid)
         self.segman.add_live(descriptor.location, descriptor.length)
-        self.cache.put_dirty(cid, descriptor)
         if cid.height == 0:
             state.apply_committed_write(cid.rank)
+        self.cache.put_dirty(cid, descriptor, state)
         state.leader_dirty = True
 
     def chunk_freed(self, cid: ChunkId) -> None:
         state = self.load(cid.partition)
         self._retire(state, cid)
-        self.cache.put_dirty(cid, ChunkDescriptor(ChunkStatus.FREE))
+        self.cache.put_dirty(cid, ChunkDescriptor(ChunkStatus.FREE), state)
         state.apply_committed_dealloc(cid.rank)
 
     def leader_written(

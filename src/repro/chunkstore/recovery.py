@@ -200,11 +200,17 @@ class _Recovery:
                             )
                         if nxt in self.segman.residual_segments:
                             raise TamperDetectedError("next-segment chain loops")
+                        if nxt not in self.segman.free_segments:
+                            # the log claims only segments the checkpoint's
+                            # table lists as free (a cleaned one is deferred
+                            # until a checkpoint lists it)
+                            raise TamperDetectedError(
+                                "next-segment record names a segment in use"
+                            )
                     except TamperDetectedError as exc:
                         # stale residue of a reclaimed segment, if tails tear
                         raise self._torn(exc)
-                    if nxt in self.segman.free_segments:
-                        self.segman.free_segments.remove(nxt)
+                    self.segman.free_segments.remove(nxt)
                     self.segman.residual_segments.append(nxt)
                     claims_since_good.append(nxt)
                     self._advance(cursor, version_len)

@@ -155,12 +155,14 @@ def _repair_failed_chunks(
                 changed = True
         elif cid.height >= 1:
             # Re-dirty every cached written child so the checkpoint
-            # rewrites this map chunk (degraded rebuild from cache).
+            # rewrites this map chunk (degraded rebuild from cache), and
+            # the reserve counts it.
+            state = store.table.partitions.get(cid.partition)
             for slot in range(fanout):
                 child = cid.child(fanout, slot)
                 cached = store.cache.get(child)
                 if cached is not None and cached.is_written():
-                    store.cache.put_dirty(child, cached)
+                    store.cache.put_dirty(child, cached, state)
                     changed = True
     if changed:
         store._write_checkpoint()

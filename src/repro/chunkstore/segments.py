@@ -22,6 +22,11 @@ segment, so the residual log always begins at a segment boundary.  The
 paper instead records an arbitrary leader location; starting a segment
 costs a little space per checkpoint and simplifies the residual-chain
 bookkeeping.
+
+A segment the cleaner frees is *deferred*, not free: recovery starts from
+the last checkpoint, whose map and leaders may still lie in it, so the log
+may claim it only once the next checkpoint — whose segment table already
+lists it as free — is durable (:meth:`SegmentManager.release_deferred`).
 """
 
 from __future__ import annotations
@@ -141,6 +146,8 @@ class SegmentManager:
         self.used_bytes: List[int] = [0] * self.segment_count
         self.live_bytes: List[int] = [0] * self.segment_count
         self.free_segments: List[int] = list(range(self.segment_count - 1, -1, -1))
+        #: cleaned since the last checkpoint: free once the next is durable
+        self.deferred_segments: List[int] = []
         self.tail_segment: int = 0
         self.tail_offset: int = 0
         self.residual_segments: List[int] = []
@@ -194,12 +201,19 @@ class SegmentManager:
         )
 
     def release_segment(self, segment: int) -> None:
-        """Mark a cleaned segment free (volatile until next checkpoint)."""
+        """A cleaned segment holds nothing live: defer it until the next
+        checkpoint is durable (see the module docstring)."""
         if segment in self.residual_segments:
             raise AssertionError("must not release a residual-log segment")
         self.used_bytes[segment] = 0
         self.live_bytes[segment] = 0
-        self.free_segments.append(segment)
+        self.deferred_segments.append(segment)
+
+    def release_deferred(self) -> None:
+        """A checkpoint is durable: the segments cleaned before it are
+        free (and, the free list being LIFO, claimed first)."""
+        self.free_segments.extend(self.deferred_segments)
+        self.deferred_segments = []
 
     # -- utilization ---------------------------------------------------------
 
@@ -237,9 +251,11 @@ class SegmentManager:
     # -- persistence ---------------------------------------------------------
 
     def to_table(self) -> SegmentTable:
+        """The checkpoint's view: deferred segments are free once it is
+        durable, which is when a recovery would start from it."""
         return SegmentTable(
             tail_segment=self.tail_segment,
-            free_segments=list(self.free_segments),
+            free_segments=self.free_segments + self.deferred_segments,
             used_bytes=list(self.used_bytes),
             live_bytes=list(self.live_bytes),
             residual_segments=list(self.residual_segments),
@@ -252,6 +268,7 @@ class SegmentManager:
             )
         self.tail_segment = table.tail_segment
         self.free_segments = list(table.free_segments)
+        self.deferred_segments = []
         self.used_bytes = list(table.used_bytes)
         self.live_bytes = list(table.live_bytes)
         self.residual_segments = list(table.residual_segments)

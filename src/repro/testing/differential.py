@@ -70,8 +70,9 @@ class Op:
 
 def op_value(op: Op) -> bytes:
     """The deterministic payload a ``write`` op stores (a function of the
-    op alone, so shrunk sequences keep their payloads)."""
-    return f"v{op.slot}.{op.rank}.{op.tag}:".encode() * (1 + op.tag % 4)
+    op alone, so shrunk sequences keep their payloads): 100–500 bytes, so
+    a handful of writes fill a segment and the log claims freed ones."""
+    return f"v{op.slot}.{op.rank}.{op.tag}:".encode() * (8 * (1 + op.tag % 4))
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,11 @@ class DifferentialRunner(Harness):
     HELD = "store and model agreed after every operation of every sequence"
     FAILING = (DIVERGED,)
 
-    SEGMENT_SIZE = 16 * 1024
-    STORE_SIZE = 2 * 1024 * 1024
+    #: small segments, so that within one sequence the cleaner frees
+    #: segments that hold the last checkpoint and the log claims them
+    #: again before the next: what deferred reuse exists for
+    SEGMENT_SIZE = 2 * 1024
+    STORE_SIZE = 128 * 1024
     MAX_SLOTS = 5
     MAX_RANK = 8
 
@@ -253,7 +257,7 @@ class DifferentialRunner(Harness):
                     store.checkpoint()
                     compare = False
                 elif op.kind == "clean":
-                    store.clean(max_segments=2)
+                    store.clean(max_segments=8)
                     compare = False
                 elif op.kind == "crash":
                     platform.reboot()

@@ -7,7 +7,8 @@ Two views, mirroring the trust model:
   and nothing else.  Useful to demonstrate (and regression-test) how
   little the untrusted store leaks;
 * the **trusted view** (given the platform): validated store statistics —
-  partitions, chunk counts, log utilization, residual-log length, whether
+  partitions, chunk counts, log utilization, residual-log length, free and
+  deferred segments against the checkpoint reserve, whether
   the chunk map is resident (map-chunk vectors the descriptor cache holds
   and has room for, against what each partition's map needs), what the
   log's bytes were spent on, and what the cleaner has done.
@@ -138,8 +139,12 @@ def trusted_view(store: ChunkStore) -> Dict[str, Any]:
         "segments": {
             "total": segman.segment_count,
             "free": segman.free_segment_count(),
+            # cleaned, free once the next checkpoint is durable
+            "deferred": len(segman.deferred_segments),
             "residual": len(segman.residual_segments),
         },
+        # free space against what the next checkpoint may need of it
+        "log_space": stats["log_space"],
         "cache": {
             "dirty_descriptors": cache["dirty_entries"],
             "hits": cache["hits"],

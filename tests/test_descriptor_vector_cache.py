@@ -309,41 +309,63 @@ class TestSnapshotViewSharesVectors:
             assert {r: view.read_chunk(r) for r in model} == model
         assert observe(store, pid, model) == values("later", range(20))
 
-    def test_the_seed_equals_the_filtering_construction_it_replaced(self):
-        """``partition_entries`` copies the two dicts whole and takes the
-        other partitions' keys out; what it yields is what rebuilding them
-        key by key yielded: this partition's vectors, by reference and in
-        LRU order, their slot count, and this partition's dirty
-        descriptors only — with other partitions' of both in the cache."""
+    @staticmethod
+    def _two_dirty_partitions():
         platform, store = fresh()
         first, second = new_partition(store), new_partition(store)
+        model = {}
         for pid in (first, second):
-            write(store, pid, values(f"p{pid}", range(40)))
+            model[pid] = values(f"p{pid}", range(40))
+            write(store, pid, model[pid])
         store.checkpoint()
         for pid in (first, second):
             observe(store, pid, range(40))
+            model[pid].update(values("dirty", range(0, 40, 7)))
             write(store, pid, values("dirty", range(0, 40, 7)))  # dirty again
+        return platform, store, model
+
+    def test_the_seed_is_a_whole_copy_of_both_dicts(self):
+        """``partition_entries`` is two C-level dict copies and nothing
+        else, whatever the dirty count: every vector by reference and in
+        LRU order, the slot count carried, every dirty descriptor — other
+        partitions' included, since a view never asks for them (next
+        test) — and the store's own books untouched."""
+        platform, store, _ = self._two_dirty_partitions()
         cache = store.cache
-        for pid in (first, second):
-            vectors = [
-                (key, vector) for key, vector in cache._vectors.items() if key[0] == pid
-            ]
-            dirty = {
-                cid: descriptor
-                for cid, descriptor in cache._dirty.items()
-                if cid.partition == pid
-            }
-            assert vectors and dirty and len(dirty) < len(cache._dirty)
-            seed = cache.partition_entries(pid)
-            assert list(seed._vectors.items()) == vectors
-            assert all(
-                mine is theirs
-                for (_, mine), (_, theirs) in zip(seed._vectors.items(), vectors)
-            )
-            assert seed._clean_slots == sum(len(vector) for _, vector in vectors)
-            assert seed._dirty == dirty
-            assert all(seed._dirty[cid] is dirty[cid] for cid in dirty)
-            assert seed.stats()["clean_entries"] == seed._clean_slots
-        # a copy: the store's own books are as they were
-        assert store.cache.stats()["dirty_entries"] == len(cache._dirty)
+        first = store.partition_ids()[0]
+        assert {cid.partition for cid in cache._dirty} == set(store.partition_ids())
+        seed = cache.partition_entries(first)
+        assert list(seed._vectors.items()) == list(cache._vectors.items())
+        assert all(
+            mine is theirs
+            for mine, theirs in zip(seed._vectors.values(), cache._vectors.values())
+        )
+        assert seed._clean_slots == cache._clean_slots
+        assert seed._dirty == cache._dirty
+        assert seed._dirty is not cache._dirty and seed._vectors is not cache._vectors
+        seed._dirty.clear()
+        assert store.cache.stats()["dirty_entries"] == len(cache._dirty) > 0
         assert_vectors_match_device(store)
+
+    def test_a_view_asks_only_for_its_own_partitions_ids(self):
+        """What makes the unfiltered seed safe: every id a view's read
+        path hands its descriptor cache — lookups, vector fetches, dirty
+        probes, installs — belongs to the view's partition, on a cold
+        payload cache and a walk that must load map chunks."""
+        platform, store, model = self._two_dirty_partitions()
+        store.cache._vectors.clear()  # the view's walk loads map chunks
+        store.cache._clean_slots = 0
+        for pid in store.partition_ids():
+            with store.open_snapshot_view(pid) as view:
+                cache = view._readpath.cache
+                asked = []
+                for name in ("get", "vector", "dirty", "install"):
+                    method = getattr(cache, name)
+
+                    def spy(chunk_id, *rest, _method=method):
+                        asked.append(chunk_id.partition)
+                        return _method(chunk_id, *rest)
+
+                    setattr(cache, name, spy)
+                assert view.read_chunks(range(40)) == model[pid]
+                assert asked and set(asked) == {pid}

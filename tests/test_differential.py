@@ -12,8 +12,10 @@ import pytest
 
 from repro.chunkstore import ChunkStore, StoreConfig
 from repro.chunkstore.partitions import PartitionTable
+from repro.chunkstore.segments import SegmentManager
 from repro.crypto import aead
 from repro.testing import DIVERGED, DifferentialRunner, Op, Variant
+from tests.conftest import replay
 
 MODES = ["counter", "direct"]
 
@@ -195,6 +197,30 @@ def test_injected_stale_read_bug_caught(monkeypatch):
     monkeypatch.setattr(PartitionTable, "chunk_written", first_write_wins)
     caught = _first_failure(DifferentialRunner(Variant("counter")))
     assert caught is not None, "injected stale-write bug escaped 20 seeds"
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_immediate_segment_reuse_is_caught_at_the_ci_depth(mode, monkeypatch):
+    """ROADMAP item 1(b): a cleaned segment handed out again before the
+    checkpoint that stops needing it.  With ``release_segment`` appending
+    straight to the free list, the 5 seeds CI runs per mode report
+    divergences — a crash image that no longer reopens — each with a
+    repro line that replays it."""
+    runner = DifferentialRunner(Variant(mode))
+    assert not runner.run(5).failures
+
+    def reuse_at_once(self, segment):
+        self.used_bytes[segment] = self.live_bytes[segment] = 0
+        self.free_segments.append(segment)
+
+    monkeypatch.setattr(SegmentManager, "release_segment", reuse_at_once)
+    failures = runner.run(5).failures
+    assert failures, "immediate reuse escaped the CI depth"
+    assert all(f.ops[f.op_index].kind == "crash" for f in failures), [
+        f.detail for f in failures
+    ]
+    [again] = replay(failures[0].repro_line())
+    assert again == failures[0]
 
 
 def test_failure_repro_line_survives_shrinking(monkeypatch):

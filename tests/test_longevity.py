@@ -13,8 +13,11 @@ from tests.conftest import make_config, make_platform
 
 #: per-mode seeds under which at least one generation ends with a residual
 #: chain that jumps into a lower-numbered segment (one the cleaner freed),
-#: so recovery is exercised on a log whose tail sits below its leader
-SEEDS = {"counter": 42, "direct": 45}
+#: so recovery is exercised on a log whose tail sits below its leader.  A
+#: freed segment is claimable only after the next checkpoint, which starts
+#: a fresh residual chain, so such endings are rarer than they were with
+#: immediate reuse: these were searched for (direct mode: one seed in ~300)
+SEEDS = {"counter": 11, "direct": 463}
 
 
 @pytest.mark.slow

@@ -82,8 +82,20 @@ class TestStoreStats:
         stats = store.stats()
         assert set(stats) == {
             "crypto", "hashing", "cache", "payload_cache", "walk", "log",
-            "commits", "untrusted", "faults", "snapshots", "cleaner",
+            "commits", "untrusted", "faults", "snapshots", "cleaner", "log_space",
         }
+        space = stats["log_space"]
+        segman = store.segman
+        assert space["free_segments"] == segman.free_segment_count()
+        assert space["deferred_segments"] == 0
+        # the reserve covers at least the fresh segment a checkpoint starts
+        assert space["reserve_bytes"] >= store.writer.max_version_size
+        assert space["capacity_bytes"] == (
+            store.writer.max_version_size - segman.tail_offset
+            + segman.free_segment_count() * store.writer.max_version_size
+            - space["reserve_bytes"]
+        )
+        assert space["checkpoints_for_dirty"] == space["checkpoints_for_space"] == 0
         # system cipher is ctr-sha256 in the test config, and the partition
         # uses it too, so one aggregated entry carries all the bytes
         ctr = stats["crypto"]["ctr-sha256"]

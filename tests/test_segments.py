@@ -37,13 +37,32 @@ class TestAllocation:
             m.claim_free_segment()
 
     def test_release_returns_to_pool(self):
+        """A cleaned segment returns to the pool once the next checkpoint
+        is durable — not before: that checkpoint's predecessor, which a
+        crash would recover from, may still need it."""
         m = manager()
         segment = m.claim_free_segment()
         m.jump_to(segment)
         other = m.claim_free_segment()
         m.begin_residual(other)  # move residual off the first segment
         m.release_segment(segment)
-        assert segment in m.free_segments
+        assert segment not in m.free_segments
+        assert m.deferred_segments == [segment]
+        # the checkpoint that releases it already lists it as free
+        assert segment in m.to_table().free_segments
+        m.release_deferred()
+        assert m.free_segments[-1] == segment and m.deferred_segments == []
+
+    def test_a_reloaded_table_has_nothing_deferred(self):
+        m = manager()
+        segment = m.claim_free_segment()
+        m.jump_to(segment)
+        m.begin_residual(m.claim_free_segment())
+        m.release_segment(segment)
+        reloaded = manager()
+        reloaded.load_table(m.to_table())
+        assert reloaded.deferred_segments == []
+        assert segment in reloaded.free_segments
 
     def test_release_residual_refused(self):
         m = manager()

@@ -85,6 +85,22 @@ class TestTrustedView:
         assert "map_vectors_needed=1" in text and "vector_capacity:" in text
         assert "log_bytes_by_kind:" in text and "cleaner_record: 0" in text
 
+    def test_shows_free_and_deferred_segments_against_the_reserve(self, populated):
+        platform, store, pid = populated
+        for _ in range(3):  # obsolete versions for the cleaner to find
+            store.commit([ops.WriteChunk(pid, r, b"z" * 500) for r in range(10)])
+        store.checkpoint()
+        assert store.clean(max_segments=1) == 1
+        view = trusted_view(store)
+        assert view["segments"]["deferred"] == 1
+        space = view["log_space"]
+        assert space["deferred_segments"] == 1
+        assert space["free_segments"] == view["segments"]["free"]
+        assert space["reserve_bytes"] >= store.writer.max_version_size
+        assert space["capacity_bytes"] == store.writer.capacity()
+        text = render(view)
+        assert "deferred: 1" in text and "reserve_bytes:" in text
+
     def test_map_vectors_needed_counts_every_level(self):
         assert map_vectors_needed(range(100_000), 64) == 1563 + 25 + 1
         assert map_vectors_needed([5], 64) == 1

@@ -326,6 +326,7 @@ class TestLogWriter:
         assert before == (
             writer.max_version_size - segman.tail_offset
             + segman.free_segment_count() * writer.max_version_size
+            - store.reserve.bytes()
         )
         with store._lock:
             writer.begin_set()
