@@ -23,10 +23,11 @@ insert, not ``fanout``.
 
 Beside the dirty set the cache keeps the map chunks the next checkpoint
 will rewrite — every ancestor of a dirty descriptor up to its partition's
-root — as a running set, grown by :meth:`put_dirty` and cleared with the
-dirty set.  It is what the log-space reserve
-(:class:`~repro.chunkstore.checkpoint.CheckpointReserve`) is counted from,
-so nothing ever walks the dirty ids to size a checkpoint.
+root — as a running set, grown by :meth:`put_dirty` (the one place a
+descriptor becomes dirty) and cleared with the dirty set.  The log-space
+reserve (:class:`~repro.chunkstore.logspace.LogSpace`) is counted from it,
+so nothing ever walks the dirty ids to size a checkpoint; sizing it is
+that module's business alone.
 """
 
 from __future__ import annotations
@@ -34,11 +35,32 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chunkstore.descriptor import ChunkDescriptor, MapVector
 from repro.chunkstore.ids import ChunkId
 from repro.chunkstore.partition import PartitionState
+
+
+def ancestors(
+    fanout: int, partition: int, height: int, rank: int, top: int, known: Set, into: Set
+) -> int:
+    """Add to ``into`` the ancestors of chunk ``(partition, height, rank)``
+    up to height ``top`` that neither it nor ``known`` holds yet; returns
+    how many.  The walk stops at the first one already there: every
+    ancestor of a member is a member."""
+    height += 1
+    rank //= fanout
+    added = 0
+    while height <= top:
+        key = (partition, height, rank)
+        if key in known or key in into:
+            break
+        into.add(key)
+        added += 1
+        height += 1
+        rank //= fanout
+    return added
 
 
 class DescriptorCache:
@@ -134,48 +156,10 @@ class DescriptorCache:
         if (partition, height + 1, rank // self._fanout) in maps:
             return  # the common case: the parent, so all above, is in
         top = state.checkpoint_height(self._fanout)
-        added = self._ancestors(partition, height, rank, top, maps, maps)
+        added = ancestors(self._fanout, partition, height, rank, top, maps, maps)
         if added:
             counts = self._dirty_map_counts
             counts[partition] = counts.get(partition, 0) + added
-
-    def _ancestors(
-        self, partition: int, height: int, rank: int, top: int, known: Set, into: Set
-    ) -> int:
-        """Add to ``into`` the ancestors of chunk ``(partition, height,
-        rank)`` up to height ``top`` that neither it nor ``known`` holds
-        yet; returns how many.  The walk stops at the first one already
-        there: every ancestor of a member is a member."""
-        fanout = self._fanout
-        height += 1
-        rank //= fanout
-        added = 0
-        while height <= top:
-            key = (partition, height, rank)
-            if key in known or key in into:
-                break
-            into.add(key)
-            added += 1
-            height += 1
-            rank //= fanout
-        return added
-
-    def map_growth(
-        self, dirtied: Iterable[Tuple[int, int, int, int]], fresh: bool = False
-    ) -> Dict[int, int]:
-        """Per partition, the map chunks ``put_dirty`` would add to the next
-        checkpoint for each ``(partition, height, rank, top)`` of
-        ``dirtied`` — what a commit or a cleaner re-commit is about to add
-        to the reserve; ``fresh``: to an empty dirty set, as a checkpoint
-        leaves it."""
-        scratch: Set[Tuple[int, int, int]] = set()
-        known = scratch if fresh else self._dirty_maps
-        growth: Dict[int, int] = {}
-        for partition, height, rank, top in dirtied:
-            added = self._ancestors(partition, height, rank, top, known, scratch)
-            if added:
-                growth[partition] = growth.get(partition, 0) + added
-        return growth
 
     def drop_partition(self, partition: int) -> None:
         """Forget everything about a deallocated partition."""

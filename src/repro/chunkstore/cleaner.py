@@ -26,8 +26,9 @@ Two safety properties from the paper:
 
 Two log-space rules (DESIGN.md, "Log space"): the cleaned segment is only
 *deferred* — the last checkpoint may still need it, so it is free once the
-next one is durable — and a re-commit runs only if it fits the writer's
-capacity, the reserve it adds for the next checkpoint included; one that
+next one is durable — and a re-commit runs only if
+:meth:`LogSpace.move_fits <repro.chunkstore.logspace.LogSpace.move_fits>`
+says so, the reserve it adds for the next checkpoint included; one that
 does not is declined, and the caller checkpoints first.
 """
 
@@ -71,8 +72,8 @@ class Cleaner:
 
     def clean_one(self) -> Optional[int]:
         """Clean the emptiest cleanable segment; returns its index, or
-        ``None`` if no segment is worth cleaning or its re-commit would not
-        fit the writer's capacity."""
+        ``None`` if no segment is worth cleaning or the log-space module
+        says its re-commit would not fit."""
         store = self.store
         # a writer like any other (and callable on its own): both locks
         with store._writers, store._lock:
@@ -86,14 +87,9 @@ class Cleaner:
             target = store.segman.emptiest_cleanable_segment()
             if target is None:
                 return None
-            previous = store._in_maintenance
-            store._in_maintenance = True
-            try:
-                with obs.span("chunkstore.cleaner_pass", segment=target):
-                    if not self._clean_segment(target):
-                        return None
-            finally:
-                store._in_maintenance = previous
+            with obs.span("chunkstore.cleaner_pass", segment=target):
+                if not self._clean_segment(target):
+                    return None
             self.cleaned_segments += 1
             return target
 
@@ -176,11 +172,8 @@ class Cleaner:
             survivors.append((header.chunk_id, body, pids))
 
         if survivors:
-            need, capacity = self._cost(survivors), store.writer.capacity()
-            if need > capacity:
-                obs.emit(
-                    "clean_declined", segment=segment, need=need, capacity=capacity
-                )
+            record = self._record(survivors)
+            if not store.log_space.move_fits(segment, record, survivors):
                 return False
             self._rewrite(survivors)
         segman.release_segment(segment)
@@ -197,29 +190,6 @@ class Cleaner:
         return CleanerRecord(
             [(cid.height, cid.rank, pids) for cid, body, pids in survivors]
         ).encode()
-
-    def _cost(self, survivors: List[_Survivor]) -> int:
-        """What re-committing ``survivors`` takes from the writer's
-        capacity: the versions as they will be appended, and the growth of
-        the next checkpoint's reserve."""
-        store = self.store
-        codec = store.codec
-        table = store.table
-        sizes = [codec.version_size(len(self._record(survivors)), codec.system_cipher)]
-        sizes += [
-            codec.version_size(len(body), table.load(pids[0]).cipher)
-            for _, body, pids in survivors
-        ]
-        fanout = store.config.fanout
-        states = {pid: table.load(pid) for _, _, pids in survivors for pid in pids}
-        dirtied = [
-            (pid, cid.height, cid.rank, states[pid].checkpoint_height(fanout))
-            for cid, _, pids in survivors
-            for pid in pids
-        ]
-        return store.reserve.appends(sum(sizes), max(sizes)) + store.reserve.growth(
-            dirtied, states.values()
-        )
 
     def _rewrite(self, survivors: List[_Survivor]) -> None:
         """Re-commit the current versions to the log tail (one commit)."""

@@ -59,10 +59,12 @@ started meanwhile.
 changes is the :class:`~repro.chunkstore.partitions.PartitionTable`
 (``store.table``); reads go through the
 :class:`~repro.chunkstore.readpath.ReadPath`, appends through the
-:class:`~repro.chunkstore.writepath.LogWriter`; checkpoint, cleaner,
-recovery and scrub are modules of their own that are handed the store and
-run under its locks.  Every public method takes its lock(s), passes
-:meth:`ChunkStore._check_open` and delegates.
+:class:`~repro.chunkstore.writepath.LogWriter`; whether they fit, and
+when to clean and checkpoint to make them fit, is the
+:class:`~repro.chunkstore.logspace.LogSpace`'s to say; checkpoint,
+cleaner, recovery and scrub are modules of their own that are handed the
+store and run under its locks.  Every public method takes its lock(s),
+passes :meth:`ChunkStore._check_open` and delegates.
 """
 
 from __future__ import annotations
@@ -73,12 +75,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.chunkstore.cache import DescriptorCache, ValidatedChunkCache
-from repro.chunkstore.checkpoint import (
-    DEALLOC_ENTRY_BOUND,
-    NEW_LEADER_BOUND,
-    CheckpointReserve,
-    write_checkpoint,
-)
+from repro.chunkstore.checkpoint import write_checkpoint
 from repro.chunkstore.cleaner import Cleaner
 from repro.chunkstore.config import StoreConfig, mac_key, system_cipher_key
 from repro.chunkstore.descriptor import ChunkDescriptor
@@ -88,10 +85,10 @@ from repro.chunkstore.ids import (
     data_id,
     partition_rank,
     rank_to_partition,
-    required_height,
 )
 from repro.chunkstore.leader import LeaderPayload, SystemExtras
 from repro.chunkstore.log import DeallocateRecord, LogCodec, VersionKind
+from repro.chunkstore.logspace import LogSpace
 from repro.chunkstore.ops import (
     CopyPartition,
     DeallocateChunk,
@@ -172,19 +169,14 @@ class ChunkStore:
         self.validator = make_validator(
             config, platform, system_hash, self.mac, system_cipher.authenticates
         )
-        #: the log-space reserve: what the next checkpoint may write, kept
-        #: from the cache's running counts
-        self.reserve = CheckpointReserve(self.cache, self.table, self.codec, self.segman)
         #: the one commit-set protocol (appends, jumps, seal, flush, TR
         #: write), over this store's log; every call runs under ``_lock``
         self.writer = LogWriter(
-            self.codec,
-            self.segman,
-            self.logbuf,
-            self.validator,
-            platform.injector,
-            self.reserve.bytes,
+            self.codec, self.segman, self.logbuf, self.validator, platform.injector
         )
+        #: the checkpoint reserve, what every other append costs, and when
+        #: to clean and checkpoint to keep room for it; runs under both locks
+        self.log_space = LogSpace(self)
         #: §4.9.5 cleaning, and its lifetime tallies; takes both locks itself
         self.cleaner = Cleaner(self)
         #: the writers' lock: whoever appends to the log or must see only
@@ -194,14 +186,9 @@ class ChunkStore:
         #: commit's device flush (see the module docstring)
         self._lock = threading.RLock()
         self._leader_location = 0
-        self._in_maintenance = False
         self._closed = False
         self._failed = False
         self.commit_count_stat = 0
-        #: checkpoints a commit wrote because ``checkpoint_dirty_threshold``
-        #: descriptors were dirty, and because the log ran short of space
-        self.checkpoints_for_dirty = 0
-        self.checkpoints_for_space = 0
         #: open snapshot views; while > 0 the cleaner declines to run so
         #: the extents frozen roots point at are never relocated or reused
         self._snapshot_pins = 0
@@ -271,7 +258,7 @@ class ChunkStore:
                 return
             # a log with no room for a checkpoint closes without one:
             # recovery replays the residual log instead
-            if checkpoint and not self._failed and self.writer.capacity() >= 0:
+            if checkpoint and not self._failed and self.log_space.checkpoint_fits():
                 self._write_checkpoint()
             self._closed = True
 
@@ -560,12 +547,7 @@ class ChunkStore:
                 # current: flush buffered descriptors first (see DESIGN.md).
                 if not self.table.is_checkpoint_clean():
                     self._write_checkpoint()
-            due = self.cache.dirty_count() >= self.config.checkpoint_dirty_threshold
-            if not self._make_room(operations, checkpoint_due=due):
-                raise StorageFullError(
-                    f"no room for a commit of {len(operations)} operation(s) "
-                    f"after cleaning: {self.writer.capacity()} bytes left"
-                )
+            self.log_space.make_room(operations)
             try:
                 self._commit_locked(operations)
             except BaseException:
@@ -635,201 +617,6 @@ class ChunkStore:
                     self.table.load(source)
             else:
                 raise ChunkStoreError(f"unknown operation {op!r}")
-
-    def _estimate_commit_bytes(
-        self, operations: Sequence[object], fresh: bool = False
-    ) -> int:
-        """What a commit of ``operations`` takes from the writer's capacity:
-        its versions as they will be appended and what it adds to the next
-        checkpoint's reserve — ``fresh``: right after a checkpoint, when
-        nothing is dirty.  Runs after ``_validate_operations``, which opened
-        every partition involved that exists."""
-        reserve = self.reserve
-        fanout = self.config.fanout
-        partitions = self.table.partitions
-        # a chunk whose parent map chunk is dirty adds nothing to the reserve
-        # (its ancestors are dirty too): only the others get the dry run
-        known = () if fresh else self.cache.dirty_maps()
-        sizes: List[int] = []
-        freed = 0
-        #: (partition, height, rank, top) of the chunks that may add some
-        dirtied: List[Tuple[int, int, int, int]] = []
-        #: pid -> its open state (None: created by this commit), the height
-        #: of the root its checkpoint writes, and the first rank above that
-        touched: Dict[int, Tuple[Optional[PartitionState], int, int]] = {}
-        for op in operations:
-            kind = type(op)
-            if kind is WriteChunk or kind is DeallocateChunk:
-                pid, rank = op.partition, op.rank
-            else:  # a partition leader: a data chunk of the system partition
-                pid, rank = SYSTEM_PARTITION, partition_rank(op.partition)
-            entry = touched.get(pid)
-            if entry is None:
-                state = partitions.get(pid)
-                top = 1 if state is None else state.checkpoint_height(fanout)
-                entry = touched[pid] = (state, top, fanout**top)
-            state, top, limit = entry
-            if kind is WriteChunk:
-                # a partition this commit creates is not open yet: sized at
-                # the widest suite
-                sizes.append(reserve.version(state, len(op.data)))
-            elif kind is DeallocateChunk:
-                freed += 1
-            elif kind is CopyPartition:
-                # the copy's leader and the source's, each the source's size
-                sizes += [reserve.leader_version(partitions[op.source])] * 2
-            elif kind is WritePartition:
-                owner = partitions.get(op.partition)
-                sizes.append(
-                    reserve.version(None, NEW_LEADER_BOUND)
-                    if owner is None
-                    else reserve.leader_version(owner)
-                )
-            else:
-                freed += len(self.table.copy_family(op.partition))
-            if rank >= limit:  # the write grows the tree
-                dirtied.append((pid, 0, rank, required_height(fanout, rank + 1)))
-            elif (pid, 1, rank // fanout) not in known:
-                dirtied.append((pid, 0, rank, top))
-        if freed:  # the deallocation record: a few varints per id
-            sizes.append(self.codec.version_size(
-                DEALLOC_ENTRY_BOUND * (freed + 1), self.codec.system_cipher
-            ))
-        leaders = [
-            state
-            for state, _, _ in touched.values()
-            if state is not None and (fresh or not state.leader_dirty)
-        ]
-        appended = reserve.appends(sum(sizes), max(sizes, default=0))
-        if dirtied or leaders:
-            return appended + reserve.growth(dirtied, leaders, fresh)
-        return appended
-
-    def _plain_commit_bytes(self, operations: Sequence[object]) -> Optional[int]:
-        """For the common commit — chunk writes and deallocations of ranks
-        its partitions have already — an upper bound on what it appends,
-        from one pass; ``None`` for any other commit.  Such a commit adds
-        no map chunk and no leader the reserve's ceiling does not hold."""
-        partitions = self.table.partitions
-        total = largest = 0
-        pid = ranks = None
-        for op in operations:
-            kind = type(op)
-            if kind is WriteChunk:
-                size = len(op.data)
-            elif kind is DeallocateChunk:
-                size = 0
-            else:
-                return None
-            if op.partition != pid:
-                pid = op.partition
-                state = partitions.get(pid)
-                if state is None:
-                    return None
-                ranks = state.payload.next_rank
-            if op.rank >= ranks:
-                return None
-            total += size
-            largest = max(largest, size)
-        return self.reserve.plain_appends(len(operations), total, largest)
-
-    def _make_room(self, operations: Sequence[object], checkpoint_due: bool) -> bool:
-        """Make room in the log for a commit of ``operations``, writing the
-        threshold checkpoint first if ``checkpoint_due``; returns whether
-        the commit fits.  The log-space rules (DESIGN.md, "Log space"):
-
-        * While the commit fits — after the due checkpoint, if one is due —
-          clean towards the low-water target: ``clean_low_water`` segments
-          (never fewer than two: one to move survivors into, one that the
-          checkpoint releasing them may leave unfinished) of room beyond
-          the reserve's ceiling — every map chunk dirty — so that a
-          clean, which dirties the chains above what it moves, always
-          fits.  A deferred segment counts towards it, less the one segment
-          that checkpoint may leave.  When nothing outside the residual log
-          is left to clean, checkpoint once to unpin it.  Then write the
-          due checkpoint: it releases what was just cleaned.
-        * While it does not: checkpoint if releasing the deferred segments
-          is enough; else clean; else, once a clean made progress and if a
-          checkpoint now adds capacity or unpins the residual log,
-          checkpoint anyway.  A due checkpoint that cannot be made to fit
-          is skipped this time.
-
-        A commit is sized against the dirty set it will find: a checkpoint
-        empties it, and every chain above the commit's chunks is new then.
-        """
-        writer, segman, reserve = self.writer, self.segman, self.reserve
-        segment = writer.max_version_size
-        low_water = max(self.config.clean_low_water, 2) * self.config.segment_size
-        # a plain commit cannot take the reserve past its ceiling, so room
-        # beyond the ceiling that holds its versions is room enough: the
-        # common case needs no exact sizing
-        plain = self._plain_commit_bytes(operations)
-        # a checkpoint makes the survivors a clean moved cleanable again:
-        # the clean budget is what bounds the loop
-        cleans = segman.segment_count
-        cleaned = True  # since the last checkpoint this call wrote
-        while True:
-            room, ceiling = writer.room(), reserve.ceiling()
-            # room once the reserve grew to its ceiling, a deferred segment
-            # counted less the one its releasing checkpoint may leave
-            reclaimed = max(len(segman.deferred_segments) - 1, 0) * segment
-            below_low_water = room - ceiling + reclaimed < low_water
-            if checkpoint_due:
-                fits = room - reserve.bytes() + reserve.released() >= (
-                    self._estimate_commit_bytes(operations, fresh=True)
-                )
-            elif plain is not None and room - ceiling >= plain:
-                fits = True
-            else:
-                fits = room - reserve.bytes() >= self._estimate_commit_bytes(operations)
-            if self._in_maintenance:
-                return fits
-            if fits and below_low_water and cleans:
-                if self.cleaner.clean_one() is not None:
-                    cleans -= 1
-                    cleaned = True
-                    continue
-            if fits and checkpoint_due:
-                for_space = False
-            elif fits and not (below_low_water and cleaned and self._unpins()):
-                return True
-            elif fits:
-                # nothing left to clean outside the residual log: a
-                # checkpoint makes it cleanable (§4.9.5)
-                for_space = True
-            elif (
-                not checkpoint_due
-                and segman.deferred_segments
-                and room - reserve.bytes() + reserve.released()
-                >= self._estimate_commit_bytes(operations, fresh=True)
-            ):
-                for_space = True  # releasing the deferred segments is enough
-            elif cleans and self.cleaner.clean_one() is not None:
-                cleans -= 1
-                cleaned = True
-                continue
-            elif checkpoint_due:
-                checkpoint_due = False  # the commit may fit without it
-                continue
-            elif cleaned and (reserve.released() > 0 or self._unpins()):
-                for_space = True
-            else:
-                return False
-            self._write_checkpoint()
-            if for_space:
-                self.checkpoints_for_space += 1
-            else:
-                self.checkpoints_for_dirty += 1
-                checkpoint_due = False
-            cleaned = False
-
-    def _unpins(self) -> bool:
-        """Would a checkpoint now make segments of the residual log
-        cleanable, and leave the reserve covered for the one after it?"""
-        return (
-            len(self.segman.residual_segments) > 1
-            and self.writer.capacity() + self.reserve.released() >= 0
-        )
 
     def _commit_locked(self, operations: Sequence[object]) -> None:
         injector = self.platform.injector
@@ -931,7 +718,7 @@ class ChunkStore:
             self._write_checkpoint()
 
     def _write_checkpoint(self, initial: bool = False) -> None:
-        if not initial and self.writer.capacity() < 0:
+        if not initial and not self.log_space.checkpoint_fits():
             # the reserve is short (a checkpoint just took the last free
             # segment): refused before anything is appended, so the store
             # is not failed by it
@@ -973,23 +760,7 @@ class ChunkStore:
         the number actually cleaned."""
         with self._writers, self._lock:
             self._check_open()
-            segman = self.segman
-            cleaned = 0
-            checkpointed = False
-            while cleaned < max_segments:
-                if self.cleaner.clean_one() is not None:
-                    cleaned += 1
-                    continue
-                if checkpointed or not (
-                    segman.deferred_segments or len(segman.residual_segments) > 1
-                ):
-                    break
-                # what is left to clean is pinned in the residual log, or
-                # its move needs the segments cleaned so far: one checkpoint
-                # bounds the one and releases the other (§4.9.5)
-                self._write_checkpoint()
-                checkpointed = True
-            return cleaned
+            return self.log_space.clean(max_segments)
 
     # ------------------------------------------------------------------
     # introspection / stats
@@ -1060,14 +831,7 @@ class ChunkStore:
                     "bytes_by_kind": dict(self.writer.bytes_by_kind),
                 },
                 "cleaner": self.cleaner.stats(),
-                "log_space": {
-                    "free_segments": self.segman.free_segment_count(),
-                    "deferred_segments": len(self.segman.deferred_segments),
-                    "reserve_bytes": self.reserve.bytes(),
-                    "capacity_bytes": self.writer.capacity(),
-                    "checkpoints_for_dirty": self.checkpoints_for_dirty,
-                    "checkpoints_for_space": self.checkpoints_for_space,
-                },
+                "log_space": self.log_space.stats(),
                 "commits": self.commit_count_stat,
                 "payload_cache": self.payloads.stats(),
                 "walk": {

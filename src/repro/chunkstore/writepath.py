@@ -28,11 +28,11 @@ the device and the retrier), the validator and the crash injector.
 ``ChunkStore`` builds one and calls it under both of its locks (the
 writers' lock and ``_lock``); the one thing a caller may hand it is
 ``_lock`` itself, to drop across an application commit's device flush.
+Whether an append fits is not its business: every writer but a
+checkpoint asks :mod:`repro.chunkstore.logspace` before it appends.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.chunkstore.descriptor import ChunkDescriptor, ChunkStatus
 from repro.chunkstore.ids import SYSTEM_PARTITION, ChunkId
@@ -54,14 +54,6 @@ _UNNAMED_KINDS = {
 }
 
 
-def max_version_size(codec: LogCodec, segment_size: int) -> int:
-    """The largest version the log can hold: every segment keeps room for
-    the NEXT_SEGMENT version that chains it to its successor."""
-    return segment_size - codec.version_size(
-        NextSegmentRecord.BODY_SIZE, codec.system_cipher
-    )
-
-
 class LogWriter:
     """Appends versions at the log tail and closes commit sets."""
 
@@ -72,17 +64,17 @@ class LogWriter:
         logbuf: LogWriteBuffer,
         validator: Validator,
         injector: CrashInjector,
-        reserve: Callable[[], int],
     ) -> None:
         self.codec = codec
         self.segman = segman
         self.logbuf = logbuf
         self.validator = validator
         self.injector = injector
-        #: bytes the next checkpoint may need (``CheckpointReserve.bytes``):
-        #: what :meth:`capacity` holds back from every other writer
-        self.reserve = reserve
-        self.max_version_size = max_version_size(codec, segman.segment_size)
+        #: the largest version the log can hold: every segment keeps room
+        #: for the NEXT_SEGMENT version that chains it to its successor
+        self.max_version_size = segman.segment_size - codec.version_size(
+            NextSegmentRecord.BODY_SIZE, codec.system_cipher
+        )
         #: bytes appended per kind of version, whoever appended them (commit,
         #: checkpoint or cleaner): ``data`` and ``map`` chunks of any
         #: partition bar the system partition's data chunks — the partition
@@ -91,22 +83,6 @@ class LogWriter:
         self.bytes_by_kind = dict.fromkeys(
             ("data", "map", "leader", *_UNNAMED_KINDS.values()), 0
         )
-
-    def room(self) -> int:
-        """Bytes of versions the log can still take: the rest of the tail
-        segment plus every free segment (deferred ones are not free yet)."""
-        return (
-            self.max_version_size
-            - self.segman.tail_offset
-            + self.segman.free_segment_count() * self.max_version_size
-        )
-
-    def capacity(self) -> int:
-        """What :meth:`room` leaves to anything but a checkpoint: the rest,
-        less the reserve the next checkpoint may need.  A commit or a
-        cleaner re-commit appends only what fits here, the reserve it adds
-        included, so the next checkpoint always fits."""
-        return self.room() - self.reserve()
 
     # -- appending -------------------------------------------------------------
 

@@ -39,8 +39,8 @@ DEFAULT_CAPACITY = 8192
 
 #: spans timed even while tracing is off: whole operations, rare and long
 #: enough (a commit, a cache-miss read, a recovery) that one histogram
-#: sample each stays inside the < 5 % overhead budget ``store_bench
-#: --check`` enforces.  Catalogued in docs/OBSERVABILITY.md.
+#: sample each stays inside the < 5 % overhead budget ``python -m
+#: repro.bench store --check`` enforces.  Catalogued in docs/OBSERVABILITY.md.
 OPERATIONS = frozenset(
     {
         "chunkstore.commit",

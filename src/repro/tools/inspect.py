@@ -138,12 +138,10 @@ def trusted_view(store: ChunkStore) -> Dict[str, Any]:
         else 1.0,
         "segments": {
             "total": segman.segment_count,
-            "free": segman.free_segment_count(),
-            # cleaned, free once the next checkpoint is durable
-            "deferred": len(segman.deferred_segments),
             "residual": len(segman.residual_segments),
         },
-        # free space against what the next checkpoint may need of it
+        # free and deferred (cleaned, free once the next checkpoint is
+        # durable) segments, against what the next checkpoint may need
         "log_space": stats["log_space"],
         "cache": {
             "dirty_descriptors": cache["dirty_entries"],

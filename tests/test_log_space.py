@@ -14,17 +14,56 @@ Two defects of a store that cleaned and reused segments with no reserve:
 The reproducers below are the ones that found them.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.chunkstore import ChunkStore, ops
+from repro.chunkstore.log import VersionKind
 from repro.errors import StorageFullError
 from repro.testing.snapshot import PlatformSnapshot
 from repro.testing.sweep import SweepDriver, SweepSite
 from tests.conftest import make_config, make_platform
 
 SEGMENT = 16 * 1024
+
+GOLDEN = Path(__file__).parent / "golden" / "log_space_decisions.json"
+
+
+@pytest.mark.parametrize("mode", ["counter", "direct"])
+def test_capacity_counts_the_tail_and_every_free_segment(mode):
+    """``room`` is the rest of the tail segment plus every free segment —
+    not a deferred one — and ``capacity`` is room less the reserve; an
+    append takes exactly its version from the capacity."""
+    platform = make_platform(size=512 * 1024)
+    store = ChunkStore.format(
+        platform, make_config(validation_mode=mode, segment_size=8 * 1024)
+    )
+    space, segman, writer = store.log_space, store.segman, store.writer
+    pid = store.allocate_partition()
+    store.commit([ops.WritePartition(pid, cipher_name="null", hash_name="sha1")])
+    store.commit([ops.WriteChunk(pid, store.allocate_chunk(pid), b"v") for _ in range(10)])
+    for _ in range(3):  # obsolete versions for the cleaner to find
+        store.commit([ops.WriteChunk(pid, r, b"z" * 500) for r in range(10)])
+    store.checkpoint()
+    for deferred in (0, 1):
+        assert len(segman.deferred_segments) == deferred
+        assert space.room() == (
+            writer.max_version_size - segman.tail_offset
+            + segman.free_segment_count() * writer.max_version_size
+        )
+        assert space.capacity() == space.room() - space.reserve()
+        if not deferred:
+            assert store.clean(max_segments=1) == 1
+    before = space.capacity()
+    with store._lock:
+        writer.begin_set()
+        writer.append_unnamed(VersionKind.DEALLOCATE, b"y" * 100)
+    assert before - space.capacity() == store.codec.version_size(
+        100, store.codec.system_cipher
+    )
 
 
 def loaded_store(threshold, cipher, hash_name, **overrides):
@@ -197,3 +236,95 @@ def test_every_crash_between_a_clean_and_the_next_checkpoint_reopens(mode):
 
     crashed = driver.sweep(_Churned.workload, check, sites=sites)
     assert len(crashed) == len(sites) > 60
+
+
+# -- the decisions, pinned ------------------------------------------------------
+
+
+def decisions(store):
+    """What the log-space policy decided, as the store tallies it."""
+    stats = store.stats()
+    return {
+        "log_space": stats["log_space"],
+        "cleaner": stats["cleaner"],
+        "bytes_by_kind": stats["log"]["bytes_by_kind"],
+    }
+
+
+def loaded_run(mode, threshold, full):
+    """``loaded_store`` loaded and overwritten in rank order: with null
+    hashes and no cleaning ahead (every checkpoint has room), or ``full``
+    under a 20-byte hash and the default low-water mark (until a commit is
+    refused).  Then ``close``, whose checkpoint needs room too."""
+    if full:
+        platform, store, pid, _ = loaded_store(
+            threshold, "null", "sha1", validation_mode=mode
+        )
+    else:
+        platform, store, pid, _ = loaded_store(
+            threshold, "null", "null", clean_low_water=0, validation_mode=mode
+        )
+    model = {}
+    try:
+        write_batches(store, pid, model, list(range(6000)), tag=1)
+        write_batches(store, pid, model, list(range(6000)), tag=2)
+        refused = False
+    except StorageFullError:
+        refused = True
+    result = {"refused": refused, "committed": len(model), **decisions(store)}
+    store.close()
+    result["after_close"] = decisions(store)
+    return result
+
+
+def churn_run(mode):
+    """The 12-segment churn of the crash-image test above (``Random(1)``,
+    400 single-chunk overwrites), then ``clean(max_segments=3)`` and
+    ``close``."""
+    platform = make_platform(size=4096 + 12 * SEGMENT)
+    config = make_config(checkpoint_dirty_threshold=64, validation_mode=mode)
+    store = ChunkStore.format(platform, config)
+    pid = store.allocate_partition()
+    store.commit([ops.WritePartition(pid, cipher_name="ctr-sha256", hash_name="sha1")])
+    store.commit(
+        [ops.WriteChunk(pid, store.allocate_chunk(pid), bytes(600)) for _ in range(100)]
+    )
+    rng = random.Random(1)
+    for step in range(400):
+        store.commit([ops.WriteChunk(pid, rng.randrange(100), bytes([step % 256]) * 600)])
+    result = decisions(store)
+    result["cleaned"] = store.clean(max_segments=3)
+    result["after_clean"] = decisions(store)
+    store.close()
+    result["after_close"] = decisions(store)
+    return result
+
+
+RUNS = {
+    f"{mode}-{name}": (run, args)
+    for mode in ("counter", "direct")
+    for name, run, args in [
+        ("loaded-256", loaded_run, (mode, 256, False)),
+        ("loaded-1024", loaded_run, (mode, 1024, False)),
+        ("full-256", loaded_run, (mode, 256, True)),
+        ("full-1024", loaded_run, (mode, 1024, True)),
+        ("churn", churn_run, (mode,)),
+    ]
+}
+
+
+def write_decisions(path=GOLDEN):
+    """Run with the parent's ``src`` on ``PYTHONPATH`` to (re)write the
+    golden file from the policy being refactored; re-record only when a
+    decision changes on purpose."""
+    golden = {key: run(*args) for key, (run, args) in RUNS.items()}
+    path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("key", sorted(RUNS))
+def test_log_space_decisions_match_the_golden(key):
+    """Every clean, checkpoint (by cause), refusal and appended byte of
+    five scripted runs per mode is the one recorded before the log-space
+    policy moved into one module: the move changed no decision."""
+    run, args = RUNS[key]
+    assert run(*args) == json.loads(GOLDEN.read_text())[key]

@@ -1,5 +1,6 @@
 """The log write path: a static guard that only ``validation.py`` knows
-which §4.8.2 discipline is in force, and ``LogWriter`` driven directly —
+which §4.8.2 discipline is in force, another that only ``logspace.py``
+sizes the log, and ``LogWriter`` driven directly —
 one protocol, whatever the stage and whichever the discipline.  And the
 gate in front of it all: a static guard that every public ``ChunkStore``
 call takes its lock(s) — writers the writers' lock, then ``_lock`` — and
@@ -55,6 +56,38 @@ def test_only_the_validation_module_knows_the_discipline():
                 names = [alias.name for alias in node.names]
             if {"DirectValidation", "CounterValidation"} & set(names):
                 offenders.append(f"{path.name}:{node.lineno}: names a validator class")
+    assert not offenders, offenders
+
+
+#: what turns log state into byte counts or into clean/checkpoint decisions
+SIZES_THE_LOG = {
+    "room", "capacity", "ceiling", "released", "growth", "map_growth",
+    "appends", "plain_appends",
+}
+
+
+def test_only_the_log_space_module_sizes_the_log():
+    """No call to a log-sizing routine and no mention of a reserve class
+    anywhere under ``chunkstore/`` but ``logspace.py``: the other modules
+    ask it whether something fits, they do not size the log themselves."""
+    offenders = []
+    for path in sorted(CHUNKSTORE.glob("*.py")):
+        if path.name == "logspace.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, (ast.Attribute, ast.Name))
+                and getattr(node.func, "attr", getattr(node.func, "id", None))
+                in SIZES_THE_LOG
+            ):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:  # a name, an attribute, a class or function definition
+                names = [getattr(node, key, None) for key in ("id", "attr", "name")]
+            if any(str(name).endswith("Reserve") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}: names a reserve class")
     assert not offenders, offenders
 
 
@@ -318,22 +351,6 @@ class TestLogWriter:
             # the segment left behind ends in the jump that chains it on
             assert segman.used_bytes[first] <= segman.segment_size
             assert segman.used_bytes[first] > writer.max_version_size - len(filler)
-
-    def test_capacity_counts_the_tail_and_every_free_segment(self, mode):
-        platform, store = fresh(mode)
-        writer, segman = store.writer, store.segman
-        before = writer.capacity()
-        assert before == (
-            writer.max_version_size - segman.tail_offset
-            + segman.free_segment_count() * writer.max_version_size
-            - store.reserve.bytes()
-        )
-        with store._lock:
-            writer.begin_set()
-            writer.append_unnamed(VersionKind.DEALLOCATE, b"y" * 100)
-        assert before - writer.capacity() == store.codec.version_size(
-            100, store.codec.system_cipher
-        )
 
     def test_an_oversized_version_is_refused_before_anything_moves(self, mode):
         platform, store = fresh(mode)
