@@ -5,12 +5,14 @@ Runs on a device whose ``flush`` has realistic latency (the cost group
 commit exists to amortize):
 
 * ``baseline`` — one session committing ``writers * txs`` transactions
-  sequentially through the plain ``ObjectStore`` path: one log flush per
-  transaction, the pre-server behavior;
+  sequentially, with no server: they go through the same
+  :class:`~repro.objectstore.group_commit.GroupCommitter` as every
+  commit, but one at a time, so every batch holds one transaction and
+  pays one log flush;
 * ``concurrent`` — the same total transaction count issued from
   ``writers`` threads through :class:`~repro.server.server.TDBServer`,
-  so concurrently-arriving commits share one flush via the
-  :class:`~repro.server.group_commit.GroupCommitter`.  ``readers``
+  so concurrently-arriving commits share one flush in the committer's
+  batches.  ``readers``
   threads serve themselves MVCC snapshots the whole time and count reads
   that complete *inside* an in-flight commit's flush window — the proof
   that snapshot reads never queue behind the commit path.
@@ -33,8 +35,9 @@ commit exists to amortize):
 
 Per-transaction commit latency feeds the obs histograms
 (``server.tx_commit`` / ``server.tx_commit_baseline``; the committer's
-own ``server.group_commit`` histogram times each batch flush), and the
-results report their p50/p99.
+own ``server.group_commit`` histogram times each batch flush, the
+baseline's batches of one included), and the results report their
+p50/p99.
 """
 
 from __future__ import annotations
@@ -105,10 +108,8 @@ FLOORS = (
 ROWS = ((8, 12, 4), (16, 16, 8))
 TINY_ROWS = ((16, 6, 2),)
 
-#: simulated device flush latency (what group commit amortizes), and the
-#: group-commit batch cap (transactions per store commit)
+#: simulated device flush latency (what group commit amortizes)
 FLUSH_DELAY = 0.002
-MAX_BATCH = 64
 
 SNAPSHOT_OPEN_OBJECTS = 16384
 
@@ -235,7 +236,7 @@ def _run_concurrent(
     reads_during_commit = [0] * readers
     snapshot_reads = [0] * readers
 
-    with TDBServer(objects, max_batch=MAX_BATCH) as server:
+    with TDBServer(objects) as server:
 
         def write_loop(ref: ObjectRef) -> None:
             try:
@@ -447,7 +448,6 @@ def run(tiny: bool) -> Dict[str, object]:
     obs.reset()  # the latency section below covers this run only
     results: Dict[str, object] = {
         "flush_delay_ms": FLUSH_DELAY * 1e3,
-        "max_batch": MAX_BATCH,
         "partition_cipher": PARTITION_CIPHER,
         "partition_hash": PARTITION_HASH,
         "rows": {},

@@ -137,9 +137,6 @@ class Index:
         state = tx.get(self.ref)
         return self._key_functions.get(state["keyfunc"])(obj)
 
-    def is_sorted(self, tx: Transaction) -> bool:
-        return tx.get(self.ref)["sorted"]
-
     def name(self, tx: Transaction) -> str:
         return tx.get(self.ref)["name"]
 

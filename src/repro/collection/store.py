@@ -47,9 +47,6 @@ class Collection:
     def size(self, tx: Transaction) -> int:
         return self._state(tx)["size"]
 
-    def index_names(self, tx: Transaction) -> List[str]:
-        return sorted(self._state(tx)["indexes"])
-
 
 class CollectionStore:
     """Manages named collections within one partition."""

@@ -29,10 +29,6 @@ class Mac:
         self._inner_key = bytes(b ^ _IPAD for b in key)
         self._outer_key = bytes(b ^ _OPAD for b in key)
 
-    @property
-    def tag_size(self) -> int:
-        return self._hash.digest_size
-
     def sign(self, message: bytes) -> bytes:
         """HMAC tag for ``message`` under the construction key."""
         inner = self._hash.new()

@@ -35,11 +35,6 @@ class CryptoUnavailableError(TDBError):
     """
 
 
-class SecrecyError(TDBError):
-    """An operation would violate the secrecy contract (e.g. reading the
-    secret store from an untrusted context in the simulated platform)."""
-
-
 class ChunkStoreError(TDBError):
     """Base class for chunk-store usage errors."""
 

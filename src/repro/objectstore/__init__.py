@@ -1,6 +1,7 @@
 """Object store (§7): typed, transactional objects over the chunk store."""
 
 from repro.objectstore.cache import ObjectCache
+from repro.objectstore.group_commit import GroupCommitter
 from repro.objectstore.locks import LockManager
 from repro.objectstore.pickling import (
     DEFAULT_REGISTRY,
@@ -18,6 +19,7 @@ __all__ = [
     "TxStatus",
     "ObjectRef",
     "ObjectCache",
+    "GroupCommitter",
     "LockManager",
     "PicklerRegistry",
     "DEFAULT_REGISTRY",

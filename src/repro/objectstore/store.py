@@ -14,7 +14,10 @@ modes and timeout-based deadlock breaking.  Buffering is *no-steal*:
 modified objects stay in the transaction's private buffer until commit,
 when they are pickled and handed to the chunk store as a single atomic
 commit — so transaction atomicity rides directly on chunk-store commit
-atomicity, and aborts never touch persistent state.
+atomicity, and aborts never touch persistent state.  Every commit goes
+through the store's one :class:`~repro.objectstore.group_commit.GroupCommitter`,
+which merges concurrently arriving transactions into one chunk-store
+commit (a lone transaction is a batch of one).
 
 Usage::
 
@@ -36,9 +39,8 @@ evicted from the shared cache defensively.
 from __future__ import annotations
 
 import itertools
-import threading
 from enum import Enum
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro import obs
 from repro.chunkstore.ops import DeallocateChunk, WriteChunk, WritePartition
@@ -51,6 +53,7 @@ from repro.errors import (
     TransactionError,
 )
 from repro.objectstore.cache import ObjectCache
+from repro.objectstore.group_commit import GroupCommitter
 from repro.objectstore.locks import LockManager
 from repro.objectstore.pickling import (
     DEFAULT_REGISTRY,
@@ -91,13 +94,9 @@ class ObjectStore:
         self.cache = ObjectCache(cache_size)
         self.locks = LockManager(lock_timeout, clock=chunk_store.platform.clock)
         self._tx_ids = itertools.count(1)
-        self._commit_mutex = threading.Lock()
-        #: optional group-commit seam (set by the serving layer): an
-        #: object with ``commit(ops)`` that batches concurrent commits.
-        #: When set, transactions hand their op batch to it *without*
-        #: taking ``_commit_mutex`` — serializing commits here would
-        #: prevent the batches from ever forming.
-        self.committer = None
+        #: the one commit route: every transaction hands its op batch to
+        #: it, and concurrent commits share one chunk-store commit
+        self.committer = GroupCommitter(chunk_store)
         #: operation counters for the Figure 10 accounting
         self.op_counts: Dict[str, int] = {
             "read": 0,
@@ -155,30 +154,35 @@ class ObjectStore:
         self.cache.put(ref, value)
         return value
 
-    def _load_many(self, refs: List[ObjectRef]) -> Dict[ObjectRef, Any]:
-        """Load several objects, coalescing chunk fetches per partition."""
-        result: Dict[ObjectRef, Any] = {}
-        todo: Dict[int, List[ObjectRef]] = {}
-        for ref in refs:
-            if ref in result:
-                continue
-            present, value = self.cache.get(ref)
-            if present:
-                result[ref] = value
-            else:
-                todo.setdefault(ref.partition, []).append(ref)
-        for pid, missing in todo.items():
-            try:
-                chunks = self.chunks.read_chunks(pid, [r.rank for r in missing])
-            except (ChunkNotWrittenError, ChunkNotAllocatedError) as exc:
-                raise ObjectNotFoundError(
-                    f"missing object among {missing}"
-                ) from exc
-            for ref in missing:
-                value = unpickle_value(chunks[ref.rank], self.registry)
-                self.cache.put(ref, value)
-                result[ref] = value
-        return result
+
+def load_objects(
+    refs: Iterable[ObjectRef],
+    cache: ObjectCache,
+    fetch: Callable[[int, List[int]], Dict[int, bytes]],
+    registry: PicklerRegistry,
+) -> Dict[ObjectRef, Any]:
+    """Load several objects through ``cache``: the misses' chunks come from
+    ``fetch(pid, ranks)``, one batch per partition, and are unpickled and
+    cached.  The object store and every snapshot load through here, each
+    with its own cache and chunk source."""
+    result: Dict[ObjectRef, Any] = {}
+    todo: Dict[int, List[ObjectRef]] = {}
+    for ref in dict.fromkeys(refs):
+        present, value = cache.get(ref)
+        if present:
+            result[ref] = value
+        else:
+            todo.setdefault(ref.partition, []).append(ref)
+    for pid, missing in todo.items():
+        try:
+            chunks = fetch(pid, [ref.rank for ref in missing])
+        except (ChunkNotWrittenError, ChunkNotAllocatedError) as exc:
+            raise ObjectNotFoundError(f"missing object among {missing}") from exc
+        for ref in missing:
+            value = unpickle_value(chunks[ref.rank], registry)
+            cache.put(ref, value)
+            result[ref] = value
+    return result
 
 
 class Transaction:
@@ -230,6 +234,7 @@ class Transaction:
         """Read several objects under shared locks, batching the chunk
         fetches per partition into single round trips."""
         self._require_active()
+        store = self.store
         buffered: Dict[ObjectRef, Any] = {}
         to_load: List[ObjectRef] = []
         with obs.span("objectstore.get_many"):
@@ -242,10 +247,12 @@ class Transaction:
                         )
                     buffered[ref] = value
                 else:
-                    self.store.locks.acquire_shared(self.tx_id, ref)
+                    store.locks.acquire_shared(self.tx_id, ref)
                     to_load.append(ref)
-            loaded = self.store._load_many(to_load)
-            self.store.op_counts["read"] += len(refs)
+            loaded = load_objects(
+                to_load, store.cache, store.chunks.read_chunks, store.registry
+            )
+            store.op_counts["read"] += len(refs)
             return [buffered[r] if r in buffered else loaded[r] for r in refs]
 
     def get_for_update(self, ref: ObjectRef) -> Any:
@@ -336,16 +343,10 @@ class Transaction:
                         data = pickle_value(value, store.registry)
                         ops.append(WriteChunk(ref.partition, ref.rank, data))
                 if ops:
-                    committer = store.committer
-                    if committer is not None:
-                        # group-commit path: the committer coalesces
-                        # concurrent batches; our exclusive locks (held
-                        # until the finally below) keep write sets in any
-                        # one batch disjoint
-                        committer.commit(ops)
-                    else:
-                        with store._commit_mutex:
-                            store.chunks.commit(ops)
+                    # the committer may merge ours with concurrent batches;
+                    # our exclusive locks (held until the finally below)
+                    # keep write sets in any one batch disjoint
+                    store.committer.commit(ops)
                 store.op_counts["commit"] += 1
                 for ref, value in self._writes.items():
                     if value is _DELETED:

@@ -97,10 +97,6 @@ _log = EventLog()
 _suspended = False
 
 
-def get_log() -> EventLog:
-    return _log
-
-
 def emit(kind: str, **fields: Any) -> Optional[Event]:
     """Emit to the global log; no-op (returns ``None``) while suspended."""
     if _suspended:

@@ -5,10 +5,11 @@ One :class:`TDBServer` wraps one
 :class:`~repro.chunkstore.store.ChunkStore`).  Clients open
 :class:`Session` handles — typically one per thread — and use them for:
 
-* **writes**: ordinary serializable transactions.  Installing the server
-  routes every transaction commit through the
-  :class:`~repro.server.group_commit.GroupCommitter`, so commits arriving
-  concurrently from different sessions share one log flush.
+* **writes**: ordinary serializable transactions.  Every transaction
+  commits through the object store's
+  :class:`~repro.objectstore.group_commit.GroupCommitter`, so commits
+  arriving concurrently from different sessions share one log flush; the
+  server attaches its snapshot invalidation to that committer.
 * **reads**: :meth:`Session.snapshot` hands back an MVCC snapshot served
   lock-free; heavy readers never queue behind the commit path.
   Transactional reads (``tx.get``) remain available when a reader needs
@@ -37,38 +38,25 @@ from typing import Any, Dict, Optional
 from repro import obs
 from repro.objectstore.pickling import ObjectRef
 from repro.objectstore.store import ObjectStore, Transaction
-from repro.server.group_commit import GroupCommitter
 from repro.server.snapshots import Snapshot, SnapshotManager
 
 
 class TDBServer:
     """Multiplexes many client sessions onto one object/chunk store."""
 
-    def __init__(
-        self,
-        objects: ObjectStore,
-        max_batch: int = 64,
-    ) -> None:
+    def __init__(self, objects: ObjectStore) -> None:
         self.objects = objects
         self.snapshots = SnapshotManager(objects)
-        # the group-commit hook: newly durable partitions need fresh
-        # snapshots for subsequent readers.  The manager's own method, not
-        # one of the server's, and the manager keeps no ``objects``: the
-        # seam below hangs the committer on ``objects``, and a way back
-        # would tie server, store and device into a reference cycle that
-        # only the cyclic collector frees
-        self.committer = GroupCommitter(
-            objects.chunks,
-            max_batch=max_batch,
-            on_commit=self.snapshots.invalidate_many,
-        )
         self._session_ids = itertools.count(1)
         self._mutex = threading.Lock()
         self._open_sessions = 0
         self._closed = False
-        # install the group-commit seam; Transaction.commit routes every
-        # ops batch through it from now on
-        objects.committer = self.committer
+        # the commit hook: newly durable partitions need fresh snapshots
+        # for subsequent readers.  The manager's own method, not one of the
+        # server's, and the manager keeps no ``objects``: the hook hangs on
+        # ``objects.committer``, and a way back would tie server, store and
+        # device into a reference cycle that only the cyclic collector frees
+        objects.committer.on_commit = self.snapshots.invalidate_many
 
     # -- sessions ------------------------------------------------------------
 
@@ -91,9 +79,10 @@ class TDBServer:
                 return
             self._closed = True
         self.snapshots.close_all()
-        # detach the seam: later transactions commit the plain way
-        if self.objects.committer is self.committer:
-            self.objects.committer = None
+        # detach the hook: later commits have no snapshots to invalidate
+        committer = self.objects.committer
+        if committer.on_commit == self.snapshots.invalidate_many:
+            committer.on_commit = None
 
     def __enter__(self) -> "TDBServer":
         return self
@@ -108,7 +97,7 @@ class TDBServer:
             open_sessions = self._open_sessions
         return {
             "open_sessions": open_sessions,
-            "group_commit": self.committer.stats(),
+            "group_commit": self.objects.committer.stats(),
             "snapshots": self.snapshots.stats(),
             "objectstore": self.objects.stats(),
             "chunkstore_snapshots": self.objects.chunks.stats()["snapshots"],

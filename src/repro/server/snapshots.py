@@ -21,8 +21,10 @@ a snapshot frozen before that count is never installed as the shared
 current: a session that acquires after its own commit returned always
 sees that commit.
 
-Unpickled objects are cached per snapshot (never in the store's shared
-``ObjectCache``, which tracks the latest committed state).
+Objects load through the object store's loader (``load_objects``) with
+the snapshot's own cache and chunk source: unpickled objects are cached
+per snapshot, never in the store's shared ``ObjectCache``, which tracks
+the latest committed state.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ import threading
 from typing import Any, Dict, List
 
 from repro.chunkstore.snapshot import SnapshotView
-from repro.errors import ChunkNotAllocatedError, ObjectNotFoundError
+from repro.errors import ObjectNotFoundError
 from repro.objectstore.cache import ObjectCache
-from repro.objectstore.pickling import ObjectRef, unpickle_value
-from repro.objectstore.store import ObjectStore
+from repro.objectstore.pickling import ObjectRef
+from repro.objectstore.store import ObjectStore, load_objects
 
 
 class Snapshot:
@@ -72,32 +74,15 @@ class Snapshot:
     def get_many(self, refs: List[ObjectRef]) -> List[Any]:
         """Read several objects as of this snapshot, fetching the chunks
         of every object-cache miss in one ``view.read_chunks`` batch."""
-        values: Dict[ObjectRef, Any] = {}
-        missing: List[ObjectRef] = []
-        for ref in dict.fromkeys(refs):
-            if ref.partition != self.source_pid:
-                raise ObjectNotFoundError(
-                    f"{ref} is not in snapshot of partition {self.source_pid}"
-                )
-            present, value = self._cache.get(ref)
-            if present:
-                values[ref] = value
-            else:
-                missing.append(ref)
-        if missing:
-            try:
-                chunks = self.view.read_chunks([ref.rank for ref in missing])
-            except ChunkNotAllocatedError as exc:
-                raise ObjectNotFoundError(
-                    f"missing object among {missing} as of this snapshot"
-                ) from exc
-            for ref in missing:
-                value = unpickle_value(
-                    chunks[ref.rank], self._manager.registry
-                )
-                self._cache.put(ref, value)
-                values[ref] = value
+        values = load_objects(refs, self._cache, self._fetch, self._manager.registry)
         return [values[ref] for ref in refs]
+
+    def _fetch(self, pid: int, ranks: List[int]) -> Dict[int, bytes]:
+        if pid != self.source_pid:
+            raise ObjectNotFoundError(
+                f"partition {pid} is not in snapshot of partition {self.source_pid}"
+            )
+        return self.view.read_chunks(ranks)
 
     def exists(self, ref: ObjectRef) -> bool:
         return (

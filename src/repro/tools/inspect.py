@@ -170,12 +170,6 @@ def trusted_view(store: ChunkStore) -> Dict[str, Any]:
     }
 
 
-def object_store_view(object_store) -> Dict[str, Any]:
-    """Object-store statistics: op counts and lock-manager tallies
-    (``waits``, ``deadlocks_broken``)."""
-    return object_store.stats()
-
-
 def _format_hist(snapshot: Dict[str, float]) -> Dict[str, Any]:
     """Histogram snapshot with latencies converted to milliseconds."""
     return {

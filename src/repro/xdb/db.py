@@ -202,12 +202,3 @@ class XDB:
                 continue
             result.append(struct.unpack(">Q", entry[-8:])[0])
         return result
-
-    def index_range(
-        self, table: Table, index_name: str, low: bytes, high: bytes
-    ) -> Iterator[Tuple[bytes, int]]:
-        low_entry = struct.pack(">H", len(low)) + low
-        high_entry = struct.pack(">H", len(high)) + high + b"\xff" * 9
-        for entry, _val in table.indexes[index_name].scan(low_entry, high_entry):
-            (klen,) = struct.unpack_from(">H", entry, 0)
-            yield entry[2 : 2 + klen], struct.unpack(">Q", entry[-8:])[0]

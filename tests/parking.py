@@ -28,6 +28,7 @@ from collections import deque
 from typing import Callable, Deque, List, Optional
 
 from repro.chunkstore import ChunkStore
+from repro.objectstore import group_commit
 from repro.platform import (
     CrashInjector,
     MemoryArchivalStore,
@@ -38,7 +39,6 @@ from repro.platform import (
     TrustedPlatform,
 )
 from repro.platform.clock import FakeClock
-from repro.server import group_commit
 
 BACKSTOP = 30.0
 

@@ -339,7 +339,7 @@ def test_a_failed_flush_is_told_to_the_queued_committer(mode, how, monkeypatch):
             leader.done()
         with pytest.raises(ChunkStoreError, match="failed state"):
             follower.done()
-        assert store._failed and not server.committer._leader_active
+        assert store._failed and not objects.committer._leader_active
         assert tx1.status == tx2.status == TxStatus.ABORTED
     platform.untrusted.flush_error = None
     platform.reboot()

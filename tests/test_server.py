@@ -54,10 +54,12 @@ class FakeChunks:
 
     def __init__(self):
         self.commits = []
+        self.calls = 0
         self.gate = None  # when set, commit() blocks until the event fires
         self.reject_merged = False
 
     def commit(self, ops):
+        self.calls += 1
         if self.gate is not None:
             assert self.gate.wait(5.0), "test gate never opened"
         ops = list(ops)
@@ -170,6 +172,29 @@ class TestGroupCommitter:
         assert results == {"a": "ok", "poison": "failed", "c": "ok"}
         assert ["c"] in fake.commits
         assert committer.stats()["fallbacks"] == 1
+
+    def test_a_failing_lone_entry_is_not_committed_again(self):
+        fake = FakeChunks()
+        committer = GroupCommitter(fake)
+        with pytest.raises(ChunkStoreError, match="poison op"):
+            committer.commit(["poison"])
+        assert fake.calls == 1
+        stats = committer.stats()
+        assert (stats["batches"], stats["fallbacks"]) == (0, 0)
+
+    def test_a_lone_entry_that_fails_the_store_reports_its_own_error(self):
+        class FailingChunks:
+            failed = False
+
+            def commit(self, ops):
+                if self.failed:
+                    raise ChunkStoreError("chunk store is in a failed state")
+                self.failed = True
+                raise ChunkStoreError("device broke mid-commit")
+
+        committer = GroupCommitter(FailingChunks())
+        with pytest.raises(ChunkStoreError, match="mid-commit"):
+            committer.commit(["a"])
 
     def test_foreign_error_fails_the_whole_batch(self):
         class DyingChunks:
@@ -306,7 +331,7 @@ class TestOnCommitHook:
         _, chunks, objects, pid = make_stack()
         with TDBServer(objects) as server:
             first, second = server.session(), server.session()
-            hook = server.committer.on_commit
+            hook = objects.committer.on_commit
             calls = []
 
             def raises_once(touched):
@@ -315,7 +340,7 @@ class TestOnCommitHook:
                     raise RuntimeError("hook broke")
                 hook(touched)
 
-            server.committer.on_commit = raises_once
+            objects.committer.on_commit = raises_once
             mark = obs.events.mark()
             tx = first.transaction()
             ref = tx.create(pid, "first")
@@ -323,7 +348,7 @@ class TestOnCommitHook:
             assert tx.status == TxStatus.COMMITTED
             assert chunks.chunk_status(pid, ref.rank) == "written"
             assert objects.read_committed(ref) == "first"
-            assert not server.committer._leader_active
+            assert not objects.committer._leader_active
             (event,) = obs.events.find("group_commit_hook_failed", mark)
             assert event.fields["error"] == "RuntimeError" and event.fields["txs"] == 1
             # the second session's commit returns (it used to block forever)
@@ -599,15 +624,25 @@ class TestSnapshotIsolation:
         assert chunks.snapshot_pins == 0
 
     def test_close_detaches_the_commit_seam(self):
+        """The server only hangs its snapshot invalidation on the store's
+        committer, and takes it down on close: later commits go through
+        the same committer and invalidate nothing."""
         _, _, objects, pid = make_stack()
+        committer = objects.committer
         server = TDBServer(objects)
-        assert objects.committer is server.committer
+        assert objects.committer is committer
+        assert committer.on_commit == server.snapshots.invalidate_many
+        with server.session() as session, session.transaction() as tx:
+            tx.create_at(ObjectRef(pid, 0), "served")
+        invalidated = dict(server.snapshots._invalid_through)
+        assert set(invalidated) == {pid}
         server.close()
-        assert objects.committer is None
-        # plain transactions still work after the server is gone
+        assert committer.on_commit is None
         with objects.transaction() as tx:
-            tx.create_at(ObjectRef(pid, 0), "after")
+            tx.update(ObjectRef(pid, 0), "after")
         assert objects.read_committed(ObjectRef(pid, 0)) == "after"
+        assert committer.stats()["batches"] == 2
+        assert server.snapshots._invalid_through == invalidated
 
     def test_closed_server_and_session_refuse_work(self):
         _, _, objects, _ = make_stack()
@@ -619,6 +654,74 @@ class TestSnapshotIsolation:
         server.close()
         with pytest.raises(RuntimeError):
             server.session()
+
+
+class TestOneCommitRoute:
+    """Every transaction commits through its store's committer, with or
+    without a server."""
+
+    def test_plain_commits_are_counted_by_the_store_committer(self):
+        _, _, objects, pid = make_stack()
+        for value in range(3):
+            with objects.transaction() as tx:
+                tx.create(pid, value)
+        with objects.transaction() as tx:  # no writes: nothing to commit
+            tx.exists(ObjectRef(pid, 0))
+        stats = objects.committer.stats()
+        assert (stats["batches"], stats["txs_committed"]) == (3, 3)
+        assert (stats["largest_batch"], stats["fallbacks"]) == (1, 0)
+
+    def test_two_threads_without_a_server_share_one_batch(self, monkeypatch):
+        _, chunks, objects, pid = make_stack()
+        with objects.transaction() as tx:
+            refs = [tx.create(pid, 0) for _ in range(3)]
+        queue = QueueSpy().install(monkeypatch)
+        gate = Gate()
+        committed = []
+
+        def commit(operations, _commit=chunks.commit):
+            committed.append(sorted(op.rank for op in operations))
+            if not gate.arrived.is_set():
+                gate.park()
+            return _commit(operations)
+
+        chunks.commit = commit
+
+        def bump(ref):
+            with objects.transaction() as tx:
+                tx.update(ref, tx.get_for_update(ref) + 1)
+
+        workers = [Worker(lambda: bump(refs[0]))]
+        gate.wait_arrived()  # the first commit is inside the store
+        for ref in refs[1:]:
+            workers.append(Worker(lambda ref=ref: bump(ref)))
+            queue.wait_queued()
+        gate.open()
+        join_all(workers)
+        assert committed == [[refs[0].rank], sorted(r.rank for r in refs[1:])]
+        assert [entry.batch_size for entry in queue.entries] == [1, 2, 2]
+        assert objects.committer.stats()["largest_batch"] == 2
+        assert [objects.read_committed(ref) for ref in refs] == [1, 1, 1]
+
+    def test_an_oversized_transaction_is_committed_once(self):
+        """A batch of one that fails its preflight is not retried: one
+        ``ChunkStore.commit`` call, no fallback, the store's error."""
+        _, chunks, objects, pid = make_stack()
+        calls = []
+
+        def commit(operations, _commit=chunks.commit):
+            calls.append(len(operations))
+            return _commit(operations)
+
+        chunks.commit = commit
+        with TDBServer(objects) as server, server.session() as session:
+            tx = session.transaction()
+            tx.create(pid, bytes(chunks.writer.max_version_size))
+            with pytest.raises(ChunkStoreError, match="exceeds"):
+                tx.commit()
+        assert tx.status == TxStatus.ABORTED and calls == [1]
+        stats = objects.committer.stats()
+        assert (stats["batches"], stats["fallbacks"]) == (0, 0)
 
 
 def test_a_dropped_server_frees_its_store_without_the_cyclic_collector():
@@ -693,6 +796,7 @@ class ServingCrashEnv:
 
         self.chunks.commit = commit
         start = len(injector.history)
+        batches = self.objects.committer.stats()["batches"]
         with TDBServer(self.objects) as server:
 
             def transact(name):
@@ -713,8 +817,8 @@ class ServingCrashEnv:
                 self.queue.wait_queued()
             gate.open()
             join_all(workers)
-            self.batches = server.committer.stats()["batches"]
-            assert not server.committer._leader_active
+            self.batches = self.objects.committer.stats()["batches"] - batches
+            assert not self.objects.committer._leader_active
         return [p for p in injector.history[start:] if p.startswith("commit.")]
 
     def survivors(self):
@@ -800,7 +904,9 @@ class TestServerStress:
 
         errors = []
         stop = threading.Event()
-        with TDBServer(objects, max_batch=8) as server:
+        objects.committer.max_batch = 8
+        committed = objects.committer.txs_committed
+        with TDBServer(objects) as server:
 
             def writer(ref):
                 try:
@@ -844,7 +950,7 @@ class TestServerStress:
                 assert [snap.get(r) for r in refs] == [self.TXS] * self.WRITERS
             stats = server.stats()
             assert (
-                stats["group_commit"]["txs_committed"]
+                stats["group_commit"]["txs_committed"] - committed
                 == self.WRITERS * self.TXS
             )
             assert stats["group_commit"]["fallbacks"] == 0
@@ -875,10 +981,12 @@ class TestServerStress:
         total = accounts * opening
         errors = []
         stop = threading.Event()
+        objects.committer.max_batch = 4
+        committed = objects.committer.txs_committed
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with TDBServer(objects, max_batch=4) as server:
+            with TDBServer(objects) as server:
 
                 def guarded(fn):
                     def run():
@@ -932,7 +1040,7 @@ class TestServerStress:
                 _join(readers, timeout=60.0)
                 assert errors == []
                 stats = server.stats()
-                assert stats["group_commit"]["txs_committed"] == 100
+                assert stats["group_commit"]["txs_committed"] - committed == 100
                 assert stats["objectstore"]["locks"]["deadlocks_broken"] == 0
         finally:
             sys.setswitchinterval(interval)
