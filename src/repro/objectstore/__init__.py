@@ -11,6 +11,7 @@ from repro.objectstore.pickling import (
     register_class,
     unpickle_value,
 )
+from repro.objectstore.snapshots import Snapshot, SnapshotManager
 from repro.objectstore.store import ObjectStore, Transaction, TxStatus
 
 __all__ = [
@@ -20,6 +21,8 @@ __all__ = [
     "ObjectRef",
     "ObjectCache",
     "GroupCommitter",
+    "Snapshot",
+    "SnapshotManager",
     "LockManager",
     "PicklerRegistry",
     "DEFAULT_REGISTRY",

@@ -14,13 +14,24 @@ private mutex so LRU bookkeeping can never be corrupted by interleaved
 get/put/evict.  Note the lock protects the *cache structure* only —
 coherence (evicting on overwrite, delete, abort, partition drop) remains
 the object store's responsibility, exactly as before.
+
+:func:`load_objects` is the one batched loader through a cache: the
+object store loads through its shared cache, each snapshot through its
+own.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+
+from repro.errors import (
+    ChunkNotAllocatedError,
+    ChunkNotWrittenError,
+    ObjectNotFoundError,
+)
+from repro.objectstore.pickling import ObjectRef, PicklerRegistry, unpickle_value
 
 
 class ObjectCache:
@@ -66,3 +77,32 @@ class ObjectCache:
     def __len__(self) -> int:
         with self._mutex:
             return len(self._entries)
+
+
+def load_objects(
+    refs: Iterable[ObjectRef],
+    cache: ObjectCache,
+    fetch: Callable[[int, List[int]], Dict[int, bytes]],
+    registry: PicklerRegistry,
+) -> Dict[ObjectRef, Any]:
+    """Load several objects through ``cache``: the misses' chunks come from
+    ``fetch(pid, ranks)``, one batch per partition, and are unpickled and
+    cached."""
+    result: Dict[ObjectRef, Any] = {}
+    todo: Dict[int, List[ObjectRef]] = {}
+    for ref in dict.fromkeys(refs):
+        present, value = cache.get(ref)
+        if present:
+            result[ref] = value
+        else:
+            todo.setdefault(ref.partition, []).append(ref)
+    for pid, missing in todo.items():
+        try:
+            chunks = fetch(pid, [ref.rank for ref in missing])
+        except (ChunkNotWrittenError, ChunkNotAllocatedError) as exc:
+            raise ObjectNotFoundError(f"missing object among {missing}") from exc
+        for ref in missing:
+            value = unpickle_value(chunks[ref.rank], registry)
+            cache.put(ref, value)
+            result[ref] = value
+    return result

@@ -27,9 +27,11 @@ whole table): a transaction's writes reach *transactional* readers only
 after its commit returned (2PL, below); a ``Session.snapshot`` shows only
 durable batches, each atomically; the isolation-free
 ``ObjectStore.read_committed`` may return an object of a batch that is
-appended but whose flush has not returned.  A commit's outcome is the
-store's alone: once the batch is durable every entry in it succeeds,
-whatever the ``on_commit`` hook or the leader's thread does next.
+appended but whose flush has not returned.  After each durable batch the
+committer invalidates the store's snapshots of the partitions it touched
+(``SnapshotManager.invalidate_many``).  A commit's outcome is the store's
+alone: once the batch is durable every entry in it succeeds, whatever
+that invalidation or the leader's thread does next.
 
 Correctness leans on two existing properties:
 
@@ -50,11 +52,12 @@ Correctness leans on two existing properties:
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.chunkstore.store import ChunkStore
 from repro.errors import ChunkStoreError
+from repro.objectstore.snapshots import SnapshotManager
 
 
 class _Entry:
@@ -79,17 +82,13 @@ class GroupCommitter:
     """Leader/follower commit batching over one :class:`ChunkStore`."""
 
     def __init__(
-        self,
-        chunks: ChunkStore,
-        max_batch: int = 64,
-        on_commit: Optional[Callable[[Set[int]], None]] = None,
+        self, chunks: ChunkStore, snapshots: SnapshotManager, max_batch: int = 64
     ) -> None:
         self.chunks = chunks
+        #: invalidated after each durable batch for the partitions it touched
+        self.snapshots = snapshots
         #: largest number of transactions merged into one store commit
         self.max_batch = max(1, max_batch)
-        #: called after each durable batch with the set of partition ids
-        #: it touched (a server attaches its snapshot invalidation here)
-        self.on_commit = on_commit
         self._mutex = threading.Lock()
         #: entries no leader has taken yet; while ``_leader_active`` the
         #: head is the next leader's own entry
@@ -183,15 +182,13 @@ class GroupCommitter:
         self.txs_committed += len(batch)
         self.largest_batch = max(self.largest_batch, len(batch))
         try:
-            if self.on_commit is not None:
-                self.on_commit(
-                    {op.partition for op in ops if hasattr(op, "partition")}
-                )
+            self.snapshots.invalidate_many(
+                {op.partition for op in ops if hasattr(op, "partition")}
+            )
         except Exception as exc:
-            # the hook's trouble, not the transactions': recorded (the event
-            # log keeps the count), and the server's hook leaves no snapshot
-            # current for these partitions even then
-            # (SnapshotManager.invalidate_many)
+            # the invalidation's trouble, not the transactions': recorded
+            # (the event log keeps the count), and no snapshot stays current
+            # for these partitions even then (SnapshotManager.invalidate_many)
             obs.emit(
                 "group_commit_hook_failed",
                 error=type(exc).__name__,

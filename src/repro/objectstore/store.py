@@ -17,7 +17,9 @@ commit — so transaction atomicity rides directly on chunk-store commit
 atomicity, and aborts never touch persistent state.  Every commit goes
 through the store's one :class:`~repro.objectstore.group_commit.GroupCommitter`,
 which merges concurrently arriving transactions into one chunk-store
-commit (a lone transaction is a batch of one).
+commit (a lone transaction is a batch of one) and, once a batch is
+durable, invalidates the store's MVCC snapshots (``store.snapshots``,
+:mod:`repro.objectstore.snapshots`).
 
 Usage::
 
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.chunkstore.ops import DeallocateChunk, WriteChunk, WritePartition
@@ -52,7 +54,7 @@ from repro.errors import (
     TDBError,
     TransactionError,
 )
-from repro.objectstore.cache import ObjectCache
+from repro.objectstore.cache import ObjectCache, load_objects
 from repro.objectstore.group_commit import GroupCommitter
 from repro.objectstore.locks import LockManager
 from repro.objectstore.pickling import (
@@ -62,6 +64,7 @@ from repro.objectstore.pickling import (
     pickle_value,
     unpickle_value,
 )
+from repro.objectstore.snapshots import SnapshotManager
 
 
 class TxStatus(Enum):
@@ -94,9 +97,12 @@ class ObjectStore:
         self.cache = ObjectCache(cache_size)
         self.locks = LockManager(lock_timeout, clock=chunk_store.platform.clock)
         self._tx_ids = itertools.count(1)
+        #: shared MVCC snapshots of each partition's committed state
+        self.snapshots = SnapshotManager(chunk_store, registry)
         #: the one commit route: every transaction hands its op batch to
-        #: it, and concurrent commits share one chunk-store commit
-        self.committer = GroupCommitter(chunk_store)
+        #: it, concurrent commits share one chunk-store commit, and each
+        #: durable batch invalidates the snapshots it made stale
+        self.committer = GroupCommitter(chunk_store, self.snapshots)
         #: operation counters for the Figure 10 accounting
         self.op_counts: Dict[str, int] = {
             "read": 0,
@@ -153,36 +159,6 @@ class ObjectStore:
         value = unpickle_value(data, self.registry)
         self.cache.put(ref, value)
         return value
-
-
-def load_objects(
-    refs: Iterable[ObjectRef],
-    cache: ObjectCache,
-    fetch: Callable[[int, List[int]], Dict[int, bytes]],
-    registry: PicklerRegistry,
-) -> Dict[ObjectRef, Any]:
-    """Load several objects through ``cache``: the misses' chunks come from
-    ``fetch(pid, ranks)``, one batch per partition, and are unpickled and
-    cached.  The object store and every snapshot load through here, each
-    with its own cache and chunk source."""
-    result: Dict[ObjectRef, Any] = {}
-    todo: Dict[int, List[ObjectRef]] = {}
-    for ref in dict.fromkeys(refs):
-        present, value = cache.get(ref)
-        if present:
-            result[ref] = value
-        else:
-            todo.setdefault(ref.partition, []).append(ref)
-    for pid, missing in todo.items():
-        try:
-            chunks = fetch(pid, [ref.rank for ref in missing])
-        except (ChunkNotWrittenError, ChunkNotAllocatedError) as exc:
-            raise ObjectNotFoundError(f"missing object among {missing}") from exc
-        for ref in missing:
-            value = unpickle_value(chunks[ref.rank], registry)
-            cache.put(ref, value)
-            result[ref] = value
-    return result
 
 
 class Transaction:

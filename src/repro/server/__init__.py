@@ -2,24 +2,20 @@
 
 The paper's object store assumes "only a few concurrent transactions"
 (§7); the ROADMAP's north star is heavy multi-user traffic.  This package
-bridges the two without touching the chunk store's single-lock discipline:
-
-* :class:`~repro.objectstore.group_commit.GroupCommitter` — the object
-  store's one commit route, re-exported here: it batches
-  concurrently-arriving transaction commits into one chunk-store commit
-  (one log flush amortized over N transactions), and the server hangs its
-  snapshot invalidation on it;
-* :class:`~repro.server.snapshots.SnapshotManager` — hands readers
-  refcounted MVCC snapshots built on the chunk store's frozen-leader
-  snapshot machinery, so reads never block behind the commit path;
-* :class:`~repro.server.server.TDBServer` /
-  :class:`~repro.server.server.Session` — the threaded front end tying
-  them together over one ``ChunkStore``/``ObjectStore``.
+is the front end for it: :class:`~repro.server.server.TDBServer` hands
+out :class:`~repro.server.server.Session` handles, one per client thread,
+over one :class:`~repro.objectstore.store.ObjectStore`.  What sessions
+share lives in the object store and works without a server too: its one
+:class:`~repro.objectstore.group_commit.GroupCommitter` batches
+concurrent commits into one log flush and invalidates the store's
+:class:`~repro.objectstore.snapshots.SnapshotManager`, whose refcounted
+MVCC snapshots serve reads lock-free.  Those three classes are
+re-exported here.
 """
 
 from repro.objectstore.group_commit import GroupCommitter
+from repro.objectstore.snapshots import Snapshot, SnapshotManager
 from repro.server.server import Session, TDBServer
-from repro.server.snapshots import Snapshot, SnapshotManager
 
 __all__ = [
     "GroupCommitter",

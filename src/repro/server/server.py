@@ -8,10 +8,10 @@ One :class:`TDBServer` wraps one
 * **writes**: ordinary serializable transactions.  Every transaction
   commits through the object store's
   :class:`~repro.objectstore.group_commit.GroupCommitter`, so commits
-  arriving concurrently from different sessions share one log flush; the
-  server attaches its snapshot invalidation to that committer.
-* **reads**: :meth:`Session.snapshot` hands back an MVCC snapshot served
-  lock-free; heavy readers never queue behind the commit path.
+  arriving concurrently from different sessions share one log flush.
+* **reads**: :meth:`Session.snapshot` hands back one of the object
+  store's MVCC snapshots (``objects.snapshots``), served lock-free; heavy
+  readers never queue behind the commit path.
   Transactional reads (``tx.get``) remain available when a reader needs
   strict serializability against its own writes.
 
@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from repro import obs
 from repro.objectstore.pickling import ObjectRef
+from repro.objectstore.snapshots import Snapshot
 from repro.objectstore.store import ObjectStore, Transaction
-from repro.server.snapshots import Snapshot, SnapshotManager
 
 
 class TDBServer:
@@ -46,17 +45,9 @@ class TDBServer:
 
     def __init__(self, objects: ObjectStore) -> None:
         self.objects = objects
-        self.snapshots = SnapshotManager(objects)
         self._session_ids = itertools.count(1)
         self._mutex = threading.Lock()
-        self._open_sessions = 0
         self._closed = False
-        # the commit hook: newly durable partitions need fresh snapshots
-        # for subsequent readers.  The manager's own method, not one of the
-        # server's, and the manager keeps no ``objects``: the hook hangs on
-        # ``objects.committer``, and a way back would tie server, store and
-        # device into a reference cycle that only the cyclic collector frees
-        objects.committer.on_commit = self.snapshots.invalidate_many
 
     # -- sessions ------------------------------------------------------------
 
@@ -64,12 +55,7 @@ class TDBServer:
         with self._mutex:
             if self._closed:
                 raise RuntimeError("server is closed")
-            self._open_sessions += 1
             return Session(self, next(self._session_ids))
-
-    def _session_closed(self) -> None:
-        with self._mutex:
-            self._open_sessions = max(0, self._open_sessions - 1)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -78,11 +64,7 @@ class TDBServer:
             if self._closed:
                 return
             self._closed = True
-        self.snapshots.close_all()
-        # detach the hook: later commits have no snapshots to invalidate
-        committer = self.objects.committer
-        if committer.on_commit == self.snapshots.invalidate_many:
-            committer.on_commit = None
+        self.objects.snapshots.close_all()
 
     def __enter__(self) -> "TDBServer":
         return self
@@ -93,14 +75,9 @@ class TDBServer:
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        with self._mutex:
-            open_sessions = self._open_sessions
         return {
-            "open_sessions": open_sessions,
             "group_commit": self.objects.committer.stats(),
-            "snapshots": self.snapshots.stats(),
-            "objectstore": self.objects.stats(),
-            "chunkstore_snapshots": self.objects.chunks.stats()["snapshots"],
+            "snapshots": self.objects.snapshots.stats(),
         }
 
 
@@ -111,8 +88,6 @@ class Session:
         self.server = server
         self.session_id = session_id
         self._closed = False
-        self.commits = 0
-        self.snapshot_reads = 0
 
     # -- writes --------------------------------------------------------------
 
@@ -126,15 +101,13 @@ class Session:
     def snapshot(self, pid: int) -> Snapshot:
         """A consistent lock-free view of ``pid``'s committed objects."""
         self._require_open()
-        return self.server.snapshots.acquire(pid)
+        return self.server.objects.snapshots.acquire(pid)
 
     def read(self, ref: ObjectRef) -> Any:
         """Convenience one-shot snapshot read of a single object."""
         self._require_open()
         with self.snapshot(ref.partition) as snapshot:
-            value = snapshot.get(ref)
-        self.snapshot_reads += 1
-        return value
+            return snapshot.get(ref)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -143,9 +116,7 @@ class Session:
             raise RuntimeError(f"session {self.session_id} is closed")
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self.server._session_closed()
+        self._closed = True
 
     def __enter__(self) -> "Session":
         return self

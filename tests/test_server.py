@@ -13,8 +13,10 @@ Three tiers:
 
 from __future__ import annotations
 
+import ast
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,30 @@ def _join(threads, timeout=10.0):
         assert not thread.is_alive(), "worker thread wedged"
 
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def test_the_server_is_sessions_over_the_object_store():
+    """``repro.server`` imports nothing from ``repro.chunkstore``: commit
+    visibility is the object store's (its committer invalidates its
+    snapshots directly), and no commit hook is left to hang anything on."""
+    offenders = []
+    for path in sorted((SRC / "server").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[:2] == ["repro", "chunkstore"] for m in modules):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    for path in sorted(SRC.rglob("*.py")):
+        if "on_commit" in path.read_text():
+            offenders.append(f"{path.relative_to(SRC)}: mentions on_commit")
+    assert not offenders, offenders
+
+
 # ---------------------------------------------------------------------------
 # GroupCommitter over a fake chunk store (deterministic batching)
 # ---------------------------------------------------------------------------
@@ -70,12 +96,27 @@ class FakeChunks:
         self.commits.append(ops)
 
 
+class StubSnapshots:
+    """Records what each durable batch invalidates; calls ``fail(call)``
+    first, which may raise."""
+
+    def __init__(self, fail=lambda call: None):
+        self.invalidated = []
+        self.fail = fail
+
+    def invalidate_many(self, pids):
+        self.invalidated.append(set(pids))
+        self.fail(len(self.invalidated))
+
+
 class TestGroupCommitter:
     def test_single_commit_degenerates_to_plain_path(self):
         fake = FakeChunks()
-        committer = GroupCommitter(fake)
+        snapshots = StubSnapshots()
+        committer = GroupCommitter(fake, snapshots)
         committer.commit(["a", "b"])
         assert fake.commits == [["a", "b"]]
+        assert len(snapshots.invalidated) == 1  # told of the one durable batch
         stats = committer.stats()
         assert stats["batches"] == 1
         assert stats["txs_committed"] == 1
@@ -84,7 +125,7 @@ class TestGroupCommitter:
     def test_commits_queued_behind_leader_merge_into_one_batch(self):
         fake = FakeChunks()
         fake.gate = threading.Event()
-        committer = GroupCommitter(fake)
+        committer = GroupCommitter(fake, StubSnapshots())
 
         leader = threading.Thread(target=committer.commit, args=(["a"],))
         leader.start()
@@ -117,7 +158,7 @@ class TestGroupCommitter:
         fake = FakeChunks()
         fake.gate = threading.Event()
         fake.reject_merged = True
-        committer = GroupCommitter(fake)
+        committer = GroupCommitter(fake, StubSnapshots())
 
         leader = threading.Thread(target=committer.commit, args=(["a"],))
         leader.start()
@@ -143,7 +184,7 @@ class TestGroupCommitter:
     def test_poison_entry_fails_alone_in_fallback(self):
         fake = FakeChunks()
         fake.gate = threading.Event()
-        committer = GroupCommitter(fake)
+        committer = GroupCommitter(fake, StubSnapshots())
         results = {}
 
         def commit(name, ops):
@@ -175,7 +216,7 @@ class TestGroupCommitter:
 
     def test_a_failing_lone_entry_is_not_committed_again(self):
         fake = FakeChunks()
-        committer = GroupCommitter(fake)
+        committer = GroupCommitter(fake, StubSnapshots())
         with pytest.raises(ChunkStoreError, match="poison op"):
             committer.commit(["poison"])
         assert fake.calls == 1
@@ -192,7 +233,7 @@ class TestGroupCommitter:
                 self.failed = True
                 raise ChunkStoreError("device broke mid-commit")
 
-        committer = GroupCommitter(FailingChunks())
+        committer = GroupCommitter(FailingChunks(), StubSnapshots())
         with pytest.raises(ChunkStoreError, match="mid-commit"):
             committer.commit(["a"])
 
@@ -201,7 +242,7 @@ class TestGroupCommitter:
             def commit(self, ops):
                 raise RuntimeError("device died")
 
-        committer = GroupCommitter(DyingChunks())
+        committer = GroupCommitter(DyingChunks(), StubSnapshots())
         with pytest.raises(RuntimeError, match="device died"):
             committer.commit(["a"])
         assert committer.stats()["batches"] == 0
@@ -242,7 +283,7 @@ class TestLeaderHandOff:
         queue = QueueSpy().install(monkeypatch)
         fake = GatedChunks()
         first, second = fake.gate(), fake.gate()
-        committer = GroupCommitter(fake)
+        committer = GroupCommitter(fake, StubSnapshots())
         leader = Worker(lambda: committer.commit(["a"]))
         first.wait_arrived()
         followers = self._followers(queue, committer, "bcd")
@@ -271,7 +312,7 @@ class TestLeaderHandOff:
         queue = QueueSpy().install(monkeypatch)
         fake = GatedChunks()
         gates = [fake.gate() for _ in range(4)]
-        committer = GroupCommitter(fake, max_batch=1)
+        committer = GroupCommitter(fake, StubSnapshots(), max_batch=1)
         workers = [Worker(lambda: committer.commit(["a"]))]
         gates[0].wait_arrived()
         workers += self._followers(queue, committer, "bcd")
@@ -294,20 +335,18 @@ class TestLeaderHandOff:
 
     def test_a_leader_that_dies_still_passes_the_lead_on(self, monkeypatch):
         """Whatever becomes of the leader — here its thread is interrupted
-        in the hook, after its batch is durable — the queue is not orphaned
-        (the queued follower is handed the lead and commits) and the riders
-        of the durable batch succeed."""
+        in the snapshot invalidation, after its batch is durable — the
+        queue is not orphaned (the queued follower is handed the lead and
+        commits) and the riders of the durable batch succeed."""
         queue = QueueSpy().install(monkeypatch)
         fake = GatedChunks()
         first, second = fake.gate(), fake.gate()
-        calls = []
 
-        def hook(touched):
-            calls.append(touched)
-            if len(calls) == 2:  # the batch [a, b]
+        def fail(call):
+            if call == 2:  # the batch [a, b]
                 raise KeyboardInterrupt("leader interrupted")
 
-        committer = GroupCommitter(fake, max_batch=2, on_commit=hook)
+        committer = GroupCommitter(fake, StubSnapshots(fail), max_batch=2)
         dummy = Worker(lambda: committer.commit(["0"]))
         first.wait_arrived()
         leader, rider, follower = self._followers(queue, committer, "abc")
@@ -323,28 +362,30 @@ class TestLeaderHandOff:
         assert not committer._leader_active and committer._queue == []
 
 
-class TestOnCommitHook:
+class TestInvalidationFailure:
     """A commit's outcome is the store's alone (the hang and the false
-    ``ABORTED`` a raising ``on_commit`` used to cause)."""
+    ``ABORTED`` a raising snapshot invalidation used to cause)."""
 
-    def test_a_raising_hook_neither_aborts_the_durable_commit_nor_wedges_the_queue(self):
+    def test_a_raising_invalidation_neither_aborts_nor_wedges(self):
+        """The invalidation raises after the batch is durable: the commit
+        is not aborted and the next session's commit is not wedged."""
         _, chunks, objects, pid = make_stack()
         with TDBServer(objects) as server:
             first, second = server.session(), server.session()
-            hook = objects.committer.on_commit
+            invalidate = objects.snapshots.invalidate_many
             calls = []
 
             def raises_once(touched):
                 calls.append(set(touched))
                 if len(calls) == 1:
-                    raise RuntimeError("hook broke")
-                hook(touched)
+                    raise RuntimeError("invalidation broke")
+                invalidate(touched)
 
-            objects.committer.on_commit = raises_once
+            objects.snapshots.invalidate_many = raises_once
             mark = obs.events.mark()
             tx = first.transaction()
             ref = tx.create(pid, "first")
-            tx.commit()  # durable: the hook's trouble is not the commit's
+            tx.commit()  # durable: the invalidation's trouble is not the commit's
             assert tx.status == TxStatus.COMMITTED
             assert chunks.chunk_status(pid, ref.rank) == "written"
             assert objects.read_committed(ref) == "first"
@@ -359,10 +400,10 @@ class TestOnCommitHook:
             assert calls == [{pid}, {pid}]
             assert second.read(ref) == "second"
 
-    def test_a_hook_failing_half_way_leaves_no_snapshot_current(self):
-        """The server's own hook: closing the first stale view raises, yet
-        every touched partition's snapshot is already marked stale — the
-        next reader gets a fresh one that shows the commit."""
+    def test_a_failing_invalidation_leaves_no_snapshot_current(self):
+        """Closing the first stale view raises, yet every touched
+        partition's snapshot is already marked stale — the next reader
+        gets a fresh one that shows the commit."""
         _, chunks, objects, pid = make_stack()
         other_pid = objects.create_partition(cipher_name="ctr-sha256", hash_name="sha1")
         with objects.transaction() as tx:
@@ -387,7 +428,7 @@ class TestOnCommitHook:
                     tx.update(ref, tx.get_for_update(ref) + 1)
             assert tx.status == TxStatus.COMMITTED and len(failures) == 1
             assert len(obs.events.find("group_commit_hook_failed", mark)) == 1
-            assert server.snapshots.stats()["active"] == 0
+            assert objects.snapshots.stats()["active"] == 0
             assert [session.read(ref) for ref in refs] == [1, 1]
 
 
@@ -402,37 +443,63 @@ class TestSnapshotIsolation:
         ref = ObjectRef(pid, 0)
         with objects.transaction() as tx:
             tx.create_at(ref, "v0")
-        with TDBServer(objects) as server, server.session() as session:
-            old = session.snapshot(pid)
-            assert old.get(ref) == "v0"
-            with session.transaction() as tx:
-                tx.update(ref, "v1")
-            # the held snapshot still serves the state it froze...
-            assert old.get(ref) == "v0"
-            # ...while a fresh snapshot sees the new commit
-            with session.snapshot(pid) as new:
-                assert new.get(ref) == "v1"
-                assert new is not old
-                assert new.version > old.version
-            old.release()
+        old = objects.snapshots.acquire(pid)
+        assert old.get(ref) == "v0"
+        with objects.transaction() as tx:
+            tx.update(ref, "v1")
+        # the held snapshot still serves the state it froze...
+        assert old.get(ref) == "v0"
+        # ...while a fresh snapshot sees the new commit
+        with objects.snapshots.acquire(pid) as new:
+            assert new.get(ref) == "v1"
+            assert new is not old
+            assert new.view.frozen_at > old.view.frozen_at
+        old.release()
 
     def test_concurrent_readers_share_one_snapshot(self):
         _, chunks, objects, pid = make_stack()
         with objects.transaction() as tx:
             tx.create_at(ObjectRef(pid, 0), 1)
-        with TDBServer(objects) as server, server.session() as session:
-            first = session.snapshot(pid)
-            second = session.snapshot(pid)
-            assert first is second  # refcounted share, one chunk view
-            assert chunks.snapshot_pins == 1
-            first.release()
-            assert chunks.snapshot_pins == 1  # still held by `second`
-            second.release()
-            # unreleased but non-stale snapshots stay current; a commit
-            # would invalidate and dispose them
-            with session.transaction() as tx:
-                tx.update(ObjectRef(pid, 0), 2)
-            assert chunks.snapshot_pins == 0
+        first = objects.snapshots.acquire(pid)
+        second = objects.snapshots.acquire(pid)
+        assert first is second  # refcounted share, one chunk view
+        assert chunks.snapshot_pins == 1
+        first.release()
+        assert chunks.snapshot_pins == 1  # still held by `second`
+        second.release()
+        # released but non-stale snapshots stay current for reuse; the
+        # next durable batch disposes them
+        assert objects.snapshots.acquire(pid) is first
+        first.release()
+        with objects.transaction() as tx:
+            tx.update(ObjectRef(pid, 0), 2)
+        assert chunks.snapshot_pins == 0
+
+    def test_an_idle_snapshot_does_not_pin_the_cleaner(self):
+        """Regression: a released snapshot stayed current until a commit
+        touched *its* partition, so one read of a partition nobody writes
+        pinned the cleaner for the whole store until the log filled up.
+        Every durable batch now disposes every idle snapshot."""
+        platform = make_platform(512 * 1024)
+        chunks = ChunkStore.format(platform, make_config())
+        objects = ObjectStore(chunks)
+        quiet, busy = (
+            objects.create_partition(cipher_name="ctr-sha256", hash_name="sha1")
+            for _ in range(2)
+        )
+        with objects.transaction() as tx:
+            read_once = tx.create(quiet, 0)
+            refs = [tx.create(busy, 0) for _ in range(8)]
+        with objects.snapshots.acquire(quiet) as snapshot:
+            assert snapshot.get(read_once) == 0
+        # the log (≈ 480 KiB) is rewritten several times over: the cleaner
+        # must run (a pinned store is full after ≈ 1,200 of these)
+        for n in range(3000):
+            with objects.transaction() as tx:
+                tx.update(refs[n % 8], "x" * 300 + str(n))
+        assert chunks.snapshot_pins == 0
+        with objects.snapshots.acquire(quiet) as snapshot:
+            assert snapshot.get(read_once) == 0
 
     def test_snapshot_built_across_a_commit_is_never_shared(self):
         """Regression (benchmarks/e2e README, finding 5): a snapshot built
@@ -443,37 +510,37 @@ class TestSnapshotIsolation:
         ref = ObjectRef(pid, 0)
         with objects.transaction() as tx:
             tx.create_at(ref, "v0")
-        with TDBServer(objects) as server, server.session() as session:
-            manager = server.snapshots
-            build = manager._build
-            built, resume = threading.Event(), threading.Event()
+        manager = objects.snapshots
+        build = manager._build
+        built, resume = threading.Event(), threading.Event()
 
-            def parked_build(source):
-                snapshot = build(source)  # frozen before the commit below
-                built.set()
-                assert resume.wait(5.0), "test gate never opened"
-                return snapshot
+        def parked_build(source):
+            snapshot = build(source)  # frozen before the commit below
+            built.set()
+            assert resume.wait(5.0), "test gate never opened"
+            return snapshot
 
-            seen = []
+        seen = []
 
-            def reader():
-                with manager.acquire(pid) as snapshot:
-                    seen.append(snapshot.get(ref))
+        def reader():
+            with manager.acquire(pid) as snapshot:
+                seen.append(snapshot.get(ref))
 
-            manager._build = parked_build
-            thread = threading.Thread(target=reader)
-            thread.start()
-            assert built.wait(5.0)
-            manager._build = build
-            with session.transaction() as tx:
-                tx.update(ref, "v1")  # commits and invalidates pid
-            resume.set()
-            _join([thread])
-            assert seen == ["v0"]  # acquired before the commit: still valid
-            with session.snapshot(pid) as snapshot:
-                assert snapshot.get(ref) == "v1"
-            assert manager.stats()["created"] == 2
-        assert chunks.snapshot_pins == 0
+        manager._build = parked_build
+        thread = threading.Thread(target=reader)
+        thread.start()
+        assert built.wait(5.0)
+        manager._build = build
+        with objects.transaction() as tx:
+            tx.update(ref, "v1")  # commits and invalidates pid
+        resume.set()
+        _join([thread])
+        assert seen == ["v0"]  # acquired before the commit: still valid
+        with manager.acquire(pid) as snapshot:
+            assert snapshot.get(ref) == "v1"
+        assert manager.stats()["created"] == 2
+        # the idle current snapshot alone: the stale one was closed
+        assert chunks.snapshot_pins == 1
 
     def test_view_walk_keeps_post_checkpoint_writes(self):
         """Regression: a view's map walk stored every child slot of the
@@ -577,36 +644,34 @@ class TestSnapshotIsolation:
             for ref in refs:
                 tx.create_at(ref, f"object-{ref.rank}")
         objects.chunks.checkpoint()
-        with TDBServer(objects) as server, server.session() as session:
-            with session.snapshot(pid) as snapshot:
-                assert snapshot.get(refs[0]) == "object-0"  # warms the map
-                io = platform.untrusted.stats
-                before = io.snapshot()
-                wanted = [refs[3], refs[0], refs[5], refs[3], refs[1]]
-                assert snapshot.get_many(wanted) == [
-                    f"object-{ref.rank}" for ref in wanted
-                ]
-                delta = io.delta(before)
-                # refs[0] is an object-cache hit; the other three distinct
-                # chunks arrive in one round trip
-                assert (delta.reads, delta.batched_extents) == (1, 3)
-                with pytest.raises(ObjectNotFoundError):
-                    snapshot.get_many([refs[0], ObjectRef(pid, 7)])
-                with pytest.raises(ObjectNotFoundError):
-                    snapshot.get_many([ObjectRef(pid + 1, 0)])
+        with objects.snapshots.acquire(pid) as snapshot:
+            assert snapshot.get(refs[0]) == "object-0"  # warms the map
+            io = platform.untrusted.stats
+            before = io.snapshot()
+            wanted = [refs[3], refs[0], refs[5], refs[3], refs[1]]
+            assert snapshot.get_many(wanted) == [
+                f"object-{ref.rank}" for ref in wanted
+            ]
+            delta = io.delta(before)
+            # refs[0] is an object-cache hit; the other three distinct
+            # chunks arrive in one round trip
+            assert (delta.reads, delta.batched_extents) == (1, 3)
+            with pytest.raises(ObjectNotFoundError):
+                snapshot.get_many([refs[0], ObjectRef(pid, 7)])
+            with pytest.raises(ObjectNotFoundError):
+                snapshot.get_many([ObjectRef(pid + 1, 0)])
 
     def test_missing_object_raises_object_not_found(self):
         _, _, objects, pid = make_stack()
         with objects.transaction() as tx:
             tx.create_at(ObjectRef(pid, 0), "root")
-        with TDBServer(objects) as server, server.session() as session:
-            with session.snapshot(pid) as snapshot:
-                with pytest.raises(ObjectNotFoundError):
-                    snapshot.get(ObjectRef(pid, 7))
-                with pytest.raises(ObjectNotFoundError):
-                    snapshot.get(ObjectRef(pid + 1, 0))  # wrong partition
-                assert not snapshot.exists(ObjectRef(pid, 7))
-                assert snapshot.exists(ObjectRef(pid, 0))
+        with objects.snapshots.acquire(pid) as snapshot:
+            with pytest.raises(ObjectNotFoundError):
+                snapshot.get(ObjectRef(pid, 7))
+            with pytest.raises(ObjectNotFoundError):
+                snapshot.get(ObjectRef(pid + 1, 0))  # wrong partition
+            assert not snapshot.exists(ObjectRef(pid, 7))
+            assert snapshot.exists(ObjectRef(pid, 0))
 
     def test_open_view_defers_the_cleaner(self):
         from repro.chunkstore.cleaner import Cleaner
@@ -623,35 +688,38 @@ class TestSnapshotIsolation:
             chunks.close_snapshot_view(view)  # idempotent
         assert chunks.snapshot_pins == 0
 
-    def test_close_detaches_the_commit_seam(self):
-        """The server only hangs its snapshot invalidation on the store's
-        committer, and takes it down on close: later commits go through
-        the same committer and invalidate nothing."""
-        _, _, objects, pid = make_stack()
-        committer = objects.committer
-        server = TDBServer(objects)
-        assert objects.committer is committer
-        assert committer.on_commit == server.snapshots.invalidate_many
-        with server.session() as session, session.transaction() as tx:
-            tx.create_at(ObjectRef(pid, 0), "served")
-        invalidated = dict(server.snapshots._invalid_through)
-        assert set(invalidated) == {pid}
-        server.close()
-        assert committer.on_commit is None
+    def test_a_bare_object_store_commit_invalidates_its_snapshots(self):
+        """The committer invalidates the store's own snapshots, with no
+        server in sight: a commit makes the held snapshot stale (still
+        readable, never handed out again) and disposes it on release."""
+        _, chunks, objects, pid = make_stack()
+        ref = ObjectRef(pid, 0)
         with objects.transaction() as tx:
-            tx.update(ObjectRef(pid, 0), "after")
-        assert objects.read_committed(ObjectRef(pid, 0)) == "after"
-        assert committer.stats()["batches"] == 2
-        assert server.snapshots._invalid_through == invalidated
+            tx.create_at(ref, "v0")
+        held = objects.snapshots.acquire(pid)
+        assert held.get(ref) == "v0"
+        with objects.transaction() as tx:
+            tx.update(ref, "v1")
+        assert held._stale and held.get(ref) == "v0"
+        assert objects.snapshots._invalid_through == {pid: chunks.commit_count_stat}
+        with objects.snapshots.acquire(pid) as fresh:
+            assert fresh is not held and fresh.get(ref) == "v1"
+        held.release()
+        assert held._disposed and chunks.snapshot_pins == 1  # `fresh`, idle
+        assert objects.committer.stats()["batches"] == 2
 
     def test_closed_server_and_session_refuse_work(self):
-        _, _, objects, _ = make_stack()
+        _, _, objects, pid = make_stack()
         server = TDBServer(objects)
         session = server.session()
         session.close()
         with pytest.raises(RuntimeError):
             session.transaction()
-        server.close()
+        with server.session() as reader:
+            reader.snapshot(pid).release()  # idle, kept for reuse
+        server.close()  # drops the store's snapshots
+        assert objects.snapshots.stats()["active"] == 0
+        assert objects.chunks.snapshot_pins == 0
         with pytest.raises(RuntimeError):
             server.session()
 
@@ -954,7 +1022,7 @@ class TestServerStress:
                 == self.WRITERS * self.TXS
             )
             assert stats["group_commit"]["fallbacks"] == 0
-            assert stats["objectstore"]["locks"]["deadlocks_broken"] == 0
+            assert objects.stats()["locks"]["deadlocks_broken"] == 0
 
         # group commits flush before acking, so a crash right after the
         # last ack must lose nothing: reboot and roll the log forward
@@ -1041,7 +1109,7 @@ class TestServerStress:
                 assert errors == []
                 stats = server.stats()
                 assert stats["group_commit"]["txs_committed"] - committed == 100
-                assert stats["objectstore"]["locks"]["deadlocks_broken"] == 0
+                assert objects.stats()["locks"]["deadlocks_broken"] == 0
         finally:
             sys.setswitchinterval(interval)
         platform.reboot()
