@@ -16,7 +16,8 @@ What the next checkpoint will write is bounded at all times by the
 log-space reserve (:class:`~repro.chunkstore.logspace.LogSpace`), which no
 other writer may take (DESIGN.md, "Log space"), and the segments the
 cleaner freed since the last checkpoint become claimable only once this
-one is durable (:meth:`SegmentManager.release_deferred
+one is durable, if no open snapshot view predates their clean
+(:meth:`SegmentManager.release_deferred
 <repro.chunkstore.segments.SegmentManager.release_deferred>`).
 """
 
@@ -98,8 +99,9 @@ def write_checkpoint(store, initial: bool) -> None:
     writer.make_durable("checkpoint", store._leader_location, force=True)
     store._write_superblock()
     # durable in both disciplines now: nothing recovery can start from
-    # still needs a segment cleaned before it (its table lists them free)
-    store.segman.release_deferred()
+    # still needs a segment cleaned before it (its table lists them free);
+    # an open view may, if it was frozen before the clean
+    store.segman.release_deferred(store._oldest_view())
     injector.point("checkpoint.end")
     store.cache.clean_all_dirty()
     logger.info(

@@ -25,8 +25,10 @@ Two safety properties from the paper:
   exactly which partitions each rewritten version is current in.
 
 Two log-space rules (DESIGN.md, "Log space"): the cleaned segment is only
-*deferred* — the last checkpoint may still need it, so it is free once the
-next one is durable — and a re-commit runs only if
+*deferred*, tagged with the store's commit count — the last checkpoint may
+still need it, so it is free once a later one is durable, and no sooner
+than whatever else may still read it allows (the segment manager's rule)
+— and a re-commit runs only if
 :meth:`LogSpace.move_fits <repro.chunkstore.logspace.LogSpace.move_fits>`
 says so, the reserve it adds for the next checkpoint included; one that
 does not is declined, and the caller checkpoints first.
@@ -77,13 +79,6 @@ class Cleaner:
         store = self.store
         # a writer like any other (and callable on its own): both locks
         with store._writers, store._lock:
-            if store._snapshot_pins > 0:
-                # Open snapshot views hold frozen roots into the current
-                # extents; relocating or reusing those extents would tear
-                # the snapshots (the MVCC vacuum tradeoff).  Decline and
-                # let the caller retry after the views close.
-                obs.emit("clean_deferred", pins=store._snapshot_pins)
-                return None
             target = store.segman.emptiest_cleanable_segment()
             if target is None:
                 return None
@@ -172,11 +167,14 @@ class Cleaner:
             survivors.append((header.chunk_id, body, pids))
 
         if survivors:
-            record = self._record(survivors)
+            # the CLEANER record announcing the survivors' re-commit
+            record = CleanerRecord(
+                [(cid.height, cid.rank, pids) for cid, _, pids in survivors]
+            ).encode()
             if not store.log_space.move_fits(segment, record, survivors):
                 return False
-            self._rewrite(survivors)
-        segman.release_segment(segment)
+            self._rewrite(record, survivors)
+        segman.release_segment(segment, store.commit_count_stat)
         logger.debug(
             "cleaned segment %d: %d current version(s) rewritten",
             segment,
@@ -184,20 +182,14 @@ class Cleaner:
         )
         return True
 
-    @staticmethod
-    def _record(survivors: List[_Survivor]) -> bytes:
-        """The CLEANER record announcing ``survivors``' re-commit."""
-        return CleanerRecord(
-            [(cid.height, cid.rank, pids) for cid, body, pids in survivors]
-        ).encode()
-
-    def _rewrite(self, survivors: List[_Survivor]) -> None:
-        """Re-commit the current versions to the log tail (one commit)."""
+    def _rewrite(self, record: bytes, survivors: List[_Survivor]) -> None:
+        """Re-commit the current versions to the log tail (one commit),
+        announced by the CLEANER ``record``."""
         store = self.store
         writer = store.writer
         appended = store.logbuf.bytes_appended
         writer.begin_set()
-        writer.append_unnamed(VersionKind.CLEANER, self._record(survivors))
+        writer.append_unnamed(VersionKind.CLEANER, record)
         for cid, body, pids in survivors:
             state = store.table.load(pids[0])
             descriptor = writer.append_named(cid, body, state.cipher, state.hash)

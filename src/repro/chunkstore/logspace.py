@@ -24,9 +24,11 @@ byte counts and byte counts into decisions:
   clean, :meth:`LogSpace.move_fits` answers the cleaner, and
   :meth:`LogSpace.checkpoint_fits` a checkpoint.
 
-A segment the cleaner frees is *deferred* until the next checkpoint is
-durable (:mod:`repro.chunkstore.segments`): it counts towards the cleaning
-target, and towards what a checkpoint releases, never towards ``room``.
+A segment the cleaner frees is *deferred* until a later checkpoint is
+durable and no open snapshot view predates its clean
+(:mod:`repro.chunkstore.segments`): it counts towards the cleaning target,
+towards what a checkpoint releases only once the next checkpoint would free
+it (:meth:`LogSpace.releasable`), and never towards ``room``.
 
 ``ChunkStore`` builds one and calls it under both of its locks, as it does
 the cleaner and the checkpoint; it holds the store weakly, like the
@@ -133,15 +135,18 @@ class LogSpace:
           clean towards the low-water target: that much room beyond the
           reserve's :meth:`ceiling` — every map chunk dirty — so that a
           clean, which dirties the chains above what it moves, always
-          fits.  A deferred segment counts towards it, less the one segment
-          that checkpoint may leave.  When nothing outside the residual log
-          is left to clean, checkpoint once to unpin it.  Then write the
-          due checkpoint: it releases what was just cleaned.
-        * While it does not: checkpoint if releasing the deferred segments
-          is enough; else clean; else, once a clean made progress and if a
-          checkpoint now adds capacity or unpins the residual log,
-          checkpoint anyway.  A due checkpoint that cannot be made to fit
-          is skipped this time.
+          fits.  A deferred segment counts towards it, less the one
+          segment the checkpoint releasing it may leave — one an open
+          snapshot view holds too: cleaning more frees nothing before the
+          view closes, and would spend the room the commit needs.  When
+          nothing outside the residual log is left to clean, checkpoint
+          once to unpin it.  Then write the due checkpoint: it releases
+          what was just cleaned.
+        * While it does not: checkpoint if releasing the
+          :meth:`releasable` segments is enough; else clean; else, once a
+          clean made progress and if a checkpoint now adds capacity or
+          unpins the residual log, checkpoint anyway.  A due checkpoint
+          that cannot be made to fit is skipped this time.
 
         A commit is sized against the dirty set it will find: a checkpoint
         empties it, and every chain above the commit's chunks is new then.
@@ -185,7 +190,7 @@ class LogSpace:
                 for_space = True
             elif (
                 not checkpoint_due
-                and segman.deferred_segments
+                and self.releasable()
                 and room - self.reserve() + self.released()
                 >= self._commit_cost(operations, fresh=True)
             ):
@@ -200,9 +205,11 @@ class LogSpace:
             elif cleaned and (self.released() > 0 or self._unpins()):
                 for_space = True
             else:
+                held = len(segman.deferred_segments) - self.releasable()
                 raise StorageFullError(
-                    f"no room for a commit of {len(operations)} operation(s) "
-                    f"after cleaning: {self.capacity()} bytes left"
+                    f"no room for a commit of {len(operations)} operation(s) after "
+                    f"cleaning: {self.capacity()} bytes left; {held} segment(s) held "
+                    f"by open snapshot views frozen at {sorted(store._open_views)}"
                 )
             store._write_checkpoint()
             if for_space:
@@ -234,7 +241,7 @@ class LogSpace:
                 cleaned += 1
                 continue
             if checkpointed or not (
-                segman.deferred_segments or len(segman.residual_segments) > 1
+                self.releasable() or len(segman.residual_segments) > 1
             ):
                 break
             store._write_checkpoint()
@@ -271,7 +278,7 @@ class LogSpace:
     def stats(self) -> Dict[str, int]:
         segman = self.segman
         return {
-            "free_segments": segman.free_segment_count(),
+            "free_segments": len(segman.free_segments),
             "deferred_segments": len(segman.deferred_segments),
             "reserve_bytes": self.reserve(),
             "capacity_bytes": self.capacity(),
@@ -288,7 +295,7 @@ class LogSpace:
         return (
             self.max_version_size
             - segman.tail_offset
-            + segman.free_segment_count() * self.max_version_size
+            + len(segman.free_segments) * self.max_version_size
         )
 
     def capacity(self) -> int:
@@ -340,9 +347,14 @@ class LogSpace:
             largest = max(largest, share[3])
         return self._spread(content + 2 * self._commit, largest) + self.max_version_size
 
+    def releasable(self) -> int:
+        """How many deferred segments a checkpoint now frees: those no open
+        snapshot view was frozen before the clean of."""
+        return self.segman.releasable(self.store._oldest_view())
+
     def released(self) -> int:
         """What a checkpoint now adds to the capacity, at least: the
-        deferred segments it releases, less the rest of the segment its
+        :meth:`releasable` segments, less the rest of the segment its
         first phase ends in — the tail's, if that phase fits there, else
         all of one at worst — and the system leader and commit chunk it
         starts the fresh one with.  The reserve it spends it also frees."""
@@ -351,7 +363,7 @@ class LogSpace:
         rest = whole - segman.tail_offset
         lost = rest if self.reserve() - whole <= rest else whole
         return (
-            len(segman.deferred_segments) * whole
+            self.releasable() * whole
             - lost
             - self._leader_version(self.table.system)
             - self._commit

@@ -24,14 +24,17 @@ costs a little space per checkpoint and simplifies the residual-chain
 bookkeeping.
 
 A segment the cleaner frees is *deferred*, not free: recovery starts from
-the last checkpoint, whose map and leaders may still lie in it, so the log
-may claim it only once the next checkpoint — whose segment table already
-lists it as free — is durable (:meth:`SegmentManager.release_deferred`).
+the last checkpoint, whose map and leaders may still lie in it, and an open
+snapshot view frozen before the clean may still read it.  So the log may
+claim it only once a later checkpoint — whose segment table already lists
+it as free — is durable *and* no open view predates the clean
+(:meth:`SegmentManager.release_deferred`).  Views die with a crash, so the
+second condition lives in memory only.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro import obs
 from repro.chunkstore.leader import SegmentTable
@@ -146,8 +149,10 @@ class SegmentManager:
         self.used_bytes: List[int] = [0] * self.segment_count
         self.live_bytes: List[int] = [0] * self.segment_count
         self.free_segments: List[int] = list(range(self.segment_count - 1, -1, -1))
-        #: cleaned since the last checkpoint: free once the next is durable
-        self.deferred_segments: List[int] = []
+        #: cleaned segments, each with the commit count at its clean, in
+        #: clean order: free at the first durable checkpoint that no open
+        #: view predates the clean of
+        self.deferred_segments: List[Tuple[int, int]] = []
         self.tail_segment: int = 0
         self.tail_offset: int = 0
         self.residual_segments: List[int] = []
@@ -177,9 +182,6 @@ class SegmentManager:
         self.live_bytes[segment] = 0
         return segment
 
-    def free_segment_count(self) -> int:
-        return len(self.free_segments)
-
     def jump_to(self, segment: int) -> None:
         """Move the tail to the start of ``segment`` (already claimed)."""
         self.tail_segment = segment
@@ -200,20 +202,29 @@ class SegmentManager:
             self.used_bytes[self.tail_segment], self.tail_offset
         )
 
-    def release_segment(self, segment: int) -> None:
-        """A cleaned segment holds nothing live: defer it until the next
-        checkpoint is durable (see the module docstring)."""
+    def release_segment(self, segment: int, cleaned_at: int) -> None:
+        """A cleaned segment holds nothing live: defer it, tagged with the
+        store's commit count ``cleaned_at`` (see the module docstring)."""
         if segment in self.residual_segments:
             raise AssertionError("must not release a residual-log segment")
         self.used_bytes[segment] = 0
         self.live_bytes[segment] = 0
-        self.deferred_segments.append(segment)
+        self.deferred_segments.append((segment, cleaned_at))
 
-    def release_deferred(self) -> None:
-        """A checkpoint is durable: the segments cleaned before it are
-        free (and, the free list being LIFO, claimed first)."""
-        self.free_segments.extend(self.deferred_segments)
-        self.deferred_segments = []
+    def releasable(self, oldest_view: int) -> int:
+        """How many deferred segments a checkpoint frees while the oldest
+        open view was frozen at commit count ``oldest_view``: those cleaned
+        strictly before it (a view frozen *at* a clean's count may predate
+        it).  Tags only rise, so they are the first ones."""
+        return sum(at < oldest_view for _, at in self.deferred_segments)
+
+    def release_deferred(self, oldest_view: int) -> None:
+        """A checkpoint is durable: the :meth:`releasable` segments are
+        free (and, the free list being LIFO, claimed first); the rest wait
+        for a later one."""
+        count = self.releasable(oldest_view)
+        self.free_segments += [segment for segment, _ in self.deferred_segments[:count]]
+        del self.deferred_segments[:count]
 
     # -- utilization ---------------------------------------------------------
 
@@ -252,10 +263,11 @@ class SegmentManager:
 
     def to_table(self) -> SegmentTable:
         """The checkpoint's view: deferred segments are free once it is
-        durable, which is when a recovery would start from it."""
+        durable, which is when a recovery would start from it — those an
+        open view holds too, since views die with a crash."""
         return SegmentTable(
             tail_segment=self.tail_segment,
-            free_segments=self.free_segments + self.deferred_segments,
+            free_segments=self.free_segments + [s for s, _ in self.deferred_segments],
             used_bytes=list(self.used_bytes),
             live_bytes=list(self.live_bytes),
             residual_segments=list(self.residual_segments),

@@ -18,10 +18,14 @@ Why this is sound
   in place.  New commits and checkpoints append *new* extents; the
   extents reachable from the view's frozen root descriptor stay exactly
   as written.
-* The only component that relocates or reuses live extents is the
-  cleaner — so the store counts open views (``_snapshot_pins``) and the
-  cleaner politely declines to run while any exist (the classic MVCC
-  vacuum tradeoff; see ``Cleaner.clean_one``).
+* The cleaner moves current versions by writing new copies; the old
+  extents stay until their segment is *reused*.  A cleaned segment is
+  deferred, tagged with the store's commit count at the clean, and the
+  log claims it only once a checkpoint after the clean is durable and no
+  open view has ``frozen_at`` at or below that tag (the store counts open
+  views by ``frozen_at``; see ``SegmentManager.release_deferred``).  A
+  segment cleaned before the view froze is unreachable from its seed: the
+  map it froze already names the moved copies.
 * The view validates everything it reads against its frozen root hash
   through the same :class:`~repro.chunkstore.readpath.ReadPath` routines
   as the locked path — its own *instance* of the one walk and the one
@@ -47,7 +51,8 @@ validated payloads privately rather than through the store's shared
 payload cache (which tracks the *latest* committed bytes).
 
 Close views promptly (``ChunkStore.close_snapshot_view`` or the context
-manager): every open view defers cleaning store-wide.
+manager): every open view holds the segments cleaned after it from reuse,
+and a store whose log fills up with held segments refuses commits.
 """
 
 from __future__ import annotations
@@ -72,8 +77,8 @@ class SnapshotView:
     """Immutable validated read path over one partition's committed state.
 
     Construct via :meth:`ChunkStore.open_snapshot_view` (which freezes the
-    partition's leader payload under the store lock and registers the
-    cleaner pin); never directly.
+    partition's leader payload under the store lock and counts the view
+    by ``frozen_at``); never directly.
 
     Thread-safe: many reader threads may share one view.  The descriptor
     cache and the payload cache lock themselves per operation; nothing is

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import logging
 import threading
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
@@ -189,9 +190,9 @@ class ChunkStore:
         self._closed = False
         self._failed = False
         self.commit_count_stat = 0
-        #: open snapshot views; while > 0 the cleaner declines to run so
-        #: the extents frozen roots point at are never relocated or reused
-        self._snapshot_pins = 0
+        #: open snapshot views, counted by ``frozen_at``: a segment cleaned
+        #: at or after the oldest is not reused while it is open
+        self._open_views: Counter = Counter()
         self.snapshot_views_opened = 0
 
     # ------------------------------------------------------------------
@@ -495,36 +496,35 @@ class ChunkStore:
         flushes.  *Opening* one takes the writers' lock: it waits for a
         commit whose flush is in flight rather than freezing past it, so a
         view shows durable state only (``frozen_at`` counts that commit).
-        While any view is open the cleaner defers (``_snapshot_pins``), so
-        close views promptly.  See :mod:`repro.chunkstore.snapshot` for the
-        full soundness argument and consistency contract."""
+        The segments cleaned while it is open are not reused until it
+        closes, so close views promptly.  See
+        :mod:`repro.chunkstore.snapshot` for the full soundness argument
+        and consistency contract."""
         from repro.chunkstore.snapshot import build_snapshot_view
 
         with self._writers, self._lock:
             self._check_open()
             self.logbuf.seal()  # the frozen root must be device-visible
             view = build_snapshot_view(self, pid)
-            self._snapshot_pins += 1
+            self._open_views[view.frozen_at] += 1
             self.snapshot_views_opened += 1
-            obs.emit("snapshot_view_opened", pid=pid, pins=self._snapshot_pins)
+            obs.emit("snapshot_view_opened", pid=pid, frozen_at=view.frozen_at)
             return view
 
     def close_snapshot_view(self, view: "SnapshotView") -> None:
-        """Release a snapshot view (idempotent); unpins the cleaner once
-        the last view closes."""
+        """Release a snapshot view (idempotent); the segments it holds are
+        free at the next checkpoint unless an older view holds them too."""
         with self._lock:
             if view.closed:
                 return
             view.closed = True
-            self._snapshot_pins -= 1
-            obs.emit(
-                "snapshot_view_closed", pid=view.pid, pins=self._snapshot_pins
-            )
+            self._open_views -= Counter((view.frozen_at,))
+            obs.emit("snapshot_view_closed", pid=view.pid, frozen_at=view.frozen_at)
 
-    @property
-    def snapshot_pins(self) -> int:
-        with self._lock:
-            return self._snapshot_pins
+    def _oldest_view(self) -> int:
+        """The oldest open view's ``frozen_at``; with none open, a count
+        above every clean's (see ``SegmentManager.releasable``)."""
+        return min(self._open_views, default=self.commit_count_stat + 1)
 
     # ------------------------------------------------------------------
     # commit (§4.6, §5.1)
@@ -859,8 +859,10 @@ class ChunkStore:
                     "quarantine_active": len(self.readpath.quarantine),
                 },
                 "snapshots": {
-                    "open_views": self._snapshot_pins,
+                    "open_views": sum(self._open_views.values()),
                     "views_opened": self.snapshot_views_opened,
+                    "held_segments": len(self.segman.deferred_segments)
+                    - self.log_space.releasable(),
                 },
             }
 

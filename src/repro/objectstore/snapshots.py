@@ -21,9 +21,10 @@ a snapshot frozen before that count is never installed as the shared
 current: a session that acquires after its own commit returned always
 sees that commit.
 
-Every open view pins the cleaner (§4.9.5), so an idle snapshot — one no
-reader holds — is kept for reuse only until the next durable batch,
-whichever partitions that batch touched.
+Every open view holds the segments the cleaner frees after it from reuse
+(§4.9.5), so an idle snapshot — one no reader holds — is kept for reuse
+only until the next durable batch, whichever partitions that batch
+touched.
 
 Objects load through the object store's loader (``load_objects``) with
 the snapshot's own cache and chunk source: unpickled objects are cached
@@ -48,8 +49,8 @@ class Snapshot:
 
     Shared by concurrent readers; thread-safe.  Release with
     :meth:`release` (or a ``with`` block) — the underlying chunk-store
-    view pins the cleaner while a reader holds it, and once idle until
-    the next durable batch at most.
+    view holds cleaned segments from reuse while a reader holds it, and
+    once idle until the next durable batch at most.
     """
 
     def __init__(
@@ -163,7 +164,7 @@ class SnapshotManager:
         """A durable batch changed ``pids``: new readers need fresh
         snapshots.  Existing readers keep their (now stale) snapshots
         untouched.  Every idle snapshot goes, whatever its partition: it
-        pins the cleaner, and the next reader can build a fresh one.
+        holds cleaned segments, and the next reader can build a fresh one.
 
         Every partition is marked before any view is closed, so whatever
         closing one may raise, no snapshot that predates the commit is

@@ -6,7 +6,9 @@ checkpoints, cleaning, crash + recovery, clean reopen — simultaneously
 against the real :class:`~repro.chunkstore.store.ChunkStore` and the plain
 :class:`~repro.testing.model.ReferenceModel`, and compares their full
 visible state after every state-changing operation and after every
-crash + recovery.
+crash + recovery.  Each ``clean`` first opens a snapshot view on a live
+partition, held until the next ``clean``, crash or reopen, and compared
+with the model as of its open at every comparison.
 
 Failures are reproducible and shrinkable:
 
@@ -73,6 +75,17 @@ def op_value(op: Op) -> bytes:
     op alone, so shrunk sequences keep their payloads): 100–500 bytes, so
     a handful of writes fill a segment and the log claims freed ones."""
     return f"v{op.slot}.{op.rank}.{op.tag}:".encode() * (8 * (1 + op.tag % 4))
+
+
+def _view_problems(view, frozen: Dict[int, bytes]) -> List[str]:
+    """How the view the last ``clean`` opened differs from ``frozen``, the
+    model of its partition as of its open."""
+    held = f"the view of partition {view.pid} held since the last clean"
+    try:
+        seen = view.read_chunks(sorted(frozen))
+    except TDBError as exc:
+        return [f"{held} raised {type(exc).__name__}: {exc}"]
+    return [] if seen == frozen else [f"{held} no longer reads what it froze"]
 
 
 @dataclass(frozen=True)
@@ -196,6 +209,8 @@ class DifferentialRunner(Harness):
         model = ReferenceModel()
         slots: Dict[int, int] = {}
         flavours = self.variant.partition_specs
+        #: the snapshot view the last ``clean`` opened, and what it froze
+        view, frozen = None, {}
 
         def live(slot: int) -> bool:
             return slot in slots and slots[slot] in model.partitions
@@ -212,13 +227,7 @@ class DifferentialRunner(Harness):
                         continue
                     pid = store.allocate_partition()
                     cipher, hash_name = flavours[op.tag % len(flavours)]
-                    store.commit(
-                        [
-                            ops.WritePartition(
-                                pid, cipher_name=cipher, hash_name=hash_name
-                            )
-                        ]
-                    )
+                    store.commit([ops.WritePartition(pid, cipher, hash_name)])
                     model.write_partition(pid)
                     slots[op.slot] = pid
                 elif op.kind == "copy":
@@ -257,35 +266,40 @@ class DifferentialRunner(Harness):
                     store.checkpoint()
                     compare = False
                 elif op.kind == "clean":
+                    # a view held from here to the next clean: it must read
+                    # what it froze while the segments cleaned meanwhile
+                    # wait for it
+                    if view is not None:
+                        view.close()
+                    view, frozen = None, {}
+                    live_slots = [slot for slot in sorted(slots) if live(slot)]
+                    if live_slots:
+                        view = store.open_snapshot_view(slots[live_slots[0]])
+                        frozen = dict(model.partitions[view.pid].chunks)
                     store.clean(max_segments=8)
                     compare = False
                 elif op.kind == "crash":
                     platform.reboot()
                     store = self.variant.open(platform, self.SEGMENT_SIZE)
+                    view, frozen = None, {}
                 elif op.kind == "reopen":
                     store.close()
                     store = self.variant.open(platform, self.SEGMENT_SIZE)
+                    view, frozen = None, {}
                 else:
                     raise ValueError(f"unknown op kind {op.kind!r}")
-            except TDBError as exc:
-                return fail(
-                    index, f"{op} raised {type(exc).__name__}: {exc}"
-                )
             except Exception as exc:
-                return fail(
-                    index,
-                    f"{op} raised non-TDB {type(exc).__name__}: {exc}",
-                )
+                kind = "" if isinstance(exc, TDBError) else "non-TDB "
+                return fail(index, f"{op} raised {kind}{type(exc).__name__}: {exc}")
             if not compare:
                 continue
             try:
                 problems = diff_states(model.state(), observe_store(store))
             except TDBError as exc:
-                return fail(
-                    index,
-                    f"observation after {op} raised "
-                    f"{type(exc).__name__}: {exc}",
-                )
+                reason = f"{type(exc).__name__}: {exc}"
+                return fail(index, f"observation after {op} raised {reason}")
+            if view is not None:
+                problems += _view_problems(view, frozen)
             if problems:
                 return fail(index, f"after {op}: " + "; ".join(problems))
         return None

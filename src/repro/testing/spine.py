@@ -155,9 +155,7 @@ def build_scenario(variant: Variant = Variant()) -> Scenario:
     pids: List[int] = []
     for cipher_name, hash_name in variant.partition_specs:
         pid = store.allocate_partition()
-        store.commit(
-            [ops.WritePartition(pid, cipher_name=cipher_name, hash_name=hash_name)]
-        )
+        store.commit([ops.WritePartition(pid, cipher_name, hash_name)])
         pids.append(pid)
 
     def write(pid: int, rank: int, tag: str) -> None:
@@ -329,7 +327,7 @@ def three_reads(
 ) -> Iterator[Tuple[Key, List[object]]]:
     """Each chunk of ``keys`` through :data:`READ_PATHS`: the bytes served
     or the :class:`TDBError` raised, per path.  One view per partition,
-    closed at the end (an open view defers the cleaner)."""
+    closed at the end (an open view holds cleaned segments from reuse)."""
     views = {}
 
     def view_read(pid: int, rank: int) -> bytes:

@@ -141,7 +141,8 @@ def trusted_view(store: ChunkStore) -> Dict[str, Any]:
             "residual": len(segman.residual_segments),
         },
         # free and deferred (cleaned, free once the next checkpoint is
-        # durable) segments, against what the next checkpoint may need
+        # durable, unless an open snapshot view holds them) segments,
+        # against what the next checkpoint may need
         "log_space": stats["log_space"],
         "cache": {
             "dirty_descriptors": cache["dirty_entries"],

@@ -275,11 +275,11 @@ class TestVectorCacheCoherence:
                 refused()
         store.evict_payload(pid, 0)
         store.release_chunk(pid, 7)
-        assert store.stats()["snapshots"]["open_views"] == store.snapshot_pins == 1
+        assert store.stats()["snapshots"]["open_views"] == 1
         assert store.quarantined_chunks() == {}
         assert store.stored_bytes() >= store.live_bytes() > 0
         store.close_snapshot_view(view)
-        assert store.snapshot_pins == 0
+        assert store.stats()["snapshots"]["open_views"] == 0
         store.close()  # and writes nothing on the way out
         platform.reboot()
         recovered = ChunkStore.open(platform)

@@ -204,21 +204,24 @@ def test_immediate_segment_reuse_is_caught_at_the_ci_depth(mode, monkeypatch):
     """ROADMAP item 1(b): a cleaned segment handed out again before the
     checkpoint that stops needing it.  With ``release_segment`` appending
     straight to the free list, the 5 seeds CI runs per mode report
-    divergences — a crash image that no longer reopens — each with a
-    repro line that replays it."""
+    divergences — a crash image that no longer reopens, or the view held
+    since the last clean reading a reused segment — each with a repro line
+    that replays it."""
     runner = DifferentialRunner(Variant(mode))
     assert not runner.run(5).failures
 
-    def reuse_at_once(self, segment):
+    def reuse_at_once(self, segment, cleaned_at):
         self.used_bytes[segment] = self.live_bytes[segment] = 0
         self.free_segments.append(segment)
 
     monkeypatch.setattr(SegmentManager, "release_segment", reuse_at_once)
     failures = runner.run(5).failures
     assert failures, "immediate reuse escaped the CI depth"
-    assert all(f.ops[f.op_index].kind == "crash" for f in failures), [
-        f.detail for f in failures
-    ]
+    held = "held since the last clean"
+    assert all(
+        f.ops[f.op_index].kind == "crash" or held in f.detail for f in failures
+    ), [f.detail for f in failures]
+    assert any(held in f.detail for f in failures)
     [again] = replay(failures[0].repro_line())
     assert again == failures[0]
 

@@ -52,7 +52,7 @@ def test_capacity_counts_the_tail_and_every_free_segment(mode):
         assert len(segman.deferred_segments) == deferred
         assert space.room() == (
             writer.max_version_size - segman.tail_offset
-            + segman.free_segment_count() * writer.max_version_size
+            + len(segman.free_segments) * writer.max_version_size
         )
         assert space.capacity() == space.room() - space.reserve()
         if not deferred:
@@ -167,7 +167,7 @@ class _Churned:
 
     images = {}
 
-    def __init__(self, mode):
+    def __init__(self, mode, view=False):
         if mode not in self.images:
             platform = make_platform(size=4096 + 12 * SEGMENT)
             store = ChunkStore.format(platform, self.config(mode))
@@ -190,6 +190,7 @@ class _Churned:
         self.store = ChunkStore.open(self.platform, self.config(mode))
         self.model = dict(model)
         self.in_flight = {}
+        self.view = view
 
     @staticmethod
     def config(mode):
@@ -197,27 +198,45 @@ class _Churned:
 
     def workload(self):
         """Clean, then overwrite until the log has claimed segments past
-        the ones it had, then checkpoint."""
+        the ones it had, then checkpoint — with ``view``, a snapshot view
+        opened before the clean is held throughout, and reads what it
+        froze at the end.  The view holds every segment cleaned meanwhile,
+        so it gets 8 commits: the 20 would not fit (≈ 62 KB against
+        ≈ 35 KB of capacity), and the store would refuse them."""
         store, pid = self.store, self.pid
+        if self.view:
+            view, frozen = store.open_snapshot_view(pid), dict(self.model)
         assert store.clean(max_segments=3) > 0
-        for start in range(0, 100, 5):  # 20 commits, ≈ four segments
+        # 20 commits, ≈ four segments; 8, ≈ 1.5 under the view
+        for start in range(0, 40 if self.view else 100, 5):
             batch = {r: bytes([r, 2]) * 300 for r in range(start, start + 5)}
             self.in_flight = batch
             store.commit([ops.WriteChunk(pid, r, body) for r, body in batch.items()])
             self.model.update(batch)
         self.in_flight = {}
         store.checkpoint()
+        if self.view:
+            assert store.stats()["snapshots"]["held_segments"] > 0
+            assert view.read_chunks(range(100)) == frozen
+            view.close()
 
 
-@pytest.mark.parametrize("mode", ["counter", "direct"])
-def test_every_crash_between_a_clean_and_the_next_checkpoint_reopens(mode):
+@pytest.mark.parametrize(
+    "mode, view",
+    [("counter", False), ("direct", False), ("counter", True), ("direct", True)],
+    ids=["counter", "direct", "counter-view", "direct-view"],
+)
+def test_every_crash_between_a_clean_and_the_next_checkpoint_reopens(mode, view):
     """Every crash point of the cleaner's re-commit, of the commits after
     it and of the checkpoint that releases what it freed — each of their
     occurrences, not a sample: the image reopens, holds every acknowledged
     write (the one in flight as it was or as it was meant to be), and
     quarantines nothing.  With immediate reuse, the commits that claimed
-    a freed segment overwrote what the last checkpoint's map needed."""
-    driver = SweepDriver(lambda: _Churned(mode))
+    a freed segment overwrote what the last checkpoint's map needed.
+    ``view``: a snapshot view open since before the clean holds what it
+    freed through the checkpoint; the crash drops the view, and the image
+    reopens all the same."""
+    driver = SweepDriver(lambda: _Churned(mode, view))
     points = {
         point: count
         for point, count in driver.discover(_Churned.workload).items()

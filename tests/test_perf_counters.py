@@ -86,13 +86,13 @@ class TestStoreStats:
         }
         space = stats["log_space"]
         segman = store.segman
-        assert space["free_segments"] == segman.free_segment_count()
+        assert space["free_segments"] == len(segman.free_segments)
         assert space["deferred_segments"] == 0
         # the reserve covers at least the fresh segment a checkpoint starts
         assert space["reserve_bytes"] >= store.writer.max_version_size
         assert space["capacity_bytes"] == (
             store.writer.max_version_size - segman.tail_offset
-            + segman.free_segment_count() * store.writer.max_version_size
+            + len(segman.free_segments) * store.writer.max_version_size
             - space["reserve_bytes"]
         )
         assert space["checkpoints_for_dirty"] == space["checkpoints_for_space"] == 0

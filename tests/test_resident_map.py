@@ -41,9 +41,9 @@ def _spy_on_rewrites(cleaner):
     passes = []
     rewrite = cleaner._rewrite
 
-    def recording(survivors):
+    def recording(record, survivors):
         passes.append([(str(cid), list(pids)) for cid, _, pids in survivors])
-        rewrite(survivors)
+        rewrite(record, survivors)
 
     cleaner._rewrite = recording
     return passes

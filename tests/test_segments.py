@@ -39,18 +39,22 @@ class TestAllocation:
     def test_release_returns_to_pool(self):
         """A cleaned segment returns to the pool once the next checkpoint
         is durable — not before: that checkpoint's predecessor, which a
-        crash would recover from, may still need it."""
+        crash would recover from, may still need it — and only if no open
+        view was frozen at or before its clean's commit count."""
         m = manager()
         segment = m.claim_free_segment()
         m.jump_to(segment)
         other = m.claim_free_segment()
         m.begin_residual(other)  # move residual off the first segment
-        m.release_segment(segment)
+        m.release_segment(segment, 5)
         assert segment not in m.free_segments
-        assert m.deferred_segments == [segment]
+        assert m.deferred_segments == [(segment, 5)]
         # the checkpoint that releases it already lists it as free
         assert segment in m.to_table().free_segments
-        m.release_deferred()
+        m.release_deferred(5)  # a view frozen at the clean's count holds it
+        assert segment not in m.free_segments
+        assert segment in m.to_table().free_segments
+        m.release_deferred(6)
         assert m.free_segments[-1] == segment and m.deferred_segments == []
 
     def test_a_reloaded_table_has_nothing_deferred(self):
@@ -58,7 +62,7 @@ class TestAllocation:
         segment = m.claim_free_segment()
         m.jump_to(segment)
         m.begin_residual(m.claim_free_segment())
-        m.release_segment(segment)
+        m.release_segment(segment, 0)
         reloaded = manager()
         reloaded.load_table(m.to_table())
         assert reloaded.deferred_segments == []
@@ -69,7 +73,7 @@ class TestAllocation:
         segment = m.claim_free_segment()
         m.begin_residual(segment)
         with pytest.raises(AssertionError):
-            m.release_segment(segment)
+            m.release_segment(segment, 0)
 
 
 class TestTail:

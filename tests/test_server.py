@@ -5,7 +5,7 @@ Three tiers:
 * deterministic :class:`GroupCommitter` unit tests over a fake chunk
   store (a gate blocks the leader so batches form on command);
 * MVCC snapshot semantics over a real store (isolation, staleness,
-  refcounting, cleaner pinning);
+  refcounting, the segments an open view holds from reuse);
 * an end-to-end stress test — N writer sessions and M snapshot readers
   hammering one :class:`TDBServer` — with invariants checked inside
   every snapshot, after the last commit, and again after crash recovery.
@@ -20,16 +20,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.chunkstore import ChunkStore
-from repro.errors import ChunkStoreError, CrashError, ObjectNotFoundError
+from repro.chunkstore import ChunkStore, ops
+from repro.errors import (
+    ChunkStoreError,
+    CrashError,
+    ObjectNotFoundError,
+    StorageFullError,
+)
 from repro.objectstore import ObjectStore
 from repro.objectstore.pickling import ObjectRef
 from repro import obs
 from repro.objectstore.store import TxStatus
 from repro.server import GroupCommitter, TDBServer
 from repro.testing import SweepDriver, SweepSite
+from repro.testing.snapshot import PlatformSnapshot
 from tests.conftest import make_config, make_platform
-from tests.parking import Gate, QueueSpy, Worker, join_all
+from tests.parking import Gate, QueueSpy, Worker, join_all, parking_platform
 
 
 def make_stack():
@@ -38,6 +44,50 @@ def make_stack():
     objects = ObjectStore(chunks)
     pid = objects.create_partition(cipher_name="ctr-sha256", hash_name="sha1")
     return platform, chunks, objects, pid
+
+
+def open_views(chunks):
+    return chunks.stats()["snapshots"]["open_views"]
+
+
+def busy_store(size=512 * 1024):
+    """An object store on ``size`` bytes with 8 objects in one partition:
+    the store, its chunk store and the objects' refs."""
+    chunks = ChunkStore.format(make_platform(size), make_config())
+    objects = ObjectStore(chunks)
+    busy = objects.create_partition(cipher_name="ctr-sha256", hash_name="sha1")
+    with objects.transaction() as tx:
+        refs = [tx.create(busy, 0) for _ in range(8)]
+    return objects, chunks, refs
+
+
+#: a 12-segment chunk store whose views hold what the cleaner frees
+SEGMENT = 16 * 1024
+
+
+def viewed_store(platform):
+    """100 × 200-byte chunks on ``platform``'s 12 segments of 16 KiB and
+    a view open on them: the store, the partition, the view and a model
+    of the live chunks (the view froze a copy)."""
+    store = ChunkStore.format(platform, make_config(checkpoint_dirty_threshold=64))
+    pid = store.allocate_partition()
+    store.commit([ops.WritePartition(pid, cipher_name="ctr-sha256", hash_name="sha1")])
+    model = {rank: bytes([rank]) * 200 for rank in range(100)}
+    store.commit([ops.WriteChunk(pid, store.allocate_chunk(pid), model[r]) for r in model])
+    return store, pid, store.open_snapshot_view(pid), model
+
+
+def overwrite_and_clean(store, pid, model, rounds=2):
+    """Rounds of: every chunk overwritten in 10-chunk commits, ``clean(4)``
+    and a checkpoint; without the view's hold, each round's commits claim
+    the segments the round before it cleaned."""
+    for tag in range(1, rounds + 1):
+        for start in range(0, 100, 10):
+            batch = {r: bytes([r, tag]) * 100 for r in range(start, start + 10)}
+            store.commit([ops.WriteChunk(pid, r, body) for r, body in batch.items()])
+            model.update(batch)
+        assert store.clean(4) > 0
+        store.checkpoint()
 
 
 def _join(threads, timeout=10.0):
@@ -463,9 +513,9 @@ class TestSnapshotIsolation:
         first = objects.snapshots.acquire(pid)
         second = objects.snapshots.acquire(pid)
         assert first is second  # refcounted share, one chunk view
-        assert chunks.snapshot_pins == 1
+        assert open_views(chunks) == 1
         first.release()
-        assert chunks.snapshot_pins == 1  # still held by `second`
+        assert open_views(chunks) == 1  # still held by `second`
         second.release()
         # released but non-stale snapshots stay current for reuse; the
         # next durable batch disposes them
@@ -473,7 +523,7 @@ class TestSnapshotIsolation:
         first.release()
         with objects.transaction() as tx:
             tx.update(ObjectRef(pid, 0), 2)
-        assert chunks.snapshot_pins == 0
+        assert open_views(chunks) == 0
 
     def test_an_idle_snapshot_does_not_pin_the_cleaner(self):
         """Regression: a released snapshot stayed current until a commit
@@ -497,9 +547,55 @@ class TestSnapshotIsolation:
         for n in range(3000):
             with objects.transaction() as tx:
                 tx.update(refs[n % 8], "x" * 300 + str(n))
-        assert chunks.snapshot_pins == 0
+        assert open_views(chunks) == 0
         with objects.snapshots.acquire(quiet) as snapshot:
             assert snapshot.get(read_once) == 0
+
+    def test_overlapping_readers_do_not_starve_the_cleaner(self):
+        """Regression: the cleaner declined to run while any view was
+        open, so readers that overlap — each snapshot released two commits
+        after it was read, one always open — left the log full after
+        ≈ 1,160 commits with nothing cleaned.  An open view now holds only
+        the segments cleaned after it, until a checkpoint after it closes."""
+        objects, chunks, refs = busy_store()
+        held = []
+        for n in range(3000):
+            snapshot = objects.snapshots.acquire(refs[0].partition)
+            assert snapshot.get(refs[n % 8]) in (0, "x" * 300 + str(n - 8))
+            held.append(snapshot)
+            if len(held) > 2:
+                held.pop(0).release()
+            with objects.transaction() as tx:
+                tx.update(refs[n % 8], "x" * 300 + str(n))
+        assert chunks.stats()["cleaner"]["cleaned_segments"] > 0
+        for snapshot in held:
+            snapshot.release()
+
+    def test_a_long_lived_view_ends_in_a_clean_refusal(self):
+        """One view held while the log is rewritten over and over: the
+        segments cleaned meanwhile stay held, so the store ends up full.
+        The commit is refused before anything is appended, with the views
+        and what they hold named; the store has not failed, the view still
+        reads what it froze, and once it closes the next commits go in."""
+        objects, chunks, refs = busy_store()
+        snapshot = objects.snapshots.acquire(refs[0].partition)
+        full = r"segment\(s\) held by open snapshot views frozen at \[\d+\]"
+        with pytest.raises(StorageFullError, match=full):
+            for n in range(3000):
+                with objects.transaction() as tx:
+                    tx.update(refs[n % 8], "x" * 300 + str(n))
+        assert not chunks._failed and 0 < n < 3000
+        assert chunks.stats()["snapshots"]["held_segments"] > 0
+        assert [snapshot.get(ref) for ref in refs] == [0] * 8
+        snapshot.release()
+        for n in range(200):
+            with objects.transaction() as tx:
+                tx.update(refs[n % 8], "y" * 300 + str(n))
+        assert chunks.stats()["snapshots"] == {
+            "open_views": 0,
+            "views_opened": 1,
+            "held_segments": 0,
+        }
 
     def test_snapshot_built_across_a_commit_is_never_shared(self):
         """Regression (benchmarks/e2e README, finding 5): a snapshot built
@@ -540,7 +636,7 @@ class TestSnapshotIsolation:
             assert snapshot.get(ref) == "v1"
         assert manager.stats()["created"] == 2
         # the idle current snapshot alone: the stale one was closed
-        assert chunks.snapshot_pins == 1
+        assert open_views(chunks) == 1
 
     def test_view_walk_keeps_post_checkpoint_writes(self):
         """Regression: a view's map walk stored every child slot of the
@@ -673,20 +769,48 @@ class TestSnapshotIsolation:
             assert not snapshot.exists(ObjectRef(pid, 7))
             assert snapshot.exists(ObjectRef(pid, 0))
 
-    def test_open_view_defers_the_cleaner(self):
-        from repro.chunkstore.cleaner import Cleaner
+    def test_an_open_view_holds_the_segments_cleaned_after_it(self):
+        """The cleaner runs while a view is open; the segments it frees
+        stay out of the free list (though the durable table lists them
+        free, so a crash image reopens), the view reads every chunk as it
+        froze it, and the checkpoint after it closes frees them."""
+        platform = make_platform(size=4096 + 12 * SEGMENT)
+        store, pid, view, model = viewed_store(platform)
+        frozen = dict(model)
+        overwrite_and_clean(store, pid, model)
+        assert view.read_chunks(range(100)) == frozen
+        held = {segment for segment, _ in store.segman.deferred_segments}
+        assert len(held) == store.stats()["snapshots"]["held_segments"] >= 4
+        assert open_views(store) == 1
+        assert not held & set(store.segman.free_segments)
+        image = PlatformSnapshot.capture(platform).restore()
+        image.reboot()
+        reopened = ChunkStore.open(image, store.config)
+        assert held <= set(reopened.segman.free_segments)
+        assert reopened.read_chunks(pid, range(100)) == model
+        assert reopened.quarantined_chunks() == {}
+        view.close()
+        view.close()  # idempotent
+        assert open_views(store) == 0
+        store.checkpoint()
+        assert held <= set(store.segman.free_segments)
 
-        _, chunks, objects, pid = make_stack()
-        with objects.transaction() as tx:
-            tx.create_at(ObjectRef(pid, 0), "x")
-        view = chunks.open_snapshot_view(pid)
-        try:
-            assert chunks.snapshot_pins == 1
-            assert Cleaner(chunks).clean_one() is None  # deferred, not run
-        finally:
-            chunks.close_snapshot_view(view)
-            chunks.close_snapshot_view(view)  # idempotent
-        assert chunks.snapshot_pins == 0
+    def test_a_parked_view_read_validates_across_cleaning_and_reuse(self):
+        """A view read parked at the device while another thread cleans
+        the segments it is about to read, checkpoints, and commits into
+        free segments: resumed, the read validates and returns what the
+        view froze."""
+        platform = parking_platform(4096 + 12 * SEGMENT)
+        store, pid, view, model = viewed_store(platform)
+        frozen = dict(model)
+        gate = platform.untrusted.park_next_read()
+        reader = Worker(lambda: view.read_chunks(range(100)))
+        gate.wait_arrived()
+        overwrite_and_clean(store, pid, model)
+        gate.open()
+        assert reader.done() == frozen
+        assert store.stats()["snapshots"]["held_segments"] > 0
+        view.close()
 
     def test_a_bare_object_store_commit_invalidates_its_snapshots(self):
         """The committer invalidates the store's own snapshots, with no
@@ -705,7 +829,7 @@ class TestSnapshotIsolation:
         with objects.snapshots.acquire(pid) as fresh:
             assert fresh is not held and fresh.get(ref) == "v1"
         held.release()
-        assert held._disposed and chunks.snapshot_pins == 1  # `fresh`, idle
+        assert held._disposed and open_views(chunks) == 1  # `fresh`, idle
         assert objects.committer.stats()["batches"] == 2
 
     def test_closed_server_and_session_refuse_work(self):
@@ -719,7 +843,7 @@ class TestSnapshotIsolation:
             reader.snapshot(pid).release()  # idle, kept for reuse
         server.close()  # drops the store's snapshots
         assert objects.snapshots.stats()["active"] == 0
-        assert objects.chunks.snapshot_pins == 0
+        assert open_views(objects.chunks) == 0
         with pytest.raises(RuntimeError):
             server.session()
 

@@ -95,7 +95,7 @@ class TestTrustedView:
         assert set(view["segments"]) == {"total", "residual"}  # counted once
         space = view["log_space"]
         assert space["deferred_segments"] == 1
-        assert space["free_segments"] == store.segman.free_segment_count()
+        assert space["free_segments"] == len(store.segman.free_segments)
         assert space["reserve_bytes"] >= store.writer.max_version_size
         assert space["capacity_bytes"] == store.log_space.capacity()
         text = render(view)

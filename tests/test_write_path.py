@@ -1,7 +1,8 @@
 """The log write path: a static guard that only ``validation.py`` knows
 which §4.8.2 discipline is in force, another that only ``logspace.py``
-sizes the log, and ``LogWriter`` driven directly —
-one protocol, whatever the stage and whichever the discipline.  And the
+sizes the log, a third that ``cleaner.py`` knows nothing of views, and
+``LogWriter`` driven directly — one protocol, whatever the stage and
+whichever the discipline.  And the
 gate in front of it all: a static guard that every public ``ChunkStore``
 call takes its lock(s) — writers the writers' lock, then ``_lock`` — and
 checks open/failed first, a second one for the lock order and the one
@@ -91,11 +92,19 @@ def test_only_the_log_space_module_sizes_the_log():
     assert not offenders, offenders
 
 
+def test_the_cleaner_names_no_snapshot_or_view():
+    """Open snapshot views and the cleaner meet in one place, the segment
+    manager's deferral rule (a cleaned segment waits for the views older
+    than its clean): the cleaner neither asks about views nor names them."""
+    source = (CHUNKSTORE / "cleaner.py").read_text().lower()
+    assert "snapshot" not in source and "view" not in source
+
+
 #: the public ``ChunkStore`` calls that answer on a closed or failed store
 #: (everything else refuses), and why each must
 ANSWERS_WHEN_FAILED = {
     "close": "the way out of a failed store; writes nothing once it failed",
-    "close_snapshot_view": "releases a pin; a view outlives a failed commit",
+    "close_snapshot_view": "releases a view; a view outlives a failed commit",
     "evict_payload": "undo only: Transaction.abort runs it right after the "
     "commit that failed the store",
     "release_chunk": "undo only, as evict_payload",
@@ -103,7 +112,6 @@ ANSWERS_WHEN_FAILED = {
     "quarantined_chunks": "read-only tally",
     "stored_bytes": "read-only tally; sampled from other threads, lock-free",
     "live_bytes": "read-only tally, as stored_bytes",
-    "snapshot_pins": "read-only tally",
 }
 
 
