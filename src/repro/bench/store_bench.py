@@ -39,7 +39,13 @@ Then, once:
   recursive ``Encoder`` / ``Decoder`` route they replaced (kept below as
   the oracle), µs per value each way on the value shapes the Figure 10
   workloads keep, weighted into the mix those workloads carry; the two
-  routes are asserted to agree on every value timed.
+  routes are asserted to agree on every value timed;
+* ``object_path`` — counts, not times, of what the object layer does on
+  the Figure 10 release mix: lock-manager acquisitions per object read
+  (a transaction answers for the locks it already holds), entries into
+  the lock manager's condition variable (none without contention) and
+  Python-level hash or compare calls on ``ObjectRef`` (none: a ref is a
+  tuple).
 """
 
 from __future__ import annotations
@@ -47,11 +53,14 @@ from __future__ import annotations
 import gc
 import random
 import sys
+import threading
 import time
 from typing import Callable, Dict, List
 
 from repro import obs
 from repro.bench import Floor, bench_config, best_of, latency
+from repro.bench.adapters import TdbAdapter
+from repro.bench.workload import Workload
 from repro.chunkstore import ChunkId, ChunkStore, StoreConfig, ops
 from repro.chunkstore.descriptor import (
     ChunkDescriptor,
@@ -116,6 +125,16 @@ FLOORS = (
     # the pickler's kernels over the reference route on the Figure 10 mix
     Floor("object_codec.encode_ratio", ("object_codec", "encode_ratio"), ">=", 2.0),
     Floor("object_codec.decode_ratio", ("object_codec", "decode_ratio"), ">=", 1.5),
+    # lock-manager acquisitions per object read on the Figure 10 release
+    # mix: every re-read of a held ref is answered by the transaction
+    Floor(
+        "object_path.manager_calls_per_read",
+        ("object_path", "manager_calls_per_read"), "<=", 0.85,
+    ),
+    # no contention, so no acquisition enters the condition variable
+    Floor("object_path.condition_entries", ("object_path", "condition_entries"), "<=", 0),
+    # ObjectRef hashes and compares in C
+    Floor("object_path.ref_python_calls", ("object_path", "ref_python_calls"), "<=", 0),
 )
 
 #: the Figure 10 shape mix: shape -> (share of the values a
@@ -152,6 +171,7 @@ def run(tiny: bool) -> Dict[str, object]:
         2 if tiny else 8, DEFAULT_AEAD_CIPHER if aead.available() else "ctr-sha256"
     )
     results["object_codec"] = run_object_codec(20 if tiny else 200)
+    results["object_path"] = run_object_path()
     return results
 
 
@@ -775,3 +795,75 @@ def run_object_codec(loops: int = 200) -> Dict[str, object]:
     results["encode_ratio"] = round(mix["reference_encode_us"] / mix["encode_us"], 2)
     results["decode_ratio"] = round(mix["reference_decode_us"] / mix["decode_us"], 2)
     return results
+
+
+class _CountingCondition:
+    """A condition variable that counts the times it is entered or waited
+    on, and otherwise is the one it wraps."""
+
+    def __init__(self, inner: threading.Condition) -> None:
+        self.inner = inner
+        self.entries = 0
+
+    def __enter__(self):
+        self.entries += 1
+        return self.inner.__enter__()
+
+    def __exit__(self, *exc):
+        return self.inner.__exit__(*exc)
+
+    def wait(self, timeout=None) -> bool:
+        self.entries += 1
+        return self.inner.wait(timeout)
+
+    def notify_all(self) -> None:
+        self.inner.notify_all()
+
+
+def run_object_path() -> Dict[str, object]:
+    """One Figure 10 release experiment on TDB (after the workload's own
+    setup and cache warm-up), counting the object layer's calls: the lock
+    manager's acquisitions per object read, its condition variable's
+    entries and the Python-level hash and compare calls ``ObjectRef`` ran."""
+    adapter = TdbAdapter()
+    workload = Workload(adapter)
+    workload.setup()
+    objects = adapter.objects
+    locks = objects.locks
+    calls = [0]
+
+    def counted(acquire):
+        def acquire_counted(tx_id, ref) -> None:
+            calls[0] += 1
+            acquire(tx_id, ref)
+
+        return acquire_counted
+
+    locks.acquire_shared = counted(locks.acquire_shared)
+    locks.acquire_exclusive = counted(locks.acquire_exclusive)
+    condition = locks._condition = _CountingCondition(locks._condition)
+    ref_codes = {  # the methods a Python-level ref class would hash and compare with
+        getattr(vars(ObjectRef).get(name), "__code__", None)
+        for name in ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+    } - {None}
+    ref_calls = [0]
+
+    def profile(frame, event, _arg) -> None:
+        if event == "call" and frame.f_code in ref_codes:
+            ref_calls[0] += 1
+
+    reads = objects.op_counts["read"]
+    sys.setprofile(profile)
+    try:
+        workload.run_experiment("release")
+    finally:
+        sys.setprofile(None)
+        adapter.close()
+    reads = objects.op_counts["read"] - reads
+    return {
+        "reads": reads,
+        "manager_calls": calls[0],
+        "manager_calls_per_read": round(calls[0] / reads, 3),
+        "condition_entries": condition.entries,
+        "ref_python_calls": ref_calls[0],
+    }

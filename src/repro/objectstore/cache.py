@@ -34,6 +34,9 @@ from repro.errors import (
 from repro.objectstore.pickling import ObjectRef, PicklerRegistry, unpickle_value
 
 
+_ABSENT = object()
+
+
 class ObjectCache:
     """LRU cache of committed, unpickled objects."""
 
@@ -46,13 +49,19 @@ class ObjectCache:
 
     def get(self, ref: Hashable) -> Tuple[bool, Optional[Any]]:
         """Returns ``(present, value)`` — values may legitimately be None."""
-        with self._mutex:
-            if ref in self._entries:
-                self._entries.move_to_end(ref)
-                self.hits += 1
-                return True, self._entries[ref]
-            self.misses += 1
-            return False, None
+        # every transactional read comes here: acquire and release are
+        # cheaper than a ``with`` block's __enter__ / __exit__ calls
+        self._mutex.acquire()
+        try:
+            value = self._entries.get(ref, _ABSENT)
+            if value is _ABSENT:
+                self.misses += 1
+                return False, None
+            self._entries.move_to_end(ref)
+            self.hits += 1
+            return True, value
+        finally:
+            self._mutex.release()
 
     def put(self, ref: Hashable, value: Any) -> None:
         with self._mutex:

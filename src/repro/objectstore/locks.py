@@ -19,26 +19,35 @@ grants on the same ref (``_LockState.waiters``), so a steady stream of
 readers drains instead of starving the writer forever.  Transactions
 already holding the lock re-enter freely — blocking them would deadlock
 them against the very waiter they must release for.
+
+Every decision is made under the plain ``_mutex``; the condition
+variable built on it is entered only to wait and to wake waiters.  A
+grant that need not wait — a ref with no state, a compatible shared
+grant, a re-entry — therefore never touches it.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional, Set
+from collections import defaultdict
+from typing import DefaultDict, Dict, Hashable, Optional, Set
 
 from repro import obs
 from repro.errors import DeadlockError
 from repro.platform.clock import Clock, SystemClock
 
 
-@dataclass
 class _LockState:
-    shared: Set[int] = field(default_factory=set)
-    exclusive: int = 0  # transaction id, 0 = none
-    #: exclusive requests currently blocked on this ref; while non-zero,
-    #: new shared grants are refused so the writer eventually runs
-    waiters: int = 0
+    """One ref's lock: its shared holders and exclusive holder."""
+
+    __slots__ = ("shared", "exclusive", "waiters")
+
+    def __init__(self, shared: Set[int], exclusive: int) -> None:
+        self.shared = shared
+        self.exclusive = exclusive  # transaction id, 0 = none
+        #: exclusive requests currently blocked on this ref; while non-zero,
+        #: new shared grants are refused so the writer eventually runs
+        self.waiters = 0
 
 
 class LockManager:
@@ -53,7 +62,7 @@ class LockManager:
         self._condition = threading.Condition(self._mutex)
         self._locks: Dict[Hashable, _LockState] = {}
         #: transaction id -> refs it holds (for release_all)
-        self._held: Dict[int, Set[Hashable]] = {}
+        self._held: DefaultDict[int, Set[Hashable]] = defaultdict(set)
         self.deadlocks_broken = 0
         #: acquisitions that had to wait at least once
         self.waits = 0
@@ -62,7 +71,8 @@ class LockManager:
         """Take (or wait for) a shared lock on ``ref``; an exclusive lock
         already held by ``tx_id`` subsumes it.  Raises
         :class:`DeadlockError` after the timeout."""
-        with self._condition:
+        self._mutex.acquire()  # cheaper than a ``with`` block's calls
+        try:
             deadline = None
             while True:
                 # re-fetch each iteration: release_all may pop an unheld
@@ -70,14 +80,18 @@ class LockManager:
                 # newer acquirer would then be operating on a *fresh*
                 # object — granting ourselves on the stale one would break
                 # mutual exclusion
-                state = self._locks.setdefault(ref, _LockState())
+                state = self._locks.get(ref)
+                if state is None:  # nobody holds or awaits it
+                    self._locks[ref] = _LockState({tx_id}, 0)
+                    self._held[tx_id].add(ref)
+                    return
                 if state.exclusive == tx_id:
                     return  # X subsumes S
                 if tx_id in state.shared:
                     return  # already held; re-entry must never block
                 if state.exclusive == 0 and state.waiters == 0:
                     state.shared.add(tx_id)
-                    self._held.setdefault(tx_id, set()).add(ref)
+                    self._held[tx_id].add(ref)
                     return
                 if deadline is None:
                     deadline = self._now() + self.timeout
@@ -86,22 +100,31 @@ class LockManager:
                     self._condition, self._remaining(deadline)
                 ):
                     self._timeout(tx_id, ref, "shared")
+        finally:
+            self._mutex.release()
 
     def acquire_exclusive(self, tx_id: int, ref: Hashable) -> None:
         """Take (or wait for) an exclusive lock on ``ref``; upgrades a
         shared lock when ``tx_id`` is the sole holder.  Raises
         :class:`DeadlockError` after the timeout."""
-        with self._condition:
+        self._mutex.acquire()  # as in acquire_shared
+        try:
             deadline = None
             while True:
-                state = self._locks.setdefault(ref, _LockState())  # see above
-                others_shared = state.shared - {tx_id}
+                state = self._locks.get(ref)  # see above
+                if state is None:
+                    self._locks[ref] = _LockState(set(), tx_id)
+                    self._held[tx_id].add(ref)
+                    return
                 if state.exclusive == tx_id:
                     return
-                if state.exclusive == 0 and not others_shared:
-                    state.shared.discard(tx_id)  # upgrade consumes the S lock
+                shared = state.shared
+                if state.exclusive == 0 and (
+                    not shared or (len(shared) == 1 and tx_id in shared)
+                ):
+                    shared.discard(tx_id)  # upgrade consumes the S lock
                     state.exclusive = tx_id
-                    self._held.setdefault(tx_id, set()).add(ref)
+                    self._held[tx_id].add(ref)
                     return
                 if deadline is None:
                     deadline = self._now() + self.timeout
@@ -138,12 +161,14 @@ class LockManager:
                         self._condition.notify_all()
                 if not woke:
                     self._timeout(tx_id, ref, "exclusive")
+        finally:
+            self._mutex.release()
 
     def release_all(self, tx_id: int) -> None:
         """Two-phase locking's shrink phase happens all at once, at commit
         or abort."""
-        with self._condition:
-            for ref in self._held.pop(tx_id, set()):
+        with self._mutex:
+            for ref in self._held.pop(tx_id, ()):
                 state = self._locks.get(ref)
                 if state is None:
                     continue

@@ -28,9 +28,8 @@ bench oracle (``repro.bench.store_bench._reference_pickle``).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Callable, Dict, Iterable, List, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Tuple, Type
 
 from repro.errors import PicklingError
 from repro.util.codec import decode_uvarint, encode_uvarint
@@ -51,12 +50,13 @@ _TAG_REF = 11
 _FIRST_CLASS_TAG = 32
 
 
-@dataclass(frozen=True, order=True)
-class ObjectRef:
+class ObjectRef(NamedTuple):
     """A stable, persistent reference to a stored object.
 
-    One object per chunk (§7), so a reference is exactly a chunk id:
-    (partition, rank).
+    One object per chunk (§7), so a reference is exactly a chunk id: the
+    2-tuple ``(partition, rank)``.  It is a tuple so that hashing,
+    equality and ordering run in C on every lock, cache and buffer probe;
+    it therefore compares equal to the plain tuple ``(partition, rank)``.
     """
 
     partition: int

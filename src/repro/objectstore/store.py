@@ -10,7 +10,9 @@ Transactions
 ============
 
 :class:`Transaction` provides two-phase locking with shared/exclusive
-modes and timeout-based deadlock breaking.  Buffering is *no-steal*:
+modes and timeout-based deadlock breaking; it keeps a table of the locks
+it holds, so reading or writing a ref it already holds never reaches the
+lock manager.  Buffering is *no-steal*:
 modified objects stay in the transaction's private buffer until commit,
 when they are pickled and handed to the chunk store as a single atomic
 commit — so transaction atomicity rides directly on chunk-store commit
@@ -80,6 +82,10 @@ class _Deleted:
 
 
 _DELETED = _Deleted()
+
+#: read on every operation; a module constant is a cheaper probe than
+#: the enum's class attribute
+_ACTIVE = TxStatus.ACTIVE
 
 
 class ObjectStore:
@@ -173,6 +179,9 @@ class Transaction:
         #: refs whose ranks this tx allocated (rolled back on abort only
         #: in the volatile allocator sense — allocation is cheap)
         self._created: List[ObjectRef] = []
+        #: ref -> exclusive?, for every lock the lock manager granted this
+        #: transaction: a ref held in a sufficient mode never reaches it
+        self._locks: Dict[ObjectRef, bool] = {}
 
     # -- context manager ------------------------------------------------------
 
@@ -188,8 +197,24 @@ class Transaction:
     # -- operations -------------------------------------------------------------
 
     def _require_active(self) -> None:
-        if self.status != TxStatus.ACTIVE:
+        if self.status is not _ACTIVE:
             raise TransactionError(f"transaction is {self.status.value}")
+
+    def _hold(self, ref: ObjectRef, exclusive: bool) -> None:
+        """Hold ``ref`` in at least the given mode: answered from the
+        transaction's own table when it already does, through the lock
+        manager otherwise (an S → X upgrade included)."""
+        held = self._locks.get(ref)
+        if held is None or (exclusive and not held):
+            if exclusive:
+                self.store.locks.acquire_exclusive(self.tx_id, ref)
+            else:
+                self.store.locks.acquire_shared(self.tx_id, ref)
+            self._locks[ref] = exclusive
+
+    def _release(self) -> None:
+        self.store.locks.release_all(self.tx_id)
+        self._locks.clear()
 
     def get(self, ref: ObjectRef) -> Any:
         """Read an object under a shared lock."""
@@ -201,7 +226,8 @@ class Transaction:
                     raise ObjectNotFoundError(f"{ref} deleted in this transaction")
                 self.store.op_counts["read"] += 1
                 return value
-            self.store.locks.acquire_shared(self.tx_id, ref)
+            if ref not in self._locks:  # any lock this tx holds suffices
+                self._hold(ref, False)
             value = self.store._load(ref)
             self.store.op_counts["read"] += 1
             return value
@@ -223,7 +249,7 @@ class Transaction:
                         )
                     buffered[ref] = value
                 else:
-                    store.locks.acquire_shared(self.tx_id, ref)
+                    self._hold(ref, False)
                     to_load.append(ref)
             loaded = load_objects(
                 to_load, store.cache, store.chunks.read_chunks, store.registry
@@ -242,7 +268,7 @@ class Transaction:
                     raise ObjectNotFoundError(f"{ref} deleted in this transaction")
                 self.store.op_counts["read"] += 1
                 return value
-            self.store.locks.acquire_exclusive(self.tx_id, ref)
+            self._hold(ref, True)
             value = self.store._load(ref)
             self.store.op_counts["read"] += 1
             return value
@@ -252,7 +278,7 @@ class Transaction:
         self._require_active()
         if ref in self._writes:
             return self._writes[ref] is not _DELETED
-        self.store.locks.acquire_shared(self.tx_id, ref)
+        self._hold(ref, False)
         try:
             self.store._load(ref)
             return True
@@ -263,7 +289,7 @@ class Transaction:
         """Buffer a new state for an existing object (exclusive lock)."""
         self._require_active()
         with obs.span("objectstore.update"):
-            self.store.locks.acquire_exclusive(self.tx_id, ref)
+            self._hold(ref, True)
             self._writes[ref] = value
             self.store.op_counts["update"] += 1
 
@@ -274,7 +300,7 @@ class Transaction:
         with obs.span("objectstore.create"):
             rank = self.store.chunks.allocate_chunk(partition)
             ref = ObjectRef(partition, rank)
-            self.store.locks.acquire_exclusive(self.tx_id, ref)
+            self._hold(ref, True)
             self._writes[ref] = value
             self._created.append(ref)
             self.store.op_counts["add"] += 1
@@ -286,7 +312,7 @@ class Transaction:
         self._require_active()
         with obs.span("objectstore.create"):
             self.store.chunks.reserve_chunk(ref.partition, ref.rank)
-            self.store.locks.acquire_exclusive(self.tx_id, ref)
+            self._hold(ref, True)
             self._writes[ref] = value
             self._created.append(ref)
             self.store.op_counts["add"] += 1
@@ -296,7 +322,7 @@ class Transaction:
         """Buffer a deletion (exclusive lock)."""
         self._require_active()
         with obs.span("objectstore.delete"):
-            self.store.locks.acquire_exclusive(self.tx_id, ref)
+            self._hold(ref, True)
             self._writes[ref] = _DELETED
             self.store.op_counts["delete"] += 1
 
@@ -334,7 +360,7 @@ class Transaction:
             self.abort()
             raise
         finally:
-            store.locks.release_all(self.tx_id)
+            self._release()
 
     def abort(self) -> None:
         """Discard buffered changes; defensively evict touched objects."""
@@ -363,4 +389,4 @@ class Transaction:
                 )
         self._writes.clear()
         self.status = TxStatus.ABORTED
-        store.locks.release_all(self.tx_id)
+        self._release()

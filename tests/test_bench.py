@@ -32,6 +32,9 @@ UNTIMED = {
     "store.default.warm_round_trips",
     "store.map_load.resident_bytes",
     "store.map_load.churn_map_loads",
+    "store.object_path.manager_calls_per_read",
+    "store.object_path.condition_entries",
+    "store.object_path.ref_python_calls",
     "paper.fig10_count_error",
 }
 

@@ -6,8 +6,10 @@ import time
 
 import pytest
 
+from repro.bench.store_bench import _CountingCondition
 from repro.errors import DeadlockError
 from repro.objectstore.locks import LockManager
+from repro.platform.clock import FakeClock
 
 
 class TestModes:
@@ -138,9 +140,16 @@ class TestWriterFairness:
         time.sleep(0.05)  # give the late reader every chance to jump the queue
         assert order == []  # neither ran: reader correctly held back
         locks.release_all(1)
+        # the ref now has no holder, so a reader arriving before the woken
+        # writer runs would take the uncontended grant, were the writer's
+        # registered state not kept
+        locks.acquire_shared(4, "r")
+        order.append("fresh reader")
+        locks.release_all(4)
         writer_thread.join(1.0)
         reader_thread.join(1.0)
-        assert order == ["writer", "reader"]
+        assert order[0] == "writer"
+        assert sorted(order[1:]) == ["fresh reader", "reader"]
 
     def test_holder_reentry_not_blocked_by_waiter(self):
         """A reader that already holds S must re-enter freely even while
@@ -178,6 +187,62 @@ class TestWriterFairness:
         assert stats["deadlocks_broken"] == 1
         assert stats["held_refs"] == 1
         assert stats["active_transactions"] == 1
+
+
+class _SpyClock(FakeClock):
+    def __init__(self):
+        super().__init__()
+        self.waits = 0
+
+    def wait_on(self, condition, timeout):
+        self.waits += 1
+        return super().wait_on(condition, timeout)
+
+
+class TestUncontendedFastPath:
+    def _spied(self):
+        clock = _SpyClock()
+        locks = LockManager(timeout=1.0, clock=clock)
+        condition = locks._condition = _CountingCondition(locks._condition)
+        return locks, condition, clock
+
+    def test_grants_and_reentry_never_touch_the_condition(self):
+        locks, condition, clock = self._spied()
+        locks.acquire_shared(1, "a")  # no state yet
+        locks.acquire_shared(2, "a")  # compatible with the holder
+        locks.acquire_exclusive(1, "b")  # no state yet
+        locks.acquire_shared(3, "c")
+        locks.acquire_exclusive(3, "c")  # sole holder upgrades
+        for _ in range(3):  # re-entry in every mode
+            locks.acquire_shared(1, "a")
+            locks.acquire_shared(1, "b")
+            locks.acquire_exclusive(1, "b")
+            locks.acquire_exclusive(3, "c")
+        assert condition.entries == 0 and clock.waits == 0
+        assert locks.holds(1, "a") and locks.holds(2, "a")
+        assert locks.holds(1, "b", exclusive=True)
+        assert locks.holds(3, "c", exclusive=True)
+        assert locks.stats()["waits"] == 0
+
+    def test_a_conflict_still_waits_on_the_condition(self):
+        locks, condition, clock = self._spied()
+        locks.acquire_exclusive(1, "r")
+        with pytest.raises(DeadlockError):
+            locks.acquire_shared(2, "r")
+        with pytest.raises(DeadlockError):
+            locks.acquire_exclusive(2, "r")
+        assert clock.waits == 2
+        assert locks.stats()["waits"] == 2
+
+    def test_released_refs_are_uncontended_again(self):
+        locks, condition, clock = self._spied()
+        locks.acquire_exclusive(1, "r")
+        locks.acquire_shared(1, "s")
+        locks.release_all(1)
+        assert locks.stats()["held_refs"] == 0
+        locks.acquire_exclusive(2, "r")
+        locks.acquire_exclusive(2, "s")
+        assert condition.entries == 0 and clock.waits == 0
 
 
 class TestStaleStateRegression:

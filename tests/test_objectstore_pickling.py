@@ -1,5 +1,7 @@
 """The portable pickle codec (§2.2, §7)."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,7 @@ from repro.objectstore.pickling import (
     pickle_value,
     unpickle_value,
 )
+from tests.test_pickle_kernels import GOLDEN, REGISTRY, VECTORS
 
 
 def primitives():
@@ -175,3 +178,51 @@ class TestRegisteredClasses:
         data = Encoder().uint(41).uint(0).finish()  # tag 41, state None
         with pytest.raises(PicklingError):
             unpickle_value(data, registry)
+
+
+class TestObjectRef:
+    """A ref is the 2-tuple ``(partition, rank)``: it hashes, compares and
+    orders as one, and keeps its own type, text and wire form."""
+
+    def test_orders_by_partition_then_rank(self):
+        refs = [ObjectRef(2, 0), ObjectRef(1, 9), ObjectRef(1, 2), ObjectRef(0, 100)]
+        assert sorted(refs) == [(0, 100), (1, 2), (1, 9), (2, 0)]
+        assert ObjectRef(1, 2) < ObjectRef(1, 3) < ObjectRef(2, 0)
+        assert max(refs) == ObjectRef(2, 0)
+
+    def test_is_a_dict_and_set_key(self):
+        table = {ObjectRef(1, 2): "a", ObjectRef(2, 1): "b"}
+        assert table[ObjectRef(1, 2)] == "a" and table[ObjectRef(2, 1)] == "b"
+        assert {ObjectRef(1, 2), ObjectRef(1, 2), ObjectRef(2, 1)} == {
+            ObjectRef(1, 2), ObjectRef(2, 1)
+        }
+        # a ref equals the plain tuple and hashes alike
+        assert ObjectRef(1, 2) == (1, 2) and hash(ObjectRef(1, 2)) == hash((1, 2))
+        assert table[(1, 2)] == "a"
+
+    def test_fields_text_and_immutability(self):
+        ref = ObjectRef(3, 17)
+        assert (ref.partition, ref.rank) == (3, 17) == tuple(ref)
+        assert str(ref) == "obj:3.17" and f"{ref}" == "obj:3.17"
+        assert repr(ref) == "ObjectRef(partition=3, rank=17)"
+        with pytest.raises(AttributeError):
+            ref.rank = 18
+        with pytest.raises(AttributeError):
+            ref.extra = 1
+        assert ref == ObjectRef(3, 17)
+
+    def test_round_trips_as_a_ref_and_a_tuple_as_a_tuple(self):
+        ref = unpickle_value(pickle_value(ObjectRef(1, 2)))
+        assert isinstance(ref, ObjectRef) and ref == ObjectRef(1, 2)
+        assert type(unpickle_value(pickle_value((1, 2)))) is tuple
+        # equal values, distinct wire forms: the pickler dispatches on type
+        assert pickle_value(ObjectRef(1, 2)) != pickle_value((1, 2))
+        nested = unpickle_value(pickle_value({"children": [ObjectRef(4, 5)]}))
+        assert type(nested["children"][0]) is ObjectRef
+
+    def test_golden_vectors_keep_their_bytes(self):
+        golden = json.loads(GOLDEN.read_text())
+        with_refs = [name for name in VECTORS if "ObjectRef" in repr(VECTORS[name])]
+        assert {"ref_small", "ref_edges", "mixed", "fig10_btree_leaf"} <= set(with_refs)
+        for name in with_refs:
+            assert pickle_value(VECTORS[name], REGISTRY).hex() == golden[name], name

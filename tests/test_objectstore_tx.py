@@ -1,6 +1,7 @@
 """Object store transactions (§7): 2PL, no-steal buffering, aborts,
 deadlock breaking, persistence."""
 
+import sys
 import threading
 import time
 
@@ -287,6 +288,123 @@ class TestConcurrency:
         for thread in threads:
             thread.join()
         assert objects.read_committed(ref) == 30
+
+
+class _ManagerSpy:
+    """Records every acquisition a transaction asks the lock manager for."""
+
+    def __init__(self, locks):
+        self.calls = []
+        for mode in ("shared", "exclusive"):
+            setattr(locks, f"acquire_{mode}", self._recording(mode, getattr(locks, f"acquire_{mode}")))
+
+    def _recording(self, mode, acquire):
+        def record(tx_id, ref):
+            self.calls.append((mode, ref))
+            acquire(tx_id, ref)
+
+        return record
+
+
+class TestTransactionLockTable:
+    def _two_objects(self, objects, pid):
+        with objects.transaction() as tx:
+            return tx.create(pid, 1), tx.create(pid, 2)
+
+    def test_a_held_ref_never_reaches_the_manager_again(self, env):
+        _, _, objects, pid = env
+        a, b = self._two_objects(objects, pid)
+        spy = _ManagerSpy(objects.locks)
+        with objects.transaction() as tx:
+            for _ in range(3):
+                assert tx.get(a) == 1
+                assert tx.get_many([a]) == [1]
+                assert tx.exists(a)
+            tx.update(b, 20)  # X on b
+            tx.update(b, 21)
+            assert tx.get(b) == 21 and tx.get_for_update(b) == 21
+            tx.delete(b)
+        assert spy.calls == [("shared", a), ("exclusive", b)]
+
+    def test_an_upgrade_goes_through_the_manager(self, env):
+        _, _, objects, pid = env
+        a, _ = self._two_objects(objects, pid)
+        spy = _ManagerSpy(objects.locks)
+        tx = objects.transaction()
+        assert tx.get(a) == 1
+        assert tx.get_for_update(a) == 1
+        assert objects.locks.holds(tx.tx_id, a, exclusive=True)
+        tx.update(a, 10)  # already exclusive
+        assert spy.calls == [("shared", a), ("exclusive", a)]
+        tx.commit()
+        assert objects.read_committed(a) == 10
+
+    def test_commit_and_abort_release_everything(self, env):
+        _, _, objects, pid = env
+        a, b = self._two_objects(objects, pid)
+        for finish in ("commit", "abort"):
+            tx = objects.transaction()
+            tx.get(a)
+            tx.update(b, 5)
+            c = tx.create(pid, "new")
+            getattr(tx, finish)()
+            assert objects.locks.stats()["held_refs"] == 0
+            assert objects.locks.stats()["active_transactions"] == 0
+            with objects.transaction() as other:  # X on each, no waiting
+                for ref in (a, b):
+                    other.update(ref, other.get_for_update(ref))
+                if finish == "commit":
+                    other.delete(c)
+        assert objects.locks.stats()["waits"] == 0
+
+    def test_mixed_mode_transaction_hammer(self, env):
+        """Writer threads increment counters through get_for_update while
+        reader threads read each counter twice in one transaction: every
+        pair agrees, and the final counts equal the committed increments.
+        No transaction holds one lock while waiting for another, so none
+        can deadlock."""
+        _, _, objects, pid = env
+        objects.locks.timeout = 10.0
+        with objects.transaction() as tx:
+            counters = [tx.create(pid, 0) for _ in range(3)]
+        committed = [0] * len(counters)
+        guard = threading.Lock()
+        torn = []
+
+        def writer(seed):
+            for round_no in range(30):
+                slot = (seed + round_no) % len(counters)
+                with objects.transaction() as tx:
+                    tx.update(counters[slot], tx.get_for_update(counters[slot]) + 1)
+                with guard:
+                    committed[slot] += 1
+
+        def reader(seed):
+            for round_no in range(60):
+                ref = counters[(seed + round_no) % len(counters)]
+                with objects.transaction() as tx:
+                    first = tx.get(ref)
+                    time.sleep(0)  # let a writer try to slip in
+                    if tx.get(ref) != first:
+                        torn.append(ref)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in range(3)]
+        threads += [threading.Thread(target=reader, args=(t,)) for t in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave inside every lock decision
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not torn
+        assert [objects.read_committed(ref) for ref in counters] == committed
+        assert sum(committed) == 90
+        stats = objects.locks.stats()
+        assert stats["held_refs"] == 0 and stats["deadlocks_broken"] == 0
 
 
 class TestPersistence:
