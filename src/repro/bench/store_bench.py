@@ -45,7 +45,12 @@ Then, once:
   (a transaction answers for the locks it already holds), entries into
   the lock manager's condition variable (none without contention) and
   Python-level hash or compare calls on ``ObjectRef`` (none: a ref is a
-  tuple).
+  tuple);
+* ``device_path`` — counts and sizes, not times, of the untrusted device's
+  read path: the transient peak of a whole-image capture over the image
+  size (one copy: the device hands out one copy of every byte it reads)
+  and the Python-level hash or compare calls on ``ChunkId`` per uncached
+  ``read_chunk`` (none: an id is a tuple).
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from typing import Callable, Dict, List
 
 from repro import obs
@@ -135,6 +141,16 @@ FLOORS = (
     Floor("object_path.condition_entries", ("object_path", "condition_entries"), "<=", 0),
     # ObjectRef hashes and compares in C
     Floor("object_path.ref_python_calls", ("object_path", "ref_python_calls"), "<=", 0),
+    # a whole-image capture holds one copy of the image, not two
+    Floor(
+        "device_path.capture_peak_ratio", ("device_path", "capture_peak_ratio"),
+        "<=", 1.05,
+    ),
+    # ChunkId hashes and compares in C
+    Floor(
+        "device_path.id_python_calls_per_read",
+        ("device_path", "id_python_calls_per_read"), "<=", 0,
+    ),
 )
 
 #: the Figure 10 shape mix: shape -> (share of the values a
@@ -172,6 +188,9 @@ def run(tiny: bool) -> Dict[str, object]:
     )
     results["object_codec"] = run_object_codec(20 if tiny else 200)
     results["object_path"] = run_object_path()
+    results["device_path"] = run_device_path(
+        DEFAULT_AEAD_CIPHER if aead.available() else "ctr-sha256"
+    )
     return results
 
 
@@ -842,22 +861,10 @@ def run_object_path() -> Dict[str, object]:
     locks.acquire_shared = counted(locks.acquire_shared)
     locks.acquire_exclusive = counted(locks.acquire_exclusive)
     condition = locks._condition = _CountingCondition(locks._condition)
-    ref_codes = {  # the methods a Python-level ref class would hash and compare with
-        getattr(vars(ObjectRef).get(name), "__code__", None)
-        for name in ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
-    } - {None}
-    ref_calls = [0]
-
-    def profile(frame, event, _arg) -> None:
-        if event == "call" and frame.f_code in ref_codes:
-            ref_calls[0] += 1
-
     reads = objects.op_counts["read"]
-    sys.setprofile(profile)
     try:
-        workload.run_experiment("release")
+        ref_calls = _python_calls(ObjectRef, lambda: workload.run_experiment("release"))
     finally:
-        sys.setprofile(None)
         adapter.close()
     reads = objects.op_counts["read"] - reads
     return {
@@ -865,5 +872,68 @@ def run_object_path() -> Dict[str, object]:
         "manager_calls": calls[0],
         "manager_calls_per_read": round(calls[0] / reads, 3),
         "condition_entries": condition.entries,
-        "ref_python_calls": ref_calls[0],
+        "ref_python_calls": ref_calls,
+    }
+
+
+def _python_calls(cls: type, work: Callable[[], object]) -> int:
+    """Run ``work``, counting the calls it made to the Python-level hash
+    and compare methods of ``cls`` (none when ``cls`` is a plain tuple)."""
+    codes = {
+        getattr(vars(cls).get(name), "__code__", None)
+        for name in ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+    } - {None}
+    calls = 0
+
+    def profile(frame, event, _arg) -> None:
+        nonlocal calls
+        if event == "call" and frame.f_code in codes:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def run_device_path(cipher: str, chunks: int = 64) -> Dict[str, object]:
+    """A store of ``chunks`` chunks, half of them rewritten since its
+    checkpoint, read back with the payload cache off and the descriptors
+    cached: the Python-level hash and compare calls ``ChunkId`` ran per
+    ``read_chunk``, and the traced peak of copying the whole device image,
+    over the image size."""
+    platform = TrustedPlatform.create_in_memory(untrusted_size=4 * 1024 * 1024)
+    store = ChunkStore.format(platform, bench_config(payload_cache_bytes=0))
+    pid = store.allocate_partition()
+    store.commit([ops.WritePartition(pid, cipher_name=cipher, hash_name=PARTITION_HASH)])
+    payload = bytes(CHUNK_SIZE)
+    store.commit(
+        [ops.WriteChunk(pid, store.allocate_chunk(pid), payload) for _ in range(chunks)]
+    )
+    store.checkpoint()
+    # half the reads below find their descriptor dirty, as under churn
+    store.commit([ops.WriteChunk(pid, rank, payload) for rank in range(0, chunks, 2)])
+
+    def read_all() -> None:
+        for rank in range(chunks):
+            store.read_chunk(pid, rank)
+
+    read_all()  # warm the descriptor cache; payloads stay uncached
+    id_calls = _python_calls(ChunkId, read_all)
+    tracemalloc.start()
+    try:
+        image = platform.untrusted.durable_image()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store.close()
+    return {
+        "image_bytes": len(image),
+        "capture_peak_bytes": peak,
+        "capture_peak_ratio": round(peak / len(image), 3),
+        "reads": chunks,
+        "id_python_calls": id_calls,
+        "id_python_calls_per_read": round(id_calls / chunks, 3),
     }

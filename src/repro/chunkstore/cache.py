@@ -82,10 +82,9 @@ class DescriptorCache:
     def __init__(self, max_clean: int = 4096, fanout: int = 64) -> None:
         self._fanout = fanout
         self._max_vectors = max_clean // fanout
-        #: (partition, height, rank) of a map chunk -> its vector
-        self._vectors: "OrderedDict[Tuple[int, int, int], MapVector]" = (
-            OrderedDict()
-        )
+        #: a map chunk's id -> its vector (an id is the tuple
+        #: ``(partition, height, rank)``, so :meth:`get` probes with one)
+        self._vectors: "OrderedDict[ChunkId, MapVector]" = OrderedDict()
         #: slots held in ``_vectors``, kept as vectors come and go
         self._clean_slots = 0
         self._dirty: Dict[ChunkId, ChunkDescriptor] = {}
@@ -118,7 +117,7 @@ class DescriptorCache:
     def vector(self, map_id: ChunkId) -> Optional[MapVector]:
         """The cached vector of map chunk ``map_id`` as last validated or
         written — dirty children are *not* overlaid."""
-        return self._vectors.get((map_id.partition, map_id.height, map_id.rank))
+        return self._vectors.get(map_id)
 
     def dirty(self, chunk_id: ChunkId) -> Optional[ChunkDescriptor]:
         """``chunk_id``'s dirty descriptor, if a commit since the last
@@ -128,10 +127,9 @@ class DescriptorCache:
     def install(self, map_id: ChunkId, vector: MapVector) -> None:
         """Cache the vector of a map chunk just validated, or just written
         by a checkpoint (replacing the vector it superseded)."""
-        key = (map_id.partition, map_id.height, map_id.rank)
-        self._clean_slots += len(vector) - len(self._vectors.get(key, ()))
-        self._vectors[key] = vector
-        self._vectors.move_to_end(key)
+        self._clean_slots += len(vector) - len(self._vectors.get(map_id, ()))
+        self._vectors[map_id] = vector
+        self._vectors.move_to_end(map_id)
         while len(self._vectors) > self._max_vectors:
             _, evicted = self._vectors.popitem(last=False)
             self._clean_slots -= len(evicted)

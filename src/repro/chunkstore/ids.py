@@ -17,7 +17,8 @@ data chunks; heights are internal to the chunk store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
+from typing import Tuple
 
 #: partition id of the system partition (holds the partition map)
 SYSTEM_PARTITION = 0
@@ -29,17 +30,27 @@ LEADER_HEIGHT = 0xFF
 MAX_HEIGHT = 0xFE
 
 
-@dataclass(frozen=True)
-class ChunkId:
-    """Identifier of a chunk: partition + position (height, rank)."""
+class ChunkId(tuple):
+    """Identifier of a chunk: partition + position (height, rank).
 
-    partition: int
-    height: int
-    rank: int
+    The id is the 3-tuple ``(partition, height, rank)``, so hashing and
+    equality run in C on every cache probe; it therefore compares equal to
+    the plain tuple and orders as one.
+    """
 
-    def __post_init__(self) -> None:
-        if self.partition < 0 or self.height < 0 or self.rank < 0:
-            raise ValueError(f"invalid chunk id {self}")
+    __slots__ = ()
+
+    def __new__(cls, partition: int, height: int, rank: int) -> "ChunkId":
+        if partition < 0 or height < 0 or rank < 0:
+            raise ValueError(f"invalid chunk id {partition}:{height}.{rank}")
+        return tuple.__new__(cls, (partition, height, rank))
+
+    partition = property(itemgetter(0))
+    height = property(itemgetter(1))
+    rank = property(itemgetter(2))
+
+    def __getnewargs__(self) -> Tuple[int, int, int]:
+        return tuple(self)
 
     def is_data(self) -> bool:
         return self.height == 0
@@ -70,6 +81,9 @@ class ChunkId:
         if self.is_leader():
             return f"{self.partition}:leader"
         return f"{self.partition}:{self.height}.{self.rank}"
+
+    def __repr__(self) -> str:
+        return f"ChunkId(partition={self[0]}, height={self[1]}, rank={self[2]})"
 
 
 def leader_id(partition: int) -> ChunkId:

@@ -50,9 +50,9 @@ distinct tag.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro import obs
 from repro.chunkstore.ids import ChunkId
@@ -88,12 +88,18 @@ class VersionHeader:
     rank: int = 0
     body_plain_size: int = 0
     body_cipher_size: int = 0
+    #: the plaintext a parsed header was decrypted from: :meth:`pack`
+    #: returns it, so a read binds the body to those very bytes as AAD or
+    #: hash input without encoding them again
+    plaintext: Optional[bytes] = field(default=None, repr=False, compare=False)
 
     @property
     def chunk_id(self) -> ChunkId:
         return ChunkId(self.partition, self.height, self.rank)
 
     def pack(self) -> bytes:
+        if self.plaintext is not None:
+            return self.plaintext
         return _HEADER_STRUCT.pack(
             int(self.kind),
             self.partition,
@@ -107,7 +113,7 @@ class VersionHeader:
     def unpack(cls, data: bytes) -> "VersionHeader":
         try:
             kind, partition, height, rank, plain, cipher = _HEADER_STRUCT.unpack(data)
-            return cls(VersionKind(kind), partition, height, rank, plain, cipher)
+            return cls(VersionKind(kind), partition, height, rank, plain, cipher, data)
         except (struct.error, ValueError) as exc:
             raise TamperDetectedError(f"malformed version header: {exc}") from exc
 

@@ -89,15 +89,19 @@ class AeadCipher(Cipher):
         return nonce + sealed
 
     def decrypt(self, ciphertext: bytes, aad: bytes = b"") -> bytes:
-        if len(ciphertext) < self.NONCE_SIZE + self.TAG_SIZE:
+        """``ciphertext`` and ``aad`` may be any bytes-like object: the
+        backend reads the nonce, the sealed body and the associated data
+        through buffer views, so nothing is copied before the one pass."""
+        view = memoryview(ciphertext)
+        if len(view) < self.NONCE_SIZE + self.TAG_SIZE:
             raise ValueError("AEAD ciphertext shorter than nonce + tag")
-        nonce = bytes(ciphertext[: self.NONCE_SIZE])
-        sealed = bytes(ciphertext[self.NONCE_SIZE :])
         counters = self.counters
         counters.decrypt_calls += 1
         counters.bulk_calls += 1
         try:
-            plain = self._backend.decrypt(nonce, sealed, bytes(aad))
+            plain = self._backend.decrypt(
+                view[: self.NONCE_SIZE], view[self.NONCE_SIZE :], aad
+            )
         except _InvalidTag as exc:
             raise ValueError(f"{self.name}: authentication tag mismatch") from exc
         counters.bytes_decrypted += len(plain)

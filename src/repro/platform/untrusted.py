@@ -5,7 +5,16 @@ random access, and can be read and written by any program".  Two
 implementations are provided — an in-memory image (fast, used by most
 tests and benchmarks) and a file-backed one.
 
-Three aspects of the simulation deserve explanation:
+Four aspects of the simulation deserve explanation:
+
+**One copy per read.**  Every byte the device hands out comes from
+``_image_read``, and ``_image_read`` makes exactly one copy: ``read``,
+``read_many``, every undo-journal record ``write`` keeps, ``tamper_read``,
+``tamper_image`` and ``durable_image`` all go through it.  The in-memory
+image slices one ``memoryview`` it keeps for the store's whole life
+(slicing the ``bytearray`` itself would copy, and ``bytes()`` of that slice
+would copy again); the file image reads into a fresh ``bytes``.  So a
+whole-image capture holds one image beside the live one, not two.
 
 **Crash semantics.**  Writes are applied to the image immediately (the OS
 page-cache view) but recorded in an undo journal until :meth:`flush`.  A
@@ -17,7 +26,8 @@ the torn-commit case recovery must handle.
 **Attacker API.**  ``tamper_read`` / ``tamper_write`` / ``tamper_image``
 give tests and demos the powers of the hosting party: arbitrary read and
 write access to the raw device, including whole-image save/replay (the
-replay attack of §1).  Trusted code never calls these.
+replay attack of §1).  Trusted code never calls these.  ``durable_image``
+is the harness's copy: the image as a crash now would leave it.
 
 **I/O accounting.**  Every read, write, and flush is tallied in
 :class:`IOStats`.  The benchmark harness feeds the tallies to a
@@ -259,6 +269,20 @@ class UntrustedStore(ABC):
                 self._image_write(record.offset, record.old_bytes)
             self._undo = []
 
+    def durable_image(self) -> bytes:
+        """Copy the whole device as a crash now would leave it: every
+        un-flushed write is rolled back in the copy, while the live image
+        and the undo journal stay as they are (a later
+        :meth:`simulate_crash` still reverts them).  One copy when nothing
+        is pending."""
+        with self._io_mutex:
+            if not self._undo:
+                return self._image_read(0, self._size)
+            durable = bytearray(self._image_read(0, self._size))
+            for record in reversed(self._undo):
+                durable[record.offset : record.offset + record.new_len] = record.old_bytes
+            return bytes(durable)
+
     # -- attacker interface --------------------------------------------------
 
     def tamper_read(self, offset: int, size: int) -> bytes:
@@ -306,9 +330,11 @@ class MemoryUntrustedStore(UntrustedStore):
     ) -> None:
         super().__init__(size, crash_injector, fault_injector)
         self._image = bytearray(size)
+        #: kept for the store's life: a view per read costs more than it saves
+        self._view = memoryview(self._image)
 
     def _image_read(self, offset: int, size: int) -> bytes:
-        return bytes(self._image[offset : offset + size])
+        return self._view[offset : offset + size].tobytes()
 
     def _image_write(self, offset: int, data: bytes) -> None:
         self._image[offset : offset + len(data)] = data

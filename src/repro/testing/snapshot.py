@@ -37,8 +37,8 @@ class PlatformSnapshot:
     """Immutable copy of everything a :class:`TrustedPlatform` persists.
 
     Only durable state is captured: un-flushed writes in the untrusted
-    store's undo journal are treated as lost (capture after a flush, or
-    accept the crash semantics).
+    store's undo journal are rolled back in the copy, as a crash would
+    (:meth:`~repro.platform.untrusted.UntrustedStore.durable_image`).
     """
 
     secret: bytes
@@ -48,11 +48,11 @@ class PlatformSnapshot:
 
     @classmethod
     def capture(cls, platform: TrustedPlatform) -> "PlatformSnapshot":
-        """Snapshot the durable state of ``platform`` (leaves it untouched
-        except for rolling back any un-flushed writes in the copy)."""
+        """Snapshot the durable state of ``platform``, leaving it untouched:
+        un-flushed writes are rolled back in the copy only."""
         return cls(
             secret=platform.secret_store.read(),
-            image=platform.untrusted.tamper_image(),
+            image=platform.untrusted.durable_image(),
             tr_data=platform.tamper_resistant.read(),
             counter_value=platform.counter.read(),
         )

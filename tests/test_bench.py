@@ -35,6 +35,8 @@ UNTIMED = {
     "store.object_path.manager_calls_per_read",
     "store.object_path.condition_entries",
     "store.object_path.ref_python_calls",
+    "store.device_path.capture_peak_ratio",
+    "store.device_path.id_python_calls_per_read",
     "paper.fig10_count_error",
 }
 

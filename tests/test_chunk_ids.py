@@ -1,5 +1,8 @@
 """Chunk id / position arithmetic (§4.3)."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,6 +59,55 @@ class TestChunkId:
         parent = cid.parent(fanout)
         assert parent.height == height + 1
         assert parent.child(fanout, cid.slot(fanout)) == cid
+
+
+class TestChunkIdValue:
+    """An id is the 3-tuple ``(partition, height, rank)``: it hashes,
+    compares and orders as one, and keeps its own type and text."""
+
+    def test_hashes_and_compares_as_the_plain_tuple(self):
+        cid = ChunkId(3, 1, 130)
+        assert hash(cid) == hash((3, 1, 130))
+        assert cid == (3, 1, 130) and (3, 1, 130) == cid
+        assert cid != (3, 1, 131) and cid != ChunkId(3, 1, 131)
+        assert tuple(cid) == (3, 1, 130) == (cid.partition, cid.height, cid.rank)
+
+    def test_orders_by_partition_height_rank(self):
+        ids = [ChunkId(2, 0, 0), ChunkId(1, 1, 0), ChunkId(1, 0, 9), ChunkId(1, 0, 2)]
+        assert sorted(ids) == [(1, 0, 2), (1, 0, 9), (1, 1, 0), (2, 0, 0)]
+        assert ChunkId(1, 0, 9) < ChunkId(1, 1, 0) < leader_id(1) < ChunkId(2, 0, 0)
+
+    def test_is_a_dict_and_set_key(self):
+        table = {ChunkId(1, 0, 2): "a", leader_id(1): "b"}
+        assert table[ChunkId(1, 0, 2)] == "a" and table[(1, LEADER_HEIGHT, 0)] == "b"
+        assert {data_id(1, 2), ChunkId(1, 0, 2), (1, 0, 2)} == {ChunkId(1, 0, 2)}
+
+    def test_text(self):
+        assert str(ChunkId(2, 1, 5)) == "2:1.5" and f"{leader_id(4)}" == "4:leader"
+        assert repr(ChunkId(2, 1, 5)) == "ChunkId(partition=2, height=1, rank=5)"
+
+    def test_immutable(self):
+        cid = ChunkId(2, 1, 5)
+        with pytest.raises(AttributeError):
+            cid.rank = 6
+        with pytest.raises(AttributeError):
+            cid.extra = 1
+        assert cid == ChunkId(2, 1, 5)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy]
+        + [lambda v, p=p: pickle.loads(pickle.dumps(v, p)) for p in range(6)],
+    )
+    def test_copy_and_pickle_keep_the_type(self, clone):
+        cid = ChunkId(7, LEADER_HEIGHT, 0)
+        again = clone(cid)
+        assert type(again) is ChunkId and again == cid and again.is_leader()
+
+    @pytest.mark.parametrize("parts", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+    def test_negative_components_rejected(self, parts):
+        with pytest.raises(ValueError):
+            ChunkId(*parts)
 
 
 class TestHeights:

@@ -1,6 +1,8 @@
 """Wire formats: descriptors, leader payloads, log versions, unnamed
 chunk records (§4.3, §4.9, §5.2)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +22,7 @@ from repro.chunkstore.log import (
     VersionHeader,
     VersionKind,
 )
+from repro.crypto import aead
 from repro.crypto.hashing import Sha1Hash
 from repro.crypto.modes import CtrStreamCipher
 from repro.errors import TamperDetectedError
@@ -202,6 +205,31 @@ class TestLogCodec:
             ChunkId(1, 0, 2), b"same", body_cipher, Sha1Hash()
         )
         assert digest1 != digest2
+
+    @pytest.mark.skipif(not aead.available(), reason="AEAD backend unavailable")
+    def test_aead_body_spliced_under_another_header_fails(self):
+        """A parsed header keeps the plaintext it was decrypted from, and
+        the body's AAD is those very bytes: each body still validates
+        under its own header only."""
+        codec = LogCodec(aead.make_aes_256_gcm(b"s" * 32), Sha1Hash())
+        body_cipher = aead.make_chacha20_poly1305(b"p" * 32)
+        size = codec.header_cipher_size
+        versions = [
+            memoryview(codec.build_named(cid, b"same", body_cipher, Sha1Hash())[0])
+            for cid in (ChunkId(1, 0, 1), ChunkId(1, 0, 2))
+        ]
+        headers = [codec.parse_header(version[:size]) for version in versions]
+        for header in headers:
+            assert header.pack() is header.plaintext
+            assert header.pack() == dataclasses.replace(header, plaintext=None).pack()
+        for header, version in zip(headers, versions):
+            body, digest = codec.validate_named(
+                header, version[size:], body_cipher, Sha1Hash()
+            )
+            assert body == b"same" and digest == bytes(version[-16:])
+        for header, version in zip(headers, reversed(versions)):
+            with pytest.raises(TamperDetectedError, match="undecryptable chunk body"):
+                codec.validate_named(header, version[size:], body_cipher, Sha1Hash())
 
 
 class TestUnnamedRecords:

@@ -170,6 +170,20 @@ class TestAdapterContract:
         padded = b"\xaa" * 7 + wire + b"\xbb" * 9
         span = memoryview(padded)[7 : 7 + len(wire)]
         assert cipher.decrypt(span, aad=b"hdr") == b"span body"
+        assert cipher.decrypt(span, aad=memoryview(b"-hdr")[1:]) == b"span body"
+
+    @pytest.mark.parametrize("name", AEAD_CIPHER_NAMES)
+    def test_flipped_byte_under_a_view_rejected(self, name):
+        """Decrypting from a view copies nothing first, so a byte flipped in
+        the buffer under the view — nonce, body or tag — is what the
+        backend authenticates."""
+        cipher = make_cipher(name, bytes(KEY_SIZES[name]))
+        wire = cipher.encrypt(b"viewed body", aad=b"hdr")
+        for pos in (0, 11, 12, len(wire) - 17, len(wire) - 1):
+            buffer = bytearray(b"\xaa" + wire)
+            buffer[1 + pos] ^= 0x01
+            with pytest.raises(ValueError, match="tag mismatch"):
+                cipher.decrypt(memoryview(buffer)[1:], aad=b"hdr")
 
     @pytest.mark.parametrize("name", AEAD_CIPHER_NAMES)
     def test_wrong_key_size_rejected(self, name):

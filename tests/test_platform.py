@@ -1,5 +1,7 @@
 """The simulated trusted platform: stores, crash semantics, attacker API."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import CrashError
@@ -15,6 +17,7 @@ from repro.platform import (
     TamperResistantStore,
     TrustedPlatform,
 )
+from repro.testing.snapshot import PlatformSnapshot
 
 
 class TestSecretStore:
@@ -167,6 +170,73 @@ class TestUntrustedStore:
         store2 = FileUntrustedStore(path, 4096)
         assert store2.read(100, 8) == b"persists"
         store2.close()
+
+
+def _peak_per_byte(call):
+    """Peak bytes traced while ``call`` runs, over the bytes it returns."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / len(result)
+
+
+class TestOneCopy:
+    """Every byte the device hands out costs one copy."""
+
+    SIZE = 8 << 20
+
+    def store(self):
+        store = MemoryUntrustedStore(self.SIZE)
+        store.write(self.SIZE // 2, b"marker")
+        store.flush()
+        return store
+
+    def test_whole_image_capture_is_one_copy(self):
+        store = self.store()
+        assert _peak_per_byte(store.tamper_image) <= 1.05
+        assert _peak_per_byte(store.durable_image) <= 1.05
+
+    def test_large_read_is_one_copy(self):
+        store = self.store()
+        assert _peak_per_byte(lambda: store.read(self.SIZE // 4, self.SIZE // 2)) <= 1.05
+        assert _peak_per_byte(lambda: store.read_many([(0, self.SIZE // 2)])[0]) <= 1.05
+
+    def test_reads_are_independent_bytes(self):
+        store = self.store()
+        before = store.read(self.SIZE // 2, 6)
+        store.write(self.SIZE // 2, b"MARKER")
+        assert type(before) is bytes and before == b"marker"
+        assert store.read(self.SIZE // 2, 6) == b"MARKER"
+
+
+class TestDurableImage:
+    """``durable_image`` is the device as a crash now would leave it."""
+
+    def test_unflushed_write_absent_from_the_copy_only(self):
+        platform = TrustedPlatform.create_in_memory(untrusted_size=64 * 1024)
+        device = platform.untrusted
+        device.write(8192, b"durable!")
+        device.flush()
+        device.write(8192, b"volatile")
+        device.write(8196, b"tail")
+        snapshot = PlatformSnapshot.capture(platform)
+        assert snapshot.image[8192:8200] == b"durable!"
+        assert device.tamper_read(8192, 8) == b"volatail"
+        restored = snapshot.restore()
+        restored.reboot()
+        assert restored.untrusted.read(8192, 8) == b"durable!"
+        # the live journal is untouched: a reboot still reverts the writes
+        platform.reboot()
+        assert device.read(8192, 8) == b"durable!"
+
+    def test_flushed_capture_equals_the_live_image(self):
+        platform = TrustedPlatform.create_in_memory(untrusted_size=64 * 1024)
+        platform.untrusted.write(100, b"x" * 5000)
+        platform.untrusted.flush()
+        assert PlatformSnapshot.capture(platform).image == platform.untrusted.tamper_image()
 
 
 class TestCrashInjector:
