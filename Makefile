@@ -73,8 +73,7 @@ e2e-compare:
 	$(PYTHON) benchmarks/e2e/compare.py $(BASE) $(NEW)
 
 # Code-only lines (no blanks, comments or docstrings): each file of
-# src/repro/chunkstore/ — the measure ROADMAP item 3 tracks — then one
-# total per package of src/repro (item 6's trajectory);
+# src/repro/chunkstore/, then one total per package of src/repro;
 # `make loc FILES="src/repro/testing/*.py"` counts just those files.
 loc:
 	$(PYTHON) tools/loc.py $(FILES)

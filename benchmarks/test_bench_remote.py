@@ -3,8 +3,7 @@ optimisation the paper suggests ("reducing network round-trips to the
 untrusted server, such as batching reads and writes")."""
 
 from benchmarks.conftest import report
-from repro.extensions import NetworkModel, RemoteUntrustedStore
-from repro.platform import MemoryUntrustedStore
+from repro.platform import MemoryUntrustedStore, NetworkModel, RemoteUntrustedStore
 
 
 def test_read_batching_round_trips(benchmark):
@@ -51,7 +50,7 @@ def test_read_batching_round_trips(benchmark):
 
 
 def test_commit_write_batching(benchmark):
-    """Writes queue client-side; one flush round trip per commit batch."""
+    """Writes cost no round trip; the flush ships them in one."""
     remote = RemoteUntrustedStore(MemoryUntrustedStore(4 << 20))
     remote.reset_accounting()
     for i in range(50):

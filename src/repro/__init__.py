@@ -33,7 +33,6 @@ from repro.backup import BackupStore
 from repro.chunkstore import ChunkStore, StoreConfig, ops
 from repro.collection import CollectionStore, field_key, register_key_function
 from repro.errors import TamperDetectedError, TDBError
-from repro.kv import TrustedKV
 from repro.objectstore import ObjectRef, ObjectStore, register_class
 from repro.platform import TrustedPlatform
 
@@ -51,7 +50,6 @@ __all__ = [
     "register_key_function",
     "field_key",
     "BackupStore",
-    "TrustedKV",
     "TDBError",
     "TamperDetectedError",
     "__version__",

@@ -30,7 +30,9 @@ Effects are applied through the same helpers normal commits use, so the
 reconstructed volatile state (descriptor cache, allocation state, segment
 accounting) is identical to what a non-crashed instance would hold.  In
 counter mode, effects buffer per commit set and apply only after the
-commit chunk verifies.
+commit chunk verifies.  The tail moves, and the log claims segments, only
+through :class:`~repro.chunkstore.segments.SegmentManager`'s recovery
+methods.
 
 A system-leader version encountered *mid-log* is inert: it means the
 superblock write that would have completed a checkpoint was lost in a
@@ -145,11 +147,8 @@ class _Recovery:
         validator.restart_residual()
         validator.note(header_ct, body_ct)
 
-        leader_segment = self.segman.segment_of(leader_loc)
         cursor = leader_loc + leader_size
-        self._set_tail(cursor, leader_segment)
-        if leader_segment not in self.segman.residual_segments:
-            self.segman.residual_segments = [leader_segment]
+        self.segman.resume(leader_loc, leader_size)
 
         # --- roll forward ----------------------------------------------------
         segment_of = self.segman.segment_of
@@ -210,12 +209,10 @@ class _Recovery:
                     except TamperDetectedError as exc:
                         # stale residue of a reclaimed segment, if tails tear
                         raise self._torn(exc)
-                    self.segman.free_segments.remove(nxt)
-                    self.segman.residual_segments.append(nxt)
+                    self.segman.replayed(cursor, version_len)
+                    self.segman.claim_named(nxt)
                     claims_since_good.append(nxt)
-                    self._advance(cursor, version_len)
                     cursor = self.segman.segment_start(nxt)
-                    self._set_tail(cursor, nxt)
                     continue
 
                 if kind == VersionKind.COMMIT:
@@ -253,7 +250,7 @@ class _Recovery:
                         effect()
                     pending.clear()
                     expected_count += 1
-                    self._advance(cursor, version_len)
+                    self.segman.replayed(cursor, version_len)
                     cursor += version_len
                     last_good = cursor
                     claims_since_good.clear()
@@ -271,7 +268,7 @@ class _Recovery:
                         pending.append(effect)  # until its commit chunk verifies
                     else:
                         effect()
-                self._advance(cursor, version_len)
+                self.segman.replayed(cursor, version_len)
                 cursor += version_len
         except _TornTail:
             obs.emit(
@@ -281,24 +278,14 @@ class _Recovery:
             )
             # Discard the incomplete suffix: un-claim segments the torn
             # region pulled in and truncate the tail.
-            for segment in claims_since_good:
-                if segment in self.segman.residual_segments:
-                    self.segman.residual_segments.remove(segment)
-                self.segman.used_bytes[segment] = 0
-                self.segman.live_bytes[segment] = 0
-                if segment not in self.segman.free_segments:
-                    self.segman.free_segments.append(segment)
+            self.segman.unclaim(claims_since_good)
             pending.clear()
             cleaner_queue.clear()
             cursor = last_good
 
         validator.finish_recovery(expected_count - 1)
 
-        tail_segment = self.segman.segment_of(cursor)
-        self._set_tail(cursor, tail_segment)
-        self.segman.used_bytes[tail_segment] = (
-            cursor - self.segman.segment_start(tail_segment)
-        )
+        self.segman.end_log(cursor)
 
         for state in self.table.partitions.values():
             state.reset_allocator()
@@ -317,20 +304,6 @@ class _Recovery:
         )
 
     # -- helpers ----------------------------------------------------------------
-
-    def _set_tail(self, cursor: int, segment: int) -> None:
-        self.segman.tail_segment = segment
-        self.segman.tail_offset = cursor - self.segman.segment_start(segment)
-        self.segman.used_bytes[segment] = max(
-            self.segman.used_bytes[segment], self.segman.tail_offset
-        )
-
-    def _advance(self, location: int, size: int) -> None:
-        segment = self.segman.segment_of(location)
-        offset = location - self.segman.segment_start(segment) + size
-        self.segman.used_bytes[segment] = max(self.segman.used_bytes[segment], offset)
-        self.segman.tail_segment = segment
-        self.segman.tail_offset = offset
 
     def _effect_for(
         self,

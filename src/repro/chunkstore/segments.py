@@ -226,6 +226,45 @@ class SegmentManager:
         self.free_segments += [segment for segment, _ in self.deferred_segments[:count]]
         del self.deferred_segments[:count]
 
+    # -- recovery ------------------------------------------------------------
+    # The roll-forward moves the tail over versions it reads rather than
+    # appends, and claims the segments the log's own records name.
+
+    def replayed(self, location: int, size: int) -> None:
+        """The version at ``location`` is log: the tail follows it."""
+        segment = self.segment_of(location)
+        self.tail_segment = segment
+        self.tail_offset = location + size - self.segment_start(segment)
+        self.used_bytes[segment] = max(self.used_bytes[segment], self.tail_offset)
+
+    def resume(self, leader_location: int, leader_size: int) -> None:
+        """Roll forward from the checkpoint's leader, whose segment the
+        residual log starts in."""
+        self.replayed(leader_location, leader_size)
+        if self.tail_segment not in self.residual_segments:
+            self.residual_segments = [self.tail_segment]
+
+    def claim_named(self, segment: int) -> None:
+        """A next-segment record names free ``segment``: the log goes on
+        at its start."""
+        self.free_segments.remove(segment)
+        self.jump_to(segment)
+
+    def unclaim(self, segments: List[int]) -> None:
+        """A torn tail's claims are void: ``segments`` are empty and free."""
+        for segment in segments:
+            if segment in self.residual_segments:
+                self.residual_segments.remove(segment)
+            self.used_bytes[segment] = self.live_bytes[segment] = 0
+            if segment not in self.free_segments:
+                self.free_segments.append(segment)
+
+    def end_log(self, location: int) -> None:
+        """The log ends at ``location``: nothing past it in its segment is
+        used (a torn tail's bytes are not)."""
+        segment = self.tail_segment = self.segment_of(location)
+        self.tail_offset = self.used_bytes[segment] = location - self.segment_start(segment)
+
     # -- utilization ---------------------------------------------------------
 
     def add_live(self, location: int, nbytes: int) -> None:

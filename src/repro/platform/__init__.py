@@ -11,7 +11,9 @@ The paper requires four pieces of infrastructure:
   (:class:`TamperResistantStore`), or the weaker monotonic
   :class:`TamperResistantCounter`;
 * an *untrusted store* holding the database (:class:`MemoryUntrustedStore`,
-  :class:`FileUntrustedStore`) and an *archival store* for backups
+  :class:`FileUntrustedStore`, or :class:`RemoteUntrustedStore` — §10's
+  untrusted server, with round trips counted and priced by a
+  :class:`NetworkModel`) and an *archival store* for backups
   (:class:`MemoryArchivalStore`, :class:`FileArchivalStore`).
 
 The untrusted store records I/O statistics (:class:`IOStats`) which a
@@ -29,6 +31,7 @@ from repro.platform.clock import Clock, FakeClock, SystemClock
 from repro.platform.crash import CrashInjector
 from repro.platform.disk_model import DiskModel
 from repro.platform.faults import FaultConfig, FaultInjector
+from repro.platform.remote import NetworkModel, RemoteUntrustedStore
 from repro.platform.retry import Retrier, RetryPolicy
 from repro.platform.secret_store import SecretStore
 from repro.platform.tamper_resistant import (
@@ -63,5 +66,7 @@ __all__ = [
     "UntrustedStore",
     "MemoryUntrustedStore",
     "FileUntrustedStore",
+    "RemoteUntrustedStore",
+    "NetworkModel",
     "IOStats",
 ]

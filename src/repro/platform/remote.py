@@ -47,10 +47,6 @@ class RemoteUntrustedStore(UntrustedStore):
         self._backing = backing
         self.round_trips = 0
         self.payload_bytes = 0
-        #: writes queued on the client, shipped at flush in one round trip;
-        #: cleared only once the flush round trip succeeds, so a faulted
-        #: flush leaves every queued write replayable
-        self._write_queue: List[Tuple[int, bytes]] = []
 
     # -- raw image ------------------------------------------------------------
 
@@ -104,30 +100,21 @@ class RemoteUntrustedStore(UntrustedStore):
         return super().read_many(extents)
 
     def write(self, offset: int, data: bytes) -> None:
-        # writes are queued client-side; the flush ships them in one batch
+        # no round trip: the flush ships every write since the last one
         self.payload_bytes += len(data)
         super().write(offset, data)
-        self._write_queue.append((offset, bytes(data)))
 
     def flush(self) -> None:
-        """Ship the queued writes + fsync request in one round trip.
+        """Ship the writes since the last flush + an fsync request in one
+        round trip.
 
-        The queue is cleared only after the round trip and the durable
-        flush both succeed; a fault anywhere leaves it intact so the next
-        flush re-ships the same writes (nothing is silently dropped).
+        A timed-out round trip fails before ``super().flush()``, so the
+        writes stay un-flushed (a crash now loses them) and the next
+        flush ships them again: nothing is silently dropped.
         """
         self._fault_round_trip("flush")
         self.round_trips += 1  # the batched write + fsync request
         super().flush()
-        self._write_queue = []
-
-    def pending_writes(self) -> List[Tuple[int, bytes]]:
-        """Writes queued on the client but not yet acknowledged durable."""
-        return list(self._write_queue)
-
-    def simulate_crash(self) -> None:
-        super().simulate_crash()
-        self._write_queue = []
 
     def reset_accounting(self) -> None:
         self.round_trips = 0

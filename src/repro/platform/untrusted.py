@@ -185,13 +185,13 @@ class UntrustedStore(ABC):
             return self._image_read(offset, size)
 
     def read_many(self, extents: List[Tuple[int, int]]) -> List[bytes]:
-        """Batched read (for the §10 "untrusted storage on servers"
-        extension, where round-trips matter).
+        """Batched read (for §10's untrusted storage on servers, where
+        round trips matter).
 
         The whole batch counts as *one* read round trip in
-        :class:`IOStats` (plus a ``batched_reads`` tally), so the remote-
-        store extension can measure round-trip savings against the
-        one-read-per-extent baseline."""
+        :class:`IOStats` (plus a ``batched_reads`` tally), so
+        :class:`~repro.platform.remote.RemoteUntrustedStore` can measure
+        round-trip savings against the one-read-per-extent baseline."""
         if not extents:
             return []
         with self._io_mutex:

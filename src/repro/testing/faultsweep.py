@@ -45,6 +45,7 @@ from repro.errors import (
 )
 from repro.platform.clock import FakeClock
 from repro.platform.faults import FaultConfig, FaultInjector
+from repro.platform.remote import RemoteUntrustedStore
 from repro.testing.spine import (
     SILENT_CORRUPTION,
     Harness,
@@ -134,8 +135,6 @@ class FaultSweep(Harness):
     # -- one trial -------------------------------------------------------------
 
     def _run_cell(self, seed: int, point: str, rate: float) -> Tuple[str, str]:
-        from repro.extensions.remote import RemoteUntrustedStore
-
         rng = random.Random(seed)
         faults = FaultInjector(fault_config(point, rate), seed=seed)
         faults.enabled = False  # the pristine open must succeed

@@ -34,5 +34,5 @@ def test_examples_exist():
         "digital_goods.py",
         "backup_restore.py",
         "tamper_demo.py",
-        "trusted_paging.py",
+        "remote_storage.py",
     } <= names

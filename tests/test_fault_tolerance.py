@@ -13,8 +13,13 @@ from repro.errors import (
     RemoteTimeoutError,
     TamperDetectedError,
 )
-from repro.extensions.remote import RemoteUntrustedStore
-from repro.platform import FakeClock, FaultConfig, FaultInjector
+from repro.platform import (
+    FakeClock,
+    FaultConfig,
+    FaultInjector,
+    MemoryUntrustedStore,
+    RemoteUntrustedStore,
+)
 from repro.testing.faultsweep import fault_config
 
 from tests.conftest import make_config, make_platform
@@ -174,36 +179,54 @@ def test_exhausted_retries_quarantine_instead_of_poisoning():
 
 
 # ---------------------------------------------------------------------------
-# remote store: failed flush leaves the write queue replayable (satellite)
+# remote store: a timed-out flush leaves its writes replayable
 # ---------------------------------------------------------------------------
 
 
-def test_remote_flush_fault_leaves_queue_replayable():
+def _remote_with_two_writes(size=8192):
+    """A remote store holding two un-flushed writes, whose next flush
+    round trip times out; also the image both writes make."""
     faults = FaultInjector(FaultConfig(timeout_rate=1.0), seed=0)
     faults.enabled = False
-    from repro.platform import MemoryUntrustedStore
-
-    remote = RemoteUntrustedStore(MemoryUntrustedStore(8192, None, faults))
+    remote = RemoteUntrustedStore(MemoryUntrustedStore(size, None, faults))
     remote.write(100, b"alpha")
     remote.write(500, b"beta")
-    assert [offset for offset, _ in remote.pending_writes()] == [100, 500]
-
+    written = bytearray(size)
+    written[100:105] = b"alpha"
+    written[500:504] = b"beta"
     faults.enabled = True
+    return remote, faults, bytes(written)
+
+
+def test_remote_flush_fault_leaves_queue_replayable():
+    """A timed-out flush makes neither write durable, though both are on
+    the device; the next flush makes both durable."""
+    remote, faults, written = _remote_with_two_writes()
     with pytest.raises(RemoteTimeoutError):
         remote.flush()
-    # regression: the queue must survive the failed round trip intact
-    assert remote.pending_writes() == [(100, b"alpha"), (500, b"beta")]
+    assert remote.durable_image() == bytes(remote.size)
+    assert remote.tamper_image() == written
 
     faults.enabled = False
     remote.flush()  # replay succeeds
-    assert remote.pending_writes() == []
-    assert remote.read(100, 5) == b"alpha"
-    assert remote.read(500, 4) == b"beta"
+    assert remote.durable_image() == written
+    remote.simulate_crash()  # nothing un-flushed is left to lose
+    assert remote.tamper_image() == written
+
+
+def test_remote_flush_fault_then_crash_loses_both_writes():
+    remote, faults, _ = _remote_with_two_writes()
+    with pytest.raises(RemoteTimeoutError):
+        remote.flush()
+    remote.simulate_crash()
+    assert remote.tamper_image() == bytes(remote.size)
+    faults.enabled = False
+    remote.flush()  # nothing to replay: the crash took both writes
+    assert remote.durable_image() == bytes(remote.size)
 
 
 def test_remote_partial_response_fails_whole_batch():
     from repro.errors import PartialResponseError
-    from repro.platform import MemoryUntrustedStore
 
     faults = FaultInjector(FaultConfig(partial_response_rate=1.0), seed=2)
     remote = RemoteUntrustedStore(MemoryUntrustedStore(8192, None, faults))

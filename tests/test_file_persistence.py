@@ -6,8 +6,10 @@ import os
 
 import pytest
 
+from repro.backup import BackupStore
 from repro.chunkstore import ChunkStore, ops
-from repro.kv import TrustedKV
+from repro.collection import CollectionStore, KeyFunctionRegistry, field_key
+from repro.objectstore import ObjectStore
 from repro.platform import (
     CrashInjector,
     FileArchivalStore,
@@ -42,6 +44,12 @@ def file_platform(tmp_path, secret, counter_value=0, tr_bytes=b""):
         archival=FileArchivalStore(str(tmp_path / "archive")),
         injector=injector,
     )
+
+
+def by_doc_id():
+    registry = KeyFunctionRegistry()
+    registry.register("id", field_key("id"))
+    return registry
 
 
 class TestFileBackedPersistence:
@@ -106,18 +114,33 @@ class TestFileBackedPersistence:
         rolled_back.untrusted.close()
 
     def test_kv_over_files_with_backup(self, tmp_path):
+        """Keyed documents in a collection over files, backed up, then read
+        back through a sorted index after a cold reopen."""
         secret = os.urandom(16)
         platform = file_platform(tmp_path, secret)
-        kv = TrustedKV.create(platform)
-        kv.put_many({f"doc:{i}": {"rev": i} for i in range(20)})
-        from repro.backup import BackupStore
-
-        BackupStore(kv.chunks).create_backup([kv.partition], "nightly")
-        kv.close()
+        chunks = ChunkStore.format(platform, make_config())
+        objects = ObjectStore(chunks)
+        pid = objects.create_partition(
+            cipher_name="ctr-sha256", hash_name="sha256", name="docs"
+        )
+        collections = CollectionStore(objects, pid, by_doc_id())
+        with objects.transaction() as tx:
+            docs = collections.create_collection(tx, "docs")
+            collections.add_index(tx, docs, "by_id", "id", sorted_index=True)
+            for i in range(20):
+                collections.insert(tx, docs, {"id": f"doc:{i}", "rev": i})
+        BackupStore(chunks).create_backup([pid], "nightly")
+        chunks.close()
         counter_value = platform.counter.read()
         platform.untrusted.close()
 
         platform2 = file_platform(tmp_path, secret, counter_value=counter_value)
-        kv2 = TrustedKV.open(platform2)
-        assert kv2["doc:7"] == {"rev": 7}
+        objects2 = ObjectStore(ChunkStore.open(platform2))
+        collections2 = CollectionStore(
+            objects2, objects2.chunks.find_partition("docs"), by_doc_id()
+        )
+        with objects2.transaction() as tx:
+            docs = collections2.open_collection(tx, "docs")
+            (ref,) = collections2.exact(tx, docs, "by_id", "doc:7")
+            assert tx.get(ref) == {"id": "doc:7", "rev": 7}
         platform2.untrusted.close()

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from repro.chunkstore import ChunkStore, ops
 from repro.errors import CrashError
 from repro.platform import (
     CrashInjector,
@@ -12,12 +13,15 @@ from repro.platform import (
     FileUntrustedStore,
     MemoryArchivalStore,
     MemoryUntrustedStore,
+    NetworkModel,
+    RemoteUntrustedStore,
     SecretStore,
     TamperResistantCounter,
     TamperResistantStore,
     TrustedPlatform,
 )
 from repro.testing.snapshot import PlatformSnapshot
+from tests.conftest import make_config
 
 
 class TestSecretStore:
@@ -342,3 +346,52 @@ class TestTrustedPlatform:
         platform.untrusted.write(0, b"gone")
         platform.reboot()
         assert platform.untrusted.read(0, 4) == b"\x00" * 4
+
+
+class TestRemoteStore:
+    def test_round_trip_accounting(self):
+        remote = RemoteUntrustedStore(MemoryUntrustedStore(1 << 20))
+        remote.write(0, b"abc")
+        remote.flush()
+        remote.read(0, 3)
+        assert remote.round_trips == 2  # flush batch + read
+
+    def test_batched_reads_one_round_trip(self):
+        remote = RemoteUntrustedStore(MemoryUntrustedStore(1 << 20))
+        remote.write(0, b"aa")
+        remote.write(100, b"bb")
+        remote.flush()
+        remote.reset_accounting()
+        results = remote.read_many([(0, 2), (100, 2)])
+        assert results == [b"aa", b"bb"]
+        assert remote.round_trips == 1
+
+    def test_chunk_store_runs_over_remote(self):
+        """The whole stack works against a remote untrusted store."""
+        injector = CrashInjector()
+        remote = RemoteUntrustedStore(MemoryUntrustedStore(4 << 20, injector))
+        platform = TrustedPlatform(
+            secret_store=SecretStore.generate(),
+            tamper_resistant=TamperResistantStore(),
+            counter=TamperResistantCounter(),
+            untrusted=remote,
+            archival=MemoryArchivalStore(),
+            injector=injector,
+        )
+        store = ChunkStore.format(platform, make_config())
+        pid = store.allocate_partition()
+        store.commit(
+            [ops.WritePartition(pid, cipher_name="ctr-sha256", hash_name="sha1")]
+        )
+        rank = store.allocate_chunk(pid)
+        store.commit([ops.WriteChunk(pid, rank, b"over the network")])
+        assert store.read_chunk(pid, rank) == b"over the network"
+        assert remote.round_trips > 0
+        # crash + recovery also works remotely
+        platform.reboot()
+        reopened = ChunkStore.open(platform)
+        assert reopened.read_chunk(pid, rank) == b"over the network"
+
+    def test_network_model(self):
+        model = NetworkModel(round_trip_latency=0.05, bandwidth=1e6)
+        assert model.time(10, 1_000_000) == pytest.approx(0.5 + 1.0)

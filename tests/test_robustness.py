@@ -4,8 +4,8 @@ ways applications lean on the stack."""
 import pytest
 
 from repro.chunkstore import ChunkStore, ops
+from repro.collection import CollectionStore, KeyFunctionRegistry, field_key
 from repro.errors import ChunkStoreError, ObjectNotFoundError, TransactionError
-from repro.kv import TrustedKV
 from repro.objectstore import ObjectStore
 from tests.conftest import make_config, make_platform
 
@@ -61,28 +61,53 @@ class TestOversizeValues:
         assert reopened.read_chunk(pid, 0) == b"base"
 
 
+def keyed_entries():
+    """A collection of ``{"k": key, "v": value}`` entries behind a sorted
+    index on ``k``: the store used as a dictionary."""
+    platform = make_platform(size=16 * 1024 * 1024)
+    objects = ObjectStore(ChunkStore.format(platform, make_config()))
+    pid = objects.create_partition(cipher_name="ctr-sha256", hash_name="sha256")
+    registry = KeyFunctionRegistry()
+    registry.register("k", field_key("k"))
+    collections = CollectionStore(objects, pid, registry)
+    with objects.transaction() as tx:
+        entries = collections.create_collection(tx, "entries")
+        collections.add_index(tx, entries, "by_key", "k", sorted_index=True)
+    return objects, collections, entries
+
+
+def value_at(objects, collections, entries, key):
+    with objects.transaction() as tx:
+        (ref,) = collections.exact(tx, entries, "by_key", key)
+        return tx.get(ref)["v"]
+
+
 class TestUnicodeAndOddKeys:
     def test_kv_unicode_keys(self):
-        kv = TrustedKV.create(make_platform(size=16 * 1024 * 1024))
-        kv["clé-française"] = 1
-        kv["ключ"] = 2
-        kv["鍵"] = 3
-        kv[""] = "empty key is a key"
-        assert kv["ключ"] == 2
-        assert kv[""] == "empty key is a key"
-        assert set(kv.keys()) == {"clé-française", "ключ", "鍵", ""}
+        objects, collections, entries = keyed_entries()
+        items = {"clé-française": 1, "ключ": 2, "鍵": 3, "": "empty key is a key"}
+        for key, value in items.items():
+            with objects.transaction() as tx:
+                collections.insert(tx, entries, {"k": key, "v": value})
+        assert value_at(objects, collections, entries, "ключ") == 2
+        assert value_at(objects, collections, entries, "") == "empty key is a key"
+        with objects.transaction() as tx:
+            keys = [key for key, _ref in collections.range(tx, entries, "by_key")]
+        assert keys == sorted(items)
 
     def test_kv_values_of_many_shapes(self):
-        kv = TrustedKV.create(make_platform(size=16 * 1024 * 1024))
+        objects, collections, entries = keyed_entries()
         shapes = {
             "none": None,
             "bytes": b"\x00\xff" * 10,
             "nested": {"a": [1, (2, 3), {4, 5}]},
             "float": -1.5e300,
         }
-        kv.put_many(shapes)
+        with objects.transaction() as tx:  # one commit
+            for key, value in shapes.items():
+                collections.insert(tx, entries, {"k": key, "v": value})
         for key, value in shapes.items():
-            assert kv[key] == value
+            assert value_at(objects, collections, entries, key) == value
 
 
 class TestApiMisuse:

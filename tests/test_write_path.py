@@ -1,6 +1,7 @@
 """The log write path: a static guard that only ``validation.py`` knows
 which §4.8.2 discipline is in force, another that only ``logspace.py``
-sizes the log, a third that ``cleaner.py`` knows nothing of views, and
+sizes the log, a third that only ``segments.py`` writes the segment
+manager's fields, a fourth that ``cleaner.py`` knows nothing of views, and
 ``LogWriter`` driven directly — one protocol, whatever the stage and
 whichever the discipline.  And the
 gate in front of it all: a static guard that every public ``ChunkStore``
@@ -17,7 +18,6 @@ import pytest
 from repro.chunkstore import ChunkStore, ops
 from repro.chunkstore.log import VersionKind
 from repro.errors import ChunkStoreError
-from repro.extensions.paging import TrustedPager
 from repro.objectstore import ObjectRef, ObjectStore
 from repro.tools.inspect import trusted_view
 from tests.conftest import make_config, make_platform
@@ -89,6 +89,58 @@ def test_only_the_log_space_module_sizes_the_log():
                 names = [getattr(node, key, None) for key in ("id", "attr", "name")]
             if any(str(name).endswith("Reserve") for name in names):
                 offenders.append(f"{path.name}:{node.lineno}: names a reserve class")
+    assert not offenders, offenders
+
+
+#: list methods that change the list they are called on
+LIST_MUTATORS = {"append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse"}
+
+
+def _reaches_segman_field(node):
+    """Whether ``node`` is ``segman.<field>`` or lies under one
+    (``self.segman.used_bytes[i]``)."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        owner = node.value
+        if isinstance(node, ast.Attribute) and (
+            getattr(owner, "id", None) == "segman"
+            or getattr(owner, "attr", None) == "segman"
+        ):
+            return True
+        node = owner
+    return False
+
+
+def test_only_the_segments_module_writes_the_segment_manager():
+    """No module under ``src/repro`` but ``segments.py`` assigns (or
+    deletes) a segment manager's field or an item of one, or calls a list
+    mutator on one: the others move the tail and claim segments through
+    its methods."""
+    offenders = []
+    for path in sorted(CHUNKSTORE.parent.rglob("*.py")):
+        if path == CHUNKSTORE / "segments.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = list(node.targets)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in LIST_MUTATORS
+            ):
+                targets = [node.func.value]
+            else:
+                continue
+            flat = []
+            while targets:
+                target = targets.pop()
+                if isinstance(target, (ast.Tuple, ast.List)):
+                    targets.extend(target.elts)
+                else:
+                    flat.append(target)
+            if any(_reaches_segman_field(target) for target in flat):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not offenders, offenders
 
 
@@ -279,7 +331,6 @@ def test_no_public_call_walks_the_map_with_the_lock_free(mode):
     store.commit([ops.WriteChunk(pid, store.allocate_chunk(pid), b"root")])
     store.close()
     store = ChunkStore.open(platform)
-    pager = TrustedPager(store, page_size=64, frames=2)
     seen = []  # (routine, was the lock held)
     for routine in ("read_chunks", "descriptors"):
         def spy(*args, _real=getattr(store.readpath, routine), _name=routine):
@@ -296,12 +347,10 @@ def test_no_public_call_walks_the_map_with_the_lock_free(mode):
         lambda: store.data_ranks(pid),
         lambda: store.reserve_chunk(pid, 5),
         lambda: objects.transaction().create_at(ObjectRef(pid, 6), "x"),
-        lambda: pager.read(3),
         lambda: trusted_view(store),
     ):
         # cold again: the next call has to load a leader to answer
         store.partitions.pop(pid, None)
-        store.partitions.pop(pager.partition, None)
         store.payloads.clear()
         call()
     assert {name for name, _ in seen} == {"read_chunks", "descriptors"}
