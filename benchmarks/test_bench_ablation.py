@@ -15,6 +15,7 @@ design decisions hold in this implementation:
 """
 
 from benchmarks.conftest import bench_store, data_partition, report
+from repro.bench import best_of
 from repro.chunkstore import ops
 from repro.platform import DiskModel
 
@@ -126,9 +127,9 @@ def test_ablation_embedded_hash_tree(benchmark):
     would force a *second* tree traversal per cold read.  We measure the
     embedded design's cold read against a simulated two-traversal read
     (locate twice from a cold cache)."""
-    import time
-
-    platform, store = bench_store(size=64 * 1024 * 1024)
+    # payload cache off: with it on, a read after clearing only the
+    # descriptor cache is answered without walking the map at all
+    platform, store = bench_store(size=64 * 1024 * 1024, payload_cache_bytes=0)
     pid = data_partition(store)
     ranks = [store.allocate_chunk(pid) for _ in range(500)]
     store.commit([ops.WriteChunk(pid, r, b"x" * 256) for r in ranks])
@@ -146,16 +147,10 @@ def test_ablation_embedded_hash_tree(benchmark):
         store.cache.clear()
         store.read_chunk(pid, ranks[250])
 
-    def best(fn):
-        best_time = float("inf")
-        for _ in range(7):
-            start = time.perf_counter()
-            fn()
-            best_time = min(best_time, time.perf_counter() - start)
-        return best_time
-
-    embedded = best(cold_read)
-    separate = best(two_traversals)
+    fetched = store.stats()["walk"]["map_chunks_fetched"]
+    embedded, separate = best_of([cold_read, two_traversals])
+    # every one of the 7 + 2 * 7 reads above climbed the map
+    assert store.stats()["walk"]["map_chunks_fetched"] - fetched >= 21
     benchmark(lambda: store.read_chunk(pid, ranks[250]))
     report(
         "ablation: embedded hash tree",

@@ -42,8 +42,10 @@ def test_latency_vs_database_size(benchmark):
     cold_reads = {}
     commits = {}
     for count in sizes:
+        # payload cache off: with it on, a cold read is a payload-cache hit
         platform, store = bench_store(
-            size=256 * 1024 * 1024, segment_size=256 * 1024, fanout=16
+            size=256 * 1024 * 1024, segment_size=256 * 1024, fanout=16,
+            payload_cache_bytes=0,
         )
         pid = data_partition(store)
         _populate(store, pid, count)
@@ -55,7 +57,9 @@ def test_latency_vs_database_size(benchmark):
             store.cache.clear()
             store.read_chunk(pid, probe)
 
+        fetched = store.stats()["walk"]["map_chunks_fetched"]
         cold_reads[count] = _best_of(cold)
+        assert store.stats()["walk"]["map_chunks_fetched"] - fetched >= 5  # each climbed
 
         def one_commit():
             rank = store.allocate_chunk(pid)

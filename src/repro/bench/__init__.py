@@ -26,8 +26,8 @@ class Floor:
     be ``op`` ``bound`` (times the value at ``of``, when given).
 
     A ``"*"`` in ``path`` stands for every key at that level, one verdict
-    each; a floor whose path is absent — a tier this machine has no backend
-    for — is not evaluated.
+    each.  A floor whose path names nothing fails, unless it lies under one
+    of the :data:`AEAD_TIERS` and this machine has no AEAD backend.
     """
 
     name: str
@@ -35,6 +35,10 @@ class Floor:
     op: str
     bound: float
     of: Tuple[str, ...] = ()
+
+
+#: the first path key of each tier that exists only with the AEAD backend
+AEAD_TIERS = {("crypto", "aead_ciphers"), ("store", "default")}
 
 
 def bench_config(**overrides) -> StoreConfig:

@@ -17,7 +17,8 @@ import json
 import sys
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from repro.bench import OPS, crypto_bench, report, server_bench, store_bench
+from repro.bench import AEAD_TIERS, OPS, crypto_bench, report, server_bench, store_bench
+from repro.crypto import aead
 
 PHASES = {
     "crypto": crypto_bench,
@@ -45,11 +46,25 @@ def _matches(section, path: Sequence[str], keys: Tuple[str, ...] = ()) -> Iterat
 
 def evaluate(results: Dict[str, Dict]) -> List[Dict[str, object]]:
     """One row per floor each phase in ``results`` declares, per match of
-    its path: what ``check`` enforces and ``BENCH.json`` records."""
+    its path: what ``check`` enforces and ``BENCH.json`` records.  A path
+    that names nothing is one ``fail`` row with no value, unless its tier
+    has no backend on this machine (:data:`AEAD_TIERS`)."""
     rows = []
     for phase, section in results.items():
         for floor in PHASES[phase].FLOORS:
-            for keys in _matches(section, floor.path):
+            matches = list(_matches(section, floor.path))
+            if not matches and not (
+                (phase, floor.path[0]) in AEAD_TIERS and not aead.available()
+            ):
+                rows.append({
+                    "name": f"{phase}.{floor.name}",
+                    "path": [phase, *floor.path],
+                    "value": None,
+                    "op": floor.op,
+                    "bound": floor.bound,
+                    "verdict": "fail",
+                })
+            for keys in matches:
                 value = _lookup(section, keys)
                 bound = floor.bound * (_lookup(section, floor.of) if floor.of else 1)
                 wild = "".join(f"[{k}]" for k, part in zip(keys, floor.path) if part == "*")
@@ -69,8 +84,9 @@ def check(results: Dict[str, Dict]) -> int:
     process exit status."""
     failed = [row for row in evaluate(results) if row["verdict"] != "pass"]
     for row in failed:
+        value = "missing" if row["value"] is None else row["value"]
         print(
-            f"FAIL: {row['name']} is {row['value']}, must be {row['op']} {row['bound']:g}",
+            f"FAIL: {row['name']} is {value}, must be {row['op']} {row['bound']:g}",
             file=sys.stderr,
         )
     if failed:

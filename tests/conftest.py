@@ -70,8 +70,9 @@ def any_mode_store(platform, request) -> ChunkStore:
 
 @pytest.fixture(scope="session")
 def tiny_bench():
-    """Every phase of ``python -m repro.bench`` at ``--tiny`` sizing, run
-    once per session (copy before mutating)."""
+    """The phases of ``python -m repro.bench`` that hold untimed floors,
+    ``store`` and ``paper``, at ``--tiny`` sizing, run once per session
+    (copy before mutating)."""
     from repro.bench.__main__ import PHASES
 
-    return {name: phase.run(tiny=True) for name, phase in PHASES.items()}
+    return {name: PHASES[name].run(tiny=True) for name in ("store", "paper")}

@@ -1,11 +1,13 @@
 """The bench runner's floors (``python -m repro.bench --check``).
 
-Every floor of every phase: a tiny run's results, with that one value
-pushed just past its bound, make ``check`` fail with one ``FAIL`` line,
-naming it.  A tiny run must pass the floors whose value does not depend
-on timing; the wall-clock floors of a run this short, on a shared machine,
-are CI's ``python -m repro.bench --tiny --check`` step's to enforce.
-``BENCH.json`` records exactly the floors ``check`` evaluates.
+Every floor of every phase: the committed ``BENCH.json``'s results, with
+that one value pushed just past its bound, make ``check`` fail with one
+``FAIL`` line, naming it.  A tiny run of the two phases with untimed
+floors, ``store`` and ``paper``, must pass every floor whose value does not
+depend on timing.  The wall-clock floors, and that every floor's path names
+something in a tiny run of every phase, are CI's
+``python -m repro.bench --tiny --check`` step's to enforce.  ``BENCH.json``
+records exactly the floors ``check`` evaluates.
 """
 
 import copy
@@ -23,9 +25,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 DECLARED = [(phase, floor) for phase, module in PHASES.items() for floor in module.FLOORS]
 
-#: the first path key of each tier that exists only with the AEAD backend
-_AEAD_TIERS = {("crypto", "aead_ciphers"), ("store", "default")}
-
 #: the floors on counts and sizes, which no machine's speed moves
 UNTIMED = {
     "store.slow.warm_round_trips",
@@ -38,21 +37,25 @@ UNTIMED = {
     "store.device_path.capture_peak_ratio",
     "store.device_path.id_python_calls_per_read",
     "paper.fig10_count_error",
+    "paper.tdb_xdb_commit_io",
+    "paper.tdb_xdb_flushes",
+    "paper.tdb_xdb_bytes_written",
 }
 
 
-def _step(bound: float) -> float:
-    return max(abs(bound) * 1e-3, 1e-3)
+@pytest.fixture(scope="module")
+def recorded():
+    """The committed ``BENCH.json``'s results (copy before mutating)."""
+    return json.loads((ROOT / "BENCH.json").read_text())
+
+
+def _floor_name(row) -> str:
+    return row["name"].split("[")[0]
 
 
 def _just_past(op: str, bound: float) -> float:
-    step = _step(bound)
+    step = max(abs(bound) * 1e-3, 1e-3)
     return {">=": bound - step, ">": bound, "<=": bound + step, "<": bound}[op]
-
-
-def _just_inside(op: str, bound: float) -> float:
-    step = _step(bound)
-    return {">=": bound, ">": bound + step, "<=": bound, "<": bound - step}[op]
 
 
 def _set(results, path, value) -> None:
@@ -62,47 +65,64 @@ def _set(results, path, value) -> None:
     results[last] = value
 
 
-def _passing(results):
-    """A copy of ``results`` with every failing floor's value moved just
-    inside its bound: a timed floor a loaded machine missed."""
-    results = copy.deepcopy(results)
-    for row in evaluate(results):
-        if row["verdict"] != "pass":
-            _set(results, row["path"], _just_inside(row["op"], row["bound"]))
-    return results
+def _fail_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines() if "FAIL" in line]
 
 
 def test_untimed_floors_are_declared():
     assert UNTIMED <= {f"{phase}.{floor.name}" for phase, floor in DECLARED}
 
 
+@pytest.mark.parametrize("name", sorted(UNTIMED))
+def test_untimed_floor_holds_in_a_tiny_run(tiny_bench, name):
+    assert name.split(".")[0] in tiny_bench
+    rows = [row for row in evaluate(tiny_bench) if _floor_name(row) == name]
+    if not rows:  # evaluate() drops only an AEAD tier without its backend
+        pytest.skip("AEAD backend unavailable")
+    assert all(row["verdict"] == "pass" for row in rows), rows
+
+
 @pytest.mark.parametrize(
     "phase, floor", DECLARED, ids=[f"{phase}.{floor.name}" for phase, floor in DECLARED]
 )
-def test_floor(tiny_bench, capsys, phase, floor):
+def test_floor(recorded, capsys, phase, floor):
     name = f"{phase}.{floor.name}"
-    rows = [row for row in evaluate(tiny_bench) if row["name"].split("[")[0] == name]
-    if not rows and (phase, floor.path[0]) in _AEAD_TIERS and not aead.available():
-        pytest.skip("AEAD backend unavailable")
-    assert rows, "the floor's path names nothing in a tiny run"
-    passing = _passing(tiny_bench)
+    section = {phase: recorded[phase]}
+    rows = [row for row in evaluate(section) if _floor_name(row) == name]
+    assert rows, "BENCH.json records no value for the floor"
     for row in rows:
-        if name in UNTIMED:
-            assert row["verdict"] == "pass", row
-        results = copy.deepcopy(passing)
+        results = copy.deepcopy(section)
         _set(results, row["path"], _just_past(row["op"], row["bound"]))
         capsys.readouterr()
         assert check(results) == 1
-        fails = [line for line in capsys.readouterr().err.splitlines() if "FAIL" in line]
+        fails = _fail_lines(capsys)
         assert len(fails) == 1 and fails[0].startswith(f"FAIL: {row['name']} is "), fails
 
 
-def test_bench_json_records_exactly_the_floors_check_evaluates():
-    recorded = json.loads((ROOT / "BENCH.json").read_text())
+def test_a_floor_whose_path_names_nothing_fails(recorded, capsys):
+    paper = copy.deepcopy(recorded["paper"])
+    for experiment in paper["experiments"].values():
+        experiment["speedup"] = experiment.pop("tdb_speedup")
+    capsys.readouterr()
+    assert check({"paper": paper}) == 1
+    assert _fail_lines(capsys) == ["FAIL: paper.tdb_speedup is missing, must be > 1"]
+
+
+@pytest.mark.parametrize("backend", [True, False], ids=["with-aead", "without-aead"])
+def test_an_aead_tier_may_be_absent_only_without_its_backend(recorded, monkeypatch, backend):
+    monkeypatch.setattr(aead, "available", lambda: backend)
+    crypto = copy.deepcopy(recorded["crypto"])
+    crypto["aead_ciphers"] = {}
+    rows = [row for row in evaluate({"crypto": crypto}) if _floor_name(row) == "crypto.aead_mb_s"]
+    assert [row["verdict"] for row in rows] == (["fail"] if backend else [])
+
+
+def test_bench_json_records_exactly_the_floors_check_evaluates(recorded):
+    recorded = copy.deepcopy(recorded)
     floors = recorded.pop("floors")
     name = operator.itemgetter("name")
     assert sorted(floors, key=name) == sorted(evaluate(recorded), key=name)
-    assert {row["name"].split("[")[0] for row in floors} == {
+    assert {_floor_name(row) for row in floors} == {
         f"{phase}.{floor.name}" for phase, floor in DECLARED
     }
     assert all(row["verdict"] == "pass" for row in floors)

@@ -19,3 +19,13 @@ class TestReport:
         assert "Figure 12" in text
         assert "| read | 781 | 781 |" in text
         assert "TDB" in text and "XDB" in text
+        release = tiny_bench["paper"]["experiments"]["release"]
+        tdb, xdb = release["TDB"], release["XDB"]
+        assert f"| untrusted flushes | {tdb['flushes']} | 96 |" in text
+        assert f"| TR flushes | {tdb['tr_writes']} | 19 |" in text
+        for kind in ("release", "bind"):
+            assert f"| {kind} commit I/O |" in text
+            assert f"| {kind} flushes |" in text
+        assert f"| release flushes | {tdb['flushes']} | {xdb['flushes']} |" in text
+        # §9.5.2: both systems stored something
+        assert release["tdb_live_bytes"] > 0 and xdb["stored_bytes"] > 0

@@ -1,11 +1,10 @@
 """Workload-machinery unit tests: spread arithmetic, object synthesis,
-adapter peek accounting, and the XDB-side bind experiment."""
+and adapter peek accounting."""
 
 import pytest
 
 from repro.bench.workload import (
     FIGURE_10,
-    Workload,
     _spread,
     make_object,
     make_schema,
@@ -73,16 +72,6 @@ class TestAdapterAccounting:
         adapter.read(coll, handle)
         assert adapter.op_counts["read"] == before["read"] + 1
         adapter.commit()
-
-
-@pytest.mark.slow
-class TestXdbBind:
-    def test_xdb_bind_counts(self):
-        from repro.bench.adapters import XdbAdapter
-
-        workload = Workload(XdbAdapter())
-        workload.setup()
-        assert workload.run_experiment("bind") == FIGURE_10["bind"]
 
 
 class TestMeasure:
