@@ -50,15 +50,14 @@ def test_relative_cipher_speeds(benchmark):
     """3DES must be ≈3× DES (it is three DES passes); the modern stream
     cipher must beat DES (the paper's 'faster than DES' remark).
 
-    Pinned to the pure-Python per-block implementations (``accel=False``,
-    ``bulk=False``): the OpenSSL backend runs single DES as a degenerate
-    3DES (both move at the same speed), and the bulk hooks optimize the
-    single-pass loop harder than the triple-pass one — only the scalar
-    paths preserve the paper's 3:1 algorithmic ratio.
+    Pinned to the from-scratch per-block primitives (``bulk=False``): the
+    OpenSSL backend runs single DES as a degenerate 3DES (both move at
+    the same speed), so only the per-block paths preserve the paper's
+    3:1 algorithmic ratio.
     """
     data = b"\xa5" * _BUFFER
-    des = CbcCipher(Des(bytes(8), accel=False), "des-cbc", bulk=False)
-    tdes = CbcCipher(TripleDes(bytes(24), accel=False), "3des-cbc", bulk=False)
+    des = CbcCipher(Des(bytes(8)), "des-cbc", bulk=False)
+    tdes = CbcCipher(TripleDes(bytes(24)), "3des-cbc", bulk=False)
     ctr = make_cipher("ctr-sha256", bytes(16))
     benchmark(des.encrypt, data)
     # interleaved rounds: a drift in the machine's speed falls on all three

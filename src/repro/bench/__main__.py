@@ -18,7 +18,7 @@ import sys
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.bench import AEAD_TIERS, OPS, crypto_bench, report, server_bench, store_bench
-from repro.crypto import aead
+from repro.crypto import accel
 
 PHASES = {
     "crypto": crypto_bench,
@@ -54,7 +54,7 @@ def evaluate(results: Dict[str, Dict]) -> List[Dict[str, object]]:
         for floor in PHASES[phase].FLOORS:
             matches = list(_matches(section, floor.path))
             if not matches and not (
-                (phase, floor.path[0]) in AEAD_TIERS and not aead.available()
+                (phase, floor.path[0]) in AEAD_TIERS and not accel.available()
             ):
                 rows.append({
                     "name": f"{phase}.{floor.name}",

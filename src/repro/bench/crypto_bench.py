@@ -1,17 +1,17 @@
 """The ``crypto`` phase of ``python -m repro.bench``: the cipher fast paths.
 
-Measures each registered cipher in three configurations:
+Measures each legacy cipher in two configurations:
 
-* ``fast`` — the default construction: OpenSSL-backed CBC where available
-  (DES/3DES via the installed ``cryptography`` wheel), int-native bulk
-  hooks otherwise;
-* ``python-bulk`` — the pure-Python bulk hooks (``accel=False``), i.e.
-  the portable fast path;
+* ``fast`` — the default construction: OpenSSL-backed CBC for DES/3DES
+  when the ``cryptography`` wheel imports (the per-block loop otherwise),
+  XTEA's int-native CBC hooks, ctr-sha256's bulk keystream;
 * ``fallback`` — the generic per-block / per-byte loops (``bulk=False``),
-  the seed implementation.
+  the reference the equivalence tests hold every fast path to.
 
-All three produce byte-identical ciphertext for the same IV, so the
-speedups are free: the on-disk format does not depend on which path ran.
+Both produce byte-identical ciphertext for the same IV, so the speedups
+are free: the on-disk format does not depend on which path ran.  The
+``backend`` section records whether the one OpenSSL probe
+(:mod:`repro.crypto.accel`) succeeded, and why not.
 
 The AEAD tier (aes-256-gcm, chacha20-poly1305) is measured in its only
 configuration — the OpenSSL backend; it has no pure-Python fallback — and
@@ -54,25 +54,18 @@ FLOORS = (
 #: a version header's worth of associated data, as the one-pass format binds
 _AAD = bytes(range(48))
 
-VARIANTS = ("fast", "python-bulk", "fallback")
+VARIANTS = ("fast", "fallback")
+
+_BLOCK_CIPHERS = {"des-cbc": Des, "3des-cbc": TripleDes, "xtea-cbc": Xtea}
 
 
 def build_cipher(name: str, variant: str) -> Cipher:
-    """Construct ``name`` in one of the three benchmark configurations."""
+    """Construct ``name`` in one of the two benchmark configurations."""
     key = _KEYS[name]
-    bulk = variant != "fallback"
+    bulk = variant == "fast"
     if name == "ctr-sha256":
         return CtrStreamCipher(key, bulk=bulk)
-    use_accel = variant == "fast"
-    if name == "des-cbc":
-        block = Des(key, accel=use_accel)
-    elif name == "3des-cbc":
-        block = TripleDes(key, accel=use_accel)
-    elif name == "xtea-cbc":
-        block = Xtea(key)  # no OpenSSL backend; fast == python-bulk
-    else:
-        raise ValueError(f"unknown cipher {name!r}")
-    return CbcCipher(block, name, bulk=bulk)
+    return CbcCipher(_BLOCK_CIPHERS[name](key), name, bulk=bulk)
 
 
 def _bandwidths(encrypt, decrypt, size: int, repeat: int) -> Dict[str, float]:
@@ -107,7 +100,7 @@ def run(tiny: bool) -> Dict[str, object]:
         ciphers[name] = entry
 
     aead_ciphers: Dict[str, Dict[str, float]] = {}
-    if aead.available():
+    if accel.available():
         for name, key in _AEAD_KEYS.items():
             cipher = aead.make_aes_256_gcm(key) if name == "aes-256-gcm" \
                 else aead.make_chacha20_poly1305(key)
@@ -121,13 +114,9 @@ def run(tiny: bool) -> Dict[str, object]:
     return {
         "buffer_bytes": size,
         "repeat": repeat,
-        "accel": {
+        "backend": {
             "available": accel.available(),
             "reason_unavailable": accel.unavailable_reason(),
-        },
-        "aead": {
-            "available": aead.available(),
-            "reason_unavailable": aead.unavailable_reason(),
         },
         "ciphers": ciphers,
         "aead_ciphers": aead_ciphers,

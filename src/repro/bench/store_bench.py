@@ -73,7 +73,7 @@ from repro.chunkstore.descriptor import (
     ChunkStatus,
     decode_map_body,
 )
-from repro.crypto import aead
+from repro.crypto import accel
 from repro.errors import PicklingError
 from repro.objectstore.pickling import (
     _MAX_DEPTH,
@@ -181,15 +181,15 @@ CHUNK_SIZE = 4096
 def run(tiny: bool) -> Dict[str, object]:
     chunks, repeats = (8, 2) if tiny else (48, 5)  # ≤ 64 keeps the map one level
     results: Dict[str, object] = {"slow": _run_tier(chunks, repeats, PARTITION_CIPHER)}
-    if aead.available():
+    if accel.available():
         results["default"] = _run_tier(chunks, repeats, DEFAULT_AEAD_CIPHER)
     results["map_load"] = run_map_load(
-        2 if tiny else 8, DEFAULT_AEAD_CIPHER if aead.available() else "ctr-sha256"
+        2 if tiny else 8, DEFAULT_AEAD_CIPHER if accel.available() else "ctr-sha256"
     )
     results["object_codec"] = run_object_codec(20 if tiny else 200)
     results["object_path"] = run_object_path()
     results["device_path"] = run_device_path(
-        DEFAULT_AEAD_CIPHER if aead.available() else "ctr-sha256"
+        DEFAULT_AEAD_CIPHER if accel.available() else "ctr-sha256"
     )
     return results
 

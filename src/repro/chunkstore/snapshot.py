@@ -42,13 +42,16 @@ Consistency contract
 
 A view is a *frozen committed state*.  Reads through it are repeatable
 and mutually consistent regardless of concurrent commits.  The serving
-layer opens views on copy-on-write partition copies
-(:class:`~repro.chunkstore.ops.CopyPartition`), which nobody writes to,
-so a snapshot's object graph is stable for its whole lifetime.  Opening
-a view directly on a live partition is also safe — the view keeps
-showing the old state while writers move on — because the view caches
+layer (:mod:`repro.objectstore.snapshots`) opens views directly on the
+live partition, which writers keep committing to; no copy partition is
+materialized.  The freeze takes a copy-on-write snapshot of the
+partition's leader payload (``LeaderPayload.copy_for_snapshot``, the one
+partition copies are built from), so the view's root descriptor and
+rank allocation stay as of ``frozen_at`` while the live partition moves
+on.  Every read validates against that frozen root, and the view caches
 validated payloads privately rather than through the store's shared
-payload cache (which tracks the *latest* committed bytes).
+payload cache (which tracks the *latest* committed bytes), so a commit
+after the freeze is never visible through it.
 
 Close views promptly (``ChunkStore.close_snapshot_view`` or the context
 manager): every open view holds the segments cleaned after it from reuse,

@@ -1,26 +1,27 @@
-"""Optional OpenSSL-backed bulk CBC for DES and 3DES.
+"""The one probe for the optional OpenSSL backend (the ``cryptography`` wheel).
 
-When the host Python already ships the ``cryptography`` package (many
-distributions do), its OpenSSL bindings compute the exact same FIPS 46-3
-byte stream as our from-scratch implementation, only at C speed.  This
-module probes for it at import time and, when present, hands the DES/3DES
-``encrypt_cbc``/``decrypt_cbc`` bulk hooks an OpenSSL backend.
+This is the only module that imports ``cryptography`` or reads
+``REPRO_NO_CRYPTO_ACCEL``.  The probe runs once, at import, and serves
+two users:
 
-Scope is deliberately narrow:
+* DES and 3DES (:mod:`repro.crypto.des`): :func:`cbc_backend` hands their
+  ``encrypt_cbc``/``decrypt_cbc`` bulk hooks to OpenSSL, which computes the
+  exact FIPS 46-3 byte stream of the from-scratch block primitive at C
+  speed.  Only the raw CBC core is delegated — IV generation, PKCS#7
+  padding and the IV-prefixed layout stay in :mod:`repro.crypto.modes`,
+  so the on-disk format is byte-for-byte identical whichever path runs.
+  Single DES is driven as 3DES with the key repeated three times (EDE
+  with K1=K2=K3 *is* single DES);
+* the AEAD tier (:mod:`repro.crypto.aead`): :data:`AESGCM`,
+  :data:`ChaCha20Poly1305` and :data:`InvalidTag`.
 
-* only the raw CBC core is delegated — IV generation, PKCS#7 padding, and
-  the IV-prefixed ciphertext layout stay in :mod:`repro.crypto.modes`, so
-  the on-disk format is byte-for-byte identical whichever backend runs;
-* XTEA and ctr-sha256 never route here (XTEA is not in OpenSSL; the
-  counter stream is already hashlib-speed);
-* nothing is installed or required: if the package is missing, or the
-  ``REPRO_NO_CRYPTO_ACCEL`` environment variable is set, every cipher
-  falls back to the int-native pure-Python bulk path with no loss of
-  functionality.
-
-Single DES is driven through OpenSSL's TripleDES with the key repeated
-three times (EDE with K1=K2=K3 *is* single DES); 16-byte two-key 3DES is
-normalized to 24 bytes (K1 ‖ K2 ‖ K1) before it reaches OpenSSL.
+Nothing is installed or required.  If the package is missing, or the
+``REPRO_NO_CRYPTO_ACCEL`` environment variable is set, :func:`available`
+is false and :func:`unavailable_reason` says why: DES and 3DES run the
+per-block loop over their block primitive, and the AEAD factories refuse
+with :class:`~repro.errors.CryptoUnavailableError`.  XTEA and ctr-sha256
+never route here (XTEA is not in OpenSSL; the counter stream is already
+hashlib-speed).
 """
 
 from __future__ import annotations
@@ -28,13 +29,15 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-_IMPORT_ERROR: Optional[str] = None
+_REASON: Optional[str] = None
 
 try:
     if os.environ.get("REPRO_NO_CRYPTO_ACCEL"):
         raise ImportError("disabled by REPRO_NO_CRYPTO_ACCEL")
+    from cryptography.exceptions import InvalidTag
     from cryptography.hazmat.primitives.ciphers import Cipher as _OsslCipher
     from cryptography.hazmat.primitives.ciphers import modes as _ossl_modes
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM, ChaCha20Poly1305
 
     try:
         # modern home of legacy algorithms (cryptography >= 43)
@@ -46,19 +49,18 @@ try:
             TripleDES as _OsslTripleDES,
         )
 except ImportError as exc:  # pragma: no cover - environment-dependent
-    _OsslCipher = None
-    _ossl_modes = None
-    _OsslTripleDES = None
-    _IMPORT_ERROR = str(exc)
+    _OsslCipher = _ossl_modes = _OsslTripleDES = None
+    AESGCM = ChaCha20Poly1305 = InvalidTag = None
+    _REASON = str(exc)
 
 
 def available() -> bool:
-    """True when the OpenSSL backend can serve DES/3DES bulk CBC."""
-    return _OsslCipher is not None
+    """True when the OpenSSL backend serves DES/3DES CBC and both AEAD suites."""
+    return _REASON is None
 
 
 def unavailable_reason() -> Optional[str]:
-    return _IMPORT_ERROR
+    return _REASON
 
 
 class _OsslCbc:
@@ -81,20 +83,7 @@ class _OsslCbc:
         return dec.update(data) + dec.finalize()
 
 
-def cbc_backend(kind: str, key: bytes):
-    """An OpenSSL CBC backend for ``kind`` in {"des", "3des"}, or ``None``
-    when the backend is unavailable (caller keeps its Python bulk path)."""
-    if _OsslCipher is None:
-        return None
-    if kind == "des":
-        full = key * 3
-    elif kind == "3des":
-        if len(key) == 8:
-            full = key * 3
-        elif len(key) == 16:
-            full = key + key[:8]
-        else:
-            full = key
-    else:
-        return None
-    return _OsslCbc(full)
+def cbc_backend(key24: bytes) -> Optional[_OsslCbc]:
+    """OpenSSL 3DES-EDE CBC over ``key24`` (K1 ‖ K2 ‖ K3), or ``None``
+    when the backend is unavailable."""
+    return _OsslCbc(key24) if available() else None

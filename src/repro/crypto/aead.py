@@ -1,12 +1,13 @@
 """AEAD cipher tier: AES-256-GCM and ChaCha20-Poly1305.
 
 Both suites come from the ``cryptography`` package's OpenSSL bindings,
-probed at import time exactly like :mod:`repro.crypto.accel` probes the
-legacy CBC backend.  Unlike the legacy suites, the AEAD tier has **no
-pure-Python fallback**: re-implementing GCM or Poly1305 from scratch adds
-nothing to the reproduction, and a slow lookalike of an *authenticating*
-cipher invites silently weaker deployments.  When the backend is missing
-(or disabled via ``REPRO_NO_CRYPTO_ACCEL``) the factories raise
+taken from the one backend probe, :mod:`repro.crypto.accel` — ask it
+whether they are available.  Unlike the legacy suites, the AEAD tier has
+**no pure-Python fallback**: re-implementing GCM or Poly1305 from scratch
+adds nothing to the reproduction, and a slow lookalike of an
+*authenticating* cipher invites silently weaker deployments.  When the
+backend is missing (or disabled via ``REPRO_NO_CRYPTO_ACCEL``) the
+factories raise
 :class:`~repro.errors.CryptoUnavailableError` — a typed, loud refusal,
 never a downgrade.
 
@@ -25,37 +26,11 @@ surfaced as ``ValueError`` so every existing call site converts it to
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional
 
+from repro.crypto import accel
 from repro.crypto.cipher import Cipher, random_iv
 from repro.errors import CryptoUnavailableError
-
-_IMPORT_ERROR: Optional[str] = None
-
-try:
-    if os.environ.get("REPRO_NO_CRYPTO_ACCEL"):
-        raise ImportError("disabled by REPRO_NO_CRYPTO_ACCEL")
-    from cryptography.exceptions import InvalidTag as _InvalidTag
-    from cryptography.hazmat.primitives.ciphers.aead import (
-        AESGCM as _AesGcm,
-        ChaCha20Poly1305 as _ChaCha,
-    )
-except ImportError as exc:  # pragma: no cover - environment-dependent
-    _AesGcm = None
-    _ChaCha = None
-    _InvalidTag = None
-    _IMPORT_ERROR = str(exc)
-
-
-def available() -> bool:
-    """True when the OpenSSL AEAD backend can serve both suites."""
-    return _AesGcm is not None
-
-
-def unavailable_reason() -> Optional[str]:
-    return _IMPORT_ERROR
-
 
 #: key size shared by both suites (AES-256 key; ChaCha20 key)
 KEY_SIZE = 32
@@ -102,7 +77,7 @@ class AeadCipher(Cipher):
             plain = self._backend.decrypt(
                 view[: self.NONCE_SIZE], view[self.NONCE_SIZE :], aad
             )
-        except _InvalidTag as exc:
+        except accel.InvalidTag as exc:
             raise ValueError(f"{self.name}: authentication tag mismatch") from exc
         counters.bytes_decrypted += len(plain)
         return plain
@@ -110,19 +85,13 @@ class AeadCipher(Cipher):
     def ciphertext_size(self, plaintext_size: int) -> int:
         return self.NONCE_SIZE + plaintext_size + self.TAG_SIZE
 
-    @classmethod
-    def tag_of(cls, ciphertext) -> bytes:
-        """The trailing auth tag of an :meth:`encrypt` result — the value
-        AEAD partitions store as the descriptor hash."""
-        return bytes(ciphertext[-cls.TAG_SIZE :])
-
 
 def _make(name: str, primitive: Optional[Callable], key: bytes) -> AeadCipher:
-    if primitive is None:
+    if not accel.available():
         raise CryptoUnavailableError(
             f"cipher {name!r} needs the 'cryptography' AEAD backend, which is "
-            f"unavailable ({_IMPORT_ERROR}); the AEAD tier has no pure-Python "
-            f"fallback — choose a legacy suite or restore the backend"
+            f"unavailable ({accel.unavailable_reason()}); the AEAD tier has no "
+            f"pure-Python fallback — choose a legacy suite or restore the backend"
         )
     if len(key) != KEY_SIZE:
         raise ValueError(f"{name} requires a {KEY_SIZE}-byte key, got {len(key)}")
@@ -130,8 +99,8 @@ def _make(name: str, primitive: Optional[Callable], key: bytes) -> AeadCipher:
 
 
 def make_aes_256_gcm(key: bytes) -> AeadCipher:
-    return _make("aes-256-gcm", _AesGcm, key)
+    return _make("aes-256-gcm", accel.AESGCM, key)
 
 
 def make_chacha20_poly1305(key: bytes) -> AeadCipher:
-    return _make("chacha20-poly1305", _ChaCha, key)
+    return _make("chacha20-poly1305", accel.ChaCha20Poly1305, key)

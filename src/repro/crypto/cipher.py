@@ -27,10 +27,11 @@ class BlockCipher(ABC):
     operating on whole messages (a multiple of ``block_size``; the IV is
     *not* included in either argument or result).  When the hooks exist,
     :class:`~repro.crypto.modes.CbcCipher` dispatches to them instead of
-    its generic per-block loop; implementations keep state as integers
-    across the entire message, or delegate to an accelerated backend
-    (:mod:`repro.crypto.accel`).  A hook must produce byte-for-byte the
-    same output as the generic loop — the on-disk format depends on it.
+    its generic per-block loop.  DES and 3DES have them only when the
+    OpenSSL backend (:mod:`repro.crypto.accel`) imports; XTEA always has
+    its own, which keep the whole message as integers.  A hook must
+    produce byte-for-byte the same output as the generic loop — the
+    on-disk format depends on it.
     """
 
     #: block size in bytes

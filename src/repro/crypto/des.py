@@ -14,17 +14,13 @@ Implementation notes (these matter for making pure Python tolerable):
   round yields an already-P-permuted 32-bit word;
 * the key schedule runs once per keyed instance.
 
-Beyond the per-block path, both ciphers implement the bulk CBC hooks
-(``encrypt_cbc``/``decrypt_cbc``, see :class:`~repro.crypto.cipher.BlockCipher`)
-with an *int-native* whole-message engine: the message is unpacked to
-64-bit ints once, CBC chaining XORs stay integer ops, and each round does
-four lookups in *key-folded pair tables* — per-round tables of 1024
-entries indexed by 10-bit windows of the expanded half-block, with the
-round subkey XORed in at build time so the round function is pure table
-OR.  The tables cost ~14 ms per DES key to build and a few MB to hold, so
-they are built lazily on the first bulk call.  When the optional OpenSSL
-backend (:mod:`repro.crypto.accel`) is importable it takes precedence
-over the Python engine; both produce identical bytes.
+The block primitive is the only DES in this module.  When the optional
+OpenSSL backend (:mod:`repro.crypto.accel`) imports, each keyed instance
+also carries the bulk CBC hooks (``encrypt_cbc``/``decrypt_cbc``, see
+:class:`~repro.crypto.cipher.BlockCipher`), run by OpenSSL over the same
+key; without it there are no hooks, and
+:class:`~repro.crypto.modes.CbcCipher` chains ``encrypt_block`` itself.
+Both produce identical bytes.
 
 Verified against the canonical FIPS test vector
 (key ``133457799BBCDFF1``, plaintext ``0123456789ABCDEF`` →
@@ -34,10 +30,9 @@ known-answer vectors in the test suite.
 
 from __future__ import annotations
 
-import struct
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.crypto import accel as accel_mod
+from repro.crypto import accel
 from repro.crypto.cipher import BlockCipher
 
 # --- FIPS 46-3 tables (1-based bit positions, MSB = bit 1) -----------------
@@ -232,104 +227,6 @@ def _apply_tables(value: int, tables: List[List[int]], in_bits: int) -> int:
     return out
 
 
-def _folded_pair_tables(subkeys: Sequence[int]) -> List[List[List[int]]]:
-    """Per-round SP tables with the round subkey folded in.
-
-    Adjacent 6-bit groups of the E-expansion overlap by two bits, so two
-    neighbouring S-box inputs fit in a 10-bit window of the *duplicated*
-    half-block ``t = [b32, b1..b32, b1]``.  For round key ``k``, pair
-    table ``i`` maps window ``w`` to ``SP[2i][(w >> 4) ^ kA] |
-    SP[2i+1][(w & 63) ^ kB]`` where ``kA``/``kB`` are the subkey's 6-bit
-    groups ``2i``/``2i+1`` — one lookup replaces two S-box lookups, the
-    key XOR, and the E-expansion byte tables.
-    """
-    rounds: List[List[List[int]]] = []
-    for k in subkeys:
-        row: List[List[int]] = []
-        for i in range(4):
-            ka = (k >> (42 - 12 * i)) & 0x3F
-            kb = (k >> (36 - 12 * i)) & 0x3F
-            spa = _SP[2 * i]
-            spb = _SP[2 * i + 1]
-            row.append([spa[(w >> 4) ^ ka] | spb[(w & 63) ^ kb] for w in range(1024)])
-        rounds.append(row)
-    return rounds
-
-
-def _des_pass(v: int, rounds: List[List[List[int]]], _ip=_IP_TABLES, _fp=_FP_TABLES) -> int:
-    """One full DES application (IP → 16 folded rounds → FP) on a 64-bit int."""
-    ip0, ip1, ip2, ip3, ip4, ip5, ip6, ip7 = _ip
-    v = (
-        ip0[v >> 56]
-        | ip1[(v >> 48) & 255]
-        | ip2[(v >> 40) & 255]
-        | ip3[(v >> 32) & 255]
-        | ip4[(v >> 24) & 255]
-        | ip5[(v >> 16) & 255]
-        | ip6[(v >> 8) & 255]
-        | ip7[v & 255]
-    )
-    l = v >> 32
-    r = v & 0xFFFFFFFF
-    for p0, p1, p2, p3 in rounds:
-        t = ((r & 1) << 33) | (r << 1) | (r >> 31)
-        l ^= p0[t >> 24] | p1[(t >> 16) & 1023] | p2[(t >> 8) & 1023] | p3[t & 1023]
-        l, r = r, l
-    v = (r << 32) | l
-    fp0, fp1, fp2, fp3, fp4, fp5, fp6, fp7 = _fp
-    return (
-        fp0[v >> 56]
-        | fp1[(v >> 48) & 255]
-        | fp2[(v >> 40) & 255]
-        | fp3[(v >> 32) & 255]
-        | fp4[(v >> 24) & 255]
-        | fp5[(v >> 16) & 255]
-        | fp6[(v >> 8) & 255]
-        | fp7[v & 255]
-    )
-
-
-_Passes = Tuple[List[List[List[int]]], ...]
-
-
-def _cbc_encrypt_int(iv: bytes, data: bytes, passes: _Passes) -> bytes:
-    """CBC-encrypt padded ``data``; one DES application per entry of
-    ``passes`` per block (1 for DES, 3 for EDE)."""
-    n = len(data) // 8
-    blocks = struct.unpack(">%dQ" % n, data)
-    out = [0] * n
-    prev = int.from_bytes(iv, "big")
-    if len(passes) == 1:
-        rounds = passes[0]
-        for i, v in enumerate(blocks):
-            prev = _des_pass(v ^ prev, rounds)
-            out[i] = prev
-    else:
-        r1, r2, r3 = passes
-        for i, v in enumerate(blocks):
-            prev = _des_pass(_des_pass(_des_pass(v ^ prev, r1), r2), r3)
-            out[i] = prev
-    return struct.pack(">%dQ" % n, *out)
-
-
-def _cbc_decrypt_int(iv: bytes, data: bytes, passes: _Passes) -> bytes:
-    n = len(data) // 8
-    blocks = struct.unpack(">%dQ" % n, data)
-    out = [0] * n
-    prev = int.from_bytes(iv, "big")
-    if len(passes) == 1:
-        rounds = passes[0]
-        for i, c in enumerate(blocks):
-            out[i] = _des_pass(c, rounds) ^ prev
-            prev = c
-    else:
-        r1, r2, r3 = passes
-        for i, c in enumerate(blocks):
-            out[i] = _des_pass(_des_pass(_des_pass(c, r1), r2), r3) ^ prev
-            prev = c
-    return struct.pack(">%dQ" % n, *out)
-
-
 def _crypt_block_int(block: int, subkeys: Sequence[int]) -> int:
     v = _apply_tables(block, _IP_TABLES, 64)
     left = (v >> 32) & 0xFFFFFFFF
@@ -353,25 +250,30 @@ def _crypt_block_int(block: int, subkeys: Sequence[int]) -> int:
     return _apply_tables(preoutput, _FP_TABLES, 64)
 
 
-class Des(BlockCipher):
-    """Single DES over 8-byte blocks with an 8-byte key.
 
-    ``accel=False`` pins the bulk hooks to the pure-Python int-native
-    engine even when the OpenSSL backend is importable (used by the
-    benchmarks and equivalence tests to exercise every path).
-    """
+
+def _attach_openssl(cipher: BlockCipher, key24: bytes) -> None:
+    """Give ``cipher`` the bulk CBC hooks, run by OpenSSL's 3DES-EDE over
+    ``key24``, when the backend imports; otherwise ``cipher`` keeps only
+    its block primitive and ``CbcCipher`` runs its per-block loop."""
+    backend = accel.cbc_backend(key24)
+    if backend is not None:
+        cipher.encrypt_cbc = backend.encrypt_cbc
+        cipher.decrypt_cbc = backend.decrypt_cbc
+
+
+class Des(BlockCipher):
+    """Single DES over 8-byte blocks with an 8-byte key."""
 
     block_size = 8
 
-    def __init__(self, key: bytes, accel: bool = True) -> None:
+    def __init__(self, key: bytes) -> None:
         if len(key) != 8:
             raise ValueError(f"DES key must be 8 bytes, got {len(key)}")
         key_int = int.from_bytes(key, "big")
         self._enc_keys = _key_schedule(key_int)
         self._dec_keys = list(reversed(self._enc_keys))
-        self._cbc_accel = accel_mod.cbc_backend("des", key) if accel else None
-        self._enc_passes: Tuple = ()
-        self._dec_passes: Tuple = ()
+        _attach_openssl(self, key * 3)
 
     def encrypt_block(self, block: bytes) -> bytes:
         value = int.from_bytes(block, "big")
@@ -380,27 +282,6 @@ class Des(BlockCipher):
     def decrypt_block(self, block: bytes) -> bytes:
         value = int.from_bytes(block, "big")
         return _crypt_block_int(value, self._dec_keys).to_bytes(8, "big")
-
-    def _passes(self) -> Tuple[_Passes, _Passes]:
-        if not self._enc_passes:
-            enc = _folded_pair_tables(self._enc_keys)
-            # each round's table depends only on that round's subkey, so
-            # the decrypt schedule is simply the rows in reverse
-            self._enc_passes = (enc,)
-            self._dec_passes = (enc[::-1],)
-        return self._enc_passes, self._dec_passes
-
-    def encrypt_cbc(self, iv: bytes, data: bytes) -> bytes:
-        if self._cbc_accel is not None:
-            return self._cbc_accel.encrypt_cbc(iv, data)
-        enc, _ = self._passes()
-        return _cbc_encrypt_int(iv, data, enc)
-
-    def decrypt_cbc(self, iv: bytes, data: bytes) -> bytes:
-        if self._cbc_accel is not None:
-            return self._cbc_accel.decrypt_cbc(iv, data)
-        _, dec = self._passes()
-        return _cbc_decrypt_int(iv, data, dec)
 
 
 class TripleDes(BlockCipher):
@@ -413,7 +294,7 @@ class TripleDes(BlockCipher):
 
     block_size = 8
 
-    def __init__(self, key: bytes, accel: bool = True) -> None:
+    def __init__(self, key: bytes) -> None:
         if len(key) == 8:
             k1 = k2 = k3 = key
         elif len(key) == 16:
@@ -430,9 +311,7 @@ class TripleDes(BlockCipher):
         self._k1_dec = list(reversed(key1))
         self._k2_dec = list(reversed(key2))
         self._k3_dec = list(reversed(key3))
-        self._cbc_accel = accel_mod.cbc_backend("3des", key) if accel else None
-        self._enc_passes: Tuple = ()
-        self._dec_passes: Tuple = ()
+        _attach_openssl(self, k1 + k2 + k3)
 
     def encrypt_block(self, block: bytes) -> bytes:
         value = int.from_bytes(block, "big")
@@ -447,25 +326,3 @@ class TripleDes(BlockCipher):
         value = _crypt_block_int(value, self._k2_enc)
         value = _crypt_block_int(value, self._k1_dec)
         return value.to_bytes(8, "big")
-
-    def _passes(self) -> Tuple[_Passes, _Passes]:
-        if not self._enc_passes:
-            t1 = _folded_pair_tables(self._k1_enc)
-            t2 = _folded_pair_tables(self._k2_enc)
-            t3 = _folded_pair_tables(self._k3_enc)
-            # EDE: encrypt = E_k1 · D_k2 · E_k3; decrypt reverses it
-            self._enc_passes = (t1, t2[::-1], t3)
-            self._dec_passes = (t3[::-1], t2, t1[::-1])
-        return self._enc_passes, self._dec_passes
-
-    def encrypt_cbc(self, iv: bytes, data: bytes) -> bytes:
-        if self._cbc_accel is not None:
-            return self._cbc_accel.encrypt_cbc(iv, data)
-        enc, _ = self._passes()
-        return _cbc_encrypt_int(iv, data, enc)
-
-    def decrypt_cbc(self, iv: bytes, data: bytes) -> bytes:
-        if self._cbc_accel is not None:
-            return self._cbc_accel.decrypt_cbc(iv, data)
-        _, dec = self._passes()
-        return _cbc_decrypt_int(iv, data, dec)

@@ -3,10 +3,11 @@
 ``CbcCipher`` turns any :class:`~repro.crypto.cipher.BlockCipher` into a
 whole-message :class:`~repro.crypto.cipher.Cipher`.  A random IV is
 generated per message and prepended to the ciphertext.  When the block
-cipher implements the bulk CBC hooks (``encrypt_cbc``/``decrypt_cbc``),
-whole messages are dispatched to them; otherwise the generic per-block
-loop runs.  Both paths produce byte-identical output for the same IV —
-the on-disk format does not depend on which path ran.
+cipher implements the bulk CBC hooks (``encrypt_cbc``/``decrypt_cbc``:
+OpenSSL for DES/3DES when it imports, XTEA's own int-native pass),
+whole messages are dispatched to them; otherwise the generic loop runs
+over the block primitive.  Both paths produce byte-identical output for
+the same IV — the on-disk format does not depend on which path ran.
 
 ``CtrStreamCipher`` is a keystream cipher built from SHA-256 in counter
 mode: keystream block *i* = SHA-256(key ‖ nonce ‖ i).  Because hashlib runs
@@ -46,8 +47,9 @@ def pkcs7_unpad(data: bytes, block_size: int) -> bytes:
 class CbcCipher(Cipher):
     """CBC mode over a block cipher, PKCS#7 padded, random IV prepended.
 
-    ``bulk=False`` forces the generic per-block loop even when the block
-    cipher offers bulk hooks (for benchmarks and equivalence tests).
+    ``bulk=False`` forces the generic per-block loop — the reference the
+    equivalence tests and the ``crypto`` bench phase hold the bulk hooks
+    to — even when the block cipher offers them.
     """
 
     def __init__(self, block_cipher: BlockCipher, name: str, bulk: bool = True) -> None:

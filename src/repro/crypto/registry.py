@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from repro.crypto import aead
+from repro.crypto import accel, aead
 from repro.crypto.cipher import Cipher, NullCipher
 from repro.crypto.des import Des, TripleDes
 from repro.crypto.hashing import HashFunction, NullHash, Sha1Hash, Sha256Hash
@@ -59,7 +59,7 @@ def cipher_available(name: str) -> bool:
     if name not in _CIPHERS:
         raise ValueError(f"unknown cipher {name!r}; known: {CIPHER_NAMES}")
     if name in AEAD_CIPHER_NAMES:
-        return aead.available()
+        return accel.available()
     return True
 
 

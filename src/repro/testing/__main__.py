@@ -31,7 +31,7 @@ import argparse
 import sys
 from typing import Optional, Sequence, Tuple
 
-from repro.crypto import aead
+from repro.crypto import accel
 from repro.testing.adversary import Adversary
 from repro.testing.differential import DifferentialRunner
 from repro.testing.faultsweep import POINTS, FaultSweep
@@ -98,10 +98,10 @@ def run(args: argparse.Namespace) -> Tuple[Harness, SweepResult]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.aead and not aead.available():
+    if args.aead and not accel.available():
         print(
             f"--aead needs the AEAD backend, which is unavailable "
-            f"({aead.unavailable_reason()})",
+            f"({accel.unavailable_reason()})",
             file=sys.stderr,
         )
         return 2

@@ -13,7 +13,7 @@ be provably harmless, in both validation modes.
 
 import pytest
 
-from repro.crypto import aead
+from repro.crypto import accel
 from repro.errors import TamperDetectedError
 from repro.testing import (
     DETECTED,
@@ -24,8 +24,8 @@ from repro.testing import (
 )
 
 pytestmark = pytest.mark.skipif(
-    not aead.available(),
-    reason=f"AEAD backend unavailable: {aead.unavailable_reason()}",
+    not accel.available(),
+    reason=f"AEAD backend unavailable: {accel.unavailable_reason()}",
 )
 
 MODES = ["counter", "direct"]

@@ -19,7 +19,7 @@ import pytest
 
 from repro.bench.__main__ import PHASES, check, evaluate
 from repro.bench.store_bench import CODEC_MIX
-from repro.crypto import aead
+from repro.crypto import accel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -110,7 +110,7 @@ def test_a_floor_whose_path_names_nothing_fails(recorded, capsys):
 
 @pytest.mark.parametrize("backend", [True, False], ids=["with-aead", "without-aead"])
 def test_an_aead_tier_may_be_absent_only_without_its_backend(recorded, monkeypatch, backend):
-    monkeypatch.setattr(aead, "available", lambda: backend)
+    monkeypatch.setattr(accel, "available", lambda: backend)
     crypto = copy.deepcopy(recorded["crypto"])
     crypto["aead_ciphers"] = {}
     rows = [row for row in evaluate({"crypto": crypto}) if _floor_name(row) == "crypto.aead_mb_s"]

@@ -22,7 +22,7 @@ from repro.chunkstore.log import (
     VersionHeader,
     VersionKind,
 )
-from repro.crypto import aead
+from repro.crypto import accel, aead
 from repro.crypto.hashing import Sha1Hash
 from repro.crypto.modes import CtrStreamCipher
 from repro.errors import TamperDetectedError
@@ -206,7 +206,7 @@ class TestLogCodec:
         )
         assert digest1 != digest2
 
-    @pytest.mark.skipif(not aead.available(), reason="AEAD backend unavailable")
+    @pytest.mark.skipif(not accel.available(), reason="AEAD backend unavailable")
     def test_aead_body_spliced_under_another_header_fails(self):
         """A parsed header keeps the plaintext it was decrypted from, and
         the body's AAD is those very bytes: each body still validates

@@ -11,7 +11,7 @@ cannot survive them:
 
 import pytest
 
-from repro.crypto import aead
+from repro.crypto import accel, aead
 from repro.crypto.aead import AeadCipher
 from repro.crypto.registry import (
     AEAD_CIPHER_NAMES,
@@ -22,8 +22,8 @@ from repro.crypto.registry import (
 from repro.errors import CryptoUnavailableError
 
 requires_backend = pytest.mark.skipif(
-    not aead.available(),
-    reason=f"AEAD backend unavailable: {aead.unavailable_reason()}",
+    not accel.available(),
+    reason=f"AEAD backend unavailable: {accel.unavailable_reason()}",
 )
 
 # -- RFC 7539 §2.8.2 ----------------------------------------------------------
@@ -97,8 +97,15 @@ class TestKnownAnswers:
         assert cipher.encrypt(plaintext, aad=aad) == wire_format(nonce, sealed)
 
     @pytest.mark.parametrize("name,key,nonce,aad,plaintext,sealed", VECTORS)
-    def test_tag_of_matches_vector(self, name, key, nonce, aad, plaintext, sealed):
-        assert AeadCipher.tag_of(wire_format(nonce, sealed)) == sealed[-16:]
+    def test_tag_of_matches_vector(
+        self, name, key, nonce, aad, plaintext, sealed, monkeypatch
+    ):
+        """The log codec takes an AEAD version's descriptor hash as the
+        last ``TAG_SIZE`` bytes of ``encrypt``'s output: that slice is the
+        published tag."""
+        monkeypatch.setattr(aead, "random_iv", lambda size: nonce[:size])
+        wire = make_cipher(name, key).encrypt(plaintext, aad=aad)
+        assert wire[-AeadCipher.TAG_SIZE :] == sealed[-16:]
 
 
 @requires_backend
@@ -196,25 +203,25 @@ class TestTypedRefusal:
 
     These run on *both* CI legs: on the fallback leg
     (``REPRO_NO_CRYPTO_ACCEL=1``) the backend is genuinely absent; on the
-    accelerated leg its loss is simulated by monkeypatching.
+    accelerated leg its loss is simulated by setting the one probe's
+    reason (``accel._REASON``).
     """
 
     @pytest.mark.parametrize("name", AEAD_CIPHER_NAMES)
     def test_factories_refuse_without_backend(self, name, monkeypatch):
-        monkeypatch.setattr(aead, "_AesGcm", None)
-        monkeypatch.setattr(aead, "_ChaCha", None)
-        monkeypatch.setattr(aead, "_IMPORT_ERROR", "simulated: backend removed")
-        with pytest.raises(CryptoUnavailableError, match="no pure-Python"):
+        monkeypatch.setattr(accel, "_REASON", "simulated: backend removed")
+        with pytest.raises(CryptoUnavailableError, match="no pure-Python") as info:
             make_cipher(name, bytes(KEY_SIZES[name]))
+        assert "simulated: backend removed" in str(info.value)
 
     def test_availability_probe(self, monkeypatch):
-        if aead.available():
+        if accel.available():
             for name in AEAD_CIPHER_NAMES:
                 assert cipher_available(name)
-            monkeypatch.setattr(aead, "_AesGcm", None)
+            monkeypatch.setattr(accel, "_REASON", "simulated: backend removed")
         else:
-            assert aead.unavailable_reason() is not None
-        assert not aead.available()
+            assert accel.unavailable_reason() is not None
+        assert not accel.available()
         for name in AEAD_CIPHER_NAMES:
             assert not cipher_available(name)
 
@@ -224,7 +231,7 @@ class TestTypedRefusal:
         an unknown-cipher error."""
         from repro.crypto.registry import CIPHER_NAMES
 
-        monkeypatch.setattr(aead, "_AesGcm", None)
+        monkeypatch.setattr(accel, "_REASON", "simulated: backend removed")
         for name in AEAD_CIPHER_NAMES:
             assert name in CIPHER_NAMES
             assert KEY_SIZES[name] == aead.KEY_SIZE

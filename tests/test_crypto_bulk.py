@@ -1,13 +1,20 @@
 """Bulk CBC/CTR fast paths must be byte-identical to the generic loops.
 
 The chunk store's on-disk format must not depend on which implementation
-encrypted a version: same key + same IV ⇒ same bytes, whether the message
-went through the OpenSSL backend, the int-native Python bulk hooks, or the
-per-block fallback.  These tests pin the IV (both ``repro.crypto.cipher``
-and ``repro.crypto.modes`` import ``random_iv`` by name) and compare all
-paths pairwise, plus decrypt across paths, plus published known-answer
-vectors for DES and 3DES.
+encrypted a version: same key + same IV ⇒ same bytes.  Each cipher has
+one fast path, held here to its ``bulk=False`` reference: DES and 3DES
+run on OpenSSL (only when the backend imports) against their per-block
+primitive, XTEA's int-native CBC hooks against its per-block primitive,
+and ctr-sha256's bulk keystream against the per-byte loop.  These tests
+pin the IV (both ``repro.crypto.cipher`` and ``repro.crypto.modes``
+import ``random_iv`` by name) and compare each pair, plus decrypt across
+paths, plus published known-answer vectors for DES and 3DES.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -19,6 +26,8 @@ from repro.crypto.des import Des, TripleDes
 from repro.crypto.modes import CbcCipher, CtrStreamCipher
 from repro.crypto.xtea import Xtea
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 # the fixed_iv fixture is deterministic and idempotent, so reusing it
 # across hypothesis examples is safe
 _SETTINGS = settings(
@@ -26,6 +35,21 @@ _SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
+
+_BLOCK_CIPHERS = {"des": Des, "3des": TripleDes, "xtea": Xtea}
+
+requires_openssl = pytest.mark.skipif(
+    not accel.available(), reason=f"OpenSSL backend unavailable: {accel.unavailable_reason()}"
+)
+
+#: every (cipher, key length) with a bulk path; DES and 3DES have one
+#: only when the OpenSSL backend imports
+_CASES = [
+    pytest.param("des", 8, id="des-8", marks=requires_openssl),
+    pytest.param("3des", 16, id="3des-16", marks=requires_openssl),
+    pytest.param("3des", 24, id="3des-24", marks=requires_openssl),
+    pytest.param("xtea", 16, id="xtea-16"),
+]
 
 
 @pytest.fixture
@@ -39,22 +63,6 @@ def fixed_iv(monkeypatch):
     monkeypatch.setattr(modes_mod, "random_iv", deterministic_iv)
 
 
-def _block_cipher(kind: str, key: bytes, use_accel: bool):
-    if kind == "des":
-        return Des(key, accel=use_accel)
-    if kind == "3des":
-        return TripleDes(key, accel=use_accel)
-    return Xtea(key)
-
-
-_CASES = [
-    ("des", 8),
-    ("3des", 16),
-    ("3des", 24),
-    ("xtea", 16),
-]
-
-
 class TestCbcEquivalence:
     @pytest.mark.parametrize("kind,key_len", _CASES)
     @_SETTINGS
@@ -62,7 +70,7 @@ class TestCbcEquivalence:
     def test_bulk_matches_fallback(self, fixed_iv, kind, key_len, data):
         key = data.draw(st.binary(min_size=key_len, max_size=key_len))
         plaintext = data.draw(st.binary(min_size=0, max_size=200))
-        bc = _block_cipher(kind, key, use_accel=False)
+        bc = _BLOCK_CIPHERS[kind](key)
         bulk = CbcCipher(bc, kind, bulk=True)
         fallback = CbcCipher(bc, kind, bulk=False)
         ct_bulk = bulk.encrypt(plaintext)
@@ -70,28 +78,36 @@ class TestCbcEquivalence:
         # decrypt across paths: either implementation reads the other's output
         assert bulk.decrypt(ct_bulk) == plaintext
         assert fallback.decrypt(ct_bulk) == plaintext
+        assert bulk.counters.bulk_calls == 2 and bulk.counters.fallback_calls == 0
 
-    @pytest.mark.parametrize("kind,key_len", [("des", 8), ("3des", 16), ("3des", 24)])
-    @pytest.mark.skipif(not accel.available(), reason=str(accel.unavailable_reason()))
+    @pytest.mark.parametrize("kind,key_len", [c for c in _CASES if c.id != "xtea-16"])
     @_SETTINGS
     @given(data=st.data())
-    def test_accel_matches_python(self, fixed_iv, kind, key_len, data):
+    def test_accel_matches_python(self, kind, key_len, data):
+        """The OpenSSL hooks on their own, without ``CbcCipher``'s IV and
+        padding around them: raw CBC over whole blocks equals a chain
+        written out over the from-scratch block primitive."""
         key = data.draw(st.binary(min_size=key_len, max_size=key_len))
-        plaintext = data.draw(st.binary(min_size=0, max_size=200))
-        fast = CbcCipher(_block_cipher(kind, key, use_accel=True), kind)
-        python = CbcCipher(_block_cipher(kind, key, use_accel=False), kind)
-        ct = fast.encrypt(plaintext)
-        assert ct == python.encrypt(plaintext)
-        assert python.decrypt(ct) == plaintext
-        assert fast.decrypt(ct) == plaintext
+        iv = data.draw(st.binary(min_size=8, max_size=8))
+        nblocks = data.draw(st.integers(min_value=0, max_value=25))
+        body = data.draw(st.binary(min_size=8 * nblocks, max_size=8 * nblocks))
+        bc = _BLOCK_CIPHERS[kind](key)
+        chained, prev = [], iv
+        for i in range(0, len(body), 8):
+            block = bytes(a ^ b for a, b in zip(body[i : i + 8], prev))
+            prev = bc.encrypt_block(block)
+            chained.append(prev)
+        python_ct = b"".join(chained)
+        assert bc.encrypt_cbc(iv, body) == python_ct
+        assert bc.decrypt_cbc(iv, python_ct) == body
 
     @pytest.mark.parametrize("kind,key_len", _CASES)
-    @pytest.mark.parametrize("size", [0, 8, 16, 64, 8 * 37])
+    @pytest.mark.parametrize("size",[0, 8, 16, 64, 8 * 37])
     def test_empty_and_exact_block_multiples(self, fixed_iv, kind, key_len, size):
         """PKCS#7 always adds a full pad block at exact multiples; the bulk
         path must agree on those boundary layouts."""
         key = bytes(range(17, 17 + key_len))
-        bc = _block_cipher(kind, key, use_accel=False)
+        bc = _BLOCK_CIPHERS[kind](key)
         plaintext = bytes(i & 0xFF for i in range(size))
         ct_bulk = CbcCipher(bc, kind, bulk=True).encrypt(plaintext)
         ct_fb = CbcCipher(bc, kind, bulk=False).encrypt(plaintext)
@@ -99,14 +115,62 @@ class TestCbcEquivalence:
         assert len(ct_bulk) == 8 + size + (8 - size % 8)
 
     def test_counters_distinguish_paths(self, fixed_iv):
-        bc = Des(bytes(8), accel=False)
-        bulk = CbcCipher(bc, "des-cbc", bulk=True)
-        fallback = CbcCipher(bc, "des-cbc", bulk=False)
+        bc = Xtea(bytes(16))
+        bulk = CbcCipher(bc, "xtea-cbc", bulk=True)
+        fallback = CbcCipher(bc, "xtea-cbc", bulk=False)
         bulk.encrypt(b"payload")
         fallback.encrypt(b"payload")
         assert bulk.counters.bulk_calls == 1 and bulk.counters.fallback_calls == 0
         assert fallback.counters.fallback_calls == 1 and fallback.counters.bulk_calls == 0
         assert bulk.counters.bytes_encrypted == len(b"payload")
+
+    @pytest.mark.parametrize(
+        "block_cipher,key_len",
+        [(Des, 8), (TripleDes, 16), (TripleDes, 24)],
+        ids=["des-8", "3des-16", "3des-24"],
+    )
+    def test_des_has_cbc_hooks_exactly_with_openssl(self, block_cipher, key_len):
+        """DES and 3DES run on OpenSSL or on their block primitive — there
+        is no third, Python bulk path.  A ``CbcCipher`` over one without
+        the backend counts every call as a fallback."""
+        bc = block_cipher(bytes(range(key_len)))
+        assert hasattr(bc, "encrypt_cbc") is accel.available()
+        assert hasattr(bc, "decrypt_cbc") is accel.available()
+        cipher = CbcCipher(bc, "cbc")
+        cipher.decrypt(cipher.encrypt(b"payload"))
+        assert cipher.counters.bulk_calls == (2 if accel.available() else 0)
+
+    def test_no_crypto_accel_disables_every_backend(self):
+        """``REPRO_NO_CRYPTO_ACCEL=1`` switches off the one probe: DES and
+        3DES lose their CBC hooks and both AEAD factories refuse, each with
+        the probe's reason."""
+        script = (
+            "from repro.crypto import accel\n"
+            "from repro.crypto.des import Des, TripleDes\n"
+            "from repro.crypto.registry import AEAD_CIPHER_NAMES, cipher_available, make_cipher\n"
+            "from repro.errors import CryptoUnavailableError\n"
+            "assert not accel.available() and accel.cbc_backend(bytes(24)) is None\n"
+            "print(accel.unavailable_reason())\n"
+            "assert not hasattr(Des(bytes(8)), 'encrypt_cbc')\n"
+            "assert not hasattr(TripleDes(bytes(24)), 'encrypt_cbc')\n"
+            "for name in AEAD_CIPHER_NAMES:\n"
+            "    assert not cipher_available(name)\n"
+            "    try:\n"
+            "        make_cipher(name, bytes(32))\n"
+            "    except CryptoUnavailableError as exc:\n"
+            "        print(exc)\n"
+            "    else:\n"
+            "        raise AssertionError(name)\n"
+        )
+        env = dict(os.environ, REPRO_NO_CRYPTO_ACCEL="1", PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        reason, *refusals = done.stdout.splitlines()
+        assert reason == "disabled by REPRO_NO_CRYPTO_ACCEL"
+        assert len(refusals) == 2
+        assert all(f"({reason})" in line for line in refusals)
 
 
 class TestCtrEquivalence:

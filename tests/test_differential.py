@@ -13,7 +13,7 @@ import pytest
 from repro.chunkstore import ChunkStore, StoreConfig
 from repro.chunkstore.partitions import PartitionTable
 from repro.chunkstore.segments import SegmentManager
-from repro.crypto import aead
+from repro.crypto import accel
 from repro.testing import DIVERGED, DifferentialRunner, Op, Variant
 from tests.conftest import replay
 
@@ -71,8 +71,8 @@ def test_the_variant_survives_crash_and_reopen(mode, monkeypatch):
 
 
 @pytest.mark.skipif(
-    not aead.available(),
-    reason=f"AEAD backend unavailable: {aead.unavailable_reason()}",
+    not accel.available(),
+    reason=f"AEAD backend unavailable: {accel.unavailable_reason()}",
 )
 @pytest.mark.parametrize("mode", MODES)
 def test_store_matches_model_on_the_aead_tier(mode, monkeypatch):

@@ -11,7 +11,7 @@ under the exact variant.
 
 import pytest
 
-from repro.crypto import aead
+from repro.crypto import accel
 from repro.errors import TransientIOError
 from repro.platform.retry import Retrier
 from repro.testing import (
@@ -78,8 +78,8 @@ def test_pinned_point_and_rate(sweeps):
 
 
 @pytest.mark.skipif(
-    not aead.available(),
-    reason=f"AEAD backend unavailable: {aead.unavailable_reason()}",
+    not accel.available(),
+    reason=f"AEAD backend unavailable: {accel.unavailable_reason()}",
 )
 @pytest.mark.parametrize("mode", MODES)
 def test_an_aead_sweep_opens_its_own_scenario_and_sweeps_clean(mode):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.chunkstore import StoreConfig
-from repro.crypto import aead
+from repro.crypto import accel
 from repro.testing import (
     Adversary,
     DifferentialRunner,
@@ -30,7 +30,7 @@ VARIANTS = [
     for mode, payload_cache, one_vector_cache, with_aead in itertools.product(
         ("counter", "direct"), (True, False), (False, True), (False, True)
     )
-    if aead.available() or not with_aead
+    if accel.available() or not with_aead
 ]
 
 
@@ -141,7 +141,7 @@ def test_main_prints_the_table_and_exits_by_the_verdict(capsys, monkeypatch):
 
 
 def test_aead_without_a_backend_exits_2_on_every_subcommand(capsys, monkeypatch):
-    monkeypatch.setattr(aead, "available", lambda: False)
+    monkeypatch.setattr(accel, "available", lambda: False)
     for command in ("adversary", "differential", "faults"):
         assert cli.main([command, "--aead", "--trials", "1"]) == 2
         assert "AEAD backend" in capsys.readouterr().err
