@@ -17,7 +17,7 @@ SEEDS ?= 20
 OPS ?= 50
 FAULT_TRIALS ?= 150
 
-.PHONY: install test test-fast bench bench-smoke bench-check obs-smoke e2e e2e-compare e2e-selftest examples lint all \
+.PHONY: install test test-fast bench bench-check obs-smoke e2e e2e-compare e2e-selftest examples lint all \
 	adversary adversary-sweep differential fault-sweep loc
 
 install:
@@ -29,17 +29,12 @@ test:
 test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow"
 
+# The bench runner, every phase at full size: each paper claim's floor and
+# the report of every number the paper prints, beside it.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	PYTHONPATH=src $(PYTHON) -m repro.bench
 
-# Every paper bench (benchmarks/test_bench_*.py) with timing disabled, so
-# only their assertions run: a tier-1 CI step, so benchmarks/ cannot rot
-# unseen.
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest -q --benchmark-disable benchmarks/test_bench_*.py
-
-# The bench runner: the crypto, store, server and paper phases at full
-# size, every floor checked, results to BENCH.json (the committed file);
+# The same, every floor checked, results to BENCH.json (the committed file);
 # `python -m repro.bench store --tiny --check` runs one phase in seconds.
 bench-check:
 	PYTHONPATH=src $(PYTHON) -m repro.bench --check --out BENCH.json

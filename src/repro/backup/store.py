@@ -328,7 +328,7 @@ class BackupStore:
         store = self.store
         extras = self._extras()
         ops: List[object] = []
-        restored: List[int] = []
+        links: Dict[int, int] = {}
         for backup in backups:
             desc = backup.descriptor
             pid = desc.source_pid
@@ -367,8 +367,10 @@ class BackupStore:
                 for entry in backup.entries:
                     if entry.kind == ENTRY_WRITTEN:
                         ops.append(WriteChunk(pid, entry.rank, entry.body))
-            extras.restore_history[pid] = desc.snapshot_pid
-            restored.append(pid)
-        store.partitions[SYSTEM_PARTITION].leader_dirty = True
+            links[pid] = desc.snapshot_pid
         store.commit(ops)  # the whole set commits atomically (§6.3)
-        return restored
+        # the chain links only once the set is in: a commit that raises
+        # (or a checkpoint it runs to make room) must not persist them
+        extras.restore_history.update(links)
+        store.partitions[SYSTEM_PARTITION].leader_dirty = True
+        return list(links)

@@ -3,12 +3,14 @@ four phases ``python -m repro.bench`` runs (see :mod:`repro.bench.__main__`).
 
 Each phase module exports ``run(tiny) -> dict`` and one ``FLOORS`` table of
 :class:`Floor` s; the pieces every phase shares live here: the store
-configuration, the best-of timer and the latency-percentile block.
+configuration, the best-of timer, the least-squares fit and the
+latency-percentile block.
 """
 
 from __future__ import annotations
 
 import operator
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -17,7 +19,9 @@ from repro import obs
 from repro.chunkstore import StoreConfig
 
 #: the comparisons a floor may make
-OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+OPS = {
+    ">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt, "==": operator.eq,
+}
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,32 @@ def best_of(works: Sequence[Callable[[], object]], rounds: int = 7) -> List[floa
             work()
             best[index] = min(best[index], time.thread_time() - start)
     return best
+
+
+def fit(ys: Sequence[float], *columns: Sequence[float]) -> Dict[str, object]:
+    """Least squares of ``ys`` on one or two regressors plus an intercept
+    (the centred normal equations, solved directly): ``intercept``, one
+    slope per column and ``r_squared``."""
+    mean = statistics.fmean(ys)
+    dy = [y - mean for y in ys]
+    dx = [[x - statistics.fmean(column) for x in column] for column in columns]
+
+    def dot(a: Sequence[float], b: Sequence[float]) -> float:
+        return sum(p * q for p, q in zip(a, b))
+
+    if len(dx) == 1:
+        slopes = [dot(dx[0], dy) / dot(dx[0], dx[0])]
+    else:
+        s11, s12, s22 = dot(dx[0], dx[0]), dot(dx[0], dx[1]), dot(dx[1], dx[1])
+        s1y, s2y = dot(dx[0], dy), dot(dx[1], dy)
+        det = s11 * s22 - s12 * s12
+        slopes = [(s1y * s22 - s2y * s12) / det, (s2y * s11 - s1y * s12) / det]
+    residual = sum((d - dot(slopes, xs)) ** 2 for d, xs in zip(dy, zip(*dx)))
+    return {
+        "intercept": mean - sum(b * statistics.fmean(c) for b, c in zip(slopes, columns)),
+        "slopes": slopes,
+        "r_squared": 1 - residual / dot(dy, dy),
+    }
 
 
 def latency(prefix: str = "") -> Dict[str, Dict[str, float]]:

@@ -5,7 +5,8 @@ over one floor table, one CLI and one result file.
     python -m repro.bench store server --tiny           # CI smoke sizing
     python -m repro.bench --check --out BENCH.json      # what BENCH.json holds
 
-Prints the paper phase's markdown report and one line per floor.
+Prints one line per floor, then the markdown report of every number the
+paper gives a value for (:func:`repro.bench.report.markdown`).
 ``--out`` writes one section per phase plus the ``floors`` list (name,
 value, bound, verdict); ``--check`` exits 1 unless every floor holds.
 """
@@ -114,13 +115,13 @@ def main(argv=None) -> int:
     results: Dict[str, Dict] = {}
     for name in args.phases or PHASES:
         results[name] = PHASES[name].run(args.tiny)
-        if name == "paper":
-            print(report.markdown(results[name]) + "\n")
         for row in evaluate({name: results[name]}):
             print(
                 f"{row['verdict']:>4}  {row['name']:<52} {row['value']!s:>10} "
                 f"{row['op']} {row['bound']:g}"
             )
+    if results.keys() - {"server"}:  # the server phase has no paper value
+        print("\n" + report.markdown(results) + "\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({**results, "floors": evaluate(results)}, fh, indent=2, sort_keys=True)

@@ -1,18 +1,34 @@
 """The ``paper`` phase of ``python -m repro.bench``: the paper's headline
-evaluation — Figures 10–12 and the §9.5.2 stored sizes — as one markdown
-report (:func:`markdown`), with the paper's shape claims as floors.  This is
-the only code that runs those experiments.
+evaluation — Figures 9–12, the §9.2.3 backup costs, the §1.2 range-query
+gap and the §9.5.2 stored sizes — with the paper's shape claims as
+floors.  This is the only code that runs those experiments.
 
-The micro-benchmarks, regressions and ablations live in ``benchmarks/``.
+:func:`markdown` is the report of every number the paper prints a value
+for, beside that value: §9.2.1 and §9.2.2 from the ``crypto`` and
+``store`` phases, when they ran, and this phase's own.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+import ast
+from collections import Counter
+from pathlib import Path
+from typing import Dict, List
 
-from repro.bench import Floor
-from repro.bench.adapters import TdbAdapter, XdbAdapter
-from repro.bench.workload import FIGURE_10, measure
+import repro
+from repro.backup import BackupStore
+from repro.bench import Floor, bench_config, best_of, fit
+from repro.bench.adapters import CIPHER, HASH, TdbAdapter, XdbAdapter
+from repro.bench.workload import FIGURE_10, CollectionSpec, IndexSpec, measure
+from repro.chunkstore import ChunkStore, ops
+from repro.platform import DiskModel, TrustedPlatform
+
+#: §9.2.3's chunk size, bytes
+BACKUP_CHUNK = 512
+
+#: §1.2's range query: objects in the collection, and the price range
+RANGE_POPULATION = 600
+RANGE_LOW, RANGE_HIGH = 100, 120  # ≈ 2 % selectivity
 
 FLOORS = (
     # Figure 10 is the workload's specification: each system runs its
@@ -30,7 +46,34 @@ FLOORS = (
     # store", and encryption plus hashing are a small share
     Floor("fig12_untrusted_write_share", ("fig12", "untrusted_write_share"), ">", 0.5),
     Floor("fig12_crypto_share", ("fig12", "crypto_share"), "<", 0.25),
+    # Figure 9: the chunk store is the bulk of the system in both
+    # implementations (statements of each other store over its)
+    Floor("fig9_below_chunk_store", ("fig9", "over_chunk_store", "*"), "<", 1.0),
+    # §1.2: TDB's sorted index answers a range query that XDB's
+    # ciphertext index cannot — the same answer, from a full scan that
+    # decrypts every record, slower
+    Floor("range_answer_mismatches", ("range_query", "answer_mismatches"), "<=", 0),
+    Floor("range_xdb_scans_all", ("range_query", "xdb_scanned_share"), "==", 1.0),
+    Floor("range_xdb_over_tdb", ("range_query", "xdb_over_tdb"), ">", 1.0),
+    # §9.2.3: an incremental backup pays per updated chunk, in time and in
+    # bytes (each chunk plus its framing), and is far below a full one
+    Floor("backup_per_updated_us", ("backup", "latency", "per_updated_us"), ">", 0),
+    Floor(
+        "backup_bytes_per_updated", ("backup", "size", "per_updated_bytes"), ">",
+        BACKUP_CHUNK,
+    ),
+    Floor("backup_incremental_over_full", ("backup", "incremental_over_full"), "<", 0.02),
 )
+
+#: Figure 9's rows: the paper's C++ semicolons, and this repo's packages
+#: that hold the same code
+_PAPER_FIG9 = {
+    "collection store": (1388, ("collection",)),
+    "object store": (512, ("objectstore",)),
+    "backup store": (516, ("backup",)),
+    "chunk store": (2570, ("chunkstore",)),
+    "common utilities": (1070, ("util", "crypto", "platform")),
+}
 
 _PAPER_FIG12 = {
     "collection store": 4,
@@ -70,15 +113,152 @@ def figure12_components(
     return components
 
 
+def _statements(package: str) -> int:
+    """Statements under ``repro/<package>``, constant expressions (the
+    docstrings) aside: the Python analogue of Figure 9's semicolons."""
+    count = 0
+    for path in (Path(repro.__file__).parent / package).rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.stmt) and not (
+                isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            ):
+                count += 1
+    return count
+
+
+def run_fig9() -> Dict[str, object]:
+    """Figure 9's rows in statements, and each store's over the chunk
+    store's."""
+    statements = {
+        row: sum(map(_statements, packages)) for row, (_, packages) in _PAPER_FIG9.items()
+    }
+    chunk = statements["chunk store"]
+    return {
+        "statements": statements,
+        "total": sum(statements.values()),
+        "over_chunk_store": {
+            row: round(count / chunk, 3) for row, count in statements.items()
+            if row in ("collection store", "object store", "backup store")
+        },
+    }
+
+
+def run_range_query(tdb: TdbAdapter, xdb: XdbAdapter) -> Dict[str, object]:
+    """One ≈ 2 %-selectivity price-range query over a new collection of
+    ``RANGE_POPULATION`` objects in both loaded databases: TDB's sorted
+    index against XDB's fallback, a scan that decrypts and filters every
+    record."""
+    spec = CollectionSpec("priced", [
+        IndexSpec("priced_by_ident", "ident", sorted_index=False),
+        IndexSpec("priced_by_price", "price", sorted_index=True),
+    ])
+    colls = []
+    for adapter in (tdb, xdb):
+        adapter.begin()
+        coll = adapter.create_collection(spec)
+        for ident in range(RANGE_POPULATION):
+            adapter.insert(coll, {
+                "ident": ident, "price": ident * 7919 % 1000, "owner": 0,
+                "status": "active", "uses": 0, "payload": b"p" * 100,
+            })
+        adapter.commit()
+        colls.append(coll)
+    tdb_coll, xdb_coll = colls
+    answers: Dict[str, List[dict]] = {}
+
+    def tdb_query() -> None:
+        with tdb.objects.transaction() as tx:
+            answers["TDB"] = [
+                tx.get(ref) for _key, ref in
+                tdb.collections.range(tx, tdb_coll, "priced_by_price", RANGE_LOW, RANGE_HIGH)
+            ]
+
+    def xdb_query() -> None:
+        answers["scanned"] = [xdb.db.read(xdb_coll, rid) for rid, _ in xdb.db.db.scan(xdb_coll)]
+        answers["XDB"] = [
+            value for value in answers["scanned"] if RANGE_LOW <= value["price"] <= RANGE_HIGH
+        ]
+
+    tdb_s, xdb_s = best_of([tdb_query, xdb_query], 3)
+    tdb_idents, xdb_idents = (
+        Counter(hit["ident"] for hit in answers[side]) for side in ("TDB", "XDB")
+    )
+    scanned = len(answers["scanned"])
+    return {
+        "population": RANGE_POPULATION,
+        "tdb_touched": len(answers["TDB"]),
+        "xdb_touched": scanned,
+        "answer_mismatches": sum(((tdb_idents - xdb_idents) + (xdb_idents - tdb_idents)).values()),
+        "xdb_scanned_share": round(scanned / RANGE_POPULATION, 4),
+        "tdb_ms": round(tdb_s * 1e3, 3),
+        "xdb_ms": round(xdb_s * 1e3, 3),
+        "xdb_over_tdb": round(xdb_s / tdb_s, 1),
+    }
+
+
+def run_backup() -> Dict[str, object]:
+    """§9.2.3 with the paper's 512-byte chunks: incremental backups of
+    partitions of 64 and 256 chunks after 1, 8 and 32 updates, each timed
+    once; latency fitted on (partition chunks, updated chunks), size on
+    updated chunks.  The full backup of 256 chunks is the size the
+    1-update incremental after it is compared with."""
+    platform = TrustedPlatform.create_in_memory(untrusted_size=32 * 1024 * 1024)
+    store = ChunkStore.format(platform, bench_config(segment_size=256 * 1024))
+    backup = BackupStore(store)
+    points: List[Dict[str, int]] = []
+    for chunks in (64, 256):
+        pid = store.allocate_partition()
+        store.commit([ops.WritePartition(pid, cipher_name=CIPHER, hash_name=HASH)])
+        ranks = [store.allocate_chunk(pid) for _ in range(chunks)]
+        for start in range(0, chunks, 64):
+            store.commit([ops.WriteChunk(pid, rank, b"\x33" * BACKUP_CHUNK)
+                          for rank in ranks[start:start + 64]])
+        full_bytes = backup.create_backup([pid], f"base-{pid}").bytes_written
+        for updates in (1, 8, 32):
+            # content unlike the base's, or the diff (rightly) skips it
+            body = bytes([len(points) + 7]) * BACKUP_CHUNK
+            store.commit([ops.WriteChunk(pid, rank, body) for rank in ranks[:updates]])
+            infos = []
+            (seconds,) = best_of([
+                lambda: infos.append(backup.create_backup([pid], f"incr-{len(points)}"))
+            ], 1)
+            assert infos[0].incremental[pid]
+            points.append({
+                "chunks": chunks, "updates": updates,
+                "us": seconds * 1e6, "bytes": infos[0].bytes_written,
+            })
+            if updates == 1:
+                one_update_bytes = infos[0].bytes_written
+    store.close()
+    latency = fit([p["us"] for p in points], [p["chunks"] for p in points],
+                  [p["updates"] for p in points])
+    size = fit([p["bytes"] for p in points], [p["updates"] for p in points])
+    return {
+        "chunk_bytes": BACKUP_CHUNK,
+        "latency": {
+            "fixed_us": round(latency["intercept"], 1),
+            "per_chunk_us": round(latency["slopes"][0], 2),
+            "per_updated_us": round(latency["slopes"][1], 1),
+        },
+        "size": {
+            "fixed_bytes": round(size["intercept"], 1),
+            "per_updated_bytes": round(size["slopes"][0], 1),
+        },
+        "full_bytes": full_bytes,
+        "incremental_bytes": one_update_bytes,
+        "incremental_over_full": round(one_update_bytes / full_bytes, 4),
+    }
+
+
 def run(tiny: bool) -> Dict[str, object]:
     """Both experiments on both systems; ``tiny`` changes nothing, since
     Figure 10's mix is the workload's specification."""
     experiments: Dict[str, Dict[str, object]] = {}
     for kind in ("release", "bind"):
-        tdb = TdbAdapter()
+        tdb, xdb = TdbAdapter(), XdbAdapter()
         row = {
             "TDB": measure(tdb, kind, profile=(kind == "release")),
-            "XDB": measure(XdbAdapter(), kind),
+            "XDB": measure(xdb, kind),
         }
         for result in row.values():
             result["count_error"] = sum(
@@ -92,7 +272,9 @@ def run(tiny: bool) -> Dict[str, object]:
             row[f"tdb_xdb_{name}"] = round(row["TDB"][key] / row["XDB"][key], 4)
         row["tdb_live_bytes"] = tdb.chunks.live_bytes()
         experiments[kind] = row
+    range_query = run_range_query(tdb, xdb)
 
+    model = DiskModel()
     release = experiments["release"]["TDB"]
     components = figure12_components(
         release["self_times"], release["read_io_s"], release["write_io_s"], release["tr_io_s"]
@@ -108,19 +290,96 @@ def run(tiny: bool) -> Dict[str, object]:
                 (components["encryption"] + components["hashing"]) / total, 4
             ),
         },
+        "fig9": run_fig9(),
+        "range_query": range_query,
+        "backup": run_backup(),
+        "disk_model": {
+            "flush_latency_ms": model.untrusted_flush_latency * 1e3,
+            "bandwidth_mb_s": model.untrusted_bandwidth / 1e6,
+            "tr_latency_ms": model.tamper_resistant_latency * 1e3,
+        },
     }
 
 
-def markdown(results: Dict[str, object]) -> str:
-    """The report: Figure 10's counts, Figure 11's runtimes, Figure 12's
-    breakdown and §9.5.2's stored sizes, each beside the paper's."""
-    experiments = results["experiments"]
+def _table(title: str, rows) -> List[str]:
+    return ["", f"### {title}", "", "| quantity | measured | paper |", "|---|---|---|"] + [
+        f"| {label} | {measured} | {paper} |" for label, measured, paper in rows
+    ]
+
+
+def markdown(results: Dict[str, Dict]) -> str:
+    """The report over the phases in ``results``: §9.2.1's crypto (the
+    ``crypto`` phase) and disk constants, §9.2.2's chunk-store costs and
+    §9.3's space (``store``), §9.2.3's backups, Figure 9's statements,
+    Figure 10's counts, Figure 11's runtimes, Figure 12's breakdown and
+    §9.5.2's stored sizes (``paper``), each beside the paper's value."""
     lines = [
-        "# TDB reproduction — headline evaluation report",
+        "# TDB reproduction — paper vs measured",
         "",
         "Identical Figure-10 workloads driven through TDB and the layered-crypto "
         "XDB baseline; I/O modeled with the paper's disk constants (see DESIGN.md).",
     ]
+    crypto, store, paper = (results.get(phase) for phase in ("crypto", "store", "paper"))
+    rows = []
+    if crypto:
+        ciphers, sha1 = crypto["ciphers"], crypto["hashes"]["sha1"]
+        for name, label, value in (("3des-cbc", "3DES-CBC", "2.5"), ("des-cbc", "DES-CBC", "7.2")):
+            rows.append((
+                label, f"{ciphers[name]['fast']['encrypt_mb_s']:.2f} MB/s "
+                f"(per-block {ciphers[name]['fallback']['encrypt_mb_s']:.2f})", f"{value} MB/s",
+            ))
+        rows += [
+            ("DES / 3DES, per-block", f"{crypto['des_3des_ratio']:.2f}", "≈2.9"),
+            ("SHA-1", f"{sha1['mb_s']:.0f} MB/s", "21.1 MB/s"),
+            ("SHA-1 finalization", f"{sha1['finalize_us']:.2f} µs", "5 µs"),
+        ]
+    if paper:
+        disk = paper["disk_model"]
+        rows += [
+            ("l_u (model)", f"{disk['flush_latency_ms']:g} ms", "10–40 ms"),
+            ("b_u (model)", f"{disk['bandwidth_mb_s']:g} MB/s", "3.5–4.7 MB/s"),
+            ("l_t (model)", f"{disk['tr_latency_ms']:g} ms", "≈5 ms"),
+        ]
+    if rows:
+        lines += _table("§9.2.1 — cryptographic and store operations", rows)
+    if store:
+        chunk_ops = store["chunk_ops"]
+        commit, read, partition = chunk_ops["commit"], chunk_ops["read"], chunk_ops["partition"]
+        copies = " / ".join(f"{us:.0f}" for us in partition["copy_us"].values())
+        lines += _table("§9.2.2 — chunk store operations", [
+            ("allocate chunk id", f"{chunk_ops['allocate_us']:.2f} µs", "6 µs"),
+            ("commit: fixed", f"{commit['fixed_us']:.0f} µs", "132 µs"),
+            ("commit: per chunk", f"{commit['per_chunk_us']:.1f} µs "
+             f"(R² {commit['r_squared']:.3f})", "36 µs"),
+            ("commit: per byte", f"{commit['per_byte_us']:.4f} µs", "0.24 µs"),
+            ("read: fixed", f"{read['fixed_us']:.0f} µs", "47 µs"),
+            ("read: per byte", f"{read['per_byte_us']:.4f} µs", "0.18 µs"),
+            ("partition create + commit", f"{partition['create_us']:.0f} µs", "223 µs"),
+            ("partition copy, 10 / 100 / 1,000 chunks", f"{copies} µs", "386 µs"),
+        ])
+        space = store["space"]
+        lines += _table("§9.3 — space overhead", [
+            ("overhead per chunk", f"{space['per_chunk_overhead_bytes']:.0f} B", "≈52 B"),
+            ("utilization after cleaning", f"{space['utilization_after_cleaning']:.2f}", "≈0.90"),
+        ])
+    if not paper:
+        return "\n".join(lines)
+
+    backup = paper["backup"]
+    lines += _table(f"§9.2.3 — incremental backup, {backup['chunk_bytes']}-byte chunks", [
+        ("fixed", f"{backup['latency']['fixed_us']:.0f} µs", "675 µs"),
+        ("per chunk in the partition", f"{backup['latency']['per_chunk_us']:.1f} µs", "9 µs"),
+        ("per updated chunk", f"{backup['latency']['per_updated_us']:.0f} µs", "278 µs"),
+        ("size: fixed", f"{backup['size']['fixed_bytes']:.0f} B", "456 B"),
+        ("size: per updated chunk", f"{backup['size']['per_updated_bytes']:.0f} B", "528 B"),
+    ])
+    fig9 = paper["fig9"]
+    lines += _table("Figure 9 — code complexity (statements; the paper counts C++ semicolons)", [
+        *((row, fig9["statements"][row], paper) for row, (paper, _) in _PAPER_FIG9.items()),
+        ("total", fig9["total"], 6056),
+    ])
+
+    experiments = paper["experiments"]
     for kind in ("release", "bind"):
         counts = experiments[kind]["TDB"]["counts"]
         lines += ["", f"### Figure 10 — {kind} operation counts", ""]
@@ -143,7 +402,7 @@ def markdown(results: Dict[str, object]) -> str:
             f"| {xdb['bytes_written'] / 1e6:.2f} MB | TDB/XDB {row['tdb_xdb_bytes_written']:.2f} |",
         ]
 
-    fig12 = results["fig12"]
+    fig12 = paper["fig12"]
     lines += ["", "### Figure 12 — release runtime analysis", ""]
     lines += ["| module | measured | paper |", "|---|---|---|"]
     lines.append(f"| DB TOTAL | {fig12['total_ms']:.0f} ms | 4209 ms |")

@@ -1,5 +1,6 @@
 """The ``store`` phase of ``python -m repro.bench``: the chunk-store read
-path, the map walk's unit of work and the object codec.
+path, §9.2.2's operation costs, §2.2's scaling, §9.3's space, the design
+ablations, the map walk's unit of work and the object codec.
 
 Measures the chunk-store read path end-to-end on an in-memory platform:
 
@@ -14,7 +15,7 @@ Measures the chunk-store read path end-to-end on an in-memory platform:
   disabled (``payload_cache_bytes=0``): the pre-cache baseline;
 * ``obs_overhead`` — what the always-on obs layer adds to an uncached read;
 * ``scan`` — round-trip counts for a full scan, batched vs one read per
-  chunk;
+  chunk (§10's batching: one round trip per read, one per batch);
 
 on two partition-cipher tiers:
 
@@ -27,6 +28,15 @@ on two partition-cipher tiers:
 
 Then, once:
 
+* ``chunk_ops`` — §9.2.2's chunk-store costs: allocate, the affine
+  commit and read models (least squares), partition create and copy;
+* ``read_scaling`` — §2.2's database sizes: warm, cold (map-climbing) and
+  doubly cold reads and a commit at 500, 2,000 and 8,000 chunks, the
+  growths, and a working set's descriptor-cache hit rate;
+* ``space`` — §9.3: per-chunk overhead, the map's share, utilization
+  before and after cleaning;
+* ``ablation`` — DESIGN.md §5's design choices against their strawmen,
+  in bytes written and TR writes;
 * ``map_load`` — the map walk's unit of work on real map-chunk bodies of a
   two-level map: load one uncached map chunk and read one slot, and
   rewrite one with 4 dirty children, through ``MapVector`` and through the
@@ -64,7 +74,7 @@ import tracemalloc
 from typing import Callable, Dict, List
 
 from repro import obs
-from repro.bench import Floor, bench_config, best_of, latency
+from repro.bench import Floor, bench_config, best_of, fit, latency
 from repro.bench.adapters import TdbAdapter
 from repro.bench.workload import Workload
 from repro.chunkstore import ChunkId, ChunkStore, StoreConfig, ops
@@ -151,6 +161,74 @@ FLOORS = (
         "device_path.id_python_calls_per_read",
         ("device_path", "id_python_calls_per_read"), "<=", 0,
     ),
+    # §10: a read costs one round trip to the device, a batch of them one
+    Floor(
+        "scan.single_round_trips_per_read", ("*", "scan", "single_round_trips_per_read"),
+        "==", 1.0,
+    ),
+    Floor("scan.batched_round_trips", ("*", "scan", "batched_round_trips"), "==", 1),
+    # §9.2.2: commit cost is affine in chunks and bytes, each term positive
+    Floor("chunk_ops.commit_r_squared", ("chunk_ops", "commit", "r_squared"), ">", 0.9),
+    Floor("chunk_ops.commit_per_chunk_us", ("chunk_ops", "commit", "per_chunk_us"), ">", 0),
+    Floor("chunk_ops.commit_per_byte_us", ("chunk_ops", "commit", "per_byte_us"), ">", 0),
+    Floor("chunk_ops.read_per_byte_us", ("chunk_ops", "read", "per_byte_us"), ">", 0),
+    # copy-on-write: a partition copy does not scale with its source
+    Floor("chunk_ops.copy_growth", ("chunk_ops", "partition", "copy_growth"), "<", 3.0),
+    # §9.2.2: a cold read climbs the map, and pays for it
+    Floor(
+        "read_scaling.cold_over_warm", ("read_scaling", "sizes", "*", "cold_over_warm"),
+        ">", 1.0,
+    ),
+    Floor(
+        "read_scaling.map_chunks_per_cold_read",
+        ("read_scaling", "sizes", "*", "map_chunks_per_cold_read"), ">=", 1.0,
+    ),
+    # §4.2: the embedded hash tree locates and validates in one traversal;
+    # separate trees would pay a second
+    Floor(
+        "read_scaling.two_traversals_over_cold",
+        ("read_scaling", "sizes", "*", "two_traversals_over_cold"), ">", 1.5,
+    ),
+    # §2.2: 16× the data, warm reads and commits flat, cold reads up by at
+    # most a map level
+    Floor("read_scaling.warm_read_growth", ("read_scaling", "growth", "warm_read"), "<", 3.0),
+    Floor("read_scaling.commit_growth", ("read_scaling", "growth", "commit"), "<", 3.0),
+    Floor("read_scaling.cold_read_growth", ("read_scaling", "growth", "cold_read"), "<", 4.0),
+    # §2.2: a working set that fits the descriptor cache stays hit
+    Floor(
+        "read_scaling.working_set_hit_rate", ("read_scaling", "working_set_hit_rate"),
+        ">", 0.99,
+    ),
+    # §9.3: tens of bytes per chunk, a small map, cleaning restores utilization
+    Floor("space.per_chunk_overhead", ("space", "per_chunk_overhead_bytes"), "<", 200),
+    Floor("space.map_over_data", ("space", "map_over_data"), "<", 0.2),
+    Floor(
+        "space.cleaning_raises_utilization", ("space", "utilization_before_cleaning"), "<", 1.0,
+        of=("space", "utilization_after_cleaning"),
+    ),
+    Floor("space.utilization_after_cleaning", ("space", "utilization_after_cleaning"), ">", 0.5),
+    # DESIGN.md §5: each design choice against its strawman
+    Floor(
+        "ablation.eager_over_deferred",
+        ("ablation", "checkpoint_deferral", "eager_over_deferred"), ">", 2.0,
+    ),
+    Floor(
+        "ablation.delta_ut_1_over_5", ("ablation", "delta_ut_tr_writes", "1"), ">", 1.0,
+        of=("ablation", "delta_ut_tr_writes", "5"),
+    ),
+    Floor(
+        "ablation.delta_ut_5_over_20", ("ablation", "delta_ut_tr_writes", "5"), ">", 1.0,
+        of=("ablation", "delta_ut_tr_writes", "20"),
+    ),
+    Floor(
+        "ablation.counter_over_direct", ("ablation", "validation_tr_writes", "counter"),
+        "<", 0.5, of=("ablation", "validation_tr_writes", "direct"),
+    ),
+    Floor(
+        "ablation.per_object_over_clustered",
+        ("ablation", "object_per_chunk_bytes", "per_object"), "<", 1.0,
+        of=("ablation", "object_per_chunk_bytes", "clustered"),
+    ),
 )
 
 #: the Figure 10 shape mix: shape -> (share of the values a
@@ -174,6 +252,10 @@ PARTITION_HASH = "sha256"
 #: the default tier's suite, run when the AEAD backend is present
 DEFAULT_AEAD_CIPHER = "aes-256-gcm"
 
+#: the partition cipher of the §9.2.2, §9.3 and ablation stores, and of
+#: the single-tier sections without the AEAD backend
+STORE_CIPHER = "ctr-sha256"
+
 #: chunk body bytes of the tiers' reads
 CHUNK_SIZE = 4096
 
@@ -183,21 +265,35 @@ def run(tiny: bool) -> Dict[str, object]:
     results: Dict[str, object] = {"slow": _run_tier(chunks, repeats, PARTITION_CIPHER)}
     if accel.available():
         results["default"] = _run_tier(chunks, repeats, DEFAULT_AEAD_CIPHER)
-    results["map_load"] = run_map_load(
-        2 if tiny else 8, DEFAULT_AEAD_CIPHER if accel.available() else "ctr-sha256"
-    )
+    cipher = DEFAULT_AEAD_CIPHER if accel.available() else STORE_CIPHER
+    results["map_load"] = run_map_load(2 if tiny else 8, cipher)
+    results["chunk_ops"] = run_chunk_ops()
+    results["read_scaling"] = run_read_scaling(cipher)
+    results["space"] = run_space()
+    results["ablation"] = run_ablation()
     results["object_codec"] = run_object_codec(20 if tiny else 200)
     results["object_path"] = run_object_path()
-    results["device_path"] = run_device_path(
-        DEFAULT_AEAD_CIPHER if accel.available() else "ctr-sha256"
-    )
+    results["device_path"] = run_device_path(cipher)
     return results
+
+
+def _partitioned_store(
+    cipher: str = STORE_CIPHER, hash_name: str = "sha1", untrusted_mib: int = 16, **config
+):
+    """A fresh in-memory store under :func:`bench_config` (``config``
+    overriding it) with one data partition; returns ``(store, pid)``."""
+    platform = TrustedPlatform.create_in_memory(untrusted_size=untrusted_mib * 1024 * 1024)
+    store = ChunkStore.format(platform, bench_config(**config))
+    pid = store.allocate_partition()
+    store.commit([ops.WritePartition(pid, cipher_name=cipher, hash_name=hash_name)])
+    return store, pid
 
 
 def _run_tier(chunks: int, repeats: int, cipher: str) -> Dict[str, object]:
     span_s = _operation_span_cost()  # for the obs-overhead estimate below
     obs.reset()  # per-phase histograms below cover this run only
-    platform = TrustedPlatform.create_in_memory(untrusted_size=16 * 1024 * 1024)
+    store, pid = _partitioned_store(cipher, PARTITION_HASH)
+    platform = store.platform
     io = platform.untrusted.stats
     results: Dict[str, object] = {
         "chunks": chunks,
@@ -208,11 +304,6 @@ def _run_tier(chunks: int, repeats: int, cipher: str) -> Dict[str, object]:
     }
 
     # -- write ---------------------------------------------------------------
-    store = ChunkStore.format(platform, bench_config())
-    pid = store.allocate_partition()
-    store.commit(
-        [ops.WritePartition(pid, cipher_name=cipher, hash_name=PARTITION_HASH)]
-    )
     payload = bytes(i & 0xFF for i in range(CHUNK_SIZE))
     before = io.snapshot()
     start = time.perf_counter()
@@ -350,6 +441,7 @@ def _run_tier(chunks: int, repeats: int, cipher: str) -> Dict[str, object]:
     batched_delta = io.delta(before)
     results["scan"] = {
         "single_round_trips": single_delta.reads,
+        "single_round_trips_per_read": round(single_delta.reads / len(ranks), 3),
         "batched_round_trips": batched_delta.reads,
         "round_trips_saved": single_delta.reads - batched_delta.reads,
     }
@@ -590,22 +682,17 @@ def _resident_bytes(root: object) -> int:
     return total
 
 
-def _checkpointed_store(map_chunks: int, cipher: str):
-    """A store at the default ``cache_size`` (payload cache off) whose one
-    partition fills ``map_chunks`` leaf map chunks, checkpointed; returns
+def _checkpointed_store(chunks: int, cipher: str, **config):
+    """A store (payload cache off, ``config`` over the defaults) whose one
+    partition holds ``chunks`` small chunks, checkpointed; returns
     ``(store, pid)``."""
-    fanout = StoreConfig.fanout
-    platform = TrustedPlatform.create_in_memory(untrusted_size=16 * 1024 * 1024)
-    store = ChunkStore.format(platform, bench_config(payload_cache_bytes=0))
-    pid = store.allocate_partition()
-    store.commit([ops.WritePartition(pid, cipher_name=cipher, hash_name=PARTITION_HASH)])
+    store, pid = _partitioned_store(cipher, PARTITION_HASH, payload_cache_bytes=0, **config)
     state = store.partitions[pid]
-    for base in range(0, map_chunks * fanout, fanout):
-        for rank in range(base, base + fanout):
+    for base in range(0, chunks, 128):
+        batch = range(base, min(base + 128, chunks))
+        for rank in batch:
             state.allocate_specific(rank)
-        store.commit(
-            [ops.WriteChunk(pid, rank, b"%08d" % rank) for rank in range(base, base + fanout)]
-        )
+        store.commit([ops.WriteChunk(pid, rank, b"%08d" % rank) for rank in batch])
     store.checkpoint()
     return store, pid
 
@@ -615,8 +702,8 @@ def run_steady_churn(cipher: str, map_chunks: int = 80, commits: int = 200) -> D
     every 50, over a two-level map of more map chunks than the 64 the
     descriptor cache used to hold, at the default ``cache_size`` — how
     many map chunks come back off the device once the map is written."""
-    store, pid = _checkpointed_store(map_chunks, cipher)
     chunks = map_chunks * StoreConfig.fanout
+    store, pid = _checkpointed_store(chunks, cipher)
     rng = random.Random(0)
     loaded = store.readpath.map_chunks_fetched
     checkpoints = 0
@@ -641,7 +728,7 @@ def run_map_load(map_chunks: int, cipher: str, loops: int = 20) -> Dict[str, obj
     """Time the map walk's two units of work on the leaf map chunks of a
     real two-level map, vector route beside reference route."""
     fanout = StoreConfig.fanout
-    store, pid = _checkpointed_store(map_chunks, cipher)
+    store, pid = _checkpointed_store(map_chunks * fanout, cipher)
     state = store.partitions[pid]
     assert state.payload.tree_height >= 2, "map_load needs at least two map levels"
 
@@ -654,11 +741,6 @@ def run_map_load(map_chunks: int, cipher: str, loops: int = 20) -> Dict[str, obj
         child: ChunkDescriptor(ChunkStatus.WRITTEN, 10**7 + child, 560, bytes(32))
         for child in (1, 17, 40, 63)
     }
-
-    def load_all_cold() -> None:
-        for rank in range(map_chunks):
-            store.cache.clear()  # every load starts from the device
-            store._get_descriptor(ChunkId(pid, 0, rank * fanout + slot))
 
     def vector_load() -> None:
         for _ in range(loops):
@@ -701,12 +783,11 @@ def run_map_load(map_chunks: int, cipher: str, loops: int = 20) -> Dict[str, obj
     for vector in vectors:  # every slot looked up, as a long-lived vector's are
         list(vector)
     calls = loops * map_chunks
-    cold_walk_s, lookup_s = best_of([load_all_cold, slot_lookup])
+    (lookup_s,) = best_of([slot_lookup])
     results: Dict[str, object] = {
         "map_chunks": map_chunks,
         "map_levels": state.payload.tree_height,
         "partition_cipher": cipher,
-        "store_cold_walk_us": round(cold_walk_s / map_chunks * 1e6, 1),
         "resident_bytes_per_descriptor": round(
             sum(map(_resident_bytes, vectors)) / (map_chunks * fanout), 1
         ),
@@ -727,6 +808,262 @@ def run_map_load(map_chunks: int, cipher: str, loops: int = 20) -> Dict[str, obj
         }
     store.close(checkpoint=False)
     return results
+
+
+def run_chunk_ops() -> Dict[str, object]:
+    """§9.2.2's chunk-store costs on one store, payload cache off (the
+    paper's system caches no payloads, and a warm re-read would otherwise
+    touch neither the device nor the cipher): allocating a chunk id, the
+    affine commit model fitted over commit sets of 1–64 chunks × 128 B–8 KiB,
+    the cached-descriptor read fitted over chunk sizes, and creating and
+    copying a partition, the copy at three source sizes."""
+    store, pid = _partitioned_store(
+        segment_size=256 * 1024, untrusted_mib=32, payload_cache_bytes=0
+    )
+
+    def allocate() -> None:
+        for _ in range(2000):
+            store.allocate_chunk(pid)
+
+    def committing(count: int, size: int) -> Callable[[], None]:
+        payload = b"\x42" * size
+
+        def commit() -> None:
+            ranks = [store.allocate_chunk(pid) for _ in range(count)]
+            store.commit([ops.WriteChunk(pid, rank, payload) for rank in ranks])
+
+        return commit
+
+    sets = [
+        (count, size) for count in (1, 4, 16, 64) for size in (128, 1024, 8192)
+        if count * size <= 192 * 1024
+    ]
+    allocate_s, *commit_s = best_of([allocate] + [committing(*each) for each in sets], 3)
+    commit = fit(
+        [seconds * 1e6 for seconds in commit_s],
+        [count for count, _ in sets], [count * size for count, size in sets],
+    )
+
+    sizes = (128, 512, 2048, 8192, 16384)
+    ranks = [store.allocate_chunk(pid) for _ in sizes]
+    store.commit([ops.WriteChunk(pid, rank, b"\x17" * size) for rank, size in zip(ranks, sizes)])
+    for rank in ranks:  # descriptors cached
+        store.read_chunk(pid, rank)
+    read_s = best_of([lambda rank=rank: store.read_chunk(pid, rank) for rank in ranks])
+    read = fit([seconds * 1e6 for seconds in read_s], sizes)
+
+    def create() -> int:
+        new = store.allocate_partition()
+        store.commit([ops.WritePartition(new, cipher_name=STORE_CIPHER, hash_name="sha1")])
+        return new
+
+    def copying(count: int) -> Callable[[], None]:
+        source = create()
+        store.commit([ops.WriteChunk(source, store.allocate_chunk(source), b"d" * 200)
+                      for _ in range(count)])
+        store.checkpoint()
+        return lambda: store.commit([ops.CopyPartition(store.allocate_partition(), source)])
+
+    copies = (10, 100, 1000)
+    create_s, *copy_s = best_of([create] + [copying(count) for count in copies], 5)
+    store.close()
+    copy_us = dict(zip(map(str, copies), (round(seconds * 1e6, 1) for seconds in copy_s)))
+    return {
+        "allocate_us": round(allocate_s / 2000 * 1e6, 3),
+        "commit": {
+            "fixed_us": round(commit["intercept"], 1),
+            "per_chunk_us": round(commit["slopes"][0], 2),
+            "per_byte_us": round(commit["slopes"][1], 4),
+            "r_squared": round(commit["r_squared"], 4),
+        },
+        "read": {
+            "fixed_us": round(read["intercept"], 1),
+            "per_byte_us": round(read["slopes"][0], 4),
+        },
+        "partition": {
+            "create_us": round(create_s * 1e6, 1),
+            "copy_us": copy_us,
+            # copy-on-write: 100× the source costs under 3× the copy, the
+            # smaller copy padded by 0.01 s / 3 (an additive 10 ms of slack)
+            "copy_growth": round(copy_s[-1] / (copy_s[0] + 0.01 / 3), 3),
+        },
+    }
+
+
+#: §2.2's database sizes, chunks, over a 16-wide map (a level per 16×)
+SCALING_SIZES = (500, 2000, 8000)
+SCALING_FANOUT = 16
+
+
+def run_read_scaling(cipher: str, working_set: int = 100) -> Dict[str, object]:
+    """§2.2's "gradual degradation", on one checkpointed store per size
+    (payload cache off, so a cold read climbs the map): a warm read, a
+    cold one (descriptor cache cleared), two cold ones back to back (the
+    separate location map and hash tree the embedded tree saves, §4.2)
+    and a one-chunk commit; all sizes interleaved in one ``best_of``.  The
+    growths pad the smallest size by the original additive slack over the
+    bound.  Then a ``working_set`` of chunks re-read in the largest store
+    keeps the descriptor cache's hit rate."""
+    stores = {
+        count: _checkpointed_store(count, cipher, fanout=SCALING_FANOUT)
+        for count in SCALING_SIZES
+    }
+    reads: List[Callable[[], None]] = []
+    for count, (store, pid) in stores.items():
+        probe = count // 2
+        store.read_chunk(pid, probe)
+
+        def cold(store=store, pid=pid, probe=probe) -> None:
+            store.cache.clear()
+            store.read_chunk(pid, probe)
+
+        def two_traversals(cold=cold) -> None:
+            cold()
+            cold()
+
+        reads += [lambda store=store, pid=pid, probe=probe: store.read_chunk(pid, probe),
+                  cold, two_traversals]
+    fetched = {count: store.readpath.map_chunks_fetched for count, (store, _) in stores.items()}
+    rounds = 5
+    read_s = iter(best_of(reads, rounds))
+
+    def committing(store, pid) -> Callable[[], None]:
+        return lambda: store.commit([ops.WriteChunk(pid, store.allocate_chunk(pid), b"\x2e" * 200)])
+
+    commit_s = iter(best_of([committing(*each) for each in stores.values()], rounds))
+    sizes: Dict[str, Dict[str, float]] = {}
+    for count, (store, _) in stores.items():
+        warm, cold, two = (next(read_s) * 1e6 for _ in range(3))
+        sizes[str(count)] = {
+            "warm_read_us": round(warm, 1),
+            "cold_read_us": round(cold, 1),
+            "two_traversal_us": round(two, 1),
+            "commit_us": round(next(commit_s) * 1e6, 1),
+            "cold_over_warm": round(cold / warm, 2),
+            "two_traversals_over_cold": round(two / cold, 2),
+            "map_chunks_per_cold_read": round(
+                (store.readpath.map_chunks_fetched - fetched[count]) / (3 * rounds), 2
+            ),
+        }
+    small, large = sizes[str(SCALING_SIZES[0])], sizes[str(SCALING_SIZES[-1])]
+    store, pid = stores[SCALING_SIZES[-1]]
+    for rank in range(working_set):
+        store.read_chunk(pid, rank)
+    store.cache.hits = store.cache.misses = 0
+    for _ in range(20):
+        for rank in range(working_set):
+            store.read_chunk(pid, rank)
+    hit_rate = store.cache.hits / (store.cache.hits + store.cache.misses)
+    for each, _ in stores.values():
+        each.close(checkpoint=False)
+    return {
+        "fanout": SCALING_FANOUT,
+        "sizes": sizes,
+        "growth": {  # largest over smallest; slack: 100 µs, 100 µs, 1 ms
+            "warm_read": round(large["warm_read_us"] / (small["warm_read_us"] + 100 / 3), 3),
+            "commit": round(large["commit_us"] / (small["commit_us"] + 100 / 3), 3),
+            "cold_read": round(large["cold_read_us"] / (small["cold_read_us"] + 1000 / 4), 3),
+        },
+        "working_set_hit_rate": round(hit_rate, 4),
+    }
+
+
+def run_space(chunks: int = 500, chunk_size: int = 512, rounds: int = 20) -> Dict[str, object]:
+    """§9.3: the per-chunk overhead and the map's share of ``chunks``
+    chunks of ``chunk_size`` bytes, and the log utilization before and
+    after cleaning out ``rounds`` overwrites of 50 chunks."""
+    store, pid = _partitioned_store(segment_size=256 * 1024)
+    store.commit([ops.WriteChunk(pid, store.allocate_chunk(pid), b"\x66" * chunk_size)
+                  for _ in range(chunks)])
+    unmapped = store.live_bytes()
+    store.checkpoint()  # writes the map chunks
+    live = store.live_bytes()
+    store.close()
+    data = chunks * chunk_size
+
+    store, pid = _partitioned_store()
+    ranks = [store.allocate_chunk(pid) for _ in range(50)]
+    store.commit([ops.WriteChunk(pid, rank, bytes(chunk_size)) for rank in ranks])
+    for number in range(rounds):
+        for rank in ranks:
+            store.commit([ops.WriteChunk(pid, rank, bytes([number]) * chunk_size)])
+    before = store.live_bytes() / store.stored_bytes()
+    store.clean(max_segments=10_000)
+    after = store.live_bytes() / store.stored_bytes()
+    store.close()
+    return {
+        "per_chunk_overhead_bytes": round((live - data) / chunks, 1),
+        "map_over_data": round((live - unmapped) / data, 4),
+        "utilization_before_cleaning": round(before, 4),
+        "utilization_after_cleaning": round(after, 4),
+    }
+
+
+def _churn(eager: bool = False, commits: int = 40, **config) -> Dict[str, int]:
+    """Bytes written and TR writes while 8 chunks are overwritten one per
+    commit, ``commits`` times; then a checkpoint, or (``eager``) one after
+    every commit, which writes the map path each time."""
+    store, pid = _partitioned_store(**config)
+    platform = store.platform
+    before = platform.untrusted.stats.snapshot()
+    tr_before = platform.tamper_resistant.write_count + platform.counter.write_count
+    ranks = [store.allocate_chunk(pid) for _ in range(8)]
+    store.commit([ops.WriteChunk(pid, rank, bytes(300)) for rank in ranks])
+    for number in range(commits):
+        if eager:
+            store.checkpoint()
+        store.commit([ops.WriteChunk(pid, ranks[number % 8], bytes([number % 251]) * 300)])
+    tr_writes = platform.tamper_resistant.write_count + platform.counter.write_count - tr_before
+    store.checkpoint()
+    written = platform.untrusted.stats.delta(before).bytes_written
+    store.close()
+    return {"bytes_written": written, "tr_writes": tr_writes}
+
+
+def _update_volume(objects: int, object_size: int, clustered: bool) -> int:
+    """Bytes written updating each of ``objects`` objects once, one commit
+    each, with an object per chunk or all of them in one chunk."""
+    store, pid = _partitioned_store()
+    width = objects * object_size if clustered else object_size
+    ranks = [store.allocate_chunk(pid) for _ in range(1 if clustered else objects)]
+    store.commit([ops.WriteChunk(pid, rank, bytes(width)) for rank in ranks])
+    before = store.platform.untrusted.stats.snapshot()
+    for number in range(objects):
+        rank = ranks[0 if clustered else number]
+        store.commit([ops.WriteChunk(pid, rank, bytes([number]) * width)])
+    written = store.platform.untrusted.stats.delta(before).bytes_written
+    store.close()
+    return written
+
+
+def run_ablation() -> Dict[str, object]:
+    """DESIGN.md §5's design choices against their strawmen, in bytes and
+    TR writes: deferred checkpoints against map propagation on every
+    commit (§4.7), the Δut lag window (§4.8.2.2), counter against direct
+    validation, one object per chunk against a 16-object cluster (§7).
+    The embedded hash tree's cold read is ``read_scaling``'s."""
+    deferred = _churn()  # the design: counter mode, Δut = 5
+    eager = _churn(eager=True)
+    return {
+        "checkpoint_deferral": {
+            "deferred_bytes": deferred["bytes_written"],
+            "eager_bytes": eager["bytes_written"],
+            "eager_over_deferred": round(eager["bytes_written"] / deferred["bytes_written"], 2),
+        },
+        "delta_ut_tr_writes": {
+            "1": _churn(delta_ut=1)["tr_writes"],
+            "5": deferred["tr_writes"],
+            "20": _churn(delta_ut=20)["tr_writes"],
+        },
+        "validation_tr_writes": {
+            "direct": _churn(validation_mode="direct")["tr_writes"],
+            "counter": deferred["tr_writes"],
+        },
+        "object_per_chunk_bytes": {
+            "per_object": _update_volume(16, 200, clustered=False),
+            "clustered": _update_volume(16, 200, clustered=True),
+        },
+    }
 
 
 def figure_10_values(copies: int = 8) -> Dict[str, List[object]]:
@@ -904,10 +1241,10 @@ def run_device_path(cipher: str, chunks: int = 64) -> Dict[str, object]:
     cached: the Python-level hash and compare calls ``ChunkId`` ran per
     ``read_chunk``, and the traced peak of copying the whole device image,
     over the image size."""
-    platform = TrustedPlatform.create_in_memory(untrusted_size=4 * 1024 * 1024)
-    store = ChunkStore.format(platform, bench_config(payload_cache_bytes=0))
-    pid = store.allocate_partition()
-    store.commit([ops.WritePartition(pid, cipher_name=cipher, hash_name=PARTITION_HASH)])
+    store, pid = _partitioned_store(
+        cipher, PARTITION_HASH, untrusted_mib=4, payload_cache_bytes=0
+    )
+    platform = store.platform
     payload = bytes(CHUNK_SIZE)
     store.commit(
         [ops.WriteChunk(pid, store.allocate_chunk(pid), payload) for _ in range(chunks)]

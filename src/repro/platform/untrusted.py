@@ -41,7 +41,7 @@ from __future__ import annotations
 import os
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Tuple
 
 from repro.platform.crash import CrashInjector
@@ -73,46 +73,18 @@ class IOStats:
     gave_up: int = 0
 
     def reset(self) -> None:
-        self.reads = 0
-        self.bytes_read = 0
-        self.writes = 0
-        self.bytes_written = 0
-        self.flushes = 0
-        self.flushed_bytes = 0
-        self.batched_reads = 0
-        self.batched_extents = 0
-        self.io_errors = 0
-        self.retries = 0
-        self.gave_up = 0
+        for tally in fields(self):
+            setattr(self, tally.name, 0)
 
     def snapshot(self) -> "IOStats":
-        return IOStats(
-            reads=self.reads,
-            bytes_read=self.bytes_read,
-            writes=self.writes,
-            bytes_written=self.bytes_written,
-            flushes=self.flushes,
-            flushed_bytes=self.flushed_bytes,
-            batched_reads=self.batched_reads,
-            batched_extents=self.batched_extents,
-            io_errors=self.io_errors,
-            retries=self.retries,
-            gave_up=self.gave_up,
-        )
+        return replace(self)
 
     def delta(self, earlier: "IOStats") -> "IOStats":
         return IOStats(
-            reads=self.reads - earlier.reads,
-            bytes_read=self.bytes_read - earlier.bytes_read,
-            writes=self.writes - earlier.writes,
-            bytes_written=self.bytes_written - earlier.bytes_written,
-            flushes=self.flushes - earlier.flushes,
-            flushed_bytes=self.flushed_bytes - earlier.flushed_bytes,
-            batched_reads=self.batched_reads - earlier.batched_reads,
-            batched_extents=self.batched_extents - earlier.batched_extents,
-            io_errors=self.io_errors - earlier.io_errors,
-            retries=self.retries - earlier.retries,
-            gave_up=self.gave_up - earlier.gave_up,
+            **{
+                tally.name: getattr(self, tally.name) - getattr(earlier, tally.name)
+                for tally in fields(self)
+            }
         )
 
 

@@ -10,6 +10,7 @@ from repro.errors import (
     BackupIntegrityError,
     BackupOrderingError,
     ChunkNotAllocatedError,
+    ChunkStoreError,
     TamperDetectedError,
 )
 from tests.conftest import make_config, make_platform
@@ -259,3 +260,44 @@ class TestClock:
         with pytest.raises(BackupError):
             backup.restore(["clocked"], approve=approve)
         assert seen == [1234.5]
+
+
+class TestFailedRestore:
+    def test_a_failed_restore_records_no_chain_link(self, env):
+        """A restore whose commit raises leaves ``restore_history`` as it
+        was, in memory and after a reopen: the next incremental restore of
+        that chain is refused, and the live partition keeps its bytes."""
+        from repro.platform import TrustedPlatform
+
+        platform, store, backup, pid = env
+        # another store on the same secret and archive, with segments wide
+        # enough for a 40,000-byte chunk that the live store's 16 KiB
+        # segments cannot hold
+        other = TrustedPlatform.create_in_memory(
+            untrusted_size=8 * 1024 * 1024, secret=platform.secret_store.read()
+        )
+        other.archival = platform.archival
+        source = ChunkStore.format(other, make_config(segment_size=64 * 1024))
+        source_backup = BackupStore(source)
+        assert source.allocate_partition() == pid
+        source.commit([
+            ops.WritePartition(pid, cipher_name="ctr-sha256", hash_name="sha1"),
+            ops.WriteChunk(pid, 0, b"big" * 13_334),
+        ])
+        source_backup.create_backup([pid], "big-full")
+        source.commit([ops.WriteChunk(pid, 0, b"v2" * 8)])
+        source_backup.create_backup([pid], "big-incr")
+
+        history = dict(backup._extras().restore_history)
+        with pytest.raises(ChunkStoreError):  # the chunk fits no segment
+            backup.restore(["big-full"])
+        assert backup._extras().restore_history == history
+        store.close()
+        platform.reboot()
+        reopened = ChunkStore.open(platform, make_config())
+        reopened_backup = BackupStore(reopened)
+        assert reopened_backup._extras().restore_history == history
+        with pytest.raises(BackupOrderingError):
+            reopened_backup.restore(["big-incr"])
+        for rank in range(20):
+            assert reopened.read_chunk(pid, rank) == f"orig-{rank}".encode() * 4

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.__main__ import PHASES, check, evaluate
+from repro.bench.server_bench import SlowFlushStore
 from repro.bench.store_bench import CODEC_MIX
 from repro.crypto import accel
 
@@ -36,10 +37,28 @@ UNTIMED = {
     "store.object_path.ref_python_calls",
     "store.device_path.capture_peak_ratio",
     "store.device_path.id_python_calls_per_read",
+    "store.scan.single_round_trips_per_read",
+    "store.scan.batched_round_trips",
+    "store.read_scaling.map_chunks_per_cold_read",
+    "store.read_scaling.working_set_hit_rate",
+    "store.space.per_chunk_overhead",
+    "store.space.map_over_data",
+    "store.space.cleaning_raises_utilization",
+    "store.space.utilization_after_cleaning",
+    "store.ablation.eager_over_deferred",
+    "store.ablation.delta_ut_1_over_5",
+    "store.ablation.delta_ut_5_over_20",
+    "store.ablation.counter_over_direct",
+    "store.ablation.per_object_over_clustered",
     "paper.fig10_count_error",
     "paper.tdb_xdb_commit_io",
     "paper.tdb_xdb_flushes",
     "paper.tdb_xdb_bytes_written",
+    "paper.fig9_below_chunk_store",
+    "paper.range_answer_mismatches",
+    "paper.range_xdb_scans_all",
+    "paper.backup_bytes_per_updated",
+    "paper.backup_incremental_over_full",
 }
 
 
@@ -55,7 +74,7 @@ def _floor_name(row) -> str:
 
 def _just_past(op: str, bound: float) -> float:
     step = max(abs(bound) * 1e-3, 1e-3)
-    return {">=": bound - step, ">": bound, "<=": bound + step, "<": bound}[op]
+    return {">=": bound - step, ">": bound, "<=": bound + step, "<": bound, "==": bound + step}[op]
 
 
 def _set(results, path, value) -> None:
@@ -147,3 +166,16 @@ def test_store_phase_shape(tiny_bench):
     assert set(store["object_codec"]["shapes"]) == set(CODEC_MIX)
     for column in (0, 1):  # the shares of each mix add up
         assert sum(shares[column] for shares in CODEC_MIX.values()) == pytest.approx(1.0)
+
+
+def test_slow_flush_device_counts_batched_reads_inside_a_flush():
+    """A ``read_many`` is one round trip inside the flush window, as a
+    ``read`` is: map-chunk loads and multi-extent fetches are batched."""
+    device = SlowFlushStore(4096, flush_delay=0.0)
+    device.read(0, 8)
+    device.read_many([(0, 8), (64, 8)])
+    assert device.reads_during_flush == 0
+    device.flushing = True
+    device.read(0, 8)
+    device.read_many([(0, 8), (64, 8)])
+    assert device.reads_during_flush == 2

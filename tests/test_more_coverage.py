@@ -104,15 +104,26 @@ class TestDocsIntegrity:
         assert not missing, f"{doc} references missing files: {missing}"
 
     def test_design_lists_every_bench_file(self):
+        """Every row of DESIGN.md §3's experiment index names the bench
+        phase that measures it, and every floor a row names is one of that
+        phase's."""
+        import re
+
+        from repro.bench.__main__ import PHASES
+
         text = (self._ROOT / "DESIGN.md").read_text()
-        bench_dir = self._ROOT / "benchmarks"
-        unmentioned = [
-            p.name
-            for p in bench_dir.glob("test_bench_*.py")
-            if p.name not in text
-        ]
-        # comparison/breakdown/workload are referenced via their file names
-        assert not unmentioned, f"DESIGN.md misses benches: {unmentioned}"
+        index = text[text.index("## 3. Experiment index"):]
+        rows = index.split("\n\n")[1].splitlines()[2:]  # the table, past its header
+        assert len(rows) >= 18
+        unknown = []
+        for row in rows:
+            target = row.rstrip(" |").rsplit("|", 1)[-1]
+            phase = re.search(r"`python -m repro\.bench (\w+)`", target)
+            assert phase, f"DESIGN.md §3 row names no bench phase: {row}"
+            floors = {floor.name for floor in PHASES[phase.group(1)].FLOORS}
+            _, _, named = target.partition("(floor")
+            unknown += [name for name in re.findall(r"`([\w.-]+)`", named) if name not in floors]
+        assert not unknown, f"DESIGN.md §3 names floors no phase declares: {unknown}"
 
 
 class TestMiscApis:

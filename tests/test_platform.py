@@ -136,6 +136,23 @@ class TestUntrustedStore:
         delta = store.stats.delta(snap)
         assert delta.writes == 1 and delta.bytes_written == 2
 
+    def test_every_tally_round_trips(self):
+        """``snapshot``, ``delta`` and ``reset`` carry every field, so a
+        new tally is declared once."""
+        from dataclasses import fields
+
+        from repro.platform.untrusted import IOStats
+
+        names = [tally.name for tally in fields(IOStats)]
+        stats = IOStats(**{name: 10 * (i + 1) for i, name in enumerate(names)})
+        snap = stats.snapshot()
+        assert snap == stats and snap is not stats
+        for i, name in enumerate(names):
+            setattr(stats, name, getattr(stats, name) + i + 1)
+        assert stats.delta(snap) == IOStats(**{name: i + 1 for i, name in enumerate(names)})
+        stats.reset()
+        assert stats == IOStats()
+
     def test_tamper_api(self):
         store = MemoryUntrustedStore(1024)
         store.write(0, b"secret-ish")
@@ -364,6 +381,23 @@ class TestRemoteStore:
         remote.reset_accounting()
         results = remote.read_many([(0, 2), (100, 2)])
         assert results == [b"aa", b"bb"]
+        assert remote.round_trips == 1
+
+    def test_batching_saves_a_round_trip_per_extent(self):
+        """§10: 50 writes ride their flush's one round trip; 100 reads cost
+        100 one by one and 1 batched."""
+        remote = RemoteUntrustedStore(MemoryUntrustedStore(4 << 20))
+        for i in range(50):
+            remote.write(i * 512, b"\x11" * 512)
+        remote.flush()
+        assert remote.round_trips == 1
+        extents = [(i * 1024, 256) for i in range(100)]
+        remote.reset_accounting()
+        for offset, size in extents:
+            remote.read(offset, size)
+        assert remote.round_trips == len(extents)
+        remote.reset_accounting()
+        remote.read_many(extents)
         assert remote.round_trips == 1
 
     def test_chunk_store_runs_over_remote(self):

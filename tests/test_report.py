@@ -13,7 +13,10 @@ class TestReport:
     def test_report_generates_markdown(self, tiny_bench):
         from repro.bench.report import markdown
 
-        text = markdown(tiny_bench["paper"])
+        text = markdown(tiny_bench)
+        for section in ("§9.2.1", "§9.2.2", "§9.2.3", "§9.3", "Figure 9"):
+            assert f"### {section}" in text
+        assert "| commit: per chunk |" in text and "| size: per updated chunk |" in text
         assert "Figure 10" in text
         assert "Figure 11" in text
         assert "Figure 12" in text
