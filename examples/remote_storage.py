@@ -19,12 +19,12 @@ def remote_demo() -> None:
         remote.write(offset, b"\x42" * 512)
     remote.flush()
 
-    remote.reset_accounting()
+    remote.stats.reset()
     for offset, size in extents:
         remote.read(offset, size)
     naive = remote.round_trips
 
-    remote.reset_accounting()
+    remote.stats.reset()
     remote.read_many(extents)
     batched = remote.round_trips
 

@@ -104,6 +104,7 @@ from repro.objectstore.pickling import (
     pickle_value,
     unpickle_value,
 )
+from repro.objectstore.store import Transaction
 from repro.platform.trusted_platform import TrustedPlatform
 from repro.util.codec import MAX_UVARINT_BITS, Decoder, Encoder, zigzag
 
@@ -1179,14 +1180,16 @@ class _CountingCondition:
 def run_object_path() -> Dict[str, object]:
     """One Figure 10 release experiment on TDB (after the workload's own
     setup and cache warm-up), counting the object layer's calls: the lock
-    manager's acquisitions per object read, its condition variable's
-    entries and the Python-level hash and compare calls ``ObjectRef`` ran."""
+    manager's acquisitions per object read (a read being an object a
+    transaction's ``get``, ``get_many`` or ``get_for_update`` returned),
+    its condition variable's entries and the Python-level hash and compare
+    calls ``ObjectRef`` ran."""
     adapter = TdbAdapter()
     workload = Workload(adapter)
     workload.setup()
-    objects = adapter.objects
-    locks = objects.locks
+    locks = adapter.objects.locks
     calls = [0]
+    reads = 0
 
     def counted(acquire):
         def acquire_counted(tx_id, ref) -> None:
@@ -1195,15 +1198,29 @@ def run_object_path() -> Dict[str, object]:
 
         return acquire_counted
 
+    def read_counted(read, many: bool):
+        def read_and_count(tx, arg):
+            nonlocal reads
+            value = read(tx, arg)
+            reads += len(arg) if many else 1
+            return value
+
+        return read_and_count
+
     locks.acquire_shared = counted(locks.acquire_shared)
     locks.acquire_exclusive = counted(locks.acquire_exclusive)
     condition = locks._condition = _CountingCondition(locks._condition)
-    reads = objects.op_counts["read"]
+    originals = {
+        name: vars(Transaction)[name] for name in ("get", "get_for_update", "get_many")
+    }
+    for name, read in originals.items():
+        setattr(Transaction, name, read_counted(read, name == "get_many"))
     try:
         ref_calls = _python_calls(ObjectRef, lambda: workload.run_experiment("release"))
     finally:
+        for name, read in originals.items():
+            setattr(Transaction, name, read)
         adapter.close()
-    reads = objects.op_counts["read"] - reads
     return {
         "reads": reads,
         "manager_calls": calls[0],

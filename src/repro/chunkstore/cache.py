@@ -213,9 +213,11 @@ class DescriptorCache:
         self._dirty_map_counts.clear()
 
     def clear(self) -> None:
+        """Evict every clean vector.  Dirty descriptors stay pinned: until
+        the next checkpoint they are the only record of the commits since
+        the last one."""
         self._vectors.clear()
         self._clean_slots = 0
-        self.clean_all_dirty()
 
     # -- introspection -------------------------------------------------------
 

@@ -10,10 +10,18 @@ KDF arrangement (domain-separated by label).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.crypto.registry import KEY_SIZES
 from repro.platform.retry import RetryPolicy
+
+
+#: bytes reserved at offset 0 for the superblock
+SUPERBLOCK_SIZE = 4096
+
+#: how untrusted-store I/O retries transient faults
+RETRY_POLICY = RetryPolicy()
 
 
 @dataclass
@@ -51,17 +59,15 @@ class StoreConfig:
     #: resident map", has the curve it is the knee of)
     cache_size: int = 131072
     #: byte budget for the validated-payload cache (decrypted, verified
-    #: data-chunk bodies); 0 disables it (runtime-only, like retry_policy)
+    #: data-chunk bodies); 0 disables it (runtime-only, like cache_size)
     payload_cache_bytes: int = 2 * 1024 * 1024
-    #: bytes reserved at offset 0 for the superblock
-    superblock_size: int = 4096
+    #: not a field: every store has the one size, which the superblock
+    #: records and :meth:`ChunkStore.open` checks
+    superblock_size: ClassVar[int] = SUPERBLOCK_SIZE
     #: auto-clean when free segments drop below this count
     clean_low_water: int = 2
     #: flush the untrusted store on every commit (paper's configuration)
     flush_every_commit: bool = True
-    #: how untrusted-store I/O retries transient faults (runtime-only:
-    #: not persisted in the superblock, so it may differ per open)
-    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         if self.validation_mode not in ("direct", "counter"):

@@ -117,8 +117,6 @@ class LogSpace:
         )
         #: _map_version per (cipher name, hash name, written slots)
         self._map_versions: Dict[Tuple[str, str, int], int] = {}
-        #: per open partition, its share of ceiling() and what it is for
-        self._shares: Dict[int, Tuple[tuple, int, int, int]] = {}
         #: checkpoints a commit wrote because ``checkpoint_dirty_threshold``
         #: descriptors were dirty, and because the log ran short of space
         self.checkpoints_for_dirty = 0
@@ -318,33 +316,12 @@ class LogSpace:
         """What the reserve can grow to with the partitions open now: every
         map chunk of every tree dirty, every leader.  The cleaner keeps
         room for it, so that its own re-commits — which dirty the chains
-        above whatever they move — never find the reserve in the way.
-        Asked before every commit, so each partition's share is kept until
-        its rank count, tree or leader lists change."""
+        above whatever they move — never find the reserve in the way."""
         partitions = self.table.partitions
-        system = partitions[SYSTEM_PARTITION]
-        above = system.checkpoint_height(self.fanout) * self._map_version(system)
-        shares = self._shares
-        if len(shares) > len(partitions):
-            for pid in [pid for pid in shares if pid not in partitions]:
-                del shares[pid]
-        content = largest = 0
-        for pid, state in partitions.items():
-            payload = state.payload
-            key = (
-                id(state),
-                payload.next_rank,
-                payload.tree_height,
-                len(payload.free_ranks),
-                len(payload.copies),
-            )
-            share = shares.get(pid)
-            if share is None or share[0] != key:
-                maps, size = self._content({pid: state.map_chunks(self.fanout)}, ())
-                leader = 0 if state is system else self._leader_version(state)
-                share = shares[pid] = (key, maps, leader, max(size, leader))
-            content += share[1] + (share[2] + above if share[2] else 0)
-            largest = max(largest, share[3])
+        content, largest = self._content(
+            {pid: state.map_chunks(self.fanout) for pid, state in partitions.items()},
+            partitions.values(),
+        )
         return self._spread(content + 2 * self._commit, largest) + self.max_version_size
 
     def releasable(self) -> int:

@@ -134,11 +134,6 @@ class _Recovery:
             raise TamperDetectedError(f"undecodable leader payload: {exc}") from exc
         if payload.system is None:
             raise TamperDetectedError("leader payload lacks system extras")
-        store.cache.clear()
-        # crash recovery invalidates every cached payload: the committed
-        # state is being reconstructed from the durable log
-        store.payloads.clear()
-        obs.emit("cache_invalidation", cache="payload", reason="recovery")
         self.table.open_system(payload)
         self.segman.load_table(payload.system.segments)
         store._leader_location = leader_loc

@@ -64,6 +64,7 @@ from typing import TYPE_CHECKING, Dict, Sequence
 
 from repro import obs
 from repro.chunkstore.cache import ValidatedChunkCache
+from repro.chunkstore.config import RETRY_POLICY, SUPERBLOCK_SIZE
 from repro.chunkstore.ids import SYSTEM_PARTITION
 from repro.chunkstore.log import LogCodec
 from repro.chunkstore.partition import PartitionState
@@ -105,7 +106,6 @@ class SnapshotView:
         #: the commits up to this one, all of them durable
         self.frozen_at = store.commit_count_stat
         self.closed = False
-        self.reads = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -135,11 +135,9 @@ class SnapshotView:
         ``read_many`` per uncached map level plus one for the data
         extents, with a sequential loop's error semantics."""
         self._require_open()
-        bodies = self._readpath.read_chunks(
+        return self._readpath.read_chunks(
             self._state, ranks, obs.span("chunkstore.snapshot_read")
         )
-        self.reads += len(bodies)
-        return bodies
 
     def chunk_exists(self, rank: int) -> bool:
         self._require_open()
@@ -149,18 +147,6 @@ class SnapshotView:
         self._require_open()
         payload = self._state.payload
         return payload.next_rank - len(payload.free_ranks)
-
-    # -- introspection -------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        cached = self._readpath.cache.stats()
-        return {
-            "pid": self.pid,
-            "reads": self.reads,
-            "closed": self.closed,
-            "descriptors_cached": cached["clean_entries"] + cached["dirty_entries"],
-            "payload_cache": self._readpath.payloads.stats(),
-        }
 
 
 def build_snapshot_view(store: "ChunkStore", pid: int) -> SnapshotView:
@@ -180,9 +166,7 @@ def build_snapshot_view(store: "ChunkStore", pid: int) -> SnapshotView:
     system_cipher = make_cipher(config.system_cipher, table.system_key)
     system_hash = make_hash(config.system_hash)
     table.share_tallies(system_cipher, system_hash)
-    retrier = Retrier(
-        config.retry_policy, clock=store.platform.clock, stats=untrusted.stats
-    )
+    retrier = Retrier(RETRY_POLICY, clock=store.platform.clock, stats=untrusted.stats)
     readpath = ReadPath(
         # the store's vectors and dirty descriptors as of now (why both:
         # see partition_entries); grows with every map chunk the view loads
@@ -196,6 +180,6 @@ def build_snapshot_view(store: "ChunkStore", pid: int) -> SnapshotView:
         # nothing the view can reach is appended afterwards
         RetriedReader(untrusted, retrier),
         config.fanout,
-        config.superblock_size,
+        SUPERBLOCK_SIZE,
     )
     return SnapshotView(store, pid, frozen, readpath)

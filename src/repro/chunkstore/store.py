@@ -78,7 +78,13 @@ from repro import obs
 from repro.chunkstore.cache import DescriptorCache, ValidatedChunkCache
 from repro.chunkstore.checkpoint import write_checkpoint
 from repro.chunkstore.cleaner import Cleaner
-from repro.chunkstore.config import StoreConfig, mac_key, system_cipher_key
+from repro.chunkstore.config import (
+    RETRY_POLICY,
+    SUPERBLOCK_SIZE,
+    StoreConfig,
+    mac_key,
+    system_cipher_key,
+)
 from repro.chunkstore.descriptor import ChunkDescriptor
 from repro.chunkstore.ids import (
     SYSTEM_PARTITION,
@@ -132,16 +138,14 @@ class ChunkStore:
         self.codec = LogCodec(system_cipher, system_hash)
         self.mac = Mac(mac_key(secret), system_hash)
         self.segman = SegmentManager(
-            config.superblock_size, config.segment_size, platform.untrusted.size
+            SUPERBLOCK_SIZE, config.segment_size, platform.untrusted.size
         )
         self.cache = DescriptorCache(config.cache_size, config.fanout)
         #: validated-payload cache: decrypted, hash-verified chunk bodies
         #: (hits skip the device, the cipher, and the hasher entirely)
         self.payloads = ValidatedChunkCache(config.payload_cache_bytes)
         self.retrier = Retrier(
-            config.retry_policy,
-            clock=platform.clock,
-            stats=platform.untrusted.stats,
+            RETRY_POLICY, clock=platform.clock, stats=platform.untrusted.stats
         )
         self.logbuf = LogWriteBuffer(platform.untrusted, self.retrier)
         #: every device read seals the log buffer first: the extent may
@@ -159,7 +163,7 @@ class ChunkStore:
             self.codec,
             self.reader,
             config.fanout,
-            config.superblock_size,
+            SUPERBLOCK_SIZE,
         )
         #: the volatile image of committed state, and the one place a
         #: committed version's effect on it is applied; every call into it
@@ -240,7 +244,6 @@ class ChunkStore:
                 "validation_mode",
                 "system_cipher",
                 "system_hash",
-                "superblock_size",
             ):
                 if getattr(config, attr) != getattr(stored, attr):
                     raise ChunkStoreError(
@@ -276,7 +279,7 @@ class ChunkStore:
         enc.text(self.config.validation_mode)
         enc.text(self.config.system_cipher)
         enc.text(self.config.system_hash)
-        enc.uint(self.config.superblock_size)
+        enc.uint(SUPERBLOCK_SIZE)
         enc.uint(self.config.delta_ut)
         enc.uint(self.config.delta_tu)
         enc.uint(self._leader_location)
@@ -285,9 +288,9 @@ class ChunkStore:
 
     def _write_superblock(self) -> None:
         data = self._superblock_bytes()
-        if len(data) > self.config.superblock_size:
+        if len(data) > SUPERBLOCK_SIZE:
             raise ChunkStoreError("superblock overflow")
-        padded = data.ljust(self.config.superblock_size, b"\x00")
+        padded = data.ljust(SUPERBLOCK_SIZE, b"\x00")
         self.retrier.call(
             lambda: self.platform.untrusted.write(0, padded), "superblock write"
         )
@@ -297,7 +300,7 @@ class ChunkStore:
     def _read_superblock(platform: TrustedPlatform) -> Tuple[StoreConfig, int]:
         """The stored configuration and the leader location beside it —
         both unauthenticated hints (see :class:`StoreConfig`)."""
-        head = platform.untrusted.tamper_read(0, 4096)
+        head = platform.untrusted.tamper_read(0, SUPERBLOCK_SIZE)
         if head[:4] != _SUPERBLOCK_MAGIC:
             raise ChunkStoreError("no TDB store found (bad superblock magic)")
         try:
@@ -318,6 +321,8 @@ class ChunkStore:
             expected_crc = int.from_bytes(head[payload_end : payload_end + 4], "big")
             if crc32_bytes(head[:payload_end]) != expected_crc:
                 raise TamperDetectedError("superblock checksum mismatch")
+            if superblock_size != SUPERBLOCK_SIZE:
+                raise ChunkStoreError(f"unsupported superblock size {superblock_size}")
             config = StoreConfig(
                 segment_size=segment_size,
                 fanout=fanout,
@@ -326,7 +331,6 @@ class ChunkStore:
                 system_hash=system_hash,
                 delta_ut=delta_ut,
                 delta_tu=delta_tu,
-                superblock_size=superblock_size,
             )
         except (ValueError, UnicodeDecodeError) as exc:
             raise TamperDetectedError(f"corrupt superblock: {exc}") from exc
@@ -474,14 +478,6 @@ class ChunkStore:
             return self.readpath.read_chunks(
                 self.table.load(pid), ranks, obs.span("chunkstore.read_batch")
             )
-
-    def evict_payload(self, pid: int, rank: int) -> None:
-        """Drop any validated-payload entry for ``(pid, rank)`` — e.g. an
-        :class:`~repro.objectstore.store.ObjectStore` abort's defensive
-        eviction of chunks its transaction touched (which is why it
-        answers on a failed store)."""
-        with self._lock:
-            self.payloads.invalidate(data_id(pid, rank))
 
     # ------------------------------------------------------------------
     # snapshot views (MVCC read path for the serving layer)

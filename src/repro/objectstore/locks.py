@@ -201,7 +201,7 @@ class LockManager:
             return state.exclusive == tx_id or tx_id in state.shared
 
     def stats(self) -> Dict[str, int]:
-        """Lock-manager tallies (surfaced via ``ObjectStore.stats()``)."""
+        """Lock-manager tallies (read as ``ObjectStore.locks.stats()``)."""
         with self._mutex:
             return {
                 "held_refs": len(self._locks),

@@ -109,14 +109,6 @@ class ObjectStore:
         #: it, concurrent commits share one chunk-store commit, and each
         #: durable batch invalidates the snapshots it made stale
         self.committer = GroupCommitter(chunk_store, self.snapshots)
-        #: operation counters for the Figure 10 accounting
-        self.op_counts: Dict[str, int] = {
-            "read": 0,
-            "update": 0,
-            "add": 0,
-            "delete": 0,
-            "commit": 0,
-        }
 
     # ------------------------------------------------------------------
 
@@ -141,12 +133,6 @@ class ObjectStore:
     def transaction(self) -> "Transaction":
         """Begin a new serializable transaction (use as a context manager)."""
         return Transaction(self)
-
-    def stats(self) -> Dict[str, object]:
-        """Operation counts plus lock-manager tallies — including
-        ``deadlocks_broken`` and ``waits``, which previously had no
-        read-out path."""
-        return {"ops": dict(self.op_counts), "locks": self.locks.stats()}
 
     def read_committed(self, ref: ObjectRef) -> Any:
         """Read outside any transaction (no isolation guarantees)."""
@@ -224,13 +210,10 @@ class Transaction:
                 value = self._writes[ref]
                 if value is _DELETED:
                     raise ObjectNotFoundError(f"{ref} deleted in this transaction")
-                self.store.op_counts["read"] += 1
                 return value
             if ref not in self._locks:  # any lock this tx holds suffices
                 self._hold(ref, False)
-            value = self.store._load(ref)
-            self.store.op_counts["read"] += 1
-            return value
+            return self.store._load(ref)
 
     def get_many(self, refs: List[ObjectRef]) -> List[Any]:
         """Read several objects under shared locks, batching the chunk
@@ -254,7 +237,6 @@ class Transaction:
             loaded = load_objects(
                 to_load, store.cache, store.chunks.read_chunks, store.registry
             )
-            store.op_counts["read"] += len(refs)
             return [buffered[r] if r in buffered else loaded[r] for r in refs]
 
     def get_for_update(self, ref: ObjectRef) -> Any:
@@ -266,12 +248,9 @@ class Transaction:
                 value = self._writes[ref]
                 if value is _DELETED:
                     raise ObjectNotFoundError(f"{ref} deleted in this transaction")
-                self.store.op_counts["read"] += 1
                 return value
             self._hold(ref, True)
-            value = self.store._load(ref)
-            self.store.op_counts["read"] += 1
-            return value
+            return self.store._load(ref)
 
     def exists(self, ref: ObjectRef) -> bool:
         """True if ``ref`` names a stored object (takes a shared lock)."""
@@ -291,7 +270,6 @@ class Transaction:
         with obs.span("objectstore.update"):
             self._hold(ref, True)
             self._writes[ref] = value
-            self.store.op_counts["update"] += 1
 
     def create(self, partition: int, value: Any) -> ObjectRef:
         """Create a new object; returns its reference immediately so it can
@@ -303,7 +281,6 @@ class Transaction:
             self._hold(ref, True)
             self._writes[ref] = value
             self._created.append(ref)
-            self.store.op_counts["add"] += 1
             return ref
 
     def create_at(self, ref: ObjectRef, value: Any) -> ObjectRef:
@@ -315,7 +292,6 @@ class Transaction:
             self._hold(ref, True)
             self._writes[ref] = value
             self._created.append(ref)
-            self.store.op_counts["add"] += 1
             return ref
 
     def delete(self, ref: ObjectRef) -> None:
@@ -324,7 +300,6 @@ class Transaction:
         with obs.span("objectstore.delete"):
             self._hold(ref, True)
             self._writes[ref] = _DELETED
-            self.store.op_counts["delete"] += 1
 
     # -- completion -----------------------------------------------------------
 
@@ -349,7 +324,6 @@ class Transaction:
                     # our exclusive locks (held until the finally below)
                     # keep write sets in any one batch disjoint
                     store.committer.commit(ops)
-                store.op_counts["commit"] += 1
                 for ref, value in self._writes.items():
                     if value is _DELETED:
                         store.cache.evict(ref)
@@ -370,9 +344,6 @@ class Transaction:
         obs.emit("tx_abort", tx=self.tx_id, writes=len(self._writes))
         for ref in self._writes:
             store.cache.evict(ref)
-            # the chunk-level payload cache holds the same (possibly
-            # half-trusted) bytes — drop those entries too
-            store.chunks.evict_payload(ref.partition, ref.rank)
         for ref in self._created:
             # return the volatile allocation so ranks are not leaked; a
             # store-level failure here (e.g. the partition was concurrently

@@ -17,7 +17,7 @@ test re-opens the database to exercise recovery.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import CrashError
 
@@ -27,7 +27,7 @@ class CrashInjector:
 
     def __init__(self) -> None:
         self._armed: Optional[Tuple[str, int]] = None
-        self._history: List[str] = []
+        #: hits per point name (crash-point discovery reads it)
         self.counts: Dict[str, int] = {}
 
     def arm(self, point_name: str, countdown: int = 0) -> None:
@@ -40,14 +40,8 @@ class CrashInjector:
     def disarm(self) -> None:
         self._armed = None
 
-    @property
-    def history(self) -> List[str]:
-        """All points hit so far (useful for discovering crash points)."""
-        return list(self._history)
-
     def point(self, name: str) -> None:
         """Called by instrumented components; may raise :class:`CrashError`."""
-        self._history.append(name)
         self.counts[name] = self.counts.get(name, 0) + 1
         if self._armed is None:
             return

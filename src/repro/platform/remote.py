@@ -6,9 +6,10 @@ reducing network round-trips to the untrusted server, such as batching
 reads and writes."
 
 :class:`RemoteUntrustedStore` wraps any local
-:class:`~repro.platform.untrusted.UntrustedStore` and accounts *round
-trips*: each ``read``/``write``/``flush`` costs one, while ``read_many``
-ships a batch of extents in a single round trip.  A
+:class:`~repro.platform.untrusted.UntrustedStore` and reads *round trips*
+off its own :class:`~repro.platform.untrusted.IOStats`: each ``read`` and
+each ``flush`` costs one (a flush ships every write since the last one),
+while ``read_many`` ships a batch of extents in a single round trip.  A
 :class:`NetworkModel` turns the counts into modeled time, so benchmarks
 can quantify the §10 batching optimisation without a real network.
 
@@ -45,8 +46,17 @@ class RemoteUntrustedStore(UntrustedStore):
     def __init__(self, backing: UntrustedStore) -> None:
         super().__init__(backing.size, backing.injector, backing.faults)
         self._backing = backing
-        self.round_trips = 0
-        self.payload_bytes = 0
+
+    @property
+    def round_trips(self) -> int:
+        """Requests sent since the last ``stats.reset()``: reads (a batch
+        is one) and flushes."""
+        return self.stats.reads + self.stats.flushes
+
+    @property
+    def payload_bytes(self) -> int:
+        """Bytes shipped either way since the last ``stats.reset()``."""
+        return self.stats.bytes_read + self.stats.bytes_written
 
     # -- raw image ------------------------------------------------------------
 
@@ -69,12 +79,10 @@ class RemoteUntrustedStore(UntrustedStore):
                 self.stats.io_errors += 1
                 raise
 
-    # -- accounted operations ---------------------------------------------------
+    # -- round trips -----------------------------------------------------------
 
     def read(self, offset: int, size: int) -> bytes:
         self._fault_round_trip("read")
-        self.round_trips += 1
-        self.payload_bytes += size
         return super().read(offset, size)
 
     def read_many(self, extents: List[Tuple[int, int]]) -> List[bytes]:
@@ -95,14 +103,7 @@ class RemoteUntrustedStore(UntrustedStore):
                 raise PartialResponseError(
                     f"remote batch answered {answered}/{len(extents)} extents"
                 )
-        self.round_trips += 1
-        self.payload_bytes += sum(size for _, size in extents)
         return super().read_many(extents)
-
-    def write(self, offset: int, data: bytes) -> None:
-        # no round trip: the flush ships every write since the last one
-        self.payload_bytes += len(data)
-        super().write(offset, data)
 
     def flush(self) -> None:
         """Ship the writes since the last flush + an fsync request in one
@@ -113,9 +114,4 @@ class RemoteUntrustedStore(UntrustedStore):
         flush ships them again: nothing is silently dropped.
         """
         self._fault_round_trip("flush")
-        self.round_trips += 1  # the batched write + fsync request
         super().flush()
-
-    def reset_accounting(self) -> None:
-        self.round_trips = 0
-        self.payload_bytes = 0

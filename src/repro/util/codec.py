@@ -120,20 +120,6 @@ class Encoder:
         self._parts.append(value if isinstance(value, bytes) else bytes(value))
         return self
 
-    def raw_view(self, value) -> "Encoder":
-        """Append a bytes-like span without a length prefix and **without
-        copying**: the span (e.g. a ``memoryview`` slice of a larger
-        buffer) is referenced until :meth:`finish` or :meth:`views` —
-        callers must not mutate the underlying buffer before then."""
-        self._parts.append(value)
-        return self
-
-    def views(self) -> List[bytes]:
-        """The accumulated spans, writev-style: a list of bytes-like
-        parts sharing storage with whatever was appended.  ``b"".join``
-        (or a gathering write) over them equals :meth:`finish`."""
-        return list(self._parts)
-
     def text(self, value: str) -> "Encoder":
         return self.bytes(value.encode("utf-8"))
 
@@ -153,15 +139,11 @@ class Decoder:
     """Sequential binary decoder matching :class:`Encoder`.
 
     Accepts any bytes-like ``data`` (``bytes`` or ``memoryview``):
-    varint/scalar reads index without copying either way, and the
-    :meth:`raw_view` accessor returns zero-copy spans of the input —
-    readers that only need to hash or re-encrypt a field never
-    materialize it."""
+    varint/scalar reads index without copying either way."""
 
     def __init__(self, data: bytes, offset: int = 0) -> None:
         self._data = data
         self._pos = offset
-        self._view: Optional[memoryview] = None
 
     @property
     def position(self) -> int:
@@ -211,19 +193,6 @@ class Decoder:
         value = self._data[self._pos : self._pos + length]
         self._pos += length
         return value if isinstance(value, bytes) else bytes(value)
-
-    def raw_view(self, length: int) -> memoryview:
-        """Zero-copy :meth:`raw`: a ``memoryview`` span of the input.
-
-        The view shares storage with the decoder's buffer; it stays
-        valid as long as that buffer does."""
-        if self._pos + length > len(self._data):
-            raise ValueError("truncated raw field")
-        if self._view is None:
-            self._view = memoryview(self._data)
-        value = self._view[self._pos : self._pos + length]
-        self._pos += length
-        return value
 
     def text(self) -> str:
         return self.bytes().decode("utf-8")

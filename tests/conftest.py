@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chunkstore import ChunkStore, StoreConfig
-from repro.platform import TrustedPlatform
+from repro.platform import CrashInjector, TrustedPlatform
 
 
 def make_config(**overrides) -> StoreConfig:
@@ -48,6 +48,24 @@ def replay(repro_line: str):
 
 def make_platform(size: int = 4 * 1024 * 1024, **kwargs) -> TrustedPlatform:
     return TrustedPlatform.create_in_memory(untrusted_size=size, **kwargs)
+
+
+class RecordingInjector(CrashInjector):
+    """A crash injector that also keeps every point it passes, in order,
+    in ``history`` (for tests that pin the order of the crash points)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.history = []
+
+    def point(self, name: str) -> None:
+        self.history.append(name)
+        super().point(name)
+
+
+def recording_platform(size: int = 4 * 1024 * 1024) -> TrustedPlatform:
+    """:func:`make_platform` with a :class:`RecordingInjector`."""
+    return make_platform(size, injector=RecordingInjector())
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """StoreConfig validation, and the lazy-flush / Δtu > 0 configuration
 (§4.8.2.2: "the system might also allow t to leap ahead of u")."""
 
+import dataclasses
 import json
 import os
 
@@ -8,7 +9,7 @@ import pytest
 
 from repro.chunkstore import ChunkStore, StoreConfig, ops
 from repro.chunkstore.config import derive_key, mac_key, system_cipher_key
-from tests.conftest import make_config, make_platform
+from tests.conftest import make_config, make_platform, recording_platform
 
 
 class TestStoreConfig:
@@ -34,6 +35,42 @@ class TestStoreConfig:
     def test_bad_delta_tu(self):
         with pytest.raises(ValueError):
             StoreConfig(delta_tu=-1)
+
+    def test_the_field_set(self):
+        """Each field is one more setting every test and benchmark must
+        cover, so the set is pinned here; the superblock size and the
+        retry policy are constants, not fields."""
+        assert [f.name for f in dataclasses.fields(StoreConfig)] == [
+            "segment_size",
+            "fanout",
+            "validation_mode",
+            "system_cipher",
+            "system_hash",
+            "delta_ut",
+            "delta_tu",
+            "checkpoint_dirty_threshold",
+            "cache_size",
+            "payload_cache_bytes",
+            "clean_low_water",
+            "flush_every_commit",
+        ]
+        assert StoreConfig().superblock_size == 4096
+        for constant in ("superblock_size", "retry_policy"):
+            with pytest.raises(TypeError):
+                StoreConfig(**{constant: None})
+
+    def test_reopen_of_a_foreign_superblock_size_rejected(self, monkeypatch):
+        from repro.chunkstore import store as store_module
+        from repro.errors import ChunkStoreError
+
+        platform = make_platform()
+        store = ChunkStore.format(platform, make_config())
+        store.close()
+        monkeypatch.setattr(store_module, "SUPERBLOCK_SIZE", 8192)
+        store._write_superblock()  # a valid checksum over the other size
+        monkeypatch.undo()
+        with pytest.raises(ChunkStoreError, match="superblock size 8192"):
+            ChunkStore.open(platform)
 
     def test_reopen_with_mismatched_geometry_rejected(self):
         from repro.errors import ChunkStoreError
@@ -144,7 +181,7 @@ class TestTrAdvanceCostsNoExtraFlush:
     DELTA_UT = 5
 
     def run(self, delta_tu, flush_every_commit):
-        platform = make_platform()
+        platform = recording_platform()
         store = ChunkStore.format(
             platform,
             make_config(
@@ -243,7 +280,7 @@ def scripted_history(mode, flush_every_commit):
     """``platform.injector.history`` of a fixed script: single and paired
     commits, an explicit checkpoint, threshold checkpoints, overwrites, a
     deallocation and a ``clean()`` that re-commits survivors."""
-    platform = make_platform(size=1024 * 1024)
+    platform = recording_platform(size=1024 * 1024)
     store = ChunkStore.format(
         platform,
         make_config(

@@ -86,6 +86,21 @@ def values(tag, ranks):
 
 
 class TestVectorCacheCoherence:
+    def test_clear_keeps_the_dirty_descriptors(self):
+        """Clearing the cache evicts clean vectors only: a commit since the
+        last checkpoint lives in its dirty descriptor and nowhere else."""
+        platform = make_platform(size=8 * 1024 * 1024)
+        store = ChunkStore.format(platform, make_config())
+        pid = new_partition(store)
+        write(store, pid, {0: b"one"})
+        store.checkpoint()
+        write(store, pid, {0: b"two"})
+        store.cache.clear()
+        assert store.read_chunk(pid, 0) == b"two"
+        store.checkpoint()
+        assert store.read_chunk(pid, 0) == b"two"
+        assert_coherent(platform, store, {pid: {0: b"two"}})
+
     def test_checkpoint_rewrites_a_cached_map_chunk(self):
         platform, store = fresh()
         pid = new_partition(store)
@@ -273,7 +288,6 @@ class TestVectorCacheCoherence:
         ):
             with pytest.raises(ChunkStoreError, match="failed state"):
                 refused()
-        store.evict_payload(pid, 0)
         store.release_chunk(pid, 7)
         assert store.stats()["snapshots"]["open_views"] == 1
         assert store.quarantined_chunks() == {}

@@ -58,7 +58,7 @@ def test_the_spine_exists_once():
     flags = re.findall(r'"(--[a-z-]+)"', sources["__main__.py"])
     assert len(set(flags)) == len(flags) == 13, flags
     assert sources["__main__.py"].count("add_argument(") <= 13
-    assert len(dataclasses.fields(StoreConfig)) == 14
+    assert len(dataclasses.fields(StoreConfig)) == 12
 
 
 def test_every_flag_is_one_the_parent_had_and_every_subcommand_takes_the_variant():

@@ -63,3 +63,15 @@ def test_every_span_and_event_name_is_catalogued():
     assert not (spans | events | instrumented_names("observe")) - catalogued
     # the always-on set names real spans only
     assert OPERATIONS <= spans
+
+
+def test_every_catalogued_event_kind_is_emitted():
+    """The event table lists no kind that ``src/`` never emits."""
+    table = CATALOGUE.split("| kind | fields | fired when |", 1)[1].split("\n\n", 1)[0]
+    kinds = {
+        name
+        for row in table.splitlines()[2:]
+        for name in re.findall(r"`([a-z_.]+)`", row.split("|")[1])
+    }
+    missing = kinds - instrumented_names("emit")
+    assert kinds and not missing, missing

@@ -102,18 +102,6 @@ class TestBasics:
         with pytest.raises(TransactionError):
             tx.get(ref)
 
-    def test_op_counting(self, env):
-        _, _, objects, pid = env
-        with objects.transaction() as tx:
-            ref = tx.create(pid, "v")
-        base = dict(objects.op_counts)
-        with objects.transaction() as tx:
-            tx.get(ref)
-            tx.update(ref, "v2")
-        assert objects.op_counts["read"] == base["read"] + 1
-        assert objects.op_counts["update"] == base["update"] + 1
-        assert objects.op_counts["commit"] == base["commit"] + 1
-
 
 class TestAtomicityAndAborts:
     def test_abort_discards_all(self, env):
@@ -428,14 +416,11 @@ class TestPersistence:
 
 
 class TestStats:
-    def test_stats_exposes_ops_and_lock_tallies(self, env):
+    def test_stats_exposes_lock_tallies(self, env):
         _, _, objects, pid = env
         with objects.transaction() as tx:
             tx.create(pid, "counted")
-        stats = objects.stats()
-        assert stats["ops"]["add"] == 1
-        assert stats["ops"]["commit"] == 1
-        locks = stats["locks"]
+        locks = objects.locks.stats()
         assert locks["waits"] == 0
         assert locks["deadlocks_broken"] == 0
         assert locks["active_transactions"] == 0  # released at commit
@@ -454,9 +439,9 @@ class TestStats:
             tx2.update(ref, "blocked")
         tx2.abort()
         tx1.abort()
-        stats = objects.stats()
-        assert stats["locks"]["waits"] >= 1
-        assert stats["locks"]["deadlocks_broken"] == 1
+        locks = objects.locks.stats()
+        assert locks["waits"] >= 1
+        assert locks["deadlocks_broken"] == 1
         broken = [
             e for e in obs.events.since(mark) if e.kind == "deadlock_broken"
         ]

@@ -282,12 +282,31 @@ class TestCrashInjector:
         injector.disarm()
         injector.point("a")
 
-    def test_history_and_counts(self):
+    def test_counts(self):
         injector = CrashInjector()
         injector.point("x")
         injector.point("x")
-        assert injector.counts["x"] == 2
-        assert injector.history == ["x", "x"]
+        assert injector.counts == {"x": 2}
+
+    def test_state_stays_bounded_over_many_commits(self):
+        """Every commit passes about ten points; what the injector keeps
+        is one entry per distinct point name, however many commits ran."""
+        platform = TrustedPlatform.create_in_memory(untrusted_size=1 << 20)
+        store = ChunkStore.format(platform, make_config())
+        pid = store.allocate_partition()
+        store.commit([ops.WritePartition(pid, cipher_name="null", hash_name="sha1")])
+        rank = store.allocate_chunk(pid)
+        for i in range(10_000):
+            store.commit([ops.WriteChunk(pid, rank, b"%d" % i)])
+        injector = platform.injector
+        names = len(injector.counts)
+        assert injector.counts["commit.begin"] >= 10_000
+        held = {
+            attr: len(value)
+            for attr, value in vars(injector).items()
+            if isinstance(value, (list, dict, set, tuple))
+        }
+        assert all(size <= names for size in held.values()), (names, held)
 
 
 class TestArchival:
@@ -378,7 +397,7 @@ class TestRemoteStore:
         remote.write(0, b"aa")
         remote.write(100, b"bb")
         remote.flush()
-        remote.reset_accounting()
+        remote.stats.reset()
         results = remote.read_many([(0, 2), (100, 2)])
         assert results == [b"aa", b"bb"]
         assert remote.round_trips == 1
@@ -392,11 +411,11 @@ class TestRemoteStore:
         remote.flush()
         assert remote.round_trips == 1
         extents = [(i * 1024, 256) for i in range(100)]
-        remote.reset_accounting()
+        remote.stats.reset()
         for offset, size in extents:
             remote.read(offset, size)
         assert remote.round_trips == len(extents)
-        remote.reset_accounting()
+        remote.stats.reset()
         remote.read_many(extents)
         assert remote.round_trips == 1
 

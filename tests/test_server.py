@@ -34,7 +34,7 @@ from repro.objectstore.store import TxStatus
 from repro.server import GroupCommitter, TDBServer
 from repro.testing import SweepDriver, SweepSite
 from repro.testing.snapshot import PlatformSnapshot
-from tests.conftest import make_config, make_platform
+from tests.conftest import make_config, make_platform, recording_platform
 from tests.parking import Gate, QueueSpy, Worker, join_all, parking_platform
 
 
@@ -961,7 +961,7 @@ class ServingCrashEnv:
 
     def __init__(self, mode, monkeypatch):
         self.queue = QueueSpy().install(monkeypatch)
-        self.platform = make_platform()
+        self.platform = recording_platform()
         self.chunks = ChunkStore.format(
             self.platform, make_config(validation_mode=mode)
         )
@@ -1146,7 +1146,7 @@ class TestServerStress:
                 == self.WRITERS * self.TXS
             )
             assert stats["group_commit"]["fallbacks"] == 0
-            assert objects.stats()["locks"]["deadlocks_broken"] == 0
+            assert objects.locks.stats()["deadlocks_broken"] == 0
 
         # group commits flush before acking, so a crash right after the
         # last ack must lose nothing: reboot and roll the log forward
@@ -1233,7 +1233,7 @@ class TestServerStress:
                 assert errors == []
                 stats = server.stats()
                 assert stats["group_commit"]["txs_committed"] - committed == 100
-                assert objects.stats()["locks"]["deadlocks_broken"] == 0
+                assert objects.locks.stats()["deadlocks_broken"] == 0
         finally:
             sys.setswitchinterval(interval)
         platform.reboot()

@@ -20,7 +20,7 @@ from repro.chunkstore.log import VersionKind
 from repro.errors import ChunkStoreError
 from repro.objectstore import ObjectRef, ObjectStore
 from repro.tools.inspect import trusted_view
-from tests.conftest import make_config, make_platform
+from tests.conftest import make_config, make_platform, recording_platform
 
 CHUNKSTORE = Path(__file__).resolve().parents[1] / "src" / "repro" / "chunkstore"
 
@@ -157,9 +157,8 @@ def test_the_cleaner_names_no_snapshot_or_view():
 ANSWERS_WHEN_FAILED = {
     "close": "the way out of a failed store; writes nothing once it failed",
     "close_snapshot_view": "releases a view; a view outlives a failed commit",
-    "evict_payload": "undo only: Transaction.abort runs it right after the "
+    "release_chunk": "undo only: Transaction.abort runs it right after the "
     "commit that failed the store",
-    "release_chunk": "undo only, as evict_payload",
     "stats": "read-only tallies (what an operator looks at after a failure)",
     "quarantined_chunks": "read-only tally",
     "stored_bytes": "read-only tally; sampled from other threads, lock-free",
@@ -357,8 +356,8 @@ def test_no_public_call_walks_the_map_with_the_lock_free(mode):
     assert all(held for _, held in seen), seen
 
 
-def fresh(mode, **overrides):
-    platform = make_platform(size=512 * 1024)
+def fresh(mode, platform=None, **overrides):
+    platform = platform or make_platform(size=512 * 1024)
     store = ChunkStore.format(
         platform, make_config(validation_mode=mode, segment_size=8 * 1024, **overrides)
     )
@@ -367,7 +366,7 @@ def fresh(mode, **overrides):
 
 class TestLogWriter:
     def test_make_durable_names_its_points_after_the_stage(self, mode):
-        platform, store = fresh(mode)
+        platform, store = fresh(mode, recording_platform(size=512 * 1024))
         start = len(platform.injector.history)
         with store._lock:
             store.writer.begin_set()
