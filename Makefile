@@ -114,11 +114,12 @@ adversary-sweep:
 	PYTHONPATH=src $(PYTHON) -m repro.testing faults --mode counter --trials 500 --crash-sites
 	PYTHONPATH=src $(PYTHON) -m repro.testing faults --mode direct --trials 500 --crash-sites
 
+# Every example under examples/, as tests/test_examples.py runs them: the
+# list is the directory, so it cannot name a deleted one or miss a new one.
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/digital_goods.py
-	$(PYTHON) examples/backup_restore.py
-	$(PYTHON) examples/tamper_demo.py
-	$(PYTHON) examples/trusted_paging.py
+	@for example in examples/*.py; do \
+		echo "== $$example"; \
+		PYTHONPATH=src $(PYTHON) $$example || exit 1; \
+	done
 
 all: test bench

@@ -11,6 +11,9 @@ committed the version: ``ChunkStore.commit``, the cleaner's re-commit, the
 checkpoint's leader rewrites, or recovery replaying the residual log — so
 replay rebuilds descriptors, allocation state and accounting with the code
 that built them (``tests/test_traversals.py`` pins the calls it makes).
+An application commit applies its chunk effects (``chunk_written``,
+``chunk_freed``, ``partitions_freed``) only once its set is durable, so
+the table never holds a version a crash could still take back.
 
 A table owns the ``partitions`` dict and the per-algorithm crypto tallies;
 the read path, the two caches and the segment manager it is built over are

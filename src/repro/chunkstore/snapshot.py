@@ -101,9 +101,10 @@ class SnapshotView:
         self.pid = pid
         self._state = frozen_state
         self._readpath = readpath
-        #: the store's commit count at the freeze (the caller holds the
-        #: writers' lock, so no commit is half-way): the view shows exactly
-        #: the commits up to this one, all of them durable
+        #: the store's commit count at the freeze: commits are counted as
+        #: they install their effects, after their flush, so the view shows
+        #: exactly the commits up to this one, all of them durable (one in
+        #: flight is neither counted nor shown)
         self.frozen_at = store.commit_count_stat
         self.closed = False
 
@@ -150,10 +151,10 @@ class SnapshotView:
 
 
 def build_snapshot_view(store: "ChunkStore", pid: int) -> SnapshotView:
-    """Internal factory (caller holds both store locks — the writers'
-    lock is what keeps a commit whose flush is in flight out of the
-    freeze): freeze the
-    partition's committed state and build the view's own read path over
+    """Internal factory (caller holds ``_lock``; a commit whose flush is
+    in flight has installed nothing yet, so what it freezes is durable):
+    freeze the partition's committed state and build the view's own read
+    path over
     private instances of everything the store's runs over (crypto
     instances tally into the store's per-algorithm counters; retries
     follow the store's policy and tally into the device's ``IOStats``)."""

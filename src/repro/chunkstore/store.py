@@ -37,23 +37,26 @@ and computation, but is simple and acceptable when concurrency is low"
 Two re-entrant locks, always taken in the order writers' lock → ``_lock``:
 
 * ``_writers``, the **writers' lock**, is held for the whole of ``commit``,
-  ``checkpoint``, ``clean``, ``diff``, ``scrub``, ``close`` and
-  ``open_snapshot_view``: one of them runs at a time, start to finish.
+  ``checkpoint``, ``clean``, ``diff``, ``scrub`` and ``close``: one of them
+  runs at a time, start to finish.
 * ``_lock`` guards the volatile image (partition table, caches, log tail,
   quarantine) and is what every public call takes.  An application commit
   drops it for exactly one statement — the retried ``untrusted.flush()``
   in :meth:`LogWriter.flush <repro.chunkstore.writepath.LogWriter.flush>`
   — so calls that take ``_lock`` alone are served while the device works.
 
-What a caller may therefore observe: ``read_chunk(s)`` (and allocation,
-status and stats calls) may run between a commit's append and its flush
-and so see a commit that is *appended but not yet durable*; isolation from
-that is the caller's business (the object store's 2PL holds the writer's
-exclusive locks until its commit returns).  ``open_snapshot_view`` takes
-the writers' lock, so a view waits for an in-flight flush and freezes
-durable state only.  A flush that fails re-takes ``_lock`` before the
-failure propagates and ``_failed`` is set under it; no writer can have
-started meanwhile.
+Such a commit appends its versions and decides its effects before the
+flush, and installs them (descriptors, payload invalidation, allocation,
+live bytes, the commit count) only once ``make_durable`` has returned and
+``_lock`` is back.  So while the device works the image *is* the last
+durable state: ``read_chunk(s)``, allocation, status and stats calls
+served in the window see none of the in-flight commit, and
+``open_snapshot_view``, which takes ``_lock`` alone, opens at once on
+durable state.  A commit that creates, copies or drops a partition keeps
+``_lock`` through its flush instead (its later appends need the new
+leaders, installed as they are appended).  A flush that fails re-takes
+``_lock`` before the failure propagates and ``_failed`` is set under it;
+no writer can have started meanwhile.
 
 ``ChunkStore`` is the façade and the lock owner.  The state a commit
 changes is the :class:`~repro.chunkstore.partitions.PartitionTable`
@@ -184,8 +187,8 @@ class ChunkStore:
         self.log_space = LogSpace(self)
         #: §4.9.5 cleaning, and its lifetime tallies; takes both locks itself
         self.cleaner = Cleaner(self)
-        #: the writers' lock: whoever appends to the log or must see only
-        #: durable state holds it start to finish, and takes it first
+        #: the writers' lock: whoever appends to the log holds it start to
+        #: finish, and takes it first
         self._writers = threading.RLock()
         #: the volatile image's lock; dropped only across an application
         #: commit's device flush (see the module docstring)
@@ -489,16 +492,16 @@ class ChunkStore:
 
         Reads through the view proceed without the store's locks — they
         never block behind (or be blocked by) commits, checkpoints, or
-        flushes.  *Opening* one takes the writers' lock: it waits for a
-        commit whose flush is in flight rather than freezing past it, so a
-        view shows durable state only (``frozen_at`` counts that commit).
-        The segments cleaned while it is open are not reused until it
-        closes, so close views promptly.  See
-        :mod:`repro.chunkstore.snapshot` for the full soundness argument
-        and consistency contract."""
+        flushes.  *Opening* one takes ``_lock`` alone: inside a commit's
+        flush it opens at once on the last durable state, which is what
+        the image holds until the commit installs its effects
+        (``frozen_at`` does not count that commit).  The segments cleaned
+        while it is open are not reused until it closes, so close views
+        promptly.  See :mod:`repro.chunkstore.snapshot` for the full
+        soundness argument and consistency contract."""
         from repro.chunkstore.snapshot import build_snapshot_view
 
-        with self._writers, self._lock:
+        with self._lock:
             self._check_open()
             self.logbuf.seal()  # the frozen root must be device-visible
             view = build_snapshot_view(self, pid)
@@ -531,8 +534,8 @@ class ChunkStore:
         :mod:`repro.chunkstore.ops`).  The commit is durable when this
         method returns; a crash at any earlier point leaves the store in
         its prior committed state.  ``_lock`` is dropped while the device
-        flushes (module docstring): ``read_chunk`` may return these
-        operations' bytes before this method has returned."""
+        flushes (module docstring); the operations' effects are installed
+        after it, so no read shows them before they are durable."""
         with self._writers, self._lock, obs.span(
             "chunkstore.commit", ops=len(operations)
         ):
@@ -619,6 +622,12 @@ class ChunkStore:
         table = self.table
         injector.point("commit.begin")
         self.writer.begin_set()
+        # the chunk effects, installed only once the set is durable: until
+        # then the image is the last durable state (module docstring)
+        effects: List[Tuple[Callable, ...]] = []
+        # chunks this commit wrote or cancelled: a later deallocation of
+        # one is recorded, as if the effect were installed already
+        decided: Set[ChunkId] = set()
         dealloc_chunks: List[ChunkId] = []
         dealloc_partitions: List[int] = []
 
@@ -654,35 +663,51 @@ class ChunkStore:
             elif isinstance(op, WriteChunk):
                 cid = data_id(op.partition, op.rank)
                 state = table.load(op.partition)
-                table.chunk_written(
-                    cid,
-                    self.writer.append_named(cid, op.data, state.cipher, state.hash),
+                descriptor = self.writer.append_named(
+                    cid, op.data, state.cipher, state.hash
                 )
+                effects.append((table.chunk_written, cid, descriptor))
+                decided.add(cid)
                 injector.point("commit.write")
             elif isinstance(op, DeallocateChunk):
+                cid = data_id(op.partition, op.rank)
                 state = table.load(op.partition)
-                if op.rank in state.pending_ranks and not state.is_committed_written(
-                    op.rank
+                if (
+                    cid not in decided
+                    and op.rank in state.pending_ranks
+                    and not state.is_committed_written(op.rank)
                 ):
-                    state.cancel_pending(op.rank)  # never persisted: no record
+                    # never persisted: no record
+                    effects.append((state.cancel_pending, op.rank))
                 else:
-                    dealloc_chunks.append(data_id(op.partition, op.rank))
+                    dealloc_chunks.append(cid)
+                decided.add(cid)
             elif isinstance(op, DeallocatePartition):
                 dealloc_partitions.extend(table.copy_family(op.partition))
 
         if dealloc_chunks or dealloc_partitions:
             record = DeallocateRecord(dealloc_chunks, sorted(set(dealloc_partitions)))
             self.writer.append_unnamed(VersionKind.DEALLOCATE, record.encode())
-            for cid in dealloc_chunks:
-                table.chunk_freed(cid)
+            effects.extend((table.chunk_freed, cid) for cid in dealloc_chunks)
             if dealloc_partitions:
-                table.partitions_freed(sorted(set(dealloc_partitions)))
+                effects.append((table.partitions_freed, sorted(set(dealloc_partitions))))
 
         # Only here is ``_lock`` offered for the flush — not by the threshold
-        # checkpoint or the cleaning above.  A commit nested in another
-        # writer (scrub's repair) holds ``_lock`` twice, so the release
-        # only unwinds this frame's hold and the lock stays taken.
-        self._finalize_commit(unlocked=self._lock)
+        # checkpoint or the cleaning above, and not by a commit that
+        # creates, copies or drops a partition: a rare commit, whose new
+        # leaders are installed as they are appended (later appends need
+        # them).  A commit nested in another writer (scrub's repair) holds
+        # ``_lock`` twice, so the release only unwinds this frame's hold
+        # and the lock stays taken.
+        if any(
+            isinstance(op, (WritePartition, CopyPartition, DeallocatePartition))
+            for op in operations
+        ):
+            self._finalize_commit()
+        else:
+            self._finalize_commit(unlocked=self._lock)
+        for effect, *args in effects:
+            effect(*args)
 
     def _append_leader(self, pid: int, payload: LeaderPayload) -> None:
         """Write a partition leader as a data chunk of the system partition."""

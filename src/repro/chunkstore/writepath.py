@@ -194,7 +194,9 @@ class LogWriter:
         dropped for the device flush — that one call, not the seal before
         it, the crash points around it, ``validator.flushed()`` or
         ``publish`` — so reads are served while the device works.  Nothing
-        can append meanwhile: the caller still holds the writers' lock."""
+        can append meanwhile: the caller still holds the writers' lock; and
+        nothing in the window sees the set, whose effects the caller
+        installs only after this returns."""
         self.seal_set()
         self.logbuf.seal()
         point = self.injector.point

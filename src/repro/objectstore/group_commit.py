@@ -16,8 +16,8 @@ thread of the first entry still queued: that follower wakes, takes
 everything queued by then (up to ``max_batch``) as its batch, and leads
 it.  A leader therefore returns as soon as its own transaction is durable
 — it never stays to flush the commits of others, and whoever waits behind
-the committer (a snapshot acquire waits for the writers' lock) waits out
-one flush, not a drain.  Batches form from contention alone: while a
+the committer (a checkpoint waits for the writers' lock) waits out one
+flush, not a drain.  Batches form from contention alone: while a
 batch is inside ``ChunkStore.commit``, newly arriving committers enqueue.
 Under a single session the queue never holds more than one entry, and
 every commit is a batch of one: one chunk-store commit, one flush.
@@ -25,9 +25,9 @@ every commit is a batch of one: one chunk-store commit, one flush.
 What a concurrent reader may observe (DESIGN.md "Thread safety" has the
 whole table): a transaction's writes reach *transactional* readers only
 after its commit returned (2PL, below); a ``Session.snapshot`` shows only
-durable batches, each atomically; the isolation-free
-``ObjectStore.read_committed`` may return an object of a batch that is
-appended but whose flush has not returned.  After each durable batch the
+durable batches, each atomically; so does the isolation-free
+``ObjectStore.read_committed``, as the chunk store installs a batch's
+chunks only once its flush has returned.  After each durable batch the
 committer invalidates the store's snapshots of the partitions it touched
 (``SnapshotManager.invalidate_many``).  A commit's outcome is the store's
 alone: once the batch is durable every entry in it succeeds, whatever

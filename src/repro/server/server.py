@@ -20,13 +20,13 @@ What a reader may observe while a commit's flush is in flight (DESIGN.md
 commit wrote waits on the object's lock until the commit has returned
 (2PL), and of any other object is served meanwhile — the chunk store
 drops its ``_lock`` across the device flush; a *snapshot* shows only
-states durably committed at acquire time — acquiring one waits for the
-in-flight flush (``open_snapshot_view`` takes the store's writers' lock),
-a group commit becomes visible to *new* snapshots the moment its batch's
-flush returns, atomically for the whole batch, and snapshots already
-handed out never change; only the isolation-free
-``ObjectStore.read_committed`` may return an object that is appended but
-not yet durable.
+states durably committed at acquire time — acquiring one inside the
+flush opens at once on the last durable state (the store installs a
+commit's effects only once it is durable), a group commit becomes
+visible to *new* snapshots the moment its batch's commit returns,
+atomically for the whole batch, and snapshots already handed out never
+change; the isolation-free ``ObjectStore.read_committed`` shows durable
+states only, too.
 """
 
 from __future__ import annotations

@@ -98,6 +98,38 @@ class TestSpecification:
         with pytest.raises(ChunkNotAllocatedError):
             store.read_chunk(pid, a)
 
+    def test_dealloc_of_a_chunk_written_in_the_same_commit(self, store):
+        """The commit installs its effects after its flush, but decides
+        them as if each were installed in order: a never-written rank's
+        deallocation is volatile, one written earlier in the same commit
+        is recorded, and so is a second deallocation of one rank."""
+        pid = fresh_partition(store)
+        dealloc_bytes = lambda: store.stats()["log"]["bytes_by_kind"]["dealloc"]
+        pending = store.allocate_chunk(pid)
+        before = dealloc_bytes()
+        store.commit([ops.DeallocateChunk(pid, pending)])
+        assert dealloc_bytes() == before  # never persisted: no record
+        assert store.chunk_status(pid, pending) == "unallocated"
+        rank = store.allocate_chunk(pid)
+        twice = store.allocate_chunk(pid)
+        store.commit(
+            [
+                ops.WriteChunk(pid, rank, b"gone"),
+                ops.DeallocateChunk(pid, rank),
+                ops.DeallocateChunk(pid, twice),
+                ops.DeallocateChunk(pid, twice),
+            ]
+        )
+        assert dealloc_bytes() > before
+        assert store.chunk_status(pid, rank) == "free"
+        assert store.chunk_status(pid, twice) == "free"
+        store.close()
+        store.platform.reboot()
+        reopened = ChunkStore.open(store.platform)
+        assert reopened.chunk_status(pid, rank) == "free"
+        with pytest.raises(ChunkNotAllocatedError):
+            reopened.read_chunk(pid, rank)
+
     def test_duplicate_write_in_commit_rejected(self, store):
         pid = fresh_partition(store)
         rank = store.allocate_chunk(pid)

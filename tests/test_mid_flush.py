@@ -3,13 +3,17 @@ flush is in flight — pinned deterministically (``tests/parking.py``: the
 flush parks on an event; no sleeps, no timing), in both validation modes.
 
 ``ChunkStore._lock`` is dropped across an application commit's flush and
-nowhere else; the writers' lock is held throughout.  So, while parked:
+nowhere else; the writers' lock is held throughout, and the commit
+installs its effects only after the flush.  So, while parked:
 
-* calls that take ``_lock`` alone are served (raw reads may even see the
-  in-flight commit: appended, not yet durable);
+* calls that take ``_lock`` alone are served, and see the last durable
+  state: none of the in-flight commit;
+* ``open_snapshot_view`` takes ``_lock`` alone: it opens at once, on the
+  last durable state, and its view references no byte a crash in the
+  window could take back — unless the commit creates, copies or drops a
+  partition, which keeps ``_lock`` through its flush;
 * whoever takes the writers' lock waits — a second commit, a checkpoint,
-  ``close``, and ``open_snapshot_view``, which is how a snapshot still
-  shows durable state only;
+  ``close``;
 * a transactional read of an object the in-flight transaction wrote waits
   on that object's 2PL lock, not on the store;
 * a flush that fails re-takes ``_lock`` first, and ``_failed`` is set
@@ -100,9 +104,9 @@ def test_raw_reads_are_served_while_a_commit_flushes(mode):
     store.payloads.clear()
     assert store.read_chunk(pid, 1) == b"old1"
     assert store.read_chunks(pid, [2, 3]) == {2: b"old2", 3: b"old3"}
-    # the in-flight chunk itself: appended, not yet durable — the
-    # isolation-free read may return it (docs/API.md says so)
-    assert store.read_chunk(pid, 0) == b"new0"
+    # the in-flight chunk itself: appended, not yet durable — so not
+    # installed, and the read returns the durable bytes
+    assert store.read_chunk(pid, 0) == b"old0"
     # allocation, status and tallies answer too
     assert store.chunk_status(pid, store.allocate_chunk(pid)) == "unwritten"
     assert store.stats()["commits"] == commits
@@ -110,6 +114,7 @@ def test_raw_reads_are_served_while_a_commit_flushes(mode):
     gate.open()
     committer.done()
     assert store.commit_count_stat == commits + 1
+    assert store.read_chunk(pid, 0) == b"new0"
     assert store._lock.contended == 0  # nobody ever waited for ``_lock``
 
 
@@ -133,15 +138,55 @@ def test_a_live_transaction_reads_an_unlocked_object_while_a_commit_flushes(mode
 
 
 # ---------------------------------------------------------------------------
-# (ii) a snapshot waits for the flush, then shows the commit
+# (ii) a snapshot opens at once, on the last durable state
 # ---------------------------------------------------------------------------
 
+OLD = {rank: b"old%d" % rank for rank in range(RANKS)}
 
-def test_a_snapshot_view_waits_for_the_flush_and_then_shows_the_commit(mode):
+
+@pytest.mark.parametrize("operation", ["write", "dealloc"])
+def test_a_snapshot_view_opens_at_once_on_the_durable_state(mode, operation):
     platform, store, pid = make_store(mode)
-    gate, committer = parked_commit(platform, store, [ops.WriteChunk(pid, 0, b"new0")])
+    commits = store.commit_count_stat
+    op = (
+        ops.WriteChunk(pid, 0, b"new0")
+        if operation == "write"
+        else ops.DeallocateChunk(pid, 0)
+    )
+    gate, committer = parked_commit(platform, store, [op])
+    view = Worker(lambda: store.open_snapshot_view(pid)).done()
+    assert not committer.finished and store._writers.held_by_someone_else()
+    assert view.frozen_at == commits  # the in-flight commit is not counted
+    assert view.chunk_count() == RANKS and view.read_chunks(range(RANKS)) == OLD
+    gate.open()
+    committer.done()
+    assert store.commit_count_stat == commits + 1
+    assert view.chunk_count() == RANKS and view.read_chunks(range(RANKS)) == OLD
+    view.close()
+    with store.open_snapshot_view(pid) as after:
+        assert after.frozen_at == commits + 1
+        if operation == "write":
+            assert after.read_chunk(0) == b"new0"
+        else:
+            assert not after.chunk_exists(0)
+    # the opener never queued for either lock
+    assert store._lock.contended == store._writers.contended == 0
+
+
+def test_a_commit_that_creates_a_partition_keeps_the_lock_and_a_view_waits(mode):
+    platform, store, pid = make_store(mode)
+    created = store.allocate_partition()
+    gate, committer = parked_commit(
+        platform,
+        store,
+        [
+            ops.WritePartition(created, cipher_name="ctr-sha256", hash_name="sha1"),
+            ops.WriteChunk(pid, 0, b"new0"),
+        ],
+    )
+    assert store._lock.held_by_someone_else()
     opener = Worker(lambda: store.open_snapshot_view(pid))
-    store._writers.wait_blocked()  # the opener is queued behind the commit
+    store._lock.wait_blocked()  # the opener is queued behind the flush
     assert not opener.finished
     gate.open()
     committer.done()
@@ -151,7 +196,33 @@ def test_a_snapshot_view_waits_for_the_flush_and_then_shows_the_commit(mode):
     view.close()
 
 
-def test_a_session_snapshot_waits_for_the_flush_and_then_shows_the_commit(mode):
+def test_a_view_opened_in_the_window_outlives_a_crash_of_the_commit(mode):
+    """The device loses the in-flight commit's appends while a view opened
+    in the window is held: every chunk still reads through it, so it
+    referenced no byte that was not durable."""
+    platform, store, pid = make_store(mode)
+    gate, committer = parked_commit(
+        platform,
+        store,
+        [ops.WriteChunk(pid, rank, b"new%d" % rank) for rank in range(RANKS)],
+    )
+    view = Worker(lambda: store.open_snapshot_view(pid)).done()
+    platform.untrusted.simulate_crash()  # the commit's appends are gone
+    assert view.read_chunks(range(RANKS)) == OLD
+    _fail(platform, gate, "io")
+    with pytest.raises(IOFaultError):
+        committer.done()
+    assert view.read_chunks(range(RANKS)) == OLD
+    view.close()
+    store.close()
+    platform.untrusted.flush_error = None
+    platform.reboot()
+    reopened = ChunkStore.open(platform)
+    assert reopened.read_chunks(pid, range(RANKS)) == OLD
+    assert reopened.quarantined_chunks() == {}
+
+
+def test_a_session_snapshot_opens_at_once_on_the_durable_state(mode):
     platform, store, objects, pid, refs = make_objects(mode)
     with TDBServer(objects) as server:
         writer, reader = server.session(), server.session()
@@ -160,17 +231,18 @@ def test_a_session_snapshot_waits_for_the_flush_and_then_shows_the_commit(mode):
         gate = platform.untrusted.park_next_flush()
         committer = Worker(tx.commit)
         gate.wait_arrived()
+        commits = store.commit_count_stat
 
         def snapshot_read():
             with reader.snapshot(pid) as snapshot:
                 return snapshot.view.frozen_at, snapshot.get(refs[0])
 
-        acquirer = Worker(snapshot_read)
-        store._writers.wait_blocked()
-        assert not acquirer.finished
+        assert Worker(snapshot_read).done() == (commits, 0)
+        assert not committer.finished
         gate.open()
         committer.done()
-        assert acquirer.done() == (store.commit_count_stat, 1)
+        assert snapshot_read() == (commits + 1, 1)
+    assert store._lock.contended == store._writers.contended == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1155,6 +1155,82 @@ class TestServerStress:
         for ref in refs:
             assert recovered.read_committed(ref) == self.TXS
 
+    def test_a_view_shows_exactly_the_commits_its_frozen_at_counts(self):
+        """More threads than cores, a shortened switch interval and a flush
+        that yields: one committer writes generation ``g`` to every chunk of
+        a partition while view openers and a raw reader run beside it.  A
+        commit is installed and counted only once it is durable, so a view
+        (opened in a flush window or not) reads one generation — the one
+        its ``frozen_at`` counts — and a raw batch read never goes back."""
+        import sys
+
+        platform = make_platform()
+        chunks = ChunkStore.format(platform, make_config())
+        pid = chunks.allocate_partition()
+        chunks.commit(
+            [ops.WritePartition(pid, cipher_name="ctr-sha256", hash_name="sha1")]
+        )
+        ranks = [chunks.allocate_chunk(pid) for _ in range(8)]
+        chunks.commit([ops.WriteChunk(pid, rank, b"0") for rank in ranks])
+        base = chunks.commit_count_stat
+        device_flush = platform.untrusted.flush
+
+        def yielding_flush():
+            time.sleep(0.0002)  # the window: ``_lock`` is free meanwhile
+            device_flush()
+
+        platform.untrusted.flush = yielding_flush
+        errors = []
+        stop = threading.Event()
+
+        def guarded(fn):
+            def run():
+                try:
+                    fn()
+                except BaseException as exc:
+                    errors.append(exc)
+                    stop.set()
+            return threading.Thread(target=run)
+
+        def committer():
+            for generation in range(1, 121):
+                if stop.is_set():
+                    return
+                chunks.commit(
+                    [ops.WriteChunk(pid, rank, b"%d" % generation) for rank in ranks]
+                )
+
+        def view_opener():
+            while not stop.is_set():
+                with chunks.open_snapshot_view(pid) as view:
+                    seen = set(view.read_chunks(ranks).values())
+                    assert seen == {b"%d" % (view.frozen_at - base)}, (
+                        view.frozen_at, seen
+                    )
+
+        def raw_reader():
+            last = 0
+            while not stop.is_set():
+                (seen,) = {int(v) for v in chunks.read_chunks(pid, ranks).values()}
+                assert seen >= last, (last, seen)
+                last = seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writer = guarded(committer)
+            readers = [guarded(view_opener) for _ in range(3)] + [guarded(raw_reader)]
+            for thread in [writer] + readers:
+                thread.start()
+            _join([writer], timeout=60.0)
+            stop.set()
+            _join(readers, timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert chunks.commit_count_stat == base + 120
+        assert chunks.stats()["snapshots"]["open_views"] == 0
+
     def test_transfers_never_tear_for_any_kind_of_reader(self):
         """More threads than cores and a shortened switch interval: writers
         move amounts between four accounts through the server while live

@@ -167,11 +167,8 @@ ANSWERS_WHEN_FAILED = {
 
 
 #: the public calls that hold the writers' lock start to finish: whoever
-#: appends to the log, and the one reader that must see durable state only
-WRITERS = {
-    "commit", "checkpoint", "clean", "diff", "scrub", "close",
-    "open_snapshot_view",
-}
+#: may append to the log (``diff`` and ``close`` checkpoint first)
+WRITERS = {"commit", "checkpoint", "clean", "diff", "scrub", "close"}
 
 
 def _lock_items(with_node):
@@ -189,7 +186,7 @@ def test_every_public_chunkstore_call_passes_the_gate():
     """Each public method — bar ``format``/``open``, which build the store,
     and the allow-list above — is one ``with`` block over its lock(s) whose
     first statement is ``self._check_open()``: nothing runs before the
-    gate, and nothing after the lock is dropped.  Exactly the seven
+    gate, and nothing after the lock is dropped.  Exactly the six
     ``WRITERS`` take the writers' lock, and take it *before* ``_lock``;
     everyone else takes ``_lock`` alone."""
     tree = ast.parse((CHUNKSTORE / "store.py").read_text())
