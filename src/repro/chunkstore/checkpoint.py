@@ -69,11 +69,11 @@ def write_checkpoint(store, initial: bool) -> None:
         for pid in user_pids:
             state = store.table.partitions[pid]
             if state.leader_dirty:
-                store._append_leader(pid, state.payload)
+                descriptor = store._append_leader(pid, state.payload)
+                store.table.leader_written(state, state.payload, descriptor)
                 dirty[SYSTEM_PARTITION].append(
                     data_id(SYSTEM_PARTITION, partition_rank(pid))
                 )
-                state.leader_dirty = False
                 appended_any = True
         appended_any |= _checkpoint_partition_maps(
             store, SYSTEM_PARTITION, dirty[SYSTEM_PARTITION]

@@ -24,6 +24,17 @@ Two safety properties from the paper:
   record, written *before* them in the same commit set, tells recovery
   exactly which partitions each rewritten version is current in.
 
+The re-commit is a commit set like an application commit's, and takes
+the same route (:meth:`ChunkStore._commit_set
+<repro.chunkstore.store.ChunkStore._commit_set>`): the moved versions are
+appended, the set is made durable with the store's ``_lock`` offered for
+the flush, and only then do the descriptors name the new copies: until
+then the old copies are current, as in the last durable state.  Anything
+that raises on the way — a device fault, a crash point — fails the store,
+which then refuses every call until it is reopened.  Called from
+``clean`` or a commit's ``make_room``, the pass runs inside a writer that
+holds ``_lock`` itself, so the lock stays taken.
+
 Two log-space rules (DESIGN.md, "Log space"): the cleaned segment is only
 *deferred*, tagged with the store's commit count — the last checkpoint may
 still need it, so it is free once a later one is durable, and no sooner
@@ -183,20 +194,24 @@ class Cleaner:
         return True
 
     def _rewrite(self, record: bytes, survivors: List[_Survivor]) -> None:
-        """Re-commit the current versions to the log tail (one commit),
-        announced by the CLEANER ``record``."""
+        """Re-commit the current versions to the log tail (one commit
+        set through the store's commit route), announced by the CLEANER
+        ``record``."""
         store = self.store
-        writer = store.writer
+        table, writer = store.table, store.writer
         appended = store.logbuf.bytes_appended
-        writer.begin_set()
-        writer.append_unnamed(VersionKind.CLEANER, record)
-        for cid, body, pids in survivors:
-            state = store.table.load(pids[0])
-            descriptor = writer.append_named(cid, body, state.cipher, state.hash)
-            for pid in pids:
-                store.table.chunk_written(
-                    ChunkId(pid, cid.height, cid.rank), descriptor.copy()
-                )
-        store._finalize_commit()
+
+        def append() -> list:
+            writer.append_unnamed(VersionKind.CLEANER, record)
+            effects = []
+            for cid, body, pids in survivors:
+                state = table.load(pids[0])
+                descriptor = writer.append_named(cid, body, state.cipher, state.hash)
+                for pid in pids:
+                    target = ChunkId(pid, cid.height, cid.rank)
+                    effects.append((table.chunk_written, target, descriptor.copy()))
+            return effects
+
+        store._commit_set(append)
         self.rewritten_versions += len(survivors)
         self.bytes_rewritten += store.logbuf.bytes_appended - appended

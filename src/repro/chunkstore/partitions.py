@@ -11,9 +11,11 @@ committed the version: ``ChunkStore.commit``, the cleaner's re-commit, the
 checkpoint's leader rewrites, or recovery replaying the residual log — so
 replay rebuilds descriptors, allocation state and accounting with the code
 that built them (``tests/test_traversals.py`` pins the calls it makes).
-An application commit applies its chunk effects (``chunk_written``,
-``chunk_freed``, ``partitions_freed``) only once its set is durable, so
-the table never holds a version a crash could still take back.
+An application commit and the cleaner's re-commit apply their effects
+only once their set is durable (``ChunkStore._commit_set``), so the table
+never holds a version a crash could still take back; a ``WritePartition``
+over a written partition adds one, :meth:`PartitionTable.reset`, which
+replay does not redo.
 
 A table owns the ``partitions`` dict and the per-algorithm crypto tallies;
 the read path, the two caches and the segment manager it is built over are
@@ -24,7 +26,7 @@ call it, only under ``ChunkStore._lock``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.chunkstore.descriptor import ChunkDescriptor, ChunkStatus
@@ -131,25 +133,25 @@ class PartitionTable:
         """Ids of all written partitions (excluding the system partition)."""
         return [rank_to_partition(rank) for rank in self.system.written_ranks()]
 
-    def copy_family(self, pid: int) -> List[int]:
+    def copy_family(
+        self, pid: int, leader: Optional[Callable[[int], LeaderPayload]] = None
+    ) -> List[int]:
         """``pid`` plus all transitive copies (§5.1: deallocating a
-        partition deallocates its copies)."""
+        partition deallocates its copies), as listed by ``leader`` (a
+        partition's payload; its committed leader by default — a commit
+        passes the leaders it is writing)."""
+        leader = leader or (lambda current: self.load(current).payload)
         family: List[int] = []
         queue = [pid]
-        seen: Set[int] = set()
         while queue:
             current = queue.pop()
-            if current in seen:
+            if current in family:
                 continue
-            seen.add(current)
             family.append(current)
-            if not self.exists(current):
-                continue
             try:
-                state = self.load(current)
+                queue.extend(leader(current).copies)
             except (PartitionNotFoundError, *UNREADABLE):
                 continue
-            queue.extend(state.payload.copies)
         return family
 
     def locations(self, pid: int) -> Iterator[Tuple[int, int]]:
@@ -208,18 +210,17 @@ class PartitionTable:
         state.apply_committed_dealloc(cid.rank)
 
     def leader_written(
-        self, pid: int, payload: LeaderPayload, descriptor: ChunkDescriptor
+        self, state: PartitionState, payload: LeaderPayload, descriptor: ChunkDescriptor
     ) -> None:
-        """A partition leader chunk was committed (create, copy, or leader
-        rewrite): refresh the open partition state."""
-        existing = self.partitions.get(pid)
-        if existing is not None and existing.payload is payload:
-            # rewrite of the live payload (e.g. a copy source's updated
-            # copies list): state — including volatile allocations — stays
-            existing.leader_dirty = False
-        else:
-            self.partitions[pid] = self.open(pid, payload)
-        self.chunk_written(data_id(SYSTEM_PARTITION, partition_rank(pid)), descriptor)
+        """A partition leader chunk carrying ``payload`` was committed
+        (create, copy, reset or leader rewrite): install ``state`` with it
+        as the open partition.  An open state (a copy source whose copies
+        list grew, a checkpoint's rewrite) keeps its volatile allocations."""
+        state.payload = payload
+        state.leader_dirty = False
+        self.partitions[state.pid] = state
+        cid = data_id(SYSTEM_PARTITION, partition_rank(state.pid))
+        self.chunk_written(cid, descriptor)
 
     def partitions_freed(self, family: Iterable[int]) -> None:
         system = self.system
@@ -249,14 +250,12 @@ class PartitionTable:
                 self.chunk_freed(data_id(SYSTEM_PARTITION, rank))
         system.leader_dirty = True
 
-    def reset(self, pid: int, payload: LeaderPayload) -> None:
-        """``WritePartition`` over the existing partition ``pid``, about to
-        get the fresh leader ``payload``: old contents become obsolete;
-        copy relationships survive (copies keep their own state)."""
-        old = self.load(pid).payload
+    def reset(self, pid: int) -> None:
+        """A ``WritePartition`` over the existing partition ``pid``
+        committed: its old contents are obsolete.  (Its new leader,
+        installed next, carries the copy links; copies keep their own
+        state.)"""
         for location, length in self.locations(pid):
             self.segman.sub_live(location, length)
-        payload.copies = list(old.copies)
-        payload.copy_of = old.copy_of
         self.cache.drop_partition(pid)
         self.payloads.drop_partition(pid)

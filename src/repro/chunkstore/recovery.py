@@ -368,7 +368,7 @@ class _Recovery:
             pid = rank_to_partition(cid.rank)
 
             def leader_effect() -> None:
-                table.leader_written(pid, payload, descriptor)
+                table.leader_written(table.open(pid, payload), payload, descriptor)
 
             return leader_effect
 

@@ -123,7 +123,7 @@ class LogWriteBuffer:
         """Make everything written so far durable: the retried device
         flush and nothing else.  The caller sealed; no state of the
         buffer (or of the store) is read or written here, which is what
-        lets an application commit run this one call with the store's
+        lets a commit set run this one call with the store's
         ``_lock`` dropped (``LogWriter.flush``)."""
 
         def issue() -> None:

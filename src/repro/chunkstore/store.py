@@ -40,23 +40,30 @@ Two re-entrant locks, always taken in the order writers' lock → ``_lock``:
   ``checkpoint``, ``clean``, ``diff``, ``scrub`` and ``close``: one of them
   runs at a time, start to finish.
 * ``_lock`` guards the volatile image (partition table, caches, log tail,
-  quarantine) and is what every public call takes.  An application commit
-  drops it for exactly one statement — the retried ``untrusted.flush()``
-  in :meth:`LogWriter.flush <repro.chunkstore.writepath.LogWriter.flush>`
+  quarantine) and is what every public call takes.  A commit set drops it
+  for exactly one statement — the retried ``untrusted.flush()`` in
+  :meth:`LogWriter.flush <repro.chunkstore.writepath.LogWriter.flush>`
   — so calls that take ``_lock`` alone are served while the device works.
 
-Such a commit appends its versions and decides its effects before the
-flush, and installs them (descriptors, payload invalidation, allocation,
-live bytes, the commit count) only once ``make_durable`` has returned and
-``_lock`` is back.  So while the device works the image *is* the last
-durable state: ``read_chunk(s)``, allocation, status and stats calls
-served in the window see none of the in-flight commit, and
+Every commit set takes one route, :meth:`ChunkStore._commit_set`: an
+application commit, whatever its operations, and the cleaner's re-commit
+of the versions it moves (§4.9.5).  The set appends its versions and
+decides their effects, is made durable with ``_lock`` offered for the
+flush, and installs the effects (descriptors, leaders, partitions
+created, reset, copied or freed, payload invalidation, allocation, live
+bytes) only once ``make_durable`` has returned and ``_lock`` is back.  So
+while the device works the image *is* the last durable state:
+``read_chunk(s)``, partition lookups, allocation, status and stats calls
+served in the window see none of the in-flight set, and
 ``open_snapshot_view``, which takes ``_lock`` alone, opens at once on
-durable state.  A commit that creates, copies or drops a partition keeps
-``_lock`` through its flush instead (its later appends need the new
-leaders, installed as they are appended).  A flush that fails re-takes
-``_lock`` before the failure propagates and ``_failed`` is set under it;
-no writer can have started meanwhile.
+durable state.  A set closed inside another writer (the cleaning of
+``clean`` or of a commit's ``make_room``, scrub's repair commit) holds
+``_lock`` twice, so the lock stays taken; a checkpoint never offers it.
+Anything that raises on the route — a failed flush, a device fault while
+appending, a crash point — fails the store, the cleaner's re-commit
+included.  A flush that fails re-takes ``_lock`` before the failure
+propagates and ``_failed`` is set under it; no writer can have started
+meanwhile.
 
 ``ChunkStore`` is the façade and the lock owner.  The state a commit
 changes is the :class:`~repro.chunkstore.partitions.PartitionTable`
@@ -75,6 +82,7 @@ from __future__ import annotations
 import logging
 import threading
 from collections import Counter
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
@@ -121,6 +129,10 @@ from repro.util.checksum import crc32_bytes
 from repro.util.codec import Decoder, Encoder
 
 _SUPERBLOCK_MAGIC = b"TDB1"
+
+#: what a commit set's appends leave to install once it is durable:
+#: ``(effect, *args)`` calls, in order
+_Effects = List[Tuple[Callable, ...]]
 
 logger = logging.getLogger("repro.chunkstore")
 
@@ -190,8 +202,8 @@ class ChunkStore:
         #: the writers' lock: whoever appends to the log holds it start to
         #: finish, and takes it first
         self._writers = threading.RLock()
-        #: the volatile image's lock; dropped only across an application
-        #: commit's device flush (see the module docstring)
+        #: the volatile image's lock; dropped only across a commit set's
+        #: device flush (see the module docstring)
         self._lock = threading.RLock()
         self._leader_location = 0
         self._closed = False
@@ -547,15 +559,7 @@ class ChunkStore:
                 if not self.table.is_checkpoint_clean():
                     self._write_checkpoint()
             self.log_space.make_room(operations)
-            try:
-                self._commit_locked(operations)
-            except BaseException:
-                # a failure *during* the commit (crash injection or an
-                # unexpected error past the preflight checks) leaves
-                # volatile state half-applied; the only safe continuation
-                # is recovery from the durable log
-                self._failed = True
-                raise
+            self._commit_set(lambda: self._append_operations(operations))
             self.commit_count_stat += 1
 
     def _validate_operations(self, operations: Sequence[object]) -> None:
@@ -617,19 +621,60 @@ class ChunkStore:
             else:
                 raise ChunkStoreError(f"unknown operation {op!r}")
 
-    def _commit_locked(self, operations: Sequence[object]) -> None:
-        injector = self.platform.injector
+    def _commit_set(self, append: Callable[[], _Effects]) -> None:
+        """The one route of a commit set — an application commit or a
+        cleaner re-commit (§4.6, §4.9.5): open the set, let ``append``
+        append its versions and return their effects, make the set durable
+        with ``_lock`` offered for the flush, and only then install the
+        effects.  So until the set is durable the image is the last
+        durable state (module docstring).  Anything that raises on the way
+        fails the store: the tail has moved past what the image knows of,
+        and only recovery from the durable log can say what holds.
+
+        Only here is ``_lock`` offered.  A set closed inside another
+        writer (the cleaner's passes in ``clean`` and ``make_room``,
+        scrub's repair commit) holds ``_lock`` twice, so the release only
+        unwinds one hold and the lock stays taken."""
+        try:
+            self.writer.begin_set()
+            effects = append()
+            lazy = not self.config.flush_every_commit
+            self.writer.make_durable(
+                "commit", self._leader_location, lazy, unlocked=self._lock
+            )
+            for effect, *args in effects:
+                effect(*args)
+        except BaseException:
+            self._failed = True
+            raise
+
+    def _append_operations(self, operations: Sequence[object]) -> _Effects:
+        """Append the versions of an application commit; returns their
+        effects on the image, in the order they are installed."""
         table = self.table
+        injector = self.platform.injector
         injector.point("commit.begin")
-        self.writer.begin_set()
-        # the chunk effects, installed only once the set is durable: until
-        # then the image is the last durable state (module docstring)
-        effects: List[Tuple[Callable, ...]] = []
+        effects: _Effects = []
+        # the leaders this commit writes, as it leaves them: the state each
+        # installs into and its payload.  Every partition lookup below goes
+        # through ``load``, so later operations see earlier ones.
+        written: Dict[int, Tuple[PartitionState, LeaderPayload]] = {}
         # chunks this commit wrote or cancelled: a later deallocation of
         # one is recorded, as if the effect were installed already
         decided: Set[ChunkId] = set()
         dealloc_chunks: List[ChunkId] = []
         dealloc_partitions: List[int] = []
+
+        def load(pid: int) -> Tuple[PartitionState, LeaderPayload]:
+            if pid in written:
+                return written[pid]
+            state = table.load(pid)
+            return state, state.payload
+
+        def leader(state: PartitionState, payload: LeaderPayload) -> None:
+            written[state.pid] = state, payload
+            descriptor = self._append_leader(state.pid, payload)
+            effects.append((table.leader_written, state, payload, descriptor))
 
         # Partition creations/copies first, so chunk writes into brand-new
         # partitions within the same commit find their leader.
@@ -641,28 +686,28 @@ class ChunkStore:
         )
         for op in ordered:
             if isinstance(op, WritePartition):
-                key = op.key if op.key is not None else generate_partition_key(
-                    op.cipher_name
-                )
                 payload = LeaderPayload(
                     cipher_name=op.cipher_name,
                     hash_name=op.hash_name,
-                    key=key,
+                    key=op.key or generate_partition_key(op.cipher_name),
                     name=op.name,
                 )
-                if table.exists(op.partition):
-                    table.reset(op.partition, payload)
-                self._append_leader(op.partition, payload)
+                if op.partition in written or table.exists(op.partition):
+                    # a reset: copy relationships survive it
+                    old = load(op.partition)[1]
+                    payload.copies = list(old.copies)
+                    payload.copy_of = old.copy_of
+                    effects.append((table.reset, op.partition))
+                leader(table.open(op.partition, payload), payload)
             elif isinstance(op, CopyPartition):
-                source = table.load(op.source)
-                payload = source.payload.copy_for_snapshot()
-                payload.copy_of = op.source
-                source.payload.copies.append(op.partition)
-                self._append_leader(op.partition, payload)
-                self._append_leader(op.source, source.payload)
+                source, payload = load(op.source)
+                copy = payload.copy_for_snapshot()
+                copy.copy_of = op.source
+                leader(table.open(op.partition, copy), copy)
+                leader(source, replace(payload, copies=payload.copies + [op.partition]))
             elif isinstance(op, WriteChunk):
                 cid = data_id(op.partition, op.rank)
-                state = table.load(op.partition)
+                state = load(op.partition)[0]
                 descriptor = self.writer.append_named(
                     cid, op.data, state.cipher, state.hash
                 )
@@ -671,7 +716,7 @@ class ChunkStore:
                 injector.point("commit.write")
             elif isinstance(op, DeallocateChunk):
                 cid = data_id(op.partition, op.rank)
-                state = table.load(op.partition)
+                state = load(op.partition)[0]
                 if (
                     cid not in decided
                     and op.rank in state.pending_ranks
@@ -683,49 +728,24 @@ class ChunkStore:
                     dealloc_chunks.append(cid)
                 decided.add(cid)
             elif isinstance(op, DeallocatePartition):
-                dealloc_partitions.extend(table.copy_family(op.partition))
+                family = table.copy_family(op.partition, lambda pid: load(pid)[1])
+                dealloc_partitions.extend(family)
 
         if dealloc_chunks or dealloc_partitions:
             record = DeallocateRecord(dealloc_chunks, sorted(set(dealloc_partitions)))
             self.writer.append_unnamed(VersionKind.DEALLOCATE, record.encode())
             effects.extend((table.chunk_freed, cid) for cid in dealloc_chunks)
-            if dealloc_partitions:
-                effects.append((table.partitions_freed, sorted(set(dealloc_partitions))))
+            if record.partition_ids:
+                effects.append((table.partitions_freed, record.partition_ids))
+        return effects
 
-        # Only here is ``_lock`` offered for the flush — not by the threshold
-        # checkpoint or the cleaning above, and not by a commit that
-        # creates, copies or drops a partition: a rare commit, whose new
-        # leaders are installed as they are appended (later appends need
-        # them).  A commit nested in another writer (scrub's repair) holds
-        # ``_lock`` twice, so the release only unwinds this frame's hold
-        # and the lock stays taken.
-        if any(
-            isinstance(op, (WritePartition, CopyPartition, DeallocatePartition))
-            for op in operations
-        ):
-            self._finalize_commit()
-        else:
-            self._finalize_commit(unlocked=self._lock)
-        for effect, *args in effects:
-            effect(*args)
-
-    def _append_leader(self, pid: int, payload: LeaderPayload) -> None:
-        """Write a partition leader as a data chunk of the system partition."""
+    def _append_leader(self, pid: int, payload: LeaderPayload) -> ChunkDescriptor:
+        """Append ``payload`` as ``pid``'s leader, a data chunk of the
+        system partition; the caller installs it."""
         cid = data_id(SYSTEM_PARTITION, partition_rank(pid))
         system = self.table.system
-        descriptor = self.writer.append_named(
+        return self.writer.append_named(
             cid, payload.encode(), system.cipher, system.hash
-        )
-        self.table.leader_written(pid, payload, descriptor)
-
-    def _finalize_commit(self, unlocked=None) -> None:
-        """Close the open commit set (an application commit or a cleaner
-        re-commit) and make it durable (§4.8.2)."""
-        self.writer.make_durable(
-            "commit",
-            self._leader_location,
-            lazy=not self.config.flush_every_commit,
-            unlocked=unlocked,
         )
 
     # ------------------------------------------------------------------

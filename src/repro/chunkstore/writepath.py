@@ -7,15 +7,16 @@ and every commit set is closed the same way::
         seal_set            the discipline's commit chunk, if it writes one
         <stage>.before_flush
         flush               unless the caller asked for a lazy flush and
-                            the discipline allows one; an application
-                            commit drops the store's ``_lock`` for it
+                            the discipline allows one; the store's
+                            commit route drops its ``_lock`` for it
         <stage>.after_flush
         publish             the tamper-resistant store moves (or not: Δut)
         <stage>.after_tr    only if it moved
 
-:class:`LogWriter` is the only implementation of that sequence.  An
-application commit, the two phases of a checkpoint and the cleaner's
-re-commit are callers that differ in their arguments — the ``stage`` that
+:class:`LogWriter` is the only implementation of that sequence, and it
+has two callers: the store's commit route (``ChunkStore._commit_set``,
+which every application commit and every cleaner re-commit takes) and
+the two phases of a checkpoint.  They differ in their arguments — the ``stage`` that
 names the crash-injection points, whether the device flush may be lazy,
 whether the tamper-resistant write is forced — not in code.  Which
 validation discipline is in force is the validator's business
@@ -27,7 +28,7 @@ tail, the :class:`~repro.chunkstore.segments.LogWriteBuffer` (which holds
 the device and the retrier), the validator and the crash injector.
 ``ChunkStore`` builds one and calls it under both of its locks (the
 writers' lock and ``_lock``); the one thing a caller may hand it is
-``_lock`` itself, to drop across an application commit's device flush.
+``_lock`` itself, to drop across a commit set's device flush.
 Whether an append fits is not its business: every writer but a
 checkpoint asks :mod:`repro.chunkstore.logspace` before it appends.
 """
@@ -189,8 +190,8 @@ class LogWriter:
         """Seal the open set and run the durability protocol (see the
         module docstring); ``stage`` prefixes the crash-injection points.
 
-        ``unlocked`` is ``ChunkStore._lock`` when the caller is an
-        application commit and ``None`` for everyone else: the lock is
+        ``unlocked`` is ``ChunkStore._lock`` when the caller is the
+        store's commit route and ``None`` for a checkpoint: the lock is
         dropped for the device flush — that one call, not the seal before
         it, the crash points around it, ``validator.flushed()`` or
         ``publish`` — so reads are served while the device works.  Nothing

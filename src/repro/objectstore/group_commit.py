@@ -182,9 +182,7 @@ class GroupCommitter:
         self.txs_committed += len(batch)
         self.largest_batch = max(self.largest_batch, len(batch))
         try:
-            self.snapshots.invalidate_many(
-                {op.partition for op in ops if hasattr(op, "partition")}
-            )
+            self.snapshots.invalidate_many({op.partition for op in ops})
         except Exception as exc:
             # the invalidation's trouble, not the transactions': recorded
             # (the event log keeps the count), and no snapshot stays current

@@ -6,7 +6,7 @@ import pytest
 from repro.chunkstore import ChunkStore, ops
 from repro.chunkstore.cleaner import Cleaner
 from repro.chunkstore.ids import data_id
-from repro.errors import TamperDetectedError
+from repro.errors import ChunkStoreError, PermanentIOError, TamperDetectedError
 from tests.conftest import make_config, make_platform
 
 
@@ -149,3 +149,65 @@ class TestCleanerCrashes:
         # and the store keeps working
         reopened.commit([ops.WriteChunk(pid, ranks[0], b"post-crash")])
         assert reopened.read_chunk(pid, ranks[0]) == b"post-crash"
+
+
+@pytest.mark.parametrize("mode", ["counter", "direct"])
+def test_a_write_fault_in_the_recommit_fails_the_store(mode, monkeypatch):
+    """The device refuses the write that seals the re-commit's span at a
+    segment jump.  The store is failed, as by any other commit that
+    raises: the next commit is refused, and the reopened store reads every
+    acknowledged commit.  (The re-commit used to install its versions as
+    it appended them, outside any failure guard: the store kept serving,
+    and in counter mode the next acknowledged commit was lost — the
+    reopen refused the log as truncated.)"""
+    platform = make_platform(size=128 * 1024)
+    store = ChunkStore.format(
+        platform, make_config(validation_mode=mode, segment_size=4096)
+    )
+    pid = store.allocate_partition()
+    store.commit([ops.WritePartition(pid, cipher_name="ctr-sha256", hash_name="sha1")])
+    ranks = [store.allocate_chunk(pid) for _ in range(12)]
+    for round_no, group in enumerate((ranks, ranks[:6])):  # six obsolete
+        for rank in group:
+            store.commit([ops.WriteChunk(pid, rank, bytes([rank, round_no]) * 152)])
+    store.checkpoint()
+    # fill the tail so that the re-commit chains into a fresh segment
+    filler = store.allocate_chunk(pid)
+    for fill in range(11):
+        store.commit([ops.WriteChunk(pid, filler, bytes([fill]) * 200)])
+    acknowledged = store.read_chunks(pid, ranks + [filler])
+
+    device = platform.untrusted
+    in_recommit, jumped = [], []
+    real_write, real_rewrite = device.write, Cleaner._rewrite
+    real_jump = store.writer._chain_jump
+
+    def write(offset, data):
+        if in_recommit and jumped:
+            in_recommit.clear()
+            raise PermanentIOError("write: device gone")
+        real_write(offset, data)
+
+    def rewrite(self, *args):
+        in_recommit.append(True)
+        real_rewrite(self, *args)
+
+    def chain_jump(segment):
+        jumped.append(bool(in_recommit))
+        real_jump(segment)
+
+    monkeypatch.setattr(device, "write", write)
+    monkeypatch.setattr(Cleaner, "_rewrite", rewrite)
+    monkeypatch.setattr(store.writer, "_chain_jump", chain_jump)
+    with pytest.raises(PermanentIOError):
+        store.clean()
+    assert jumped == [True] and not in_recommit  # the fault hit the jump's seal
+    assert store._failed
+    with pytest.raises(ChunkStoreError, match="failed state"):
+        store.commit([ops.WriteChunk(pid, ranks[0], b"next")])
+
+    monkeypatch.undo()
+    device.simulate_crash()
+    platform.reboot()
+    reopened = ChunkStore.open(platform)
+    assert reopened.read_chunks(pid, ranks + [filler]) == acknowledged

@@ -4,6 +4,7 @@ deallocation cascade, names, reset semantics."""
 import pytest
 
 from repro.chunkstore import ChunkStore, DiffChange, ops
+from repro.chunkstore.log import DeallocateRecord, VersionKind
 from repro.errors import (
     ChunkNotAllocatedError,
     ChunkStoreError,
@@ -110,6 +111,100 @@ class TestPartitionLifecycle:
             store.read_chunk(pid, 0)
         store.commit([ops.WriteChunk(pid, store.allocate_chunk(pid), b"new")])
         assert store.read_chunk(pid, 0) == b"new"
+
+    @pytest.mark.parametrize("order", ["copy_first", "reset_first"])
+    def test_copy_and_reset_of_one_source_in_one_commit(self, env, order):
+        """A copy and a reset of its source in one commit: the source's
+        new leader still lists the copy, live and after a reopen, and the
+        copy holds what the source held before the commit when the copy
+        comes first (nothing, when the reset does)."""
+        platform, store = env
+        source = new_partition(store)
+        store.commit([ops.WriteChunk(source, store.allocate_chunk(source), b"old")])
+        store.checkpoint()
+        copy = store.allocate_partition()
+        both = [
+            ops.CopyPartition(copy, source),
+            ops.WritePartition(source, cipher_name="ctr-sha256", hash_name="sha1"),
+        ]
+        store.commit(both if order == "copy_first" else both[::-1])
+        held = [0] if order == "copy_first" else []
+
+        def check(store):
+            assert store.partition_info(source)["copies"] == [copy]
+            assert store.data_ranks(source) == []
+            assert store.data_ranks(copy) == held
+            assert [store.read_chunk(copy, rank) for rank in held] == [b"old"] * len(held)
+
+        check(store)
+        platform.reboot()
+        check(ChunkStore.open(platform))
+
+    @pytest.mark.parametrize("order", ["copy_first", "reset_first"])
+    def test_copy_and_reset_of_the_copy_in_one_commit(self, env, order):
+        """A ``CopyPartition(copy, source)`` and a ``WritePartition(copy)``
+        in one commit: whichever comes last, the copy is linked to its
+        source, live and after a reopen.  So deallocating the copy unlinks
+        it, and the source's deallocation later spares whatever partition
+        gets the copy's id next."""
+        platform, store = env
+        source = new_partition(store)
+        store.commit([ops.WriteChunk(source, store.allocate_chunk(source), b"old")])
+        copy = store.allocate_partition()
+        both = [
+            ops.CopyPartition(copy, source),
+            ops.WritePartition(copy, cipher_name="ctr-sha256", hash_name="sha1"),
+        ]
+        store.commit(both if order == "copy_first" else both[::-1])
+        held = [] if order == "copy_first" else [0]
+
+        def check(store):
+            assert store.partition_info(source)["copies"] == [copy]
+            assert store.partition_info(copy)["copy_of"] == source
+            assert store.data_ranks(copy) == held
+
+        check(store)
+        platform.reboot()
+        store = ChunkStore.open(platform)
+        check(store)
+        store.commit([ops.DeallocatePartition(copy)])
+        assert store.partition_info(source)["copies"] == []
+        unrelated = new_partition(store)
+        assert unrelated == copy
+        store.commit([ops.DeallocatePartition(source)])
+        assert store.partition_exists(unrelated)
+
+    @pytest.mark.parametrize("order", ["copy_first", "dealloc_first"])
+    def test_copy_and_dealloc_of_its_source_in_one_commit(self, env, order, monkeypatch):
+        """§5.1: deallocating a partition deallocates its copies, a copy
+        made in the same commit too.  The one DEALLOCATE record names both,
+        and neither exists live or after a reopen."""
+        platform, store = env
+        source = new_partition(store)
+        store.commit([ops.WriteChunk(source, store.allocate_chunk(source), b"old")])
+        store.checkpoint()
+        copy = store.allocate_partition()
+        records = []
+        append_unnamed = store.writer.append_unnamed
+
+        def spy(kind, body, **kwargs):
+            if kind == VersionKind.DEALLOCATE:
+                records.append(DeallocateRecord.decode(body))
+            return append_unnamed(kind, body, **kwargs)
+
+        monkeypatch.setattr(store.writer, "append_unnamed", spy)
+        both = [ops.CopyPartition(copy, source), ops.DeallocatePartition(source)]
+        store.commit(both if order == "copy_first" else both[::-1])
+        assert [record.partition_ids for record in records] == [sorted([source, copy])]
+
+        def check(store):
+            assert not store.partition_exists(source)
+            assert not store.partition_exists(copy)
+            assert store.partition_ids() == []
+
+        check(store)
+        platform.reboot()
+        check(ChunkStore.open(platform))
 
     def test_partition_and_chunk_create_in_one_commit(self, env):
         """§5.1: store a new partition's id in a chunk of an existing

@@ -2,24 +2,27 @@
 flush is in flight — pinned deterministically (``tests/parking.py``: the
 flush parks on an event; no sleeps, no timing), in both validation modes.
 
-``ChunkStore._lock`` is dropped across an application commit's flush and
-nowhere else; the writers' lock is held throughout, and the commit
-installs its effects only after the flush.  So, while parked:
+One rule: a commit set — an application commit of any operations, or the
+cleaner's re-commit — is appended, made durable with ``ChunkStore._lock``
+offered for the device flush, and only then installed.  The writers' lock
+is held throughout.  So, while parked:
 
 * calls that take ``_lock`` alone are served, and see the last durable
-  state: none of the in-flight commit;
+  state: none of the in-flight set — no new chunk, no new, reset or copied
+  partition, no moved version;
 * ``open_snapshot_view`` takes ``_lock`` alone: it opens at once, on the
   last durable state, and its view references no byte a crash in the
-  window could take back — unless the commit creates, copies or drops a
-  partition, which keeps ``_lock`` through its flush;
+  window could take back;
 * whoever takes the writers' lock waits — a second commit, a checkpoint,
   ``close``;
 * a transactional read of an object the in-flight transaction wrote waits
   on that object's 2PL lock, not on the store;
 * a flush that fails re-takes ``_lock`` first, and ``_failed`` is set
   before the failed commit returns to anyone;
-* flushes that are not an application commit's own — a checkpoint's, the
-  cleaner's re-commit, scrub's repair commit — keep ``_lock`` held.
+* a set closed inside another writer — the cleaner's re-commits in
+  ``clean`` or in a commit's ``make_room``, scrub's repair commit — holds
+  ``_lock`` twice, so the offer leaves it held; a checkpoint's flushes
+  never offer it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ import pytest
 
 from repro.chunkstore import ChunkStore, ops
 from repro.chunkstore.ids import data_id
-from repro.errors import ChunkStoreError, CrashError, IOFaultError, TransientIOError
+from repro.errors import (
+    ChunkStoreError,
+    CrashError,
+    IOFaultError,
+    PartitionNotFoundError,
+    TransientIOError,
+)
 from repro.objectstore import ObjectStore
 from repro.objectstore.store import TxStatus
 from repro.server import TDBServer
@@ -173,27 +182,117 @@ def test_a_snapshot_view_opens_at_once_on_the_durable_state(mode, operation):
     assert store._lock.contended == store._writers.contended == 0
 
 
-def test_a_commit_that_creates_a_partition_keeps_the_lock_and_a_view_waits(mode):
+def test_a_commit_that_creates_a_partition_offers_the_lock_too(mode):
+    platform, store, pid = make_store(mode)
+    commits = store.commit_count_stat
+    created = store.allocate_partition()
+    gate, committer = parked_commit(
+        platform,
+        store,
+        [
+            ops.WritePartition(
+                created, cipher_name="ctr-sha256", hash_name="sha1", name="created"
+            ),
+            ops.WriteChunk(created, 0, b"fresh"),
+            ops.WriteChunk(pid, 0, b"new0"),
+        ],
+    )
+    assert not store._lock.held_by_someone_else()
+    # the new partition is not there yet …
+    seen = Worker(
+        lambda: (store.partition_exists(created), store.find_partition("created"))
+    ).done()
+    assert seen == (False, None)
+    with pytest.raises(PartitionNotFoundError):
+        Worker(lambda: store.open_snapshot_view(created)).done()
+    # … and a view of another partition opens at once, on the durable state
+    view = Worker(lambda: store.open_snapshot_view(pid)).done()
+    assert view.frozen_at == commits and view.read_chunks(range(RANKS)) == OLD
+    assert not committer.finished
+    gate.open()
+    committer.done()
+    assert store.find_partition("created") == created
+    assert store.read_chunk(created, 0) == b"fresh"
+    assert store.read_chunk(pid, 0) == b"new0" and view.read_chunk(0) == b"old0"
+    view.close()
+    assert store._lock.contended == store._writers.contended == 0
+
+
+def test_a_copy_is_listed_in_its_source_once_durable(mode):
+    platform, store, pid = make_store(mode)
+    copy = store.allocate_partition()
+    gate, committer = parked_commit(platform, store, [ops.CopyPartition(copy, pid)])
+
+    def in_window():
+        return (
+            store.partition_info(pid)["copies"],
+            store.partition_exists(copy),
+            store.allocate_chunk(pid),
+        )
+
+    copies, exists, allocated = Worker(in_window).done()
+    assert copies == [] and not exists
+    assert not committer.finished
+    gate.open()
+    committer.done()
+    assert store.partition_info(pid)["copies"] == [copy]
+    # the source kept the rank allocated in the window
+    assert store.chunk_status(pid, allocated) == "unwritten"
+    assert store.read_chunks(copy, range(RANKS)) == OLD
+    store.close()
+    platform.reboot()
+    reopened = ChunkStore.open(platform)
+    assert reopened.partition_info(pid)["copies"] == [copy]
+    assert reopened.partition_info(copy)["copy_of"] == pid
+    assert reopened.read_chunks(copy, range(RANKS)) == OLD
+
+
+def test_a_reset_partitions_old_chunks_read_until_it_is_durable(mode):
+    platform, store, pid = make_store(mode)
+    gate, committer = parked_commit(
+        platform,
+        store,
+        [
+            ops.WritePartition(pid, cipher_name="ctr-sha256", hash_name="sha1"),
+            ops.WriteChunk(pid, 0, b"reborn"),
+        ],
+    )
+    store.payloads.clear()  # through the device, not the payload cache
+    assert Worker(lambda: store.read_chunks(pid, range(RANKS))).done() == OLD
+    assert not committer.finished
+    gate.open()
+    committer.done()
+    assert store.data_ranks(pid) == [0] and store.read_chunk(pid, 0) == b"reborn"
+
+
+def test_a_crash_in_a_partition_commits_window_leaves_none_of_it(mode):
     platform, store, pid = make_store(mode)
     created = store.allocate_partition()
     gate, committer = parked_commit(
         platform,
         store,
         [
-            ops.WritePartition(created, cipher_name="ctr-sha256", hash_name="sha1"),
+            ops.WritePartition(
+                created, cipher_name="ctr-sha256", hash_name="sha1", name="created"
+            ),
+            ops.WriteChunk(created, 0, b"fresh"),
             ops.WriteChunk(pid, 0, b"new0"),
         ],
     )
-    assert store._lock.held_by_someone_else()
-    opener = Worker(lambda: store.open_snapshot_view(pid))
-    store._lock.wait_blocked()  # the opener is queued behind the flush
-    assert not opener.finished
-    gate.open()
-    committer.done()
-    view = opener.done()
-    assert view.frozen_at == store.commit_count_stat  # counts that commit
-    assert view.read_chunk(0) == b"new0"
-    view.close()
+    platform.untrusted.simulate_crash()  # the commit's appends are gone
+    _fail(platform, gate, "io")
+    with pytest.raises(IOFaultError):
+        committer.done()
+    assert store._failed
+    store.close()
+    platform.untrusted.flush_error = None
+    platform.reboot()
+    reopened = ChunkStore.open(platform)
+    assert reopened.partition_ids() == [pid]
+    assert reopened.find_partition("created") is None
+    with pytest.raises(PartitionNotFoundError):
+        reopened.read_chunk(created, 0)
+    assert reopened.read_chunks(pid, range(RANKS)) == OLD
 
 
 def test_a_view_opened_in_the_window_outlives_a_crash_of_the_commit(mode):
@@ -421,7 +520,7 @@ def test_a_failed_flush_is_told_to_the_queued_committer(mode, how, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# (vi) every other flush keeps ``_lock``
+# (vi) a flush inside another writer, or a checkpoint's, keeps ``_lock``
 # ---------------------------------------------------------------------------
 
 
@@ -456,6 +555,8 @@ def test_only_the_application_commits_own_flush_runs_unlocked(mode):
 
 
 def test_the_cleaners_recommit_never_releases_the_lock(mode):
+    """Inside ``store.clean``, which holds ``_lock`` itself, the cleaner's
+    re-commits offer the lock and it stays held."""
     platform, store, pid = make_store(mode, segment_size=8 * 1024)
     for round_no in range(12):
         for rank in range(RANKS - 1):  # rank 5 stays put: a survivor
@@ -476,6 +577,39 @@ def test_the_cleaners_recommit_never_releases_the_lock(mode):
     assert store.cleaner.rewritten_versions > rewritten
     assert seen and all(seen), seen
     assert store.read_chunk(pid, 5) == b"old5"
+
+
+def test_a_cleaner_pass_of_its_own_offers_the_lock(mode):
+    """``cleaner.clean_one()`` called directly is a writer of its own: its
+    re-commit's flush offers ``_lock``.  A view opened in the window
+    freezes the pre-move map, and the cleaned segment is not reused while
+    that view is open."""
+    platform, store, pid = make_store(mode, segment_size=8 * 1024)
+    for rank in range(RANKS - 1):  # rank 5 stays put: a survivor
+        store.commit([ops.WriteChunk(pid, rank, b"new" * 250)])
+    store.checkpoint()
+    expected = store.read_chunks(pid, range(RANKS))
+    survivor = data_id(pid, RANKS - 1)
+    victim = store.segman.segment_of(store._get_descriptor(survivor).location)
+    assert store.segman.emptiest_cleanable_segment() == victim
+    gate = platform.untrusted.park_next_flush()
+    cleaner = Worker(store.cleaner.clean_one)
+    gate.wait_arrived()
+    assert not store._lock.held_by_someone_else()
+    view = Worker(lambda: store.open_snapshot_view(pid)).done()
+    # nothing of the move is installed yet
+    assert store.segman.segment_of(store._get_descriptor(survivor).location) == victim
+    assert not cleaner.finished
+    gate.open()
+    assert cleaner.done() == victim
+    assert store.segman.segment_of(store._get_descriptor(survivor).location) != victim
+    store.checkpoint()  # would free the victim, but the view holds it
+    assert victim not in store.segman.free_segments
+    assert view.read_chunks(range(RANKS)) == expected
+    view.close()
+    store.checkpoint()
+    assert victim in store.segman.free_segments
+    assert store.read_chunks(pid, range(RANKS)) == expected
 
 
 def test_scrubs_repair_commit_never_releases_the_lock(mode):

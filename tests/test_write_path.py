@@ -296,7 +296,7 @@ def test_the_lock_order_and_the_one_unlocked_statement():
     assert [ast.unparse(stmt) for stmt in unlocked_region.body] == [
         "self.logbuf.sync()"
     ]
-    # … offered by one caller, the application commit's own finalize
+    # … offered by one caller: the store's commit route
     offered = [
         (name, ast.unparse(keyword.value))
         for name, text in sources.items()
@@ -306,6 +306,39 @@ def test_the_lock_order_and_the_one_unlocked_statement():
         if keyword.arg == "unlocked" and ast.unparse(keyword.value) != "unlocked"
     ]
     assert offered == [("store.py", "self._lock")], offered
+
+
+def test_one_commit_route():
+    """Static, over all of ``src/repro``: a commit set is opened and made
+    durable — ``LogWriter.begin_set`` / ``make_durable`` — in two places
+    only: the store's commit route, which every application commit and
+    every cleaner re-commit goes through, and the checkpoint's own
+    two-phase protocol.  The cleaner calls neither."""
+    calls = set()
+    for path in CHUNKSTORE.parent.rglob("*.py"):
+        if path.name == "validation.py":
+            continue  # the validator's own ``begin_set``
+        tree = ast.parse(path.read_text())
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("begin_set", "make_durable")
+                    and not ast.unparse(node.func.value).endswith("validator")
+                ):
+                    calls.add((path.name, function.name, node.func.attr))
+    assert sorted(calls) == [
+        ("checkpoint.py", "write_checkpoint", "begin_set"),
+        ("checkpoint.py", "write_checkpoint", "make_durable"),
+        ("store.py", "_commit_set", "begin_set"),
+        ("store.py", "_commit_set", "make_durable"),
+    ], sorted(calls)
+    cleaner = (CHUNKSTORE / "cleaner.py").read_text()
+    assert "begin_set" not in cleaner and "make_durable" not in cleaner
+    assert "store._commit_set(" in cleaner
 
 
 @pytest.fixture(params=["counter", "direct"])
