@@ -20,8 +20,11 @@ commit exists to amortize):
   Both run once per row of ``ROWS`` (``TINY_ROWS`` under ``--tiny``).
 * ``cpu_bound`` — the same pair, four writers, on a device whose flush
   takes no time: §2.2's "geared to low concurrency" — with no I/O to
-  overlap, commits are mutually exclusive CPU work and do not scale.
-  Each side is the best of three alternating runs.
+  overlap, commits are mutually exclusive CPU work and do not scale (nor
+  are they pipelined: the store overlaps only a flush that takes time,
+  ``PIPELINE_MIN_FLUSH_S``, so this pair and the ones above sit on the
+  two sides of that choice).  Each side is the best of three alternating
+  runs.
 * ``two_client`` — the end-to-end benchmark's configuration in small: two
   closed-loop clients, each 50 % update transactions / 25 % snapshot
   batches / 25 % live read-only transactions, on the same slow-flush
@@ -29,11 +32,16 @@ commit exists to amortize):
   throughput gain bought with commit latency is no gain) and the reads
   that completed inside a flush window, and the snapshot batches among
   them that opened a fresh view (a view opens on the last durable state
-  without waiting for the flush: a store whose views waited had none).
-  The same loop is run first over a device that holds ``ChunkStore._lock``
-  for the length of its flush — the single-lock store of before, emulated
-  in the device so the product keeps one commit path — and the floor is
-  the ratio of the two.
+  without waiting for the flush: a store whose views waited had none),
+  and the commit sets sealed while another set's flush was in flight
+  (the next commit appends while the previous one flushes: a store whose
+  commit held the writers' lock across its flush had none; the device
+  counts them, as the flushes begun inside another one's window).
+  The same loop is run first over the single-lock store of before,
+  emulated without a second commit path: no commit is pipelined (the
+  store's threshold for a flush worth overlapping is raised out of
+  reach), and the device holds ``ChunkStore._lock`` for the length of its
+  flush — and the floors are the ratios of the two.
 * ``snapshot_open_us`` — median cost of ``open_snapshot_view`` + close on
   a partition with a few hundred map vectors (what a fresh
   ``Session.snapshot`` pays under the store's ``_lock``), with a ceiling: once
@@ -49,16 +57,19 @@ p50/p99.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import statistics
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.bench import Floor, bench_config, latency
 from repro.chunkstore import ChunkStore, StoreConfig, WriteChunk, WritePartition
+from repro.chunkstore import store as store_module
 from repro.objectstore.pickling import ObjectRef
 from repro.objectstore.store import ObjectStore
 from repro.platform.archival import MemoryArchivalStore
@@ -84,18 +95,21 @@ FLOORS = (
     # snapshot reads completed entirely inside a commit's flush window:
     # readers do not block behind the commit path
     Floor("reads_during_commit", ("rows", "*", "concurrent", "reads_during_commit"), ">=", 1),
-    # two closed-loop clients over the same loop on a device that holds the
-    # store's ``_lock`` across its flush.  Both runs sit just under the
-    # device's ceiling (one 2 ms flush per commit: 500/s) and last a second,
-    # so the ratio is small and noisy — 0.99–1.19 over 20 pairs, mean 1.04 —
-    # and the floor only catches a store that got *slower* (a commit p50
-    # that doubled would); the sensitive floor is the next one, and the
-    # 1.3–1.5x of the 8 s end-to-end run is EXPERIMENTS.md's to show
+    # two closed-loop clients over the same loop on the single-lock
+    # emulation (nothing pipelined, ``_lock`` held across each flush).  The
+    # store's commit waits about one 2 ms flush (the next client's commit
+    # appends and flushes during it: ≈ 2.8 ms p50, ≈ 475 txs/s); the
+    # emulation's longer, as a commit flushing holds both locks (≈ 3.2–4
+    # ms, ≈ 250–300 txs/s, as the single-lock store read before commits
+    # were pipelined).  Each run lasts about a second, so the ratio is
+    # noisy, and the floor only catches a store that got *slower* than
+    # that emulation; the sensitive floors are the window counts below, and
+    # the gain of the 8 s end-to-end run is EXPERIMENTS.md's to show
     Floor("two_client_speedup", ("two_client", "speedup_vs_single_lock"), ">=", 0.9),
     # live and snapshot reads of the two-client loop that started and
     # finished inside one flush window, over what the single-lock emulation
     # lets through — cached objects and lock-free views only (measured
-    # 53–74 against 5–14)
+    # ≈ 370 against 5–7 with commits pipelined; 53–85 against 4–14 before)
     Floor(
         "reads_in_flush_window", ("two_client", "reads_in_flush_window"), ">", 2.0,
         of=("two_client", "single_lock", "reads_in_flush_window"),
@@ -109,6 +123,15 @@ FLOORS = (
         "fresh_views_in_flush_window",
         ("two_client", "fresh_views_in_flush_window"), ">=", 1,
     ),
+    # commit sets of the two-client loop sealed while another set's device
+    # flush was in flight — the device's flushes begun inside another
+    # one's window: the next batch appends and flushes while the previous
+    # one flushes.  A store whose commit held the writers' lock across its
+    # flush (the emulation's) had none by construction
+    Floor(
+        "sets_sealed_in_flush_window",
+        ("two_client", "sets_sealed_in_flush_window"), ">=", 1,
+    ),
     # µs, median ``open_snapshot_view`` + close over ``SNAPSHOT_OPEN_OBJECTS``
     # objects, per dirty-set size (measured ≈ 45 with 600 dirty descriptors
     # and ≈ 70 with 4,085; a seed that filtered out other partitions' keys
@@ -117,7 +140,9 @@ FLOORS = (
     # §2.2, "geared to low concurrency": on a device with no flush latency
     # the concurrent writers stay under twice the one session's throughput
     # (1.43–1.67 over 20 runs on a 2-core box: batches of ≈ 2.4 save only
-    # the per-commit fixed cost).  Each side is its best of
+    # the per-commit fixed cost.  Such a flush is not pipelined; when it
+    # was, hand-offs at the seal with nothing to overlap cut batches to
+    # ≈ 1.6 and the ratio to 0.8).  Each side is its best of
     # ``CPU_BOUND_REPEATS`` alternating runs, so a load spike on the
     # machine does not land on one side only
     Floor("cpu_bound_speedup", ("cpu_bound", "speedup_vs_baseline"), "<", 2.0),
@@ -161,8 +186,11 @@ class SlowFlushStore(MemoryUntrustedStore):
     The delay runs *before* ``super().flush()`` — i.e. outside the I/O
     mutex, per the :class:`~repro.platform.untrusted.UntrustedStore`
     contract — modeling a disk whose cache flush stalls the flusher but
-    not concurrent readers.  ``flushing`` is readable by other threads
-    so the bench can tell which snapshot reads overlapped a flush.
+    not concurrent readers.  Flushes may overlap (a pipelined commit
+    flushes while the one sealed before it still does): a *flush window*
+    runs from a flush that finds none in flight to the moment none is.
+    ``flushing`` is readable by other threads so the bench can tell which
+    snapshot reads overlapped a window.
     """
 
     def __init__(
@@ -177,19 +205,23 @@ class SlowFlushStore(MemoryUntrustedStore):
         #: set to a store's ``_lock`` to hold it for the length of the
         #: flush: the single-lock store this benchmark compares against
         self.hold_across_flush = None
+        #: a flush window is open
         self.flushing = False
-        #: flushes begun: while ``flushing``, the number of the one in flight
-        self.flushes_started = 0
-        self.flushes_timed = 0
+        #: flush windows opened: while ``flushing``, the number of this one
+        self.windows = 0
+        #: flushes begun inside another one's window: each is a commit
+        #: set's that was sealed while that one flushed
+        self.overlapped_flushes = 0
         self.reads_during_flush = 0
+        self._in_flight = 0
         self._tally_mutex = threading.Lock()
 
     def window(self) -> Optional[int]:
-        """The number of the flush in flight, or ``None``.  Work that finds
-        the same number at its start and at its end ran inside that one
-        flush window (flushes do not overlap)."""
-        number = self.flushes_started
-        return number if self.flushing and self.flushes_started == number else None
+        """The number of the open flush window, or ``None``.  Work that
+        finds the same number at its start and at its end ran inside that
+        one window."""
+        number = self.windows
+        return number if self.flushing and self.windows == number else None
 
     def _tally_read(self) -> None:
         if self.flushing:
@@ -208,16 +240,21 @@ class SlowFlushStore(MemoryUntrustedStore):
         held = self.hold_across_flush
         if held is not None:
             held.acquire()
-        self.flushes_started += 1
-        self.flushing = True
+        with self._tally_mutex:
+            if self._in_flight:
+                self.overlapped_flushes += 1
+            else:
+                self.windows += 1
+                self.flushing = True
+            self._in_flight += 1
         try:
             time.sleep(self.flush_delay)
         finally:
-            self.flushing = False
+            with self._tally_mutex:
+                self._in_flight -= 1
+                self.flushing = self._in_flight > 0
             if held is not None:
                 held.release()
-        with self._tally_mutex:
-            self.flushes_timed += 1
         super().flush()
 
 
@@ -358,10 +395,25 @@ def _run_concurrent(
     }
 
 
+@contextmanager
+def _single_lock(chunks: ChunkStore) -> Iterator[None]:
+    """Make ``chunks`` the single-lock store of before: no commit is
+    pipelined (no flush is worth overlapping to it), so each keeps the
+    writers' lock through its flush, and the device holds ``_lock`` across
+    the flush as well."""
+    threshold = store_module.PIPELINE_MIN_FLUSH_S
+    store_module.PIPELINE_MIN_FLUSH_S = math.inf
+    chunks.platform.untrusted.hold_across_flush = chunks._lock
+    try:
+        yield
+    finally:
+        store_module.PIPELINE_MIN_FLUSH_S = threshold
+        chunks.platform.untrusted.hold_across_flush = None
+
+
 def _run_two_client(single_lock: bool, seed: int = 7) -> Dict[str, object]:
     """Two closed-loop clients over the e2e mix (see the module docstring);
-    ``single_lock`` makes the device hold ``ChunkStore._lock`` across its
-    flush."""
+    ``single_lock`` runs them over :func:`_single_lock`."""
     platform = _platform(FLUSH_DELAY)
     device: SlowFlushStore = platform.untrusted
     # caches an eighth of the objects, as the e2e workload's are a fraction
@@ -381,8 +433,7 @@ def _run_two_client(single_lock: bool, seed: int = 7) -> Dict[str, object]:
             for _ in range(256):
                 refs.append(tx.create(pid, {"count": 0, "pad": pad}))
     chunks.checkpoint()
-    if single_lock:
-        device.hold_across_flush = chunks._lock
+    overlapped_before = device.overlapped_flushes
     errors: List[BaseException] = []
     commit_s: List[List[float]] = [[], []]
     in_window = [0, 0]
@@ -390,7 +441,9 @@ def _run_two_client(single_lock: bool, seed: int = 7) -> Dict[str, object]:
     increments = [0, 0]
     barrier = threading.Barrier(2)
 
-    with TDBServer(objects) as server:
+    with _single_lock(chunks) if single_lock else nullcontext(), TDBServer(
+        objects
+    ) as server:
 
         def client(number: int) -> None:
             rng = random.Random(seed * 1000 + number)
@@ -441,7 +494,6 @@ def _run_two_client(single_lock: bool, seed: int = 7) -> Dict[str, object]:
             total = sum(value["count"] for value in snapshot.get_many(refs))
             assert total == sum(increments), f"lost updates: {total}"
         stats = server.stats()
-    device.hold_across_flush = None
     chunks.close()
     commits = sorted(commit_s[0] + commit_s[1])
     return {
@@ -453,6 +505,7 @@ def _run_two_client(single_lock: bool, seed: int = 7) -> Dict[str, object]:
         "commit_mean_ms": round(statistics.fmean(commits) * 1e3, 3),
         "reads_in_flush_window": sum(in_window),
         "fresh_views_in_flush_window": sum(fresh_in_window),
+        "sets_sealed_in_flush_window": device.overlapped_flushes - overlapped_before,
         "mean_batch_size": stats["group_commit"]["mean_batch_size"],
     }
 

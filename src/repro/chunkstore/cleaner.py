@@ -33,7 +33,11 @@ then the old copies are current, as in the last durable state.  Anything
 that raises on the way — a device fault, a crash point — fails the store,
 which then refuses every call until it is reopened.  Called from
 ``clean`` or a commit's ``make_room``, the pass runs inside a writer that
-holds ``_lock`` itself, so the lock stays taken.
+holds ``_lock`` itself, so the lock stays taken.  Either way a pass first
+waits for the pipelined commits in flight to install
+(``ChunkStore._drain``): currency is judged against the image, and an
+image missing an in-flight set would call a version it superseded
+current — and move it over the newer one.
 
 Two log-space rules (DESIGN.md, "Log space"): the cleaned segment is only
 *deferred*, tagged with the store's commit count — the last checkpoint may
@@ -90,6 +94,10 @@ class Cleaner:
         store = self.store
         # a writer like any other (and callable on its own): both locks
         with store._writers, store._lock:
+            # currency is judged against the image: it must hold every set
+            # in flight, or an obsolete version could move over a newer one
+            store._drain()
+            store._check_open()
             target = store.segman.emptiest_cleanable_segment()
             if target is None:
                 return None

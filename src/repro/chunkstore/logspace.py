@@ -21,8 +21,10 @@ byte counts and byte counts into decisions:
   instead (:meth:`LogSpace._plain_bound`);
 * **one policy.**  :meth:`LogSpace.make_room` cleans and checkpoints
   before a commit, :meth:`LogSpace.clean` before giving up on an explicit
-  clean, :meth:`LogSpace.move_fits` answers the cleaner, and
-  :meth:`LogSpace.checkpoint_fits` a checkpoint.
+  clean, :meth:`LogSpace.move_fits` answers the cleaner,
+  :meth:`LogSpace.checkpoint_fits` a checkpoint, and
+  :meth:`LogSpace.admits` a commit that would append while pipelined
+  commit sets are sealed but not installed.
 
 A segment the cleaner frees is *deferred* until a later checkpoint is
 durable and no open snapshot view predates its clean
@@ -124,10 +126,12 @@ class LogSpace:
 
     # -- the policy ------------------------------------------------------------
 
-    def make_room(self, operations: Sequence[object]) -> None:
+    def make_room(self, operations: Sequence[object]) -> Optional[int]:
         """Make room in the log for a commit of ``operations`` (validated),
         writing the threshold checkpoint first if it is due; raises
         :class:`StorageFullError` if the commit cannot be made to fit.
+        Returns what a plain commit may append (:meth:`_plain_bound`),
+        ``None`` for any other.
 
         * While the commit fits — after the due checkpoint, if one is due —
           clean towards the low-water target: that much room beyond the
@@ -161,10 +165,7 @@ class LogSpace:
         cleaned = True  # since the last checkpoint this call wrote
         while True:
             room, ceiling = self.room(), self.ceiling()
-            # room once the reserve grew to its ceiling, a deferred segment
-            # counted less the one its releasing checkpoint may leave
-            reclaimed = max(len(segman.deferred_segments) - 1, 0) * self.max_version_size
-            below_low_water = room - ceiling + reclaimed < self.low_water
+            below_low_water = self._below_low_water(room, ceiling)
             if checkpoint_due:
                 fits = room - self.reserve() + self.released() >= self._commit_cost(
                     operations, fresh=True
@@ -181,7 +182,7 @@ class LogSpace:
             if fits and checkpoint_due:
                 for_space = False
             elif fits and not (below_low_water and cleaned and self._unpins()):
-                return
+                return plain
             elif fits:
                 # nothing left to clean outside the residual log: a
                 # checkpoint makes it cleanable (§4.9.5)
@@ -216,6 +217,32 @@ class LogSpace:
                 self.checkpoints_for_dirty += 1
                 checkpoint_due = False
             cleaned = False
+
+    def admits(self, operations: Sequence[object], in_flight: int) -> bool:
+        """May a commit of ``operations`` append while commit sets whose
+        plain bounds sum to ``in_flight`` are sealed but not installed —
+        their dirty chains not yet in the reserve, their leaders not yet
+        grown?  Only a plain commit, with no checkpoint due, above the low
+        water mark, and room beyond the :meth:`ceiling` for its own bound
+        *and* theirs: :meth:`make_room` then has nothing to clean or
+        checkpoint, and once every set is installed the reserve is still
+        covered.  Any other commit waits for them first."""
+        plain = self._plain_bound(operations)
+        if plain is None or self.cache.dirty_count() >= self.threshold:
+            return False
+        room, ceiling = self.room(), self.ceiling()
+        return room - ceiling >= plain + in_flight and not self._below_low_water(
+            room, ceiling
+        )
+
+    def _below_low_water(self, room: int, ceiling: int) -> bool:
+        """Is the room once the reserve grew to its ``ceiling`` under the
+        cleaning target — a deferred segment counted less the one its
+        releasing checkpoint may leave?"""
+        reclaimed = (
+            max(len(self.segman.deferred_segments) - 1, 0) * self.max_version_size
+        )
+        return room - ceiling + reclaimed < self.low_water
 
     def _unpins(self) -> bool:
         """Would a checkpoint now make segments of the residual log

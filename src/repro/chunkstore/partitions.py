@@ -15,7 +15,7 @@ An application commit and the cleaner's re-commit apply their effects
 only once their set is durable (``ChunkStore._commit_set``), so the table
 never holds a version a crash could still take back; a ``WritePartition``
 over a written partition adds one, :meth:`PartitionTable.reset`, which
-replay does not redo.
+replay redoes where it meets that commit's fresh leader.
 
 A table owns the ``partitions`` dict and the per-algorithm crypto tallies;
 the read path, the two caches and the segment manager it is built over are

@@ -368,6 +368,14 @@ class _Recovery:
             pid = rank_to_partition(cid.rank)
 
             def leader_effect() -> None:
+                if table.exists(pid) and payload.tree_height == 0 and not payload.next_rank:
+                    # a fresh leader over a written partition: the
+                    # ``WritePartition`` that reset it, as the live commit
+                    # did.  A leader rewritten for a copy source or by a
+                    # checkpoint carries every rank the partition
+                    # committed, so it looks fresh only when there is
+                    # nothing to drop
+                    table.reset(pid)
                 table.leader_written(table.open(pid, payload), payload, descriptor)
 
             return leader_effect

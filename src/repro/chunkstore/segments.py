@@ -277,17 +277,20 @@ class SegmentManager:
     def emptiest_cleanable_segment(self) -> Optional[int]:
         """The cleaner's next victim (§4.9.5): the checkpointed-log segment
         with the fewest live bytes among those holding any obsolete ones
-        (lowest index on ties), or ``None``."""
+        (lowest index on ties), or ``None``.  The cleaner asks on every
+        pass, so the one loop over all segments tests the cheapest, most
+        selective condition first — fewer live bytes than the best so far,
+        against a bound above any segment's — and looks nothing up but
+        locals."""
         skip = set(self.residual_segments)
         skip.update(self.free_segments)
+        used = self.used_bytes
         victim: Optional[int] = None
-        fewest = 0
-        for segment, live in enumerate(self.live_bytes):
-            if (
-                (victim is None or live < fewest)
-                and live < self.used_bytes[segment]
-                and segment not in skip
-            ):
+        fewest = self.segment_size + 1
+        segment = -1
+        for live in self.live_bytes:
+            segment += 1
+            if live < fewest and live < used[segment] and segment not in skip:
                 victim, fewest = segment, live
         return victim
 

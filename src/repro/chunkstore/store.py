@@ -33,37 +33,61 @@ Public surface
 
 Concurrency: the paper's "mutual exclusion, which does not overlap I/O
 and computation, but is simple and acceptable when concurrency is low"
-(§4.2), less one overlap — the device flush that makes a commit durable.
-Two re-entrant locks, always taken in the order writers' lock → ``_lock``:
+(§4.2), less the device flush that makes a commit durable.  Two
+re-entrant locks, always taken in the order writers' lock → ``_lock``:
 
-* ``_writers``, the **writers' lock**, is held for the whole of ``commit``,
+* ``_writers``, the **writers' lock**, is taken by ``commit``,
   ``checkpoint``, ``clean``, ``diff``, ``scrub`` and ``close``: one of them
-  runs at a time, start to finish.
+  appends at a time.  Each holds it to the end, bar a pipelined commit
+  (below), which holds it until its set is sealed.
 * ``_lock`` guards the volatile image (partition table, caches, log tail,
-  quarantine) and is what every public call takes.  A commit set drops it
-  for exactly one statement — the retried ``untrusted.flush()`` in
-  :meth:`LogWriter.flush <repro.chunkstore.writepath.LogWriter.flush>`
-  — so calls that take ``_lock`` alone are served while the device works.
+  quarantine) and is what every public call takes.
 
 Every commit set takes one route, :meth:`ChunkStore._commit_set`: an
 application commit, whatever its operations, and the cleaner's re-commit
 of the versions it moves (§4.9.5).  The set appends its versions and
-decides their effects, is made durable with ``_lock`` offered for the
-flush, and installs the effects (descriptors, leaders, partitions
-created, reset, copied or freed, payload invalidation, allocation, live
-bytes) only once ``make_durable`` has returned and ``_lock`` is back.  So
-while the device works the image *is* the last durable state:
-``read_chunk(s)``, partition lookups, allocation, status and stats calls
-served in the window see none of the in-flight set, and
-``open_snapshot_view``, which takes ``_lock`` alone, opens at once on
-durable state.  A set closed inside another writer (the cleaning of
-``clean`` or of a commit's ``make_room``, scrub's repair commit) holds
-``_lock`` twice, so the lock stays taken; a checkpoint never offers it.
-Anything that raises on the route — a failed flush, a device fault while
-appending, a crash point — fails the store, the cleaner's re-commit
-included.  A flush that fails re-takes ``_lock`` before the failure
-propagates and ``_failed`` is set under it; no writer can have started
-meanwhile.
+decides their effects, is made durable, and installs the effects
+(descriptors, leaders, partitions created, reset, copied or freed,
+payload invalidation, allocation, live bytes) only once it is durable.
+So the image *is* the last durable state: reads, partition lookups,
+allocation, status and stats calls — and ``open_snapshot_view``, which
+takes ``_lock`` alone — see none of a set in flight.
+
+**Pipelined commits** (flush pipelining, as in Aether).  A plain
+application commit — chunk writes and frees of ranks its partitions
+have, flushed, the writers' lock taken by ``commit`` itself — on a
+device whose last flush took long enough to be worth overlapping
+(:data:`PIPELINE_MIN_FLUSH_S`; a flush that takes next to nothing does
+not repay the pipeline's thread hand-offs) seals its
+set under both locks and releases both for the device flush, so the next
+commit appends and starts its own flush meanwhile.  It finishes under
+``_lock`` alone, strictly in seal order: ``validator.flushed`` and
+``publish`` for what the set sealed (its commit count, or its chain and
+tail), the ``commit.after_flush`` / ``after_tr`` crash points, its
+install and its count in ``commit_count_stat``.  If a set fails, every
+set sealed after it fails too, before any is acknowledged: with its own
+flush's error, or with :class:`~repro.errors.CommitOutcomeUnknownError`
+— it is in the log, and recovery decides, never keeping it without the
+failed set.  A set sealed *before* one that fails the store is not
+stopped by it: durable once its own flush returns, it finishes and is
+acknowledged; only what comes to the gate afterwards is refused
+(``ChunkStoreError``, nothing of it written).  Every other
+set keeps the writers' lock to the end and offers ``_lock`` for its
+flush (:meth:`LogWriter.flush
+<repro.chunkstore.writepath.LogWriter.flush>`); one closed inside another
+writer (the cleaning of ``clean`` or of a commit's ``make_room``, scrub's
+repair commit) holds ``_lock`` twice, so the lock stays taken; a
+checkpoint never offers it.
+
+A writer that needs the image to cover the whole log — a checkpoint,
+``clean`` (the cleaner must never judge currency against an image
+missing an in-flight set), ``scrub``, ``diff``, ``close``, and a commit
+with partition operations, with maintenance for ``make_room`` to do, or
+naming a chunk an in-flight set names — takes the writers' lock, so no
+new set can start, and waits with ``_lock`` released until every set in
+flight has installed (:meth:`ChunkStore._drain`).  Anything that raises
+on the route — a failed flush, a device fault while appending, a crash
+point — fails the store, the cleaner's re-commit included.
 
 ``ChunkStore`` is the façade and the lock owner.  The state a commit
 changes is the :class:`~repro.chunkstore.partitions.PartitionTable`
@@ -118,11 +142,16 @@ from repro.chunkstore.partition import PartitionState, generate_partition_key
 from repro.chunkstore.partitions import PartitionTable
 from repro.chunkstore.readpath import ReadPath
 from repro.chunkstore.segments import LogWriteBuffer, SegmentManager
-from repro.chunkstore.validation import make_validator
+from repro.chunkstore.validation import Seal, make_validator
 from repro.chunkstore.writepath import LogWriter
 from repro.crypto.mac import Mac
 from repro.crypto.registry import KEY_SIZES, make_cipher, make_hash
-from repro.errors import ChunkStoreError, StorageFullError, TamperDetectedError
+from repro.errors import (
+    ChunkStoreError,
+    CommitOutcomeUnknownError,
+    StorageFullError,
+    TamperDetectedError,
+)
 from repro.platform.retry import RetriedReader, Retrier
 from repro.platform.trusted_platform import TrustedPlatform
 from repro.util.checksum import crc32_bytes
@@ -134,7 +163,56 @@ _SUPERBLOCK_MAGIC = b"TDB1"
 #: ``(effect, *args)`` calls, in order
 _Effects = List[Tuple[Callable, ...]]
 
+#: seconds: a plain commit is pipelined only while the device's last flush
+#: took at least this long.  Overlapping a flush buys the next commit that
+#: flush's time, and costs each set thread hand-offs (its finish on the
+#: committing thread, the next set's start on another) that a flush which
+#: takes next to nothing does not repay: on a device whose flush takes no
+#: time, four writers through the server ran at 0.8x one session's
+#: throughput pipelined, 1.5x not (``python -m repro.bench server``,
+#: ``cpu_bound``, 2-core box), where a commit set's own work is ≈ 0.3 ms
+PIPELINE_MIN_FLUSH_S = 0.0005
+
+
+class _InFlight:
+    """An application commit set sealed with the writers' lock released
+    and not finished yet (``ChunkStore._finish``)."""
+
+    __slots__ = ("effects", "names", "bound", "seal", "before", "then", "error", "done")
+
+    def __init__(
+        self, effects: _Effects, bound: int, before: Optional["_InFlight"]
+    ) -> None:
+        self.effects = effects
+        #: the ``(partition, rank)`` of every chunk it writes or frees
+        self.names: Set[Tuple[int, int]] = set()
+        #: what it may take from the log (``LogSpace.admits``)
+        self.bound = bound
+        #: what the validator recorded of it: what its flush and publish
+        #: are about
+        self.seal: Seal = 0
+        #: the set sealed just before it, if that was still in flight:
+        #: this one finishes only after it
+        self.before = before
+        #: the ``sealed`` call of the set sealed after it, made once this
+        #: one has finished (``ChunkStore.commit``)
+        self.then: Optional[Callable[[], None]] = None
+        #: what it failed with, if it did: every set sealed after it fails
+        self.error: Optional[BaseException] = None
+        #: set once it is installed or has failed
+        self.done = threading.Event()
+
+
 logger = logging.getLogger("repro.chunkstore")
+
+
+def _names(operations: Sequence[object]) -> Set[Tuple[int, int]]:
+    """The ``(partition, rank)`` of every chunk ``operations`` write or free."""
+    return {
+        (op.partition, op.rank)
+        for op in operations
+        if isinstance(op, (WriteChunk, DeallocateChunk))
+    }
 
 
 class ChunkStore:
@@ -199,16 +277,20 @@ class ChunkStore:
         self.log_space = LogSpace(self)
         #: §4.9.5 cleaning, and its lifetime tallies; takes both locks itself
         self.cleaner = Cleaner(self)
-        #: the writers' lock: whoever appends to the log holds it start to
-        #: finish, and takes it first
+        #: the writers' lock: whoever appends to the log holds it, and
+        #: takes it first — to the end, bar a pipelined commit, which
+        #: releases it once its set is sealed (see the module docstring)
         self._writers = threading.RLock()
-        #: the volatile image's lock; dropped only across a commit set's
-        #: device flush (see the module docstring)
+        #: the volatile image's lock; free across a commit set's device
+        #: flush, and while a writer waits for the sets in flight
         self._lock = threading.RLock()
         self._leader_location = 0
         self._closed = False
         self._failed = False
         self.commit_count_stat = 0
+        #: application commit sets sealed with the writers' lock released
+        #: and not finished yet, in seal order (the module docstring)
+        self._in_flight: List[_InFlight] = []
         #: open snapshot views, counted by ``frozen_at``: a segment cleaned
         #: at or after the oldest is not reused while it is open
         self._open_views: Counter = Counter()
@@ -275,6 +357,7 @@ class ChunkStore:
         with self._writers, self._lock:
             if self._closed:
                 return
+            self._drain()
             # a log with no room for a checkpoint closes without one:
             # recovery replays the residual log instead
             if checkpoint and not self._failed and self.log_space.checkpoint_fits():
@@ -541,26 +624,85 @@ class ChunkStore:
     # commit (§4.6, §5.1)
     # ------------------------------------------------------------------
 
-    def commit(self, operations: Sequence[object]) -> None:
+    def commit(
+        self,
+        operations: Sequence[object],
+        sealed: Optional[Callable[[], None]] = None,
+    ) -> None:
         """Atomically apply a set of operations (see
         :mod:`repro.chunkstore.ops`).  The commit is durable when this
         method returns; a crash at any earlier point leaves the store in
-        its prior committed state.  ``_lock`` is dropped while the device
-        flushes (module docstring); the operations' effects are installed
-        after it, so no read shows them before they are durable."""
-        with self._writers, self._lock, obs.span(
-            "chunkstore.commit", ops=len(operations)
-        ):
+        its prior committed state.  Its effects are installed only once it
+        is durable, and after those of every commit sealed before it, so
+        no read shows them sooner (module docstring).
+
+        A plain commit that is no other writer's — chunk writes and frees
+        of ranks its partitions have, flushed on a device whose flush is
+        worth overlapping (:data:`PIPELINE_MIN_FLUSH_S`), the writers' lock
+        taken here — is *pipelined*: it seals under both locks and releases
+        them (here, and only here, does a set outlive the writers' lock), calls
+        ``sealed`` — the next writer may start appending — and is finished
+        by :meth:`_finish`.  With a set sealed before it still in flight,
+        ``sealed`` is called once that one has finished instead, from the
+        thread that finished it: a caller that waits for it keeps at most
+        two sets in flight, and what arrives meanwhile can form its next
+        batch.  Any other commit keeps
+        the writers' lock to the end and never calls ``sealed``."""
+        nested = self._writers._is_owned()
+        with obs.span("chunkstore.commit", ops=len(operations)):
+            with self._writers, self._lock:
+                self._check_open()
+                bound = self._admit(operations)
+                flight = self._commit_set(
+                    lambda: self._append_operations(operations),
+                    None if nested else bound,
+                )
+                if flight is None:
+                    self.commit_count_stat += 1
+                    return
+                flight.names = _names(operations)
+                if flight.before is not None:
+                    # the caller's next set may start once the one before
+                    # this has finished, and forms meanwhile
+                    flight.before.then, sealed = sealed, None
+            # both locks are released: the next set may append while this
+            # one flushes
+            try:
+                if sealed is not None:
+                    sealed()
+            finally:
+                self._finish(flight)
+
+    def _admit(self, operations: Sequence[object]) -> Optional[int]:
+        """An application commit's pre-flight, under both locks: wait for
+        the sets in flight if this one needs the whole image
+        (:meth:`_needs_drain`), validate, and make room.  Returns what it may
+        take from the log if it is a plain commit (``LogSpace.make_room``):
+        only such a commit is pipelined."""
+        if self._in_flight and self._needs_drain(operations):
+            self._drain()
             self._check_open()
-            self._validate_operations(operations)
-            if any(isinstance(op, CopyPartition) for op in operations):
-                # Copies snapshot via the leader payload, whose root must be
-                # current: flush buffered descriptors first (see DESIGN.md).
-                if not self.table.is_checkpoint_clean():
-                    self._write_checkpoint()
-            self.log_space.make_room(operations)
-            self._commit_set(lambda: self._append_operations(operations))
-            self.commit_count_stat += 1
+        self._validate_operations(operations)
+        if any(isinstance(op, CopyPartition) for op in operations):
+            # Copies snapshot via the leader payload, whose root must be
+            # current: flush buffered descriptors first (see DESIGN.md).
+            if not self.table.is_checkpoint_clean():
+                self._write_checkpoint()
+        return self.log_space.make_room(operations)
+
+    def _needs_drain(self, operations: Sequence[object]) -> bool:
+        """Must a commit of ``operations`` wait for the sets in flight?
+        Yes if it names a chunk one of them names (its validation and
+        deallocation decisions read the image), and unless the log space
+        admits it as it stands: a plain commit with room beyond the
+        reserve's ceiling and nothing to clean or checkpoint first — a
+        partition operation never is one."""
+        names = _names(operations)
+        return any(not names.isdisjoint(flight.names) for flight in self._in_flight) or (
+            not self.log_space.admits(
+                operations, sum(flight.bound for flight in self._in_flight)
+            )
+        )
 
     def _validate_operations(self, operations: Sequence[object]) -> None:
         """Pre-flight checks so failures surface before any mutation."""
@@ -621,32 +763,117 @@ class ChunkStore:
             else:
                 raise ChunkStoreError(f"unknown operation {op!r}")
 
-    def _commit_set(self, append: Callable[[], _Effects]) -> None:
+    def _commit_set(
+        self, append: Callable[[], _Effects], bound: Optional[int] = None
+    ) -> Optional[_InFlight]:
         """The one route of a commit set — an application commit or a
-        cleaner re-commit (§4.6, §4.9.5): open the set, let ``append``
-        append its versions and return their effects, make the set durable
-        with ``_lock`` offered for the flush, and only then install the
-        effects.  So until the set is durable the image is the last
+        cleaner re-commit (§4.6, §4.9.5) — under both locks, which the
+        caller holds: open the set, let ``append`` append its versions and
+        return their effects, make the set durable, and only then install
+        the effects.  So until the set is durable the image is the last
         durable state (module docstring).  Anything that raises on the way
         fails the store: the tail has moved past what the image knows of,
         and only recovery from the durable log can say what holds.
 
-        Only here is ``_lock`` offered.  A set closed inside another
-        writer (the cleaner's passes in ``clean`` and ``make_room``,
-        scrub's repair commit) holds ``_lock`` twice, so the release only
-        unwinds one hold and the lock stays taken."""
+        ``bound`` is a pipelined commit's (see :meth:`commit`): the set is
+        sealed and returned, for the caller to finish once it has released
+        both locks — unless there is no flush worth overlapping: its flush
+        is lazy, or, with no set in flight, the device's last one took less
+        than :data:`PIPELINE_MIN_FLUSH_S`.  Every other set is finished here,
+        with ``_lock`` offered for its flush; one closed inside another writer (the cleaner's
+        passes in ``clean`` and ``make_room``, scrub's repair commit) holds
+        ``_lock`` twice, so the release only unwinds one hold and the lock
+        stays taken."""
+        lazy = not self.config.flush_every_commit
         try:
             self.writer.begin_set()
             effects = append()
-            lazy = not self.config.flush_every_commit
-            self.writer.make_durable(
-                "commit", self._leader_location, lazy, unlocked=self._lock
-            )
-            for effect, *args in effects:
-                effect(*args)
+            if (
+                bound is None
+                or (lazy and self.validator.allows_lazy_flush)
+                # with a set in flight the pipeline holds: sets install in
+                # the order they were sealed
+                or not self._in_flight
+                and self.writer.last_sync_s < PIPELINE_MIN_FLUSH_S
+            ):
+                self.writer.make_durable(
+                    "commit", self._leader_location, lazy, unlocked=self._lock
+                )
+                self._install(effects)
+                return None
+            before = self._in_flight[-1] if self._in_flight else None
+            flight = _InFlight(effects, bound, before)
+            flight.seal = self.writer.seal("commit")
         except BaseException:
             self._failed = True
             raise
+        self._in_flight.append(flight)
+        return flight
+
+    def _finish(self, flight: _InFlight) -> None:
+        """A pipelined set's device flush, under no lock; then — once every
+        set sealed before it has finished — the rest of the protocol and
+        its install under ``_lock`` alone.  It fails, and fails the store,
+        if its flush failed, or with :class:`CommitOutcomeUnknownError` if
+        a set sealed before it failed: nothing after a failed set is
+        acknowledged.  A set sealed *after* it that failed the store does
+        not stop it: it is durable once its flush has returned."""
+        failure: Optional[BaseException] = None
+        try:
+            self.writer.sync()
+        except BaseException as exc:
+            failure = exc
+        before = flight.before
+        if before is not None:
+            before.done.wait()
+            if failure is None and before.error is not None:
+                failure = CommitOutcomeUnknownError(
+                    "a commit sealed before this one failed; reopen the "
+                    "store to learn whether recovery keeps this one"
+                )
+                failure.__cause__ = before.error
+        try:
+            with self._lock:
+                try:
+                    if failure is not None:
+                        raise failure
+                    # the leader is the one it sealed under: a checkpoint
+                    # waits for the sets in flight
+                    self.writer.publish(
+                        flight.seal, "commit", self._leader_location, synced=True
+                    )
+                    self._install(flight.effects)
+                    self.commit_count_stat += 1
+                except BaseException as exc:
+                    flight.error = exc
+                    self._failed = True
+                    raise
+                finally:
+                    self._in_flight.remove(flight)
+                    flight.done.set()
+        finally:
+            if flight.then is not None:
+                flight.then()
+
+    def _install(self, effects: _Effects) -> None:
+        """A durable set's effects on the image, in order."""
+        for effect, *args in effects:
+            effect(*args)
+
+    def _drain(self) -> None:
+        """Wait, with ``_lock`` released, until every set in flight has
+        finished — a writer that needs the whole image.  The caller holds
+        the writers' lock, so no set can start meanwhile, and ``_lock``
+        once: it is the outermost writer (one nested in another finds
+        nothing in flight).  A set that finishes failed fails the store:
+        callers pass :meth:`_check_open` after this."""
+        while self._in_flight:
+            last = self._in_flight[-1]
+            self._lock.release()
+            try:
+                last.done.wait()
+            finally:
+                self._lock.acquire()
 
     def _append_operations(self, operations: Sequence[object]) -> _Effects:
         """Append the versions of an application commit; returns their
@@ -755,6 +982,7 @@ class ChunkStore:
     def checkpoint(self) -> None:
         """Write buffered chunk-map updates and a fresh leader to the log."""
         with self._writers, self._lock, obs.span("chunkstore.checkpoint"):
+            self._drain()
             self._check_open()
             self._write_checkpoint()
 
@@ -783,6 +1011,7 @@ class ChunkStore:
         snapshots of the same partition, where the shared subtree pruning
         makes the traversal proportional to the *changed* chunks."""
         with self._writers, self._lock, obs.span("chunkstore.diff"):
+            self._drain()
             self._check_open()
             if not self.table.is_checkpoint_clean():
                 # the traversal compares *persistent* map descriptors, so
@@ -800,6 +1029,7 @@ class ChunkStore:
         """Clean up to ``max_segments`` low-utilization segments; returns
         the number actually cleaned."""
         with self._writers, self._lock:
+            self._drain()
             self._check_open()
             return self.log_space.clean(max_segments)
 
@@ -839,6 +1069,7 @@ class ChunkStore:
         from repro.chunkstore.scrub import scrub
 
         with self._writers, self._lock, obs.span("chunkstore.scrub"):
+            self._drain()
             self._check_open()
             return scrub(self, raise_on_first, repair_source)
 

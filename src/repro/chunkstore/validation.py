@@ -9,9 +9,14 @@ the only one that knows which discipline is in force:
 * ``closing_record()`` — the signed commit chunk that seals the set, or
   ``None`` when the discipline writes none;
 * ``restart_residual()`` — a checkpoint restarts the residual log;
-* ``allows_lazy_flush`` / ``flushed()`` / ``publish(tail, leader, flush,
-  force)`` — when the device flush may be skipped, and when and how far
-  the tamper-resistant store moves;
+* ``seal(tail)`` — what a sealed set leaves to publish: the commit count
+  its commit chunk carries, or the chain hash and tail it ends at.  A
+  set is finished after later sets may have appended (the store's
+  pipelined commits, DESIGN.md "Thread safety"), so what is flushed and
+  published is what the set sealed, never "now";
+* ``allows_lazy_flush`` / ``flushed(seal)`` / ``publish(seal, leader,
+  flush, force)`` — when the device flush may be skipped, and when and
+  how far the tamper-resistant store moves;
 * ``recovery_origin(superblock_leader)`` / ``recorded_tail`` /
   ``seals_sets`` / ``finish_recovery(last_count)`` — where roll-forward
   starts, where it must stop, whether the log delimits its own sets (so
@@ -48,7 +53,7 @@ sequenced MACs, so excluding jumps sacrifices nothing.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 from repro import obs
 from repro.chunkstore.config import StoreConfig
@@ -66,6 +71,9 @@ from repro.util.codec import Decoder, Encoder
 
 #: how ``publish`` asks for the device flush it may find it needs
 Flush = Callable[[], None]
+#: what ``seal`` records of a set: the direct discipline's (chain, tail),
+#: the counter discipline's commit count
+Seal = Union[Tuple[bytes, int], int]
 
 
 class DirectValidation:
@@ -116,14 +124,24 @@ class DirectValidation:
         self.chain = self._hash.hash(b"")
         return 0
 
-    def flushed(self) -> None:
+    def seal(self, tail: int) -> Tuple[bytes, int]:
+        """The chain over every version up to ``tail``, where the set just
+        sealed ends: what its ``publish`` writes, whatever is appended
+        after it meanwhile."""
+        return self.chain, tail
+
+    def flushed(self, seal: Tuple[bytes, int]) -> None:
         """Nothing waits on durability: every commit flushes."""
 
-    def publish(self, tail: int, leader: int, flush: Flush, force: bool = False) -> bool:
-        """The real commit point: atomically publish chain + tail + leader
-        (the log was flushed already; see ``allows_lazy_flush``)."""
+    def publish(
+        self, seal: Tuple[bytes, int], leader: int, flush: Flush, force: bool = False
+    ) -> bool:
+        """The real commit point: atomically publish the sealed set's chain
+        and tail with the leader (the log was flushed already; see
+        ``allows_lazy_flush``)."""
+        chain, tail = seal
         enc = Encoder()
-        enc.bytes(self.chain)
+        enc.bytes(chain)
         enc.uint(tail)
         enc.uint(leader)
         with obs.span("platform.tr.write"):
@@ -191,6 +209,7 @@ class CounterValidation:
         #: count the next commit chunk will carry
         self.next_count = 1
         #: count of the last commit chunk known durable in the untrusted store
+        #: (a flush vouches only for the sets sealed before it began)
         self.flushed_count = 0
         self._set_hasher = system_hash.new()
 
@@ -246,18 +265,23 @@ class CounterValidation:
             return self.mac_optional
         return self._mac.verify(record.signed_message(), record.mac_tag)
 
-    def flushed(self) -> None:
-        """The untrusted store was flushed: every appended commit chunk is
-        now durable."""
-        self.flushed_count = self.next_count - 1
+    def seal(self, tail: int) -> int:
+        """The count of the commit chunk that just sealed the set."""
+        return self.next_count - 1
 
-    def publish(self, tail: int, leader: int, flush: Flush, force: bool = False) -> bool:
-        """Advance the counter to the last appended count once it lags by
+    def flushed(self, seal: int) -> None:
+        """A flush begun after the set sealed at count ``seal`` returned:
+        every commit chunk up to it is durable (one sealed later may not
+        be — it may have been appended after the flush began)."""
+        self.flushed_count = max(self.flushed_count, seal)
+
+    def publish(self, seal: int, leader: int, flush: Flush, force: bool = False) -> bool:
+        """Advance the counter to the sealed set's count once it lags by
         Δut commits (or ``force``: a checkpoint); returns whether it did.
         Δtu forbids the counter from leading the durable log, so a lazily
         flushed log is flushed first (``flush`` must end in
         :meth:`flushed`) and the counter catches up fully."""
-        last = self.next_count - 1
+        last = seal
         if not force and last - self._counter.read() < self.delta_ut:
             return False
         if self.flushed_count + self.delta_tu < last:

@@ -3,43 +3,55 @@
 Everything that reaches the log is appended as part of a *commit set*,
 and every commit set is closed the same way::
 
-    begin_set → append … → make_durable(stage):
+    begin_set → append … → seal(stage):
         seal_set            the discipline's commit chunk, if it writes one
+        validator.seal      what the set sealed: its count, or chain and tail
         <stage>.before_flush
-        flush               unless the caller asked for a lazy flush and
-                            the discipline allows one; the store's
-                            commit route drops its ``_lock`` for it
+    → flush(seal)           unless the caller asked for a lazy flush and
+                            the discipline allows one
+    → publish(seal, stage):
         <stage>.after_flush
         publish             the tamper-resistant store moves (or not: Δut)
+                            for what the set sealed
         <stage>.after_tr    only if it moved
 
 :class:`LogWriter` is the only implementation of that sequence, and it
 has two callers: the store's commit route (``ChunkStore._commit_set``,
 which every application commit and every cleaner re-commit takes) and
-the two phases of a checkpoint.  They differ in their arguments — the ``stage`` that
-names the crash-injection points, whether the device flush may be lazy,
-whether the tamper-resistant write is forced — not in code.  Which
-validation discipline is in force is the validator's business
+the two phases of a checkpoint.  They differ in their arguments — the
+``stage`` that names the crash-injection points, whether the device flush
+may be lazy, whether the tamper-resistant write is forced — not in code.
+:meth:`LogWriter.make_durable` runs the three steps in one go, offering
+the caller's ``_lock`` for the flush; a pipelined commit runs the same
+steps apart — :meth:`~LogWriter.seal` under both of the store's locks,
+the device flush (:meth:`~LogWriter.sync`) under neither, and
+:meth:`~LogWriter.publish` with ``synced`` under ``_lock`` once every set
+sealed before it has finished — which is why the flush and the publish
+are told what the set sealed instead of reading the validator's "now".
+Which validation discipline is in force is the validator's business
 (:mod:`repro.chunkstore.validation`); nothing here asks.
 
 Like the read path, a log writer owns nothing it was not given: the
 codec, the :class:`~repro.chunkstore.segments.SegmentManager` holding the
 tail, the :class:`~repro.chunkstore.segments.LogWriteBuffer` (which holds
 the device and the retrier), the validator and the crash injector.
-``ChunkStore`` builds one and calls it under both of its locks (the
-writers' lock and ``_lock``); the one thing a caller may hand it is
-``_lock`` itself, to drop across a commit set's device flush.
-Whether an append fits is not its business: every writer but a
-checkpoint asks :mod:`repro.chunkstore.logspace` before it appends.
+``ChunkStore`` builds one and calls it under its locks (the writers' lock
+and ``_lock`` to append and seal, ``_lock`` to publish); the one thing a
+caller may hand it is ``_lock`` itself, to drop across a commit set's
+device flush.  Whether an append fits is not its business: every writer
+but a checkpoint asks :mod:`repro.chunkstore.logspace` before it
+appends.
 """
 
 from __future__ import annotations
+
+import time
 
 from repro.chunkstore.descriptor import ChunkDescriptor, ChunkStatus
 from repro.chunkstore.ids import SYSTEM_PARTITION, ChunkId
 from repro.chunkstore.log import LogCodec, NextSegmentRecord, VersionKind
 from repro.chunkstore.segments import LogWriteBuffer, SegmentManager
-from repro.chunkstore.validation import Validator
+from repro.chunkstore.validation import Seal, Validator
 from repro.crypto.cipher import Cipher
 from repro.crypto.hashing import HashFunction
 from repro.errors import ChunkStoreError
@@ -84,6 +96,10 @@ class LogWriter:
         self.bytes_by_kind = dict.fromkeys(
             ("data", "map", "leader", *_UNNAMED_KINDS.values()), 0
         )
+        #: seconds the last device flush took, whoever ran it: the store
+        #: reads it to tell whether a flush is worth overlapping (one
+        #: float, written by whichever thread flushed last)
+        self.last_sync_s = 0.0
 
     # -- appending -------------------------------------------------------------
 
@@ -163,21 +179,63 @@ class LogWriter:
         if record is not None:
             self.append_unnamed(VersionKind.COMMIT, record.encode(), in_set=False)
 
-    def flush(self, unlocked=None) -> None:
-        """Make everything appended so far durable.  ``unlocked`` is the
-        lock to drop while the device works (see :meth:`make_durable`)."""
+    def seal(self, stage: str) -> Seal:
+        """Close the open set, issue its pending span and pass
+        ``<stage>.before_flush``; returns what the validator recorded of
+        the set — what :meth:`flush` and :meth:`publish` are about, however
+        much is appended after it."""
+        self.seal_set()
+        self.logbuf.seal()
+        seal = self.validator.seal(self.segman.tail_location)
+        self.injector.point(stage + ".before_flush")
+        return seal
+
+    def sync(self) -> None:
+        """The device flush alone: everything issued so far is durable when
+        it returns.  It reads and writes no state of the log or of the
+        store, so it may run under no lock at all: a pipelined commit runs
+        it after :meth:`seal` and tells :meth:`publish` (``synced``)."""
+        started = time.perf_counter()
+        self.logbuf.sync()
+        self.last_sync_s = time.perf_counter() - started
+
+    def flush(self, seal: Seal, unlocked=None) -> None:
+        """Make everything appended so far durable, the set sealed as
+        ``seal`` included.  ``unlocked`` is the lock to drop while the
+        device works (see :meth:`make_durable`)."""
         self.logbuf.seal()
         if unlocked is not None:
-            # THE unlocked statement: the only place in the chunk store a
-            # lock is released other than by leaving a ``with``, and what
-            # runs without it is the retried device flush alone
+            # the one place in the chunk store a lock is offered for the
+            # device flush: what runs without it is the retried flush alone
             unlocked.release()
         try:
-            self.logbuf.sync()
+            self.sync()
         finally:
             if unlocked is not None:
                 unlocked.acquire()
-        self.validator.flushed()
+        self.validator.flushed(seal)
+
+    def publish(
+        self,
+        seal: Seal,
+        stage: str,
+        leader_location: int,
+        force: bool = False,
+        synced: bool = False,
+    ) -> None:
+        """The rest of the protocol once the sealed set is durable (or its
+        flush is lazy): ``<stage>.after_flush``, the tamper-resistant
+        store's move for it, ``<stage>.after_tr`` if it moved.  ``synced``
+        says the caller ran the set's device flush apart (:meth:`sync`,
+        begun after the seal), which the validator learns here."""
+        if synced:
+            self.validator.flushed(seal)
+        point = self.injector.point
+        point(stage + ".after_flush")
+        if self.validator.publish(
+            seal, leader_location, lambda: self.flush(seal), force
+        ):
+            point(stage + ".after_tr")
 
     def make_durable(
         self,
@@ -188,24 +246,20 @@ class LogWriter:
         unlocked=None,
     ) -> None:
         """Seal the open set and run the durability protocol (see the
-        module docstring); ``stage`` prefixes the crash-injection points.
+        module docstring) in one go; ``stage`` prefixes the crash-injection
+        points.
 
         ``unlocked`` is ``ChunkStore._lock`` when the caller is the
         store's commit route and ``None`` for a checkpoint: the lock is
         dropped for the device flush — that one call, not the seal before
-        it, the crash points around it, ``validator.flushed()`` or
+        it, the crash points around it, ``validator.flushed`` or
         ``publish`` — so reads are served while the device works.  Nothing
         can append meanwhile: the caller still holds the writers' lock; and
         nothing in the window sees the set, whose effects the caller
-        installs only after this returns."""
-        self.seal_set()
-        self.logbuf.seal()
-        point = self.injector.point
-        point(stage + ".before_flush")
+        installs only after this returns.  (The store's pipelined commit
+        runs the same steps apart: :meth:`seal` under both locks, the
+        device flush under neither, :meth:`publish` under ``_lock``.)"""
+        seal = self.seal(stage)
         if not (lazy and self.validator.allows_lazy_flush):
-            self.flush(unlocked)
-        point(stage + ".after_flush")
-        if self.validator.publish(
-            self.segman.tail_location, leader_location, self.flush, force
-        ):
-            point(stage + ".after_tr")
+            self.flush(seal, unlocked)
+        self.publish(seal, stage, leader_location, force)

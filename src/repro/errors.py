@@ -39,6 +39,15 @@ class ChunkStoreError(TDBError):
     """Base class for chunk-store usage errors."""
 
 
+class CommitOutcomeUnknownError(TDBError):
+    """A commit was written to the log but the store failed before it could
+    be acknowledged: a commit sealed before it failed.  Recovery decides
+    whether it survives, and never keeps it without that earlier commit;
+    reopen the store to learn which.  Not a :class:`ChunkStoreError`, which
+    a store that refuses a commit at its gate raises before anything of it
+    is written."""
+
+
 class ChunkNotAllocatedError(ChunkStoreError):
     """A chunk id was used that is not currently allocated."""
 

@@ -2,43 +2,60 @@
 amortized over N transactions.
 
 Every :class:`~repro.objectstore.store.Transaction` hands its op batch to
-its store's committer.  ``ChunkStore.commit`` holds the writers' lock
-end-to-end and (by default) flushes the untrusted store before returning —
-correct, durable, and the dominant cost of small transactions.  When many
-sessions commit concurrently, serializing those flushes wastes exactly the
-time group commit recovers: the **first** arriving committer becomes the
-*leader*, takes everything queued (its own entry is at the head) and
-issues a single chunk-store commit (one log append span, one flush) on
-behalf of the whole batch.  Followers just wait for their entry's wake-up.
+its store's committer.  ``ChunkStore.commit`` makes the batch durable
+before it returns — correct, and the device flush is the dominant cost of
+small transactions.  When many sessions commit concurrently, group commit
+amortizes it: the **first** arriving committer becomes the *leader*,
+takes everything queued (its own entry is at the head) and issues a
+single chunk-store commit (one log append span, one flush) on behalf of
+the whole batch.  Followers just wait for their entry's wake-up.
 
-The leader commits **one** batch and then *hands leadership off* to the
-thread of the first entry still queued: that follower wakes, takes
-everything queued by then (up to ``max_batch``) as its batch, and leads
-it.  A leader therefore returns as soon as its own transaction is durable
-— it never stays to flush the commits of others, and whoever waits behind
-the committer (a checkpoint waits for the writers' lock) waits out one
-flush, not a drain.  Batches form from contention alone: while a
-batch is inside ``ChunkStore.commit``, newly arriving committers enqueue.
-Under a single session the queue never holds more than one entry, and
-every commit is a batch of one: one chunk-store commit, one flush.
+The leader commits **one** batch and *hands leadership off* to the thread
+of the first entry still queued — as soon as the chunk store has sealed
+the batch and released its writers' lock (the ``sealed`` seam of
+``ChunkStore.commit``), not once the batch is durable.  That follower
+wakes, takes everything queued by then (up to ``max_batch``) as its
+batch, and leads it: the next batch appends and starts its own flush
+while the previous one's is in flight (the store finishes sets in the
+order they were sealed, so the later batch is acknowledged after the
+earlier).  A store commit that keeps the writers' lock to the end never
+calls the seam, and the lead passes once it returns, as it always did.
+A leader returns as soon as its own transaction is durable — it never
+stays to flush the commits of others.  Batches form from contention
+alone: while a batch is being appended, or while its predecessor's
+commit holds the writers' lock, newly arriving committers enqueue; with
+the queue empty at the hand-off, the next arrival leads at once.  Under
+a single session the queue never holds more than one entry, and every
+commit is a batch of one: one chunk-store commit, one flush.
 
 What a concurrent reader may observe (DESIGN.md "Thread safety" has the
 whole table): a transaction's writes reach *transactional* readers only
 after its commit returned (2PL, below); a ``Session.snapshot`` shows only
 durable batches, each atomically; so does the isolation-free
 ``ObjectStore.read_committed``, as the chunk store installs a batch's
-chunks only once its flush has returned.  After each durable batch the
-committer invalidates the store's snapshots of the partitions it touched
+chunks only once its flush has returned, and after every batch sealed
+before it.  After each durable batch the committer invalidates the
+store's snapshots of the partitions it touched
 (``SnapshotManager.invalidate_many``).  A commit's outcome is the store's
 alone: once the batch is durable every entry in it succeeds, whatever
-that invalidation or the leader's thread does next.
+that invalidation or the leader's thread does next.  If the store fails
+a batch, every batch sealed after it fails too, with
+:class:`~repro.errors.CommitOutcomeUnknownError` unless its own flush
+failed (it is in the log: recovery decides, never keeping it without the
+failed batch), and every batch that comes to the store afterwards is
+refused at its gate with a ``ChunkStoreError``, nothing of it written; a
+batch sealed *before* the failed one is durable once its flush returns,
+and succeeds.
 
 Correctness leans on two existing properties:
 
 * **Disjoint write sets.**  Transactions hold exclusive locks on every
   object they write until *after* their commit returns (2PL shrink phase
   in ``Transaction.commit``'s finally), so two entries in one batch can
-  never write the same chunk.  ``_validate_operations``'s duplicate-write
+  never write the same chunk — nor can two batches in flight at once (a
+  later one's entries could not lock those objects before the earlier
+  commit returned; should two sets name one chunk all the same, the store
+  makes the later one wait for the earlier).  ``_validate_operations``'s duplicate-write
   preflight remains as defense in depth: if a merged batch of two or more
   entries fails its preflight, the leader falls back to committing each
   entry separately, so a poison entry only fails its own transaction.  A
@@ -52,7 +69,7 @@ Correctness leans on two existing properties:
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.chunkstore.store import ChunkStore
@@ -124,33 +141,48 @@ class GroupCommitter:
 
     def _lead(self) -> None:
         """Commit one batch — the caller's entry is at the queue's head —
-        then pass the lead to the first entry queued meanwhile, or resign."""
+        and pass the lead to the first entry queued meanwhile, or resign:
+        as soon as the store has sealed the batch and released its
+        writers' lock (the next batch then appends while this one
+        flushes), else once the batch is done."""
         with self._mutex:
             batch = self._queue[: self.max_batch]
             del self._queue[: self.max_batch]
         batch[0].leads = True
-        try:
-            self._commit_batch(batch)
-        finally:
+        handed = False
+
+        def hand_off() -> None:
+            # once: from the store's seal (perhaps on the thread that
+            # finished the batch before), or from the ``finally`` below —
             # whatever became of this leader, the queue must not be
             # orphaned: somebody leads it, or nobody is marked as leading
+            nonlocal handed
             with self._mutex:
+                if handed:
+                    return
+                handed = True
                 successor = self._queue[0] if self._queue else None
                 self._leader_active = successor is not None
             if successor is not None:
                 successor.wake.set()
 
-    def _commit_batch(self, batch: List[_Entry]) -> None:
+        try:
+            self._commit_batch(batch, hand_off)
+        finally:
+            hand_off()
+
+    def _commit_batch(self, batch: List[_Entry], sealed: Callable[[], None]) -> None:
         merged = [op for entry in batch for op in entry.ops]
         try:
             with obs.span("server.group_commit", txs=len(batch), ops=len(merged)):
-                self.chunks.commit(merged)
+                self.chunks.commit(merged, sealed=sealed)
         except BaseException as exc:
             if len(batch) > 1 and isinstance(exc, ChunkStoreError):
-                # The merged batch failed its preflight (e.g. an entry with
-                # an oversized chunk, or — despite 2PL — overlapping write
-                # sets).  Retry each entry alone so only the poison entry
-                # fails.
+                # The store refused the merged batch before writing any of
+                # it: its preflight failed (e.g. an entry with an oversized
+                # chunk, or — despite 2PL — overlapping write sets), or the
+                # store is failed.  Retry each entry alone so only the
+                # poison entry fails.
                 self.fallbacks += 1
                 for entry in batch:
                     self._commit_alone(entry)

@@ -8,7 +8,9 @@ One :class:`TDBServer` wraps one
 * **writes**: ordinary serializable transactions.  Every transaction
   commits through the object store's
   :class:`~repro.objectstore.group_commit.GroupCommitter`, so commits
-  arriving concurrently from different sessions share one log flush.
+  arriving concurrently from different sessions share one log flush, and
+  — on a device whose flushes take time — the next batch appends while
+  the previous one's flush is in flight.
 * **reads**: :meth:`Session.snapshot` hands back one of the object
   store's MVCC snapshots (``objects.snapshots``), served lock-free; heavy
   readers never queue behind the commit path.
@@ -19,14 +21,15 @@ What a reader may observe while a commit's flush is in flight (DESIGN.md
 "Thread safety" has the table): a *transactional* read of an object that
 commit wrote waits on the object's lock until the commit has returned
 (2PL), and of any other object is served meanwhile — the chunk store
-drops its ``_lock`` across the device flush; a *snapshot* shows only
-states durably committed at acquire time — acquiring one inside the
-flush opens at once on the last durable state (the store installs a
-commit's effects only once it is durable), a group commit becomes
-visible to *new* snapshots the moment its batch's commit returns,
-atomically for the whole batch, and snapshots already handed out never
-change; the isolation-free ``ObjectStore.read_committed`` shows durable
-states only, too.
+holds neither of its locks across a plain commit's device flush, and
+the next batch appends meanwhile; a *snapshot* shows only states durably
+committed at acquire time — acquiring one inside the flush opens at once
+on the last durable state (the store installs a commit's effects only
+once it is durable, in the order the commits were sealed), a group
+commit becomes visible to *new* snapshots the moment its batch's commit
+returns, atomically for the whole batch, and snapshots already handed
+out never change; the isolation-free ``ObjectStore.read_committed``
+shows durable states only, too.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 * :class:`ParkingDevice` — an in-memory untrusted store whose next
   ``flush()`` (or next read) parks on a :class:`Gate` until the test opens
-  it (and every flush raises ``flush_error`` while the test has one set).
+  it (and every flush raises ``flush_error`` while the test has one set);
+  a parked flush that succeeds says so on its gate (``wait_returned``).
   While a commit's
   flush is parked the test *is* inside the window in which
   ``ChunkStore._lock`` is dropped.
@@ -51,13 +52,29 @@ class Gate:
     def __init__(self, on_arrival: Optional[Callable[[], None]] = None) -> None:
         self.arrived = threading.Event()
         self._opened = threading.Event()
+        #: set by a parked flush once it has returned
+        self.returned = threading.Event()
         self.on_arrival = on_arrival
 
     def wait_arrived(self) -> None:
         assert self.arrived.wait(BACKSTOP), "nothing ever reached the gate"
 
+    def wait_arrived_unless(self, worker: "Worker") -> bool:
+        """Return once a thread is parked here — ``True`` — or once
+        ``worker``, whose thread was to get here, has finished without it:
+        it failed on the way (``False``)."""
+        for _ in range(int(BACKSTOP / 0.001)):
+            if self.arrived.wait(0.001):
+                return True
+            if worker.finished:
+                return self.arrived.is_set()
+        raise AssertionError("nothing reached the gate, and the worker still runs")
+
     def open(self) -> None:
         self._opened.set()
+
+    def wait_returned(self) -> None:
+        assert self.returned.wait(BACKSTOP), "the parked flush never returned"
 
     def park(self) -> None:
         """Called by the thread to be parked."""
@@ -92,12 +109,15 @@ class ParkingDevice(MemoryUntrustedStore):
         return gate
 
     def flush(self) -> None:
-        if self._flush_gates:
-            self._flush_gates.popleft().park()
+        gate = self._flush_gates.popleft() if self._flush_gates else None
+        if gate is not None:
+            gate.park()
         if self.flush_error is not None:
             self.stats.io_errors += 1
             raise self.flush_error
         super().flush()
+        if gate is not None:
+            gate.returned.set()
 
     def read(self, location: int, size: int) -> bytes:
         if self._read_gates:
@@ -218,10 +238,12 @@ class SignallingClock(FakeClock):
         )
 
 
-def parking_platform(size: int = 4 * 1024 * 1024) -> TrustedPlatform:
+def parking_platform(
+    size: int = 4 * 1024 * 1024, injector: Optional[CrashInjector] = None
+) -> TrustedPlatform:
     """An in-memory platform over a :class:`ParkingDevice` and a
     :class:`SignallingClock`."""
-    injector = CrashInjector()
+    injector = injector or CrashInjector()
     return TrustedPlatform(
         secret_store=SecretStore(bytes(range(SecretStore.SIZE))),
         tamper_resistant=TamperResistantStore(),

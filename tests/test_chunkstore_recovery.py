@@ -4,7 +4,7 @@ both validation modes."""
 import pytest
 
 from repro.chunkstore import ChunkStore, ops
-from repro.errors import CrashError
+from repro.errors import ChunkNotWrittenError, CrashError
 from tests.conftest import make_config, make_platform
 
 
@@ -108,6 +108,62 @@ class TestCommitAtomicity:
         reopened = ChunkStore.open(platform)
         with pytest.raises(ChunkNotAllocatedError):
             reopened.read_chunk(pid, 0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+class TestResetReplay:
+    """A ``WritePartition`` over a written partition resets it; replaying
+    that commit must reset it too, where the live commit did."""
+
+    def test_a_replayed_reset_drops_the_writes_replayed_before_it(self, mode):
+        platform, store = build_store(mode)
+        pid = store.allocate_partition()
+        store.commit([ops.WritePartition(pid, cipher_name="ctr-sha256", hash_name="sha1")])
+        store.checkpoint()
+        store.commit(
+            [ops.WriteChunk(pid, store.allocate_chunk(pid), b"old%d" % n) for n in range(4)]
+        )
+        # the reset and the writes before it are all in the residual log
+        store.commit([ops.WritePartition(pid, cipher_name="ctr-sha256", hash_name="sha1")])
+        store.commit([ops.WriteChunk(pid, store.allocate_chunk(pid), b"new")])
+        live = (store.data_ranks(pid), store.live_bytes())
+        store.reserve_chunk(pid, 2)
+        with pytest.raises(ChunkNotWrittenError):
+            store.read_chunk(pid, 2)
+        platform.untrusted.simulate_crash()
+        platform.reboot()
+        reopened = ChunkStore.open(platform)
+        assert (reopened.data_ranks(pid), reopened.live_bytes()) == live
+        reopened.reserve_chunk(pid, 2)
+        with pytest.raises(ChunkNotWrittenError):
+            reopened.read_chunk(pid, 2)
+        assert reopened.quarantined_chunks() == {}
+        # and past the next checkpoint and reopen
+        reopened.checkpoint()
+        reopened.close()
+        platform.reboot()
+        again = ChunkStore.open(platform)
+        assert again.data_ranks(pid) == [0] and again.read_chunk(pid, 0) == b"new"
+        again.reserve_chunk(pid, 2)
+        with pytest.raises(ChunkNotWrittenError):
+            again.read_chunk(pid, 2)
+
+    def test_a_copy_sources_rewritten_leader_is_not_a_reset(self, mode):
+        platform, store = build_store(mode)
+        pid = store.allocate_partition()
+        store.commit([ops.WritePartition(pid, cipher_name="ctr-sha256", hash_name="sha1")])
+        store.checkpoint()
+        store.commit([ops.WriteChunk(pid, store.allocate_chunk(pid), b"kept")])
+        store.checkpoint()  # a copy reads its source's root from the leader
+        copy = store.allocate_partition()
+        store.commit([ops.CopyPartition(copy, pid)])  # rewrites pid's leader
+        store.commit([ops.WriteChunk(pid, 0, b"after")])
+        platform.untrusted.simulate_crash()
+        platform.reboot()
+        reopened = ChunkStore.open(platform)
+        assert reopened.read_chunk(pid, 0) == b"after"
+        assert reopened.read_chunk(copy, 0) == b"kept"
+        assert reopened.partition_info(pid)["copies"] == [copy]
 
 
 @pytest.mark.parametrize("mode", MODES)

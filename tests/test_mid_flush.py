@@ -3,36 +3,57 @@ flush is in flight — pinned deterministically (``tests/parking.py``: the
 flush parks on an event; no sleeps, no timing), in both validation modes.
 
 One rule: a commit set — an application commit of any operations, or the
-cleaner's re-commit — is appended, made durable with ``ChunkStore._lock``
-offered for the device flush, and only then installed.  The writers' lock
-is held throughout.  So, while parked:
+cleaner's re-commit — is appended, made durable, and only then installed,
+after every set sealed before it.  A plain application commit (chunk
+writes and frees of ranks its partitions have) is *pipelined*: it seals
+under both locks and drops both for its flush, so the next one appends
+and parks its own flush meanwhile.  (The store pipelines only where the
+device's last flush took time; a parked flush is as long as the test
+makes it, the ones before it take none, so an autouse fixture lets every
+flush count — bar the one test of that choice.)  So, while parked:
 
 * calls that take ``_lock`` alone are served, and see the last durable
-  state: none of the in-flight set — no new chunk, no new, reset or copied
-  partition, no moved version;
+  state: none of the in-flight sets — no new chunk, no new, reset or
+  copied partition, no moved version — and ``commit_count_stat`` counts
+  none of them;
 * ``open_snapshot_view`` takes ``_lock`` alone: it opens at once, on the
   last durable state, and its view references no byte a crash in the
   window could take back;
-* whoever takes the writers' lock waits — a second commit, a checkpoint,
-  ``close``;
+* the next plain commit appends, seals and parks its own flush; it is
+  neither visible nor acknowledged before the one sealed before it has
+  installed, even if its flush returns first; if that one fails, so does
+  it (told its outcome is unknown: it is in the log), and a crash with
+  both flushes parked reopens on the state before either; a set sealed
+  before one that fails the store while appending is acknowledged;
+* a writer that needs the whole image waits, with ``_lock`` released,
+  until every set in flight has installed — a checkpoint, ``clean``,
+  ``close``, a partition operation, a commit naming a chunk an in-flight
+  set names; the cleaner so never judges currency against an image that
+  lacks an in-flight set;
 * a transactional read of an object the in-flight transaction wrote waits
   on that object's 2PL lock, not on the store;
 * a flush that fails re-takes ``_lock`` first, and ``_failed`` is set
   before the failed commit returns to anyone;
-* a set closed inside another writer — the cleaner's re-commits in
-  ``clean`` or in a commit's ``make_room``, scrub's repair commit — holds
-  ``_lock`` twice, so the offer leaves it held; a checkpoint's flushes
-  never offer it.
+* a set that keeps the writers' lock to the end — one with partition
+  operations, or one closed inside another writer (the cleaner's
+  re-commits in ``clean`` or in a commit's ``make_room``, scrub's repair
+  commit) — offers ``_lock`` for its flush, and the nested ones hold it
+  twice, so the offer leaves it held; a checkpoint's flushes never offer
+  it.
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.chunkstore import ChunkStore, ops
+from repro.chunkstore import store as store_module
 from repro.chunkstore.ids import data_id
 from repro.errors import (
     ChunkStoreError,
+    CommitOutcomeUnknownError,
     CrashError,
     IOFaultError,
     PartitionNotFoundError,
@@ -52,11 +73,20 @@ from tests.parking import (
 )
 
 RANKS = 6
+#: the store's own choice, before the fixture below overrides it
+MIN_FLUSH_S = store_module.PIPELINE_MIN_FLUSH_S
 
 
 @pytest.fixture(params=["counter", "direct"])
 def mode(request):
     return request.param
+
+
+@pytest.fixture(autouse=True)
+def every_flush_is_worth_overlapping(monkeypatch):
+    """A parked flush is as long as the test makes it; the ones before it
+    take no time.  Pipeline from the first commit on."""
+    monkeypatch.setattr(store_module, "PIPELINE_MIN_FLUSH_S", 0.0)
 
 
 def make_store(mode, **overrides):
@@ -107,8 +137,9 @@ def test_raw_reads_are_served_while_a_commit_flushes(mode):
     platform, store, pid = make_store(mode)
     commits = store.commit_count_stat
     gate, committer = parked_commit(platform, store, [ops.WriteChunk(pid, 0, b"new0")])
+    # a plain commit is pipelined: neither lock is held across its flush
     assert not store._lock.held_by_someone_else()
-    assert store._writers.held_by_someone_else()
+    assert not store._writers.held_by_someone_else()
     # another chunk, cold (through the device) and batched
     store.payloads.clear()
     assert store.read_chunk(pid, 1) == b"old1"
@@ -164,7 +195,7 @@ def test_a_snapshot_view_opens_at_once_on_the_durable_state(mode, operation):
     )
     gate, committer = parked_commit(platform, store, [op])
     view = Worker(lambda: store.open_snapshot_view(pid)).done()
-    assert not committer.finished and store._writers.held_by_someone_else()
+    assert not committer.finished and len(store._in_flight) == 1
     assert view.frozen_at == commits  # the in-flight commit is not counted
     assert view.chunk_count() == RANKS and view.read_chunks(range(RANKS)) == OLD
     gate.open()
@@ -183,6 +214,8 @@ def test_a_snapshot_view_opens_at_once_on_the_durable_state(mode, operation):
 
 
 def test_a_commit_that_creates_a_partition_offers_the_lock_too(mode):
+    """A partition operation is not pipelined: its commit keeps the
+    writers' lock to the end, and offers ``_lock`` for its flush."""
     platform, store, pid = make_store(mode)
     commits = store.commit_count_stat
     created = store.allocate_partition()
@@ -198,6 +231,7 @@ def test_a_commit_that_creates_a_partition_offers_the_lock_too(mode):
         ],
     )
     assert not store._lock.held_by_someone_else()
+    assert store._writers.held_by_someone_else() and not store._in_flight
     # the new partition is not there yet …
     seen = Worker(
         lambda: (store.partition_exists(created), store.find_partition("created"))
@@ -345,33 +379,250 @@ def test_a_session_snapshot_opens_at_once_on_the_durable_state(mode):
 
 
 # ---------------------------------------------------------------------------
-# (iii) other writers wait
+# (iii) the next commit appends in the window; writers that need the whole
+# image wait for the drain
 # ---------------------------------------------------------------------------
 
 
-def test_a_second_commit_a_checkpoint_and_close_wait_for_the_flush(mode):
-    platform, store, pid = make_store(mode)
-    gate, committer = parked_commit(platform, store, [ops.WriteChunk(pid, 0, b"new0")])
-    waiting = [
-        Worker(lambda: store.commit([ops.WriteChunk(pid, 1, b"new1")])),
-        Worker(store.checkpoint),
-    ]
-    store._writers.wait_blocked(threads=2)
-    assert not any(worker.finished for worker in waiting)
-    assert store.read_chunk(pid, 1) == b"old1"  # nothing of theirs started
-    gate.open()
-    join_all([committer] + waiting)
-    assert store.read_chunk(pid, 1) == b"new1"
+def parked_pair(platform, store, pid):
+    """Commit ``k`` (chunk 0) and ``k+1`` (chunk 1), each parked in its own
+    flush, ``k+1`` sealed while ``k`` flushes: ``(gates, workers)``."""
+    gates = platform.untrusted.park_next_flush(), platform.untrusted.park_next_flush()
+    first = Worker(lambda: store.commit([ops.WriteChunk(pid, 0, b"new0")]))
+    gates[0].wait_arrived()
+    second = Worker(lambda: store.commit([ops.WriteChunk(pid, 1, b"new1")]))
+    gates[1].wait_arrived()
+    return gates, (first, second)
 
-    gate, committer = parked_commit(platform, store, [ops.WriteChunk(pid, 2, b"new2")])
-    closer = Worker(store.close)
-    store._writers.wait_blocked()
-    assert not closer.finished
-    gate.open()
-    join_all([committer, closer])
+
+def test_the_next_commit_appends_and_flushes_while_the_first_one_flushes(mode):
+    platform, store, pid = make_store(mode)
+    commits = store.commit_count_stat
+    (first_gate, second_gate), (first, second) = parked_pair(platform, store, pid)
+    # k+1 appended and sealed inside k's window, and parked its own flush
+    assert len(store._in_flight) == 2
+    assert not (first.finished or second.finished)
+
+    def durable_state_only():
+        assert store.read_chunks(pid, [0, 1]) == {0: b"old0", 1: b"old1"}
+        assert store.commit_count_stat == store.stats()["commits"] == commits
+        with store.open_snapshot_view(pid) as view:
+            assert view.frozen_at == commits
+            assert view.read_chunks([0, 1]) == {0: b"old0", 1: b"old1"}
+
+    durable_state_only()
+    # k+1's flush returns first: it still waits for k, unseen and untold
+    second_gate.open()
+    second_gate.wait_returned()
+    durable_state_only()
+    assert not second.finished
+    first_gate.open()
+    join_all([first, second])
+    assert store.commit_count_stat == commits + 2 and not store._in_flight
+    assert store.read_chunks(pid, [0, 1]) == {0: b"new0", 1: b"new1"}
+    store.close()
     platform.reboot()
     reopened = ChunkStore.open(platform)
-    assert reopened.read_chunks(pid, [0, 1, 2]) == {0: b"new0", 1: b"new1", 2: b"new2"}
+    assert reopened.read_chunks(pid, [0, 1]) == {0: b"new0", 1: b"new1"}
+
+
+def test_sets_install_in_the_order_they_were_sealed(mode, monkeypatch):
+    platform, store, pid = make_store(mode)
+    installed = []
+    install = store._install
+
+    def spy(effects):
+        installed.append(effects[0][1])  # the chunk id of the set's write
+        install(effects)
+
+    monkeypatch.setattr(store, "_install", spy)
+    (first_gate, second_gate), workers = parked_pair(platform, store, pid)
+    second_gate.open()
+    second_gate.wait_returned()
+    first_gate.open()
+    join_all(list(workers))
+    assert installed == [data_id(pid, 0), data_id(pid, 1)]
+
+
+def test_a_crash_with_both_flushes_parked_reopens_before_either(mode):
+    platform, store, pid = make_store(mode)
+    gates, (first, second) = parked_pair(platform, store, pid)
+    platform.untrusted.simulate_crash()  # both sets' appends are gone
+    platform.untrusted.flush_error = TransientIOError("flush: device gone")
+    for gate in gates:
+        gate.open()
+    with pytest.raises(IOFaultError):
+        first.done()
+    with pytest.raises(IOFaultError):  # its own flush failed too
+        second.done()
+    assert store._failed and not store._in_flight
+    store.close()
+    platform.untrusted.flush_error = None
+    platform.reboot()
+    reopened = ChunkStore.open(platform)
+    assert reopened.read_chunks(pid, range(RANKS)) == OLD
+    assert reopened.quarantined_chunks() == {}
+
+
+@pytest.mark.parametrize("how", ["io", "commit.after_flush"])
+def test_a_failed_first_set_fails_the_next_one_though_its_flush_succeeds(mode, how):
+    platform, store, pid = make_store(mode)
+    (first_gate, second_gate), (first, second) = parked_pair(platform, store, pid)
+    _fail(platform, first_gate, how)
+    with pytest.raises(IOFaultError if how == "io" else CrashError):
+        first.done()
+    assert store._failed
+    platform.untrusted.flush_error = None
+    second_gate.open()  # k+1's own flush succeeds …
+    with pytest.raises(CommitOutcomeUnknownError) as told:
+        second.done()  # … and it is failed all the same, never installed
+    assert isinstance(told.value.__cause__, IOFaultError if how == "io" else CrashError)
+    assert store.commit_count_stat == store.stats()["commits"]
+    assert not store._in_flight
+    store.close()
+    platform.reboot()
+    reopened = ChunkStore.open(platform)
+    # k+1's flush made both sets' logs durable: the counter discipline
+    # replays both, in log order; under direct validation neither reached
+    # the tamper-resistant store
+    new = mode == "counter"
+    assert reopened.read_chunks(pid, [0, 1]) == (
+        {0: b"new0", 1: b"new1"} if new else {0: b"old0", 1: b"old1"}
+    )
+    assert reopened.read_chunks(pid, range(2, RANKS)) == {
+        rank: OLD[rank] for rank in range(2, RANKS)
+    }
+
+
+@pytest.mark.parametrize("point", ["commit.write", "commit.before_flush"])
+def test_a_set_is_acknowledged_though_the_next_one_failed_the_store(mode, point):
+    """Set ``k`` flushes; ``k+1`` fails the store while appending or
+    sealing inside that window.  ``k``'s flush returns: it is durable, and
+    its committer is told it committed — only what comes to the gate
+    afterwards is refused."""
+    platform, store, pid = make_store(mode)
+    gate, first = parked_commit(platform, store, [ops.WriteChunk(pid, 0, b"new0")])
+    platform.injector.arm(point)
+    with pytest.raises(CrashError):
+        store.commit([ops.WriteChunk(pid, 1, b"new1")])
+    assert store._failed and len(store._in_flight) == 1
+    gate.open()
+    assert first.done() is None  # acknowledged
+    assert not store._in_flight
+    with pytest.raises(ChunkStoreError, match="failed state"):
+        store.read_chunk(pid, 0)
+    store.close()
+    platform.reboot()
+    reopened = ChunkStore.open(platform)
+    # k is there in both modes; k+1 only if its commit chunk was in the log
+    # when k's flush ran (it seals before ``before_flush``) and the log is
+    # the commit point (counter validation)
+    kept = point == "commit.before_flush" and mode == "counter"
+    assert reopened.read_chunks(pid, [0, 1]) == {
+        0: b"new0", 1: b"new1" if kept else b"old1"
+    }
+    assert reopened.quarantined_chunks() == {}
+
+
+def spy_on_drain(store):
+    """A :class:`Gate` whose ``arrived`` is set once a writer starts to wait
+    for the sets in flight (``ChunkStore._drain`` with one in flight)."""
+    draining = Gate()
+    drain = store._drain
+
+    def spy():
+        if store._in_flight:
+            draining.arrived.set()
+        drain()
+
+    store._drain = spy
+    return draining
+
+
+def _whole_image_writers(store, pid, created):
+    """Writers that need the whole image, each as ``(call, untouched)``:
+    ``untouched()`` says nothing of the writer's own work has happened."""
+    injector = store.platform.injector
+    appended = store.logbuf.bytes_appended
+    checkpoints = injector.counts["checkpoint.begin"]
+    partition = ops.WritePartition(created, cipher_name="ctr-sha256", hash_name="sha1")
+    return {
+        "checkpoint": (
+            store.checkpoint,
+            lambda: injector.counts["checkpoint.begin"] == checkpoints,
+        ),
+        "clean": (
+            lambda: store.clean(max_segments=1),
+            lambda: injector.counts["checkpoint.begin"] == checkpoints,
+        ),
+        "close": (store.close, lambda: not store._closed),
+        "partition": (
+            lambda: store.commit([partition]),
+            lambda: store.logbuf.bytes_appended == appended,
+        ),
+        "same_chunk": (
+            lambda: store.commit([ops.WriteChunk(pid, 0, b"newer0")]),
+            lambda: store.logbuf.bytes_appended == appended,
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "writer", ["checkpoint", "clean", "close", "partition", "same_chunk"]
+)
+def test_a_writer_that_needs_the_whole_image_waits_for_the_drain(mode, writer):
+    platform, store, pid = make_store(mode)
+    created = store.allocate_partition()
+    gate, committer = parked_commit(platform, store, [ops.WriteChunk(pid, 0, b"new0")])
+    call, untouched = _whole_image_writers(store, pid, created)[writer]
+    draining = spy_on_drain(store)
+    waiting = Worker(call)
+    draining.wait_arrived()
+    # it holds the writers' lock, so nothing else can start; ``_lock`` it
+    # gave up for the wait, so reads are served
+    assert store._writers.held_by_someone_else()
+    assert Worker(lambda: store.read_chunk(pid, 1)).done() == b"old1"
+    assert untouched() and not waiting.finished and not committer.finished
+    gate.open()
+    join_all([committer, waiting])
+    if writer == "close":
+        platform.reboot()
+        store = ChunkStore.open(platform)
+    expected = b"newer0" if writer == "same_chunk" else b"new0"
+    assert store.read_chunk(pid, 0) == expected
+    if writer == "partition":
+        assert store.partition_exists(created)
+
+
+def test_a_cleaner_pass_never_moves_a_version_an_in_flight_set_superseded(mode):
+    """Rank 5's only version sits in the cleaner's victim segment; an
+    in-flight commit supersedes it.  ``clean`` waits for that commit, so
+    the old version is obsolete when the cleaner judges it, and is not
+    moved over the new one — in the image, and in the log recovery reads."""
+    platform, store, pid = make_store(mode, segment_size=8 * 1024)
+    for rank in range(RANKS - 1):  # rank 5 stays put: the victim's survivor
+        store.commit([ops.WriteChunk(pid, rank, b"new" * 250)])
+    store.checkpoint()
+    survivor = data_id(pid, RANKS - 1)
+    victim = store.segman.segment_of(store._get_descriptor(survivor).location)
+    assert store.segman.emptiest_cleanable_segment() == victim
+    rewritten = store.cleaner.rewritten_versions
+    gate, committer = parked_commit(
+        platform, store, [ops.WriteChunk(pid, RANKS - 1, b"newer5")]
+    )
+    draining = spy_on_drain(store)
+    cleaner = Worker(lambda: store.clean(max_segments=1))
+    draining.wait_arrived()
+    gate.open()
+    committer.done()
+    assert cleaner.done() == 1
+    assert victim in {segment for segment, _ in store.segman.deferred_segments}
+    assert store.cleaner.rewritten_versions == rewritten  # nothing current left
+    assert store.read_chunk(pid, RANKS - 1) == b"newer5"
+    store.close()
+    platform.reboot()
+    reopened = ChunkStore.open(platform)
+    assert reopened.read_chunk(pid, RANKS - 1) == b"newer5"
 
 
 # ---------------------------------------------------------------------------
@@ -475,48 +726,74 @@ def test_a_crash_before_the_flush_never_drops_the_lock(mode):
 
 @pytest.mark.parametrize("how", ["io", "commit.before_flush", "commit.after_flush"])
 def test_a_failed_flush_is_told_to_the_queued_committer(mode, how, monkeypatch):
-    """Two sessions: the second one's commit is queued behind the batch
-    whose flush fails; it is handed the lead, finds the store failed, and
-    is told so — it does not hang and nothing of it is written."""
+    """Sessions commit behind the batch that fails.  The one queued behind
+    it is handed the lead, finds the store failed and is told so: it does
+    not hang and nothing of it is written.  Where the first batch fails at
+    or after its flush, the second session has led its own batch already —
+    sealed while the first's flush is parked — and is told its outcome is
+    unknown, never that it committed; the session queued is then a third,
+    behind that second batch."""
     queue = QueueSpy().install(monkeypatch)
     platform, store, objects, pid, refs = make_objects(mode)
+    pipelined = how != "commit.before_flush"
     with TDBServer(objects) as server:
-        first, second = server.session(), server.session()
-        tx1, tx2 = first.transaction(), second.transaction()
-        tx1.update(refs[0], tx1.get_for_update(refs[0]) + 1)
-        tx2.update(refs[1], tx2.get_for_update(refs[1]) + 1)
-        if how == "commit.before_flush":
+        sessions = [server.session() for _ in range(3 if pipelined else 2)]
+        txs = [session.transaction() for session in sessions]
+        for tx, ref in zip(txs, refs):
+            tx.update(ref, tx.get_for_update(ref) + 1)
+        if not pipelined:
             # that point is ahead of the window: park the leader on its way
             # into the store instead, and let the armed point fail it
             gate = Gate()
 
-            def commit(operations, _commit=store.commit):
+            def commit(operations, _commit=store.commit, **seam):
                 if not gate.arrived.is_set():
                     gate.park()
-                return _commit(operations)
+                return _commit(operations, **seam)
 
             store.commit = commit
             platform.injector.arm(how)
             fail = gate.open
         else:
             gate = platform.untrusted.park_next_flush()
+            second_gate = platform.untrusted.park_next_flush()
             fail = lambda: _fail(platform, gate, how)
-        leader = Worker(tx1.commit)
+        leader = Worker(txs[0].commit)
         gate.wait_arrived()
-        follower = Worker(tx2.commit)
+        if pipelined:
+            # the leader handed off at its seal: the second session leads
+            # its own batch and parks its flush inside the leader's window;
+            # the third queues behind that batch
+            second = Worker(txs[1].commit)
+            second_gate.wait_arrived()
+            assert len(store._in_flight) == 2
+            assert queue.entries[1].leads and queue.entries[1].wake.sets == 0
+        queued = Worker(txs[-1].commit)
         queue.wait_queued()
         fail()
         with pytest.raises(IOFaultError if how == "io" else CrashError):
             leader.done()
         with pytest.raises(ChunkStoreError, match="failed state"):
-            follower.done()
+            queued.done()
+        if pipelined:
+            platform.untrusted.flush_error = None
+            second_gate.open()  # its own flush succeeds
+            with pytest.raises(CommitOutcomeUnknownError):
+                second.done()
         assert store._failed and not objects.committer._leader_active
-        assert tx1.status == tx2.status == TxStatus.ABORTED
+        assert all(tx.status == TxStatus.ABORTED for tx in txs)
     platform.untrusted.flush_error = None
     platform.reboot()
     reopened = ObjectStore(ChunkStore.open(platform))
-    assert reopened.read_committed(refs[1]) == 0  # never written
-    assert reopened.read_committed(refs[0]) in (0, 1)
+    values = [reopened.read_committed(ref) for ref in refs[: len(txs)]]
+    assert values[-1] == 0  # the queued one: never written
+    if pipelined:
+        # the second batch's flush made both batches' logs durable: the
+        # counter discipline replays both; under direct validation neither
+        # reached the tamper-resistant store
+        assert values[:2] == ([1, 1] if mode == "counter" else [0, 0])
+    else:
+        assert values[0] == 0  # it crashed ahead of its flush
 
 
 # ---------------------------------------------------------------------------
@@ -651,3 +928,49 @@ def test_a_lazily_flushed_commit_has_nothing_to_unlock_for():
     store.commit([ops.WriteChunk(pid, 2, b"c")])  # Δut reached: catch up
     assert platform.untrusted.stats.flushes == flushes + 1
     assert seen == [True]
+
+
+def test_only_a_flush_worth_overlapping_is_pipelined(mode, monkeypatch):
+    """The pipeline is chosen by the device's last flush: while it took
+    next to nothing, a plain commit keeps the writers' lock through its own
+    flush and never calls ``sealed``; once one took long, the next commit
+    seals, releases both locks and calls it; and with a set in flight the
+    next one is pipelined behind it whatever the last flush took."""
+    monkeypatch.setattr(store_module, "PIPELINE_MIN_FLUSH_S", MIN_FLUSH_S)
+    platform, store, pid = make_store(mode)
+    assert store.writer.last_sync_s < MIN_FLUSH_S  # a memory device's flushes
+    told = []
+    gate = platform.untrusted.park_next_flush()
+    first = Worker(
+        lambda: store.commit([ops.WriteChunk(pid, 0, b"new0")], sealed=lambda: told.append(0))
+    )
+    gate.wait_arrived()
+    assert store._writers.held_by_someone_else() and not store._in_flight
+    # not a race: only makes the parked flush outlast the threshold
+    time.sleep(2 * MIN_FLUSH_S)
+    gate.open()
+    first.done()
+    assert told == [] and store.writer.last_sync_s >= MIN_FLUSH_S
+    gate = platform.untrusted.park_next_flush()
+    second = Worker(
+        lambda: store.commit([ops.WriteChunk(pid, 1, b"new1")], sealed=lambda: told.append(1))
+    )
+    gate.wait_arrived()
+    assert not store._writers.held_by_someone_else() and len(store._in_flight) == 1
+    assert told == [1]
+    # a flush that took no time meanwhile does not stop the pipeline while
+    # a set is in flight: the next set still installs after this one
+    store.writer.last_sync_s = 0.0
+    third_gate = platform.untrusted.park_next_flush()
+    third = Worker(
+        lambda: store.commit([ops.WriteChunk(pid, 2, b"new2")], sealed=lambda: told.append(2))
+    )
+    third_gate.wait_arrived()
+    assert len(store._in_flight) == 2
+    third_gate.open()
+    third_gate.wait_returned()
+    assert store.read_chunks(pid, [1, 2]) == {1: b"old1", 2: b"old2"}
+    gate.open()
+    join_all([second, third])
+    assert told == [1, 2]
+    assert store.read_chunks(pid, [0, 1, 2]) == {0: b"new0", 1: b"new1", 2: b"new2"}

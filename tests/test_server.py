@@ -21,8 +21,10 @@ from pathlib import Path
 import pytest
 
 from repro.chunkstore import ChunkStore, ops
+from repro.chunkstore import store as store_module
 from repro.errors import (
     ChunkStoreError,
+    CommitOutcomeUnknownError,
     CrashError,
     ObjectNotFoundError,
     StorageFullError,
@@ -34,7 +36,12 @@ from repro.objectstore.store import TxStatus
 from repro.server import GroupCommitter, TDBServer
 from repro.testing import SweepDriver, SweepSite
 from repro.testing.snapshot import PlatformSnapshot
-from tests.conftest import make_config, make_platform, recording_platform
+from tests.conftest import (
+    RecordingInjector,
+    make_config,
+    make_platform,
+    recording_platform,
+)
 from tests.parking import Gate, QueueSpy, Worker, join_all, parking_platform
 
 
@@ -134,7 +141,7 @@ class FakeChunks:
         self.gate = None  # when set, commit() blocks until the event fires
         self.reject_merged = False
 
-    def commit(self, ops):
+    def commit(self, ops, sealed=None):
         self.calls += 1
         if self.gate is not None:
             assert self.gate.wait(5.0), "test gate never opened"
@@ -277,7 +284,7 @@ class TestGroupCommitter:
         class FailingChunks:
             failed = False
 
-            def commit(self, ops):
+            def commit(self, ops, sealed=None):
                 if self.failed:
                     raise ChunkStoreError("chunk store is in a failed state")
                 self.failed = True
@@ -289,7 +296,7 @@ class TestGroupCommitter:
 
     def test_foreign_error_fails_the_whole_batch(self):
         class DyingChunks:
-            def commit(self, ops):
+            def commit(self, ops, sealed=None):
                 raise RuntimeError("device died")
 
         committer = GroupCommitter(DyingChunks(), StubSnapshots())
@@ -310,7 +317,7 @@ class GatedChunks:
         self.gates.append(Gate())
         return self.gates[-1]
 
-    def commit(self, ops):
+    def commit(self, ops, sealed=None):
         self.commits.append((sorted(ops), threading.get_ident()))
         if self.gates:
             self.gates.pop(0).park()
@@ -410,6 +417,86 @@ class TestLeaderHandOff:
         assert [ops for ops, _ in fake.commits] == [["0"], ["a", "b"], ["c"]]
         assert fake.commits[2][1] == queue.entries[3].thread
         assert not committer._leader_active and committer._queue == []
+
+
+@pytest.fixture
+def pipelined(monkeypatch):
+    """Pipeline every plain commit: the memory and parking devices' flushes
+    take next to nothing, which the store would not overlap
+    (``PIPELINE_MIN_FLUSH_S``)."""
+    monkeypatch.setattr(store_module, "PIPELINE_MIN_FLUSH_S", 0.0)
+
+
+@pytest.mark.usefixtures("pipelined")
+class TestPipelinedHandOff:
+    """Over a real store on a parking device: a leader hands the lead off
+    as soon as the store has sealed its batch and released the writers'
+    lock, so the next batch forms, appends and flushes while the leader's
+    flush is still parked — and is acknowledged only after it.  The
+    pipeline is two sets deep: the lead passes on from that second batch
+    once the first has finished, and the third forms meanwhile."""
+
+    def test_a_follower_leads_its_own_batch_while_the_previous_flush_is_parked(
+        self, monkeypatch
+    ):
+        platform = parking_platform()
+        chunks = ChunkStore.format(platform, make_config())
+        objects = ObjectStore(chunks)
+        pid = objects.create_partition(cipher_name="ctr-sha256", hash_name="sha1")
+        with objects.transaction() as tx:
+            refs = [tx.create(pid, 0) for _ in range(4)]
+        queue = QueueSpy().install(monkeypatch)
+        commits = chunks.commit_count_stat
+        entering = Gate()
+
+        def commit(operations, _commit=chunks.commit, **seam):
+            if not entering.arrived.is_set():
+                entering.park()
+            return _commit(operations, **seam)
+
+        chunks.commit = commit
+        flushes = platform.untrusted.park_next_flush(), platform.untrusted.park_next_flush()
+
+        def bump(ref):
+            with objects.transaction() as tx:
+                tx.update(ref, tx.get_for_update(ref) + 1)
+
+        workers = [Worker(lambda: bump(refs[0]))]
+        entering.wait_arrived()  # the leader, on its way into the store
+        for ref in refs[1:3]:
+            workers.append(Worker(lambda ref=ref: bump(ref)))
+            queue.wait_queued()
+        entering.open()
+        for gate in flushes:
+            gate.wait_arrived()
+        # the first queued entry was handed the lead at the leader's seal and
+        # committed both riders while the leader's flush is parked
+        lone, second, rider = queue.entries
+        assert second.leads and second.wake.sets == 1 and not rider.leads
+        assert len(chunks._in_flight) == 2
+        assert not any(worker.finished for worker in workers)
+        # two sets deep: a fourth committer queues behind the second leader
+        workers.append(Worker(lambda: bump(refs[3])))
+        queue.wait_queued()
+        assert objects.committer._leader_active and len(objects.committer._queue) == 1
+        # the second batch's flush returns first: still neither installed
+        # nor told, and still leading
+        flushes[1].open()
+        flushes[1].wait_returned()
+        assert not any(worker.finished for worker in workers)
+        assert objects.committer._leader_active
+        with chunks.open_snapshot_view(pid) as view:
+            assert view.frozen_at == commits
+        # the lone batch finishes: the lead passes to the fourth committer
+        flushes[0].open()
+        join_all(workers)
+        fourth = queue.entries[3]
+        assert fourth.leads and fourth.wake.sets == 1
+        assert chunks.commit_count_stat == commits + 3
+        assert [entry.batch_size for entry in queue.entries] == [1, 2, 2, 1]
+        assert not objects.committer._leader_active
+        with objects.transaction() as tx:
+            assert [tx.get(ref) for ref in refs] == [1, 1, 1, 1]
 
 
 class TestInvalidationFailure:
@@ -871,11 +958,11 @@ class TestOneCommitRoute:
         gate = Gate()
         committed = []
 
-        def commit(operations, _commit=chunks.commit):
+        def commit(operations, _commit=chunks.commit, **seam):
             committed.append(sorted(op.rank for op in operations))
             if not gate.arrived.is_set():
                 gate.park()
-            return _commit(operations)
+            return _commit(operations, **seam)
 
         chunks.commit = commit
 
@@ -901,9 +988,9 @@ class TestOneCommitRoute:
         _, chunks, objects, pid = make_stack()
         calls = []
 
-        def commit(operations, _commit=chunks.commit):
+        def commit(operations, _commit=chunks.commit, **seam):
             calls.append(len(operations))
-            return _commit(operations)
+            return _commit(operations, **seam)
 
         chunks.commit = commit
         with TDBServer(objects) as server, server.session() as session:
@@ -955,13 +1042,24 @@ class ServingCrashEnv:
     but parks on its way into the store until ``rider1`` and ``rider2`` are
     queued behind it; released, it commits a batch of one and hands the
     lead to ``rider1``'s thread, which commits the two riders as one batch.
-    ``acknowledged`` collects the transactions whose ``commit`` returned."""
+    ``acknowledged`` collects the transactions whose ``commit`` returned.
+
+    Not ``pipelined``, the lead passes once the lone batch is done.
+    ``pipelined``, it passes at the lone batch's seal, as the server does:
+    the riders' batch appends and seals while the lone batch's flush is
+    parked, and parks its own — two sets in flight — before both flushes
+    are let go."""
 
     NAMES = ("lone", "rider1", "rider2")
 
-    def __init__(self, mode, monkeypatch):
+    def __init__(self, mode, monkeypatch, pipelined=False):
         self.queue = QueueSpy().install(monkeypatch)
-        self.platform = recording_platform()
+        self.pipelined = pipelined
+        if pipelined:
+            monkeypatch.setattr(store_module, "PIPELINE_MIN_FLUSH_S", 0.0)
+            self.platform = parking_platform(injector=RecordingInjector())
+        else:
+            self.platform = recording_platform()
         self.chunks = ChunkStore.format(
             self.platform, make_config(validation_mode=mode)
         )
@@ -981,12 +1079,20 @@ class ServingCrashEnv:
         injector = self.platform.injector
         gate = Gate()
 
-        def commit(operations, _commit=self.chunks.commit):
+        def commit(operations, _commit=self.chunks.commit, sealed=None):
+            # not pipelined, the seal is not passed on: the riders stay
+            # queued until the lone batch is done
             if not gate.arrived.is_set():
                 gate.park()
-            return _commit(operations)
+            return _commit(operations, sealed=sealed if self.pipelined else None)
 
         self.chunks.commit = commit
+        device = self.platform.untrusted
+        flushes = (
+            (device.park_next_flush(), device.park_next_flush())
+            if self.pipelined
+            else ()
+        )
         start = len(injector.history)
         batches = self.objects.committer.stats()["batches"]
         with TDBServer(self.objects) as server:
@@ -1008,6 +1114,12 @@ class ServingCrashEnv:
                 workers.append(Worker(lambda name=name: transact(name)))
                 self.queue.wait_queued()
             gate.open()
+            # each batch parks its flush, unless a crash failed it first:
+            # the lone one's, then the riders', sealed inside that window
+            for flush, worker in zip(flushes, workers):
+                flush.wait_arrived_unless(worker)
+            for flush in flushes:
+                flush.open()  # a gate no flush reached lets the next one by
             join_all(workers)
             self.batches = self.objects.committer.stats()["batches"] - batches
             assert not self.objects.committer._leader_active
@@ -1036,11 +1148,9 @@ def served_batches(env):
             raise error
 
 
-@pytest.mark.parametrize("mode", ["counter", "direct"])
-def test_a_crash_at_any_commit_point_of_a_served_batch_loses_only_the_unacknowledged(
-    mode, monkeypatch
-):
-    driver = SweepDriver(lambda: ServingCrashEnv(mode, monkeypatch))
+def _served_sites(driver):
+    """Run the script once, un-crashed: every transaction acknowledged and
+    kept, in two batches; its ``commit.*`` sites in order."""
     env = driver.build()
     served_batches(env)
     points = env.points
@@ -1049,14 +1159,23 @@ def test_a_crash_at_any_commit_point_of_a_served_batch_loses_only_the_unacknowle
     # the lone batch writes one chunk, the handed-off batch two
     assert points.count("commit.begin") == 2 and points.count("commit.write") == 3
     order = list(dict.fromkeys(points))
+    assert set(order) >= {
+        "commit.begin", "commit.write", "commit.before_flush", "commit.after_flush",
+    }
     sites = [
         SweepSite(name, occurrence)
         for name in order
         for occurrence in range(points.count(name))
     ]
-    assert set(order) >= {
-        "commit.begin", "commit.write", "commit.before_flush", "commit.after_flush",
-    }
+    return points, order, sites
+
+
+@pytest.mark.parametrize("mode", ["counter", "direct"])
+def test_a_crash_at_any_commit_point_of_a_served_batch_loses_only_the_unacknowledged(
+    mode, monkeypatch
+):
+    driver = SweepDriver(lambda: ServingCrashEnv(mode, monkeypatch))
+    _, order, sites = _served_sites(driver)
     #: what the log holds once the flush returned is committed — unless the
     #: tamper-resistant write is the commit point (direct validation)
     durable_from = "commit.after_flush" if mode == "counter" else "commit.after_tr"
@@ -1077,11 +1196,59 @@ def test_a_crash_at_any_commit_point_of_a_served_batch_loses_only_the_unacknowle
     assert driver.sweep(served_batches, check, sites=sites) == sites
 
 
+@pytest.mark.parametrize("mode", ["counter", "direct"])
+def test_a_crash_with_two_served_batches_in_flight_loses_only_the_unacknowledged(
+    mode, monkeypatch
+):
+    """The same sweep with the lead handed off at the seal: every crash
+    site is hit with the lone batch's flush parked and the riders' batch
+    appending, sealed or parked in its own.  A crash in the riders' batch
+    leaves the lone one acknowledged; one in the lone batch fails the
+    riders' too (refused at the gate before its seal, of unknown outcome
+    after).  Recovery keeps each batch whose commit point was reached —
+    its commit chunk in a flushed log (counter), its tamper-resistant write
+    (direct) — never the riders' without the lone one."""
+    driver = SweepDriver(lambda: ServingCrashEnv(mode, monkeypatch, pipelined=True))
+    points, _, sites = _served_sites(driver)
+    # two sets in flight: the riders' batch sealed before the lone one's
+    # flush returned
+    riders_sealed = [i for i, p in enumerate(points) if p == "commit.before_flush"][1]
+    assert riders_sealed < points.index("commit.after_flush")
+    flushed = {"commit.after_flush", "commit.after_tr"}
+
+    def check(env, site):
+        in_lone_batch = site.occurrence == 0
+        batch = {"lone"} if in_lone_batch else {"rider1", "rider2"}
+        assert env.acknowledged == (set() if in_lone_batch else {"lone"}), site
+        assert isinstance(env.errors[sorted(batch)[0]], CrashError)
+        if in_lone_batch:
+            told = env.errors["rider1"]
+            sealed = site.point in flushed  # the riders sealed in its window
+            assert isinstance(
+                told, CommitOutcomeUnknownError if sealed else ChunkStoreError
+            ), (site, told)
+        if mode == "counter":
+            # every flush the script lets go runs: a set whose commit chunk
+            # was in the log by then is in the durable log
+            lone = not in_lone_batch or site.point in flushed
+            riders = lone and (site.point in flushed or site.point == "commit.before_flush")
+        else:
+            lone = not in_lone_batch or site.point == "commit.after_tr"
+            riders = not in_lone_batch and site.point == "commit.after_tr"
+        expected = {"lone"} if lone else set()
+        if riders:
+            expected |= {"rider1", "rider2"}
+        assert env.survivors() == expected, (site, expected)
+
+    assert driver.sweep(served_batches, check, sites=sites) == sites
+
+
 # ---------------------------------------------------------------------------
 # End-to-end stress: writers + snapshot readers, then crash recovery
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("pipelined")
 class TestServerStress:
     WRITERS = 4
     TXS = 6

@@ -56,7 +56,7 @@ class TestDirectValidation:
         tr = TamperResistantStore()
         v = DirectValidation(tr, Sha1Hash())
         v.note(b"version")
-        assert v.publish(12345, 42, no_flush)
+        assert v.publish(v.seal(12345), 42, no_flush)
         reopened = DirectValidation(tr, Sha1Hash())
         assert reopened.recovery_origin(superblock_leader=7) == 42
         assert reopened.recorded_tail == 12345
@@ -66,6 +66,22 @@ class TestDirectValidation:
         reopened.note(b"one version more than the TR store vouches for")
         with pytest.raises(TamperDetectedError):
             reopened.finish_recovery(0)
+
+    def test_publish_writes_what_the_set_sealed_not_the_tail_now(self):
+        """A pipelined set publishes after later sets appended: the TR
+        store gets the chain and tail as the set left them."""
+        tr = TamperResistantStore()
+        v = DirectValidation(tr, Sha1Hash())
+        v.note(b"first set")
+        sealed = v.seal(100)
+        v.note(b"a later set, appended while the first one flushes")
+        assert v.publish(sealed, 42, no_flush)
+        reopened = DirectValidation(tr, Sha1Hash())
+        assert reopened.recovery_origin(superblock_leader=7) == 42
+        assert reopened.recorded_tail == 100
+        reopened.restart_residual()
+        reopened.note(b"first set")
+        reopened.finish_recovery(0)  # the first set's chain, no more
 
     def test_empty_tr_raises(self):
         v = self.build()
@@ -114,13 +130,26 @@ class TestCounterValidation:
         v, counter = self.build(delta_ut=3)
         for _ in range(2):
             v.closing_record()
-            v.flushed()
-            assert not v.publish(0, 0, no_flush)
+            v.flushed(v.seal(0))
+            assert not v.publish(v.seal(0), 0, no_flush)
         v.closing_record()
-        v.flushed()
-        assert v.publish(0, 0, no_flush)
+        v.flushed(v.seal(0))
+        assert v.publish(v.seal(0), 0, no_flush)
         assert counter.read() == 3
-        assert not v.publish(0, 0, no_flush)
+        assert not v.publish(v.seal(0), 0, no_flush)
+
+    def test_a_flush_vouches_only_for_the_sets_sealed_before_it(self):
+        v, counter = self.build(delta_ut=1)
+        v.closing_record()
+        first = v.seal(0)
+        v.closing_record()  # sealed after the first set's flush began
+        v.flushed(first)
+        assert v.flushed_count == 1
+        assert v.publish(first, 0, no_flush)
+        assert counter.read() == 1  # never past the durable prefix
+        v.flushed(first)  # a late report never moves the mark back
+        v.flushed(v.seal(0))
+        assert v.flushed_count == 2
 
     def test_delta_tu_caps_target_when_unflushed(self):
         v, counter = self.build(delta_ut=1, delta_tu=1)
@@ -128,7 +157,7 @@ class TestCounterValidation:
         v.closing_record()  # count 2
         # flushed_count = 0, so the counter may lead it by at most Δtu=1 —
         # even when the flush it asked for never reports back
-        assert v.publish(0, 0, flush=lambda: None)
+        assert v.publish(v.seal(0), 0, flush=lambda: None)
         assert counter.read() == 1
 
     def test_final_count_window(self):
@@ -178,13 +207,16 @@ class _Discipline:
 
     def flush(self):
         self.flushes += 1
-        self.validator.flushed()
+        self.validator.flushed(self.validator.seal(100))
 
     def publish(self, force=False):
-        """``publish`` as ``LogWriter.make_durable`` drives it; checks the
-        answer against the device."""
+        """``publish`` as ``LogWriter.make_durable`` drives it — for the
+        set just sealed, its tail at 100; checks the answer against the
+        device."""
         before = self.device.write_count
-        wrote = self.validator.publish(100, 10, self.flush, force)
+        wrote = self.validator.publish(
+            self.validator.seal(100), 10, self.flush, force
+        )
         assert wrote == (self.device.write_count > before)
         return wrote
 

@@ -166,8 +166,9 @@ ANSWERS_WHEN_FAILED = {
 }
 
 
-#: the public calls that hold the writers' lock start to finish: whoever
-#: may append to the log (``diff`` and ``close`` checkpoint first)
+#: the public calls that take the writers' lock: whoever may append to the
+#: log (``diff`` and ``close`` checkpoint first).  All but ``commit`` need
+#: the whole image, so they wait for the commits in flight first
 WRITERS = {"commit", "checkpoint", "clean", "diff", "scrub", "close"}
 
 
@@ -182,13 +183,35 @@ def _lock_items(with_node):
     return locks
 
 
+def _function(tree, name):
+    (node,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return node
+
+
+def _statements(node):
+    """``node``'s body less docstrings and lazy collaborator imports."""
+    return [
+        stmt for stmt in node.body
+        if not isinstance(stmt, ast.ImportFrom)
+        and not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+    ]
+
+
 def test_every_public_chunkstore_call_passes_the_gate():
     """Each public method — bar ``format``/``open``, which build the store,
     and the allow-list above — is one ``with`` block over its lock(s) whose
     first statement is ``self._check_open()``: nothing runs before the
     gate, and nothing after the lock is dropped.  Exactly the six
     ``WRITERS`` take the writers' lock, and take it *before* ``_lock``;
-    everyone else takes ``_lock`` alone."""
+    everyone else takes ``_lock`` alone.  A writer first waits for the
+    commits in flight — ``self._drain()`` — and passes the gate after
+    that wait, in which a commit may have failed the store.  ``commit``
+    passes the gate first (it waits only if it must, in ``_admit``), and
+    is the one call that goes on after the locks: one span over them and
+    the pipelined set's finish."""
     tree = ast.parse((CHUNKSTORE / "store.py").read_text())
     (cls,) = [
         node for node in tree.body
@@ -200,31 +223,42 @@ def test_every_public_chunkstore_call_passes_the_gate():
     }
     assert set(ANSWERS_WHEN_FAILED) <= set(public), "stale allow-list entry"
     assert WRITERS <= set(public), "stale writer"
+    writer_locks = ["self._writers", "self._lock"]
     offenders = []
     for name, node in public.items():
         if name in ("format", "open"):
             continue
-        body = [
-            stmt for stmt in node.body
-            if not isinstance(stmt, ast.ImportFrom)  # lazy collaborator imports
-            and not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
-        ]
-        expected = (
-            ["self._writers", "self._lock"] if name in WRITERS else ["self._lock"]
-        )
+        body = _statements(node)
+        expected = writer_locks if name in WRITERS else ["self._lock"]
         taken = [
             _lock_items(n) for n in ast.walk(node)
             if isinstance(n, ast.With) and _lock_items(n)
         ]
         if name in ANSWERS_WHEN_FAILED:
             ok = taken in ([], [expected])  # no gate, but the same locks
+        elif name == "commit":
+            # one span over the locks, then the pipelined set's finish
+            nested, span = body
+            (locked, finish) = span.body
+            ok = (
+                ast.unparse(nested) == "nested = self._writers._is_owned()"
+                and isinstance(span, ast.With)
+                and taken == [expected]
+                and _lock_items(locked) == expected
+                and ast.unparse(locked.body[0]) == "self._check_open()"
+                and ast.unparse(finish).splitlines()[-2:]
+                == ["finally:", "    self._finish(flight)"]
+            )
         else:
+            gate = ["self._check_open()"]
+            if name in WRITERS:
+                gate = ["self._drain()"] + gate
             ok = (
                 len(body) == 1
                 and isinstance(body[0], ast.With)
                 and taken == [expected]
                 and _lock_items(body[0]) == expected
-                and ast.unparse(body[0].body[0]) == "self._check_open()"
+                and [ast.unparse(stmt) for stmt in body[0].body[: len(gate)]] == gate
             )
         if not ok:
             offenders.append(name)
@@ -241,8 +275,10 @@ def test_the_lock_order_and_the_one_unlocked_statement():
     (so the order writers' lock → ``_lock`` cannot be inverted, and the
     writers' lock is never held without ``_lock`` being taken at once);
     only ``store.py`` and ``cleaner.py`` name it at all; and a lock is
-    released other than by leaving a ``with`` in exactly one place —
-    ``LogWriter.flush``, around ``self.logbuf.sync()`` and nothing else."""
+    released other than by leaving a ``with`` in exactly two places —
+    ``LogWriter.flush``, around ``self.sync()`` — the timed device flush —
+    and nothing else, and ``ChunkStore._drain``, around the wait for the last set in flight
+    and nothing else."""
     sources = _chunkstore_sources()
     naming = {
         name for name, text in sources.items()
@@ -283,18 +319,29 @@ def test_the_lock_order_and_the_one_unlocked_statement():
                 in ("release", "acquire", "_release_save", "_acquire_restore")
             ):
                 releases.append((name, node.func.attr, ast.unparse(node)))
-    assert releases == [
-        ("writepath.py", "release", "unlocked.release()"),
+    assert sorted(releases) == [
+        ("store.py", "acquire", "self._lock.acquire()"),
+        ("store.py", "release", "self._lock.release()"),
         ("writepath.py", "acquire", "unlocked.acquire()"),
+        ("writepath.py", "release", "unlocked.release()"),
     ], releases
-    # … and what runs between the two is the device flush alone
-    (flush,) = [
-        node for node in ast.walk(ast.parse(sources["writepath.py"]))
-        if isinstance(node, ast.FunctionDef) and node.name == "flush"
-    ]
-    (unlocked_region,) = [n for n in ast.walk(flush) if isinstance(n, ast.Try)]
-    assert [ast.unparse(stmt) for stmt in unlocked_region.body] == [
-        "self.logbuf.sync()"
+    # … and what runs between each pair is the device flush, or the wait
+    for source, function, region in (
+        ("writepath.py", "flush", ["self.sync()"]),
+        ("store.py", "_drain", ["last.done.wait()"]),
+    ):
+        (unlocked_region,) = [
+            n for n in ast.walk(_function(ast.parse(sources[source]), function))
+            if isinstance(n, ast.Try)
+        ]
+        assert [ast.unparse(stmt) for stmt in unlocked_region.body] == region
+    # … where ``sync`` is the retried device flush, timed (the store's
+    # choice to pipeline reads how long the last one took)
+    sync = _function(ast.parse(sources["writepath.py"]), "sync")
+    assert [ast.unparse(stmt) for stmt in sync.body[1:]] == [
+        "started = time.perf_counter()",
+        "self.logbuf.sync()",
+        "self.last_sync_s = time.perf_counter() - started",
     ]
     # … offered by one caller: the store's commit route
     offered = [
@@ -306,6 +353,58 @@ def test_the_lock_order_and_the_one_unlocked_statement():
         if keyword.arg == "unlocked" and ast.unparse(keyword.value) != "unlocked"
     ]
     assert offered == [("store.py", "self._lock")], offered
+
+
+def test_only_an_application_commit_outlives_the_writers_lock():
+    """Static: every function that takes the writers' lock ends with that
+    ``with`` — the writer's work is done when the lock is left — except
+    ``ChunkStore.commit``, which finishes a pipelined set after it
+    (``_finish``, called from there alone).  Only ``_commit_set`` returns
+    such a set, and only given a plain commit's bound, which only
+    ``commit`` passes (from ``_admit``): the cleaner's re-commit hands
+    over its ``append`` alone, and is finished under the locks."""
+    sources = _chunkstore_sources()
+    outliving = []
+    for name, text in sources.items():
+        for function in ast.walk(ast.parse(text)):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for block in ast.walk(function):
+                body = getattr(block, "body", None)
+                if not isinstance(body, list):
+                    continue
+                body = [
+                    stmt for stmt in body
+                    if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+                ]
+                for index, stmt in enumerate(body):
+                    if (
+                        isinstance(stmt, ast.With)
+                        and _lock_items(stmt)[:1] == ["self._writers"]
+                        or isinstance(stmt, ast.With)
+                        and any(
+                            ast.unparse(item.context_expr).endswith("._writers")
+                            for item in stmt.items
+                        )
+                    ) and index != len(body) - 1:
+                        outliving.append((name, function.name))
+    assert outliving == [("store.py", "commit")], outliving
+    calls = [
+        (name, function.name, node.func.attr, len(node.args) + len(node.keywords))
+        for name, text in sources.items()
+        for function in ast.walk(ast.parse(text))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("_commit_set", "_finish", "_admit")
+    ]
+    assert sorted(calls) == [
+        ("cleaner.py", "_rewrite", "_commit_set", 1),
+        ("store.py", "commit", "_admit", 1),
+        ("store.py", "commit", "_commit_set", 2),
+        ("store.py", "commit", "_finish", 1),
+    ], calls
 
 
 def test_one_commit_route():
