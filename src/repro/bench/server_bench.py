@@ -42,11 +42,15 @@ commit exists to amortize):
   store's threshold for a flush worth overlapping is raised out of
   reach), and the device holds ``ChunkStore._lock`` for the length of its
   flush — and the floors are the ratios of the two.
-* ``snapshot_open_us`` — median cost of ``open_snapshot_view`` + close on
-  a partition with a few hundred map vectors (what a fresh
-  ``Session.snapshot`` pays under the store's ``_lock``), with a ceiling: once
-  with a few hundred dirty descriptors, once with as many as the
-  checkpoint threshold lets pile up (the view's seed copies them all).
+* ``snapshot_open_us`` — median cost of ``open_snapshot_view`` + close
+  right after a commit, on a partition with a few hundred map vectors
+  (what a fresh ``Session.snapshot`` pays under the store's ``_lock``
+  once a commit has moved the image on), with a ceiling: once with a few
+  hundred dirty descriptors, once with as many as the checkpoint
+  threshold lets pile up.  Beside it, the descriptor-cache entries the
+  freezes copied per open, as a share of the cache: the view's seed
+  shares the base the last freeze built and copies the delta since, so a
+  return to whole-cache copies reads 1.0 at any machine speed.
 
 Per-transaction commit latency feeds the obs histograms
 (``server.tx_commit`` / ``server.tx_commit_baseline``; the committer's
@@ -132,11 +136,18 @@ FLOORS = (
         "sets_sealed_in_flush_window",
         ("two_client", "sets_sealed_in_flush_window"), ">=", 1,
     ),
-    # µs, median ``open_snapshot_view`` + close over ``SNAPSHOT_OPEN_OBJECTS``
-    # objects, per dirty-set size (measured ≈ 45 with 600 dirty descriptors
-    # and ≈ 70 with 4,085; a seed that filtered out other partitions' keys
-    # in Python took ≈ 185 at 4,085)
+    # µs, median ``open_snapshot_view`` + close right after a commit over
+    # ``SNAPSHOT_OPEN_OBJECTS`` objects, per dirty-set size (measured ≈ 21
+    # with 600 dirty descriptors and ≈ 22 with 4,085; a seed that copied
+    # the whole cache and keyed its own crypto took ≈ 90 and ≈ 140 there)
     Floor("snapshot_open_us", ("snapshot_open_us", "*", "median_us"), "<=", 300.0),
+    # descriptor-cache entries the freezes copied per open, over the
+    # entries the cache holds: a seed shares its base and copies the delta
+    # since (measured ≈ 0.1; a whole-cache copy per open reads 1.0)
+    Floor(
+        "snapshot_open_copied_share",
+        ("snapshot_open_us", "*", "copied_share"), "<=", 0.5,
+    ),
     # §2.2, "geared to low concurrency": on a device with no flush latency
     # the concurrent writers stay under twice the one session's throughput
     # (1.43–1.67 over 20 runs on a 2-core box: batches of ≈ 2.4 save only
@@ -513,9 +524,12 @@ def _run_two_client(single_lock: bool, seed: int = 7) -> Dict[str, object]:
 def _snapshot_open_us(
     objects_count: int, dirty: int, opens: int = 200
 ) -> Dict[str, object]:
-    """Median ``open_snapshot_view`` + close, over a checkpointed partition
-    of ``objects_count`` chunks with about ``dirty`` of them dirty again
-    (below the checkpoint threshold, which would clean them)."""
+    """Median ``open_snapshot_view`` + close right after a commit, over a
+    checkpointed partition of ``objects_count`` chunks with about ``dirty``
+    of them dirty again (below the checkpoint threshold, which would clean
+    them), and the descriptor-cache entries the freezes copied.  Each
+    commit rewrites four of the dirty chunks, so the dirty set keeps its
+    size and no checkpoint runs."""
     platform = _platform(0.0)
     chunks = ChunkStore.format(platform, bench_config())
     pid = chunks.allocate_partition()
@@ -530,23 +544,31 @@ def _snapshot_open_us(
     chunks.checkpoint()
     chunks.read_chunks(pid, range(objects_count))  # the map is resident
     rng = random.Random(7)
+    written: List[int] = []
     while chunks.stats()["cache"]["dirty_entries"] < dirty - 4:
-        chunks.commit(
-            [WriteChunk(pid, rank, body) for rank in rng.sample(range(objects_count), 4)]
-        )
+        ranks = rng.sample(range(objects_count), 4)
+        chunks.commit([WriteChunk(pid, rank, body) for rank in ranks])
+        written.extend(ranks)
     cache = chunks.stats()["cache"]
     samples = []
     for _ in range(opens):
+        chunks.commit(
+            [WriteChunk(pid, rank, body) for rank in set(rng.sample(written, 4))]
+        )
         started = time.perf_counter()
         chunks.open_snapshot_view(pid).close()
         samples.append(time.perf_counter() - started)
+    after = chunks.stats()["cache"]
     chunks.close()
+    copied = (after["frozen_entries"] - cache["frozen_entries"]) / opens
     return {
         "objects": objects_count,
-        "vectors": cache["vectors"],
-        "dirty_descriptors": cache["dirty_entries"],
+        "vectors": after["vectors"],
+        "dirty_descriptors": after["dirty_entries"],
         "opens": opens,
         "median_us": round(statistics.median(samples) * 1e6, 1),
+        "copied_per_open": round(copied, 1),
+        "copied_share": round(copied / (after["vectors"] + after["dirty_entries"]), 3),
     }
 
 

@@ -64,10 +64,11 @@ class PartitionTable:
         self.system_key = system_key
         self.partitions: Dict[int, PartitionState] = {}
         #: one tally per algorithm name, shared by every cipher/hash
-        #: instance this store or its snapshot views create — so the
-        #: totals in stats() outlive a deallocated partition's instances
-        #: and include snapshot reads.  View threads bump them without the
-        #: store lock; like every stats int, a race can drop a count.
+        #: instance this store creates — so the totals in stats() outlive
+        #: a deallocated partition's instances — and bumped by snapshot
+        #: reads too, which run through the partition's instances.  View
+        #: threads bump them without the store lock; like every stats int,
+        #: a race can drop a count.
         self.cipher_tallies: Dict[str, CipherCounters] = {}
         self.hash_tallies: Dict[str, HashCounters] = {}
 

@@ -24,8 +24,10 @@ quarantine table, a payload cache, a codec, a
 :class:`~repro.platform.retry.RetriedReader`, and a
 :class:`~repro.chunkstore.partition.PartitionState` per call.
 ``ChunkStore`` builds one over its own state and calls it under its lock;
-``build_snapshot_view`` builds one over private instances, which is all
-that makes a view lock-free — the routines do not know which they serve.
+``build_snapshot_view`` builds one over a frozen descriptor cache and a
+quarantine table of the view's own, beside the store's payload cache,
+codec and view reader, all safe to share unlocked — which is all that
+makes a view lock-free: the routines do not know which they serve.
 They take no lock and hold none across a device read: the caller either
 serializes them or hands them state that is safe to share.
 """
@@ -33,10 +35,10 @@ serializes them or hands them state that is safe to share.
 from __future__ import annotations
 
 import logging
-from typing import ContextManager, Dict, List, Optional, Sequence, Tuple
+from typing import ContextManager, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.chunkstore.cache import DescriptorCache, ValidatedChunkCache
+from repro.chunkstore.cache import DescriptorCache, FrozenDescriptors, ValidatedChunkCache
 from repro.chunkstore.descriptor import (
     ChunkDescriptor,
     ChunkStatus,
@@ -82,13 +84,14 @@ class ReadPath:
 
     def __init__(
         self,
-        cache: DescriptorCache,
+        cache: Union[DescriptorCache, FrozenDescriptors],
         quarantine: Dict[str, str],
         payloads: ValidatedChunkCache,
         codec: LogCodec,
         reader: RetriedReader,
         fanout: int,
         min_location: int,
+        current: bool = True,
     ) -> None:
         self.cache = cache
         #: degraded-mode state: str(chunk id) -> cause.  "io" entries (an
@@ -100,6 +103,15 @@ class ReadPath:
         #: chunks ever quarantined through this read path
         self.quarantined_total = 0
         self.payloads = payloads
+        #: whether this read path always reads the current version (the
+        #: store's, True): the payload cache entries it fills are current,
+        #: and kept so by the effects' invalidation, so it takes its hits
+        #: with no walk and no digest.  A view's (False) reads at its freeze:
+        #: it asks for the digest its walk resolved, fills entries the store
+        #: does not take as current, and leaves out a chunk with no body
+        #: hash (a partition on the null hash), whose versions no digest
+        #: tells apart
+        self.current = current
         self.codec = codec
         self.reader = reader
         self.fanout = fanout
@@ -130,30 +142,34 @@ class ReadPath:
         payload = state.payload
         height = payload.tree_height
         fanout = self.fanout
-        #: per id: the climb so far, ending at the node ``tops`` describes
-        paths: List[List[ChunkId]] = []
+        get = self.cache.get
         tops: List[ChunkDescriptor] = []
-        climbed: List[int] = []  # indexes of the ids still above their chunk
+        #: per id still above its chunk: the climb so far, ending at the
+        #: node ``tops`` describes
+        paths: Dict[int, List[ChunkId]] = {}
         for cid in ids:
-            path = [cid]
-            while True:
-                node = path[-1]
-                descriptor = self.cache.get(node)
-                if descriptor is None and node.height >= height:
-                    # at or beyond the top of the tree: the leader answers
-                    at_root = 0 < height == node.height and node.rank == 0
-                    descriptor = payload.root if at_root else ChunkDescriptor()
-                if descriptor is not None:
-                    break
-                path.append(node.parent(fanout))
-            if len(path) > 1:
-                if descriptor.is_written():
-                    climbed.append(len(paths))
-                else:
-                    # anything below an unwritten descriptor is unallocated
-                    path, descriptor = [cid], ChunkDescriptor()
-            paths.append(path)
+            descriptor = get(cid)
+            if descriptor is None:  # climb to the first known ancestor
+                node, path = cid, [cid]
+                while True:
+                    if node.height >= height:
+                        # at or beyond the top of the tree: the leader answers
+                        at_root = 0 < height == node.height and node.rank == 0
+                        descriptor = payload.root if at_root else ChunkDescriptor()
+                        break
+                    node = node.parent(fanout)
+                    path.append(node)
+                    descriptor = get(node)
+                    if descriptor is not None:
+                        break
+                if len(path) > 1:
+                    if descriptor.is_written():
+                        paths[len(tops)] = path
+                    else:
+                        # anything below an unwritten descriptor is unallocated
+                        descriptor = ChunkDescriptor()
             tops.append(descriptor)
+        climbed = list(paths)
         while climbed:  # commonly not at all: everything was known outright
             level = max(paths[i][-1].height for i in climbed)
             stepping = [i for i in climbed if paths[i][-1].height == level]
@@ -366,49 +382,103 @@ class ReadPath:
         one.  What the payload cache lacks comes from one :meth:`fetch`
         inside ``miss_span`` — the caller's ``obs.span``, entered on cache
         misses only, so its histogram prices the real device+crypto+hash
-        path.  The cache is populated ONLY after a successful validated
-        read, never write-through, so a cached payload was always vouched
-        for by the hash-link path."""
+        path — and the walk resolves each chunk's descriptor once.  The
+        store's read path asks the cache for its current entries, so a hit
+        costs no walk and a miss walks inside ``miss_span``; a view's walks
+        first, and asks for the digest its frozen descriptor names.  The
+        cache is populated ONLY after a successful validated read, never
+        write-through, so a cached payload was always vouched for by the
+        hash-link path."""
         pid = state.pid
+        payloads = self.payloads
         bodies: Dict[int, Optional[bytes]] = {}
-        missing: List[ChunkId] = []
-        for rank in ranks:
-            if rank not in bodies:
-                cid = data_id(pid, rank)
-                body = bodies[rank] = self.payloads.get(cid)
-                if body is None:
-                    missing.append(cid)
-        if missing:
+        if self.current:
+            missing: List[ChunkId] = []
+            for rank in ranks:
+                if rank not in bodies:
+                    cid = data_id(pid, rank)
+                    body = bodies[rank] = payloads.get(cid)
+                    if body is None:
+                        missing.append(cid)
+            if not missing:
+                return bodies
             with miss_span:
-                fetched = self.fetch(state, missing)
-            for cid, body in zip(missing, fetched):
-                self.payloads.put(cid, body)
-                bodies[cid.rank] = body
+                items, fetched = self._walk_and_fetch(state, missing)
+        else:
+            ids = [data_id(pid, rank) for rank in dict.fromkeys(ranks)]
+            try:
+                resolved = list(zip(ids, self.descriptors(state, ids)))
+            except TDBError:
+                if len(ids) == 1:
+                    raise
+                # a sequential loop's error: the first rank that cannot be served
+                for cid in ids:
+                    bodies.update(self.read_chunks(state, (cid.rank,), miss_span))
+                return bodies
+            written = ChunkStatus.WRITTEN
+            items = []
+            for item in resolved:
+                cid, descriptor = item
+                digest = descriptor.body_hash
+                body = bodies[cid.rank] = (
+                    payloads.get(cid, digest)
+                    if digest and descriptor.status is written
+                    else None
+                )
+                if body is None:
+                    items.append(item)
+            if not items:
+                return bodies
+            with miss_span:
+                fetched = self.fetch(state, items)
+        current = self.current
+        for (cid, descriptor), body in zip(items, fetched):
+            if current or descriptor.body_hash:
+                payloads.put(cid, descriptor.body_hash, body, current)
+            bodies[cid.rank] = body
         return bodies
 
-    def fetch(self, state: PartitionState, ids: Sequence[ChunkId]) -> List[bytes]:
-        """Walk plus validated read of chunks that must be written: one
-        ``read_many`` per uncached map level and one for the extents (a
-        lone extent is a plain read).
+    def _walk_and_fetch(
+        self, state: PartitionState, ids: Sequence[ChunkId]
+    ) -> Tuple[List[Item], List[bytes]]:
+        """The walk of ``ids`` and :meth:`fetch` of what it resolved; a
+        walk that fails for the batch is re-run one id at a time, each
+        fetched before the next is walked, as a sequential loop would."""
+        try:
+            items = list(zip(ids, self.descriptors(state, ids)))
+        except TDBError:
+            if len(ids) == 1:
+                raise
+            items, bodies = [], []
+            for cid in ids:
+                item = (cid, self.descriptors(state, (cid,))[0])
+                items.append(item)
+                bodies.extend(self.fetch(state, (item,)))
+            return items, bodies
+        return items, self.fetch(state, items)
+
+    def fetch(self, state: PartitionState, items: Sequence[Item]) -> List[bytes]:
+        """Validated read of chunks that must be written, their descriptors
+        resolved: one ``read_many`` for the extents (a lone extent is a
+        plain read).
 
         Error semantics match a sequential loop: any trouble in a batch
-        re-runs it one id at a time, so the first id that cannot be served
-        raises its own typed error and quarantine lands on the precise
-        chunk."""
-        if len(ids) == 1:
-            return self._fetch(state, ids, batched=False)
+        re-runs it one chunk at a time, so the first one that cannot be
+        served raises its own typed error and quarantine lands on the
+        precise chunk."""
+        if len(items) == 1:
+            return self._fetch(state, items, batched=False)
         try:
-            bodies = self._fetch(state, ids, batched=True)
+            bodies = self._fetch(state, items, batched=True)
         except TDBError:
-            return [self._fetch(state, (cid,), False)[0] for cid in ids]
+            return [self._fetch(state, (item,), False)[0] for item in items]
         self.chunk_batches += 1
-        self.chunks_batch_fetched += len(ids)
+        self.chunks_batch_fetched += len(items)
         return bodies
 
     def _fetch(
-        self, state: PartitionState, ids: Sequence[ChunkId], batched: bool
+        self, state: PartitionState, items: Sequence[Item], batched: bool
     ) -> List[bytes]:
-        items = list(zip(ids, self.descriptors(state, ids)))
         for cid, descriptor in items:
             if descriptor.status == ChunkStatus.WRITTEN:
                 continue

@@ -381,7 +381,10 @@ class _Recovery:
             return leader_effect
 
         def chunk_effect() -> None:
-            state = table.load(header.partition)
+            # the cleaner encrypts a rewrite under the first partition it
+            # is current in (``Cleaner._rewrite``): once the header's
+            # partition was reset to another key, that is one of its copies
+            state = table.load(header.partition if targets is None else targets[0])
             body, digest = codec.validate_named(
                 header, body_ct, state.cipher, state.hash
             )

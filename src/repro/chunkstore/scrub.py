@@ -34,12 +34,12 @@ def _validate(store, state: PartitionState, cid: ChunkId) -> bool:
     """Read one chunk of ``state``'s partition, data or map, from the
     device and validate it; ``False`` if it is a map position nothing was
     written to."""
+    descriptor = store.readpath.descriptors(state, (cid,))[0]
     if cid.height == 0:
         # bypass the payload cache: scrub exists to exercise the device
         # and the validation chain
-        store.readpath.fetch(state, (cid,))
+        store.readpath.fetch(state, ((cid, descriptor),))
         return True
-    descriptor = store.readpath.descriptors(state, (cid,))[0]
     if not descriptor.is_written():
         return False
     store.readpath.read_validated(state, [(cid, descriptor)], batched=False)

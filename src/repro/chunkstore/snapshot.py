@@ -6,8 +6,10 @@ transactions", hostile to a server whose readers would otherwise queue
 behind every commit's appends and every checkpoint.  A
 :class:`SnapshotView` is the escape hatch: an immutable,
 self-contained read path over one partition's position map as of the
-moment the view was opened, touching **no** chunk-store state after
-construction.  Readers holding a view proceed while commits, checkpoints,
+moment the view was opened, taking **none** of the chunk store's locks
+after construction (it reads what the store shares with it, below, and
+changes nothing of the store's but the internally locked payload cache
+and the stats tallies).  Readers holding a view proceed while commits, checkpoints,
 and flushes run — the "snapshot reads never block the commit path"
 property the serving layer builds on.
 
@@ -29,11 +31,46 @@ Why this is sound
 * The view validates everything it reads against its frozen root hash
   through the same :class:`~repro.chunkstore.readpath.ReadPath` routines
   as the locked path — its own *instance* of the one walk and the one
-  validator, not its own copy — built over private state: a descriptor
-  cache seeded at the freeze, a quarantine table, cipher/hash/codec
-  instances (crypto objects are not shared across threads) and a retried
-  reader.  Tampering detection, retries and quarantine are therefore
-  exactly those of ``ChunkStore.read_chunk``.
+  validator, not its own copy.  Tampering detection, retries and
+  quarantine are therefore exactly those of ``ChunkStore.read_chunk``.
+* The instance's descriptor cache is the store's frozen by reference
+  (:meth:`DescriptorCache.freeze
+  <repro.chunkstore.cache.DescriptorCache.freeze>`): the base of vectors
+  and the base of dirty descriptors the last freeze built, shared, plus a
+  copy of what was installed and put since.  The store never changes a
+  base in place: a removal other than an LRU eviction (a checkpoint's
+  clean of the dirty set, ``cache.clear()``, a partition reset or
+  deallocation) drops it, and so does a delta past its rebase bound; the
+  next freeze builds a new one.  An evicted vector stays in its base,
+  where it is still its map chunk's body — a later rewrite installs the
+  new one into the delta, which this view copied before that.  So opening
+  a view copies what changed since the last base, not the cache, and the
+  view's walk sees exactly the map as of the freeze.  The map chunks the
+  view loads itself go into a dict of its own.
+* The rest is shared with the store, and holds nothing a read changes:
+  the partition's cipher and hash (an immutable key schedule; every
+  cipher builds its context per call — ``accel._OsslCbc``, the AEAD
+  primitives — and the hash a hasher per call), the store's
+  :class:`~repro.chunkstore.log.LogCodec` (the system cipher and hash,
+  the same), and the one retried reader the store builds for its views
+  (a reader keeps no state across calls; its retrier's jitter comes from
+  a ``random.Random``, whose calls are atomic).  A partition reset or
+  deallocation opens new crypto instances for the live partition; the
+  view keeps the ones it froze.  The crypto tallies are shared ints, and
+  a race can drop a count, like every stats int.
+* The payload cache is the store's too.  Its entries name the digest
+  they were validated against and whether the store's read path filled
+  them.  A view's read hits only the digest of the descriptor its frozen
+  walk resolved, so it never gets a version newer than its freeze; the
+  store's hits only what the store filled, which its invalidation keeps
+  current, so it never gets an older one a view filled — and a view's
+  fill never replaces one of the store's.  A chunk with no body hash (a
+  partition on the null hash) has no digest: a view neither reads nor
+  fills its entry.
+* Only the quarantine table is the view's alone: what it finds damaged
+  quarantines nothing for the store (the store's entry for a damaged
+  chunk is dropped from the payload cache, as the store's own read
+  would).
 * The untrusted store's operations are internally locked, so raw device
   reads interleave safely with the commit path's writes.
 
@@ -48,10 +85,9 @@ materialized.  The freeze takes a copy-on-write snapshot of the
 partition's leader payload (``LeaderPayload.copy_for_snapshot``, the one
 partition copies are built from), so the view's root descriptor and
 rank allocation stay as of ``frozen_at`` while the live partition moves
-on.  Every read validates against that frozen root, and the view caches
-validated payloads privately rather than through the store's shared
-payload cache (which tracks the *latest* committed bytes), so a commit
-after the freeze is never visible through it.
+on.  Every read validates against that frozen root, and the store's
+payload cache answers a view only with the version its frozen walk
+names, so a commit after the freeze is never visible through it.
 
 Close views promptly (``ChunkStore.close_snapshot_view`` or the context
 manager): every open view holds the segments cleaned after it from reuse,
@@ -63,15 +99,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Sequence
 
 from repro import obs
-from repro.chunkstore.cache import ValidatedChunkCache
-from repro.chunkstore.config import RETRY_POLICY, SUPERBLOCK_SIZE
+from repro.chunkstore.config import SUPERBLOCK_SIZE
 from repro.chunkstore.ids import SYSTEM_PARTITION
-from repro.chunkstore.log import LogCodec
 from repro.chunkstore.partition import PartitionState
 from repro.chunkstore.readpath import ReadPath
-from repro.crypto.registry import make_cipher, make_hash
 from repro.errors import ChunkStoreError
-from repro.platform.retry import RetriedReader, Retrier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chunkstore.store import ChunkStore
@@ -84,10 +116,11 @@ class SnapshotView:
     partition's leader payload under the store lock and counts the view
     by ``frozen_at``); never directly.
 
-    Thread-safe: many reader threads may share one view.  The descriptor
-    cache and the payload cache lock themselves per operation; nothing is
-    held across a device read, so two readers may validate the same map
-    chunk twice but never wait on each other's I/O.
+    Thread-safe: many reader threads may share one view.  The frozen
+    descriptors need no lock (one dict operation per lookup or install),
+    the payload cache locks itself per operation, and nothing is held
+    across a device read, so two readers may validate the same map chunk
+    twice but never wait on each other's I/O.
     """
 
     def __init__(
@@ -132,8 +165,8 @@ class SnapshotView:
 
     def read_chunks(self, ranks: Sequence[int]) -> Dict[int, bytes]:
         """Batched :meth:`read_chunk` (one result per distinct rank):
-        whatever the private payload cache lacks is fetched in one
-        ``read_many`` per uncached map level plus one for the data
+        whatever the payload cache lacks at the frozen versions is fetched
+        in one ``read_many`` per uncached map level plus one for the data
         extents, with a sequential loop's error semantics."""
         self._require_open()
         return self._readpath.read_chunks(
@@ -153,34 +186,24 @@ class SnapshotView:
 def build_snapshot_view(store: "ChunkStore", pid: int) -> SnapshotView:
     """Internal factory (caller holds ``_lock``; a commit whose flush is
     in flight has installed nothing yet, so what it freezes is durable):
-    freeze the partition's committed state and build the view's own read
-    path over
-    private instances of everything the store's runs over (crypto
-    instances tally into the store's per-algorithm counters; retries
-    follow the store's policy and tally into the device's ``IOStats``)."""
+    freeze the partition's committed state and build the view's read path
+    over it.  Only the leader payload, the delta of the descriptor cache
+    and a quarantine table are the view's own; the partition's cipher and
+    hash, the codec, the payload cache and the reader are the store's."""
     if pid == SYSTEM_PARTITION:
         raise ChunkStoreError("snapshot views of the system partition are not supported")
-    config = store.config
-    untrusted = store.platform.untrusted
-    table = store.table
-    frozen = table.open(pid, table.load(pid).payload.copy_for_snapshot())
-    system_cipher = make_cipher(config.system_cipher, table.system_key)
-    system_hash = make_hash(config.system_hash)
-    table.share_tallies(system_cipher, system_hash)
-    retrier = Retrier(RETRY_POLICY, clock=store.platform.clock, stats=untrusted.stats)
+    live = store.table.load(pid)
+    frozen = PartitionState(pid, live.payload.copy_for_snapshot(), live.cipher, live.hash)
     readpath = ReadPath(
-        # the store's vectors and dirty descriptors as of now (why both:
-        # see partition_entries); grows with every map chunk the view loads
-        store.cache.partition_entries(pid),
+        store.cache.freeze(),
         {},  # quarantine: the view's own, never the store's
-        # NOT the store's payload cache, which tracks the latest committed
-        # bytes rather than this snapshot
-        ValidatedChunkCache(config.payload_cache_bytes),
-        LogCodec(system_cipher, system_hash),
+        store.payloads,
+        store.codec,
         # no seal hook: open_snapshot_view sealed the log buffer, and
         # nothing the view can reach is appended afterwards
-        RetriedReader(untrusted, retrier),
-        config.fanout,
+        store.view_reader,
+        store.config.fanout,
         SUPERBLOCK_SIZE,
+        current=False,
     )
     return SnapshotView(store, pid, frozen, readpath)

@@ -105,7 +105,6 @@ from __future__ import annotations
 
 import logging
 import threading
-from collections import Counter
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -246,6 +245,13 @@ class ChunkStore:
         self.reader = RetriedReader(
             platform.untrusted, self.retrier, before_read=self.logbuf.seal
         )
+        #: the reader every snapshot view shares: no seal (a view opens on a
+        #: sealed buffer, and reaches nothing appended after), and retries
+        #: of its own, so view reads never perturb the store's backoff
+        self.view_reader = RetriedReader(
+            platform.untrusted,
+            Retrier(RETRY_POLICY, clock=platform.clock, stats=platform.untrusted.stats),
+        )
         #: the §4.5 walk and validator, over this store's own state (its
         #: quarantine table is this store's degraded-mode state: filled in
         #: by reads, healed by scrub); every call into it runs under ``_lock``
@@ -293,7 +299,7 @@ class ChunkStore:
         self._in_flight: List[_InFlight] = []
         #: open snapshot views, counted by ``frozen_at``: a segment cleaned
         #: at or after the oldest is not reused while it is open
-        self._open_views: Counter = Counter()
+        self._open_views: Dict[int, int] = {}
         self.snapshot_views_opened = 0
 
     # ------------------------------------------------------------------
@@ -600,7 +606,8 @@ class ChunkStore:
             self._check_open()
             self.logbuf.seal()  # the frozen root must be device-visible
             view = build_snapshot_view(self, pid)
-            self._open_views[view.frozen_at] += 1
+            views = self._open_views
+            views[view.frozen_at] = views.get(view.frozen_at, 0) + 1
             self.snapshot_views_opened += 1
             obs.emit("snapshot_view_opened", pid=pid, frozen_at=view.frozen_at)
             return view
@@ -612,7 +619,12 @@ class ChunkStore:
             if view.closed:
                 return
             view.closed = True
-            self._open_views -= Counter((view.frozen_at,))
+            views = self._open_views
+            left = views[view.frozen_at] - 1
+            if left:
+                views[view.frozen_at] = left
+            else:
+                del views[view.frozen_at]  # no key at zero: see _oldest_view
             obs.emit("snapshot_view_closed", pid=view.pid, frozen_at=view.frozen_at)
 
     def _oldest_view(self) -> int:

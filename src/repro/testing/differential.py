@@ -2,13 +2,18 @@
 
 A :class:`DifferentialRunner` drives seeded random operation sequences —
 chunk writes and deallocations, partition creates/copies/drops,
-checkpoints, cleaning, crash + recovery, clean reopen — simultaneously
-against the real :class:`~repro.chunkstore.store.ChunkStore` and the plain
-:class:`~repro.testing.model.ReferenceModel`, and compares their full
-visible state after every state-changing operation and after every
-crash + recovery.  Each ``clean`` first opens a snapshot view on a live
-partition, held until the next ``clean``, crash or reopen, and compared
-with the model as of its open at every comparison.
+resets, checkpoints, cleaning, crash + recovery, clean reopen —
+simultaneously against the real :class:`~repro.chunkstore.store.ChunkStore`
+and the plain :class:`~repro.testing.model.ReferenceModel`, and compares
+their full visible state after every state-changing operation and after
+every crash + recovery.  Each ``clean`` first opens a snapshot view on a
+live partition, held until the next ``clean``, crash or reopen, and
+compared with the model as of its open at every comparison.  Each
+checkpoint, copy, partition drop and partition reset opens one more just
+before it, on the partition it touches (a live one, for a checkpoint),
+and compares it when it closes, right after: the views share the store's
+descriptor state and payload cache, and these are the operations that
+remove from them or rewrite them.
 
 Failures are reproducible and shrinkable:
 
@@ -63,6 +68,8 @@ class Op:
             return f"copy(slot={self.slot}, src={self.src})"
         if self.kind == "drop":
             return f"drop(slot={self.slot})"
+        if self.kind == "reset":
+            return f"reset(slot={self.slot}, flavour={self.tag})"
         if self.kind == "write":
             return f"write(slot={self.slot}, rank={self.rank}, tag={self.tag})"
         if self.kind == "dealloc":
@@ -77,10 +84,12 @@ def op_value(op: Op) -> bytes:
     return f"v{op.slot}.{op.rank}.{op.tag}:".encode() * (8 * (1 + op.tag % 4))
 
 
-def _view_problems(view, frozen: Dict[int, bytes]) -> List[str]:
-    """How the view the last ``clean`` opened differs from ``frozen``, the
-    model of its partition as of its open."""
-    held = f"the view of partition {view.pid} held since the last clean"
+def _view_problems(
+    view, frozen: Dict[int, bytes], held: str = "held since the last clean"
+) -> List[str]:
+    """How ``view`` differs from ``frozen``, the model of its partition as
+    of its open."""
+    held = f"the view of partition {view.pid} {held}"
     try:
         seen = view.read_chunks(sorted(frozen))
     except TDBError as exc:
@@ -148,6 +157,7 @@ class DifferentialRunner(Harness):
             + ["crash"] * 8
             + ["reopen"] * 6
             + ["clean"] * 6
+            + ["reset"] * 4
         )
         for _ in range(ops):
             if not live:
@@ -177,6 +187,11 @@ class DifferentialRunner(Harness):
                 slot = rng.choice(sorted(live))
                 sequence.append(Op("drop", slot=slot))
                 del live[slot]
+                continue
+            if kind == "reset":
+                slot = rng.choice(sorted(live))
+                sequence.append(Op("reset", slot=slot, tag=rng.randrange(16)))
+                live[slot] = set()
                 continue
             if kind == "write":
                 slot = rng.choice(sorted(live))
@@ -221,7 +236,16 @@ class DifferentialRunner(Harness):
 
         for index, op in enumerate(sequence):
             compare = True
+            #: the view opened just before this op, and what it froze
+            before, before_frozen = None, {}
+            touched = {"copy": op.src, "drop": op.slot, "reset": op.slot}.get(op.kind)
             try:
+                if op.kind in ("checkpoint", "copy", "drop", "reset"):
+                    if touched is None:
+                        touched = next((s for s in sorted(slots) if live(s)), None)
+                    if touched is not None and live(touched):
+                        before = store.open_snapshot_view(slots[touched])
+                        before_frozen = dict(model.partitions[before.pid].chunks)
                 if op.kind == "create":
                     if live(op.slot):
                         continue
@@ -246,6 +270,13 @@ class DifferentialRunner(Harness):
                     for slot, bound in list(slots.items()):
                         if bound in removed:
                             del slots[slot]
+                elif op.kind == "reset":
+                    if not live(op.slot):
+                        continue
+                    pid = slots[op.slot]
+                    cipher, hash_name = flavours[op.tag % len(flavours)]
+                    store.commit([ops.WritePartition(pid, cipher, hash_name)])
+                    model.write_partition(pid)
                 elif op.kind == "write":
                     if not live(op.slot):
                         continue
@@ -288,9 +319,16 @@ class DifferentialRunner(Harness):
                     view, frozen = None, {}
                 else:
                     raise ValueError(f"unknown op kind {op.kind!r}")
+                if before is not None:
+                    problems = _view_problems(before, before_frozen, f"opened before {op}")
+                    if problems:
+                        return fail(index, f"after {op}: " + "; ".join(problems))
             except Exception as exc:
                 kind = "" if isinstance(exc, TDBError) else "non-TDB "
                 return fail(index, f"{op} raised {kind}{type(exc).__name__}: {exc}")
+            finally:
+                if before is not None:
+                    before.close()  # also when the op was skipped
             if not compare:
                 continue
             try:

@@ -39,9 +39,9 @@ class TestValidatedChunkCacheHammer:
                     cid = ChunkId(seed % 4, 0, (seed * ROUNDS + i) % 64)
                     op = (seed + i) % 5
                     if op <= 1:
-                        cache.put(cid, bytes(((seed + i) % 251) + 1))
+                        cache.put(cid, b"d", bytes(((seed + i) % 251) + 1))
                     elif op == 2:
-                        payload = cache.get(cid)
+                        payload = cache.get(cid, b"d")
                         if payload is not None:
                             assert len(payload) == ((seed + i) % 251) + 1
                     elif op == 3:
@@ -55,7 +55,7 @@ class TestValidatedChunkCacheHammer:
         assert not errors
         stats = cache.stats()
         # byte accounting must equal the actual resident payload bytes
-        actual = sum(len(b) for b in cache._entries.values())
+        actual = sum(len(b) for _, b, _ in cache._entries.values())
         assert stats["bytes"] == actual
         assert 0 <= stats["bytes"] <= cache.max_bytes
         # the per-partition index must exactly cover the entries
@@ -71,7 +71,7 @@ class TestValidatedChunkCacheHammer:
         def putter():
             i = 0
             while not stop.is_set():
-                cache.put(ChunkId(1, 0, i % 32), b"x" * 100)
+                cache.put(ChunkId(1, 0, i % 32), b"d", b"x" * 100)
                 i += 1
 
         def clearer():
@@ -81,7 +81,7 @@ class TestValidatedChunkCacheHammer:
 
         _run_all([putter, clearer])
         stats = cache.stats()
-        actual = sum(len(b) for b in cache._entries.values())
+        actual = sum(len(b) for _, b, _ in cache._entries.values())
         assert stats["bytes"] == actual
 
 

@@ -28,7 +28,7 @@ GONE = "gone"  # model value of a rank that must not be readable
 
 def fresh(**overrides):
     platform = make_platform()
-    config = make_config(fanout=4, payload_cache_bytes=0, **overrides)
+    config = make_config(**{"fanout": 4, "payload_cache_bytes": 0, **overrides})
     return platform, ChunkStore.format(platform, config)
 
 
@@ -338,28 +338,62 @@ class TestSnapshotViewSharesVectors:
             write(store, pid, values("dirty", range(0, 40, 7)))  # dirty again
         return platform, store, model
 
-    def test_the_seed_is_a_whole_copy_of_both_dicts(self):
-        """``partition_entries`` is two C-level dict copies and nothing
-        else, whatever the dirty count: every vector by reference and in
-        LRU order, the slot count carried, every dirty descriptor — other
-        partitions' included, since a view never asks for them (next
-        test) — and the store's own books untouched."""
+    def test_a_seed_shares_the_base_and_copies_the_delta(self):
+        """``freeze`` copies what changed since the last base, not the
+        cache: the first seed builds a base of each dict (every vector by
+        reference, every dirty descriptor — other partitions' included,
+        since a view never asks for them, next test), and a later one shares
+        those bases and copies the puts made since.  The store's own books
+        stay untouched either way."""
         platform, store, _ = self._two_dirty_partitions()
         cache = store.cache
-        first = store.partition_ids()[0]
-        assert {cid.partition for cid in cache._dirty} == set(store.partition_ids())
-        seed = cache.partition_entries(first)
-        assert list(seed._vectors.items()) == list(cache._vectors.items())
+        first, second = store.partition_ids()
+        assert {cid.partition for cid in cache._dirty} == {first, second}
+        seed = cache.freeze()
+        assert seed._vector_base == dict(cache._vectors)
         assert all(
-            mine is theirs
-            for mine, theirs in zip(seed._vectors.values(), cache._vectors.values())
+            seed._vector_base[key] is vector for key, vector in cache._vectors.items()
         )
-        assert seed._clean_slots == cache._clean_slots
-        assert seed._dirty == cache._dirty
-        assert seed._dirty is not cache._dirty and seed._vectors is not cache._vectors
-        seed._dirty.clear()
-        assert store.cache.stats()["dirty_entries"] == len(cache._dirty) > 0
+        assert seed._dirty_base == cache._dirty
+        assert seed._vector_delta == seed._dirty_delta == {}
+        assert seed._dirty_base is not cache._dirty
+        copied = cache.frozen_entries
+        assert copied == len(cache._vectors) + len(cache._dirty)
+
+        write(store, second, {3: b"after"})
+        later = cache.freeze()
+        assert later._dirty_base is seed._dirty_base
+        assert later._vector_base is seed._vector_base
+        assert set(later._dirty_delta) == {ChunkId(second, 0, 3)}
+        assert cache.frozen_entries - copied == len(later._dirty_delta)
+        assert later._dirty_delta is not cache._dirty_delta
+        assert later.get(ChunkId(second, 0, 3)) == cache.get(ChunkId(second, 0, 3))
+        assert seed.get(ChunkId(second, 0, 3)) != later.get(ChunkId(second, 0, 3))
+        later._dirty_delta.clear()
+        assert cache._dirty_delta and store.stats()["cache"]["dirty_entries"] > 0
         assert_vectors_match_device(store)
+
+    def test_closing_views_keeps_no_zero_counts(self):
+        """Open views are counted by ``frozen_at`` in place: a close
+        decrements its count and deletes it at zero, so the oldest view
+        (what ``release_deferred`` is handed) is the oldest one open."""
+        platform, store = fresh()
+        pid = new_partition(store)
+        write(store, pid, {0: b"zero"})
+        older = [store.open_snapshot_view(pid) for _ in range(2)]
+        write(store, pid, {0: b"one"})
+        newer = store.open_snapshot_view(pid)
+        frozen = older[0].frozen_at
+        assert store._open_views == {frozen: 2, newer.frozen_at: 1}
+        older[0].close()
+        older[0].close()  # idempotent
+        assert store._open_views == {frozen: 1, newer.frozen_at: 1}
+        older[1].close()
+        assert store._open_views == {newer.frozen_at: 1}
+        assert store._oldest_view() == newer.frozen_at
+        newer.close()
+        assert store._open_views == {}
+        assert store._oldest_view() == store.commit_count_stat + 1
 
     def test_a_view_asks_only_for_its_own_partitions_ids(self):
         """What makes the unfiltered seed safe: every id a view's read
@@ -383,3 +417,193 @@ class TestSnapshotViewSharesVectors:
                     setattr(cache, name, spy)
                 assert view.read_chunks(range(40)) == model[pid]
                 assert asked and set(asked) == {pid}
+
+
+MODES = ["counter", "direct"]
+
+
+def view_reads(view, model):
+    """What ``view`` reads of ``model``'s ranks (``GONE`` if unallocated)."""
+    seen = {}
+    for rank in model:
+        try:
+            seen[rank] = view.read_chunk(rank)
+        except ChunkNotAllocatedError:
+            seen[rank] = GONE
+    return seen
+
+
+@pytest.mark.parametrize("mode", MODES)
+class TestSeedsStayFrozen:
+    """A view shares the store's descriptor bases and payload cache, so
+    each event that removes from them or rewrites them gets a view frozen
+    just before it, which must read exactly what it froze — and a view
+    opened after it, which must read the new state."""
+
+    @staticmethod
+    def _store(mode, **overrides):
+        platform, store = fresh(validation_mode=mode, **overrides)
+        pid = new_partition(store)
+        model = values("v0", range(24))
+        write(store, pid, model)
+        store.checkpoint()
+        assert observe(store, pid, model) == model  # vectors resident
+        dirty = values("dirty", range(0, 24, 5))
+        write(store, pid, dirty)  # the dirty base has these
+        model.update(dirty)
+        return platform, store, pid, model
+
+    def test_checkpoint(self, mode):
+        platform, store, pid, model = self._store(mode)
+        with store.open_snapshot_view(pid) as view:
+            later = values("later", range(24))
+            write(store, pid, later)
+            store.checkpoint()
+            assert view_reads(view, model) == model
+        with store.open_snapshot_view(pid) as view:
+            assert view_reads(view, later) == later
+        assert_coherent(platform, store, {pid: later})
+
+    def test_partition_reset(self, mode):
+        platform, store, pid, model = self._store(mode)
+        with store.open_snapshot_view(pid) as view:
+            new_partition(store, pid)  # WritePartition over it: a reset
+            fresh_values = values("reset", range(0, 24, 2))
+            write(store, pid, fresh_values)
+            assert view_reads(view, model) == model
+        after = {rank: fresh_values.get(rank, GONE) for rank in model}
+        with store.open_snapshot_view(pid) as view:
+            assert view_reads(view, after) == after
+        assert_coherent(platform, store, {pid: after})
+
+    def test_deallocation_then_the_id_reused_as_a_copy(self, mode):
+        platform, store, pid, model = self._store(mode)
+        source = new_partition(store)
+        theirs = values("source", range(0, 24, 3))
+        write(store, source, theirs)
+        with store.open_snapshot_view(pid) as view:
+            store.commit([ops.DeallocatePartition(pid)])
+            assert store.allocate_partition() == pid  # the id is free again
+            store.commit([ops.CopyPartition(pid, source)])
+            assert view_reads(view, model) == model
+        after = {rank: theirs.get(rank, GONE) for rank in model}
+        with store.open_snapshot_view(pid) as view:
+            assert view_reads(view, after) == after
+        assert_coherent(platform, store, {pid: after, source: theirs})
+
+    def test_copy(self, mode):
+        platform, store, pid, model = self._store(mode)
+        with store.open_snapshot_view(pid) as view:
+            copy = store.allocate_partition()
+            store.commit([ops.CopyPartition(copy, pid)])
+            later = values("later", range(0, 24, 4))
+            write(store, pid, later)
+            write(store, copy, values("copy", range(24)))
+            assert view_reads(view, model) == model
+        model_now = {**model, **later}
+        with store.open_snapshot_view(pid) as view:
+            assert view_reads(view, model_now) == model_now
+        assert_coherent(platform, store, {pid: model_now, copy: values("copy", range(24))})
+
+    def test_cleaner_pass(self, mode):
+        platform, store, pid, model = self._store(mode, segment_size=8192)
+        with store.open_snapshot_view(pid) as view:
+            for round_ in range(4):
+                write(store, pid, values(f"churn{round_}", range(24)))
+            store.checkpoint()
+            assert store.clean(max_segments=8) > 0
+            assert view_reads(view, model) == model
+        later = values("churn3", range(24))
+        with store.open_snapshot_view(pid) as view:
+            assert view_reads(view, later) == later
+        assert_coherent(platform, store, {pid: later})
+
+    def test_cache_clear(self, mode):
+        platform, store, pid, model = self._store(mode)
+        with store.open_snapshot_view(pid) as view:
+            store.checkpoint()
+            store.cache.clear()
+            later = values("later", range(0, 24, 2))
+            write(store, pid, later)
+            store.checkpoint()
+            assert view_reads(view, model) == model
+        model_now = {**model, **later}
+        with store.open_snapshot_view(pid) as view:
+            assert view_reads(view, model_now) == model_now
+
+    def test_a_delta_crossing_its_rebase_bound(self, mode):
+        """Puts past the bound drop the delta; the next freeze builds a new
+        base, and both views read what they froze."""
+        platform, store, pid, model = self._store(mode)
+        from repro.chunkstore.cache import REBASE_MIN
+
+        first = store.open_snapshot_view(pid)
+        base = first._readpath.cache._dirty_base
+        ranks = range(24, 24 + REBASE_MIN + 8)
+        grown = values("grown", ranks)
+        write(store, pid, grown)
+        assert store.cache._dirty_delta is None  # the bound was crossed
+        second = store.open_snapshot_view(pid)
+        assert second._readpath.cache._dirty_base is not base
+        write(store, pid, values("after", list(model) + list(ranks)))
+        store.checkpoint()
+        assert view_reads(first, {**model, **dict.fromkeys(ranks, GONE)}) == {
+            **model, **dict.fromkeys(ranks, GONE)
+        }
+        assert view_reads(second, {**model, **grown}) == {**model, **grown}
+        first.close()
+        second.close()
+
+    def test_an_evicted_vector_rewritten_by_a_checkpoint(self, mode):
+        """The view froze while the leaf map chunk was cached; the store
+        evicts it, a commit dirties a chunk under it, and the checkpoint
+        rewrites it (an install of a key the live LRU no longer holds).
+        The view must keep the vector it froze — not the rewritten one,
+        which names the newer version."""
+        platform, store = fresh(validation_mode=mode, cache_size=4)  # one vector
+        pid = new_partition(store)
+        model = values("v0", range(16))
+        write(store, pid, model)
+        store.checkpoint()
+        assert store.read_chunk(pid, 0) == model[0]  # leaf (1, 0) cached
+        leaf = (pid, 1, 0)
+        assert store.cache.vector(leaf) is not None
+        with store.open_snapshot_view(pid) as view:
+            assert store.read_chunk(pid, 12) == model[12]  # evicts it
+            assert store.cache.vector(leaf) is None
+            write(store, pid, {1: b"rewritten"})
+            store.checkpoint()  # rewrites leaf (1, 0) and installs it
+            assert view_reads(view, model) == model
+        with store.open_snapshot_view(pid) as view:
+            assert view.read_chunk(1) == b"rewritten"
+
+    def test_the_payload_cache_never_crosses_versions(self, mode):
+        """A view never gets a version newer than its freeze from the
+        shared payload cache, and the store never gets an older one a view
+        filled; a view's read of the store's version is a hit."""
+        platform, store = fresh(validation_mode=mode, payload_cache_bytes=1 << 16)
+        pid = new_partition(store)
+        write(store, pid, {0: b"one", 1: b"same"})
+        assert store.read_chunks(pid, [0, 1]) == {0: b"one", 1: b"same"}
+        with store.open_snapshot_view(pid) as view:
+            write(store, pid, {0: b"two"})
+            assert store.read_chunk(pid, 0) == b"two"  # fills the new version
+            hits = store.payloads.hits
+            assert view.read_chunks([0, 1]) == {0: b"one", 1: b"same"}
+            assert store.payloads.hits == hits + 1  # rank 1, filled by the store
+            assert store.read_chunk(pid, 0) == b"two"  # the view filled "one"
+            write(store, pid, {1: b"three"})
+            assert view.read_chunk(1) == b"same"
+            assert store.read_chunk(pid, 1) == b"three"
+            assert view.read_chunk(0) == b"one"
+
+
+def test_the_server_bench_freezes_copy_a_share_of_the_cache():
+    """``python -m repro.bench server``'s ``snapshot_open_copied_share``
+    floor, small: opens right after commits copy the deltas, not the
+    cache (a whole-cache copy per open reads 1.0)."""
+    from repro.bench.server_bench import _snapshot_open_us
+
+    row = _snapshot_open_us(2048, 300, opens=40)
+    assert row["dirty_descriptors"] >= 290 and row["vectors"] > 0
+    assert 0 < row["copied_share"] <= 0.5

@@ -107,6 +107,7 @@ def test_sequences_exercise_all_op_kinds(mode):
         "clean",
         "crash",
         "reopen",
+        "reset",
     }
 
 
@@ -131,6 +132,27 @@ def test_subsequences_stay_executable():
         Op("checkpoint"),
     ]
     assert runner.execute(orphan) is None
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_copy_source_reset_to_another_cipher_then_cleaned_then_crash(mode):
+    """Pinned history (seed 1 of the generator once resets joined it): a
+    chunk written in a copy ``P`` stays current only in ``P``'s own copy
+    after ``P`` is reset to another cipher; the cleaner moves it,
+    encrypted under the copy's key but still named ``P:x``.  Recovery used
+    to decrypt it with ``P``'s new cipher, and the store could not be
+    reopened."""
+    history = [
+        Op("create", slot=1, tag=2),
+        Op("copy", slot=4, src=1),
+        Op("write", slot=4, rank=0, tag=49),
+        Op("copy", slot=2, src=4),
+        Op("reset", slot=4, tag=9),
+        Op("clean"),
+        Op("crash"),
+    ]
+    failure = DifferentialRunner(Variant(mode)).execute(history)
+    assert failure is None, failure.describe()
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -255,7 +255,7 @@ class TestDescriptorCacheIndex:
         assert after["hits"] >= before + 3
         assert set(after) == {
             "hits", "misses", "evictions", "clean_entries", "dirty_entries",
-            "partitions_indexed", "vectors", "vector_capacity",
+            "partitions_indexed", "vectors", "vector_capacity", "frozen_entries",
         }
         assert after["vectors"] * store.config.fanout == after["clean_entries"]
         assert after["vector_capacity"] == store.config.cache_size // store.config.fanout

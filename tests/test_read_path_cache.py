@@ -46,47 +46,71 @@ def _populate(store, ranks=6, cipher="ctr-sha256"):
 # ValidatedChunkCache unit behavior
 # ---------------------------------------------------------------------------
 
+D = b"digest"
+
 
 class TestValidatedChunkCache:
+    """Unit cases; ``D`` is the digest every entry here is validated
+    against, bar the last case's."""
+
     def test_disabled_when_zero_budget(self):
         cache = ValidatedChunkCache(0)
         assert not cache.enabled
-        cache.put(ChunkId(1, 0, 0), b"x" * 16)
-        assert cache.get(ChunkId(1, 0, 0)) is None
+        cache.put(ChunkId(1, 0, 0), D, b"x" * 16)
+        assert cache.get(ChunkId(1, 0, 0), D) is None
         assert cache.stats()["entries"] == 0
 
     def test_lru_eviction_is_byte_bounded(self):
         cache = ValidatedChunkCache(max_bytes=100)
         for rank in range(5):
-            cache.put(ChunkId(1, 0, rank), b"x" * 40)  # 3rd insert evicts
+            cache.put(ChunkId(1, 0, rank), D, b"x" * 40)  # 3rd insert evicts
         assert cache.current_bytes <= 100
         assert cache.evictions >= 3
-        assert cache.get(ChunkId(1, 0, 4)) == b"x" * 40  # newest survives
-        assert cache.get(ChunkId(1, 0, 0)) is None  # oldest evicted
+        assert cache.get(ChunkId(1, 0, 4), D) == b"x" * 40  # newest survives
+        assert cache.get(ChunkId(1, 0, 0), D) is None  # oldest evicted
 
     def test_get_refreshes_lru_order(self):
         cache = ValidatedChunkCache(max_bytes=100)
-        cache.put(ChunkId(1, 0, 0), b"a" * 40)
-        cache.put(ChunkId(1, 0, 1), b"b" * 40)
-        assert cache.get(ChunkId(1, 0, 0)) is not None  # 0 is now MRU
-        cache.put(ChunkId(1, 0, 2), b"c" * 40)  # evicts 1, not 0
-        assert cache.get(ChunkId(1, 0, 0)) is not None
-        assert cache.get(ChunkId(1, 0, 1)) is None
+        cache.put(ChunkId(1, 0, 0), D, b"a" * 40)
+        cache.put(ChunkId(1, 0, 1), D, b"b" * 40)
+        assert cache.get(ChunkId(1, 0, 0), D) is not None  # 0 is now MRU
+        cache.put(ChunkId(1, 0, 2), D, b"c" * 40)  # evicts 1, not 0
+        assert cache.get(ChunkId(1, 0, 0), D) is not None
+        assert cache.get(ChunkId(1, 0, 1), D) is None
 
     def test_oversized_payload_is_not_cached(self):
         cache = ValidatedChunkCache(max_bytes=16)
-        cache.put(ChunkId(1, 0, 0), b"x" * 64)
+        cache.put(ChunkId(1, 0, 0), D, b"x" * 64)
         assert cache.stats()["entries"] == 0
         assert cache.current_bytes == 0
 
     def test_drop_partition_only_hits_that_partition(self):
         cache = ValidatedChunkCache(max_bytes=1024)
-        cache.put(ChunkId(1, 0, 0), b"a")
-        cache.put(ChunkId(2, 0, 0), b"b")
+        cache.put(ChunkId(1, 0, 0), D, b"a")
+        cache.put(ChunkId(2, 0, 0), D, b"b")
         cache.drop_partition(1)
-        assert cache.get(ChunkId(1, 0, 0)) is None
-        assert cache.get(ChunkId(2, 0, 0)) == b"b"
+        assert cache.get(ChunkId(1, 0, 0), D) is None
+        assert cache.get(ChunkId(2, 0, 0), D) == b"b"
         assert 1 not in cache._by_partition
+
+    def test_an_entry_hits_only_its_own_version(self):
+        """An entry names the digest it was validated against and who
+        filled it: a digest hits only an entry of that version, no digest
+        (the store's read path) only an entry the store filled, and a
+        view's put never replaces an entry the store filled."""
+        cache = ValidatedChunkCache(max_bytes=1024)
+        cid = ChunkId(1, 0, 0)
+        cache.put(cid, D, b"old", current=False)  # a view's fill
+        assert cache.get(cid) is None  # not the store's
+        assert cache.get(cid, b"other") is None
+        assert cache.get(cid, D) == b"old"
+        assert (cache.hits, cache.misses) == (1, 2)
+        cache.put(cid, b"new", b"new!")  # the store's fill replaces it
+        assert cache.get(cid) == cache.get(cid, b"new") == b"new!"
+        assert cache.get(cid, D) is None
+        cache.put(cid, D, b"old", current=False)  # a view's does not
+        assert cache.get(cid) == b"new!"
+        assert cache.current_bytes == 4
 
 
 # ---------------------------------------------------------------------------
