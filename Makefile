@@ -17,7 +17,7 @@ SEEDS ?= 20
 OPS ?= 50
 FAULT_TRIALS ?= 150
 
-.PHONY: install test test-fast bench bench-check obs-smoke e2e e2e-compare e2e-selftest examples lint all \
+.PHONY: install test test-fast bench bench-check obs-smoke e2e e2e-compare e2e-pairs e2e-selftest examples lint all \
 	adversary adversary-sweep differential fault-sweep loc
 
 install:
@@ -66,6 +66,14 @@ e2e:
 
 e2e-compare:
 	$(PYTHON) benchmarks/e2e/compare.py $(BASE) $(NEW)
+
+# Alternating 8 s seed-7 runs of one workload, a git revision against the
+# working tree (tools/e2e_pairs.py: a temporary worktree for BASE, the
+# compare table and the pairs each side won):
+#   make e2e-pairs BASE=HEAD~1 WORKLOAD=chunk_churn PAIRS=10
+PAIRS ?= 10
+e2e-pairs:
+	$(PYTHON) tools/e2e_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # Code-only lines (no blanks, comments or docstrings): each file of
 # src/repro/chunkstore/, then one total per package of src/repro;

@@ -17,14 +17,14 @@ commit exists to amortize):
   that complete *inside* an in-flight commit's flush window — the proof
   that snapshot reads never queue behind the commit path.
 
-  Both run once per row of ``ROWS`` (``TINY_ROWS`` under ``--tiny``).
+  Both run per row of ``ROWS`` (``TINY_ROWS`` under ``--tiny``), and each
+  side of every pair is the best of ``PAIR_REPEATS`` alternating runs.
 * ``cpu_bound`` — the same pair, four writers, on a device whose flush
   takes no time: §2.2's "geared to low concurrency" — with no I/O to
   overlap, commits are mutually exclusive CPU work and do not scale (nor
   are they pipelined: the store overlaps only a flush that takes time,
   ``PIPELINE_MIN_FLUSH_S``, so this pair and the ones above sit on the
-  two sides of that choice).  Each side is the best of three alternating
-  runs.
+  two sides of that choice).
 * ``two_client`` — the end-to-end benchmark's configuration in small: two
   closed-loop clients, each 50 % update transactions / 25 % snapshot
   batches / 25 % live read-only transactions, on the same slow-flush
@@ -153,9 +153,7 @@ FLOORS = (
     # (1.43–1.67 over 20 runs on a 2-core box: batches of ≈ 2.4 save only
     # the per-commit fixed cost.  Such a flush is not pipelined; when it
     # was, hand-offs at the seal with nothing to overlap cut batches to
-    # ≈ 1.6 and the ratio to 0.8).  Each side is its best of
-    # ``CPU_BOUND_REPEATS`` alternating runs, so a load spike on the
-    # machine does not land on one side only
+    # ≈ 1.6 and the ratio to 0.8)
     Floor("cpu_bound_speedup", ("cpu_bound", "speedup_vs_baseline"), "<", 2.0),
 )
 
@@ -170,8 +168,9 @@ TINY_ROWS = ((16, 6, 2),)
 #: writers and transactions each of the no-latency pair (§2.2)
 CPU_BOUND_WRITERS = 4
 CPU_BOUND_TXS = 40
-#: alternating baseline / concurrent runs of the no-latency pair
-CPU_BOUND_REPEATS = 3
+#: alternating baseline / concurrent runs of every pair, each side's
+#: fastest kept: a load spike on the machine does not land on one side only
+PAIR_REPEATS = 3
 
 #: simulated device flush latency (what group commit amortizes)
 FLUSH_DELAY = 0.002
@@ -577,16 +576,15 @@ def _pair(
     txs_per_writer: int,
     readers: int,
     flush_delay: float,
-    repeats: int = 1,
 ) -> Dict[str, object]:
     """The single-session baseline (one flush per transaction) and the same
     transactions from ``writers`` concurrent sessions through the server,
-    each on a fresh store whose flush takes ``flush_delay``: ``repeats``
+    each on a fresh store whose flush takes ``flush_delay``: ``PAIR_REPEATS``
     alternating runs of each, and each side's fastest kept."""
     row: Dict[str, object] = {
         "writers": writers, "txs_per_writer": txs_per_writer, "readers": readers,
     }
-    for _ in range(repeats):
+    for _ in range(PAIR_REPEATS):
         objects, _, refs = _setup(writers, flush_delay)
         baseline = _run_baseline(objects, refs, txs_per_writer)
         objects.chunks.close()
@@ -616,9 +614,7 @@ def run(tiny: bool) -> Dict[str, object]:
         )
     # §2.2: with nothing to overlap (a flush that takes no time) the same
     # pair does not scale: commits are mutually exclusive CPU work
-    results["cpu_bound"] = _pair(
-        CPU_BOUND_WRITERS, CPU_BOUND_TXS, 0, 0.0, CPU_BOUND_REPEATS
-    )
+    results["cpu_bound"] = _pair(CPU_BOUND_WRITERS, CPU_BOUND_TXS, 0, 0.0)
 
     # two closed-loop clients: the single-lock emulation, then the store
     single_lock = _run_two_client(single_lock=True)

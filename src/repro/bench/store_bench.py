@@ -50,6 +50,11 @@ Then, once:
   the oracle), µs per value each way on the value shapes the Figure 10
   workloads keep, weighted into the mix those workloads carry; the two
   routes are asserted to agree on every value timed;
+* ``segment_table`` — the system leader's segment table of a
+  3,072-segment device (``chunk_churn``'s) through ``SegmentTable``'s bulk
+  varint calls and through the one-call-per-value route they replaced
+  (kept below as the oracle): µs per decode and per encode, asserted to
+  agree on bytes and values;
 * ``object_path`` — counts, not times, of what the object layer does on
   the Figure 10 release mix: lock-manager acquisitions per object read
   (a transaction answers for the locks it already holds), entries into
@@ -83,6 +88,7 @@ from repro.chunkstore.descriptor import (
     ChunkStatus,
     decode_map_body,
 )
+from repro.chunkstore.leader import SegmentTable
 from repro.crypto import accel
 from repro.errors import PicklingError
 from repro.objectstore.pickling import (
@@ -142,6 +148,9 @@ FLOORS = (
     # the pickler's kernels over the reference route on the Figure 10 mix
     Floor("object_codec.encode_ratio", ("object_codec", "encode_ratio"), ">=", 2.0),
     Floor("object_codec.decode_ratio", ("object_codec", "decode_ratio"), ">=", 1.5),
+    # the segment table's bulk decode over the per-value route, on the
+    # table every open of a 3,072-segment store reads
+    Floor("segment_table.decode_ratio", ("segment_table", "decode_ratio"), ">=", 1.5),
     # lock-manager acquisitions per object read on the Figure 10 release
     # mix: every re-read of a held ref is answered by the transaction
     Floor(
@@ -273,6 +282,7 @@ def run(tiny: bool) -> Dict[str, object]:
     results["space"] = run_space()
     results["ablation"] = run_ablation()
     results["object_codec"] = run_object_codec(20 if tiny else 200)
+    results["segment_table"] = run_segment_table(20 if tiny else 200)
     results["object_path"] = run_object_path()
     results["device_path"] = run_device_path(cipher)
     return results
@@ -1152,6 +1162,98 @@ def run_object_codec(loops: int = 200) -> Dict[str, object]:
     results["encode_ratio"] = round(mix["reference_encode_us"] / mix["encode_us"], 2)
     results["decode_ratio"] = round(mix["reference_decode_us"] / mix["decode_us"], 2)
     return results
+
+
+# The segment table's reference route: one ``Encoder.uint`` /
+# ``Decoder.uint`` call per value, as ``SegmentTable`` coded before its bulk
+# ``uints`` calls — kept here as the oracle the ``segment_table`` section and
+# tests/test_codec.py / tests/test_parser_fuzz.py hold the bulk route to
+# (same bytes, same values, same exception types).
+
+
+def _reference_table_encode(table: SegmentTable, enc: Encoder) -> None:
+    enc.uint(table.tail_segment)
+    enc.uint(len(table.free_segments))
+    for segment in table.free_segments:
+        enc.uint(segment)
+    enc.uint(len(table.used_bytes))
+    for used in table.used_bytes:
+        enc.uint(used)
+    for live in table.live_bytes:
+        enc.uint(live)
+    enc.uint(len(table.residual_segments))
+    for segment in table.residual_segments:
+        enc.uint(segment)
+
+
+def _reference_table_decode(dec: Decoder) -> SegmentTable:
+    tail_segment = dec.uint()
+    free_segments = [dec.uint() for _ in range(dec.uint())]
+    count = dec.uint()
+    used_bytes = [dec.uint() for _ in range(count)]
+    live_bytes = [dec.uint() for _ in range(count)]
+    residual = [dec.uint() for _ in range(dec.uint())]
+    return SegmentTable(tail_segment, free_segments, used_bytes, live_bytes, residual)
+
+
+def segment_table_sample(
+    rng: random.Random, segments: int, segment_size: int = StoreConfig.segment_size
+) -> SegmentTable:
+    """A segment table shaped like a churned store's: a third of the
+    segments free and empty, the rest partly used and partly live, and a
+    short residual chain."""
+    used = [0] * segments
+    live = [0] * segments
+    order = list(range(segments))
+    rng.shuffle(order)
+    free = order[: segments // 3]
+    residual = order[segments // 3 : segments // 3 + 4]
+    for segment in order[segments // 3 :]:
+        used[segment] = rng.randrange(segment_size // 2, segment_size + 1)
+        live[segment] = rng.randrange(used[segment] + 1)
+    return SegmentTable(residual[-1], free, used, live, residual)
+
+
+def run_segment_table(loops: int = 200, segments: int = 3072) -> Dict[str, object]:
+    """The segment table of a ``segments``-segment store both ways: µs per
+    decode and encode, bulk and reference, best of alternating rounds."""
+    table = segment_table_sample(random.Random(7), segments)
+    wire = Encoder()
+    table.encode(wire)
+    wire = wire.finish()
+    reference = Encoder()
+    _reference_table_encode(table, reference)
+    assert reference.finish() == wire
+    assert SegmentTable.decode(Decoder(wire)) == table == _reference_table_decode(Decoder(wire))
+
+    def repeat(work) -> Callable[[], None]:
+        def run_loops() -> None:
+            for _ in range(loops):
+                work()
+
+        return run_loops
+
+    seconds = best_of(
+        [
+            repeat(lambda: SegmentTable.decode(Decoder(wire))),
+            repeat(lambda: _reference_table_decode(Decoder(wire))),
+            repeat(lambda: table.encode(Encoder())),
+            repeat(lambda: _reference_table_encode(table, Encoder())),
+        ]
+    )
+    decode_us, reference_decode_us, encode_us, reference_encode_us = (
+        round(each / loops * 1e6, 1) for each in seconds
+    )
+    return {
+        "segments": segments,
+        "bytes": len(wire),
+        "decode_us": decode_us,
+        "reference_decode_us": reference_decode_us,
+        "encode_us": encode_us,
+        "reference_encode_us": reference_encode_us,
+        "decode_ratio": round(reference_decode_us / decode_us, 2),
+        "encode_ratio": round(reference_encode_us / encode_us, 2),
+    }
 
 
 class _CountingCondition:

@@ -47,28 +47,23 @@ class SegmentTable:
     #: segment chain from the checkpoint leader's segment to the tail
     residual_segments: List[int] = field(default_factory=list)
 
+    # One bulk varint call per list: the table grows with the device, and
+    # every open decodes it and every checkpoint encodes it.
+
     def encode(self, enc: Encoder) -> None:
         enc.uint(self.tail_segment)
-        enc.uint(len(self.free_segments))
-        for seg in self.free_segments:
-            enc.uint(seg)
-        enc.uint(len(self.used_bytes))
-        for used in self.used_bytes:
-            enc.uint(used)
-        for live in self.live_bytes:
-            enc.uint(live)
-        enc.uint(len(self.residual_segments))
-        for seg in self.residual_segments:
-            enc.uint(seg)
+        enc.uint(len(self.free_segments)).uints(self.free_segments)
+        enc.uint(len(self.used_bytes)).uints(self.used_bytes).uints(self.live_bytes)
+        enc.uint(len(self.residual_segments)).uints(self.residual_segments)
 
     @classmethod
     def decode(cls, dec: Decoder) -> "SegmentTable":
         tail_segment = dec.uint()
-        free_segments = [dec.uint() for _ in range(dec.uint())]
+        free_segments = dec.uints(dec.uint())
         count = dec.uint()
-        used_bytes = [dec.uint() for _ in range(count)]
-        live_bytes = [dec.uint() for _ in range(count)]
-        residual = [dec.uint() for _ in range(dec.uint())]
+        used_bytes = dec.uints(count)
+        live_bytes = dec.uints(count)
+        residual = dec.uints(dec.uint())
         return cls(tail_segment, free_segments, used_bytes, live_bytes, residual)
 
 
@@ -167,12 +162,8 @@ class LeaderPayload:
         enc.uint(self.tree_height)
         self.root.encode(enc)
         enc.uint(self.next_rank)
-        enc.uint(len(self.free_ranks))
-        for rank in sorted(self.free_ranks):
-            enc.uint(rank)
-        enc.uint(len(self.copies))
-        for pid in self.copies:
-            enc.uint(pid)
+        enc.uint(len(self.free_ranks)).uints(sorted(self.free_ranks))
+        enc.uint(len(self.copies)).uints(self.copies)
         enc.opt_uint(self.copy_of)
         if self.system is not None:
             enc.bool(True)
@@ -191,8 +182,8 @@ class LeaderPayload:
         tree_height = dec.uint()
         root = ChunkDescriptor.decode(dec)
         next_rank = dec.uint()
-        free_ranks = {dec.uint() for _ in range(dec.uint())}
-        copies = [dec.uint() for _ in range(dec.uint())]
+        free_ranks = set(dec.uints(dec.uint()))
+        copies = dec.uints(dec.uint())
         copy_of = dec.opt_uint()
         system = SystemExtras.decode(dec) if dec.bool() else None
         dec.expect_exhausted()

@@ -185,7 +185,13 @@ class PartitionTable:
         it names now off the live-byte books."""
         self.payloads.invalidate(cid)  # the cached payload is now stale
         old = self.cache.get(cid)
-        if old is None and state.payload.tree_height >= max(cid.height, 1):
+        if (
+            old is None
+            and state.payload.tree_height >= max(cid.height, 1)
+            # a data rank never written (or freed) has no live version:
+            # no walk for a bulk load's fresh ranks
+            and (cid.height or state.is_committed_written(cid.rank))
+        ):
             try:
                 old = self.readpath.descriptors(state, (cid,))[0]
             except UNREADABLE:

@@ -34,6 +34,7 @@ second condition lives in memory only.
 
 from __future__ import annotations
 
+import heapq
 from typing import List, Optional, Tuple
 
 from repro import obs
@@ -146,9 +147,11 @@ class SegmentManager:
             raise ValueError(
                 "untrusted store too small: need at least 2 segments"
             )
-        self.used_bytes: List[int] = [0] * self.segment_count
-        self.live_bytes: List[int] = [0] * self.segment_count
-        self.free_segments: List[int] = list(range(self.segment_count - 1, -1, -1))
+        # the per-segment lists are a table's (load_table): a blank one
+        # at format, the checkpoint's at open
+        self.used_bytes: List[int] = []
+        self.live_bytes: List[int] = []
+        self.free_segments: List[int] = []
         #: cleaned segments, each with the commit count at its clean, in
         #: clean order: free at the first durable checkpoint that no open
         #: view predates the clean of
@@ -156,6 +159,16 @@ class SegmentManager:
         self.tail_segment: int = 0
         self.tail_offset: int = 0
         self.residual_segments: List[int] = []
+        #: the cleaner's victim queue, built at its first pick (see
+        #: :meth:`emptiest_cleanable_segment`); ``None`` until then
+        self._victims: Optional[List[Tuple[int, int]]] = None
+
+    def format(self) -> None:
+        """A fresh log: every segment free and empty."""
+        count = self.segment_count
+        self.load_table(
+            SegmentTable(0, list(range(count - 1, -1, -1)), [0] * count, [0] * count)
+        )
 
     # -- geometry ------------------------------------------------------------
 
@@ -190,7 +203,9 @@ class SegmentManager:
 
     def begin_residual(self, segment: int) -> None:
         """A checkpoint starts: the residual log restarts at ``segment``."""
-        self.residual_segments = [segment]
+        done, self.residual_segments = self.residual_segments, [segment]
+        for old in done:
+            self._queue(old)  # cleanable from now on
         self.tail_segment = segment
         self.tail_offset = 0
 
@@ -232,6 +247,7 @@ class SegmentManager:
 
     def replayed(self, location: int, size: int) -> None:
         """The version at ``location`` is log: the tail follows it."""
+        self._victims = None
         segment = self.segment_of(location)
         self.tail_segment = segment
         self.tail_offset = location + size - self.segment_start(segment)
@@ -252,6 +268,7 @@ class SegmentManager:
 
     def unclaim(self, segments: List[int]) -> None:
         """A torn tail's claims are void: ``segments`` are empty and free."""
+        self._victims = None
         for segment in segments:
             if segment in self.residual_segments:
                 self.residual_segments.remove(segment)
@@ -262,37 +279,73 @@ class SegmentManager:
     def end_log(self, location: int) -> None:
         """The log ends at ``location``: nothing past it in its segment is
         used (a torn tail's bytes are not)."""
+        self._victims = None
         segment = self.tail_segment = self.segment_of(location)
         self.tail_offset = self.used_bytes[segment] = location - self.segment_start(segment)
 
     # -- utilization ---------------------------------------------------------
 
     def add_live(self, location: int, nbytes: int) -> None:
-        self.live_bytes[self.segment_of(location)] += nbytes
+        segment = self.segment_of(location)
+        self.live_bytes[segment] += nbytes
+        if self._victims is not None and segment != self.tail_segment:
+            self._queue(segment)
 
     def sub_live(self, location: int, nbytes: int) -> None:
         segment = self.segment_of(location)
         self.live_bytes[segment] = max(0, self.live_bytes[segment] - nbytes)
+        if self._victims is not None:
+            self._queue(segment)
 
     def emptiest_cleanable_segment(self) -> Optional[int]:
         """The cleaner's next victim (§4.9.5): the checkpointed-log segment
         with the fewest live bytes among those holding any obsolete ones
-        (lowest index on ties), or ``None``.  The cleaner asks on every
-        pass, so the one loop over all segments tests the cheapest, most
-        selective condition first — fewer live bytes than the best so far,
-        against a bound above any segment's — and looks nothing up but
-        locals."""
+        (lowest index on ties), or ``None``.
+
+        The cleaner asks on every pass, so the order is kept as the counts
+        change rather than found by a scan: a heap of ``(live, segment)``
+        entries, built at the first pick, holding one for every cleanable
+        segment's current count.  Only the tail's used bytes grow, and a
+        free segment's are 0, so a segment becomes cleanable only when its
+        live bytes change — :meth:`add_live` and :meth:`sub_live` push an
+        entry — or when it leaves the residual log, where
+        :meth:`begin_residual` pushes one (the tail's live bytes wait for
+        that).  Recovery's tail moves and :meth:`load_table` drop the
+        heap.  An entry with a stale count, or whose segment is not
+        cleanable, is dropped at the pick; past twice the segment count
+        the heap is rebuilt."""
+        victims = self._victims
+        if victims is None:
+            victims = self._rebuild()
+        live, used = self.live_bytes, self.used_bytes
+        skip = self.residual_segments
+        while victims:
+            count, segment = victims[0]
+            if count == live[segment] < used[segment] and segment not in skip:
+                return segment
+            heapq.heappop(victims)
+        return None
+
+    def _queue(self, segment: int) -> None:
+        victims = self._victims
+        if victims is not None:
+            heapq.heappush(victims, (self.live_bytes[segment], segment))
+            if len(victims) > 2 * self.segment_count:
+                self._rebuild()
+
+    def _rebuild(self) -> List[Tuple[int, int]]:
+        """The heap from a scan: one entry per cleanable segment."""
         skip = set(self.residual_segments)
         skip.update(self.free_segments)
         used = self.used_bytes
-        victim: Optional[int] = None
-        fewest = self.segment_size + 1
-        segment = -1
-        for live in self.live_bytes:
-            segment += 1
-            if live < fewest and live < used[segment] and segment not in skip:
-                victim, fewest = segment, live
-        return victim
+        victims = [
+            (live, segment)
+            for segment, live in enumerate(self.live_bytes)
+            if live < used[segment] and segment not in skip
+        ]
+        heapq.heapify(victims)
+        self._victims = victims
+        return victims
 
     def stored_bytes(self) -> int:
         """Total bytes the log currently occupies (for §9.3/§9.5.2)."""
@@ -316,14 +369,17 @@ class SegmentManager:
         )
 
     def load_table(self, table: SegmentTable) -> None:
+        """Start from ``table``, whose lists become this manager's (a
+        decoded table is read once, at open)."""
         if len(table.used_bytes) != self.segment_count:
             raise ValueError(
                 "segment table size mismatch: store geometry changed?"
             )
         self.tail_segment = table.tail_segment
-        self.free_segments = list(table.free_segments)
+        self.free_segments = table.free_segments
         self.deferred_segments = []
-        self.used_bytes = list(table.used_bytes)
-        self.live_bytes = list(table.live_bytes)
-        self.residual_segments = list(table.residual_segments)
+        self.used_bytes = table.used_bytes
+        self.live_bytes = table.live_bytes
+        self.residual_segments = table.residual_segments
         self.tail_offset = table.used_bytes[table.tail_segment]
+        self._victims = None

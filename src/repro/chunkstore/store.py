@@ -313,6 +313,7 @@ class ChunkStore:
         """Provision a fresh, empty store and write its first checkpoint."""
         config = config or StoreConfig()
         store = cls(platform, config)
+        store.segman.format()
         system_payload = LeaderPayload(
             cipher_name=config.system_cipher,
             hash_name=config.system_hash,

@@ -18,7 +18,7 @@ the per-chunk overhead small, which matters for the §9.3 space numbers.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 
 #: the 128 one-byte varints
@@ -98,6 +98,28 @@ class Encoder:
         )
         return self
 
+    def uints(self, values: Iterable[int]) -> "Encoder":
+        """:meth:`uint` each of ``values`` in one loop: the same bytes,
+        and the same ``ValueError`` for a value no varint holds."""
+        out = bytearray()
+        append = out.append
+        for value in values:
+            if value < 0x80:
+                if value < 0:
+                    raise ValueError(f"uvarint cannot encode negative value {value}")
+                append(value)
+            elif value < 0x4000:
+                append(value & 0x7F | 0x80)
+                append(value >> 7)
+            elif value < 0x200000:
+                append(value & 0x7F | 0x80)
+                append(value >> 7 & 0x7F | 0x80)
+                append(value >> 14)
+            else:
+                out += encode_uvarint(value)
+        self._parts.append(bytes(out))
+        return self
+
     def int(self, value: int) -> "Encoder":
         self._parts.append(encode_uvarint(zigzag(value)))
         return self
@@ -159,6 +181,35 @@ class Decoder:
             return data[pos]
         value, self._pos = decode_uvarint(data, pos)
         return value
+
+    def uints(self, count: int) -> List[int]:
+        """``count`` :meth:`uint` reads in one loop: the same values, and
+        the same ``ValueError`` on a truncated or over-long varint."""
+        data, pos = self._data, self._pos
+        values: List[int] = []
+        append = values.append
+        try:
+            for _ in range(count):
+                value = data[pos]
+                if value < 0x80:
+                    pos += 1
+                else:
+                    second = data[pos + 1]
+                    if second < 0x80:
+                        value = value & 0x7F | second << 7
+                        pos += 2
+                    else:
+                        third = data[pos + 2]
+                        if third < 0x80:
+                            value = value & 0x7F | (second & 0x7F) << 7 | third << 14
+                            pos += 3
+                        else:
+                            value, pos = decode_uvarint(data, pos)
+                append(value)
+        except IndexError:
+            raise ValueError("truncated uvarint") from None
+        self._pos = pos
+        return values
 
     def int(self) -> int:
         return unzigzag(self.uint())

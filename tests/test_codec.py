@@ -1,9 +1,18 @@
 """Unit and property tests for the binary codec (repro.util.codec)."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bench.store_bench import _plain_decode_uvarint, _plain_encode_uvarint
+from repro.bench.store_bench import (
+    _plain_decode_uvarint,
+    _plain_encode_uvarint,
+    _reference_table_decode,
+    _reference_table_encode,
+    segment_table_sample,
+)
+from repro.chunkstore.leader import SegmentTable
 from repro.util.codec import (
     MAX_UVARINT_BITS,
     Decoder,
@@ -166,3 +175,64 @@ class TestEncoderDecoder:
         dec = Decoder(enc.finish())
         assert [dec.uint() for _ in values] == values
         dec.expect_exhausted()
+
+
+#: the edges of the one-, two- and three-byte inline paths, and a value
+#: only the general route writes
+BULK_EDGES = [0, 127, 128, 16383, 16384, 2**21 - 1, 2**21, 2**70]
+
+
+def per_value(values):
+    enc = Encoder()
+    for value in values:
+        enc.uint(value)
+    return enc.finish()
+
+
+class TestBulkVarints:
+    """``Encoder.uints`` / ``Decoder.uints`` are the per-value calls in one
+    loop: the same bytes, values, positions and refusals."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_runs_are_the_per_value_calls(self, seed):
+        rng = random.Random(seed)
+        values = [
+            rng.choice(BULK_EDGES) if rng.random() < 0.5 else rng.randrange(2**rng.randrange(1, 71))
+            for _ in range(rng.randrange(200))
+        ]
+        wire = per_value(values)
+        assert Encoder().uints(values).finish() == wire
+        padded = b"\x55" + wire + b"\x01"
+        for data in (padded, memoryview(padded)):
+            dec = Decoder(data, 1)
+            assert dec.uints(len(values)) == values
+            assert dec.position == len(wire) + 1
+
+    def test_every_edge(self):
+        for value in BULK_EDGES:
+            wire = encode_uvarint(value)
+            assert Encoder().uints([value]).finish() == wire
+            assert Decoder(wire).uints(1) == [value]
+
+    @pytest.mark.parametrize("value", [-1, -128, 1 << MAX_UVARINT_BITS])
+    def test_what_uint_refuses_uints_refuses(self, value):
+        with pytest.raises(ValueError):
+            Encoder().uint(value)
+        with pytest.raises(ValueError):
+            Encoder().uints([1, 300, value])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_segment_tables_code_as_the_reference(self, seed):
+        rng = random.Random(seed)
+        table = segment_table_sample(rng, rng.randrange(2, 400), rng.choice([1024, 65536]))
+        table.used_bytes[: len(BULK_EDGES)] = BULK_EDGES
+        table.live_bytes[-len(BULK_EDGES) :] = BULK_EDGES
+        table.free_segments.extend(BULK_EDGES)
+        bulk, reference = Encoder(), Encoder()
+        table.encode(bulk)
+        _reference_table_encode(table, reference)
+        wire = bulk.finish()
+        assert wire == reference.finish()
+        ours, theirs = Decoder(wire), Decoder(wire)
+        assert SegmentTable.decode(ours) == table == _reference_table_decode(theirs)
+        assert ours.position == theirs.position == len(wire)

@@ -6,6 +6,8 @@ fail with a *typed* error on arbitrary input — never with an unhandled
 IndexError/KeyError/MemoryError-style crash, and never by silently
 succeeding with dangerous values."""
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from repro.errors import (
     PicklingError,
     TamperDetectedError,
 )
+from repro.util.codec import Decoder, Encoder
 
 ACCEPTABLE = (
     TamperDetectedError,
@@ -86,6 +89,59 @@ class TestLogParsers:
             MapVector.decode(blob)
         except ACCEPTABLE:
             pass
+
+
+def _outcome(read, data):
+    """What ``read`` makes of a decoder over ``data``: the value and the
+    position, or the type of what it raised."""
+    decoder = Decoder(data)
+    try:
+        return read(decoder), decoder.position
+    except Exception as exc:  # the type is the outcome compared
+        return type(exc)
+
+
+class TestBulkVarintFuzz:
+    """The bulk varint reads refuse what the per-value reads refuse, with
+    the same exception type."""
+
+    @given(blob=st.binary(max_size=40), count=st.integers(0, 12))
+    @settings(max_examples=200)
+    def test_uints_fail_as_uint_does(self, blob, count):
+        bulk = _outcome(lambda dec: dec.uints(count), blob)
+        assert bulk == _outcome(lambda dec: [dec.uint() for _ in range(count)], blob)
+
+    @given(blob=st.binary(max_size=120))
+    @settings(max_examples=200)
+    def test_segment_table_fails_as_the_reference_does(self, blob):
+        from repro.bench.store_bench import _reference_table_decode
+        from repro.chunkstore.leader import SegmentTable
+
+        assert _outcome(SegmentTable.decode, blob) == _outcome(_reference_table_decode, blob)
+
+    def test_truncated_and_overlong_tables(self):
+        from repro.bench.store_bench import (
+            _reference_table_decode,
+            segment_table_sample,
+        )
+        from repro.chunkstore.leader import SegmentTable
+
+        table = segment_table_sample(random.Random(3), 40)
+        enc = Encoder()
+        table.encode(enc)
+        wire = enc.finish()
+        for cut in range(len(wire)):
+            assert _outcome(SegmentTable.decode, wire[:cut]) is ValueError
+            assert _outcome(_reference_table_decode, wire[:cut]) is ValueError
+        # every value in turn padded past the longest varint a reader takes
+        dec, starts = Decoder(wire), []
+        while not dec.exhausted():
+            starts.append(dec.position)
+            dec.uint()
+        for start in starts:
+            overlong = wire[:start] + b"\xff" * 11 + wire[start:]
+            assert _outcome(SegmentTable.decode, overlong) is ValueError
+            assert _outcome(_reference_table_decode, overlong) is ValueError
 
 
 class TestSuperblockFuzz:

@@ -1,6 +1,8 @@
 """Segment manager unit tests (§4.9.4): geometry, allocation,
 utilization accounting, persistence."""
 
+import random
+
 import pytest
 
 from repro.chunkstore.segments import SegmentManager
@@ -8,7 +10,9 @@ from repro.errors import StorageFullError
 
 
 def manager(superblock=4096, segment=16 * 1024, total=4096 + 8 * 16 * 1024):
-    return SegmentManager(superblock, segment, total)
+    m = SegmentManager(superblock, segment, total)
+    m.format()
+    return m
 
 
 class TestGeometry:
@@ -128,14 +132,15 @@ class TestUtilization:
         c = m.claim_free_segment()
         # residual = [a, b]; make a checkpoint at c so a and b become cleanable
         m.begin_residual(c)
-        m.live_bytes[a] = 90
-        m.live_bytes[b] = 10
+        start = m.segment_start
+        m.add_live(start(a), 90)
+        m.add_live(start(b), 10)
         assert m.emptiest_cleanable_segment() == b  # emptiest first
-        m.live_bytes[a] = 10
+        m.sub_live(start(a), 80)
         assert m.emptiest_cleanable_segment() == min(a, b)  # tie: lowest index
-        m.live_bytes[b] = 100  # fully live: nothing to reclaim there
+        m.add_live(start(b), 90)  # fully live: nothing to reclaim there
         assert m.emptiest_cleanable_segment() == a
-        m.live_bytes[a] = 100
+        m.add_live(start(a), 90)
         assert m.emptiest_cleanable_segment() is None  # c is residual, rest free
 
     def test_stored_and_live_totals(self):
@@ -171,3 +176,84 @@ class TestPersistence:
         other = SegmentManager(4096, 16 * 1024, 4096 + 4 * 16 * 1024)
         with pytest.raises(ValueError):
             other.load_table(table)
+
+
+def scanned_victim(m):
+    """The cleaner's victim by a scan of every segment: the rule
+    :meth:`SegmentManager.emptiest_cleanable_segment` keeps a heap for."""
+    skip = set(m.residual_segments) | set(m.free_segments)
+    cleanable = [
+        (live, segment)
+        for segment, (live, used) in enumerate(zip(m.live_bytes, m.used_bytes))
+        if live < used and segment not in skip
+    ]
+    return min(cleanable)[1] if cleanable else None
+
+
+class TestVictimQueue:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_pick_is_the_scans(self, seed):
+        """Random live-byte changes, claims, releases, checkpoints and
+        reloads: the kept order picks what a scan picks, every time."""
+        rng = random.Random(seed)
+        size = 4096 + 10 * 16 * 1024  # small: the heap rebuilds often
+        m = manager(total=size)
+        m.begin_residual(m.claim_free_segment())
+        written = []  # (location, length) appended so far
+        commits = 0
+        for _ in range(1500):
+            step = rng.random()
+            if step < 0.3 and m.tail_offset < m.segment_size - 512:
+                length = rng.randrange(1, 512)
+                location = m.tail_location
+                m.advance(length)
+                m.add_live(location, length)
+                written.append((location, length))
+            elif step < 0.55 and written:
+                location, length = rng.choice(written)
+                m.sub_live(location, rng.randrange(1, 2 * length))
+            elif step < 0.65 and written:
+                location, length = rng.choice(written)
+                m.add_live(location, rng.randrange(1, length + 1))
+            elif step < 0.75 and m.free_segments:
+                m.jump_to(m.claim_free_segment())
+            elif step < 0.82 and m.free_segments:
+                m.begin_residual(m.claim_free_segment())
+                m.release_deferred(commits)
+            elif step < 0.92:
+                victim = m.emptiest_cleanable_segment()
+                if victim is not None:
+                    commits += 1
+                    m.release_segment(victim, commits)
+            else:
+                reloaded = manager(total=size)
+                reloaded.load_table(m.to_table())
+                m = reloaded
+            assert m.emptiest_cleanable_segment() == scanned_victim(m)
+
+    def test_a_rebuild_as_the_residual_log_restarts_keeps_its_segments(self):
+        m = manager()
+        a = m.claim_free_segment()
+        m.begin_residual(a)
+        m.advance(1000)
+        m.add_live(m.segment_start(a), 100)
+        b = m.claim_free_segment()
+        m.jump_to(b)
+        m.advance(1000)
+        m.add_live(m.segment_start(b), 1000)  # fully live
+        assert m.emptiest_cleanable_segment() is None  # both residual
+        while len(m._victims) < 2 * m.segment_count:
+            m.sub_live(m.segment_start(b), 0)
+        m.begin_residual(m.claim_free_segment())  # its first queued entry rebuilds
+        assert m.emptiest_cleanable_segment() == scanned_victim(m) == a
+
+    def test_the_queue_stays_bounded(self):
+        m = manager()
+        a = m.claim_free_segment()
+        m.begin_residual(a)
+        m.advance(1000)
+        m.begin_residual(m.claim_free_segment())
+        for _ in range(10 * m.segment_count):
+            m.add_live(m.segment_start(a), 1)
+            assert m.emptiest_cleanable_segment() == a
+        assert len(m._victims) <= 2 * m.segment_count

@@ -178,3 +178,48 @@ def test_loc_counts_code_not_comments_or_docstrings():
         "            text)\n"
     )
     assert loc.code_lines(source) == 6
+
+
+def test_e2e_pairs_alternates_the_sides_and_merges_each(capsys):
+    """``make e2e-pairs`` (``tools/e2e_pairs.py``), over a stub runner:
+    the two sides alternate and switch which goes first each pair, each
+    side's runs merge into one result, and the table and the pairs won
+    are printed.  No benchmark runs."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "e2e_pairs.py"
+    spec = importlib.util.spec_from_file_location("e2e_pairs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    trees = {"base": Path("base-tree"), "new": Path("new-tree")}
+    calls = []
+
+    def stub(tree, workload, out):
+        side = "base" if tree == trees["base"] else "new"
+        calls.append(side)
+        n = calls.count(side)
+        recovery = 0.004 + n * 1e-5 if side == "base" else 0.0025
+        return {
+            "workload": workload, "traced": False, "correct": True,
+            "ops_attempted": 100, "ops_failed": 0,
+            "e2e": {
+                "recovery_s": {"unit": "s", "value": recovery},
+                "txn_per_s": {"unit": "1/s", "value": 500.0},
+            },
+        }
+
+    records = tool.alternate(4, trees, "chunk_churn", Path("scratch"), stub)
+    assert calls == ["base", "new", "new", "base", "base", "new", "new", "base"]
+    assert [len(records[side]) for side in tool.SIDES] == [4, 4]
+    better = {"recovery_s": "lower", "txn_per_s": "higher"}
+    assert tool.wins(records["base"], records["new"], better) == {
+        "recovery_s": {"base": 0, "new": 4},
+        "txn_per_s": {"base": 0, "new": 0},
+    }
+    capsys.readouterr()
+    assert tool.report(records) == 0
+    out = capsys.readouterr().out
+    [row] = [line for line in out.splitlines() if line.startswith("chunk_churn     recovery_s")]
+    assert row.endswith("better")
+    assert "recovery_s             0 /   4" in out

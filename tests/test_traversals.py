@@ -27,6 +27,7 @@ from repro.chunkstore import ChunkStore, ops
 from repro.chunkstore.cleaner import Cleaner
 from repro.chunkstore.ids import SYSTEM_PARTITION, ChunkId, data_id, partition_rank
 from repro.chunkstore.logscan import VersionReader
+from repro.chunkstore.readpath import ReadPath
 from repro.errors import IOFaultError, TamperDetectedError
 from repro.platform import FakeClock, FaultConfig, FaultInjector
 from tests.conftest import make_config, make_platform
@@ -294,6 +295,48 @@ def _effects_script(mode):
 
 def test_the_effects_touch_caches_and_accounting_as_before(any_mode):
     assert _effects_script(any_mode) == EFFECTS_BEFORE_THE_TABLE[any_mode]
+
+
+def _fresh_ranks_script(monkeypatch):
+    """A checkpointed three-level partition, its vector cache cold, then
+    a commit of 20 ranks never written and one overwriting 2 written ones.
+    Returns the ``ReadPath.descriptors`` calls of each commit and the
+    per-segment live bytes after both."""
+    store = ChunkStore.format(make_platform(), make_config(fanout=4))
+    pid = _new_partition(store)
+    _write(store, pid, range(40), size=200)
+    store.checkpoint()
+    store.cache.clear()  # nothing is dirty: the checkpoint just ran
+    walks = []
+    descriptors = ReadPath.descriptors
+
+    def counted(self, state, cids):
+        walks.append(state.pid)
+        return descriptors(self, state, cids)
+
+    monkeypatch.setattr(ReadPath, "descriptors", counted)
+    counts = []
+    for ranks in (range(40, 60), [0, 1]):
+        del walks[:]
+        _write(store, pid, ranks, tag=b"n", size=200)
+        counts.append(walks.count(pid))
+    live = {seg: n for seg, n in enumerate(store.segman.live_bytes) if n}
+    return counts, live
+
+
+def test_a_commit_of_fresh_ranks_walks_no_map(monkeypatch):
+    """A rank its partition never committed names no live version: the
+    commit retires nothing and walks nothing (a bulk load's every write
+    used to), while an overwrite still walks to its old version; the
+    live-byte books are the ones recorded before the skip."""
+    counts, live = _fresh_ranks_script(monkeypatch)
+    assert counts[0] == 0 and counts[1] > 0
+    assert live == FRESH_RANKS_LIVE
+
+
+#: ``_fresh_ranks_script``'s live bytes, run on the parent of the change
+#: that skips the walk
+FRESH_RANKS_LIVE = {0: 14050, 1: 10070, 2: 13372}
 
 
 #: ``_effects_script`` run on the parent of the change that moved the
